@@ -92,6 +92,10 @@ class TrigPoly:
         object.__setattr__(self, "k_vecs", _frozen_array(k, dtype=int, ndim=2))
         object.__setattr__(self, "cos_coeffs", _frozen_array(c, ndim=1))
         object.__setattr__(self, "sin_coeffs", _frozen_array(s, ndim=1))
+        # kept as flags: the integrator asks for every coefficient at every stage
+        constant = not (np.any(c) or np.any(s))
+        object.__setattr__(self, "_constant", constant)
+        object.__setattr__(self, "_zero", constant and self.constant == 0.0)
 
     @classmethod
     def const(cls, value: float) -> "TrigPoly":
@@ -117,16 +121,10 @@ class TrigPoly:
         return None if self.n_terms == 0 else self.k_vecs.shape[1]
 
     def is_zero(self) -> bool:
-        return (
-            self.constant == 0.0
-            and not np.any(self.cos_coeffs)
-            and not np.any(self.sin_coeffs)
-        )
+        return self._zero
 
     def is_constant(self) -> bool:
-        return self.n_terms == 0 or (
-            not np.any(self.cos_coeffs) and not np.any(self.sin_coeffs)
-        )
+        return self._constant
 
     def sup_bound(self) -> float:
         """Certified upper bound: constant + sum(|cos| + |sin|)."""

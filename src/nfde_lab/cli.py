@@ -10,11 +10,8 @@ byte-identical outputs.
 
 Exit codes: 0 success / all checks passed; 1 a requested condition failed;
 2 malformed config; 3 structural precondition violated (includes unstable
-operators and unordered initial pairs); 4 a monitored invariant exceeded
-its threshold; 5 divergence.
-
-The environment variable NFDE_THREADS caps internal parallelism; the
-implementation is vectorized and runs within any cap of one or more.
+operators, unordered initial pairs and delays shorter than the step); 4 a
+monitored invariant exceeded its threshold; 5 divergence.
 """
 
 from __future__ import annotations
@@ -86,14 +83,6 @@ EXIT_DIVERGED = 5
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("NFDE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # --- config parsing ---------------------------------------------------------
@@ -198,19 +187,19 @@ def _parse_system(cfg: dict, flow: TorusFlow):
             _parse_poly(v, "system.inflows") for v in node.get("inflows", [0.0] * m)
         )
         pipes_node = node.get("pipes")
-        if pipes_node is None:
-            pipes = tuple(tuple(PipeSpec.instant() for _ in range(m)) for _ in range(m))
-        else:
-            if len(pipes_node) != m or any(len(row) != m for row in pipes_node):
-                raise ConfigError("system.pipes must be an m x m grid of atom lists")
-            pipes = tuple(
-                tuple(
-                    PipeSpec(tuple((float(r), float(w)) for r, w in cell))
-                    for cell in row
-                )
-                for row in pipes_node
-            )
         try:
+            if pipes_node is None:
+                pipes = tuple(tuple(PipeSpec.instant() for _ in range(m)) for _ in range(m))
+            else:
+                if len(pipes_node) != m or any(len(row) != m for row in pipes_node):
+                    raise ConfigError("system.pipes must be an m x m grid of atom lists")
+                pipes = tuple(
+                    tuple(
+                        PipeSpec(tuple((float(r), float(w)) for r, w in cell))
+                        for cell in row
+                    )
+                    for row in pipes_node
+                )
             return CompartmentalSystem(
                 m=m,
                 transports=transports,
@@ -233,13 +222,13 @@ def _parse_dspec(node, m, flow) -> DOperatorSpec:
     else:
         B = identity_poly_matrix(m)
     atoms = []
-    for k, at in enumerate(node.get("atoms", [])):
-        lag = float(_req(at, "lag", f"system.atoms[{k}]"))
-        weight = _parse_matrix_of(
-            _parse_poly, _req(at, "weight", f"system.atoms[{k}]"), m, "weight"
-        )
-        atoms.append(MeasureAtom(lag, weight))
     try:
+        for k, at in enumerate(node.get("atoms", [])):
+            lag = float(_req(at, "lag", f"system.atoms[{k}]"))
+            weight = _parse_matrix_of(
+                _parse_poly, _req(at, "weight", f"system.atoms[{k}]"), m, "weight"
+            )
+            atoms.append(MeasureAtom(lag, weight))
         return DOperatorSpec(m, B, AtomicMeasureFamily(tuple(atoms)), flow)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"system: {e}") from e
@@ -421,7 +410,7 @@ def cmd_simulate(cfg: dict, outdir: str) -> int:
     mass_dev = float(np.max(np.abs(log.M - log.M[0])))
     lines = [
         "task=simulate",
-        f"steps={int(round(sim.t_end / sim.h))}",
+        f"steps={sim.nsteps}",
         f"max_abs_mass_deviation={_fmt(mass_dev)}",
         f"final_z={[_fmt(v) for v in log.z[-1]]}",
     ]
@@ -579,7 +568,6 @@ def main(argv=None) -> int:
             raise ConfigError(f"unsupported schema version {cfg.get('schema')!r}")
         cfg.setdefault("schema", 1)
         cfg["task"] = args.task
-        cfg["_threads"] = thread_cap()
         # materialize defaults so the echo is complete
         sim = dict(cfg.get("sim", {}))
         for key, val in (

@@ -54,9 +54,8 @@ from .errors import (
     HorizonError,
     StructuralPreconditionError,
 )
-from .history import HistoryGrid
+from .history import _SNAP, HistoryGrid
 
-_SNAP = 1e-9
 
 CONDITIONS = ("G3", "G4", "G5", "G8", "G9")
 
@@ -326,15 +325,29 @@ def _general(sys) -> CompartmentalSystem:
     return sys.compartmental if isinstance(sys, NeutralDiagSystem) else sys
 
 
+def _coeff_at(poly: TrigPoly, th: np.ndarray) -> float:
+    """Value of a coefficient at one phase row; a constant needs no evaluation."""
+    if poly.is_constant():
+        return poly.constant
+    return float(eval_trig_many(poly, th)[0])
+
+
+def _rate(tr: TransportSpec, th: np.ndarray, v: float) -> float:
+    return _coeff_at(tr.gain, th) * tr.shape.value_scalar(v)
+
+
 def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
-    """Net balance rate at one phase from a supplied history."""
+    """Net balance rate at one phase from a supplied history.
+
+    Only the offsets 0 and minus each pipe lag are read, one at a time
+    through hist.sample_at.
+    """
     g = _general(sys)
     if hist.m != g.m:
         raise DimensionMismatchError("history dimension does not match the system")
-    maxlag = g.max_pipe_lag
-    if hasattr(hist, "horizon") and maxlag > hist.horizon + _SNAP:
+    if hasattr(hist, "horizon") and g.max_pipe_lag > hist.horizon + _SNAP:
         raise HorizonError(
-            f"history horizon {hist.horizon:.6g} does not cover pipe lag {maxlag:.6g}"
+            f"history horizon {hist.horizon:.6g} does not cover pipe lag {g.max_pipe_lag:.6g}"
         )
     x0 = hist.sample_at(0.0)
     th0 = p.theta[None, :]
@@ -342,20 +355,21 @@ def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
     for i in range(g.m):
         total_out = 0.0
         if not g.outflows[i].is_zero():
-            total_out += float(g.outflows[i].eval_at(th0, x0[i])[0])
+            total_out += _rate(g.outflows[i], th0, x0[i])
         for j in range(g.m):
             tr = g.transports[j][i]
             if not tr.is_zero():
-                total_out += float(tr.eval_at(th0, x0[i])[0])
-        F[i] = -total_out + float(eval_trig_many(g.inflows[i], th0)[0])
+                total_out += _rate(tr, th0, x0[i])
+        F[i] = -total_out + _coeff_at(g.inflows[i], th0)
         for j in range(g.m):
             tr = g.transports[i][j]
             if tr.is_zero():
                 continue
             for r, w in g.pipes[i][j].atoms:
-                th_r = advance_many(g.flow, p, [-r])
-                zjr = hist.sample_at(-r)[j]
-                F[i] += w * float(tr.eval_at(th_r, zjr)[0])
+                th_r = th0
+                if r != 0.0 and not tr.gain.is_constant():
+                    th_r = advance_many(g.flow, p, [-r])
+                F[i] += w * _rate(tr, th_r, hist.sample_at(-r)[j])
     return F
 
 

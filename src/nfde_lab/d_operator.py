@@ -32,9 +32,7 @@ from .errors import (
     SingularBError,
     UnstableMarginError,
 )
-from .history import FunctionHistory, HistoryGrid, TailPolicy, cubic_rows, sup_norm
-
-_SNAP = 1e-9
+from .history import _SNAP, FunctionHistory, HistoryGrid, TailPolicy, cubic_rows, sup_norm
 
 
 def const_poly_matrix(values) -> list:

@@ -26,7 +26,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
-_NODE_SNAP = 1e-9  # relative tolerance for treating a query as on-node
+# Tolerance for treating a time or a grid position as on a node; the one
+# snap tolerance every module of the package uses.
+_SNAP = 1e-9
 
 
 class TailPolicy(enum.Enum):
@@ -54,7 +56,7 @@ def cubic_rows(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
     pos = np.asarray(pos, dtype=float)
     out = np.empty((pos.size,) + values.shape[1:], dtype=values.dtype)
     ipos = np.rint(pos)
-    on_node = np.abs(pos - ipos) <= _NODE_SNAP * np.maximum(1.0, np.abs(pos))
+    on_node = np.abs(pos - ipos) <= _SNAP * np.maximum(1.0, np.abs(pos))
     if np.any(on_node):
         out[on_node] = values[ipos[on_node].astype(int)]
     mid = ~on_node
@@ -119,12 +121,12 @@ class HistoryGrid:
     def sample_many(self, s) -> np.ndarray:
         """Values at each offset in s (all <= 0); shape (len(s), m)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s > _NODE_SNAP):
+        if np.any(s > _SNAP):
             raise ValueError("history offsets must be <= 0")
         pos = np.maximum(-s / self.step, 0.0)
         J = self.J
         ipos = np.rint(pos)
-        on_node = np.abs(pos - ipos) <= _NODE_SNAP * np.maximum(1.0, pos)
+        on_node = np.abs(pos - ipos) <= _SNAP * np.maximum(1.0, pos)
         eff = np.where(on_node, ipos, pos)
         beyond = eff > J
         out = np.empty((s.size, self.m))
@@ -147,7 +149,7 @@ class SegmentView:
     """
 
     def __init__(self, base, offset: float):
-        if offset > _NODE_SNAP:
+        if offset > _SNAP:
             raise ValueError("segment offset must be <= 0")
         self.base = base
         self.offset = float(offset)
@@ -173,7 +175,7 @@ class FunctionHistory:
 
     def sample_many(self, s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s > _NODE_SNAP):
+        if np.any(s > _SNAP):
             raise ValueError("history offsets must be <= 0")
         vals = np.asarray(self.fn(s), dtype=float)
         if vals.ndim == 1:
@@ -191,7 +193,7 @@ class FunctionHistory:
 
 def from_function(fn, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> HistoryGrid:
     """Sample a vectorized function of the offset onto a fresh grid."""
-    J = int(np.ceil(horizon / step - _NODE_SNAP))
+    J = int(np.ceil(horizon / step - _SNAP))
     s = -step * np.arange(J + 1)
     vals = np.asarray(fn(s), dtype=float)
     if vals.ndim == 1:
@@ -201,13 +203,13 @@ def from_function(fn, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> 
 
 def constant_history(value, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> HistoryGrid:
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    J = int(np.ceil(horizon / step - _NODE_SNAP))
+    J = int(np.ceil(horizon / step - _SNAP))
     return HistoryGrid(step, np.tile(value, (J + 1, 1)), tail)
 
 
 def resample(hist, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> HistoryGrid:
     """Re-sample any history-like object onto a uniform grid."""
-    J = int(np.ceil(horizon / step - _NODE_SNAP))
+    J = int(np.ceil(horizon / step - _SNAP))
     s = -step * np.arange(J + 1)
     return HistoryGrid(step, hist.sample_many(s), tail)
 
@@ -221,7 +223,7 @@ def seminorm_n(hist: HistoryGrid, n: int) -> float:
     """Grid sup of the max-norm over offsets in [-n, 0]."""
     if n <= 0:
         raise ValueError("seminorm index must be positive")
-    jmax = min(hist.J, int(np.floor(n / hist.step + _NODE_SNAP)))
+    jmax = min(hist.J, int(np.floor(n / hist.step + _SNAP)))
     return float(np.max(np.abs(hist.samples[: jmax + 1])))
 
 
@@ -247,10 +249,10 @@ def compact_open_metric(x: HistoryGrid, y: HistoryGrid, n_max: int = 30) -> floa
     full = max(float(prefix[-1]), tailnorm)
     total = 0.0
     for n in range(1, n_max + 1):
-        if n >= H - _NODE_SNAP:
+        if n >= H - _SNAP:
             u = full
         else:
-            jcut = min(Jc, int(np.floor(n / hc + _NODE_SNAP)))
+            jcut = min(Jc, int(np.floor(n / hc + _SNAP)))
             u = float(prefix[jcut])
         total += 0.5**n * u / (1.0 + u)
     total += 0.5**n_max * full / (1.0 + full)

@@ -3,20 +3,17 @@
 The integrated variable is the transformed state zhat(t) = D(w . t, z_t),
 which satisfies an ordinary delay equation zhat' = G(w . t, zhat_t) with
 G = F after inverting the lifted operator. Integrating zhat avoids
-differentiating the neutral term; the physical state z is reconstructed on
-demand.
+differentiating the neutral term.
 
-For the neutral-diagonal family the reconstruction is the truncated
-backward product series
+The physical state z is stored next to zhat and rebuilt by the method of
+steps. Every delay D reads is at least one step h, so at any stage time
 
-    z_i(t) = sum_n C_i^n(w . t) zhat_i(t - n alpha_i),
+    z(t) = B(w . t)^-1 [zhat(t) + sum_k W_k(w . t) z(t - s_k) + density part]
 
-with a geometric tail below the configured inversion tolerance; for
-general operators each reconstruction inverts the lift on the current
-segment. Stages of the classical fourth-order Runge-Kutta step read
-delayed values from the stored trajectory through the shared cubic
-interpolation, so the effective order sits between 2 and 4 depending on
-the smoothness of the data.
+is explicit in values of z already stored; the store starts from the given
+physical history. Delayed values come from the stored z through the shared
+cubic interpolation, so the effective order sits between 2 and 4
+depending on the smoothness of the data.
 """
 
 from __future__ import annotations
@@ -29,19 +26,18 @@ from typing import Optional
 
 import numpy as np
 
-from .base_flow import TorusFlow, TorusPoint, eval_trig_many, torus_distance
-from .compartment import NeutralDiagSystem, eval_F, total_mass
-from .d_operator import eval_Dhat_segment, invert_Dhat
+from .base_flow import TorusFlow, TorusPoint, torus_distance
+from .compartment import _general, eval_F, total_mass
+from .d_operator import eval_Dhat_segment, eval_poly_matrix_many
 from .errors import (
     DivergenceError,
     HorizonError,
     NoReturnTimesError,
+    StructuralPreconditionError,
     UnorderedPairError,
 )
-from .history import HistoryGrid, TailPolicy, cubic_rows, resample
+from .history import _SNAP, HistoryGrid, TailPolicy, cubic_rows, resample
 from .ordering import ConeSpec, matrix_exp
-
-_SNAP = 1e-9
 
 
 @dataclass
@@ -62,77 +58,152 @@ class SimConfig:
             raise ValueError("h and t_end must be positive")
         if self.log_stride < 1:
             raise ValueError("log_stride must be >= 1")
+        if abs(self.nsteps * self.h - self.t_end) > 1e-6 * max(1.0, self.t_end):
+            raise ValueError("t_end must be an integer number of steps")
+
+    @property
+    def nsteps(self) -> int:
+        return int(round(self.t_end / self.h))
+
+
+class _Delays:
+    """The delays the method of steps reads from the stored z.
+
+    `lags` holds each distinct atom lag, density midpoint distance and
+    nonzero pipe lag once; the other fields index into it.
+    """
+
+    def __init__(self, general, h: float):
+        nu = general.dspec.nu
+        atom = [a.lag for a in nu.atoms]
+        dens = [] if nu.density is None else [float(-mid) for mid in nu.density.midpoints]
+        pipe = sorted(
+            {
+                r
+                for i in range(general.m)
+                for j in range(general.m)
+                if not general.transports[i][j].is_zero()
+                for r, _ in general.pipes[i][j].atoms
+                if r > 0.0
+            }
+        )
+        lags = sorted(set(atom + dens + pipe))
+        if lags and lags[0] < h - _SNAP:
+            raise StructuralPreconditionError(
+                f"delay {lags[0]:.6g} is shorter than the step h={h:.6g}: every atom "
+                "lag, nonzero pipe lag and density midpoint must be at least h"
+            )
+        row = {r: n for n, r in enumerate(lags)}
+        self.lags = np.array(lags)
+        self.atom = [row[r] for r in atom]
+        self.dens = np.array([row[r] for r in dens], dtype=int)
+        self.pipe = [(r, row[r]) for r in pipe]
+
+
+class _Stage:
+    """A stage time's data apart from the stage value: the phase, B^-1 and
+    the delayed part of D there, and z at the pipe lags before it."""
+
+    __slots__ = ("p", "Binv", "rest", "delayed")
+
+    def __init__(self, p, Binv, rest, delayed):
+        self.p = p
+        self.Binv = Binv
+        self.rest = rest
+        self.delayed = delayed
+
+    def z(self, zhat: np.ndarray) -> np.ndarray:
+        """Physical state at the stage time from the transformed one."""
+        return self.Binv @ (zhat + self.rest)
+
+
+class _StageHistory:
+    """z at a stage time and at its pipe lags: what eval_F reads."""
+
+    __slots__ = ("m", "now", "delayed")
+
+    def __init__(self, now, delayed):
+        self.m = now.size
+        self.now = now
+        self.delayed = delayed
+
+    def sample_at(self, s: float) -> np.ndarray:
+        return self.now if s == 0.0 else self.delayed[-s]
 
 
 class SimState:
-    """Single-owner integration state: the transformed trajectory so far.
+    """Single-owner integration state: the trajectory so far.
 
-    Z[k] holds zhat at time (k - Jh) * h; index Jh is time zero and `k`
-    points at the current step.
+    Z[k] holds zhat and X[k] the physical state z at time (k - Jh) * h;
+    index Jh is time zero and `k` points at the current step.
     """
 
-    def __init__(self, sys, p0, cfg, n_trunc, Jh, Z, k):
-        self.sys = sys
-        self.general = sys.compartmental if isinstance(sys, NeutralDiagSystem) else sys
+    def __init__(self, sys, p0, cfg, n_trunc, Jh, Z, X, k, delays):
+        self.general = _general(sys)
         self.p0 = p0
         self.cfg = cfg
         self.h = cfg.h
         self.n_trunc = n_trunc
         self.Jh = Jh
         self.Z = Z
+        self.X = X
         self.k = k
         self.flow = self.general.flow
         self.m = self.general.m
-        self._diag = isinstance(sys, NeutralDiagSystem)
-        self._stage_cache = {}
+        self.delays = delays
+        B = self.general.dspec.B
+        self._Binv = None
+        if all(b.is_constant() for row in B for b in row):
+            self._Binv = np.linalg.inv(np.array([[b.constant for b in row] for row in B]))
+        self._ahead = None  # stage data at the current time, left by the last step
 
     @property
     def t(self) -> float:
         return (self.k - self.Jh) * self.h
 
-    def theta_rows(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.mod(
-            self.p0.theta[None, :] + ts[:, None] * self.flow.freqs[None, :], 1.0
-        )
-
     def point_at(self, t: float) -> TorusPoint:
-        return TorusPoint(self.theta_rows([t])[0])
+        return TorusPoint(self.p0.theta + t * self.flow.freqs)
 
     def _ensure_capacity(self, extra: int):
         need = self.k + extra + 1
         if need > self.Z.shape[0]:
-            grown = np.empty((max(need, 2 * self.Z.shape[0]), self.m))
-            grown[: self.k + 1] = self.Z[: self.k + 1]
-            self.Z = grown
+            rows = max(need, 2 * self.Z.shape[0])
+            for name in ("Z", "X"):
+                grown = np.empty((rows, self.m))
+                grown[: self.k + 1] = getattr(self, name)[: self.k + 1]
+                setattr(self, name, grown)
 
-    def zhat_values(self, ts, stage_t=None, stage_v=None) -> np.ndarray:
-        """Transformed state at the given times from the stored trajectory.
+    def read(self, buf: np.ndarray, ts) -> np.ndarray:
+        """Rows of a stored buffer (Z or X) at the given times."""
+        pos = np.atleast_1d(np.asarray(ts, dtype=float)) / self.h + self.Jh
+        if np.any(pos < -_SNAP) or np.any(pos > self.k + _SNAP):
+            raise HorizonError("requested time outside the stored trajectory")
+        return cubic_rows(buf[: self.k + 1], np.clip(pos, 0.0, self.k))
 
-        A pending stage value may be supplied for the single time equal to
-        stage_t, which the buffer does not contain yet.
-        """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        pos = ts / self.h + self.Jh
-        out = np.empty((ts.size, self.m))
-        if stage_t is not None:
-            at_stage = np.abs(ts - stage_t) <= _SNAP * max(1.0, abs(stage_t))
-        else:
-            at_stage = np.zeros(ts.size, dtype=bool)
-        if np.any(at_stage):
-            out[at_stage] = stage_v
-        rest = ~at_stage
-        if np.any(rest):
-            p = pos[rest]
-            if np.any(p < -_SNAP) or np.any(p > self.k + _SNAP):
-                raise HorizonError("requested time outside the stored trajectory")
-            out[rest] = cubic_rows(self.Z[: self.k + 1], np.clip(p, 0.0, self.k))
-        return out
-
-    def zhat_segment(self, t: float, depth: int, stage_t=None, stage_v=None) -> HistoryGrid:
-        ts = t - self.h * np.arange(depth + 1)
-        vals = self.zhat_values(ts, stage_t, stage_v)
+    def zhat_segment(self, t: float, depth: int) -> HistoryGrid:
+        vals = self.read(self.Z, t - self.h * np.arange(depth + 1))
         return HistoryGrid(self.h, vals, TailPolicy.CONSTANT)
+
+    def stage(self, t_s: float) -> _Stage:
+        """Stage data at t_s; every delayed z it reads is already stored."""
+        spec = self.general.dspec
+        p = self.point_at(t_s)
+        th = p.theta[None, :]
+        Binv = self._Binv
+        if Binv is None:
+            Binv = np.linalg.inv(eval_poly_matrix_many(spec.B, th)[0])
+        rest = np.zeros(self.m)
+        delayed = {}
+        d = self.delays
+        if d.lags.size:
+            rows = cubic_rows(self.X[: self.k + 1], (t_s - d.lags) / self.h + self.Jh)
+            for atom, n in zip(spec.nu.atoms, d.atom):
+                rest += eval_poly_matrix_many(atom.weight, th)[0] @ rows[n]
+            if d.dens.size:
+                dens = spec.nu.density
+                rest += dens.step * np.einsum("lab,lb->a", dens.values, rows[d.dens])
+            delayed = {r: rows[n] for r, n in d.pipe}
+        return _Stage(p, Binv, rest, delayed)
 
 
 def _auto_n_trunc(c_sup: float, inv_tol: float) -> int:
@@ -141,245 +212,85 @@ def _auto_n_trunc(c_sup: float, inv_tol: float) -> int:
     return max(1, int(math.ceil(math.log(inv_tol) / math.log(c_sup))))
 
 
-def required_z_horizon(sys, cfg: SimConfig) -> float:
-    """History length needed to initialize a run from physical data."""
-    general = sys.compartmental if isinstance(sys, NeutralDiagSystem) else sys
-    est = general.dspec.stability()
-    n_trunc = cfg.n_trunc if cfg.n_trunc is not None else _auto_n_trunc(est.lam, cfg.inv_tol)
+def _history_plan(general, cfg: SimConfig):
+    """(n_trunc, Jh): truncation depth and stored history length in steps."""
+    n_trunc = cfg.n_trunc
+    if n_trunc is None:
+        n_trunc = _auto_n_trunc(general.dspec.stability().lam, cfg.inv_tol)
     S = general.dspec.support
     H = general.max_pipe_lag + S + n_trunc * S
-    Jh = max(1, int(math.ceil(H / cfg.h - _SNAP)))
-    return Jh * cfg.h + S
+    return n_trunc, max(1, int(math.ceil(H / cfg.h - _SNAP)))
+
+
+def required_z_horizon(sys, cfg: SimConfig) -> float:
+    """History length needed to initialize a run from physical data."""
+    general = _general(sys)
+    _, Jh = _history_plan(general, cfg)
+    return Jh * cfg.h + general.dspec.support
 
 
 def init_from_z(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> SimState:
-    """Transform initial physical data and set up the trajectory buffer."""
-    general = sys.compartmental if isinstance(sys, NeutralDiagSystem) else sys
-    est = general.dspec.stability()
-    n_trunc = cfg.n_trunc if cfg.n_trunc is not None else _auto_n_trunc(est.lam, cfg.inv_tol)
-    S = general.dspec.support
-    H = general.max_pipe_lag + S + n_trunc * S
-    Jh = max(1, int(math.ceil(H / cfg.h - _SNAP)))
-    required = Jh * cfg.h + S
+    """Transform initial physical data and set up the trajectory buffers.
+
+    Raises StructuralPreconditionError when a delay the method of steps
+    reads is shorter than one step.
+    """
+    general = _general(sys)
+    delays = _Delays(general, cfg.h)
+    n_trunc, Jh = _history_plan(general, cfg)
+    required = Jh * cfg.h + general.dspec.support
     if z_hist.horizon + _SNAP < required:
         raise HorizonError(
             f"initial history covers {z_hist.horizon:.6g}, need {required:.6g}"
         )
-    if isinstance(sys, NeutralDiagSystem):
-        # stage evaluations read strictly past data: delays must clear one step
-        if np.any(sys.alpha < cfg.h - _SNAP):
-            raise ValueError("every alpha_i must be at least one step h")
-        for i in range(sys.m):
-            for j in range(sys.m):
-                r = sys.rho[i][j]
-                if not sys.transports[i][j].is_zero() and 0.0 < r < cfg.h - _SNAP:
-                    raise ValueError("pipe lags must be zero or at least one step h")
     if abs(z_hist.step - cfg.h) > 1e-12:
         z_hist = resample(z_hist, cfg.h, z_hist.horizon, z_hist.tail)
     zhat = eval_Dhat_segment(general.dspec, p0, z_hist, Jh)
-    nsteps = int(round(cfg.t_end / cfg.h))
-    Z = np.empty((Jh + nsteps + 8, general.m))
+    rows = Jh + cfg.nsteps + 8
+    Z = np.empty((rows, general.m))
     Z[: Jh + 1] = zhat.samples[::-1]
-    return SimState(sys, p0, cfg, n_trunc, Jh, Z, Jh)
+    X = np.empty((rows, general.m))
+    X[: Jh + 1] = z_hist.samples[Jh::-1]
+    return SimState(sys, p0, cfg, n_trunc, Jh, Z, X, Jh, delays)
 
 
-def _recon_diag(state: SimState, comp: int, ts, stage_t=None, stage_v=None) -> np.ndarray:
-    """Truncated product-series reconstruction of z_comp at the given times."""
-    sys = state.sys
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    n = state.n_trunc
-    alpha = sys.alpha[comp]
-    if sys.c[comp].is_zero() or n == 0:
-        return state.zhat_values(ts, stage_t, stage_v)[:, comp]
-    lag_times = ts[:, None] - alpha * np.arange(n + 1)[None, :]  # (nt, n+1)
-    prod_times = ts[:, None] - alpha * np.arange(n)[None, :]
-    th = state.theta_rows(prod_times.ravel())
-    cvals = eval_trig_many(sys.c[comp], th).reshape(ts.size, n)
-    weights = np.ones((ts.size, n + 1))
-    weights[:, 1:] = np.cumprod(cvals, axis=1)
-    zh = state.zhat_values(lag_times.ravel(), stage_t, stage_v)[:, comp].reshape(
-        ts.size, n + 1
-    )
-    return np.sum(weights * zh, axis=1)
+def reconstruct_z(state: SimState, s: float) -> np.ndarray:
+    """Physical state at time s, read from the stored z."""
+    return state.read(state.X, [s])[0]
 
 
-# --- lean stage-evaluation helpers for the diagonal fast path ---------------
-
-_HALF_W = (-0.0625, 0.5625, 0.5625, -0.0625)  # cubic weights at a cell midpoint
-
-
-def _gather_col(state: SimState, comp: int, times: np.ndarray) -> np.ndarray:
-    """zhat_comp at times already inside the stored buffer.
-
-    When every position is node-aligned (or every position sits at a cell
-    midpoint) a direct gather applies; mixed or generic offsets fall back
-    to the cubic interpolation.
-    """
-    pos = times / state.h + state.Jh
-    k = state.k
-    r = np.rint(pos)
-    if np.all(np.abs(pos - r) < 1e-9):
-        return state.Z[np.minimum(r.astype(int), k), comp]
-    q = np.floor(pos).astype(int)
-    if (
-        np.all(np.abs(pos - q - 0.5) < 1e-9)
-        and q.min() >= 1
-        and q.max() + 2 <= k
-    ):
-        Zc = state.Z[:, comp]
-        return (
-            _HALF_W[0] * Zc[q - 1]
-            + _HALF_W[1] * Zc[q]
-            + _HALF_W[2] * Zc[q + 1]
-            + _HALF_W[3] * Zc[q + 2]
-        )
-    return cubic_rows(state.Z[: k + 1], np.clip(pos, 0.0, k))[:, comp]
-
-
-def _series_weights(state: SimState, comp: int, t_s: float) -> np.ndarray:
-    n = state.n_trunc
-    alpha = state.sys.alpha[comp]
-    ts = t_s - alpha * np.arange(n)
-    th = np.mod(
-        state.p0.theta[None, :] + ts[:, None] * state.flow.freqs[None, :], 1.0
-    )
-    cv = eval_trig_many(state.sys.c[comp], th)
-    w = np.empty(n + 1)
-    w[0] = 1.0
-    np.cumprod(cv, out=w[1:])
-    return w
-
-
-def _series_rest(state: SimState, comp: int, t_s: float) -> float:
-    """Sum over n >= 1 of the product series; the n = 0 term is the stage value."""
-    n = state.n_trunc
-    if n == 0 or state.sys.c[comp].is_zero():
-        return 0.0
-    alpha = state.sys.alpha[comp]
-    w = _series_weights(state, comp, t_s)
-    times = t_s - alpha * np.arange(1, n + 1)
-    return float(w[1:] @ _gather_col(state, comp, times))
-
-
-def _series_full(state: SimState, comp: int, t_s: float) -> float:
-    """z_comp(t_s) entirely from the buffer (requires t_s <= current time)."""
-    n = state.n_trunc
-    if n == 0 or state.sys.c[comp].is_zero():
-        return float(_gather_col(state, comp, np.array([t_s]))[0])
-    alpha = state.sys.alpha[comp]
-    w = _series_weights(state, comp, t_s)
-    times = t_s - alpha * np.arange(n + 1)
-    return float(w @ _gather_col(state, comp, times))
-
-
-def reconstruct_z(state: SimState, s: float, stage_t=None, stage_v=None) -> np.ndarray:
-    """Physical state at time s from the stored transformed trajectory.
-
-    Neutral-diagonal systems use the product series truncated at n_trunc;
-    general systems invert the lift on the segment ending at s. The two
-    routes agree within the combined truncation tolerances on diagonal
-    systems.
-    """
-    if state._diag:
-        return np.array(
-            [
-                _recon_diag(state, i, [s], stage_t, stage_v)[0]
-                for i in range(state.m)
-            ]
-        )
-    seg = state.zhat_segment(s, state.Jh, stage_t, stage_v)
-    x = invert_Dhat(state.general.dspec, state.point_at(s), seg, state.cfg.inv_tol)
-    return x.samples[0]
-
-
-def _gain_at(state: SimState, tr, tkey: int, lag: float, t_eval: float, cache) -> float:
-    gain = tr.gain
-    if gain.is_constant():
-        return gain.constant
-    key = ("g", id(gain), tkey, lag)
-    val = cache.get(key)
-    if val is None:
-        th = np.mod(state.p0.theta + t_eval * state.flow.freqs, 1.0)
-        val = float(eval_trig_many(gain, th[None, :])[0])
-        cache[key] = val
-    return val
-
-
-def _rhs_diag(state: SimState, t_s: float, v: np.ndarray, cache) -> np.ndarray:
-    """RHS of the transformed equation via the product-series reconstruction.
-
-    Stage-independent pieces (everything except the pending stage value v)
-    are cached per half-step time key, so the two middle Runge-Kutta stages
-    share their delayed reconstructions and the endpoint stage is reused by
-    the following step.
-    """
-    sys = state.sys
-    general = state.general
-    m = state.m
-    tkey = round(2.0 * t_s / state.h)
-    z_cur = np.empty(m)
-    for i in range(m):
-        key = ("r", tkey, i)
-        rest = cache.get(key)
-        if rest is None:
-            rest = _series_rest(state, i, t_s)
-            cache[key] = rest
-        z_cur[i] = v[i] + rest
-    F = np.zeros(m)
-    for i in range(m):
-        total_out = 0.0
-        for j in range(m):
-            tr = general.transports[j][i]
-            if not tr.is_zero():
-                g = _gain_at(state, tr, tkey, 0.0, t_s, cache)
-                total_out += g * tr.shape.value_scalar(z_cur[i])
-        F[i] = -total_out
-        for j in range(m):
-            tr = general.transports[i][j]
-            if tr.is_zero():
-                continue
-            r = float(sys.rho[i][j])
-            if r <= 0.0:
-                zdel = z_cur[j]
-            else:
-                key = ("z", tkey, j, r)
-                zdel = cache.get(key)
-                if zdel is None:
-                    zdel = _series_full(state, j, t_s - r)
-                    cache[key] = zdel
-            g = _gain_at(state, tr, tkey, r, t_s - r, cache)
-            F[i] += g * tr.shape.value_scalar(zdel)
-    return F
-
-
-def _rhs_general(state: SimState, t_s: float, v: np.ndarray, cache) -> np.ndarray:
-    seg = state.zhat_segment(t_s, state.Jh, t_s, v)
-    p_s = state.point_at(t_s)
-    x = invert_Dhat(state.general.dspec, p_s, seg, state.cfg.inv_tol)
-    return eval_F(state.general, p_s, x)
+def _rhs(state: SimState, stage: _Stage, z: np.ndarray) -> np.ndarray:
+    return eval_F(state.general, stage.p, _StageHistory(z, stage.delayed))
 
 
 def step(state: SimState, cfg: Optional[SimConfig] = None) -> SimState:
-    """Advance one classical Runge-Kutta step; mutates and returns the state."""
+    """Advance one classical Runge-Kutta step; mutates and returns the state.
+
+    The two middle stages share their stage data; the data at the new time
+    serve the last stage, the stored z there, and the next step's first
+    stage.
+    """
     cfg = cfg or state.cfg
     h = state.h
-    rhs = _rhs_diag if state._diag else _rhs_general
     t = state.t
-    cache = state._stage_cache
-    if len(cache) > 50000:
-        cache.clear()
-    v0 = state.Z[state.k]
-    k1 = rhs(state, t, v0, cache)
-    k2 = rhs(state, t + 0.5 * h, v0 + 0.5 * h * k1, cache)
-    k3 = rhs(state, t + 0.5 * h, v0 + 0.5 * h * k2, cache)
-    k4 = rhs(state, t + h, v0 + h * k3, cache)
+    k = state.k
+    v0 = state.Z[k]
+    now = state._ahead or state.stage(t)
+    k1 = _rhs(state, now, state.X[k])
+    mid = state.stage(t + 0.5 * h)
+    k2 = _rhs(state, mid, mid.z(v0 + 0.5 * h * k1))
+    k3 = _rhs(state, mid, mid.z(v0 + 0.5 * h * k2))
+    end = state.stage(t + h)
+    k4 = _rhs(state, end, end.z(v0 + h * k3))
     vn = v0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     top = float(np.max(np.abs(vn)))
     if not np.isfinite(top) or top > cfg.divergence_limit:
         raise DivergenceError(t + h, top)
     state._ensure_capacity(1)
-    state.Z[state.k + 1] = vn
-    state.k += 1
+    state.Z[k + 1] = vn
+    state.X[k + 1] = end.z(vn)
+    state.k = k + 1
+    state._ahead = end
     return state
 
 
@@ -397,34 +308,25 @@ class TrajectoryLog:
     final_state: Optional[SimState] = None
 
 
-def _mass_window(state: SimState, t: float) -> HistoryGrid:
+def _mass_window(state: SimState) -> HistoryGrid:
+    """Stored z over the window total_mass reads, newest row first."""
     general = state.general
     wlen = max(general.max_pipe_lag, general.dspec.support, state.h)
     W = int(math.ceil(wlen / state.h - _SNAP))
-    ts = t - state.h * np.arange(W + 1)
-    if state._diag:
-        cols = [_recon_diag(state, i, ts) for i in range(state.m)]
-        rows = np.stack(cols, axis=1)
-    else:
-        seg = state.zhat_segment(t, state.Jh)
-        x = invert_Dhat(general.dspec, state.point_at(t), seg, state.cfg.inv_tol)
-        rows = x.samples[: W + 1]
-    return HistoryGrid(state.h, rows, TailPolicy.CONSTANT)
+    return HistoryGrid(state.h, state.X[state.k - W : state.k + 1][::-1], TailPolicy.CONSTANT)
 
 
 def run(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> TrajectoryLog:
     """Integrate to t_end, logging every log_stride steps (plus the endpoint)."""
     state = init_from_z(sys, p0, z_hist, cfg)
-    nsteps = int(round(cfg.t_end / cfg.h))
-    if abs(nsteps * cfg.h - cfg.t_end) > 1e-6 * max(1.0, cfg.t_end):
-        raise ValueError("t_end must be an integer number of steps")
+    nsteps = cfg.nsteps
     ts, zs, zhs, Ms = [], [], [], []
 
     def log_now():
         t = state.t
         ts.append(t)
         zhs.append(state.Z[state.k].copy())
-        win = _mass_window(state, t)
+        win = _mass_window(state)
         zs.append(win.samples[0].copy())
         Ms.append(total_mass(state.general, state.point_at(t), win))
 
@@ -503,9 +405,8 @@ def run_ordered_pair(
     if margin0 < -cfg.tol_cone:
         j, c = np.unravel_index(int(np.argmin(v0)), v0.shape)
         raise UnorderedPairError(((j - sx.Jh) * cfg.h, int(c)), margin0)
-    nsteps = int(round(cfg.t_end / cfg.h))
+    nsteps = cfg.nsteps
     general = sx.general
-    wlen = max(general.max_pipe_lag, general.dspec.support, cfg.h)
     ts, zx, zy, zhx, zhy, gaps, mx, my, margins, supz = (
         [], [], [], [], [], [], [], [], [], [],
     )
@@ -516,15 +417,14 @@ def run_ordered_pair(
         zhx.append(sx.Z[sx.k].copy())
         zhy.append(sy.Z[sy.k].copy())
         gaps.append(sy.Z[sy.k] - sx.Z[sx.k])
-        wx = _mass_window(sx, t)
-        wy = _mass_window(sy, t)
+        wx = _mass_window(sx)
+        wy = _mass_window(sy)
         zx.append(wx.samples[0].copy())
         zy.append(wy.samples[0].copy())
         p_t = sx.point_at(t)
         mx.append(total_mass(general, p_t, wx))
         my.append(total_mass(general, p_t, wy))
-        Wn = int(math.ceil(wlen / cfg.h - _SNAP))
-        supz.append(float(np.max(np.abs(wy.samples[: Wn + 1] - wx.samples[: Wn + 1]))))
+        supz.append(float(np.max(np.abs(wy.samples - wx.samples))))
         margins.append(_pair_margin(sx, sy, cone, expAh, run_min_a))
 
     log_now()

@@ -26,9 +26,7 @@ import scipy.linalg
 from .base_flow import TorusPoint
 from .d_operator import DOperatorSpec, eval_Dhat_segment
 from .errors import DimensionMismatchError, HorizonError
-from .history import HistoryGrid, TailPolicy
-
-_SNAP = 1e-9
+from .history import _SNAP, HistoryGrid, TailPolicy
 
 
 def is_quasipositive(A: np.ndarray) -> bool:

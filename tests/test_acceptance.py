@@ -41,7 +41,7 @@ from nfde_lab.d_operator import (
     MeasureAtom,
     sample_thetas,
 )
-from nfde_lab.integrator import _recon_diag, required_z_horizon
+from nfde_lab.integrator import required_z_horizon
 
 from .conftest import random_contraction_spec, random_history, s1_system, scalar_dspec
 from .test_ordering import brute_membership, constructed_member, random_quasipositive
@@ -294,8 +294,7 @@ def test_criterion_11_integrator_order(s1):
     warm = run(s1, P0, z_plain, cfg_w).final_state
     need = required_z_horizon(s1, SimConfig(h=0.02, t_end=10.0)) + 0.1
     Jz = int(round(need / h_ref))
-    ts = warm_T - h_ref * np.arange(Jz + 1)
-    z_init_ref = HistoryGrid(h_ref, np.stack([_recon_diag(warm, 0, ts)], axis=1))
+    z_init_ref = HistoryGrid(h_ref, warm.X[warm.k - Jz : warm.k + 1][::-1])
     p_warm = TorusPoint(np.mod(P0.theta + warm_T * FLOW.freqs, 1.0))
     finals = {}
     for h in (0.02, 0.01, h_ref):

@@ -222,3 +222,42 @@ def test_covering_no_returns_exit_three(tmp_path):
         ["covering", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]
     )
     assert code == 3
+
+
+def _simulate_code(tmp_path, system, sim):
+    cfg = {"system": system, "sim": sim, "z_init": {"kind": "constant", "value": [1.0]}}
+    return main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+
+
+OPEN_SCALAR = {"kind": "compartmental", "m": 1, "transports": [[0.0]], "inflows": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        {**OPEN_SCALAR, "pipes": [[[]]]},  # empty pipe cell
+        {**OPEN_SCALAR, "atoms": [{"lag": -1.0, "weight": [[0.5]]}]},  # negative atom lag
+    ],
+)
+def test_invalid_system_cell_exit_two(tmp_path, system):
+    assert _simulate_code(tmp_path, system, {"h": 0.05, "t_end": 1.0}) == 2
+
+
+def test_t_end_off_step_grid_exit_two(tmp_path):
+    assert _simulate_code(tmp_path, S1_SYSTEM, {"h": 0.03, "t_end": 1.0}) == 2
+
+
+def test_delay_below_step_exit_three(tmp_path):
+    system = {**S1_SYSTEM, "alpha": [0.005]}
+    assert _simulate_code(tmp_path, system, {"h": 0.01, "t_end": 0.1}) == 3
+
+
+def test_config_echo_ignores_thread_variable(tmp_path, monkeypatch):
+    cfg = {"system": S1_SYSTEM, "check": {"conditions": ["G5"], "a": [-2.0]}}
+    path = write_cfg(tmp_path, cfg)
+    monkeypatch.delenv("NFDE_THREADS", raising=False)
+    assert main(["check", "--config", path, "--out", str(tmp_path / "unset")]) == 0
+    monkeypatch.setenv("NFDE_THREADS", "4")
+    assert main(["check", "--config", path, "--out", str(tmp_path / "four")]) == 0
+    echo = "config.echo.json"
+    assert (tmp_path / "unset" / echo).read_bytes() == (tmp_path / "four" / echo).read_bytes()

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfde_lab import (
+    GOLDEN_FREQ,
     DivergenceError,
     HistoryGrid,
     HorizonError,
     NoReturnTimesError,
     SimConfig,
+    StructuralPreconditionError,
+    TorusFlow,
     TorusPoint,
     TrigPoly,
     constant_history,
@@ -21,9 +26,22 @@ from nfde_lab import (
     run_ordered_pair,
     step,
 )
-from nfde_lab.compartment import NeutralDiagSystem, TransportSpec
-from nfde_lab.d_operator import invert_Dhat
-from nfde_lab.integrator import _recon_diag, required_z_horizon
+from nfde_lab.compartment import (
+    CompartmentalSystem,
+    NeutralDiagSystem,
+    PipeSpec,
+    ShapeFn,
+    TransportSpec,
+)
+from nfde_lab.d_operator import (
+    AtomicMeasureFamily,
+    DOperatorSpec,
+    MeasureAtom,
+    MeasureDensity,
+    identity_poly_matrix,
+    invert_Dhat,
+)
+from nfde_lab.integrator import required_z_horizon
 from nfde_lab.ordering import ConeSpec, make_comparison_upper
 
 from .conftest import const_c_system, s1_system
@@ -257,7 +275,7 @@ def test_transform_consistency_along_run(golden_flow, origin):
     depth = 40
     extra = int(round(1.0 / cfg.h))
     ts = t_now - cfg.h * np.arange(depth + extra + 1)
-    zwin = HistoryGrid(cfg.h, np.stack([_recon_diag(state, 0, ts)], axis=1))
+    zwin = HistoryGrid(cfg.h, np.stack([reconstruct_z(state, s) for s in ts]))
     p_now = state.point_at(t_now)
     lifted = eval_Dhat_segment(s1.dspec, p_now, zwin, depth)
     stored = state.Z[state.k - depth : state.k + 1][::-1]
@@ -409,27 +427,6 @@ def test_open_system_with_outflow_residual(golden_flow, origin):
     assert devs[0.1] / devs[0.05] >= 2.5
 
 
-class _NoStore(dict):
-    def __setitem__(self, key, value):
-        pass
-
-
-def test_stage_cache_transparent(golden_flow, origin):
-    # defeating the cache must not change the trajectory beyond roundoff
-    s1 = s1_system(golden_flow)
-    cfg = SimConfig(h=0.02, t_end=3.0, log_stride=15)
-    need = required_z_horizon(s1, cfg)
-    z0 = constant_history([2.0], cfg.h, need + 0.1)
-    log_cached = run(s1, origin, z0, cfg)
-
-    state = init_from_z(s1, origin, z0, cfg)
-    state._stage_cache = _NoStore()
-    for _ in range(int(round(cfg.t_end / cfg.h))):
-        step(state)
-    diff = abs(state.Z[state.k, 0] - log_cached.zhat[-1, 0])
-    assert diff <= 1e-10
-
-
 def test_two_frequency_flow_mass_conserved():
     from nfde_lab import GOLDEN_FREQ, TorusFlow
 
@@ -458,3 +455,133 @@ def test_divergence_guard(golden_flow, origin):
     z0 = constant_history([0.0], cfg.h, need + 0.1)
     with pytest.raises(DivergenceError):
         run(sys, origin, z0, cfg)
+
+
+def three_compartment_system(flow2):
+    """Ring of three compartments: phase-dependent B, atoms at lags 0.5 and 1."""
+    def poly(c, k, cos=0.0, sin=0.0):
+        return TrigPoly.from_terms(c, [(k, cos, sin)])
+
+    zero = TrigPoly.const(0.0)
+    B = [
+        [poly(1.0, [1, 0], cos=0.15), TrigPoly.const(0.05), zero],
+        [zero, poly(1.0, [0, 1], sin=0.1), TrigPoly.const(0.05)],
+        [TrigPoly.const(0.05), zero, TrigPoly.const(1.0)],
+    ]
+    w1 = [
+        [poly(0.2, [1, 0], sin=0.05), zero, zero],
+        [zero, TrigPoly.const(0.15), zero],
+        [zero, zero, TrigPoly.const(0.1)],
+    ]
+    w2 = [
+        [TrigPoly.const(0.1), zero, zero],
+        [zero, poly(0.1, [0, 1], cos=0.05), zero],
+        [zero, zero, TrigPoly.const(0.2)],
+    ]
+    nu = AtomicMeasureFamily((MeasureAtom(0.5, w1), MeasureAtom(1.0, w2)))
+    none = TransportSpec.zero()
+    transports = (
+        (none, none, TransportSpec(poly(0.6, [0, 1], sin=0.2))),
+        (TransportSpec.linear(0.5), none, none),
+        (none, TransportSpec(TrigPoly.const(0.8), ShapeFn.saturate()), none),
+    )
+    inst = PipeSpec.instant()
+    pipes = (
+        (inst, inst, inst),
+        (PipeSpec.delta(0.6), inst, inst),
+        (inst, PipeSpec(((0.4, 0.5), (1.2, 0.5))), inst),
+    )
+    return CompartmentalSystem(
+        m=3,
+        transports=transports,
+        outflows=(none, none, TransportSpec.linear(0.3)),
+        inflows=(poly(0.4, [1, 0], sin=0.1), zero, zero),
+        pipes=pipes,
+        dspec=DOperatorSpec(3, B, nu, flow2),
+        flow=flow2,
+    )
+
+
+def density_system(flow):
+    """Scalar self-loop whose delayed part is a density on [-1, 0) plus an atom."""
+    dens = MeasureDensity(np.full((10, 1, 1), 0.3), 0.1)
+    atom = MeasureAtom(1.5, [[TrigPoly.from_terms(0.2, [([1], 0.0, 0.1)])]])
+    return CompartmentalSystem(
+        m=1,
+        transports=((TransportSpec.linear(1.0),),),
+        outflows=(TransportSpec.zero(),),
+        inflows=(TrigPoly.const(0.0),),
+        pipes=((PipeSpec.delta(0.5),),),
+        dspec=DOperatorSpec(
+            1, identity_poly_matrix(1), AtomicMeasureFamily((atom,), dens), flow
+        ),
+        flow=flow,
+    )
+
+
+def _interp_bound(state) -> float:
+    """Allowance for cubic interpolation between the two reconstructions.
+
+    Zero when every delay is a whole number of steps, since both sides
+    then read grid nodes only; otherwise the contraction bound times the
+    largest fourth difference of the stored z over the stretch the
+    delays read.
+    """
+    steps = state.delays.lags / state.h
+    if np.all(np.abs(steps - np.rint(steps)) <= 1e-9):
+        return 0.0
+    W = int(np.ceil(steps.max())) + 4
+    d4 = np.diff(state.X[state.k - W : state.k + 1], 4, axis=0)
+    return state.general.dspec.stability().k_bound * float(np.max(np.abs(d4)))
+
+
+@pytest.mark.parametrize("kind", ["s1", "three_compartment", "density"])
+@settings(max_examples=8, deadline=None)
+@given(
+    phase=st.floats(0.0, 1.0),
+    amp=st.floats(0.0, 0.5),
+    freq=st.floats(0.2, 2.0),
+    h=st.sampled_from([0.05, 0.04, 0.03, 0.025]),
+)
+def test_stored_z_matches_neumann_inversion(kind, phase, amp, freq, h):
+    # slow oracle: invert the lift on the stored zhat segment at each check
+    if kind == "three_compartment":
+        flow = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0])
+        sys, p0 = three_compartment_system(flow), TorusPoint([phase, 1.0 - phase])
+    else:
+        flow = TorusFlow([GOLDEN_FREQ])
+        sys = s1_system(flow) if kind == "s1" else density_system(flow)
+        p0 = TorusPoint([phase])
+    cfg = SimConfig(h=h, t_end=round(2.0 / h) * h)
+    offsets = np.arange(sys.m)[None, :]
+    z0 = from_function(
+        lambda s: 1.0 + amp * np.sin(freq * s[:, None] + offsets),
+        h,
+        required_z_horizon(sys, cfg) + 2 * h,
+    )
+    state = init_from_z(sys, p0, z0, cfg)
+    every = int(round(0.5 / h))
+    for n in range(cfg.nsteps + 1):
+        if n % every == 0:
+            seg = state.zhat_segment(state.t, state.Jh)
+            x = invert_Dhat(sys.dspec, state.point_at(state.t), seg, cfg.inv_tol)
+            gap = float(np.max(np.abs(x.samples[0] - reconstruct_z(state, state.t))))
+            assert gap <= cfg.inv_tol + _interp_bound(state)
+        if n < cfg.nsteps:
+            step(state)
+
+
+@pytest.mark.parametrize(
+    "build, h",
+    [
+        (lambda flow: const_c_system(flow, alpha=0.03, rho=1.0), 0.05),  # atom lag
+        (lambda flow: const_c_system(flow, alpha=1.0, rho=0.02), 0.05),  # pipe lag
+        (density_system, 0.12),  # first density midpoint at 0.05
+    ],
+)
+def test_delay_below_step_rejected(golden_flow, origin, build, h):
+    sys = build(golden_flow)
+    cfg = SimConfig(h=h, t_end=12 * h)
+    z0 = constant_history([1.0], h, required_z_horizon(sys, cfg) + 2 * h)
+    with pytest.raises(StructuralPreconditionError):
+        init_from_z(sys, origin, z0, cfg)
