@@ -252,13 +252,42 @@ def _parse_cone(cfg: dict, m: int):
         raise ConfigError(f"cone: {e}") from e
 
 
+_SAMPLING_KEYS = ("grid_per_dim", "orbit_points", "orbit_step")
+
+
+def _whole(value, where: str) -> int:
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"{where}: expected a whole number, got {value!r}")
+    return int(value)
+
+
 def _parse_sampling(cfg: dict) -> SamplingConfig:
+    """The sampling block; a missing key takes the SamplingConfig default."""
     node = cfg.get("sampling", {})
-    return SamplingConfig(
-        grid_per_dim=int(node.get("grid_per_dim", 64)),
-        orbit_points=int(node.get("orbit_points", 512)),
-        orbit_step=float(node.get("orbit_step", 0.37)),
-    )
+    vals = {key: node.get(key, getattr(SamplingConfig, key)) for key in _SAMPLING_KEYS}
+    try:
+        return SamplingConfig(
+            grid_per_dim=_whole(vals["grid_per_dim"], "sampling.grid_per_dim"),
+            orbit_points=_whole(vals["orbit_points"], "sampling.orbit_points"),
+            orbit_step=float(vals["orbit_step"]),
+        )
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"sampling: {e}") from e
+
+
+def _parse_rates(value, where: str, m=None) -> np.ndarray:
+    """A list of finite rates <= 0; exactly m of them when m is given."""
+    try:
+        a = np.atleast_1d(np.asarray(value, dtype=float))
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{where}: {e}") from e
+    if a.ndim != 1 or a.size == 0 or (m is not None and a.size != m):
+        want = f"{m} rates" if m is not None else "a nonempty list of rates"
+        raise ConfigError(f"{where}: expected {want}, got {value!r}")
+    if not np.all(np.isfinite(a)) or np.any(a > 0):
+        raise ConfigError(f"{where}: rates must be finite and <= 0, got {value!r}")
+    return a
 
 
 def _parse_sim(cfg: dict, cone) -> SimConfig:
@@ -302,7 +331,10 @@ def _parse_history(node, where, m, step, horizon) -> HistoryGrid:
 
         return from_function(f, step, horizon)
     if kind == "csv":
-        return import_csv(_req(node, "path", where))
+        try:
+            return import_csv(_req(node, "path", where))
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"{where}: {e}") from e
     raise ConfigError(f"{where}: unknown history kind {kind!r}")
 
 
@@ -338,22 +370,27 @@ def cmd_check(cfg: dict, outdir: str) -> int:
         raise ConfigError("task=check needs a neutral_diag system")
     node = cfg.get("check", {})
     conds = node.get("conditions", ["G5"])
+    if not isinstance(conds, list) or not conds:
+        raise ConfigError(f"check.conditions: expected a nonempty list, got {conds!r}")
     for c in conds:
         if c not in CONDITIONS:
             raise ConfigError(f"unknown condition {c!r}")
     sampling = _parse_sampling(cfg)
     a_node = node.get("a", "auto")
+    if a_node == "auto":
+        trial = node.get("trial_a")
+        if trial is not None:
+            trial = _parse_rates(trial, "check.trial_a")
+    else:
+        a = _parse_rates(a_node, "check.a", sys_obj.m)
     rows = []
     lines = [f"task=check conditions={','.join(conds)}"]
     all_pass = True
     for cond in conds:
         if a_node == "auto":
-            trial = node.get("trial_a")
             sugg = suggest_a(sys_obj, cond, sampling, trial)
             a = sugg.a
             lines.append(f"{cond}: suggested a = {[_fmt(v) for v in a]}")
-        else:
-            a = np.asarray(a_node, dtype=float)
         report = check_condition(sys_obj, cond, a, sampling)
         all_pass &= report.passed
         for compv in report.components:
@@ -582,8 +619,8 @@ def main(argv=None) -> int:
             sim.setdefault(key, val)
         cfg["sim"] = sim
         smp = dict(cfg.get("sampling", {}))
-        for key, val in (("grid_per_dim", 64), ("orbit_points", 512), ("orbit_step", 0.37)):
-            smp.setdefault(key, val)
+        for key in _SAMPLING_KEYS:
+            smp.setdefault(key, getattr(SamplingConfig, key))
         cfg["sampling"] = smp
         cfg.setdefault("flow", {"freqs": [GOLDEN_FREQ]})
         _echo(cfg, args.out)

@@ -561,6 +561,12 @@ class _Precomp:
         self._lm_shift = {}
         self._c_shift = {}
         self._gamma = None
+        self._g4_key = None
+        self._g4_terms = None
+
+    def canonical_a(self) -> np.ndarray:
+        """The rate -sup L_plus_i - 1 per component."""
+        return -np.max(self.L_plus, axis=0) - 1.0
 
     def l_minus_shifted(self, i: int) -> np.ndarray:
         """l_minus_ii evaluated at phases shifted back by rho_ii."""
@@ -592,17 +598,31 @@ class _Precomp:
         return self._gamma
 
     def c_products(self, i: int, base_shift: float, count: int) -> np.ndarray:
-        """Backward products of c_i from phases shifted by base_shift; (n, count+1)."""
+        """Backward products of c_i from phases shifted by base_shift; (count+1, n)."""
         alpha_i = self.sys.alpha[i]
         shifts = base_shift + alpha_i * np.arange(count)
         n = self.thetas.shape[0]
-        vals = np.empty((n, count))
+        vals = np.empty((count, n))
         for k, s in enumerate(shifts):
-            vals[:, k] = self.c_shifted(i, s)
-        prods = np.ones((n, count + 1))
+            vals[k] = self.c_shifted(i, s)
+        prods = np.ones((count + 1, n))
         if count:
-            prods[:, 1:] = np.cumprod(vals, axis=1)
+            prods[1:] = np.cumprod(vals, axis=0)
         return prods
+
+    def g4_terms(self, i: int, n_check: int) -> tuple:
+        """Rate-free parts of the G4 sequences for component i, kept for one i at a time.
+
+        Returns (-L_plus_i C^n for n = 1..n_check, C^{n-1} at phases shifted
+        by rho_ii for n = 1..n_check), both (n_check, n).
+        """
+        if self._g4_key != (i, n_check):
+            self._g4_terms = None  # release the previous component first
+            C = self.c_products(i, 0.0, n_check)
+            C_sh = self.c_products(i, self.sys.rho[i][i], n_check)
+            self._g4_terms = (-self.L_plus[:, i] * C[1:], C_sh[:-1])
+            self._g4_key = (i, n_check)
+        return self._g4_terms
 
 
 def _nmin(x):
@@ -626,6 +646,25 @@ def _check_structural(sys: NeutralDiagSystem, cond: str, active) -> None:
             )
 
 
+def _check_coefficient_sum(pre: _Precomp, cond: str) -> None:
+    if cond in ("G8", "G9") and np.any(pre.c.sum(axis=1) >= 1.0 - 1e-12):
+        raise StructuralPreconditionError(
+            f"{cond} needs sum_i c_i < 1 at every sampled phase"
+        )
+
+
+def _active(sys: NeutralDiagSystem) -> list:
+    """Components whose coefficient is not identically zero."""
+    return [i for i in range(sys.m) if not sys.c[i].is_zero()]
+
+
+def _check_rates(a: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
+    if np.any(a > 0):
+        raise ValueError(f"{what} must be <= 0")
+
+
 def _g4_component(pre: _Precomp, i: int, a_i: float, n_check: int):
     """Margins for the accumulated-sequence condition on one component.
 
@@ -637,41 +676,68 @@ def _g4_component(pre: _Precomp, i: int, a_i: float, n_check: int):
     lm = pre.l_minus_shifted(i)
     fac = math.exp(a_i * (alpha_i - rho_ii))
     ea = math.exp(a_i * alpha_i)
-    C = pre.c_products(i, 0.0, n_check)  # (n, n_check+1)
-    C_sh = pre.c_products(i, rho_ii, n_check)
-    n_pts = C.shape[0]
-    pvals = np.empty((n_pts, n_check + 1))
-    pvals[:, 0] = np.nan
+    neg_LC, C_sh = pre.g4_terms(i, n_check)
+    n_pts = L.shape[0]
+    # row n-1 holds p[n]; row n of qvals holds q[n]
+    pvals = neg_LC + (fac * lm) * C_sh
+    qvals = np.empty((n_check + 1, n_pts))
+    qvals[0] = -L - a_i
     for nn in range(1, n_check + 1):
-        pvals[:, nn] = -L * C[:, nn] + fac * lm * C_sh[:, nn - 1]
-    qvals = np.empty((n_pts, n_check + 1))
-    qvals[:, 0] = -L - a_i
-    for nn in range(1, n_check + 1):
-        qvals[:, nn] = qvals[:, nn - 1] * ea + pvals[:, nn]
+        qvals[nn] = qvals[nn - 1] * ea + pvals[nn - 1]
     # prefix: all q[0..n-1] >= 0; suffix: all p[n+1..] >= 0
-    q_pref_min = np.full((n_pts, n_check + 1), np.inf)
-    for nn in range(1, n_check + 1):
-        q_pref_min[:, nn] = np.minimum(q_pref_min[:, nn - 1], qvals[:, nn - 1])
-    p_suff_min = np.full((n_pts, n_check + 1), np.inf)
-    for nn in range(n_check - 1, -1, -1):
-        p_suff_min[:, nn] = np.minimum(p_suff_min[:, nn + 1], pvals[:, nn + 1])
+    q_pref_min = np.empty((n_check + 1, n_pts))
+    q_pref_min[0] = np.inf
+    np.minimum.accumulate(qvals[:-1], axis=0, out=q_pref_min[1:])
+    p_suff_min = np.empty((n_check + 1, n_pts))
+    p_suff_min[n_check] = np.inf
+    p_suff_min[:-1] = np.minimum.accumulate(pvals[::-1], axis=0)[::-1]
     feasible = (q_pref_min >= 0.0) & (qvals > 0.0) & (p_suff_min >= 0.0)
-    found = feasible.any(axis=1)
-    n0 = np.where(found, np.argmax(feasible, axis=1), -1)
-    rows = np.arange(n_pts)
+    found = feasible.any(axis=0)
+    n0 = np.where(found, np.argmax(feasible, axis=0), -1)
+    cols = np.arange(n_pts)
     margins = np.where(
         found,
         np.minimum(
-            np.minimum(qvals[rows, n0], p_suff_min[rows, n0]),
-            np.where(n0 > 0, q_pref_min[rows, n0], np.inf),
+            np.minimum(qvals[n0, cols], p_suff_min[n0, cols]),
+            np.where(n0 > 0, q_pref_min[n0, cols], np.inf),
         ),
         -np.inf,
     )
     # sound tail certificate: needs rho_ii = alpha_i or a constant coefficient
-    cert_vals = -pre.L_plus[:, i] * sys.c_sup[i] + fac * np.min(lm)
+    cert_vals = -L * sys.c_sup[i] + fac * np.min(lm)
     sound = abs(rho_ii - alpha_i) <= 1e-12 or sys.c[i].is_constant()
     tail_certified = bool(sound and np.min(cert_vals) >= 0.0)
     return margins, n0, found, tail_certified
+
+
+def _component_margins(pre: _Precomp, cond: str, i: int, a_i: float, n_check: int) -> dict:
+    """Margin arrays of one active component at the rate a_i, keyed by sub-inequality."""
+    sys = pre.sys
+    alpha_i, rho_ii = sys.alpha[i], sys.rho[i][i]
+    L = pre.L_plus[:, i]
+    ci = pre.c[:, i]
+    if cond == "G3":
+        c2 = ci * pre.c_shifted(i, alpha_i)
+        return {
+            "G3.1": (-a_i - L) * math.exp(a_i * alpha_i) - L * ci,
+            "G3.2": pre.l_minus_shifted(i) - L * c2,
+        }
+    if cond == "G5":
+        return {"G5": pre.l_minus_shifted(i) - L * ci}
+    if cond == "G8":
+        gam = pre.gamma()[:, i]
+        return {"G8": -L - a_i + _nmin(a_i * ci + gam) * math.exp(-a_i * alpha_i)}
+    if cond == "G9":
+        gam = pre.gamma()[:, i]
+        return {
+            "G9.1": -a_i - L,
+            "G9.2": (
+                math.exp(a_i * rho_ii) * (-a_i - L)
+                + pre.l_minus_shifted(i)
+                + math.exp(a_i * (rho_ii - alpha_i)) * _nmin(a_i * ci + gam)
+            ),
+        }
+    return {"_g4": _g4_component(pre, i, a_i, n_check)}
 
 
 def condition_margins(
@@ -693,53 +759,12 @@ def condition_margins(
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if a.shape != (sys.m,):
         raise DimensionMismatchError("need one rate a_i per component")
-    if np.any(a > 0):
-        raise ValueError("rates a_i must be <= 0")
-    active = [i for i in range(sys.m) if not sys.c[i].is_zero()]
+    _check_rates(a, "rates a_i")
+    active = _active(sys)
     _check_structural(sys, cond, active)
     pre = _Precomp(sys, thetas)
-    if cond in ("G8", "G9"):
-        csum = pre.c.sum(axis=1)
-        if np.any(csum >= 1.0 - 1e-12):
-            raise StructuralPreconditionError(
-                f"{cond} needs sum_i c_i < 1 at every sampled phase"
-            )
-    out = {}
-    for i in active:
-        alpha_i, rho_ii = sys.alpha[i], sys.rho[i][i]
-        L = pre.L_plus[:, i]
-        ci = pre.c[:, i]
-        entry = {}
-        if cond == "G3":
-            lm = pre.l_minus_shifted(i)
-            c2 = ci * pre.c_shifted(i, alpha_i)
-            entry["G3.1"] = (-a[i] - L) * math.exp(a[i] * alpha_i) - L * ci
-            entry["G3.2"] = lm - L * c2
-        elif cond == "G5":
-            entry["G5"] = pre.l_minus_shifted(i) - L * ci
-        elif cond == "G8":
-            gam = pre.gamma()[:, i]
-            entry["G8"] = (
-                -L - a[i] + _nmin(a[i] * ci + gam) * math.exp(-a[i] * alpha_i)
-            )
-        elif cond == "G9":
-            gam = pre.gamma()[:, i]
-            lm = pre.l_minus_shifted(i)
-            entry["G9.1"] = -a[i] - L
-            entry["G9.2"] = (
-                math.exp(a[i] * rho_ii) * (-a[i] - L)
-                + lm
-                + math.exp(a[i] * (rho_ii - alpha_i)) * _nmin(a[i] * ci + gam)
-            )
-        else:  # G4
-            entry["_g4"] = _g4_component(pre, i, a[i], n_check)
-        out[i] = entry
-    return out
-
-
-def _prescribed_a(sys: NeutralDiagSystem, i: int, thetas: np.ndarray) -> float:
-    pre = _Precomp(sys, thetas)
-    return float(-np.max(pre.L_plus[:, i]) - 1.0)
+    _check_coefficient_sum(pre, cond)
+    return {i: _component_margins(pre, cond, i, a[i], n_check) for i in active}
 
 
 def check_condition(
@@ -774,13 +799,14 @@ def check_condition(
             "off-diagonal transit lags are not constrained by these conditions "
             f"(present for pairs {offdiag})"
         )
+    canon = _Precomp(sys, thetas).canonical_a() if len(margins) < sys.m else None
     for i in range(sys.m):
         if i not in margins:
             components.append(
                 ComponentVerdict(
                     index=i,
                     skipped=True,
-                    prescribed_a=_prescribed_a(sys, i, thetas),
+                    prescribed_a=float(canon[i]),
                     subs=(),
                     passed=True,
                     note="coefficient identically zero: condition vacuous",
@@ -867,36 +893,38 @@ def suggest_a(
 
     The canonical rate -sup L_plus_i - 1 is always added to the scan. Ties
     within 1e-12 resolve toward zero. Components with c_i identically zero
-    receive the canonical rate directly.
+    receive the canonical rate directly. The phase-sampled data are built
+    once and shared by every trial rate; each trial evaluates the scanned
+    component only, with the same arithmetic as `condition_margins`.
     """
+    if cond not in CONDITIONS:
+        raise ValueError(f"unknown condition {cond!r}")
     thetas = sample_thetas(sys.flow, sampling)
     if trial_a is None:
         trial_a = np.linspace(-8.0, 0.0, 33)
     trial_a = np.atleast_1d(np.asarray(trial_a, dtype=float))
     if trial_a.size == 0:
         raise ValueError("trial grid must be nonempty")
-    if np.any(trial_a > 0):
-        raise ValueError("trial rates must be <= 0")
+    _check_rates(trial_a, "trial rates")
     pre = _Precomp(sys, thetas)
+    active = _active(sys)
+    _check_structural(sys, cond, active)
+    _check_coefficient_sum(pre, cond)
     best = np.zeros(sys.m)
     prescribed = []
-    canon = -np.max(pre.L_plus, axis=0) - 1.0
-    trials_per_comp = []
-    for i in range(sys.m):
-        cand = np.unique(np.concatenate([trial_a, [canon[i]]]))
-        trials_per_comp.append(cand)
+    canon = pre.canonical_a()
+    trials_per_comp = [np.unique(np.concatenate([trial_a, [canon[i]]])) for i in range(sys.m)]
     n_tr = max(c.size for c in trials_per_comp)
     surface = np.full((n_tr, sys.m), np.nan)
     for i in range(sys.m):
-        if sys.c[i].is_zero():
+        if i not in active:
             best[i] = canon[i]
             prescribed.append(i)
             continue
         cand = trials_per_comp[i]
         vals = np.empty(cand.size)
         for k, a_i in enumerate(cand):
-            a_vec = np.where(np.arange(sys.m) == i, a_i, -0.0)
-            entry = condition_margins(sys, cond, a_vec, thetas, n_check)[i]
+            entry = _component_margins(pre, cond, i, a_i, n_check)
             if cond == "G4":
                 marg, _, found, _ = entry["_g4"]
                 vals[k] = float(np.min(marg)) if np.all(found) else -np.inf

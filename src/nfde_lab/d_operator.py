@@ -21,6 +21,7 @@ long orbit; the worst sampled phase is reported alongside the estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -149,12 +150,20 @@ class SamplingConfig:
     orbit_step: float = 0.37
     origin: Optional[TorusPoint] = None
 
+    def __post_init__(self):
+        if self.grid_per_dim < 1:
+            raise ValueError("grid_per_dim must be >= 1")
+        if self.orbit_points < 0:
+            raise ValueError("orbit_points must be >= 0")
+        if not math.isfinite(self.orbit_step):
+            raise ValueError("orbit_step must be finite")
+
 
 def sample_thetas(flow: TorusFlow, sampling: Optional[SamplingConfig] = None) -> np.ndarray:
     """Phases used for sup estimation; shape (N, dim)."""
     sampling = sampling or SamplingConfig()
     d = flow.dim
-    g = max(1, sampling.grid_per_dim)
+    g = sampling.grid_per_dim
     axes = [np.arange(g) / g] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([ax.ravel() for ax in mesh], axis=1)

@@ -297,7 +297,7 @@ def import_csv(path, tail=TailPolicy.CONSTANT) -> HistoryGrid:
     if len(rows) < 3:
         raise ValueError("history CSV needs a header and at least two rows")
     header = rows[0]
-    if header[0] != "s":
+    if not header or header[0] != "s":
         raise ValueError("history CSV must start with an 's' column")
     data = np.array([[float(v) for v in row] for row in rows[1:]])
     s = data[:, 0]

@@ -261,3 +261,67 @@ def test_config_echo_ignores_thread_variable(tmp_path, monkeypatch):
     assert main(["check", "--config", path, "--out", str(tmp_path / "four")]) == 0
     echo = "config.echo.json"
     assert (tmp_path / "unset" / echo).read_bytes() == (tmp_path / "four" / echo).read_bytes()
+
+
+def _run(tmp_path, task, cfg):
+    return main([task, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("trial", [[0.5, -1.0], [], "x", [-1.0, float("nan")]])
+def test_check_invalid_trial_rates_exit_two(tmp_path, trial):
+    check = {"conditions": ["G5"], "a": "auto", "trial_a": trial}
+    assert _run(tmp_path, "check", {"system": S1_SYSTEM, "check": check}) == 2
+
+
+@pytest.mark.parametrize("a", [[0.5], [float("nan")], "fast"])
+def test_check_invalid_rates_exit_two(tmp_path, a):
+    check = {"conditions": ["G5"], "a": a}
+    assert _run(tmp_path, "check", {"system": S1_SYSTEM, "check": check}) == 2
+
+
+@pytest.mark.parametrize("conds", ["G5", []])
+def test_check_conditions_must_be_a_nonempty_list(tmp_path, capsys, conds):
+    check = {"conditions": conds, "a": [-2.0]}
+    assert _run(tmp_path, "check", {"system": S1_SYSTEM, "check": check}) == 2
+    assert "check.conditions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sampling",
+    [
+        {"grid_per_dim": "many"},
+        {"grid_per_dim": 0, "orbit_points": 0},
+        {"grid_per_dim": 2.5},
+        {"orbit_points": -1},
+        {"orbit_step": float("inf")},
+    ],
+)
+def test_check_invalid_sampling_exit_two(tmp_path, sampling):
+    cfg = {"system": S1_SYSTEM, "sampling": sampling, "check": {"a": [-2.0]}}
+    assert _run(tmp_path, "check", cfg) == 2
+
+
+def test_config_echo_sampling_defaults(tmp_path):
+    cfg = {"system": S1_SYSTEM, "check": {"conditions": ["G5"], "a": [-2.0]}}
+    assert _run(tmp_path, "check", cfg) == 0
+    echo = json.loads((tmp_path / "out" / "config.echo.json").read_text())
+    assert echo["sampling"] == {"grid_per_dim": 64, "orbit_points": 512, "orbit_step": 0.37}
+    assert [type(v) for v in echo["sampling"].values()] == [int, int, float]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "s,z1\n0,2.0\n", "s,z1\n0,2.0\n-0.02,oops\n-0.04,2.0\n", "\ns,z1\n0,2\n-0.02,2\n"],
+)
+def test_csv_history_errors_exit_two(tmp_path, content):
+    path = tmp_path / "hist.csv"
+    if content is not None:  # None: the file does not exist
+        path.write_text(content)
+    history = {"kind": "csv", "path": str(path)}
+    sim = {"system": S1_SYSTEM, "sim": {"h": 0.02, "t_end": 0.2}, "z_init": history}
+    assert _run(tmp_path, "simulate", sim) == 2
+    inv = {
+        "system": {"kind": "d_operator", "m": 1, "atoms": [{"lag": 1.0, "weight": [[0.5]]}]},
+        "yhat": history,
+    }
+    assert _run(tmp_path, "invert", inv) == 2

@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfde_lab import (
     AtomicMeasureFamily,
     CompartmentalSystem,
     DOperatorSpec,
     HistoryGrid,
+    GOLDEN_FREQ,
     NeutralDiagSystem,
     PipeSpec,
+    SamplingConfig,
     ShapeFn,
     StructuralPreconditionError,
+    TorusFlow,
     TorusPoint,
     TransportSpec,
     TrigPoly,
@@ -427,3 +432,153 @@ def test_suggest_a_zero_gains_ties_toward_zero(golden_flow):
     )
     report = suggest_a(sys, "G3", trial_a=np.linspace(-3.0, 0.0, 13))
     assert report.a[0] == 0.0
+
+
+# --- the rate scan against the public per-trial checker ---------------------
+
+SILVER_FREQ = np.sqrt(2.0) - 1.0
+ORACLE_SAMPLING = SamplingConfig(grid_per_dim=3, orbit_points=8)
+ORACLE_TRIALS = np.array([-3.0, -1.5, -0.5, 0.0])
+ORACLE_DEPTH = 12
+
+
+def _random_diag_system(rng, m, cond, dim):
+    """Small system whose diagonal lags fit the structure `cond` requires."""
+    flow = TorusFlow([GOLDEN_FREQ, SILVER_FREQ][:dim])
+
+    def poly(c0, amp):
+        k = rng.integers(-1, 2, dim)
+        k[rng.integers(dim)] = 1
+        return TrigPoly.from_terms(c0, [(k, rng.uniform(-amp, amp), rng.uniform(-amp, amp))])
+
+    shapes = [ShapeFn.identity(), ShapeFn.sine_bend(0.3), ShapeFn.saturate()]
+    alpha = rng.uniform(0.5, 1.5, m)
+    rho = rng.uniform(0.1, 1.0, (m, m))
+    ratio = {"G3": 2.0, "G5": 1.0, "G8": rng.uniform(0.2, 1.8)}.get(cond, rng.uniform(0.2, 1.0))
+    rho[np.diag_indices(m)] = ratio * alpha
+    c = tuple(
+        TrigPoly.const(0.0) if rng.random() < 0.2 else poly(rng.uniform(0.08, 0.2), 0.04)
+        for _ in range(m)
+    )
+    transports = tuple(
+        tuple(
+            TransportSpec(
+                poly(rng.uniform(0.5, 1.5), 0.3)
+                if i == j
+                else TrigPoly.const(rng.uniform(0.0, 0.2)),
+                shapes[rng.integers(3)],
+            )
+            for j in range(m)
+        )
+        for i in range(m)
+    )
+    return NeutralDiagSystem(m=m, c=c, alpha=alpha, rho=rho, transports=transports, flow=flow)
+
+
+def _canonical_rates(sys, thetas):
+    # -sup_theta sum_j l_plus[j][i] - 1, written out from the gains
+    lp = np.zeros((thetas.shape[0], sys.m, sys.m))
+    for i in range(sys.m):
+        for j in range(sys.m):
+            tr = sys.transports[i][j]
+            lp[:, i, j] = eval_trig_many(tr.gain, thetas) * tr.shape.deriv_bounds()[1]
+    return -np.max(lp.sum(axis=1), axis=0) - 1.0
+
+
+def _worst_margin(cond, entry):
+    if cond == "G4":
+        marg, _, found, _ = entry["_g4"]
+        return float(np.min(marg)) if np.all(found) else -np.inf
+    return min(float(np.min(arr)) for arr in entry.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.sampled_from([1, 2, 3]),
+    cond=st.sampled_from(["G3", "G4", "G5", "G8", "G9"]),
+    dim=st.sampled_from([1, 2]),
+)
+def test_suggest_a_matches_per_trial_condition_margins(seed, m, cond, dim):
+    sys = _random_diag_system(np.random.default_rng(seed), m, cond, dim)
+    thetas = sample_thetas(sys.flow, ORACLE_SAMPLING)
+    report = suggest_a(sys, cond, ORACLE_SAMPLING, ORACLE_TRIALS, ORACLE_DEPTH)
+    canon = _canonical_rates(sys, thetas)
+    for i in range(m):
+        if sys.c[i].is_zero():
+            assert i in report.prescribed
+            assert report.a[i] == canon[i]
+            assert np.all(np.isnan(report.margins[:, i]))
+            continue
+        cand = np.unique(np.concatenate([ORACLE_TRIALS, [canon[i]]]))
+        want = np.array(
+            [
+                _worst_margin(cond, condition_margins(sys, cond, [a] * m, thetas, ORACLE_DEPTH)[i])
+                for a in cand
+            ]
+        )
+        got = report.margins[: cand.size, i]
+        assert got.tobytes() == want.tobytes()  # bit for bit
+        assert np.all(np.isnan(report.margins[cand.size :, i]))
+        assert report.a[i] == cand[want >= np.max(want) - 1e-12].max()
+
+
+def test_suggest_a_structural_precondition(golden_flow):
+    sys = const_c_system(golden_flow, c0=0.1, gain=1.0, alpha=1.0, rho=1.0)
+    with pytest.raises(StructuralPreconditionError):
+        suggest_a(sys, "G3", trial_a=[-1.0])
+
+
+@pytest.mark.parametrize("trial", [[-1.0, np.nan], [-np.inf], [0.5]])
+def test_suggest_a_rejects_bad_trial_rates(golden_flow, trial):
+    with pytest.raises(ValueError):
+        suggest_a(s1_system(golden_flow), "G5", trial_a=trial)
+
+
+@pytest.mark.parametrize("a", [np.nan, -np.inf, 0.5])
+def test_condition_margins_rejects_bad_rates(golden_flow, a):
+    s1 = s1_system(golden_flow)
+    with pytest.raises(ValueError):
+        condition_margins(s1, "G5", [a], sample_thetas(golden_flow, ORACLE_SAMPLING))
+
+
+def _scalar_g4(pv, qv):
+    """First admissible depth n0 and its margin, read off the scalar sequences."""
+    for n0 in range(len(qv)):
+        head, tail = qv[:n0], pv[n0:]  # q[0..n0-1] and p[n0+1..N]
+        if np.all(head >= 0.0) and qv[n0] > 0.0 and np.all(tail >= 0.0):
+            return n0, min(qv[n0], *tail, *head)
+    return -1, -np.inf
+
+
+@pytest.mark.parametrize("rho_frac, a", [(1.0, -1.5), (0.6, -3.0), (0.8, -2.0)])
+def test_g4_margins_match_scalar_pq_sequence(golden_flow, rho_frac, a):
+    c = (
+        TrigPoly.from_terms(0.3, [([1], 0.0, 0.2)]),
+        TrigPoly.from_terms(0.25, [([2], 0.1, 0.0)]),
+    )
+    gains = (
+        (TransportSpec(TrigPoly.from_terms(1.0, [([1], 0.3, 0.0)])), TransportSpec.linear(0.1)),
+        (TransportSpec.linear(0.4), TransportSpec(TrigPoly.const(0.8), ShapeFn.sine_bend(0.3))),
+    )
+    alpha = np.array([1.0, 0.7])
+    rho = np.array([[rho_frac * 1.0, 0.5], [0.5, rho_frac * 0.7]])
+    sys = NeutralDiagSystem(m=2, c=c, alpha=alpha, rho=rho, transports=gains, flow=golden_flow)
+    thetas = sample_thetas(golden_flow, SamplingConfig(grid_per_dim=8, orbit_points=4))
+    depth = 20
+    out = condition_margins(sys, "G4", [a, a], thetas, depth)
+    n0_seen = set()
+    for i in range(2):
+        marg, n0, found, _ = out[i]["_g4"]
+        for r, th in enumerate(thetas):
+            pv, qv = pq_sequence(sys, TorusPoint(th), i, a, depth)
+            want_n0, want = _scalar_g4(pv, qv)
+            assert n0[r] == want_n0
+            assert found[r] == (want_n0 >= 0)
+            if want_n0 >= 0:
+                assert abs(marg[r] - want) <= 1e-12
+            n0_seen.add(int(n0[r]))
+    assert len(thetas) >= 8
+    assert max(n0_seen) >= 0
+    if rho_frac < 1.0:
+        assert max(n0_seen) > 0  # some phases need the prefix part of the margin

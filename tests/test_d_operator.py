@@ -255,3 +255,12 @@ def test_sampling_config_shapes(golden_flow):
     flow2 = TorusFlow([GOLDEN_FREQ, 0.3])
     thetas2 = sample_thetas(flow2, SamplingConfig(grid_per_dim=8, orbit_points=10))
     assert thetas2.shape == (74, 2)
+
+
+@pytest.mark.parametrize(
+    "plan", [{"grid_per_dim": 0}, {"orbit_points": -1}, {"orbit_step": float("nan")}]
+)
+def test_sampling_config_rejects_invalid_plans(plan):
+    with pytest.raises(ValueError):
+        SamplingConfig(**plan)
+    assert SamplingConfig(grid_per_dim=1, orbit_points=0).orbit_points == 0
