@@ -21,13 +21,9 @@ from .compartment import (
     PipeSpec,
     ShapeFn,
     TransportSpec,
-    c_product,
     check_condition,
     eval_F,
-    eval_G,
-    lipschitz_bounds,
     mass_balance_residual,
-    pq_sequence,
     suggest_a,
     total_mass,
 )
@@ -38,8 +34,6 @@ from .d_operator import (
     MeasureDensity,
     SamplingConfig,
     StabilityEstimate,
-    check_monotone_structure,
-    dstar_eval,
     eval_D,
     eval_Dhat_segment,
     extract_atom_at_zero,
@@ -61,7 +55,6 @@ from .errors import (
 from .history import (
     FunctionHistory,
     HistoryGrid,
-    SegmentView,
     TailPolicy,
     compact_open_metric,
     constant_history,
@@ -70,7 +63,6 @@ from .history import (
     import_csv,
     resample,
     seminorm_n,
-    shift_append,
     sup_norm,
 )
 from .integrator import (

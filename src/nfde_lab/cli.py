@@ -17,8 +17,7 @@ monitored invariant exceeded its threshold; 5 divergence.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import dataclasses
 import json
 import math
 import os
@@ -59,7 +58,7 @@ from .errors import (
     UnorderedPairError,
     UnstableMarginError,
 )
-from .history import HistoryGrid, export_csv, from_function, import_csv
+from .history import _SNAP, HistoryGrid, _fmt, export_csv, from_function, import_csv, write_csv
 from .integrator import (
     SimConfig,
     covering_diagnostic,
@@ -79,10 +78,6 @@ EXIT_CONFIG = 2
 EXIT_STRUCTURAL = 3
 EXIT_THRESHOLD = 4
 EXIT_DIVERGED = 5
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 # --- config parsing ---------------------------------------------------------
@@ -153,7 +148,7 @@ def _parse_transports(node, m, where):
 def _parse_system(cfg: dict, flow: TorusFlow):
     node = _req(cfg, "system", "config")
     kind = _req(node, "kind", "system")
-    m = int(_req(node, "m", "system"))
+    m = _whole(_req(node, "m", "system"), "system.m")
     if kind == "neutral_diag":
         c = [_parse_poly(v, "system.c") for v in _req(node, "c", "system")]
         if len(c) != m:
@@ -252,7 +247,30 @@ def _parse_cone(cfg: dict, m: int):
         raise ConfigError(f"cone: {e}") from e
 
 
-_SAMPLING_KEYS = ("grid_per_dim", "orbit_points", "orbit_step")
+# Defaults of the `sampling` and `sim` blocks, which the parsers and the
+# echoed config share. The sim block holds SimConfig's fields except the cone
+# (a block of its own), with a default step and horizon for its two
+# required fields.
+_SAMPLING_DEFAULTS = {
+    key: getattr(SamplingConfig, key) for key in ("grid_per_dim", "orbit_points", "orbit_step")
+}
+_SIM_DEFAULTS = {
+    "h": 0.01,
+    "t_end": 10.0,
+    **{
+        f.name: f.default
+        for f in dataclasses.fields(SimConfig)
+        if f.name not in ("h", "t_end", "cone")
+    },
+}
+
+
+def _block(cfg: dict, name: str, defaults: dict) -> dict:
+    """A config block with each missing key set to its default."""
+    node = cfg.get(name, {})
+    if not isinstance(node, dict):
+        raise ConfigError(f"{name}: expected an object, got {node!r}")
+    return {**defaults, **node}
 
 
 def _whole(value, where: str) -> int:
@@ -264,8 +282,7 @@ def _whole(value, where: str) -> int:
 
 def _parse_sampling(cfg: dict) -> SamplingConfig:
     """The sampling block; a missing key takes the SamplingConfig default."""
-    node = cfg.get("sampling", {})
-    vals = {key: node.get(key, getattr(SamplingConfig, key)) for key in _SAMPLING_KEYS}
+    vals = _block(cfg, "sampling", _SAMPLING_DEFAULTS)
     try:
         return SamplingConfig(
             grid_per_dim=_whole(vals["grid_per_dim"], "sampling.grid_per_dim"),
@@ -291,17 +308,19 @@ def _parse_rates(value, where: str, m=None) -> np.ndarray:
 
 
 def _parse_sim(cfg: dict, cone) -> SimConfig:
-    node = cfg.get("sim", {})
+    """The sim block; a missing key takes its _SIM_DEFAULTS value."""
+    node = _block(cfg, "sim", _SIM_DEFAULTS)
+    n_trunc = node["n_trunc"]
     try:
         return SimConfig(
-            h=float(node.get("h", 0.01)),
-            t_end=float(node.get("t_end", 10.0)),
-            inv_tol=float(node.get("inv_tol", 1e-8)),
-            n_trunc=(int(node["n_trunc"]) if node.get("n_trunc") is not None else None),
-            log_stride=int(node.get("log_stride", 1)),
+            h=float(node["h"]),
+            t_end=float(node["t_end"]),
+            inv_tol=float(node["inv_tol"]),
+            n_trunc=None if n_trunc is None else _whole(n_trunc, "sim.n_trunc"),
+            log_stride=_whole(node["log_stride"], "sim.log_stride"),
             cone=cone,
-            tol_cone=float(node.get("tol_cone", 1e-9)),
-            divergence_limit=float(node.get("divergence_limit", 1e9)),
+            tol_cone=float(node["tol_cone"]),
+            divergence_limit=float(node["divergence_limit"]),
         )
     except (ValueError, TypeError) as e:
         raise ConfigError(f"sim: {e}") from e
@@ -350,16 +369,6 @@ def _write_summary(outdir, lines):
             fh.write(line + "\n")
 
 
-def _write_rows(outdir, header, rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
-    with open(os.path.join(outdir, "result.csv"), "w", newline="") as fh:
-        fh.write(buf.getvalue())
-
-
 # --- tasks -------------------------------------------------------------------
 
 
@@ -404,7 +413,7 @@ def cmd_check(cfg: dict, outdir: str) -> int:
                         cond,
                         compv.index,
                         sub.name,
-                        _fmt(sub.min_margin),
+                        sub.min_margin,
                         witness,
                         "pass" if compv.passed else "fail",
                     ]
@@ -418,7 +427,11 @@ def cmd_check(cfg: dict, outdir: str) -> int:
         for notev in report.notes:
             lines.append(f"{cond}: note: {notev}")
         lines.append(f"{cond}: {'PASS' if report.passed else 'FAIL'}")
-    _write_rows(outdir, ["condition", "component", "sub", "margin", "witness_theta", "verdict"], rows)
+    write_csv(
+        os.path.join(outdir, "result.csv"),
+        ["condition", "component", "sub", "margin", "witness_theta", "verdict"],
+        rows,
+    )
     lines.append(f"overall={'PASS' if all_pass else 'FAIL'}")
     _write_summary(outdir, lines)
     print("\n".join(lines))
@@ -472,7 +485,7 @@ def cmd_pair(cfg: dict, outdir: str) -> int:
             sim.cone, sys_obj.m, step=sim.h, horizon=z_x.horizon
         )
         yhat_x = eval_Dhat_segment(sys_obj.dspec, p0, z_x, z_x.J - int(
-            np.ceil(sys_obj.dspec.support / sim.h - 1e-9)
+            np.ceil(sys_obj.dspec.support / sim.h - _SNAP)
         ))
         bump = invert_Dhat(
             sys_obj.dspec,
@@ -509,7 +522,7 @@ def cmd_invert(cfg: dict, outdir: str) -> int:
     sys_obj = _parse_system(cfg, flow)
     dspec = sys_obj if isinstance(sys_obj, DOperatorSpec) else sys_obj.dspec
     node = _req(cfg, "yhat", "config")
-    tol = float(cfg.get("sim", {}).get("inv_tol", 1e-8))
+    tol = float(cfg["sim"]["inv_tol"])
     yhat = _parse_history(node, "yhat", dspec.m, 0.05, 40.0)
     p0 = TorusPoint(np.asarray(cfg.get("theta0", [0.0] * flow.dim), dtype=float))
     est = stability_margin(dspec, _parse_sampling(cfg))
@@ -532,10 +545,11 @@ def cmd_mass_audit(cfg: dict, outdir: str) -> int:
     flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
     log = run(sys_obj, p0, z0, sim)
     resid = mass_balance_residual(sys_obj, log)
-    rows = [
-        [_fmt(log.t[i]), _fmt(log.M[i]), _fmt(resid[i])] for i in range(log.t.size)
-    ]
-    _write_rows(outdir, ["t", "M", "residual"], rows)
+    write_csv(
+        os.path.join(outdir, "result.csv"),
+        ["t", "M", "residual"],
+        np.column_stack([log.t, log.M, resid]),
+    )
     worst = float(np.max(np.abs(resid)))
     lines = ["task=mass-audit", f"max_abs_residual={_fmt(worst)}"]
     code = EXIT_OK
@@ -562,12 +576,12 @@ def cmd_covering(cfg: dict, outdir: str) -> int:
         rep = covering_diagnostic(log, flow, p0, tol, window, t_min)
         maxima.append(rep.e_max)
         for T, dist, e in rep.entries:
-            rows.append([_fmt(tol), _fmt(T), _fmt(dist), _fmt(e)])
+            rows.append([tol, T, dist, e])
         lines.append(
             f"return_tol={_fmt(tol)} returns={len(rep.entries)} "
             f"e_max={_fmt(rep.e_max)} e_min={_fmt(rep.e_min)}"
         )
-    _write_rows(outdir, ["return_tol", "T", "phase_dist", "e"], rows)
+    write_csv(os.path.join(outdir, "result.csv"), ["return_tol", "T", "phase_dist", "e"], rows)
     monotone = all(b <= a + 1e-15 for a, b in zip(maxima, maxima[1:]))
     lines.append(f"e_max_trend_monotone_decreasing={'yes' if monotone else 'no'}")
     lines.append("diagnostic_only=yes")
@@ -606,22 +620,8 @@ def main(argv=None) -> int:
         cfg.setdefault("schema", 1)
         cfg["task"] = args.task
         # materialize defaults so the echo is complete
-        sim = dict(cfg.get("sim", {}))
-        for key, val in (
-            ("h", 0.01),
-            ("t_end", 10.0),
-            ("inv_tol", 1e-8),
-            ("n_trunc", None),
-            ("log_stride", 1),
-            ("tol_cone", 1e-9),
-            ("divergence_limit", 1e9),
-        ):
-            sim.setdefault(key, val)
-        cfg["sim"] = sim
-        smp = dict(cfg.get("sampling", {}))
-        for key in _SAMPLING_KEYS:
-            smp.setdefault(key, getattr(SamplingConfig, key))
-        cfg["sampling"] = smp
+        cfg["sim"] = _block(cfg, "sim", _SIM_DEFAULTS)
+        cfg["sampling"] = _block(cfg, "sampling", _SAMPLING_DEFAULTS)
         cfg.setdefault("flow", {"freqs": [GOLDEN_FREQ]})
         _echo(cfg, args.out)
         return dispatch[args.task](cfg, args.out)

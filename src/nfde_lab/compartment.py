@@ -33,10 +33,8 @@ from .base_flow import (
     TorusFlow,
     TorusPoint,
     TrigPoly,
-    advance,
     advance_many,
     derivative_along_flow_many,
-    eval_trig,
     eval_trig_many,
 )
 from .d_operator import (
@@ -46,7 +44,6 @@ from .d_operator import (
     SamplingConfig,
     eval_D,
     identity_poly_matrix,
-    invert_Dhat,
     sample_thetas,
 )
 from .errors import (
@@ -54,7 +51,7 @@ from .errors import (
     HorizonError,
     StructuralPreconditionError,
 )
-from .history import _SNAP, HistoryGrid
+from .history import _SNAP
 
 
 CONDITIONS = ("G3", "G4", "G5", "G8", "G9")
@@ -373,13 +370,6 @@ def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
     return F
 
 
-def eval_G(sys, p: TorusPoint, yhat: HistoryGrid, tol: float = 1e-8) -> np.ndarray:
-    """Right-hand side of the transformed equation: F after inverting the lift."""
-    g = _general(sys)
-    x = invert_Dhat(g.dspec, p, yhat, tol)
-    return eval_F(g, p, x)
-
-
 def _transit_integral(g, p, hist, tr, donor, r) -> float:
     """Trapezoid of the in-transit rate over [-r, 0] at the history grid step."""
     h = hist.step
@@ -434,78 +424,6 @@ def mass_balance_residual(sys, log) -> np.ndarray:
     dt = np.diff(log.t)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * dt * (net[1:] + net[:-1]))])
     return log.M - log.M[0] - integral
-
-
-@dataclass(frozen=True)
-class LipschitzBounds:
-    """Derivative ranges of the transports at one phase.
-
-    l_minus[i][j] and l_plus[i][j] bound d g_ij / dv; L_plus[i] sums the
-    outgoing bounds l_plus[j][i] over destinations j.
-    """
-
-    l_minus: np.ndarray
-    l_plus: np.ndarray
-    L_plus: np.ndarray
-
-
-def lipschitz_bounds(sys: NeutralDiagSystem, p: TorusPoint) -> LipschitzBounds:
-    m = sys.m
-    l_minus = np.zeros((m, m))
-    l_plus = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            tr = sys.transports[i][j]
-            gain = eval_trig(tr.gain, p)
-            if gain < -1e-12:
-                raise ValueError(f"negative transport gain at {p} for pair ({i},{j})")
-            lo, hi = tr.shape.deriv_bounds()
-            l_minus[i, j] = gain * lo
-            l_plus[i, j] = gain * hi
-    return LipschitzBounds(l_minus, l_plus, l_plus.sum(axis=0))
-
-
-def c_product(sys: NeutralDiagSystem, p: TorusPoint, i: int, n: int) -> float:
-    """Product of c_i along the backward orbit: prod_{j<n} c_i(w . (-j alpha_i))."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    prod = 1.0
-    for j in range(n):
-        prod *= eval_trig(sys.c[i], advance(sys.flow, p, -j * sys.alpha[i]))
-    return prod
-
-
-def pq_sequence(sys: NeutralDiagSystem, p: TorusPoint, i: int, a: float, N: int):
-    """Coefficient sequences of the accumulated monotonicity inequality.
-
-    q[0] = -L_plus_i(w) - a and, for n >= 1,
-
-        p[n] = -L_plus_i(w) C_i^n(w)
-               + exp(a (alpha_i - rho_ii)) l_minus_ii(w . (-rho_ii)) C_i^{n-1}(w . (-rho_ii))
-        q[n] = q[n-1] exp(a alpha_i) + p[n],
-
-    where C_i^n is the backward product of c_i. Returns (p[1..N], q[0..N]).
-    """
-    if a > 0:
-        raise ValueError("a must be <= 0")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    lb = lipschitz_bounds(sys, p)
-    L = lb.L_plus[i]
-    alpha_i = sys.alpha[i]
-    rho_ii = sys.rho[i][i]
-    p_shift = advance(sys.flow, p, -rho_ii)
-    lm = lipschitz_bounds(sys, p_shift).l_minus[i, i]
-    q = np.empty(N + 1)
-    pv = np.empty(N)
-    q[0] = -L - a
-    fac = math.exp(a * (alpha_i - rho_ii))
-    ea = math.exp(a * alpha_i)
-    for n in range(1, N + 1):
-        pn = -L * c_product(sys, p, i, n) + fac * lm * c_product(sys, p_shift, i, n - 1)
-        pv[n - 1] = pn
-        q[n] = q[n - 1] * ea + pn
-    return pv, q
 
 
 # --- condition checking ----------------------------------------------------

@@ -257,29 +257,6 @@ def stability_margin(
     )
 
 
-def check_monotone_structure(
-    spec: DOperatorSpec, sampling: Optional[SamplingConfig] = None
-) -> bool:
-    """True when B^-1 and every B^-1-weighted delayed block are entrywise
-    nonnegative at all sampled phases (the structure that makes the inverse
-    lift preserve nonnegativity)."""
-    thetas = sample_thetas(spec.flow, sampling)
-    Bv = eval_poly_matrix_many(spec.B, thetas)
-    Binv = _batch_inverse(Bv, thetas)
-    if np.min(Binv) < -1e-12:
-        return False
-    for atom in spec.nu.atoms:
-        Wv = eval_poly_matrix_many(atom.weight, thetas)
-        if np.min(np.einsum("nab,nbc->nac", Binv, Wv)) < -1e-12:
-            return False
-    if spec.nu.density is not None:
-        for l in range(spec.nu.density.values.shape[0]):
-            prod = np.einsum("nab,bc->nac", Binv, spec.nu.density.values[l])
-            if np.min(prod) < -1e-12:
-                return False
-    return True
-
-
 def eval_D(spec: DOperatorSpec, p: TorusPoint, hist) -> np.ndarray:
     """Apply the operator at one phase: B(w) x(0) minus the delayed mass."""
     if hist.m != spec.m:
@@ -409,13 +386,6 @@ def invert_Dhat(
             term = np.einsum("jab,jb->ja", Binv, z)
             acc += term
     return HistoryGrid(h, acc[: J_ret + 1], yhat.tail)
-
-
-def dstar_eval(
-    spec: DOperatorSpec, p: TorusPoint, yhat: HistoryGrid, tol: float = 1e-8
-) -> np.ndarray:
-    """Point evaluation of the inverse lift at offset zero."""
-    return invert_Dhat(spec, p, yhat, tol).samples[0]
 
 
 def extract_atom_at_zero(spec: DOperatorSpec, p: TorusPoint, rho: float) -> np.ndarray:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,30 +141,6 @@ class HistoryGrid:
         return self.sample_many([s])[0]
 
 
-class SegmentView:
-    """Window of a history shifted to an earlier origin.
-
-    sample_at(view, s) equals sample_at(base, offset + s).
-    """
-
-    def __init__(self, base, offset: float):
-        if offset > _SNAP:
-            raise ValueError("segment offset must be <= 0")
-        self.base = base
-        self.offset = float(offset)
-
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    def sample_many(self, s) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return self.base.sample_many(self.offset + s)
-
-    def sample_at(self, s: float) -> np.ndarray:
-        return self.sample_many([s])[0]
-
-
 class FunctionHistory:
     """Adapter wrapping an exact vectorized function of the offset."""
 
@@ -259,35 +234,28 @@ def compact_open_metric(x: HistoryGrid, y: HistoryGrid, n_max: int = 30) -> floa
     return total
 
 
-def shift_append(hist: HistoryGrid, new_samples) -> HistoryGrid:
-    """Advance the grid: append samples at the recent end, drop the oldest.
-
-    new_samples are given oldest to newest; the last row becomes the new
-    offset-zero sample. Capacity (J + 1 rows) is preserved, so the time
-    origin advances by count * step.
-    """
-    new = np.atleast_2d(np.asarray(new_samples, dtype=float))
-    if new.shape[1] != hist.m:
-        raise DimensionMismatchError(
-            f"appended samples have dim {new.shape[1]}, history has {hist.m}"
-        )
-    rows = np.vstack([new[::-1], hist.samples])[: hist.J + 1]
-    return HistoryGrid(hist.step, rows, hist.tail)
+def _fmt(v) -> str:
+    """Round-trip text of a float: the one number format of every output file."""
+    return format(float(v), ".17g")
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows; float cells take `_fmt`, other cells print as is."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row])
 
 
 def export_csv(hist: HistoryGrid, path) -> None:
     """Write `s,z1,...,zm` rows with s decreasing from 0."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["s"] + [f"z{i + 1}" for i in range(hist.m)])
-    for j in range(hist.J + 1):
-        writer.writerow([_fmt(-j * hist.step)] + [_fmt(v) for v in hist.samples[j]])
-    with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+    s = -np.arange(hist.J + 1) * hist.step
+    write_csv(
+        path,
+        ["s"] + [f"z{i + 1}" for i in range(hist.m)],
+        np.column_stack([s, hist.samples]),
+    )
 
 
 def import_csv(path, tail=TailPolicy.CONSTANT) -> HistoryGrid:
@@ -302,7 +270,7 @@ def import_csv(path, tail=TailPolicy.CONSTANT) -> HistoryGrid:
     data = np.array([[float(v) for v in row] for row in rows[1:]])
     s = data[:, 0]
     steps = -np.diff(s)
-    if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, steps[0]):
+    if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > _SNAP * max(1.0, steps[0]):
         raise ValueError("history CSV offsets must decrease uniformly from 0")
     if abs(s[0]) > 1e-12:
         raise ValueError("history CSV must start at offset 0")

@@ -18,8 +18,6 @@ depending on the smoothness of the data.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -36,7 +34,7 @@ from .errors import (
     StructuralPreconditionError,
     UnorderedPairError,
 )
-from .history import _SNAP, HistoryGrid, TailPolicy, cubic_rows, resample
+from .history import _SNAP, HistoryGrid, TailPolicy, cubic_rows, resample, write_csv
 from .ordering import ConeSpec, matrix_exp
 
 
@@ -238,7 +236,7 @@ def init_from_z(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> Sim
     general = _general(sys)
     delays = _Delays(general, cfg.h)
     n_trunc, Jh = _history_plan(general, cfg)
-    required = Jh * cfg.h + general.dspec.support
+    required = required_z_horizon(general, cfg)
     if z_hist.horizon + _SNAP < required:
         raise HorizonError(
             f"initial history covers {z_hist.horizon:.6g}, need {required:.6g}"
@@ -482,7 +480,7 @@ def covering_diagnostic(
     if t.size < 3:
         raise NoReturnTimesError("log too short")
     dt = t[1] - t[0]
-    if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * max(1.0, dt):
+    if np.max(np.abs(np.diff(t) - dt)) > _SNAP * max(1.0, dt):
         raise NoReturnTimesError("covering diagnostic needs uniformly logged times")
     i0 = int(np.searchsorted(t, t_min - _SNAP))
     i1 = int(np.searchsorted(t, t_min + window + _SNAP)) - 1
@@ -519,51 +517,24 @@ def covering_diagnostic(
     )
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def trajectory_to_csv(log: TrajectoryLog, path) -> None:
     """Columns: t, z1..zm, zhat1..zhatm, M."""
     m = log.z.shape[1]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["t"]
-        + [f"z{i + 1}" for i in range(m)]
-        + [f"zhat{i + 1}" for i in range(m)]
-        + ["M"]
-    )
-    for row in range(log.t.size):
-        w.writerow(
-            [_fmt(log.t[row])]
-            + [_fmt(v) for v in log.z[row]]
-            + [_fmt(v) for v in log.zhat[row]]
-            + [_fmt(log.M[row])]
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+    header = ["t"]
+    for tag in ("z", "zhat"):
+        header += [f"{tag}{i + 1}" for i in range(m)]
+    write_csv(path, header + ["M"], np.column_stack([log.t, log.z, log.zhat, log.M]))
 
 
 def pair_to_csv(log: PairLog, path) -> None:
+    """Columns: t, zx, zy, zhatx, zhaty and dgap per component, then the scalar monitors."""
     m = log.z_x.shape[1]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     header = ["t"]
     for tag in ("zx", "zy", "zhatx", "zhaty", "dgap"):
         header += [f"{tag}{i + 1}" for i in range(m)]
     header += ["mass_x", "mass_y", "cone_margin", "z_diff_sup"]
-    w.writerow(header)
-    for r in range(log.t.size):
-        row = [_fmt(log.t[r])]
-        for arr in (log.z_x, log.z_y, log.zhat_x, log.zhat_y, log.d_gap):
-            row += [_fmt(v) for v in arr[r]]
-        row += [
-            _fmt(log.mass_x[r]),
-            _fmt(log.mass_y[r]),
-            _fmt(log.cone_margin[r]),
-            _fmt(log.z_diff_sup[r]),
-        ]
-        w.writerow(row)
-    with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+    rows = np.column_stack(
+        [log.t, log.z_x, log.z_y, log.zhat_x, log.zhat_y, log.d_gap]
+        + [log.mass_x, log.mass_y, log.cone_margin, log.z_diff_sup]
+    )
+    write_csv(path, header, rows)

@@ -325,3 +325,96 @@ def test_csv_history_errors_exit_two(tmp_path, content):
         "yhat": history,
     }
     assert _run(tmp_path, "invert", inv) == 2
+
+
+@pytest.mark.parametrize("value", [2.5, "3", True])
+@pytest.mark.parametrize("key", ["sim.log_stride", "sim.n_trunc", "system.m"])
+def test_counts_must_be_whole_numbers(tmp_path, capsys, key, value):
+    block, name = key.split(".")
+    cfg = {
+        "system": dict(S1_SYSTEM),
+        "sim": {"h": 0.02, "t_end": 0.2},
+        "z_init": {"kind": "constant", "value": [1.0]},
+    }
+    cfg[block][name] = value
+    assert _run(tmp_path, "simulate", cfg) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block", ["sim", "sampling"])
+def test_config_blocks_must_be_objects(tmp_path, capsys, block):
+    cfg = {"system": S1_SYSTEM, block: [1], "check": {"a": [-2.0]}}
+    assert _run(tmp_path, "check", cfg) == 2
+    assert f"{block}: expected an object" in capsys.readouterr().err
+
+
+TWO_POOLS = {
+    "kind": "compartmental",
+    "m": 2,
+    "transports": [[0.0, 0.5], [0.25, 0.0]],
+    "inflows": [1.0, 0.0],
+}
+SHORT_SIM = {"h": 0.02, "t_end": 0.4, "log_stride": 5}
+Z1 = {"kind": "constant", "value": [2.0]}
+FORMAT_CASES = {
+    "simulate": (
+        {"system": TWO_POOLS, "sim": SHORT_SIM, "z_init": {"kind": "constant", "value": [1.0, 2.0]}},
+        ["t", "z1", "z2", "zhat1", "zhat2", "M"],
+    ),
+    "pair": (
+        {
+            "system": S1_SYSTEM,
+            "cone": {"a_diag": [-2.0], "horizon": 1.0},
+            "sim": SHORT_SIM,
+            "z_init": Z1,
+            "z_init_y": {"kind": "ordered_offset", "lam": 0.2},
+        },
+        ["t", "zx1", "zy1", "zhatx1", "zhaty1", "dgap1"]
+        + ["mass_x", "mass_y", "cone_margin", "z_diff_sup"],
+    ),
+    "invert": (
+        {
+            "system": {"kind": "d_operator", "m": 1, "atoms": [{"lag": 1.0, "weight": [[0.5]]}]},
+            "yhat": {"kind": "sinusoid", "base": [1.0], "amp": [0.3], "step": 0.1, "horizon": 3.0},
+        },
+        ["s", "z1"],
+    ),
+    "mass-audit": (
+        {"system": S1_SYSTEM, "sim": SHORT_SIM, "z_init": Z1},
+        ["t", "M", "residual"],
+    ),
+    "covering": (
+        {
+            "system": {**S1_SYSTEM, "c": [0.3]},
+            "sim": {"h": 0.02, "t_end": 40.0, "log_stride": 5},
+            "z_init": Z1,
+            "covering": {"return_tols": [0.1], "window": 5.0},
+        },
+        ["return_tol", "T", "phase_dist", "e"],
+    ),
+    "check": (
+        {"system": S1_SYSTEM, "check": {"conditions": ["G5", "G8"], "a": [-2.0]}},
+        ["condition", "component", "sub", "margin", "witness_theta", "verdict"],
+    ),
+}
+
+
+@pytest.mark.parametrize("task", sorted(FORMAT_CASES))
+def test_result_csv_header_and_number_format(tmp_path, task):
+    cfg, header = FORMAT_CASES[task]
+    assert _run(tmp_path, task, cfg) in (0, 1)
+    rows = read_result(tmp_path / "out")
+    assert rows[0] == header
+    assert len(rows) > 1
+    numbers = 0
+    for row in rows[1:]:
+        assert len(row) == len(header)
+        for field in row:
+            for part in field.split(";"):  # check's witness_theta joins coordinates
+                try:
+                    value = float(part)
+                except ValueError:
+                    continue
+                assert part == format(value, ".17g")
+                numbers += 1
+    assert numbers >= len(rows) - 1

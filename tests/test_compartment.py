@@ -21,14 +21,11 @@ from nfde_lab import (
     TransportSpec,
     TrigPoly,
     advance,
-    c_product,
     check_condition,
     constant_history,
     eval_F,
-    eval_G,
     eval_trig,
-    lipschitz_bounds,
-    pq_sequence,
+    invert_Dhat,
     suggest_a,
     total_mass,
 )
@@ -37,6 +34,7 @@ from nfde_lab.compartment import condition_margins
 from nfde_lab.d_operator import identity_poly_matrix, sample_thetas
 
 from .conftest import const_c_system, s1_system
+from .oracles import c_product, lipschitz_bounds, pq_sequence
 
 
 def open_scalar_system(flow, inflow=0.0, outflow_gain=0.0):
@@ -87,6 +85,11 @@ def test_eval_F_zero_history(golden_flow, origin):
     assert eval_F(closed, origin, z0)[0] == 0.0
     open_sys = open_scalar_system(golden_flow, inflow=1.5)
     assert eval_F(open_sys, origin, z0)[0] == 1.5
+
+
+def eval_G(sys, p, yhat, tol=1e-8):
+    """Right-hand side of the transformed equation: F after inverting the lift."""
+    return eval_F(sys, p, invert_Dhat(sys.dspec, p, yhat, tol))
 
 
 def test_eval_G_reduces_to_F_without_neutral_part(golden_flow, origin):

@@ -16,7 +16,6 @@ from nfde_lab import (
     UnstableMarginError,
     advance,
     constant_history,
-    dstar_eval,
     eval_D,
     eval_Dhat_segment,
     eval_trig,
@@ -198,11 +197,16 @@ def test_monotone_truncation(half_spec, origin):
         assert resid(n + 5) <= resid(n) + 1e-12
 
 
+def dstar(spec, p, yhat, tol=1e-8):
+    """The inverse lift at offset zero."""
+    return invert_Dhat(spec, p, yhat, tol).samples[0]
+
+
 def test_dstar_point_values(half_spec, origin):
     yhat = constant_history([1.0], 0.05, 40.0)
-    assert dstar_eval(half_spec, origin, yhat)[0] == pytest.approx(2.0, abs=1e-8)
+    assert dstar(half_spec, origin, yhat)[0] == pytest.approx(2.0, abs=1e-8)
     zero = constant_history([0.0], 0.05, 40.0)
-    assert dstar_eval(half_spec, origin, zero)[0] == 0.0
+    assert dstar(half_spec, origin, zero)[0] == 0.0
 
 
 def test_dstar_linearity(half_spec, origin):
@@ -210,10 +214,8 @@ def test_dstar_linearity(half_spec, origin):
     y1 = HistoryGrid(0.05, rng.normal(size=(400, 1)))
     y2 = HistoryGrid(0.05, rng.normal(size=(400, 1)))
     combo = HistoryGrid(0.05, y1.samples + y2.samples)
-    got = dstar_eval(half_spec, origin, combo, tol=1e-10)
-    want = dstar_eval(half_spec, origin, y1, tol=1e-10) + dstar_eval(
-        half_spec, origin, y2, tol=1e-10
-    )
+    got = dstar(half_spec, origin, combo, tol=1e-10)
+    want = dstar(half_spec, origin, y1, tol=1e-10) + dstar(half_spec, origin, y2, tol=1e-10)
     assert np.max(np.abs(got - want)) <= 1e-8
 
 

@@ -19,22 +19,20 @@ from nfde_lab import (
     TorusPoint,
     TransportSpec,
     TrigPoly,
-    check_monotone_structure,
     cone_membership,
     constant_history,
     eval_D,
     eval_F,
     eval_Dhat_segment,
     invert_Dhat,
-    lipschitz_bounds,
-    pq_sequence,
     stability_margin,
     total_mass,
 )
 from nfde_lab.compartment import CompartmentalSystem
 from nfde_lab.d_operator import identity_poly_matrix
 
-from .conftest import const_c_system, scalar_dspec
+from .conftest import const_c_system
+from .oracles import lipschitz_bounds, pq_sequence
 
 
 @pytest.fixture()
@@ -58,14 +56,6 @@ def test_density_invert_constant(density_spec, origin):
     assert np.max(np.abs(x.samples - 1.0 / 0.6)) <= 1e-7
     back = eval_Dhat_segment(density_spec, origin, x, yhat.J)
     assert np.max(np.abs(back.samples - 1.0)) <= 1e-7
-
-
-def test_monotone_structure_checker(golden_flow, density_spec):
-    assert check_monotone_structure(density_spec)
-    signed = scalar_dspec(golden_flow, TrigPoly.from_terms(0.1, [([1], 0.0, 0.3)]))
-    assert not check_monotone_structure(signed)
-    plain = scalar_dspec(golden_flow, 0.5)
-    assert check_monotone_structure(plain)
 
 
 def test_saturate_shape():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from nfde_lab import (
     DimensionMismatchError,
     HistoryGrid,
-    SegmentView,
     TailPolicy,
     compact_open_metric,
     constant_history,
@@ -14,7 +13,6 @@ from nfde_lab import (
     from_function,
     import_csv,
     seminorm_n,
-    shift_append,
     sup_norm,
 )
 
@@ -117,46 +115,6 @@ def test_metric_indiscernible_on_grid():
     x = HistoryGrid(0.5, vals)
     y = HistoryGrid(0.5, vals.copy())
     assert compact_open_metric(x, y) == 0.0
-
-
-def test_shift_append_single():
-    hist = constant_history([1.0], 0.1, 1.0)
-    out = shift_append(hist, [[5.0]])
-    assert out.sample_at(0.0)[0] == 5.0
-    assert out.sample_at(-0.1)[0] == 1.0
-    assert out.J == hist.J
-
-
-def test_shift_append_tail_policy():
-    hist = from_function(lambda s: s[:, None], 0.1, 1.0, TailPolicy.ZERO)
-    out = shift_append(hist, [[9.0]])
-    assert out.sample_at(-(out.J + 1) * 0.1)[0] == 0.0
-    hist_c = from_function(lambda s: s[:, None], 0.1, 1.0, TailPolicy.CONSTANT)
-    out_c = shift_append(hist_c, [[9.0]])
-    assert out_c.sample_at(-(out_c.J + 3) * 0.1)[0] == out_c.samples[-1, 0]
-
-
-def test_shift_append_replay_round_trip():
-    # oracle: direct replay of the original samples through a shifted view
-    rng = np.random.default_rng(17)
-    vals = rng.normal(size=(21, 2))
-    hist = HistoryGrid(0.1, vals)
-    k = 4
-    new = rng.normal(size=(k, 2))
-    shifted = shift_append(hist, new)
-    view = SegmentView(shifted, -k * 0.1)
-    for j in range(hist.J + 1 - k):
-        got = view.sample_at(-j * 0.1)
-        assert np.array_equal(got, vals[j])
-
-
-def test_segment_view_grid_aligned_bit_exact():
-    rng = np.random.default_rng(19)
-    vals = rng.normal(size=(40, 3))
-    hist = HistoryGrid(0.1, vals)
-    view = SegmentView(hist, -0.5)
-    for j in range(30):
-        assert np.array_equal(view.sample_at(-j * 0.1), vals[j + 5])
 
 
 def test_tail_policies():

@@ -1,0 +1,36 @@
+"""The benchmark harness in perfbench/ reaches into nfde_lab by name: the
+tracer wraps the functions listed in its TRACED table, and the measured
+child process hooks a few more. A rename or deletion in nfde_lab that
+leaves one of these names dangling fails here, not in a traced benchmark
+run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# Hooked by name in perfbench/child.py: set-up ends at the first of these
+# calls, and the run functions are timed.
+CHILD_HOOKS = [
+    ("cli", "run"),
+    ("cli", "run_ordered_pair"),
+    ("cli", "suggest_a"),
+    ("cli", "check_condition"),
+    ("integrator", "step"),
+]
+
+
+def _traced_names():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [(home, name) for home, funcs in tracer.TRACED.items() for name in funcs]
+
+
+@pytest.mark.parametrize("home, name", _traced_names() + CHILD_HOOKS)
+def test_benchmark_hook_resolves(home, name):
+    module = importlib.import_module(f"nfde_lab.{home}")
+    assert callable(getattr(module, name, None)), f"nfde_lab.{home}.{name} is gone"
