@@ -61,6 +61,16 @@ class TorusPoint:
         theta = np.mod(np.atleast_1d(np.asarray(self.theta, dtype=float)), 1.0)
         object.__setattr__(self, "theta", _frozen_array(theta, ndim=1))
 
+    @classmethod
+    def of_reduced(cls, theta: np.ndarray) -> "TorusPoint":
+        """Wrap a read-only 1-d row already reduced by np.mod(., 1.0).
+
+        No copy and no second reduction, so the phase keeps its bits.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "theta", theta)
+        return p
+
     @property
     def dim(self) -> int:
         return self.theta.size

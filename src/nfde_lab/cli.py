@@ -58,7 +58,7 @@ from .errors import (
     UnorderedPairError,
     UnstableMarginError,
 )
-from .history import _SNAP, HistoryGrid, _fmt, export_csv, from_function, import_csv, write_csv
+from .history import HistoryGrid, _fmt, _nodes, export_csv, from_function, import_csv, write_csv
 from .integrator import (
     SimConfig,
     covering_diagnostic,
@@ -84,6 +84,8 @@ EXIT_DIVERGED = 5
 
 
 def _req(node: dict, key: str, where: str):
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where}: expected an object, got {node!r}")
     if key not in node:
         raise ConfigError(f"missing key {key!r} in {where}")
     return node[key]
@@ -124,8 +126,7 @@ def _parse_matrix_of(parser, node, m, where):
 
 
 def _parse_flow(cfg: dict) -> TorusFlow:
-    node = cfg.get("flow", {})
-    freqs = node.get("freqs", [GOLDEN_FREQ])
+    freqs = _block(cfg, "flow", {"freqs": [GOLDEN_FREQ]})["freqs"]
     try:
         return TorusFlow(np.asarray(freqs, dtype=float))
     except (ValueError, TypeError) as e:
@@ -377,7 +378,7 @@ def cmd_check(cfg: dict, outdir: str) -> int:
     sys_obj = _parse_system(cfg, flow)
     if not isinstance(sys_obj, NeutralDiagSystem):
         raise ConfigError("task=check needs a neutral_diag system")
-    node = cfg.get("check", {})
+    node = _block(cfg, "check", {})
     conds = node.get("conditions", ["G5"])
     if not isinstance(conds, list) or not conds:
         raise ConfigError(f"check.conditions: expected a nonempty list, got {conds!r}")
@@ -455,6 +456,7 @@ def _sim_setup(cfg):
 
 def cmd_simulate(cfg: dict, outdir: str) -> int:
     flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
+    thr = _block(cfg, "thresholds", {}).get("mass_residual")
     log = run(sys_obj, p0, z0, sim)
     trajectory_to_csv(log, os.path.join(outdir, "result.csv"))
     mass_dev = float(np.max(np.abs(log.M - log.M[0])))
@@ -465,7 +467,6 @@ def cmd_simulate(cfg: dict, outdir: str) -> int:
         f"final_z={[_fmt(v) for v in log.z[-1]]}",
     ]
     code = EXIT_OK
-    thr = cfg.get("thresholds", {}).get("mass_residual")
     if thr is not None and mass_dev > float(thr):
         lines.append(f"threshold_exceeded=mass_residual ({_fmt(mass_dev)} > {_fmt(thr)})")
         code = EXIT_THRESHOLD
@@ -484,9 +485,9 @@ def cmd_pair(cfg: dict, outdir: str) -> int:
         comp = make_comparison_upper(
             sim.cone, sys_obj.m, step=sim.h, horizon=z_x.horizon
         )
-        yhat_x = eval_Dhat_segment(sys_obj.dspec, p0, z_x, z_x.J - int(
-            np.ceil(sys_obj.dspec.support / sim.h - _SNAP)
-        ))
+        yhat_x = eval_Dhat_segment(
+            sys_obj.dspec, p0, z_x, z_x.J - _nodes(sys_obj.dspec.support, sim.h)
+        )
         bump = invert_Dhat(
             sys_obj.dspec,
             p0,
@@ -497,6 +498,7 @@ def cmd_pair(cfg: dict, outdir: str) -> int:
         z_y = HistoryGrid(sim.h, rows, z_x.tail)
     else:
         z_y = _parse_history(node, "z_init_y", sys_obj.m, sim.h, z_x.horizon)
+    thr = _block(cfg, "thresholds", {}).get("cone_margin")
     plog = run_ordered_pair(sys_obj, p0, z_x, z_y, sim)
     pair_to_csv(plog, os.path.join(outdir, "result.csv"))
     min_margin = float(np.min(plog.cone_margin))
@@ -508,7 +510,6 @@ def cmd_pair(cfg: dict, outdir: str) -> int:
         f"final_z_diff_sup={_fmt(plog.z_diff_sup[-1])}",
     ]
     code = EXIT_OK
-    thr = cfg.get("thresholds", {}).get("cone_margin")
     if thr is not None and min_margin < float(thr):
         lines.append(f"threshold_exceeded=cone_margin ({_fmt(min_margin)} < {_fmt(thr)})")
         code = EXIT_THRESHOLD
@@ -543,6 +544,7 @@ def cmd_invert(cfg: dict, outdir: str) -> int:
 
 def cmd_mass_audit(cfg: dict, outdir: str) -> int:
     flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
+    thr = _block(cfg, "thresholds", {}).get("mass_residual")
     log = run(sys_obj, p0, z0, sim)
     resid = mass_balance_residual(sys_obj, log)
     write_csv(
@@ -553,7 +555,6 @@ def cmd_mass_audit(cfg: dict, outdir: str) -> int:
     worst = float(np.max(np.abs(resid)))
     lines = ["task=mass-audit", f"max_abs_residual={_fmt(worst)}"]
     code = EXIT_OK
-    thr = cfg.get("thresholds", {}).get("mass_residual")
     if thr is not None and worst > float(thr):
         lines.append(f"threshold_exceeded=mass_residual ({_fmt(worst)} > {_fmt(thr)})")
         code = EXIT_THRESHOLD
@@ -564,7 +565,7 @@ def cmd_mass_audit(cfg: dict, outdir: str) -> int:
 
 def cmd_covering(cfg: dict, outdir: str) -> int:
     flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
-    node = cfg.get("covering", {})
+    node = _block(cfg, "covering", {})
     tols = [float(v) for v in node.get("return_tols", [1e-1, 3e-2, 1e-2])]
     window = float(node.get("window", 50.0))
     t_min = float(node.get("t_min", 0.0))
@@ -602,7 +603,9 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"the config must be a JSON object, got {cfg!r}")
+    except (OSError, json.JSONDecodeError, ConfigError) as e:
         print(f"config error: {e}", file=_sys.stderr)
         return EXIT_CONFIG
     os.makedirs(args.out, exist_ok=True)
@@ -615,7 +618,11 @@ def main(argv=None) -> int:
         "covering": cmd_covering,
     }
     try:
-        if int(cfg.get("schema", 1)) != 1:
+        try:
+            schema = int(cfg.get("schema", 1))
+        except (TypeError, ValueError):
+            schema = None
+        if schema != 1:
             raise ConfigError(f"unsupported schema version {cfg.get('schema')!r}")
         cfg.setdefault("schema", 1)
         cfg["task"] = args.task

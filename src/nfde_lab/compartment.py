@@ -51,7 +51,7 @@ from .errors import (
     HorizonError,
     StructuralPreconditionError,
 )
-from .history import _SNAP
+from .history import _EQ_TOL, _SNAP
 
 
 CONDITIONS = ("G3", "G4", "G5", "G8", "G9")
@@ -148,7 +148,7 @@ class PipeSpec:
             raise ValueError("transit lags must be >= 0")
         if any(w <= 0 for _, w in atoms):
             raise ValueError("transit weights must be positive")
-        if abs(sum(w for _, w in atoms) - 1.0) > 1e-12:
+        if abs(sum(w for _, w in atoms) - 1.0) > _EQ_TOL:
             raise ValueError("transit weights must sum to 1")
         object.__setattr__(self, "atoms", atoms)
 
@@ -204,6 +204,24 @@ class CompartmentalSystem:
         if self.dspec.m != self.m:
             raise DimensionMismatchError("operator dimension does not match m")
         self.dspec.stability()  # raises when the delayed part is not a contraction
+        object.__setattr__(self, "_terms", self._balance_terms())
+
+    def _balance_terms(self) -> tuple:
+        """Per compartment i, the terms of its balance in eval_F's order:
+        the active outflow and out-transports (into j, by j), the inflow,
+        and one (j, r, w, transport) entry per atom of each active pipe
+        into i."""
+        terms = []
+        for i in range(self.m):
+            outs = (self.outflows[i],) + tuple(self.transports[j][i] for j in range(self.m))
+            pipes = tuple(
+                (j, r, w, self.transports[i][j])
+                for j in range(self.m)
+                if not self.transports[i][j].is_zero()
+                for r, w in self.pipes[i][j].atoms
+            )
+            terms.append((tuple(tr for tr in outs if not tr.is_zero()), self.inflows[i], pipes))
+        return tuple(terms)
 
     @property
     def max_pipe_lag(self) -> float:
@@ -276,14 +294,14 @@ class NeutralDiagSystem:
         object.__setattr__(self, "c", tuple(self.c))
         thetas = sample_thetas(self.flow)
         cvals = np.stack([eval_trig_many(ci, thetas) for ci in self.c], axis=1)
-        if np.any(cvals < -1e-12):
+        if np.any(cvals < -_EQ_TOL):
             raise StructuralPreconditionError("coefficients c_i must be >= 0")
         if self.g6:
-            if np.any(cvals.sum(axis=1) >= 1.0 - 1e-12):
+            if np.any(cvals.sum(axis=1) >= 1.0 - _EQ_TOL):
                 raise StructuralPreconditionError(
                     "sum of c_i must stay below 1 when g6 is requested"
                 )
-        elif np.any(cvals >= 1.0 - 1e-12):
+        elif np.any(cvals >= 1.0 - _EQ_TOL):
             raise StructuralPreconditionError("each c_i must stay below 1")
         object.__setattr__(self, "_c_sup", np.max(cvals, axis=0))
         object.__setattr__(self, "_c_inf", np.min(cvals, axis=0))
@@ -349,24 +367,16 @@ def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
     x0 = hist.sample_at(0.0)
     th0 = p.theta[None, :]
     F = np.zeros(g.m)
-    for i in range(g.m):
+    for i, (outs, inflow, pipes) in enumerate(g._terms):
         total_out = 0.0
-        if not g.outflows[i].is_zero():
-            total_out += _rate(g.outflows[i], th0, x0[i])
-        for j in range(g.m):
-            tr = g.transports[j][i]
-            if not tr.is_zero():
-                total_out += _rate(tr, th0, x0[i])
-        F[i] = -total_out + _coeff_at(g.inflows[i], th0)
-        for j in range(g.m):
-            tr = g.transports[i][j]
-            if tr.is_zero():
-                continue
-            for r, w in g.pipes[i][j].atoms:
-                th_r = th0
-                if r != 0.0 and not tr.gain.is_constant():
-                    th_r = advance_many(g.flow, p, [-r])
-                F[i] += w * _rate(tr, th_r, hist.sample_at(-r)[j])
+        for tr in outs:
+            total_out += _rate(tr, th0, x0[i])
+        F[i] = -total_out + _coeff_at(inflow, th0)
+        for j, r, w, tr in pipes:
+            th_r = th0
+            if r != 0.0 and not tr.gain.is_constant():
+                th_r = advance_many(g.flow, p, [-r])
+            F[i] += w * _rate(tr, th_r, hist.sample_at(-r)[j])
     return F
 
 
@@ -472,7 +482,7 @@ class _Precomp:
             for j in range(m):
                 tr = sys.transports[i][j]
                 gain = eval_trig_many(tr.gain, thetas)
-                if np.any(gain < -1e-12):
+                if np.any(gain < -_EQ_TOL):
                     raise ValueError(f"negative transport gain for pair ({i},{j})")
                 lp[:, i, j] = gain * tr.shape.deriv_bounds()[1]
         self.L_plus = lp.sum(axis=1)  # (n, m): column sums l_plus[j][i]
@@ -550,22 +560,22 @@ def _nmin(x):
 def _check_structural(sys: NeutralDiagSystem, cond: str, active) -> None:
     for i in active:
         rho_ii, alpha_i = sys.rho[i][i], sys.alpha[i]
-        if cond == "G3" and abs(rho_ii - 2.0 * alpha_i) > 1e-12:
+        if cond == "G3" and abs(rho_ii - 2.0 * alpha_i) > _EQ_TOL:
             raise StructuralPreconditionError(
                 f"G3 needs rho_ii = 2 alpha_i for component {i}"
             )
-        if cond == "G5" and abs(rho_ii - alpha_i) > 1e-12:
+        if cond == "G5" and abs(rho_ii - alpha_i) > _EQ_TOL:
             raise StructuralPreconditionError(
                 f"G5 needs rho_ii = alpha_i for component {i}"
             )
-        if cond in ("G4", "G9") and rho_ii > alpha_i + 1e-12:
+        if cond in ("G4", "G9") and rho_ii > alpha_i + _EQ_TOL:
             raise StructuralPreconditionError(
                 f"{cond} needs rho_ii <= alpha_i for component {i}"
             )
 
 
 def _check_coefficient_sum(pre: _Precomp, cond: str) -> None:
-    if cond in ("G8", "G9") and np.any(pre.c.sum(axis=1) >= 1.0 - 1e-12):
+    if cond in ("G8", "G9") and np.any(pre.c.sum(axis=1) >= 1.0 - _EQ_TOL):
         raise StructuralPreconditionError(
             f"{cond} needs sum_i c_i < 1 at every sampled phase"
         )
@@ -623,7 +633,7 @@ def _g4_component(pre: _Precomp, i: int, a_i: float, n_check: int):
     )
     # sound tail certificate: needs rho_ii = alpha_i or a constant coefficient
     cert_vals = -L * sys.c_sup[i] + fac * np.min(lm)
-    sound = abs(rho_ii - alpha_i) <= 1e-12 or sys.c[i].is_constant()
+    sound = abs(rho_ii - alpha_i) <= _EQ_TOL or sys.c[i].is_constant()
     tail_certified = bool(sound and np.min(cert_vals) >= 0.0)
     return margins, n0, found, tail_certified
 
@@ -810,7 +820,7 @@ def suggest_a(
     """Scan candidate rates a_i <= 0 and keep the best worst-case margin.
 
     The canonical rate -sup L_plus_i - 1 is always added to the scan. Ties
-    within 1e-12 resolve toward zero. Components with c_i identically zero
+    within _EQ_TOL resolve toward zero. Components with c_i identically zero
     receive the canonical rate directly. The phase-sampled data are built
     once and shared by every trial rate; each trial evaluates the scanned
     component only, with the same arithmetic as `condition_margins`.
@@ -850,7 +860,7 @@ def suggest_a(
                 vals[k] = min(float(np.min(arr)) for arr in entry.values())
         surface[: cand.size, i] = vals
         top = np.max(vals)
-        tied = np.nonzero(vals >= top - 1e-12)[0]
+        tied = np.nonzero(vals >= top - _EQ_TOL)[0]
         best[i] = float(cand[tied].max())  # toward zero
     return SuggestAReport(
         a=best,

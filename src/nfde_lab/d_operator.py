@@ -33,7 +33,7 @@ from .errors import (
     SingularBError,
     UnstableMarginError,
 )
-from .history import _SNAP, FunctionHistory, HistoryGrid, TailPolicy, cubic_rows, sup_norm
+from .history import _SNAP, FunctionHistory, HistoryGrid, TailPolicy, _nodes, cubic_rows, sup_norm
 
 
 def const_poly_matrix(values) -> list:
@@ -352,7 +352,7 @@ def invert_Dhat(
     Jy = yhat.J
     ynorm = sup_norm(yhat)
     S = spec.support
-    n_s = int(np.ceil(S / h - _SNAP)) if S > 0 else 0
+    n_s = _nodes(S, h)
     if n_terms is not None:
         N = max(0, int(n_terms))
     elif lam <= 0.0 or ynorm == 0.0 or spec.nu.is_empty():

@@ -29,6 +29,16 @@ from .errors import DimensionMismatchError
 # snap tolerance every module of the package uses.
 _SNAP = 1e-9
 
+# Tolerance for treating two values of structure data as equal (grid steps,
+# weight sums, rho_ii against alpha_i, a coefficient against its bound); the
+# one equality tolerance every module of the package uses.
+_EQ_TOL = 1e-12
+
+
+def _nodes(length: float, step: float) -> int:
+    """Grid intervals of the given step needed to cover a length, snapped."""
+    return int(np.ceil(length / step - _SNAP))
+
 
 class TailPolicy(enum.Enum):
     CONSTANT = "constant"
@@ -44,6 +54,12 @@ def _cubic_weights(u: np.ndarray):
     return w0, w1, w2, w3
 
 
+def _on_node(pos: np.ndarray):
+    """Nearest row index of each position, and whether it counts as on that row."""
+    ipos = np.rint(pos)
+    return ipos, np.abs(pos - ipos) <= _SNAP * np.maximum(1.0, np.abs(pos))
+
+
 def cubic_rows(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Interpolate rows of `values` at fractional row indices `pos`.
 
@@ -54,8 +70,7 @@ def cubic_rows(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
     K = values.shape[0]
     pos = np.asarray(pos, dtype=float)
     out = np.empty((pos.size,) + values.shape[1:], dtype=values.dtype)
-    ipos = np.rint(pos)
-    on_node = np.abs(pos - ipos) <= _SNAP * np.maximum(1.0, np.abs(pos))
+    ipos, on_node = _on_node(pos)
     if np.any(on_node):
         out[on_node] = values[ipos[on_node].astype(int)]
     mid = ~on_node
@@ -77,6 +92,43 @@ def cubic_rows(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
             vals = (1.0 - u) * values[j0] + u * values[j0 + 1]
         out[mid] = vals
     return out
+
+
+def cubic_stencil(K, pos: np.ndarray):
+    """Rows and weights of `cubic_rows` at fractional row indices `pos`.
+
+    K is the number of stored rows, one value or one per position. Returns
+    integer rows `idx` and weights `w`, each of shape pos.shape + (4,), such
+    that for finite values `cubic_rows(values[:K], pos)` equals, bit for bit,
+
+        w[..., 0] * values[idx[..., 0]] + w[..., 1] * values[idx[..., 1]]
+        + w[..., 2] * values[idx[..., 2]] + w[..., 3] * values[idx[..., 3]]
+
+    summed left to right. An on-node position reads its row four times with
+    weights (1, 0, 0, 0); the linear interpolant (K < 4) repeats its second
+    row with weight 0.
+    """
+    pos = np.asarray(pos, dtype=float)
+    K = np.broadcast_to(np.asarray(K), pos.shape)
+    ipos, on_node = _on_node(pos)
+    floor = np.floor(pos).astype(int)
+    cubic = K >= 4
+    b = np.where(cubic, np.clip(floor - 1, 0, K - 4), np.clip(floor, 0, K - 2))
+    u = pos - b
+    w0, w1, w2, w3 = _cubic_weights(u)
+    w = np.stack(
+        [
+            np.where(cubic, w0, 1.0 - u),
+            np.where(cubic, w1, u),
+            np.where(cubic, w2, 0.0),
+            np.where(cubic, w3, 0.0),
+        ],
+        axis=-1,
+    )
+    idx = b[..., None] + np.where(cubic[..., None], np.arange(4), np.minimum(np.arange(4), 1))
+    idx[on_node] = ipos[on_node].astype(int)[:, None]
+    w[on_node] = (1.0, 0.0, 0.0, 0.0)
+    return idx, w
 
 
 @dataclass(frozen=True)
@@ -124,8 +176,7 @@ class HistoryGrid:
             raise ValueError("history offsets must be <= 0")
         pos = np.maximum(-s / self.step, 0.0)
         J = self.J
-        ipos = np.rint(pos)
-        on_node = np.abs(pos - ipos) <= _SNAP * np.maximum(1.0, pos)
+        ipos, on_node = _on_node(pos)
         eff = np.where(on_node, ipos, pos)
         beyond = eff > J
         out = np.empty((s.size, self.m))
@@ -168,7 +219,7 @@ class FunctionHistory:
 
 def from_function(fn, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> HistoryGrid:
     """Sample a vectorized function of the offset onto a fresh grid."""
-    J = int(np.ceil(horizon / step - _SNAP))
+    J = _nodes(horizon, step)
     s = -step * np.arange(J + 1)
     vals = np.asarray(fn(s), dtype=float)
     if vals.ndim == 1:
@@ -178,13 +229,13 @@ def from_function(fn, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> 
 
 def constant_history(value, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> HistoryGrid:
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    J = int(np.ceil(horizon / step - _SNAP))
+    J = _nodes(horizon, step)
     return HistoryGrid(step, np.tile(value, (J + 1, 1)), tail)
 
 
 def resample(hist, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> HistoryGrid:
     """Re-sample any history-like object onto a uniform grid."""
-    J = int(np.ceil(horizon / step - _SNAP))
+    J = _nodes(horizon, step)
     s = -step * np.arange(J + 1)
     return HistoryGrid(step, hist.sample_many(s), tail)
 
@@ -272,6 +323,6 @@ def import_csv(path, tail=TailPolicy.CONSTANT) -> HistoryGrid:
     steps = -np.diff(s)
     if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > _SNAP * max(1.0, steps[0]):
         raise ValueError("history CSV offsets must decrease uniformly from 0")
-    if abs(s[0]) > 1e-12:
+    if abs(s[0]) > _EQ_TOL:
         raise ValueError("history CSV must start at offset 0")
     return HistoryGrid(float(steps[0]), data[:, 1:], tail)

@@ -14,6 +14,19 @@ is explicit in values of z already stored; the store starts from the given
 physical history. Delayed values come from the stored z through the shared
 cubic interpolation, so the effective order sits between 2 and 4
 depending on the smoothness of the data.
+
+Every coefficient depends on the state only through z, and on time only
+through the phase w . t, whose orbit is fixed before the run. Stage 0 of
+a run sits at time 0, stage 2n + 1 at n h + h/2 and stage 2n + 2 at
+n h + h, where it also starts step n + 1. The stage plan computes what
+depends on the phase alone for a block of _PLAN_STEPS steps at a time, as
+the first stage of the block is needed: the phase rows, B^-1 (one batched
+inversion when B varies), each atom's weight matrix, and for every delay
+the four rows and weights of the cubic stencil, which equal those
+`cubic_rows` would use with the K rows stored at that stage. A stage then
+does only the work that needs z: the gather of the delayed z, the atom and
+density products, and the balance law `eval_F`. The phases and every
+stage value are bit-identical to computing each stage from scratch.
 """
 
 from __future__ import annotations
@@ -34,7 +47,17 @@ from .errors import (
     StructuralPreconditionError,
     UnorderedPairError,
 )
-from .history import _SNAP, HistoryGrid, TailPolicy, cubic_rows, resample, write_csv
+from .history import (
+    _EQ_TOL,
+    _SNAP,
+    HistoryGrid,
+    TailPolicy,
+    _nodes,
+    cubic_rows,
+    cubic_stencil,
+    resample,
+    write_csv,
+)
 from .ordering import ConeSpec, matrix_exp
 
 
@@ -98,6 +121,11 @@ class _Delays:
         self.pipe = [(r, row[r]) for r in pipe]
 
 
+# Steps per block of the stage plan: the phase-only data of a block's
+# 2 * _PLAN_STEPS stages are built together when the first of them is needed.
+_PLAN_STEPS = 64
+
+
 class _Stage:
     """A stage time's data apart from the stage value: the phase, B^-1 and
     the delayed part of D there, and z at the pipe lags before it."""
@@ -129,6 +157,41 @@ class _StageHistory:
         return self.now if s == 0.0 else self.delayed[-s]
 
 
+class _PlanBlock:
+    """Phase-only data of the stages of _PLAN_STEPS consecutive steps.
+
+    Row r holds stage lo + r: its phase, B^-1 there (None when B is
+    constant), each atom's weight matrix, and for every delay the rows and
+    weights of the cubic stencil that reads z there from the stored X.
+    """
+
+    __slots__ = ("lo", "hi", "theta", "Binv", "W", "idx", "w")
+
+    def __init__(self, state: SimState, b: int):
+        spec = state.general.dspec
+        h = state.h
+        self.lo = 0 if b == 0 else 2 * b * _PLAN_STEPS + 1
+        self.hi = 2 * (b + 1) * _PLAN_STEPS + 1
+        j = np.arange(self.lo, self.hi)
+        n = np.maximum(j - 1, 0) // 2  # the step each stage belongs to
+        # the same float expressions as the step times: t + 0.5 h and t + h
+        t = n * h + np.where(j % 2 == 1, 0.5 * h, h)
+        t[j == 0] = 0 * h
+        theta = np.mod(state.p0.theta[None, :] + t[:, None] * state.flow.freqs[None, :], 1.0)
+        theta.setflags(write=False)
+        self.theta = theta
+        self.Binv = None
+        if state._Binv is None:
+            self.Binv = np.linalg.inv(eval_poly_matrix_many(spec.B, theta))
+        self.W = [eval_poly_matrix_many(atom.weight, theta) for atom in spec.nu.atoms]
+        lags = state.delays.lags
+        pos = (t[:, None] - lags[None, :]) / h + state.Jh
+        # a stage of step n reads K = Jh + n + 1 stored rows
+        idx, w = cubic_stencil((state.Jh + n + 1)[:, None], pos)
+        self.idx = np.ascontiguousarray(idx.transpose(0, 2, 1))
+        self.w = np.ascontiguousarray(w.transpose(0, 2, 1))[..., None]
+
+
 class SimState:
     """Single-owner integration state: the trajectory so far.
 
@@ -154,6 +217,7 @@ class SimState:
         if all(b.is_constant() for row in B for b in row):
             self._Binv = np.linalg.inv(np.array([[b.constant for b in row] for row in B]))
         self._ahead = None  # stage data at the current time, left by the last step
+        self._block = None  # the stage plan's current block
 
     @property
     def t(self) -> float:
@@ -182,26 +246,28 @@ class SimState:
         vals = self.read(self.Z, t - self.h * np.arange(depth + 1))
         return HistoryGrid(self.h, vals, TailPolicy.CONSTANT)
 
-    def stage(self, t_s: float) -> _Stage:
-        """Stage data at t_s; every delayed z it reads is already stored."""
-        spec = self.general.dspec
-        p = self.point_at(t_s)
-        th = p.theta[None, :]
-        Binv = self._Binv
-        if Binv is None:
-            Binv = np.linalg.inv(eval_poly_matrix_many(spec.B, th)[0])
+    def stage(self, j: int) -> _Stage:
+        """Data of stage j (see the module docstring); the plan supplies
+        everything that depends on the phase only, and every delayed z read
+        here is already stored."""
+        blk = self._block
+        if blk is None or not blk.lo <= j < blk.hi:
+            blk = self._block = _PlanBlock(self, max(0, (j - 1) // (2 * _PLAN_STEPS)))
+        r = j - blk.lo
+        Binv = self._Binv if blk.Binv is None else blk.Binv[r]
         rest = np.zeros(self.m)
         delayed = {}
         d = self.delays
         if d.lags.size:
-            rows = cubic_rows(self.X[: self.k + 1], (t_s - d.lags) / self.h + self.Jh)
-            for atom, n in zip(spec.nu.atoms, d.atom):
-                rest += eval_poly_matrix_many(atom.weight, th)[0] @ rows[n]
+            taps = blk.w[r] * self.X[blk.idx[r]]
+            rows = taps[0] + taps[1] + taps[2] + taps[3]
+            for W, n in zip(blk.W, d.atom):
+                rest += W[r] @ rows[n]
             if d.dens.size:
-                dens = spec.nu.density
+                dens = self.general.dspec.nu.density
                 rest += dens.step * np.einsum("lab,lb->a", dens.values, rows[d.dens])
-            delayed = {r: rows[n] for r, n in d.pipe}
-        return _Stage(p, Binv, rest, delayed)
+            delayed = {lag: rows[n] for lag, n in d.pipe}
+        return _Stage(TorusPoint.of_reduced(blk.theta[r]), Binv, rest, delayed)
 
 
 def _auto_n_trunc(c_sup: float, inv_tol: float) -> int:
@@ -217,7 +283,7 @@ def _history_plan(general, cfg: SimConfig):
         n_trunc = _auto_n_trunc(general.dspec.stability().lam, cfg.inv_tol)
     S = general.dspec.support
     H = general.max_pipe_lag + S + n_trunc * S
-    return n_trunc, max(1, int(math.ceil(H / cfg.h - _SNAP)))
+    return n_trunc, max(1, _nodes(H, cfg.h))
 
 
 def required_z_horizon(sys, cfg: SimConfig) -> float:
@@ -241,7 +307,7 @@ def init_from_z(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> Sim
         raise HorizonError(
             f"initial history covers {z_hist.horizon:.6g}, need {required:.6g}"
         )
-    if abs(z_hist.step - cfg.h) > 1e-12:
+    if abs(z_hist.step - cfg.h) > _EQ_TOL:
         z_hist = resample(z_hist, cfg.h, z_hist.horizon, z_hist.tail)
     zhat = eval_Dhat_segment(general.dspec, p0, z_hist, Jh)
     rows = Jh + cfg.nsteps + 8
@@ -273,12 +339,13 @@ def step(state: SimState, cfg: Optional[SimConfig] = None) -> SimState:
     t = state.t
     k = state.k
     v0 = state.Z[k]
-    now = state._ahead or state.stage(t)
+    n = k - state.Jh
+    now = state._ahead or state.stage(2 * n)
     k1 = _rhs(state, now, state.X[k])
-    mid = state.stage(t + 0.5 * h)
+    mid = state.stage(2 * n + 1)
     k2 = _rhs(state, mid, mid.z(v0 + 0.5 * h * k1))
     k3 = _rhs(state, mid, mid.z(v0 + 0.5 * h * k2))
-    end = state.stage(t + h)
+    end = state.stage(2 * n + 2)
     k4 = _rhs(state, end, end.z(v0 + h * k3))
     vn = v0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     top = float(np.max(np.abs(vn)))
@@ -310,7 +377,7 @@ def _mass_window(state: SimState) -> HistoryGrid:
     """Stored z over the window total_mass reads, newest row first."""
     general = state.general
     wlen = max(general.max_pipe_lag, general.dspec.support, state.h)
-    W = int(math.ceil(wlen / state.h - _SNAP))
+    W = _nodes(wlen, state.h)
     return HistoryGrid(state.h, state.X[state.k - W : state.k + 1][::-1], TailPolicy.CONSTANT)
 
 

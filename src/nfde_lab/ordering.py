@@ -26,7 +26,7 @@ import scipy.linalg
 from .base_flow import TorusPoint
 from .d_operator import DOperatorSpec, eval_Dhat_segment
 from .errors import DimensionMismatchError, HorizonError
-from .history import _SNAP, HistoryGrid, TailPolicy
+from .history import _EQ_TOL, _SNAP, HistoryGrid, TailPolicy, _nodes
 
 
 def is_quasipositive(A: np.ndarray) -> bool:
@@ -154,7 +154,7 @@ def cone_membership(
     """
     if x.m != y.m or cone.m != x.m:
         raise DimensionMismatchError("state dimensions disagree")
-    if abs(x.step - y.step) > 1e-12 or x.J != y.J:
+    if abs(x.step - y.step) > _EQ_TOL or x.J != y.J:
         raise DimensionMismatchError("histories must share one grid")
     if not cone.infinite and cone.horizon > x.horizon + _SNAP:
         raise HorizonError(
@@ -178,9 +178,9 @@ def transformed_cone_membership(
     The lift is evaluated on the part of the grid where it needs no tail
     data: depth = J - ceil(support / step).
     """
-    if abs(x.step - y.step) > 1e-12 or x.J != y.J:
+    if abs(x.step - y.step) > _EQ_TOL or x.J != y.J:
         raise DimensionMismatchError("histories must share one grid")
-    n_s = int(np.ceil(dspec.support / x.step - _SNAP)) if dspec.support > 0 else 0
+    n_s = _nodes(dspec.support, x.step)
     depth = x.J - n_s
     if depth < 1:
         raise HorizonError("history too short to evaluate the lifted order")
@@ -214,13 +214,13 @@ def make_comparison_upper(
     if cone.infinite:
         val = np.linalg.solve(cone.A, -ones)
         H = horizon if horizon is not None else 1.0
-        J = int(np.ceil(H / step - _SNAP))
+        J = _nodes(H, step)
         rows = np.tile(val, (J + 1, 1))
         k0 = float(np.min(val))
     else:
         rho = cone.horizon
         H = max(horizon if horizon is not None else rho, rho)
-        J = int(np.ceil(H / step - _SNAP))
+        J = _nodes(H, step)
         rows = np.ones((J + 1, m))
         # exp of the augmented block matrix yields the forced solution exactly
         M = np.zeros((2 * m, 2 * m))

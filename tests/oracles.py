@@ -1,8 +1,12 @@
-"""Scalar one-phase oracles for the vectorised condition checkers.
+"""Slow oracles for the package's fast paths.
 
 `compartment._Precomp` evaluates the Lipschitz bounds and the backward
-products of c_i at every sampled phase at once; these functions compute the
-same quantities at one phase with plain loops, so tests can compare the two.
+products of c_i at every sampled phase at once; the scalar functions here
+compute the same quantities at one phase with plain loops. `stage_direct`
+builds an integrator stage from scratch at one time, where the integrator
+reads its phase data from the stage plan, and `eval_F_direct` walks the
+full transport grid, where `eval_F` walks the term table built with the
+system. Tests compare each pair.
 """
 
 import math
@@ -11,6 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from nfde_lab import NeutralDiagSystem, TorusPoint, advance, eval_trig
+from nfde_lab.base_flow import advance_many
+from nfde_lab.compartment import _general, _rate, _coeff_at
+from nfde_lab.d_operator import eval_poly_matrix_many
+from nfde_lab.history import cubic_rows
+from nfde_lab.integrator import _Stage
 
 
 @dataclass(frozen=True)
@@ -83,3 +92,51 @@ def pq_sequence(sys: NeutralDiagSystem, p: TorusPoint, i: int, a: float, N: int)
         pv[n - 1] = pn
         q[n] = q[n - 1] * ea + pn
     return pv, q
+
+
+def stage_direct(state, t_s: float) -> _Stage:
+    """Stage data at t_s computed on the spot: phase, B^-1 by one inversion,
+    each atom weight by one evaluation, delayed z by one cubic_rows call."""
+    spec = state.general.dspec
+    p = state.point_at(t_s)
+    th = p.theta[None, :]
+    Binv = np.linalg.inv(eval_poly_matrix_many(spec.B, th)[0])
+    rest = np.zeros(state.m)
+    delayed = {}
+    d = state.delays
+    if d.lags.size:
+        rows = cubic_rows(state.X[: state.k + 1], (t_s - d.lags) / state.h + state.Jh)
+        for atom, n in zip(spec.nu.atoms, d.atom):
+            rest += eval_poly_matrix_many(atom.weight, th)[0] @ rows[n]
+        if d.dens.size:
+            dens = spec.nu.density
+            rest += dens.step * np.einsum("lab,lb->a", dens.values, rows[d.dens])
+        delayed = {r: rows[n] for r, n in d.pipe}
+    return _Stage(p, Binv, rest, delayed)
+
+
+def eval_F_direct(sys, p: TorusPoint, hist) -> np.ndarray:
+    """Net balance rate by a walk over the whole m x m transport grid."""
+    g = _general(sys)
+    x0 = hist.sample_at(0.0)
+    th0 = p.theta[None, :]
+    F = np.zeros(g.m)
+    for i in range(g.m):
+        total_out = 0.0
+        if not g.outflows[i].is_zero():
+            total_out += _rate(g.outflows[i], th0, x0[i])
+        for j in range(g.m):
+            tr = g.transports[j][i]
+            if not tr.is_zero():
+                total_out += _rate(tr, th0, x0[i])
+        F[i] = -total_out + _coeff_at(g.inflows[i], th0)
+        for j in range(g.m):
+            tr = g.transports[i][j]
+            if tr.is_zero():
+                continue
+            for r, w in g.pipes[i][j].atoms:
+                th_r = th0
+                if r != 0.0 and not tr.gain.is_constant():
+                    th_r = advance_many(g.flow, p, [-r])
+                F[i] += w * _rate(tr, th_r, hist.sample_at(-r)[j])
+    return F

@@ -348,6 +348,52 @@ def test_config_blocks_must_be_objects(tmp_path, capsys, block):
     assert f"{block}: expected an object" in capsys.readouterr().err
 
 
+SIM_CFG = {
+    "system": S1_SYSTEM,
+    "sim": {"h": 0.02, "t_end": 0.2},
+    "z_init": {"kind": "constant", "value": [1.0]},
+}
+PAIR_CFG = {
+    **SIM_CFG,
+    "cone": {"a_diag": [-2.0], "horizon": 1.0},
+    "z_init_y": {"kind": "ordered_offset", "lam": 0.2},
+}
+
+
+@pytest.mark.parametrize(
+    "task, cfg",
+    [
+        ("check", [1]),
+        ("simulate", "text"),
+        ("check", {"system": S1_SYSTEM, "check": [1]}),
+        ("covering", {**SIM_CFG, "covering": [1]}),
+        ("simulate", {**SIM_CFG, "thresholds": [1]}),
+        ("mass-audit", {**SIM_CFG, "thresholds": [1]}),
+        ("pair", {**PAIR_CFG, "thresholds": [1]}),
+        ("simulate", {**SIM_CFG, "flow": [1]}),
+        ("simulate", {**SIM_CFG, "z_init": 5}),
+        ("simulate", {**SIM_CFG, "schema": [1]}),
+        ("simulate", {**SIM_CFG, "schema": "one"}),
+    ],
+    ids=[
+        "top-level-list",
+        "top-level-string",
+        "check",
+        "covering",
+        "thresholds-simulate",
+        "thresholds-mass-audit",
+        "thresholds-pair",
+        "flow",
+        "z_init",
+        "schema-list",
+        "schema-text",
+    ],
+)
+def test_non_object_json_exit_two(tmp_path, capsys, task, cfg):
+    assert _run(tmp_path, task, cfg) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 TWO_POOLS = {
     "kind": "compartmental",
     "m": 2,

@@ -15,6 +15,7 @@ from nfde_lab import (
     seminorm_n,
     sup_norm,
 )
+from nfde_lab.history import cubic_rows, cubic_stencil
 
 
 def linear_grid(h=0.1, horizon=3.0):
@@ -153,3 +154,38 @@ def test_csv_header(tmp_path):
     export_csv(hist, path)
     first = path.read_text().splitlines()[0]
     assert first == "s,z1,z2"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(2, 12),
+    m=st.integers(1, 3),
+)
+def test_cubic_stencil_reproduces_cubic_rows(seed, K, m):
+    # the stencil, gathered left to right, is cubic_rows bit for bit: on
+    # nodes, between them, clipped at both ends, and linear below 4 rows
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(K, m))
+    values[rng.integers(K)] = -0.0  # a signed zero must survive the gather
+    pos = np.concatenate(
+        [
+            rng.uniform(0.0, K - 1, size=20),
+            np.arange(K, dtype=float),
+            np.arange(K) * (1.0 + 1e-12),  # within the node snap
+            [0.5, K - 1.5, K - 1.0 - 1e-6],
+        ]
+    )
+    idx, w = cubic_stencil(K, pos)
+    g = values[idx]
+    taps = w[:, :, None] * g
+    got = taps[:, 0] + taps[:, 1] + taps[:, 2] + taps[:, 3]
+    assert got.tobytes() == cubic_rows(values, pos).tobytes()
+    # a per-position K gives the same stencils as one call per K
+    Ks = rng.integers(2, K + 1, size=pos.size)
+    pos_k = np.minimum(pos, Ks - 1)
+    idx_k, w_k = cubic_stencil(Ks, pos_k)
+    for n in range(pos.size):
+        one_idx, one_w = cubic_stencil(Ks[n], pos_k[n : n + 1])
+        assert np.array_equal(idx_k[n], one_idx[0])
+        assert w_k[n].tobytes() == one_w[0].tobytes()

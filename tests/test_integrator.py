@@ -585,3 +585,132 @@ def test_delay_below_step_rejected(golden_flow, origin, build, h):
     z0 = constant_history([1.0], h, required_z_horizon(sys, cfg) + 2 * h)
     with pytest.raises(StructuralPreconditionError):
         init_from_z(sys, origin, z0, cfg)
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _assert_same_stage(fast, slow):
+    assert _bits(fast.p.theta) == _bits(slow.p.theta)
+    assert _bits(fast.Binv) == _bits(slow.Binv)
+    assert _bits(fast.rest) == _bits(slow.rest)
+    assert list(fast.delayed) == list(slow.delayed)
+    for lag, row in slow.delayed.items():
+        assert _bits(fast.delayed[lag]) == _bits(row)
+
+
+def _plan_case(kind, phase, h):
+    """A fixture system and start phase; `s1_lag_h` puts s1's delays at h."""
+    if kind == "three_compartment":
+        flow = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0])
+        return three_compartment_system(flow), TorusPoint([phase, 1.0 - phase])
+    flow = TorusFlow([GOLDEN_FREQ])
+    if kind == "density":
+        return density_system(flow), TorusPoint([phase])
+    lag = h if kind == "s1_lag_h" else 1.0
+    base = s1_system(flow)
+    sys = NeutralDiagSystem(
+        m=1,
+        c=base.c,
+        alpha=np.array([lag]),
+        rho=np.array([[lag]]),
+        transports=base.transports,
+        flow=flow,
+    )
+    return sys, TorusPoint([phase])
+
+
+@pytest.mark.parametrize("kind", ["s1", "s1_lag_h", "three_compartment", "density"])
+@settings(max_examples=10, deadline=None)
+@given(
+    phase=st.floats(0.0, 1.0),
+    amp=st.floats(0.0, 0.5),
+    h=st.sampled_from([0.05, 0.03, 0.045, 0.0375]),
+    block=st.sampled_from([1, 2, 5, None]),
+    steps=st.integers(1, 150),
+)
+def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
+    # the plan's stages against stages computed from scratch at each time:
+    # phase, B^-1, the delayed part of D and z at the pipe lags, bit for bit.
+    # h = 0.03, 0.045, 0.0375 put lags off the half-step grid (4-point
+    # stencils); a lag of h (s1_lag_h, density at h = 0.05) reads the newest
+    # rows one-sided; small blocks cross many block boundaries; runs go past
+    # cfg.nsteps, which is 10.
+    from unittest import mock
+
+    from nfde_lab import integrator
+
+    from .oracles import stage_direct
+
+    sys, p0 = _plan_case(kind, phase, h)
+    cfg = SimConfig(h=h, t_end=10 * h)
+    offsets = np.arange(sys.m)[None, :]
+    z0 = from_function(
+        lambda s: 1.0 + amp * np.sin(3.0 * s[:, None] + offsets),
+        h,
+        required_z_horizon(sys, cfg) + 2 * h,
+    )
+    with mock.patch.object(integrator, "_PLAN_STEPS", block or integrator._PLAN_STEPS):
+        state = init_from_z(sys, p0, z0, cfg)
+        _assert_same_stage(state.stage(0), stage_direct(state, state.t))
+        for n in range(steps):
+            t = state.t
+            _assert_same_stage(state.stage(2 * n + 1), stage_direct(state, t + 0.5 * h))
+            end = stage_direct(state, t + h)
+            _assert_same_stage(state.stage(2 * n + 2), end)
+            step(state)
+            _assert_same_stage(state._ahead, end)
+
+
+@st.composite
+def _networks(draw):
+    # hypothesis picks the structure, a seeded generator the values, so that
+    # sums of three or more rates depend on their order
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 2))
+    flow = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0][:dim])
+
+    def gain():
+        c0 = rng.uniform(0.1, 2.0)
+        if draw(st.booleans()):
+            return TrigPoly.const(c0)
+        k = rng.integers(-2, 3, size=dim)
+        return TrigPoly.from_terms(c0, [(k, *(c0 * rng.uniform(0.0, 0.5, size=2)))])
+
+    def transport():
+        kind = draw(st.sampled_from(["zero", "identity", "saturate", "sine_bend"]))
+        if kind == "zero":
+            return TransportSpec.zero()
+        shape = ShapeFn.sine_bend(rng.uniform(0.0, 0.9)) if kind == "sine_bend" else ShapeFn(kind)
+        return TransportSpec(gain(), shape)
+
+    def pipe():
+        lag = st.sampled_from([0.0, 0.3, 0.7, 1.1])
+        lags = draw(st.lists(lag, min_size=1, max_size=3, unique=True))
+        return PipeSpec(tuple((r, 1.0 / len(lags)) for r in lags))
+
+    sys = CompartmentalSystem(
+        m=m,
+        transports=tuple(tuple(transport() for _ in range(m)) for _ in range(m)),
+        outflows=tuple(transport() for _ in range(m)),
+        inflows=tuple(TrigPoly.const(0.0) if draw(st.booleans()) else gain() for _ in range(m)),
+        pipes=tuple(tuple(pipe() for _ in range(m)) for _ in range(m)),
+        dspec=DOperatorSpec(m, identity_poly_matrix(m), AtomicMeasureFamily(()), flow),
+        flow=flow,
+    )
+    hist = HistoryGrid(0.1, rng.uniform(-2.0, 2.0, size=(16, m)))
+    return sys, TorusPoint(rng.uniform(0.0, 1.0, size=dim)), hist
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_networks())
+def test_eval_F_term_table_matches_grid_walk(case):
+    # eval_F walks the term table built with the system; the oracle walks
+    # the whole transport grid: zero outflows and transports, saturate and
+    # sine_bend shapes, phase-dependent gains on lagged pipes
+    from .oracles import eval_F_direct
+
+    sys, p, hist = case
+    assert _bits(eval_F(sys, p, hist)) == _bits(eval_F_direct(sys, p, hist))

@@ -1,0 +1,131 @@
+"""Pinned CLI numbers: a drift in the integrator's arithmetic fails here.
+
+Each case runs one CLI task and compares every number in `summary.txt` and
+the column sums of `result.csv` with values recorded before the stage plan
+replaced the per-stage phase computations (which left every output
+byte-identical). The tolerance is 1e-12 relative: a change of the method
+or of its floating-point order moves these sums far more.
+"""
+
+import csv
+import json
+import re
+
+import pytest
+
+from nfde_lab.cli import main
+
+# The README example system s1.
+S1 = {
+    "schema": 1,
+    "flow": {"freqs": [0.6180339887498949]},
+    "system": {
+        "kind": "neutral_diag",
+        "m": 1,
+        "c": [{"constant": 0.3, "terms": [{"k": [1], "sin": 0.2}]}],
+        "alpha": [1.0],
+        "rho": [[1.0]],
+        "gains": [[1.0]],
+    },
+    "cone": {"a_diag": [-2.0], "horizon": 1.0},
+    "sim": {"h": 0.01, "t_end": 100.0, "log_stride": 10},
+    "z_init": {"kind": "constant", "value": [2.0]},
+    "check": {"conditions": ["G5"], "a": [-2.0]},
+}
+
+
+def _poly(constant, k, cos=0.0, sin=0.0):
+    return {"constant": constant, "terms": [{"k": k, "cos": cos, "sin": sin}]}
+
+
+# A 3-compartment ring: phase-dependent B, two atoms, lagged and split
+# pipes, a saturating transport, an outflow and a phase-dependent inflow.
+INSTANT = [[0.0, 1.0]]
+W_HALF = [[_poly(0.2, [1, 0], sin=0.05), 0.0, 0.0], [0.0, 0.15, 0.0], [0.0, 0.0, 0.1]]
+W_ONE = [[0.1, 0.0, 0.0], [0.0, _poly(0.1, [0, 1], cos=0.05), 0.0], [0.0, 0.0, 0.2]]
+C3 = {
+    "schema": 1,
+    "flow": {"freqs": [0.6180339887498949, 0.41421356237309515]},
+    "theta0": [0.25, 0.7],
+    "system": {
+        "kind": "compartmental",
+        "m": 3,
+        "B": [
+            [_poly(1.0, [1, 0], cos=0.15), 0.05, 0.0],
+            [0.0, _poly(1.0, [0, 1], sin=0.1), 0.05],
+            [0.05, 0.0, 1.0],
+        ],
+        "atoms": [{"lag": 0.5, "weight": W_HALF}, {"lag": 1.0, "weight": W_ONE}],
+        "transports": [
+            [0.0, 0.0, _poly(0.6, [0, 1], sin=0.2)],
+            [0.5, 0.0, 0.0],
+            [0.0, {"gain": 0.8, "shape": "saturate"}, 0.0],
+        ],
+        "pipes": [
+            [INSTANT, INSTANT, INSTANT],
+            [[[0.6, 1.0]], INSTANT, INSTANT],
+            [INSTANT, [[0.4, 0.5], [1.2, 0.5]], INSTANT],
+        ],
+        "outflows": [0.0, 0.0, 0.3],
+        "inflows": [_poly(0.4, [1, 0], sin=0.1), 0.0, 0.0],
+    },
+    "sim": {"h": 0.02, "t_end": 1.0, "log_stride": 5, "n_trunc": 21},
+    "z_init": {"kind": "constant", "value": [0.7, 1.0, 1.3]},
+}
+
+# task, config, summary numbers in order, result.csv column sums, data rows
+CASES = {
+    "s1-mass-audit": (
+        "mass-audit",
+        S1,
+        [3.3880071374170484e-05],
+        {"t": 50050.0, "M": 3403.386956265817, "residual": -0.01304373418099214},
+        1001,
+    ),
+    "s1-pair": (
+        "pair",
+        {**S1, "z_init_y": {"kind": "ordered_offset", "lam": 0.2}},
+        [0.001980132669323925, 0.14725764767116045, 0.21268376213256834],
+        {
+            "t": 50050.0,
+            "zx1": 1983.3053444212194,
+            "zy1": 2167.4456814580567,
+            "zhatx1": 1418.9052488353814,
+            "zhaty1": 1550.5774328631644,
+            "dgap1": 131.67218402778002,
+            "mass_x": 3403.386956265817,
+            "mass_y": 3719.3006427533464,
+            "cone_margin": 2.0602306362618013,
+            "z_diff_sup": 212.1445170472485,
+        },
+        1001,
+    ),
+    "c3-mass-audit": (
+        "mass-audit",
+        C3,
+        [0.0003424479481447737],
+        {"t": 5.500000000000001, "M": 30.315193298578638, "residual": 0.001436459939895057},
+        11,
+    ),
+}
+
+NUMBER = re.compile(r"[-+]?\d[\d.]*(?:e[-+]?\d+)?")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pinned_cli_numbers(tmp_path, case):
+    task, cfg, summary_ref, sums_ref, n_rows = CASES[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([task, "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    numbers = [float(x) for line in lines for x in NUMBER.findall(line.split("=", 1)[-1])]
+    assert numbers == pytest.approx(summary_ref, rel=1e-12, abs=0.0)
+    with open(out / "result.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) - 1 == n_rows
+    sums = {name: sum(float(r[c]) for r in rows[1:]) for c, name in enumerate(rows[0])}
+    assert list(sums) == list(sums_ref)
+    for name, ref in sums_ref.items():
+        assert sums[name] == pytest.approx(ref, rel=1e-12, abs=0.0), name
