@@ -91,17 +91,31 @@ def _req(node: dict, key: str, where: str):
     return node[key]
 
 
+def _num(value, where: str, array: bool = False):
+    """value as a float, or as a float array when array is set."""
+    try:
+        return np.asarray(value, dtype=float) if array else float(value)
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from e
+
+
 def _parse_poly(node, where: str) -> TrigPoly:
     if isinstance(node, (int, float)):
         return TrigPoly.const(float(node))
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: polynomial must be a number or an object")
-    constant = float(node.get("constant", 0.0))
+    constant = _num(node.get("constant", 0.0), f"{where}.constant")
     terms = []
     for t in node.get("terms", []):
         k = _req(t, "k", f"{where}.terms")
-        terms.append((np.atleast_1d(k), float(t.get("cos", 0.0)), float(t.get("sin", 0.0))))
-    return TrigPoly.from_terms(constant, terms)
+        k = [_whole(v, f"{where}.terms.k") for v in (k if isinstance(k, list) else [k])]
+        cos = _num(t.get("cos", 0.0), f"{where}.terms.cos")
+        sin = _num(t.get("sin", 0.0), f"{where}.terms.sin")
+        terms.append((k, cos, sin))
+    try:
+        return TrigPoly.from_terms(constant, terms)
+    except ValueError as e:  # mode vectors of different lengths
+        raise ConfigError(f"{where}.terms.k: {e}") from e
 
 
 def _parse_shape(node, where: str) -> ShapeFn:
@@ -110,7 +124,7 @@ def _parse_shape(node, where: str) -> ShapeFn:
     if node == "saturate":
         return ShapeFn.saturate()
     if isinstance(node, dict) and node.get("kind") == "sine_bend":
-        return ShapeFn.sine_bend(float(_req(node, "eps", where)))
+        return ShapeFn.sine_bend(_num(_req(node, "eps", where), f"{where}.eps"))
     raise ConfigError(f"{where}: unknown shape {node!r}")
 
 
@@ -154,9 +168,8 @@ def _parse_system(cfg: dict, flow: TorusFlow):
         c = [_parse_poly(v, "system.c") for v in _req(node, "c", "system")]
         if len(c) != m:
             raise ConfigError("system.c must have m entries")
-        alpha = np.asarray(_req(node, "alpha", "system"), dtype=float)
-        rho_node = _req(node, "rho", "system")
-        rho = np.atleast_2d(np.asarray(rho_node, dtype=float))
+        alpha = _num(_req(node, "alpha", "system"), "system.alpha", array=True)
+        rho = np.atleast_2d(_num(_req(node, "rho", "system"), "system.rho", array=True))
         gains = _parse_transports(_req(node, "gains", "system"), m, "system.gains")
         try:
             return NeutralDiagSystem(
@@ -235,13 +248,15 @@ def _parse_cone(cfg: dict, m: int):
     if node is None:
         return None
     if "a_diag" in node:
-        A = np.diag(np.asarray(node["a_diag"], dtype=float))
+        A = np.diag(_num(node["a_diag"], "cone.a_diag", array=True))
     elif "A" in node:
-        A = np.asarray(node["A"], dtype=float)
+        A = _num(node["A"], "cone.A", array=True)
     else:
         raise ConfigError("cone needs a_diag or A")
+    if np.atleast_2d(A).shape != (m, m):
+        raise ConfigError(f"cone: expected an {m}x{m} matrix, got shape {A.shape}")
     horizon = node.get("horizon", "inf")
-    horizon = math.inf if horizon in ("inf", None) else float(horizon)
+    horizon = math.inf if horizon in ("inf", None) else _num(horizon, "cone.horizon")
     try:
         return ConeSpec(A, horizon, bool(node.get("assume_hurwitz", False)))
     except ValueError as e:
@@ -265,6 +280,14 @@ _SIM_DEFAULTS = {
     },
 }
 
+# Defaults of the blocks that a single task reads: `check` and `covering`,
+# the grid of a `yhat` given by a formula (a csv file brings its own grid),
+# and the bump size of an ordered_offset `z_init_y`.
+_CHECK_DEFAULTS = {"conditions": ["G5"], "a": "auto"}
+_COVERING_DEFAULTS = {"return_tols": [1e-1, 3e-2, 1e-2], "window": 50.0, "t_min": 0.0}
+_YHAT_DEFAULTS = {"step": 0.05, "horizon": 40.0}
+_OFFSET_DEFAULTS = {"lam": 0.1}
+
 
 def _block(cfg: dict, name: str, defaults: dict) -> dict:
     """A config block with each missing key set to its default."""
@@ -272,6 +295,26 @@ def _block(cfg: dict, name: str, defaults: dict) -> dict:
     if not isinstance(node, dict):
         raise ConfigError(f"{name}: expected an object, got {node!r}")
     return {**defaults, **node}
+
+
+def _kind(cfg: dict, name: str):
+    node = cfg.get(name)
+    return node.get("kind") if isinstance(node, dict) else None
+
+
+def _materialize(cfg: dict, task: str) -> None:
+    """Set every default the task reads into cfg, so that the echo is complete."""
+    cfg["sim"] = _block(cfg, "sim", _SIM_DEFAULTS)
+    cfg["sampling"] = _block(cfg, "sampling", _SAMPLING_DEFAULTS)
+    cfg.setdefault("flow", {"freqs": [GOLDEN_FREQ]})
+    if task == "check":
+        cfg["check"] = _block(cfg, "check", _CHECK_DEFAULTS)
+    elif task == "covering":
+        cfg["covering"] = _block(cfg, "covering", _COVERING_DEFAULTS)
+    elif task == "invert" and _kind(cfg, "yhat") in ("constant", "sinusoid"):
+        cfg["yhat"] = _block(cfg, "yhat", _YHAT_DEFAULTS)
+    elif task == "pair" and _kind(cfg, "z_init_y") == "ordered_offset":
+        cfg["z_init_y"] = _block(cfg, "z_init_y", _OFFSET_DEFAULTS)
 
 
 def _whole(value, where: str) -> int:
@@ -288,7 +331,7 @@ def _parse_sampling(cfg: dict) -> SamplingConfig:
         return SamplingConfig(
             grid_per_dim=_whole(vals["grid_per_dim"], "sampling.grid_per_dim"),
             orbit_points=_whole(vals["orbit_points"], "sampling.orbit_points"),
-            orbit_step=float(vals["orbit_step"]),
+            orbit_step=_num(vals["orbit_step"], "sampling.orbit_step"),
         )
     except (ValueError, TypeError) as e:
         raise ConfigError(f"sampling: {e}") from e
@@ -296,10 +339,7 @@ def _parse_sampling(cfg: dict) -> SamplingConfig:
 
 def _parse_rates(value, where: str, m=None) -> np.ndarray:
     """A list of finite rates <= 0; exactly m of them when m is given."""
-    try:
-        a = np.atleast_1d(np.asarray(value, dtype=float))
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{where}: {e}") from e
+    a = np.atleast_1d(_num(value, where, array=True))
     if a.ndim != 1 or a.size == 0 or (m is not None and a.size != m):
         want = f"{m} rates" if m is not None else "a nonempty list of rates"
         raise ConfigError(f"{where}: expected {want}, got {value!r}")
@@ -314,14 +354,14 @@ def _parse_sim(cfg: dict, cone) -> SimConfig:
     n_trunc = node["n_trunc"]
     try:
         return SimConfig(
-            h=float(node["h"]),
-            t_end=float(node["t_end"]),
-            inv_tol=float(node["inv_tol"]),
+            h=_num(node["h"], "sim.h"),
+            t_end=_num(node["t_end"], "sim.t_end"),
+            inv_tol=_num(node["inv_tol"], "sim.inv_tol"),
             n_trunc=None if n_trunc is None else _whole(n_trunc, "sim.n_trunc"),
             log_stride=_whole(node["log_stride"], "sim.log_stride"),
             cone=cone,
-            tol_cone=float(node["tol_cone"]),
-            divergence_limit=float(node["divergence_limit"]),
+            tol_cone=_num(node["tol_cone"], "sim.tol_cone"),
+            divergence_limit=_num(node["divergence_limit"], "sim.divergence_limit"),
         )
     except (ValueError, TypeError) as e:
         raise ConfigError(f"sim: {e}") from e
@@ -329,18 +369,23 @@ def _parse_sim(cfg: dict, cone) -> SimConfig:
 
 def _parse_history(node, where, m, step, horizon) -> HistoryGrid:
     kind = _req(node, "kind", where)
-    horizon = float(node.get("horizon", horizon))
-    step = float(node.get("step", step))
+    horizon = _num(node.get("horizon", horizon), f"{where}.horizon")
+    step = _num(node.get("step", step), f"{where}.step")
+
+    def floats(key, default=None):
+        value = _req(node, key, where) if default is None else node.get(key, default)
+        return np.atleast_1d(_num(value, f"{where}.{key}", array=True))
+
     if kind == "constant":
-        value = np.atleast_1d(np.asarray(_req(node, "value", where), dtype=float))
+        value = floats("value")
         if value.size != m:
             raise ConfigError(f"{where}: value must have {m} entries")
         return from_function(lambda s: np.tile(value, (s.size, 1)), step, horizon)
     if kind == "sinusoid":
-        base = np.atleast_1d(np.asarray(_req(node, "base", where), dtype=float))
-        amp = np.atleast_1d(np.asarray(node.get("amp", [0.0] * m), dtype=float))
-        period = np.atleast_1d(np.asarray(node.get("period", [1.0] * m), dtype=float))
-        phase = np.atleast_1d(np.asarray(node.get("phase", [0.0] * m), dtype=float))
+        base = floats("base")
+        amp = floats("amp", [0.0] * m)
+        period = floats("period", [1.0] * m)
+        phase = floats("phase", [0.0] * m)
         if not (base.size == amp.size == period.size == phase.size == m):
             raise ConfigError(f"{where}: component counts must equal m")
 
@@ -378,15 +423,15 @@ def cmd_check(cfg: dict, outdir: str) -> int:
     sys_obj = _parse_system(cfg, flow)
     if not isinstance(sys_obj, NeutralDiagSystem):
         raise ConfigError("task=check needs a neutral_diag system")
-    node = _block(cfg, "check", {})
-    conds = node.get("conditions", ["G5"])
+    node = _block(cfg, "check", _CHECK_DEFAULTS)
+    conds = node["conditions"]
     if not isinstance(conds, list) or not conds:
         raise ConfigError(f"check.conditions: expected a nonempty list, got {conds!r}")
     for c in conds:
         if c not in CONDITIONS:
             raise ConfigError(f"unknown condition {c!r}")
     sampling = _parse_sampling(cfg)
-    a_node = node.get("a", "auto")
+    a_node = node["a"]
     if a_node == "auto":
         trial = node.get("trial_a")
         if trial is not None:
@@ -450,13 +495,18 @@ def _sim_setup(cfg):
     z0 = _parse_history(
         _req(cfg, "z_init", "config"), "z_init", sys_obj.m, sim.h, need + 2 * sim.h
     )
-    p0 = TorusPoint(np.asarray(cfg.get("theta0", [0.0] * flow.dim), dtype=float))
+    p0 = TorusPoint(_num(cfg.get("theta0", [0.0] * flow.dim), "theta0", array=True))
     return flow, sys_obj, sim, z0, p0
+
+
+def _threshold(cfg: dict, key: str):
+    thr = _block(cfg, "thresholds", {}).get(key)
+    return None if thr is None else _num(thr, f"thresholds.{key}")
 
 
 def cmd_simulate(cfg: dict, outdir: str) -> int:
     flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
-    thr = _block(cfg, "thresholds", {}).get("mass_residual")
+    thr = _threshold(cfg, "mass_residual")
     log = run(sys_obj, p0, z0, sim)
     trajectory_to_csv(log, os.path.join(outdir, "result.csv"))
     mass_dev = float(np.max(np.abs(log.M - log.M[0])))
@@ -467,7 +517,7 @@ def cmd_simulate(cfg: dict, outdir: str) -> int:
         f"final_z={[_fmt(v) for v in log.z[-1]]}",
     ]
     code = EXIT_OK
-    if thr is not None and mass_dev > float(thr):
+    if thr is not None and mass_dev > thr:
         lines.append(f"threshold_exceeded=mass_residual ({_fmt(mass_dev)} > {_fmt(thr)})")
         code = EXIT_THRESHOLD
     _write_summary(outdir, lines)
@@ -480,8 +530,8 @@ def cmd_pair(cfg: dict, outdir: str) -> int:
     if sim.cone is None:
         raise ConfigError("task=pair needs a cone")
     node = _req(cfg, "z_init_y", "config")
-    if isinstance(node, dict) and node.get("kind") == "ordered_offset":
-        lam = float(node.get("lam", 0.1))
+    if _kind(cfg, "z_init_y") == "ordered_offset":
+        lam = _num(_block(cfg, "z_init_y", _OFFSET_DEFAULTS)["lam"], "z_init_y.lam")
         comp = make_comparison_upper(
             sim.cone, sys_obj.m, step=sim.h, horizon=z_x.horizon
         )
@@ -498,7 +548,7 @@ def cmd_pair(cfg: dict, outdir: str) -> int:
         z_y = HistoryGrid(sim.h, rows, z_x.tail)
     else:
         z_y = _parse_history(node, "z_init_y", sys_obj.m, sim.h, z_x.horizon)
-    thr = _block(cfg, "thresholds", {}).get("cone_margin")
+    thr = _threshold(cfg, "cone_margin")
     plog = run_ordered_pair(sys_obj, p0, z_x, z_y, sim)
     pair_to_csv(plog, os.path.join(outdir, "result.csv"))
     min_margin = float(np.min(plog.cone_margin))
@@ -510,7 +560,7 @@ def cmd_pair(cfg: dict, outdir: str) -> int:
         f"final_z_diff_sup={_fmt(plog.z_diff_sup[-1])}",
     ]
     code = EXIT_OK
-    if thr is not None and min_margin < float(thr):
+    if thr is not None and min_margin < thr:
         lines.append(f"threshold_exceeded=cone_margin ({_fmt(min_margin)} < {_fmt(thr)})")
         code = EXIT_THRESHOLD
     _write_summary(outdir, lines)
@@ -523,9 +573,11 @@ def cmd_invert(cfg: dict, outdir: str) -> int:
     sys_obj = _parse_system(cfg, flow)
     dspec = sys_obj if isinstance(sys_obj, DOperatorSpec) else sys_obj.dspec
     node = _req(cfg, "yhat", "config")
-    tol = float(cfg["sim"]["inv_tol"])
-    yhat = _parse_history(node, "yhat", dspec.m, 0.05, 40.0)
-    p0 = TorusPoint(np.asarray(cfg.get("theta0", [0.0] * flow.dim), dtype=float))
+    tol = _num(cfg["sim"]["inv_tol"], "sim.inv_tol")
+    yhat = _parse_history(
+        node, "yhat", dspec.m, _YHAT_DEFAULTS["step"], _YHAT_DEFAULTS["horizon"]
+    )
+    p0 = TorusPoint(_num(cfg.get("theta0", [0.0] * flow.dim), "theta0", array=True))
     est = stability_margin(dspec, _parse_sampling(cfg))
     x = invert_Dhat(dspec, p0, yhat, tol)
     export_csv(x, os.path.join(outdir, "result.csv"))
@@ -544,7 +596,7 @@ def cmd_invert(cfg: dict, outdir: str) -> int:
 
 def cmd_mass_audit(cfg: dict, outdir: str) -> int:
     flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
-    thr = _block(cfg, "thresholds", {}).get("mass_residual")
+    thr = _threshold(cfg, "mass_residual")
     log = run(sys_obj, p0, z0, sim)
     resid = mass_balance_residual(sys_obj, log)
     write_csv(
@@ -555,7 +607,7 @@ def cmd_mass_audit(cfg: dict, outdir: str) -> int:
     worst = float(np.max(np.abs(resid)))
     lines = ["task=mass-audit", f"max_abs_residual={_fmt(worst)}"]
     code = EXIT_OK
-    if thr is not None and worst > float(thr):
+    if thr is not None and worst > thr:
         lines.append(f"threshold_exceeded=mass_residual ({_fmt(worst)} > {_fmt(thr)})")
         code = EXIT_THRESHOLD
     _write_summary(outdir, lines)
@@ -565,10 +617,13 @@ def cmd_mass_audit(cfg: dict, outdir: str) -> int:
 
 def cmd_covering(cfg: dict, outdir: str) -> int:
     flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
-    node = _block(cfg, "covering", {})
-    tols = [float(v) for v in node.get("return_tols", [1e-1, 3e-2, 1e-2])]
-    window = float(node.get("window", 50.0))
-    t_min = float(node.get("t_min", 0.0))
+    node = _block(cfg, "covering", _COVERING_DEFAULTS)
+    tols = node["return_tols"]
+    if not isinstance(tols, list):
+        raise ConfigError(f"covering.return_tols: expected a list, got {tols!r}")
+    tols = [_num(v, "covering.return_tols") for v in tols]
+    window = _num(node["window"], "covering.window")
+    t_min = _num(node["t_min"], "covering.t_min")
     log = run(sys_obj, p0, z0, sim)
     rows = []
     lines = ["task=covering"]
@@ -626,10 +681,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"unsupported schema version {cfg.get('schema')!r}")
         cfg.setdefault("schema", 1)
         cfg["task"] = args.task
-        # materialize defaults so the echo is complete
-        cfg["sim"] = _block(cfg, "sim", _SIM_DEFAULTS)
-        cfg["sampling"] = _block(cfg, "sampling", _SAMPLING_DEFAULTS)
-        cfg.setdefault("flow", {"freqs": [GOLDEN_FREQ]})
+        _materialize(cfg, args.task)
         _echo(cfg, args.out)
         return dispatch[args.task](cfg, args.out)
     except ConfigError as e:

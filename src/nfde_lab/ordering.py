@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .base_flow import TorusPoint
 from .d_operator import DOperatorSpec, eval_Dhat_segment
@@ -38,6 +37,62 @@ def is_quasipositive(A: np.ndarray) -> bool:
     return bool(np.all(off >= 0.0))
 
 
+# Scaling and squaring with the [13/13] Pade approximant (Higham, "The
+# scaling and squaring method for the matrix exponential revisited", SIAM J.
+# Matrix Anal. Appl. 26 (2005)): _THETA13 is the largest 1-norm for which
+# the approximant meets double precision, _PADE13 its coefficients b_0..b_13.
+_THETA13 = 5.371920351148152
+_PADE13 = (
+    64764752532480000.0,
+    32382376266240000.0,
+    7771770303897600.0,
+    1187353796428800.0,
+    129060195264000.0,
+    10559470521600.0,
+    670442572800.0,
+    33522128640.0,
+    1323241920.0,
+    40840800.0,
+    960960.0,
+    16380.0,
+    182.0,
+    1.0,
+)
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) of a square matrix; exactly the identity when A is zero."""
+    n = A.shape[0]
+    ident = np.eye(n)
+    norm = float(np.max(np.sum(np.abs(A), axis=0)))
+    if norm == 0.0:
+        return ident
+    s = max(0, math.ceil(math.log2(norm / _THETA13)))
+    A = A / 2.0**s
+    b = _PADE13
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (
+        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+        + b[7] * A6
+        + b[5] * A4
+        + b[3] * A2
+        + b[1] * ident
+    )
+    V = (
+        A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+        + b[6] * A6
+        + b[4] * A4
+        + b[2] * A2
+        + b[0] * ident
+    )
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def matrix_exp(A: np.ndarray, t: float) -> np.ndarray:
     """exp(A t) for t >= 0; diagonal matrices are exponentiated exactly."""
     if t < 0:
@@ -45,7 +100,7 @@ def matrix_exp(A: np.ndarray, t: float) -> np.ndarray:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.any(A - np.diag(np.diagonal(A))):
         return np.diag(np.exp(np.diagonal(A) * t))
-    return scipy.linalg.expm(A * t)
+    return _expm(A * t)
 
 
 def _is_triangular(A: np.ndarray) -> bool:
@@ -222,17 +277,21 @@ def make_comparison_upper(
         H = max(horizon if horizon is not None else rho, rho)
         J = _nodes(H, step)
         rows = np.ones((J + 1, m))
-        # exp of the augmented block matrix yields the forced solution exactly
+        # u = (v, 1) solves u' = M u, so u(tau) = exp(M tau) 1. The nodes with
+        # tau_j = rho - j step > 0 are r0 + (j_max - j) step: start at the
+        # oldest and advance one step at a time by the semigroup.
         M = np.zeros((2 * m, 2 * m))
         M[:m, :m] = cone.A
         M[:m, m:] = np.eye(m)
-        for j in range(J + 1):
-            s = -j * step
-            tau = s + rho
-            if tau <= _SNAP:
-                break
-            EM = scipy.linalg.expm(M * tau)
-            rows[j] = EM[:m, :].sum(axis=1)
+        taus = rho - step * np.arange(J + 1)
+        j_max = int(np.count_nonzero(taus > _SNAP)) - 1
+        if j_max >= 0:
+            u = _expm(M * taus[j_max]).sum(axis=1)
+            rows[j_max] = u[:m]
+            Eh = _expm(M * step)
+            for j in range(j_max - 1, -1, -1):
+                u = Eh @ u
+                rows[j] = u[:m]
         k0 = float(min(np.min(rows), 1.0))
     if k0 <= 0:
         raise ValueError("comparison history is not strictly positive")

@@ -6,19 +6,22 @@ compute the same quantities at one phase with plain loops. `stage_direct`
 builds an integrator stage from scratch at one time, where the integrator
 reads its phase data from the stage plan, and `eval_F_direct` walks the
 full transport grid, where `eval_F` walks the term table built with the
-system. Tests compare each pair.
+system. `comparison_upper_rows_direct` exponentiates the block matrix
+afresh at every node with SciPy, where `make_comparison_upper` walks the
+nodes by the semigroup from two NumPy exponentials. Tests compare each pair.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from nfde_lab import NeutralDiagSystem, TorusPoint, advance, eval_trig
 from nfde_lab.base_flow import advance_many
 from nfde_lab.compartment import _general, _rate, _coeff_at
 from nfde_lab.d_operator import eval_poly_matrix_many
-from nfde_lab.history import cubic_rows
+from nfde_lab.history import _SNAP, _nodes, cubic_rows
 from nfde_lab.integrator import _Stage
 
 
@@ -140,3 +143,21 @@ def eval_F_direct(sys, p: TorusPoint, hist) -> np.ndarray:
                     th_r = advance_many(g.flow, p, [-r])
                 F[i] += w * _rate(tr, th_r, hist.sample_at(-r)[j])
     return F
+
+
+def comparison_upper_rows_direct(cone, m: int, step: float, horizon: float) -> np.ndarray:
+    """Rows of the finite-horizon comparison history, one expm per node."""
+    rho = cone.horizon
+    J = _nodes(max(horizon, rho), step)
+    rows = np.ones((J + 1, m))
+    M = np.zeros((2 * m, 2 * m))
+    M[:m, :m] = cone.A
+    M[:m, m:] = np.eye(m)
+    for j in range(J + 1):
+        s = -j * step
+        tau = s + rho
+        if tau <= _SNAP:
+            break
+        EM = scipy.linalg.expm(M * tau)
+        rows[j] = EM[:m, :].sum(axis=1)
+    return rows

@@ -394,6 +394,98 @@ def test_non_object_json_exit_two(tmp_path, capsys, task, cfg):
     assert "config error" in capsys.readouterr().err
 
 
+def _with(cfg, path, value):
+    """A deep copy of cfg with the dotted key path set to value."""
+    cfg = json.loads(json.dumps(cfg))
+    *blocks, key = path.split(".")
+    node = cfg
+    for name in blocks:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return cfg
+
+
+CONE_CFG = {**SIM_CFG, "cone": {"a_diag": [-2.0]}}
+# case id -> (task, config, the key the error must name)
+NOT_A_NUMBER = {
+    "theta0": ("simulate", _with(SIM_CFG, "theta0", "x"), "theta0"),
+    "cone.a_diag": ("simulate", _with(CONE_CFG, "cone.a_diag", "x"), "cone.a_diag"),
+    "cone.horizon": ("simulate", _with(CONE_CFG, "cone.horizon", "x"), "cone.horizon"),
+    "z_init.value": ("simulate", _with(SIM_CFG, "z_init.value", "x"), "z_init.value"),
+    "poly-constant": (
+        "simulate",
+        _with(SIM_CFG, "system.c", [{"constant": "x"}]),
+        "system.c.constant",
+    ),
+    "poly-k-text": (
+        "simulate",
+        _with(SIM_CFG, "system.c", [{"terms": [{"k": ["x"]}]}]),
+        "system.c.terms.k",
+    ),
+    # a fractional mode used to be truncated silently
+    "poly-k-fraction": (
+        "simulate",
+        _with(SIM_CFG, "system.c", [{"terms": [{"k": [1.5]}]}]),
+        "system.c.terms.k",
+    ),
+    "poly-k-ragged": (
+        "simulate",
+        _with(SIM_CFG, "system.c", [{"terms": [{"k": [1]}, {"k": [1, 0]}]}]),
+        "system.c.terms.k",
+    ),
+    "thresholds": (
+        "simulate",
+        _with(SIM_CFG, "thresholds.mass_residual", "x"),
+        "thresholds.mass_residual",
+    ),
+    "z_init_y.lam": ("pair", _with(PAIR_CFG, "z_init_y.lam", "x"), "z_init_y.lam"),
+    "covering.return_tols": (
+        "covering",
+        _with(SIM_CFG, "covering.return_tols", [0.1, "x"]),
+        "covering.return_tols",
+    ),
+    "covering.window": ("covering", _with(SIM_CFG, "covering.window", "x"), "covering.window"),
+    "covering.t_min": ("covering", _with(SIM_CFG, "covering.t_min", "x"), "covering.t_min"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_NUMBER))
+def test_value_not_a_number_exit_two(tmp_path, capsys, case):
+    task, cfg, key = NOT_A_NUMBER[case]
+    assert _run(tmp_path, task, cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "cone", [{"a_diag": [-1.0, -2.0]}, {"A": [[[-1.0]]]}, {"A": [[-1.0, 0.0]]}]
+)
+def test_cone_must_be_m_by_m(tmp_path, capsys, cone):
+    assert _run(tmp_path, "pair", {**PAIR_CFG, "cone": cone}) == 2
+    assert "cone: expected an 1x1 matrix" in capsys.readouterr().err
+
+
+def _echo_of(tmp_path, task, cfg):
+    _run(tmp_path, task, cfg)  # the echo is written before the task runs
+    return json.loads((tmp_path / "out" / "config.echo.json").read_text())
+
+
+def test_config_echo_task_defaults(tmp_path):
+    check = _echo_of(tmp_path, "check", {"system": S1_SYSTEM, "check": {"a": [-2.0]}})
+    assert check["check"] == {"conditions": ["G5"], "a": [-2.0]}
+    echo = _echo_of(tmp_path, "covering", SIM_CFG)
+    assert echo["covering"] == {"return_tols": [0.1, 0.03, 0.01], "window": 50.0, "t_min": 0.0}
+    pair = _echo_of(tmp_path, "pair", _with(PAIR_CFG, "z_init_y", {"kind": "ordered_offset"}))
+    assert pair["z_init_y"] == {"kind": "ordered_offset", "lam": 0.1}
+    inv = {
+        "system": {"kind": "d_operator", "m": 1, "atoms": [{"lag": 1.0, "weight": [[0.5]]}]},
+        "yhat": {"kind": "constant", "value": [1.0], "horizon": 3.0},
+    }
+    assert _echo_of(tmp_path, "invert", inv)["yhat"] == {**inv["yhat"], "step": 0.05}
+    csv_yhat = {**inv, "yhat": {"kind": "csv", "path": "hist.csv"}}
+    assert _echo_of(tmp_path, "invert", csv_yhat)["yhat"] == csv_yhat["yhat"]
+
+
 TWO_POOLS = {
     "kind": "compartmental",
     "m": 2,

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfde_lab import (
     ConeSpec,
@@ -15,7 +17,9 @@ from nfde_lab import (
     matrix_exp,
     transformed_cone_membership,
 )
+from nfde_lab.ordering import _expm
 from .conftest import scalar_dspec
+from .oracles import comparison_upper_rows_direct
 
 
 def brute_membership(x, y, cone, tol):
@@ -74,6 +78,34 @@ def test_matrix_exp_nilpotent():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     out = matrix_exp(A, 2.0)
     assert np.allclose(out, [[1.0, 2.0], [0.0, 1.0]], atol=1e-12)
+
+
+def hurwitz_quasipositive(seed, m):
+    """Nonnegative off-diagonal entries, strictly dominant negative diagonal."""
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(0.0, 1.0, size=(m, m))
+    np.fill_diagonal(A, 0.0)
+    A[np.diag_indices(m)] = -A.sum(axis=1) - rng.uniform(0.01, 2.0, size=m)
+    return A
+
+
+def rel_err_1(E, ref):
+    return np.linalg.norm(E - ref, 1) / np.linalg.norm(ref, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 6),
+    log_norm=st.floats(-6.0, 2.0),
+)
+def test_expm_matches_scipy(seed, m, log_norm):
+    # ||A t||_1 up to 1e2 is far past theta_13, so the squaring branch runs
+    A = hurwitz_quasipositive(seed, m)
+    t = 10.0**log_norm / np.linalg.norm(A, 1)
+    ref = scipy.linalg.expm(A * t)
+    assert rel_err_1(matrix_exp(A, t), ref) <= 1e-12
+    assert rel_err_1(_expm(A * t), ref) <= 1e-12
 
 
 def test_matrix_exp_rejects_negative_time():
@@ -270,3 +302,25 @@ def test_comparison_is_member():
         assert rep.ordered
         assert rep.min_margin >= -1e-12
         assert comp.k0 > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 4),
+    steps=st.integers(1, 150),
+    frac=st.sampled_from([0.0, 0.37, 0.5, 0.999]),
+    step=st.sampled_from([0.01, 0.02, 0.05, 0.1]),
+    extra=st.sampled_from([0.0, 0.3, 1.7]),
+)
+def test_comparison_semigroup_matches_per_node_expm(seed, m, steps, frac, step, extra):
+    # horizons that are a whole number of steps (frac 0) and that are not
+    A = hurwitz_quasipositive(seed, m)
+    if seed % 3 == 0:
+        A = np.diag(np.diagonal(A))
+    rho = (steps + frac) * step
+    cone = ConeSpec(A, rho)
+    comp = make_comparison_upper(cone, m, step=step, horizon=rho + extra)
+    ref = comparison_upper_rows_direct(cone, m, step, rho + extra)
+    assert comp.hist.samples.shape == ref.shape
+    assert np.max(np.abs(comp.hist.samples - ref) / np.abs(ref)) <= 1e-12

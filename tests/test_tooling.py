@@ -2,15 +2,20 @@
 tracer wraps the functions listed in its TRACED table, and the measured
 child process hooks a few more. A rename or deletion in nfde_lab that
 leaves one of these names dangling fails here, not in a traced benchmark
-run."""
+run. Every CLI process pays for what `nfde_lab.cli` imports, so a check
+here keeps SciPy out of it."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 # Hooked by name in perfbench/child.py: set-up ends at the first of these
 # calls, and the run functions are timed.
@@ -34,3 +39,15 @@ def _traced_names():
 def test_benchmark_hook_resolves(home, name):
     module = importlib.import_module(f"nfde_lab.{home}")
     assert callable(getattr(module, name, None)), f"nfde_lab.{home}.{name} is gone"
+
+
+def test_cli_import_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = (
+        "import nfde_lab.cli, sys; "
+        "print(sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
