@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .base_flow import (
     TorusFlow,
@@ -43,6 +44,7 @@ from .d_operator import (
     MeasureAtom,
     SamplingConfig,
     eval_D,
+    eval_poly_matrix_many,
     identity_poly_matrix,
     sample_thetas,
 )
@@ -51,7 +53,7 @@ from .errors import (
     HorizonError,
     StructuralPreconditionError,
 )
-from .history import _EQ_TOL, _SNAP
+from .history import _EQ_TOL, _SNAP, _nodes, _on_node, cubic_stencil
 
 
 CONDITIONS = ("G3", "G4", "G5", "G8", "G9")
@@ -415,6 +417,100 @@ def total_mass(sys, p: TorusPoint, hist) -> float:
                     continue
                 total += w * _transit_integral(g, p, hist, tr, donor, r)
     return total
+
+
+def _mass_span(g, h: float) -> int:
+    """Steps of stored history behind a time that its total mass reads."""
+    return _nodes(max(g.max_pipe_lag, g.dspec.support, h), h)
+
+
+# Log rows per pass of `_total_mass_many`; bounds its windows of stored rows.
+_MASS_CHUNK = 64
+
+
+def _read_back(X: np.ndarray, rows: np.ndarray, pos: np.ndarray, K: int) -> np.ndarray:
+    """X at fractional steps `pos` behind each of `rows`; (rows, pos, m).
+
+    Each read is the one `cubic_rows` makes on the newest-first window of K
+    rows ending at the row: an on-node position returns its row, any other
+    the window's clipped cubic stencil summed left to right.
+    """
+    idx, w = cubic_stencil(K, pos)
+    out = X[rows[:, None] - idx[None, :, 0]]
+    off = ~_on_node(pos)[1]
+    if np.any(off):
+        taps = w[None, off, :, None] * X[rows[:, None, None] - idx[None, off]]
+        out[:, off] = taps[:, :, 0] + taps[:, :, 1] + taps[:, :, 2] + taps[:, :, 3]
+    return out
+
+
+def _total_mass_many(
+    sys, theta0: np.ndarray, X: np.ndarray, Jh: int, h: float, rows: np.ndarray
+) -> np.ndarray:
+    """`total_mass` at each of `rows` of a stored trajectory, in a few passes.
+
+    X[j] holds z at time (j - Jh) h on the orbit from phase theta0. The mass
+    at row k reads the window X[k - W : k + 1] with the phases, stencils and
+    summation order of `total_mass` on that window as a HistoryGrid, so the
+    results agree bit for bit, with one exception: the in-transit rate at a
+    stored row takes its phase from theta0 directly rather than by stepping
+    back from the phase at k, so a phase-dependent gain on a lagged pipe
+    agrees to rounding only.
+    """
+    g = _general(sys)
+    spec = g.dspec
+    freqs = g.flow.freqs
+    W = _mass_span(g, h)
+    atoms = spec.nu.atoms
+    dens = spec.nu.density
+    offsets = [a.lag for a in atoms] + ([] if dens is None else list(-dens.midpoints))
+    pos_D = np.array(offsets) / h
+    pipes = []  # (donor, transport, [(r, w, Q, remainder or None)]) in total_mass's order
+    for donor in range(g.m):
+        for dest in range(g.m):
+            tr = g.transports[dest][donor]
+            if tr.is_zero():
+                continue
+            parts = []
+            for r, w in g.pipes[dest][donor].atoms:
+                if r <= _SNAP:
+                    continue
+                Q = int(np.floor(r / h + _SNAP))
+                rem = r - Q * h
+                parts.append((r, w, Q, rem if rem > _SNAP * max(1.0, r) else None))
+            if parts:
+                pipes.append((donor, tr, parts))
+    out = np.empty(rows.size)
+    for c in range(0, rows.size, _MASS_CHUNK):
+        rk = rows[c : c + _MASS_CHUNK]
+        t = (rk - Jh) * h
+        th = np.mod(theta0[None, :] + t[:, None] * freqs[None, :], 1.0)
+        D = np.matmul(eval_poly_matrix_many(spec.B, th), X[rk][..., None])[..., 0]
+        if offsets:
+            back = _read_back(X, rk, pos_D, W + 1)
+            for a, atom in enumerate(atoms):
+                Wv = eval_poly_matrix_many(atom.weight, th)
+                D -= np.matmul(Wv, np.ascontiguousarray(back[:, a, :, None]))[..., 0]
+            if dens is not None:
+                D -= dens.step * np.einsum("lab,nlb->na", dens.values, back[:, len(atoms) :])
+        total = np.sum(D, axis=1)
+        lo = rk[0] - W  # the oldest stored row the chunk reads
+        if pipes:
+            ts = (np.arange(lo, rk[-1] + 1) - Jh) * h
+            th_s = np.mod(theta0[None, :] + ts[:, None] * freqs[None, :], 1.0)
+        for donor, tr, parts in pipes:
+            rate = tr.eval_at(th_s, X[lo : rk[-1] + 1, donor])
+            for r, w, Q, rem in parts:
+                win = sliding_window_view(rate, Q + 1)[rk - Q - lo]
+                part = np.trapezoid(win, dx=h, axis=-1) if Q >= 1 else np.zeros(rk.size)
+                if rem is not None:
+                    th_r = np.mod(th + (-r) * freqs[None, :], 1.0)
+                    x_r = _read_back(X, rk, np.array([r / h]), W + 1)[:, 0, donor]
+                    f_r = tr.eval_at(th_r, x_r)
+                    part += 0.5 * rem * (f_r + win[:, 0])
+                total += w * part
+        out[c : c + rk.size] = total
+    return out
 
 
 def mass_balance_residual(sys, log) -> np.ndarray:

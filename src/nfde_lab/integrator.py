@@ -27,6 +27,13 @@ the four rows and weights of the cubic stencil, which equal those
 does only the work that needs z: the gather of the delayed z, the atom and
 density products, and the balance law `eval_F`. The phases and every
 stage value are bit-identical to computing each stage from scratch.
+
+Logging happens after the run. The log rows are read off the stored X and
+Z, the masses come from vectorised passes over X (`_total_mass_many`), and
+the pair monitors from running and windowed minima over the stored gap.
+Each value is the one the same quantity computed at its log point while
+stepping gives, bit for bit apart from the rounding `_total_mass_many`
+states.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from .base_flow import TorusFlow, TorusPoint, torus_distance
-from .compartment import _general, eval_F, total_mass
+from .base_flow import TorusFlow, TorusPoint
+from .compartment import _general, _mass_span, _total_mass_many, eval_F
 from .d_operator import eval_Dhat_segment, eval_poly_matrix_many
 from .errors import (
     DivergenceError,
@@ -373,38 +380,75 @@ class TrajectoryLog:
     final_state: Optional[SimState] = None
 
 
-def _mass_window(state: SimState) -> HistoryGrid:
-    """Stored z over the window total_mass reads, newest row first."""
-    general = state.general
-    wlen = max(general.max_pipe_lag, general.dspec.support, state.h)
-    W = _nodes(wlen, state.h)
-    return HistoryGrid(state.h, state.X[state.k - W : state.k + 1][::-1], TailPolicy.CONSTANT)
+def _log_rows(Jh: int, cfg: SimConfig) -> np.ndarray:
+    """Stored rows of the log points: every log_stride steps, and the last step."""
+    n = np.arange(0, cfg.nsteps + 1, cfg.log_stride)
+    if n[-1] != cfg.nsteps:
+        n = np.append(n, cfg.nsteps)
+    return Jh + n
+
+
+def _check_stored(state: SimState, cfg: SimConfig, W: int) -> None:
+    """Raise DivergenceError at the first row of X[Jh - W : k + 1], the rows
+    the log reads, that is not finite or exceeds the divergence guard; the
+    step guard watches zhat only."""
+    lo = state.Jh - W
+    top = np.max(np.abs(state.X[lo : state.k + 1]), axis=1)
+    bad = ~(top <= cfg.divergence_limit)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise DivergenceError((lo + j - state.Jh) * state.h, float(top[j]))
+
+
+def _window_min(a: np.ndarray, width: int, ends: np.ndarray) -> np.ndarray:
+    """min(a[max(0, e - width + 1) : e + 1]) for each e in ends.
+
+    Running minima from either end of each block of `width` entries make
+    any window of that width the min of one suffix and one prefix.
+    """
+    width = min(width, a.size)
+    blocks = np.concatenate([a, np.full(-a.size % width, np.inf)]).reshape(-1, width)
+    pre = np.minimum.accumulate(blocks, axis=1).ravel()
+    suf = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    starts = ends - width + 1
+    return np.where(starts <= 0, pre[ends], np.minimum(suf[np.maximum(starts, 0)], pre[ends]))
+
+
+def _cone_margins(V: np.ndarray, cone: ConeSpec, expAh: np.ndarray, h: float, rows) -> np.ndarray:
+    """Raw cone margin of the transformed gap V = Zy - Zx at each of rows.
+
+    The margin at row k is the least entry of V[: k + 1] (the sign part) or,
+    if lower, the least decay slack v(j) - exp(A h) v(j - 1) over the steps
+    j of the cone window ending at k.
+    """
+    rows = np.asarray(rows)
+    sign = np.minimum.accumulate(np.min(V, axis=1))[rows]
+    W = V.shape[0] if cone.infinite else int(math.floor(cone.horizon / h + _SNAP))
+    if W == 0:
+        return sign
+    slack = np.empty(V.shape[0])
+    slack[0] = np.inf  # no step ends at the oldest row
+    slack[1:] = np.min(V[1:] - V[:-1] @ expAh.T, axis=1)
+    return np.minimum(sign, _window_min(slack, W, rows))
 
 
 def run(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> TrajectoryLog:
-    """Integrate to t_end, logging every log_stride steps (plus the endpoint)."""
+    """Integrate to t_end, logging every log_stride steps (plus the endpoint).
+
+    The log is read off the stored buffers once the run is done; the mass
+    at every log point comes from one vectorised pass.
+    """
     state = init_from_z(sys, p0, z_hist, cfg)
-    nsteps = cfg.nsteps
-    ts, zs, zhs, Ms = [], [], [], []
-
-    def log_now():
-        t = state.t
-        ts.append(t)
-        zhs.append(state.Z[state.k].copy())
-        win = _mass_window(state)
-        zs.append(win.samples[0].copy())
-        Ms.append(total_mass(state.general, state.point_at(t), win))
-
-    log_now()
-    for k in range(1, nsteps + 1):
+    for _ in range(cfg.nsteps):
         step(state, cfg)
-        if k % cfg.log_stride == 0 or k == nsteps:
-            log_now()
+    general = state.general
+    _check_stored(state, cfg, _mass_span(general, cfg.h))
+    rows = _log_rows(state.Jh, cfg)
     return TrajectoryLog(
-        t=np.array(ts),
-        z=np.array(zs),
-        zhat=np.array(zhs),
-        M=np.array(Ms),
+        t=(rows - state.Jh) * cfg.h,
+        z=state.X[rows],
+        zhat=state.Z[rows],
+        M=_total_mass_many(general, p0.theta, state.X, state.Jh, cfg.h, rows),
         p0=p0,
         flow=state.flow,
         h=cfg.h,
@@ -431,23 +475,6 @@ class PairLog:
     h: float
 
 
-def _pair_margin(sx: SimState, sy: SimState, cone: ConeSpec, expAh, run_min_a):
-    """Raw margin at the current time: sign part over the whole buffer so
-    far (tracked incrementally by the caller), decay part over the cone
-    window."""
-    k = sx.k
-    if cone.infinite:
-        W = k
-    else:
-        W = min(k, int(math.floor(cone.horizon / sx.h + _SNAP)))
-    v = sy.Z[k - W : k + 1] - sx.Z[k - W : k + 1]  # oldest..newest
-    newer = v[1:]
-    older = v[:-1]
-    slack = newer - older @ expAh.T
-    worst = float(np.min(slack)) if slack.size else math.inf
-    return min(run_min_a, worst)
-
-
 def run_ordered_pair(
     sys, p0: TorusPoint, z_x: HistoryGrid, z_y: HistoryGrid, cfg: SimConfig
 ) -> PairLog:
@@ -456,7 +483,8 @@ def run_ordered_pair(
     Requires cfg.cone; the initial transformed pair must be ordered within
     cfg.tol_cone. At each log point the transformed cone margin, the
     per-component operator gap, both masses, and the sup of the physical
-    difference over the reconstruction window are recorded.
+    difference over the mass window are recorded, all read off the stored
+    buffers once the run is done.
     """
     if cfg.cone is None:
         raise ValueError("an ordered-pair run needs cfg.cone")
@@ -465,51 +493,32 @@ def run_ordered_pair(
     sy = init_from_z(sys, p0, z_y, cfg)
     expAh = matrix_exp(cone.A, cfg.h)
     v0 = sy.Z[: sy.k + 1] - sx.Z[: sx.k + 1]
-    run_min_a = float(np.min(v0))
-    margin0 = _pair_margin(sx, sy, cone, expAh, run_min_a)
+    margin0 = float(_cone_margins(v0, cone, expAh, cfg.h, [sx.Jh])[0])
     if margin0 < -cfg.tol_cone:
         j, c = np.unravel_index(int(np.argmin(v0)), v0.shape)
         raise UnorderedPairError(((j - sx.Jh) * cfg.h, int(c)), margin0)
-    nsteps = cfg.nsteps
-    general = sx.general
-    ts, zx, zy, zhx, zhy, gaps, mx, my, margins, supz = (
-        [], [], [], [], [], [], [], [], [], [],
-    )
-
-    def log_now():
-        t = sx.t
-        ts.append(t)
-        zhx.append(sx.Z[sx.k].copy())
-        zhy.append(sy.Z[sy.k].copy())
-        gaps.append(sy.Z[sy.k] - sx.Z[sx.k])
-        wx = _mass_window(sx)
-        wy = _mass_window(sy)
-        zx.append(wx.samples[0].copy())
-        zy.append(wy.samples[0].copy())
-        p_t = sx.point_at(t)
-        mx.append(total_mass(general, p_t, wx))
-        my.append(total_mass(general, p_t, wy))
-        supz.append(float(np.max(np.abs(wy.samples - wx.samples))))
-        margins.append(_pair_margin(sx, sy, cone, expAh, run_min_a))
-
-    log_now()
-    for k in range(1, nsteps + 1):
+    for _ in range(cfg.nsteps):
         step(sx, cfg)
         step(sy, cfg)
-        run_min_a = min(run_min_a, float(np.min(sy.Z[sy.k] - sx.Z[sx.k])))
-        if k % cfg.log_stride == 0 or k == nsteps:
-            log_now()
+    general = sx.general
+    W = _mass_span(general, cfg.h)
+    _check_stored(sx, cfg, W)
+    _check_stored(sy, cfg, W)
+    rows = _log_rows(sx.Jh, cfg)
+    K = sx.k + 1
+    V = sy.Z[:K] - sx.Z[:K]
+    dz = np.max(np.abs(sy.X[:K] - sx.X[:K]), axis=1)
     return PairLog(
-        t=np.array(ts),
-        z_x=np.array(zx),
-        z_y=np.array(zy),
-        zhat_x=np.array(zhx),
-        zhat_y=np.array(zhy),
-        d_gap=np.array(gaps),
-        mass_x=np.array(mx),
-        mass_y=np.array(my),
-        cone_margin=np.array(margins),
-        z_diff_sup=np.array(supz),
+        t=(rows - sx.Jh) * cfg.h,
+        z_x=sx.X[rows],
+        z_y=sy.X[rows],
+        zhat_x=sx.Z[rows],
+        zhat_y=sy.Z[rows],
+        d_gap=V[rows],
+        mass_x=_total_mass_many(general, p0.theta, sx.X, sx.Jh, cfg.h, rows),
+        mass_y=_total_mass_many(general, p0.theta, sy.X, sy.Jh, cfg.h, rows),
+        cone_margin=_cone_margins(V, cone, expAh, cfg.h, rows),
+        z_diff_sup=-_window_min(-dz, W + 1, rows),
         p0=p0,
         flow=sx.flow,
         h=cfg.h,
@@ -553,22 +562,18 @@ def covering_diagnostic(
     i1 = int(np.searchsorted(t, t_min + window + _SNAP)) - 1
     if i1 <= i0:
         raise NoReturnTimesError("analysis window does not fit in the log")
-    n = t.size
     base = log.z[i0 : i1 + 1]
+    ks = np.arange(1, t.size - i1)
+    T = ks * dt
+    # the phase after T in [0, 1): np.mod rounds a tiny negative sum up to
+    # 1.0, and a second reduction maps that to 0.0
+    d = np.abs(np.mod(np.mod(p0.theta + T[:, None] * flow.freqs, 1.0), 1.0) - p0.theta)
+    dist = np.max(np.minimum(d, 1.0 - d), axis=1)
+    skip = (T < min_return - _SNAP) | (dist >= return_tol)  # trivial short returns, far phases
     entries = []
-    max_shift = n - 1 - i1
-    for k in range(1, max_shift + 1):
-        T = k * dt
-        if T < min_return - _SNAP:  # ignore trivial short returns
-            continue
-        dist = torus_distance(
-            TorusPoint(np.mod(p0.theta + T * flow.freqs, 1.0)), p0
-        )
-        if dist >= return_tol:
-            continue
-        shifted = log.z[i0 + k : i1 + 1 + k]
-        e = float(np.max(np.abs(shifted - base)))
-        entries.append((float(T), float(dist), e))
+    for k, Tk, dk in zip(ks[~skip], T[~skip], dist[~skip]):
+        e = float(np.max(np.abs(log.z[i0 + k : i1 + 1 + k] - base)))
+        entries.append((float(Tk), float(dk), e))
     if len(entries) < 3:
         raise NoReturnTimesError(
             f"only {len(entries)} near-returns below {return_tol}; "

@@ -29,10 +29,10 @@ from .history import _EQ_TOL, _SNAP, HistoryGrid, TailPolicy, _nodes
 
 
 def is_quasipositive(A: np.ndarray) -> bool:
-    """True iff all off-diagonal entries are >= 0."""
+    """True iff all off-diagonal entries are >= 0; A must be a square matrix."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square and 2-d, got shape {A.shape}")
     off = A - np.diag(np.diagonal(A))
     return bool(np.all(off >= 0.0))
 

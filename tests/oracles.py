@@ -8,7 +8,11 @@ reads its phase data from the stage plan, and `eval_F_direct` walks the
 full transport grid, where `eval_F` walks the term table built with the
 system. `comparison_upper_rows_direct` exponentiates the block matrix
 afresh at every node with SciPy, where `make_comparison_upper` walks the
-nodes by the semigroup from two NumPy exponentials. Tests compare each pair.
+nodes by the semigroup from two NumPy exponentials. `run_direct` and
+`run_ordered_pair_direct` log while they step, one point at a time through
+a HistoryGrid window and `total_mass`, where `run` and `run_ordered_pair`
+derive the log from the stored buffers after the run. Tests compare each
+pair.
 """
 
 import math
@@ -19,10 +23,12 @@ import scipy.linalg
 
 from nfde_lab import NeutralDiagSystem, TorusPoint, advance, eval_trig
 from nfde_lab.base_flow import advance_many
-from nfde_lab.compartment import _general, _rate, _coeff_at
+from nfde_lab.compartment import _general, _rate, _coeff_at, total_mass
 from nfde_lab.d_operator import eval_poly_matrix_many
-from nfde_lab.history import _SNAP, _nodes, cubic_rows
-from nfde_lab.integrator import _Stage
+from nfde_lab.errors import UnorderedPairError
+from nfde_lab.history import _SNAP, HistoryGrid, TailPolicy, _nodes, cubic_rows
+from nfde_lab.integrator import PairLog, TrajectoryLog, _Stage, init_from_z, step
+from nfde_lab.ordering import matrix_exp
 
 
 @dataclass(frozen=True)
@@ -161,3 +167,117 @@ def comparison_upper_rows_direct(cone, m: int, step: float, horizon: float) -> n
         EM = scipy.linalg.expm(M * tau)
         rows[j] = EM[:m, :].sum(axis=1)
     return rows
+
+
+def mass_window(state) -> HistoryGrid:
+    """Stored z over the window total_mass reads, newest row first."""
+    general = state.general
+    wlen = max(general.max_pipe_lag, general.dspec.support, state.h)
+    W = _nodes(wlen, state.h)
+    return HistoryGrid(state.h, state.X[state.k - W : state.k + 1][::-1], TailPolicy.CONSTANT)
+
+
+def run_direct(sys, p0: TorusPoint, z_hist, cfg) -> TrajectoryLog:
+    """`run` logging while it steps: one mass window and total_mass per point."""
+    state = init_from_z(sys, p0, z_hist, cfg)
+    nsteps = cfg.nsteps
+    ts, zs, zhs, Ms = [], [], [], []
+
+    def log_now():
+        t = state.t
+        ts.append(t)
+        zhs.append(state.Z[state.k].copy())
+        win = mass_window(state)
+        zs.append(win.samples[0].copy())
+        Ms.append(total_mass(state.general, state.point_at(t), win))
+
+    log_now()
+    for k in range(1, nsteps + 1):
+        step(state, cfg)
+        if k % cfg.log_stride == 0 or k == nsteps:
+            log_now()
+    return TrajectoryLog(
+        t=np.array(ts),
+        z=np.array(zs),
+        zhat=np.array(zhs),
+        M=np.array(Ms),
+        p0=p0,
+        flow=state.flow,
+        h=cfg.h,
+        final_state=state,
+    )
+
+
+def pair_margin(sx, sy, cone, expAh, run_min_a):
+    """Raw margin at the current time: sign part over the whole buffer so
+    far (tracked incrementally by the caller), decay part over the cone
+    window."""
+    k = sx.k
+    if cone.infinite:
+        W = k
+    else:
+        W = min(k, int(math.floor(cone.horizon / sx.h + _SNAP)))
+    v = sy.Z[k - W : k + 1] - sx.Z[k - W : k + 1]  # oldest..newest
+    newer = v[1:]
+    older = v[:-1]
+    slack = newer - older @ expAh.T
+    worst = float(np.min(slack)) if slack.size else math.inf
+    return min(run_min_a, worst)
+
+
+def run_ordered_pair_direct(sys, p0: TorusPoint, z_x, z_y, cfg) -> PairLog:
+    """`run_ordered_pair` monitoring while it steps, one point at a time."""
+    cone = cfg.cone
+    sx = init_from_z(sys, p0, z_x, cfg)
+    sy = init_from_z(sys, p0, z_y, cfg)
+    expAh = matrix_exp(cone.A, cfg.h)
+    v0 = sy.Z[: sy.k + 1] - sx.Z[: sx.k + 1]
+    run_min_a = float(np.min(v0))
+    margin0 = pair_margin(sx, sy, cone, expAh, run_min_a)
+    if margin0 < -cfg.tol_cone:
+        j, c = np.unravel_index(int(np.argmin(v0)), v0.shape)
+        raise UnorderedPairError(((j - sx.Jh) * cfg.h, int(c)), margin0)
+    nsteps = cfg.nsteps
+    general = sx.general
+    ts, zx, zy, zhx, zhy, gaps, mx, my, margins, supz = (
+        [], [], [], [], [], [], [], [], [], [],
+    )
+
+    def log_now():
+        t = sx.t
+        ts.append(t)
+        zhx.append(sx.Z[sx.k].copy())
+        zhy.append(sy.Z[sy.k].copy())
+        gaps.append(sy.Z[sy.k] - sx.Z[sx.k])
+        wx = mass_window(sx)
+        wy = mass_window(sy)
+        zx.append(wx.samples[0].copy())
+        zy.append(wy.samples[0].copy())
+        p_t = sx.point_at(t)
+        mx.append(total_mass(general, p_t, wx))
+        my.append(total_mass(general, p_t, wy))
+        supz.append(float(np.max(np.abs(wy.samples - wx.samples))))
+        margins.append(pair_margin(sx, sy, cone, expAh, run_min_a))
+
+    log_now()
+    for k in range(1, nsteps + 1):
+        step(sx, cfg)
+        step(sy, cfg)
+        run_min_a = min(run_min_a, float(np.min(sy.Z[sy.k] - sx.Z[sx.k])))
+        if k % cfg.log_stride == 0 or k == nsteps:
+            log_now()
+    return PairLog(
+        t=np.array(ts),
+        z_x=np.array(zx),
+        z_y=np.array(zy),
+        zhat_x=np.array(zhx),
+        zhat_y=np.array(zhy),
+        d_gap=np.array(gaps),
+        mass_x=np.array(mx),
+        mass_y=np.array(my),
+        cone_margin=np.array(margins),
+        z_diff_sup=np.array(supz),
+        p0=p0,
+        flow=sx.flow,
+        h=cfg.h,
+    )

@@ -714,3 +714,216 @@ def test_eval_F_term_table_matches_grid_walk(case):
 
     sys, p, hist = case
     assert _bits(eval_F(sys, p, hist)) == _bits(eval_F_direct(sys, p, hist))
+
+
+def phase_gain_system(flow):
+    """Scalar self-loop whose lagged pipes carry a phase-dependent gain and a
+    sine_bend shape; the pipe lags 0.55 and 0.8 are off the step grid for
+    h = 0.045 and 0.03."""
+    gain = TrigPoly.from_terms(1.0, [([1], 0.1, 0.3)])
+    return CompartmentalSystem(
+        m=1,
+        transports=((TransportSpec(gain, ShapeFn.sine_bend(0.4)),),),
+        outflows=(TransportSpec.zero(),),
+        inflows=(TrigPoly.const(0.0),),
+        pipes=((PipeSpec(((0.55, 0.5), (0.8, 0.5))),),),
+        dspec=DOperatorSpec(
+            1,
+            identity_poly_matrix(1),
+            AtomicMeasureFamily((MeasureAtom(1.0, [[TrigPoly.const(0.3)]]),)),
+            flow,
+        ),
+        flow=flow,
+    )
+
+
+def _log_case(kind, phase, h, amp, shift=0.0):
+    """A system, start phase and initial history for the log tests."""
+    if kind == "phase_gain":
+        flow = TorusFlow([GOLDEN_FREQ])
+        sys, p0 = phase_gain_system(flow), TorusPoint([phase])
+    else:
+        sys, p0 = _plan_case(kind, phase, h)
+    offsets = np.arange(sys.m)[None, :]
+    need = required_z_horizon(sys, SimConfig(h=h, t_end=h))
+    z0 = from_function(
+        lambda s: 1.0 + shift + amp * np.sin(3.0 * s[:, None] + offsets + shift), h, need + 2 * h
+    )
+    return sys, p0, z0
+
+
+def _assert_same_fields(fast, slow, names, loose=(), rtol=0.0):
+    for name in names:
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.shape == b.shape, name
+        if name in loose:
+            np.testing.assert_allclose(a, b, rtol=rtol, atol=0.0, err_msg=name)
+        else:
+            assert _bits(a) == _bits(b), name
+
+
+# With a phase-dependent gain on a lagged pipe the fast mass takes the
+# in-transit rate's phase from p0 + t_j freqs at each stored row, where the
+# oracle steps back from the phase at the log time: equal up to rounding.
+_PHASE_GAIN_RTOL = 1e-13
+
+_LOG_KINDS = ["s1", "three_compartment", "density", "phase_gain"]
+
+
+@pytest.mark.parametrize("kind", _LOG_KINDS)
+@settings(max_examples=10, deadline=None)
+@given(
+    phase=st.floats(0.0, 1.0),
+    amp=st.floats(0.0, 0.5),
+    h=st.sampled_from([0.05, 0.045, 0.03]),
+    stride=st.sampled_from([1, 3, 7]),
+    nsteps=st.integers(1, 30),
+    chunk=st.sampled_from([1, 4, None]),
+)
+def test_run_log_matches_per_point_oracle(kind, phase, amp, h, stride, nsteps, chunk):
+    # every field of the log derived after the run against the log taken at
+    # each point while stepping; strides 3 and 7 mostly leave a short last
+    # interval, h = 0.045 and 0.03 put pipe lags off the step grid, small
+    # chunks split the mass pass
+    from unittest import mock
+
+    from nfde_lab import compartment
+
+    from .oracles import run_direct
+
+    sys, p0, z0 = _log_case(kind, phase, h, amp)
+    cfg = SimConfig(h=h, t_end=nsteps * h, log_stride=stride)
+    with mock.patch.object(compartment, "_MASS_CHUNK", chunk or compartment._MASS_CHUNK):
+        fast = run(sys, p0, z0, cfg)
+    slow = run_direct(sys, p0, z0, cfg)
+    loose = ("M",) if kind == "phase_gain" else ()
+    _assert_same_fields(fast, slow, ("t", "z", "zhat", "M"), loose, _PHASE_GAIN_RTOL)
+
+
+@pytest.mark.parametrize("kind", _LOG_KINDS)
+@settings(max_examples=10, deadline=None)
+@given(
+    phase=st.floats(0.0, 1.0),
+    amp=st.floats(0.0, 0.5),
+    shift=st.floats(-0.2, 0.4),
+    h=st.sampled_from([0.05, 0.045, 0.03]),
+    stride=st.sampled_from([1, 3, 7]),
+    nsteps=st.integers(1, 30),
+    horizon=st.sampled_from([0.02, 0.3, 1.0, 1e3, np.inf]),
+    chunk=st.sampled_from([1, 4, None]),
+)
+def test_pair_log_matches_per_point_oracle(
+    kind, phase, amp, shift, h, stride, nsteps, horizon, chunk
+):
+    # the pair need not be ordered (tol_cone is infinite), so the margins
+    # take either sign; horizon 0.02 leaves no decay window, 1e3 one longer
+    # than the stored history, inf the whole buffer
+    from unittest import mock
+
+    from nfde_lab import compartment
+
+    from .oracles import run_ordered_pair_direct
+
+    sys, p0, z_x = _log_case(kind, phase, h, amp)
+    _, _, z_y = _log_case(kind, phase, h, amp, shift)
+    cone = ConeSpec(np.diag(-np.linspace(1.0, 2.0, sys.m)), horizon)
+    cfg = SimConfig(h=h, t_end=nsteps * h, log_stride=stride, cone=cone, tol_cone=np.inf)
+    with mock.patch.object(compartment, "_MASS_CHUNK", chunk or compartment._MASS_CHUNK):
+        fast = run_ordered_pair(sys, p0, z_x, z_y, cfg)
+    slow = run_ordered_pair_direct(sys, p0, z_x, z_y, cfg)
+    names = ("t", "z_x", "z_y", "zhat_x", "zhat_y", "d_gap", "mass_x", "mass_y")
+    loose = ("mass_x", "mass_y") if kind == "phase_gain" else ()
+    _assert_same_fields(fast, slow, names + ("cone_margin", "z_diff_sup"), loose, _PHASE_GAIN_RTOL)
+
+
+def test_log_makes_no_call_per_log_point(golden_flow, origin, monkeypatch):
+    # the log is derived after the run: no total_mass and no HistoryGrid
+    # window per log point, and a number of vectorised mass passes that
+    # does not grow with the run
+    from nfde_lab import compartment, history, integrator
+
+    counts = {}
+
+    def count(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("total_mass", "_total_mass_many"):
+        fn = getattr(compartment, name, None)
+        for mod in (compartment, integrator):
+            if fn is not None and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, count(name, fn))
+    post_init = count("HistoryGrid", history.HistoryGrid.__post_init__)
+    monkeypatch.setattr(history.HistoryGrid, "__post_init__", post_init)
+    init = integrator.init_from_z
+
+    def init_then_reset(*args, **kwargs):
+        state = init(*args, **kwargs)
+        counts.pop("HistoryGrid", None)  # the initial transform builds grids
+        return state
+
+    monkeypatch.setattr(integrator, "init_from_z", init_then_reset)
+    sys = s1_system(golden_flow)
+    seen = []
+    for nsteps in (100, 200):
+        cfg = SimConfig(h=0.05, t_end=nsteps * 0.05, log_stride=1)
+        z0 = constant_history([2.0], cfg.h, required_z_horizon(sys, cfg) + 0.1)
+        counts.clear()
+        run(sys, origin, z0, cfg)
+        seen.append(("run", dict(counts)))
+        cone = ConeSpec(np.array([[-2.0]]), 1.0)
+        pcfg = SimConfig(h=0.05, t_end=nsteps // 2 * 0.05, log_stride=1, cone=cone)
+        counts.clear()
+        run_ordered_pair(sys, origin, z0, z0, pcfg)
+        seen.append(("pair", dict(counts)))
+    for what, c in seen:
+        assert c.get("total_mass", 0) == 0, what
+        assert c.get("HistoryGrid", 0) == 0, what
+    assert seen[0][1].get("_total_mass_many", 0) >= 1
+    assert seen[0][1] == seen[2][1] and seen[1][1] == seen[3][1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e12])
+def test_bad_stored_state_raises_divergence(golden_flow, origin, monkeypatch, tmp_path, bad):
+    # the step guard watches zhat only; a stored z that is not finite or
+    # exceeds the guard, here on the last step, is caught by the log pass
+    import json
+
+    from nfde_lab import cli, integrator
+
+    cfg = SimConfig(h=0.05, t_end=1.0)
+    z_of = integrator._Stage.z
+    calls = [0]
+
+    def z(self, zhat):
+        calls[0] += 1  # four per step; the fourth stores z at the new time
+        out = z_of(self, zhat)
+        return np.full_like(out, bad) if calls[0] == 4 * cfg.nsteps else out
+
+    monkeypatch.setattr(integrator._Stage, "z", z)
+    sys = s1_system(golden_flow)
+    z0 = constant_history([2.0], cfg.h, required_z_horizon(sys, cfg) + 0.1)
+    with pytest.raises(DivergenceError) as err:
+        run(sys, origin, z0, cfg)
+    assert err.value.t == pytest.approx(cfg.t_end)
+    assert not err.value.value <= cfg.divergence_limit
+    calls[0] = 0
+    config = {
+        "flow": {"freqs": [GOLDEN_FREQ]},
+        "system": {
+            "kind": "neutral_diag",
+            "m": 1,
+            "c": [{"constant": 0.3, "terms": [{"k": [1], "sin": 0.2}]}],
+            "alpha": [1.0],
+            "rho": [[1.0]],
+            "gains": [[1.0]],
+        },
+        "sim": {"h": cfg.h, "t_end": cfg.t_end, "log_stride": 1},
+        "z_init": {"kind": "constant", "value": [2.0]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 5

@@ -118,6 +118,14 @@ def test_cone_requires_quasipositive():
         ConeSpec(np.array([[-1.0, -0.1], [0.0, -1.0]]), 1.0)
 
 
+@pytest.mark.parametrize("A", [np.array([[[-1.0]]]), np.zeros((2, 2, 2)), np.ones((2, 3))])
+def test_cone_rejects_non_square_or_non_2d_matrix(A):
+    with pytest.raises(ValueError):
+        is_quasipositive(A)
+    with pytest.raises(ValueError):
+        ConeSpec(A, 1.0)
+
+
 def test_infinite_horizon_needs_hurwitz():
     with pytest.raises(ValueError):
         ConeSpec(np.array([[1.0]]), math.inf)
