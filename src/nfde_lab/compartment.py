@@ -585,8 +585,6 @@ class _Precomp:
         self._lm_shift = {}
         self._c_shift = {}
         self._gamma = None
-        self._g4_key = None
-        self._g4_terms = None
 
     def canonical_a(self) -> np.ndarray:
         """The rate -sup L_plus_i - 1 per component."""
@@ -603,12 +601,17 @@ class _Precomp:
             )
         return self._lm_shift[i]
 
-    def c_shifted(self, i: int, shift: float) -> np.ndarray:
-        key = (i, float(shift))
-        if key not in self._c_shift:
+    def _c_at(self, i: int, shift: float, rows: dict) -> np.ndarray:
+        """c_i at the phases shifted back by `shift`, memoised in `rows`."""
+        key = float(shift)
+        if key not in rows:
             sh = np.mod(self.thetas - shift * self.sys.flow.freqs[None, :], 1.0)
-            self._c_shift[key] = eval_trig_many(self.sys.c[i], sh)
-        return self._c_shift[key]
+            rows[key] = eval_trig_many(self.sys.c[i], sh)
+        return rows[key]
+
+    def c_shifted(self, i: int, shift: float) -> np.ndarray:
+        """c_i at the phases shifted back by `shift`, kept for the life of the data."""
+        return self._c_at(i, shift, self._c_shift.setdefault(i, {}))
 
     def gamma(self) -> np.ndarray:
         if self._gamma is None:
@@ -621,32 +624,33 @@ class _Precomp:
             )
         return self._gamma
 
-    def c_products(self, i: int, base_shift: float, count: int) -> np.ndarray:
-        """Backward products of c_i from phases shifted by base_shift; (count+1, n)."""
+    def c_products(self, i: int, base_shift: float, count: int, rows: dict) -> np.ndarray:
+        """Backward products of c_i from phases shifted by base_shift; (count+1, n).
+
+        The shifted rows of c_i are looked up in and added to `rows`.
+        """
         alpha_i = self.sys.alpha[i]
         shifts = base_shift + alpha_i * np.arange(count)
         n = self.thetas.shape[0]
         vals = np.empty((count, n))
         for k, s in enumerate(shifts):
-            vals[k] = self.c_shifted(i, s)
+            vals[k] = self._c_at(i, s, rows)
         prods = np.ones((count + 1, n))
         if count:
             prods[1:] = np.cumprod(vals, axis=0)
         return prods
 
     def g4_terms(self, i: int, n_check: int) -> tuple:
-        """Rate-free parts of the G4 sequences for component i, kept for one i at a time.
+        """Rate-free parts of the G4 sequences for component i.
 
         Returns (-L_plus_i C^n for n = 1..n_check, C^{n-1} at phases shifted
-        by rho_ii for n = 1..n_check), both (n_check, n).
+        by rho_ii for n = 1..n_check), both (n_check, n). The two products
+        share their shifted rows of c_i, which are dropped once both are built.
         """
-        if self._g4_key != (i, n_check):
-            self._g4_terms = None  # release the previous component first
-            C = self.c_products(i, 0.0, n_check)
-            C_sh = self.c_products(i, self.sys.rho[i][i], n_check)
-            self._g4_terms = (-self.L_plus[:, i] * C[1:], C_sh[:-1])
-            self._g4_key = (i, n_check)
-        return self._g4_terms
+        rows = {}
+        C = self.c_products(i, 0.0, n_check, rows)
+        C_sh = self.c_products(i, self.sys.rho[i][i], n_check, rows)
+        return -self.L_plus[:, i] * C[1:], C_sh[:-1]
 
 
 def _nmin(x):
@@ -689,79 +693,155 @@ def _check_rates(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be <= 0")
 
 
-def _g4_component(pre: _Precomp, i: int, a_i: float, n_check: int):
+def _check_depth(n_check) -> int:
+    whole = isinstance(n_check, (int, np.integer)) or (
+        isinstance(n_check, (float, np.floating)) and float(n_check).is_integer()
+    )
+    if isinstance(n_check, bool) or not whole or n_check < 0:
+        raise ValueError(f"n_check must be a whole number >= 0, got {n_check!r}")
+    return int(n_check)
+
+
+def _exp_rates(rates: np.ndarray, scale: float) -> np.ndarray:
+    """exp(a * scale) for each rate a, as a (T, 1) column.
+
+    math.exp, one rate at a time: np.exp can round differently in the last
+    place, and the checkers' outputs are pinned to math.exp's values.
+    """
+    return np.array([math.exp(a * scale) for a in rates])[:, None]
+
+
+# Elements of one (rates, phases) block of the G4 depth scan: the trial rates
+# go through it in chunks of _SCAN_ELEMENTS // n_phases.
+_SCAN_ELEMENTS = 8192
+
+
+def _g4_block(neg_LC, C_sh, L, lm, a, fac, ea, n_check: int) -> tuple:
+    """G4 margins, n0 and found mask, each (T, n), at the T rates `a` (T, 1).
+
+    The depth n0 is feasible when q[0..n0-1] >= 0, q[n0] > 0 and p[n0+1..]
+    >= 0, and the margin at the first feasible n0 is the least of those
+    values. Pass 1 streams the p rows to find, per element, the first depth
+    from which every later p is >= 0; pass 2 runs the q recurrence and keeps,
+    past that depth, the first n0 with the prefix minimum, q[n0] and the
+    running minimum of the later p rows.
+    """
+    flm = fac * lm
+    shape = flm.shape
+    p = np.empty(shape)
+
+    def p_row(k):  # p[k + 1], written into the buffer p
+        np.multiply(flm, C_sh[k], out=p)
+        return np.add(neg_LC[k], p, out=p)
+
+    start = np.zeros(shape, dtype=np.intp)  # 1 + the last row with p < 0
+    for k in range(n_check):
+        np.copyto(start, k + 1, where=p_row(k) < 0.0)
+    q = -L - a
+    q_min = np.full(shape, np.inf)  # min of q[0..nn-1]
+    p_min = np.full(shape, np.inf)  # min of p[n0+1..nn] where found
+    q_at = np.zeros(shape)
+    q_pre = np.zeros(shape)
+    n0 = np.full(shape, -1, dtype=np.intp)
+    found = np.zeros(shape, dtype=bool)
+    open_ = np.ones(shape, dtype=bool)  # not found yet, and q[0..nn-1] >= 0
+    for nn in range(n_check + 1):
+        if nn:
+            np.minimum(p_min, p_row(nn - 1), out=p_min, where=found)
+            np.minimum(q_min, q, out=q_min)
+            open_ &= q_min >= 0.0
+            q *= ea
+            q += p
+        new = open_ & (start <= nn) & (q > 0.0)
+        np.copyto(n0, nn, where=new)
+        np.copyto(q_at, q, where=new)
+        np.copyto(q_pre, q_min, where=new)
+        found |= new
+        open_ &= ~new
+        if not open_.any():
+            break
+    # every element is found or out of reach: the later p rows only lower p_min
+    for k in range(nn, n_check):
+        np.minimum(p_min, p_row(k), out=p_min)
+    margins = np.where(found, np.minimum(np.minimum(q_at, p_min), q_pre), -np.inf)
+    return margins, n0, found
+
+
+def _g4_margins(pre: _Precomp, i: int, rates: np.ndarray, n_check: int) -> tuple:
     """Margins for the accumulated-sequence condition on one component.
 
-    Returns (margins (n,), n0 (n,), found mask, tail_certified).
+    Returns (margins, n0, found), each (T, n) for the T rates, and
+    tail_certified (T,). The rates go through `_g4_block` in chunks, so the
+    working set stays near _SCAN_ELEMENTS elements per array.
     """
     sys = pre.sys
     alpha_i, rho_ii = sys.alpha[i], sys.rho[i][i]
     L = pre.L_plus[:, i]
     lm = pre.l_minus_shifted(i)
-    fac = math.exp(a_i * (alpha_i - rho_ii))
-    ea = math.exp(a_i * alpha_i)
+    fac = _exp_rates(rates, alpha_i - rho_ii)
+    ea = _exp_rates(rates, alpha_i)
     neg_LC, C_sh = pre.g4_terms(i, n_check)
-    n_pts = L.shape[0]
-    # row n-1 holds p[n]; row n of qvals holds q[n]
-    pvals = neg_LC + (fac * lm) * C_sh
-    qvals = np.empty((n_check + 1, n_pts))
-    qvals[0] = -L - a_i
-    for nn in range(1, n_check + 1):
-        qvals[nn] = qvals[nn - 1] * ea + pvals[nn - 1]
-    # prefix: all q[0..n-1] >= 0; suffix: all p[n+1..] >= 0
-    q_pref_min = np.empty((n_check + 1, n_pts))
-    q_pref_min[0] = np.inf
-    np.minimum.accumulate(qvals[:-1], axis=0, out=q_pref_min[1:])
-    p_suff_min = np.empty((n_check + 1, n_pts))
-    p_suff_min[n_check] = np.inf
-    p_suff_min[:-1] = np.minimum.accumulate(pvals[::-1], axis=0)[::-1]
-    feasible = (q_pref_min >= 0.0) & (qvals > 0.0) & (p_suff_min >= 0.0)
-    found = feasible.any(axis=0)
-    n0 = np.where(found, np.argmax(feasible, axis=0), -1)
-    cols = np.arange(n_pts)
-    margins = np.where(
-        found,
-        np.minimum(
-            np.minimum(qvals[n0, cols], p_suff_min[n0, cols]),
-            np.where(n0 > 0, q_pref_min[n0, cols], np.inf),
-        ),
-        -np.inf,
-    )
-    # sound tail certificate: needs rho_ii = alpha_i or a constant coefficient
-    cert_vals = -L * sys.c_sup[i] + fac * np.min(lm)
+    T, n = rates.size, L.size
+    margins = np.empty((T, n))
+    n0 = np.empty((T, n), dtype=np.intp)
+    found = np.empty((T, n), dtype=bool)
+    chunk = max(1, _SCAN_ELEMENTS // n)
+    for lo in range(0, T, chunk):
+        sl = slice(lo, lo + chunk)
+        margins[sl], n0[sl], found[sl] = _g4_block(
+            neg_LC, C_sh, L, lm, rates[sl, None], fac[sl], ea[sl], n_check
+        )
+    # sound tail certificate: needs rho_ii = alpha_i or a constant coefficient;
+    # min(x + s) = min(x) + s exactly, as rounding is monotone
     sound = abs(rho_ii - alpha_i) <= _EQ_TOL or sys.c[i].is_constant()
-    tail_certified = bool(sound and np.min(cert_vals) >= 0.0)
+    tail_certified = sound & (np.min(-L * sys.c_sup[i]) + fac[:, 0] * np.min(lm) >= 0.0)
     return margins, n0, found, tail_certified
 
 
-def _component_margins(pre: _Precomp, cond: str, i: int, a_i: float, n_check: int) -> dict:
-    """Margin arrays of one active component at the rate a_i, keyed by sub-inequality."""
+def _component_margins(
+    pre: _Precomp, cond: str, i: int, rates: np.ndarray, n_check: int
+) -> dict:
+    """Margin arrays of one active component at each of `rates`, keyed by sub-inequality.
+
+    Every array is (T, n) for the T rates; a rate-free one is a read-only
+    broadcast. Key "_g4" maps to the tuple of `_g4_margins`.
+    """
     sys = pre.sys
     alpha_i, rho_ii = sys.alpha[i], sys.rho[i][i]
     L = pre.L_plus[:, i]
     ci = pre.c[:, i]
+    a = rates[:, None]
+    shape = (rates.size, L.size)
     if cond == "G3":
         c2 = ci * pre.c_shifted(i, alpha_i)
         return {
-            "G3.1": (-a_i - L) * math.exp(a_i * alpha_i) - L * ci,
-            "G3.2": pre.l_minus_shifted(i) - L * c2,
+            "G3.1": (-a - L) * _exp_rates(rates, alpha_i) - L * ci,
+            "G3.2": np.broadcast_to(pre.l_minus_shifted(i) - L * c2, shape),
         }
     if cond == "G5":
-        return {"G5": pre.l_minus_shifted(i) - L * ci}
+        return {"G5": np.broadcast_to(pre.l_minus_shifted(i) - L * ci, shape)}
     if cond == "G8":
         gam = pre.gamma()[:, i]
-        return {"G8": -L - a_i + _nmin(a_i * ci + gam) * math.exp(-a_i * alpha_i)}
+        return {"G8": -L - a + _nmin(a * ci + gam) * _exp_rates(rates, -alpha_i)}
     if cond == "G9":
         gam = pre.gamma()[:, i]
         return {
-            "G9.1": -a_i - L,
+            "G9.1": -a - L,
             "G9.2": (
-                math.exp(a_i * rho_ii) * (-a_i - L)
+                _exp_rates(rates, rho_ii) * (-a - L)
                 + pre.l_minus_shifted(i)
-                + math.exp(a_i * (rho_ii - alpha_i)) * _nmin(a_i * ci + gam)
+                + _exp_rates(rates, rho_ii - alpha_i) * _nmin(a * ci + gam)
             ),
         }
-    return {"_g4": _g4_component(pre, i, a_i, n_check)}
+    return {"_g4": _g4_margins(pre, i, rates, n_check)}
+
+
+class _Margins(dict):
+    """`condition_margins`' mapping, carrying the phase data it was computed from."""
+
+    def __init__(self, pre: _Precomp, items):
+        super().__init__(items)
+        self.pre = pre
 
 
 def condition_margins(
@@ -784,11 +864,20 @@ def condition_margins(
     if a.shape != (sys.m,):
         raise DimensionMismatchError("need one rate a_i per component")
     _check_rates(a, "rates a_i")
+    n_check = _check_depth(n_check)
     active = _active(sys)
     _check_structural(sys, cond, active)
     pre = _Precomp(sys, thetas)
     _check_coefficient_sum(pre, cond)
-    return {i: _component_margins(pre, cond, i, a[i], n_check) for i in active}
+    out = {}
+    for i in active:
+        entry = _component_margins(pre, cond, i, a[i : i + 1], n_check)
+        if cond == "G4":
+            marg, n0, found, certified = entry["_g4"]
+            out[i] = {"_g4": (marg[0], n0[0], found[0], bool(certified[0]))}
+        else:
+            out[i] = {name: arr[0] for name, arr in entry.items()}
+    return _Margins(pre, out)
 
 
 def check_condition(
@@ -823,7 +912,7 @@ def check_condition(
             "off-diagonal transit lags are not constrained by these conditions "
             f"(present for pairs {offdiag})"
         )
-    canon = _Precomp(sys, thetas).canonical_a() if len(margins) < sys.m else None
+    canon = margins.pre.canonical_a()
     for i in range(sys.m):
         if i not in margins:
             components.append(
@@ -918,8 +1007,9 @@ def suggest_a(
     The canonical rate -sup L_plus_i - 1 is always added to the scan. Ties
     within _EQ_TOL resolve toward zero. Components with c_i identically zero
     receive the canonical rate directly. The phase-sampled data are built
-    once and shared by every trial rate; each trial evaluates the scanned
-    component only, with the same arithmetic as `condition_margins`.
+    once per scan, and each component's margins are evaluated at all its
+    trial rates in one `_component_margins` call, with the arithmetic of
+    `condition_margins` at each rate.
     """
     if cond not in CONDITIONS:
         raise ValueError(f"unknown condition {cond!r}")
@@ -930,6 +1020,7 @@ def suggest_a(
     if trial_a.size == 0:
         raise ValueError("trial grid must be nonempty")
     _check_rates(trial_a, "trial rates")
+    n_check = _check_depth(n_check)
     pre = _Precomp(sys, thetas)
     active = _active(sys)
     _check_structural(sys, cond, active)
@@ -946,14 +1037,11 @@ def suggest_a(
             prescribed.append(i)
             continue
         cand = trials_per_comp[i]
-        vals = np.empty(cand.size)
-        for k, a_i in enumerate(cand):
-            entry = _component_margins(pre, cond, i, a_i, n_check)
-            if cond == "G4":
-                marg, _, found, _ = entry["_g4"]
-                vals[k] = float(np.min(marg)) if np.all(found) else -np.inf
-            else:
-                vals[k] = min(float(np.min(arr)) for arr in entry.values())
+        entry = _component_margins(pre, cond, i, cand, n_check)
+        if cond == "G4":
+            vals = np.min(entry["_g4"][0], axis=1)  # -inf where some phase has no n0
+        else:
+            vals = np.min([np.min(arr, axis=1) for arr in entry.values()], axis=0)
         surface[: cand.size, i] = vals
         top = np.max(vals)
         tied = np.nonzero(vals >= top - _EQ_TOL)[0]

@@ -11,8 +11,12 @@ afresh at every node with SciPy, where `make_comparison_upper` walks the
 nodes by the semigroup from two NumPy exponentials. `run_direct` and
 `run_ordered_pair_direct` log while they step, one point at a time through
 a HistoryGrid window and `total_mass`, where `run` and `run_ordered_pair`
-derive the log from the stored buffers after the run. Tests compare each
-pair.
+derive the log from the stored buffers after the run.
+`component_margins_direct` and `g4_component_direct` evaluate the condition
+margins at one rate a_i, with the G4 sequences held as full
+(n_check+1, n) arrays and reduced with prefix and suffix minima, where
+`compartment._component_margins` evaluates a vector of rates at once and
+streams G4 over the depth. Tests compare each pair.
 """
 
 import math
@@ -23,10 +27,10 @@ import scipy.linalg
 
 from nfde_lab import NeutralDiagSystem, TorusPoint, advance, eval_trig
 from nfde_lab.base_flow import advance_many
-from nfde_lab.compartment import _general, _rate, _coeff_at, total_mass
+from nfde_lab.compartment import _general, _nmin, _rate, _coeff_at, total_mass
 from nfde_lab.d_operator import eval_poly_matrix_many
 from nfde_lab.errors import UnorderedPairError
-from nfde_lab.history import _SNAP, HistoryGrid, TailPolicy, _nodes, cubic_rows
+from nfde_lab.history import _EQ_TOL, _SNAP, HistoryGrid, TailPolicy, _nodes, cubic_rows
 from nfde_lab.integrator import PairLog, TrajectoryLog, _Stage, init_from_z, step
 from nfde_lab.ordering import matrix_exp
 
@@ -101,6 +105,80 @@ def pq_sequence(sys: NeutralDiagSystem, p: TorusPoint, i: int, a: float, N: int)
         pv[n - 1] = pn
         q[n] = q[n - 1] * ea + pn
     return pv, q
+
+
+def g4_component_direct(pre, i: int, a_i: float, n_check: int):
+    """G4 margins of component i at one rate from the whole depth table.
+
+    Returns (margins (n,), n0 (n,), found mask, tail_certified).
+    """
+    sys = pre.sys
+    alpha_i, rho_ii = sys.alpha[i], sys.rho[i][i]
+    L = pre.L_plus[:, i]
+    lm = pre.l_minus_shifted(i)
+    fac = math.exp(a_i * (alpha_i - rho_ii))
+    ea = math.exp(a_i * alpha_i)
+    neg_LC, C_sh = pre.g4_terms(i, n_check)
+    n_pts = L.shape[0]
+    # row n-1 holds p[n]; row n of qvals holds q[n]
+    pvals = neg_LC + (fac * lm) * C_sh
+    qvals = np.empty((n_check + 1, n_pts))
+    qvals[0] = -L - a_i
+    for nn in range(1, n_check + 1):
+        qvals[nn] = qvals[nn - 1] * ea + pvals[nn - 1]
+    # prefix: all q[0..n-1] >= 0; suffix: all p[n+1..] >= 0
+    q_pref_min = np.empty((n_check + 1, n_pts))
+    q_pref_min[0] = np.inf
+    np.minimum.accumulate(qvals[:-1], axis=0, out=q_pref_min[1:])
+    p_suff_min = np.empty((n_check + 1, n_pts))
+    p_suff_min[n_check] = np.inf
+    p_suff_min[:-1] = np.minimum.accumulate(pvals[::-1], axis=0)[::-1]
+    feasible = (q_pref_min >= 0.0) & (qvals > 0.0) & (p_suff_min >= 0.0)
+    found = feasible.any(axis=0)
+    n0 = np.where(found, np.argmax(feasible, axis=0), -1)
+    cols = np.arange(n_pts)
+    margins = np.where(
+        found,
+        np.minimum(
+            np.minimum(qvals[n0, cols], p_suff_min[n0, cols]),
+            np.where(n0 > 0, q_pref_min[n0, cols], np.inf),
+        ),
+        -np.inf,
+    )
+    cert_vals = -L * sys.c_sup[i] + fac * np.min(lm)
+    sound = abs(rho_ii - alpha_i) <= _EQ_TOL or sys.c[i].is_constant()
+    tail_certified = bool(sound and np.min(cert_vals) >= 0.0)
+    return margins, n0, found, tail_certified
+
+
+def component_margins_direct(pre, cond: str, i: int, a_i: float, n_check: int) -> dict:
+    """Margin arrays (n,) of one active component at one rate, keyed by sub-inequality."""
+    sys = pre.sys
+    alpha_i, rho_ii = sys.alpha[i], sys.rho[i][i]
+    L = pre.L_plus[:, i]
+    ci = pre.c[:, i]
+    if cond == "G3":
+        c2 = ci * pre.c_shifted(i, alpha_i)
+        return {
+            "G3.1": (-a_i - L) * math.exp(a_i * alpha_i) - L * ci,
+            "G3.2": pre.l_minus_shifted(i) - L * c2,
+        }
+    if cond == "G5":
+        return {"G5": pre.l_minus_shifted(i) - L * ci}
+    if cond == "G8":
+        gam = pre.gamma()[:, i]
+        return {"G8": -L - a_i + _nmin(a_i * ci + gam) * math.exp(-a_i * alpha_i)}
+    if cond == "G9":
+        gam = pre.gamma()[:, i]
+        return {
+            "G9.1": -a_i - L,
+            "G9.2": (
+                math.exp(a_i * rho_ii) * (-a_i - L)
+                + pre.l_minus_shifted(i)
+                + math.exp(a_i * (rho_ii - alpha_i)) * _nmin(a_i * ci + gam)
+            ),
+        }
+    return {"_g4": g4_component_direct(pre, i, a_i, n_check)}
 
 
 def stage_direct(state, t_s: float) -> _Stage:

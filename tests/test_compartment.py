@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,12 +30,13 @@ from nfde_lab import (
     suggest_a,
     total_mass,
 )
+from nfde_lab import compartment
 from nfde_lab.base_flow import derivative_along_flow_many, eval_trig_many
-from nfde_lab.compartment import condition_margins
+from nfde_lab.compartment import _component_margins, _Precomp, condition_margins
 from nfde_lab.d_operator import identity_poly_matrix, sample_thetas
 
 from .conftest import const_c_system, s1_system
-from .oracles import c_product, lipschitz_bounds, pq_sequence
+from .oracles import c_product, component_margins_direct, lipschitz_bounds, pq_sequence
 
 
 def open_scalar_system(flow, inflow=0.0, outflow_gain=0.0):
@@ -437,16 +439,21 @@ def test_suggest_a_zero_gains_ties_toward_zero(golden_flow):
     assert report.a[0] == 0.0
 
 
-# --- the rate scan against the public per-trial checker ---------------------
+# --- the rate scan against the per-rate oracle ------------------------------
 
 SILVER_FREQ = np.sqrt(2.0) - 1.0
 ORACLE_SAMPLING = SamplingConfig(grid_per_dim=3, orbit_points=8)
 ORACLE_TRIALS = np.array([-3.0, -1.5, -0.5, 0.0])
-ORACLE_DEPTH = 12
+# rates handed to the scan directly: duplicates, and some with mixed feasibility
+SCAN_RATES = np.array([-3.0, -1.5, -1.5, -1.0, -0.5, 0.0])
 
 
-def _random_diag_system(rng, m, cond, dim):
-    """Small system whose diagonal lags fit the structure `cond` requires."""
+def _random_diag_system(rng, m, cond, dim, equal_lags=False, const_c=False):
+    """Small system whose diagonal lags fit the structure `cond` requires.
+
+    With equal_lags, rho_ii = alpha_i wherever the structure allows it;
+    with const_c, every coefficient c_i is constant.
+    """
     flow = TorusFlow([GOLDEN_FREQ, SILVER_FREQ][:dim])
 
     def poly(c0, amp):
@@ -458,11 +465,18 @@ def _random_diag_system(rng, m, cond, dim):
     alpha = rng.uniform(0.5, 1.5, m)
     rho = rng.uniform(0.1, 1.0, (m, m))
     ratio = {"G3": 2.0, "G5": 1.0, "G8": rng.uniform(0.2, 1.8)}.get(cond, rng.uniform(0.2, 1.0))
+    if equal_lags and cond != "G3":
+        ratio = 1.0
     rho[np.diag_indices(m)] = ratio * alpha
-    c = tuple(
-        TrigPoly.const(0.0) if rng.random() < 0.2 else poly(rng.uniform(0.08, 0.2), 0.04)
-        for _ in range(m)
-    )
+
+    def coefficient():
+        if rng.random() < 0.2:
+            return TrigPoly.const(0.0)
+        if const_c:
+            return TrigPoly.const(rng.uniform(0.08, 0.2))
+        return poly(rng.uniform(0.08, 0.2), 0.04)
+
+    c = tuple(coefficient() for _ in range(m))
     transports = tuple(
         tuple(
             TransportSpec(
@@ -495,35 +509,174 @@ def _worst_margin(cond, entry):
     return min(float(np.min(arr)) for arr in entry.values())
 
 
-@settings(max_examples=30, deadline=None)
+def _row(cond, entry, k):
+    """Rate k of the scan's (T, n) arrays, in `condition_margins`' form."""
+    if cond == "G4":
+        marg, n0, found, certified = entry["_g4"]
+        return {"_g4": (marg[k], n0[k], found[k], bool(certified[k]))}
+    return {name: arr[k] for name, arr in entry.items()}
+
+
+def _assert_same(got, want):
+    """Margins, n0, found and tail_certified agree bit for bit."""
+    assert list(got) == list(want)
+    for name, w in want.items():
+        if name != "_g4":
+            assert got[name].tobytes() == w.tobytes(), name
+            continue
+        *g_arrays, g_cert = got[name]
+        *w_arrays, w_cert = w
+        for g, ww in zip(g_arrays, w_arrays):
+            assert g.dtype == ww.dtype and g.tobytes() == ww.tobytes()
+        assert g_cert is w_cert
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
     m=st.sampled_from([1, 2, 3]),
     cond=st.sampled_from(["G3", "G4", "G5", "G8", "G9"]),
     dim=st.sampled_from([1, 2]),
+    equal_lags=st.booleans(),
+    const_c=st.booleans(),
+    n_check=st.sampled_from([0, 1, 2, 50]),
+    chunk=st.sampled_from([1, 2, 5, None]),
 )
-def test_suggest_a_matches_per_trial_condition_margins(seed, m, cond, dim):
-    sys = _random_diag_system(np.random.default_rng(seed), m, cond, dim)
+def test_rate_scan_matches_per_rate_oracle(
+    seed, m, cond, dim, equal_lags, const_c, n_check, chunk
+):
+    sys = _random_diag_system(np.random.default_rng(seed), m, cond, dim, equal_lags, const_c)
     thetas = sample_thetas(sys.flow, ORACLE_SAMPLING)
-    report = suggest_a(sys, cond, ORACLE_SAMPLING, ORACLE_TRIALS, ORACLE_DEPTH)
-    canon = _canonical_rates(sys, thetas)
-    for i in range(m):
-        if sys.c[i].is_zero():
-            assert i in report.prescribed
-            assert report.a[i] == canon[i]
-            assert np.all(np.isnan(report.margins[:, i]))
-            continue
-        cand = np.unique(np.concatenate([ORACLE_TRIALS, [canon[i]]]))
-        want = np.array(
-            [
-                _worst_margin(cond, condition_margins(sys, cond, [a] * m, thetas, ORACLE_DEPTH)[i])
-                for a in cand
-            ]
-        )
-        got = report.margins[: cand.size, i]
-        assert got.tobytes() == want.tobytes()  # bit for bit
-        assert np.all(np.isnan(report.margins[cand.size :, i]))
-        assert report.a[i] == cand[want >= np.max(want) - 1e-12].max()
+    elements = compartment._SCAN_ELEMENTS if chunk is None else chunk * thetas.shape[0]
+    with patch.object(compartment, "_SCAN_ELEMENTS", elements):
+        pre = _Precomp(sys, thetas)
+        report = suggest_a(sys, cond, ORACLE_SAMPLING, ORACLE_TRIALS, n_check)
+        canon = _canonical_rates(sys, thetas)
+        assert np.array_equal(pre.canonical_a(), canon)
+        one_rate = condition_margins(sys, cond, SCAN_RATES[[3] * m], thetas, n_check)
+        for i in range(m):
+            if sys.c[i].is_zero():
+                assert i in report.prescribed
+                assert report.a[i] == canon[i]
+                assert np.all(np.isnan(report.margins[:, i]))
+                continue
+            rates = np.concatenate([SCAN_RATES, [canon[i], canon[i]]])
+            got = _component_margins(pre, cond, i, rates, n_check)
+            for k, a in enumerate(rates):
+                want = component_margins_direct(pre, cond, i, a, n_check)
+                _assert_same(_row(cond, got, k), want)
+            # the public one-rate path
+            _assert_same(one_rate[i], component_margins_direct(pre, cond, i, SCAN_RATES[3], n_check))
+            # the suggest_a surface and its choice
+            cand = np.unique(np.concatenate([ORACLE_TRIALS, [canon[i]]]))
+            vals = np.array(
+                [_worst_margin(cond, component_margins_direct(pre, cond, i, a, n_check)) for a in cand]
+            )
+            assert report.margins[: cand.size, i].tobytes() == vals.tobytes()
+            assert np.all(np.isnan(report.margins[cand.size :, i]))
+            assert report.a[i] == cand[vals >= np.max(vals) - 1e-12].max()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, None])
+def test_g4_scan_covers_unfound_and_deep_phases(golden_flow, chunk):
+    # rho < alpha with oscillating c and gain: at a = -1 the rate splits the
+    # phases into feasible and infeasible ones, and at a = -3 some phases
+    # only become feasible past depth 0
+    c = (TrigPoly.from_terms(0.3, [([1], 0.0, 0.2)]),)
+    gain = TransportSpec(TrigPoly.from_terms(1.0, [([1], 0.3, 0.0)]), ShapeFn.sine_bend(0.3))
+    sys = NeutralDiagSystem(
+        m=1,
+        c=c,
+        alpha=np.array([1.0]),
+        rho=np.array([[0.6]]),
+        transports=((gain,),),
+        flow=golden_flow,
+    )
+    thetas = sample_thetas(golden_flow, SamplingConfig(grid_per_dim=16, orbit_points=16))
+    rates = np.array([-3.0, -1.0, -1.0, 0.0])
+    elements = compartment._SCAN_ELEMENTS if chunk is None else chunk * thetas.shape[0]
+    with patch.object(compartment, "_SCAN_ELEMENTS", elements):
+        pre = _Precomp(sys, thetas)
+        got = _component_margins(pre, "G4", 0, rates, 20)
+    for k, a in enumerate(rates):
+        _assert_same(_row("G4", got, k), component_margins_direct(pre, "G4", 0, a, 20))
+    _, n0, found, _ = got["_g4"]
+    assert found[1].any() and not found[1].all()
+    assert not found[3].any()
+    assert n0[0].max() > 0
+
+
+def test_g4_scan_zero_q_is_not_feasible(golden_flow):
+    # L_plus = 1 and a = -1 make q[0] exactly 0: depth 0 fails q[0] > 0, depth 1 holds
+    pre = _Precomp(s1_system(golden_flow), sample_thetas(golden_flow, ORACLE_SAMPLING))
+    got = _component_margins(pre, "G4", 0, np.array([-1.0]), 5)
+    _assert_same(_row("G4", got, 0), component_margins_direct(pre, "G4", 0, -1.0, 5))
+    assert np.all(got["_g4"][1] == 1)
+
+
+def test_check_condition_builds_phase_data_once(golden_flow):
+    built = []
+
+    class Counting(_Precomp):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    sys = NeutralDiagSystem(
+        m=2,
+        c=(TrigPoly.const(0.2), TrigPoly.const(0.0)),
+        alpha=np.array([1.0, 1.0]),
+        rho=np.ones((2, 2)),
+        transports=(
+            (TransportSpec.linear(1.0), TransportSpec.linear(0.5)),
+            (TransportSpec.zero(), TransportSpec.linear(2.0)),
+        ),
+        flow=golden_flow,
+    )
+    with patch.object(compartment, "_Precomp", Counting):
+        rep = check_condition(sys, "G5", [-2.0, -2.0])
+    assert len(built) == 1
+    assert rep.components[1].skipped
+    assert rep.components[1].prescribed_a == -3.5  # -(0.5 + 2.0) - 1
+
+
+def test_g4_terms_keep_no_shifted_rows(golden_flow):
+    # alpha = rho = 1: the shifted product reuses all but one row of the other
+    pre = _Precomp(s1_system(golden_flow), sample_thetas(golden_flow, ORACLE_SAMPLING))
+    calls = []
+
+    def counting(poly, thetas):
+        calls.append(poly)
+        return eval_trig_many(poly, thetas)
+
+    with patch.object(compartment, "eval_trig_many", counting):
+        neg_LC, C_sh = pre.g4_terms(0, 10)
+    assert len(calls) == 11  # shifts 0, 1, ..., 10 once each
+    assert neg_LC.shape == C_sh.shape == (10, pre.thetas.shape[0])
+    assert pre._c_shift == {}
+    pre.c_shifted(0, 1.0)  # the G3 row stays for the life of the data
+    assert list(pre._c_shift[0]) == [1.0]
+
+
+@pytest.mark.parametrize("n_check", [-1, 2.5, float("nan"), "3", True, None])
+@pytest.mark.parametrize("call", ["condition_margins", "check_condition", "suggest_a"])
+def test_n_check_must_be_a_whole_number(golden_flow, call, n_check):
+    s1 = s1_system(golden_flow)
+    with pytest.raises(ValueError, match="n_check"):
+        if call == "condition_margins":
+            condition_margins(s1, "G4", [-2.0], sample_thetas(golden_flow), n_check)
+        elif call == "check_condition":
+            check_condition(s1, "G4", [-2.0], n_check=n_check)
+        else:
+            suggest_a(s1, "G4", n_check=n_check)
+
+
+@pytest.mark.parametrize("n_check", [0, 3.0, np.int64(3)])
+def test_n_check_accepts_whole_numbers(golden_flow, n_check):
+    s1 = s1_system(golden_flow)
+    rep = check_condition(s1, "G4", [-2.0], n_check=n_check)
+    assert rep.components[0].n0_max == 0
+    assert suggest_a(s1, "G4", n_check=n_check).a.shape == (1,)
 
 
 def test_suggest_a_structural_precondition(golden_flow):

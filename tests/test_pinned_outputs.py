@@ -1,10 +1,13 @@
-"""Pinned CLI numbers: a drift in the integrator's arithmetic fails here.
+"""Pinned CLI numbers: a drift in the integrator's or the checkers' arithmetic fails here.
 
-Each case runs one CLI task and compares every number in `summary.txt` and
-the column sums of `result.csv` with values recorded before the stage plan
-replaced the per-stage phase computations (which left every output
-byte-identical). The tolerance is 1e-12 relative: a change of the method
-or of its floating-point order moves these sums far more.
+Each integration case runs one CLI task and compares every number in
+`summary.txt` and the column sums of `result.csv` with values recorded
+before the stage plan replaced the per-stage phase computations (which left
+every output byte-identical). The `check` case compares every suggested
+rate and margin in `summary.txt` and every margin in `result.csv` with
+values recorded before the rate scan evaluated all trial rates at once.
+The tolerance is 1e-12 relative: a change of the method or of its
+floating-point order moves these numbers far more.
 """
 
 import csv
@@ -129,3 +132,68 @@ def test_pinned_cli_numbers(tmp_path, case):
     assert list(sums) == list(sums_ref)
     for name, ref in sums_ref.items():
         assert sums[name] == pytest.approx(ref, rel=1e-12, abs=0.0), name
+
+
+# A 3-compartment neutral-diagonal system with rho_ii = alpha_i, checked
+# under G4, G5 and G9 with scanned rates.
+D3 = {
+    "schema": 1,
+    "flow": {"freqs": [0.6180339887498949, 0.41421356237309515]},
+    "system": {
+        "kind": "neutral_diag",
+        "m": 3,
+        "c": [
+            _poly(0.18, [1, 0], sin=0.05),
+            _poly(0.16, [0, 1], cos=0.05),
+            _poly(0.17, [1, 1], sin=0.04),
+        ],
+        "alpha": [1.0, 0.8, 1.2],
+        "rho": [[1.0, 0.5, 0.5], [0.5, 0.8, 0.5], [0.5, 0.5, 1.2]],
+        "gains": [[1.0, 0.1, 0.05], [0.12, 0.95, 0.1], [0.08, 0.1, 1.05]],
+        "g6": True,
+    },
+    "sampling": {"grid_per_dim": 12, "orbit_points": 64},
+    "check": {"conditions": ["G4", "G5", "G9"], "a": "auto"},
+}
+D3_SUGGESTED = {"G4": [-1.25, -1.25, -1.25], "G5": [0.0, 0.0, 0.0], "G9": [-1.75, -2.0, -1.75]}
+# (condition, component, sub, margin): the rows of result.csv, also in summary.txt
+D3_MARGINS = [
+    ("G4", 0, "G4", 7.1937114411163349e-38),
+    ("G4", 1, "G4", 1.4748935851013438e-40),
+    ("G4", 2, "G4", 5.9563117915361476e-39),
+    ("G5", 0, "G5", 0.72399999999999998),
+    ("G5", 1, "G5", 0.70849999999999991),
+    ("G5", 2, "G5", 0.79800000000000004),
+    ("G9", 0, "G9.1", 0.54999999999999982),
+    ("G9", 0, "G9.2", 0.567613372450263),
+    ("G9", 1, "G9.1", 0.84999999999999987),
+    ("G9", 1, "G9.2", 0.63749758364274234),
+    ("G9", 2, "G9.1", 0.54999999999999982),
+    ("G9", 2, "G9.2", 0.55114118382005706),
+]
+SUGGESTED = re.compile(r"^(G\d): suggested a = \[(.*)\]$")
+MARGIN = re.compile(r"^(G\d) comp (\d+) (G[\d.]+): margin (\S+)")
+
+
+def test_pinned_check_numbers(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(D3))
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(path), "--out", str(out)]) == 0
+    suggested, margins = {}, []
+    for line in (out / "summary.txt").read_text().splitlines():
+        if m := SUGGESTED.match(line):
+            suggested[m[1]] = [float(v.strip("' ")) for v in m[2].split(",")]
+        elif m := MARGIN.match(line):
+            margins.append((m[1], int(m[2]), m[3], float(m[4])))
+    assert list(suggested) == list(D3_SUGGESTED)
+    for cond, want in D3_SUGGESTED.items():
+        assert suggested[cond] == pytest.approx(want, rel=1e-12, abs=0.0), cond
+    with open(out / "result.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:4] == ["condition", "component", "sub", "margin"]
+    from_csv = [(r[0], int(r[1]), r[2], float(r[3])) for r in rows[1:]]
+    for got in (margins, from_csv):
+        assert [g[:3] for g in got] == [w[:3] for w in D3_MARGINS]
+        for g, w in zip(got, D3_MARGINS):
+            assert g[3] == pytest.approx(w[3], rel=1e-12, abs=0.0), w[:3]
