@@ -91,6 +91,19 @@ def _req(node: dict, key: str, where: str):
     return node[key]
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _flag(value, where: str) -> bool:
+    """A JSON true or false; a string such as "false" is not read as a truth value."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _num(value, where: str, array: bool = False):
     """value as a float, or as a float array when array is set."""
     try:
@@ -106,7 +119,7 @@ def _parse_poly(node, where: str) -> TrigPoly:
         raise ConfigError(f"{where}: polynomial must be a number or an object")
     constant = _num(node.get("constant", 0.0), f"{where}.constant")
     terms = []
-    for t in node.get("terms", []):
+    for t in _list(node.get("terms", []), f"{where}.terms"):
         k = _req(t, "k", f"{where}.terms")
         k = [_whole(v, f"{where}.terms.k") for v in (k if isinstance(k, list) else [k])]
         cos = _num(t.get("cos", 0.0), f"{where}.terms.cos")
@@ -124,7 +137,11 @@ def _parse_shape(node, where: str) -> ShapeFn:
     if node == "saturate":
         return ShapeFn.saturate()
     if isinstance(node, dict) and node.get("kind") == "sine_bend":
-        return ShapeFn.sine_bend(_num(_req(node, "eps", where), f"{where}.eps"))
+        eps = _num(_req(node, "eps", where), f"{where}.eps")
+        try:
+            return ShapeFn.sine_bend(eps)
+        except ValueError as e:
+            raise ConfigError(f"{where}.eps: {e}") from e
     raise ConfigError(f"{where}: unknown shape {node!r}")
 
 
@@ -165,7 +182,7 @@ def _parse_system(cfg: dict, flow: TorusFlow):
     kind = _req(node, "kind", "system")
     m = _whole(_req(node, "m", "system"), "system.m")
     if kind == "neutral_diag":
-        c = [_parse_poly(v, "system.c") for v in _req(node, "c", "system")]
+        c = [_parse_poly(v, "system.c") for v in _list(_req(node, "c", "system"), "system.c")]
         if len(c) != m:
             raise ConfigError("system.c must have m entries")
         alpha = _num(_req(node, "alpha", "system"), "system.alpha", array=True)
@@ -179,7 +196,7 @@ def _parse_system(cfg: dict, flow: TorusFlow):
                 rho=rho,
                 transports=gains,
                 flow=flow,
-                g6=bool(node.get("g6", False)),
+                g6=_flag(node.get("g6", False), "system.g6"),
             )
         except (ValueError, TypeError) as e:
             raise ConfigError(f"system: {e}") from e
@@ -190,10 +207,11 @@ def _parse_system(cfg: dict, flow: TorusFlow):
         )
         outflows = tuple(
             _parse_transports([[v]], 1, "system.outflows")[0][0]
-            for v in node.get("outflows", [0.0] * m)
+            for v in _list(node.get("outflows", [0.0] * m), "system.outflows")
         )
         inflows = tuple(
-            _parse_poly(v, "system.inflows") for v in node.get("inflows", [0.0] * m)
+            _parse_poly(v, "system.inflows")
+            for v in _list(node.get("inflows", [0.0] * m), "system.inflows")
         )
         pipes_node = node.get("pipes")
         try:
@@ -244,9 +262,9 @@ def _parse_dspec(node, m, flow) -> DOperatorSpec:
 
 
 def _parse_cone(cfg: dict, m: int):
-    node = cfg.get("cone")
-    if node is None:
+    if cfg.get("cone") is None:
         return None
+    node = _block(cfg, "cone", {})
     if "a_diag" in node:
         A = np.diag(_num(node["a_diag"], "cone.a_diag", array=True))
     elif "A" in node:
@@ -258,7 +276,7 @@ def _parse_cone(cfg: dict, m: int):
     horizon = node.get("horizon", "inf")
     horizon = math.inf if horizon in ("inf", None) else _num(horizon, "cone.horizon")
     try:
-        return ConeSpec(A, horizon, bool(node.get("assume_hurwitz", False)))
+        return ConeSpec(A, horizon, _flag(node.get("assume_hurwitz", False), "cone.assume_hurwitz"))
     except ValueError as e:
         raise ConfigError(f"cone: {e}") from e
 
@@ -288,12 +306,28 @@ _COVERING_DEFAULTS = {"return_tols": [1e-1, 3e-2, 1e-2], "window": 50.0, "t_min"
 _YHAT_DEFAULTS = {"step": 0.05, "horizon": 40.0}
 _OFFSET_DEFAULTS = {"lam": 0.1}
 
+# Every key of the blocks whose keys are all known; any other key in one of
+# them is a misspelling. History blocks are not listed: their keys depend on
+# their kind.
+_KEYS = {
+    "sim": set(_SIM_DEFAULTS),
+    "sampling": set(_SAMPLING_DEFAULTS),
+    "check": {*_CHECK_DEFAULTS, "trial_a"},
+    "covering": set(_COVERING_DEFAULTS),
+    "flow": {"freqs"},
+    "cone": {"a_diag", "A", "horizon", "assume_hurwitz"},
+    "thresholds": {"mass_residual", "cone_margin"},
+}
+
 
 def _block(cfg: dict, name: str, defaults: dict) -> dict:
     """A config block with each missing key set to its default."""
     node = cfg.get(name, {})
     if not isinstance(node, dict):
         raise ConfigError(f"{name}: expected an object, got {node!r}")
+    unknown = sorted(set(node) - _KEYS.get(name, set(node)))
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {unknown}")
     return {**defaults, **node}
 
 
@@ -371,6 +405,9 @@ def _parse_history(node, where, m, step, horizon) -> HistoryGrid:
     kind = _req(node, "kind", where)
     horizon = _num(node.get("horizon", horizon), f"{where}.horizon")
     step = _num(node.get("step", step), f"{where}.step")
+    for key, v in (("step", step), ("horizon", horizon)):
+        if not 0.0 < v < math.inf:
+            raise ConfigError(f"{where}.{key}: expected a finite number > 0, got {v!r}")
 
     def floats(key, default=None):
         value = _req(node, key, where) if default is None else node.get(key, default)
@@ -380,8 +417,11 @@ def _parse_history(node, where, m, step, horizon) -> HistoryGrid:
         value = floats("value")
         if value.size != m:
             raise ConfigError(f"{where}: value must have {m} entries")
-        return from_function(lambda s: np.tile(value, (s.size, 1)), step, horizon)
-    if kind == "sinusoid":
+
+        def f(s):
+            return np.tile(value, (s.size, 1))
+
+    elif kind == "sinusoid":
         base = floats("base")
         amp = floats("amp", [0.0] * m)
         period = floats("period", [1.0] * m)
@@ -394,13 +434,18 @@ def _parse_history(node, where, m, step, horizon) -> HistoryGrid:
                 2.0 * np.pi * s[:, None] / period[None, :] + phase[None, :]
             )
 
-        return from_function(f, step, horizon)
-    if kind == "csv":
+    elif kind == "csv":
         try:
             return import_csv(_req(node, "path", where))
         except (OSError, ValueError) as e:
             raise ConfigError(f"{where}: {e}") from e
-    raise ConfigError(f"{where}: unknown history kind {kind!r}")
+    else:
+        raise ConfigError(f"{where}: unknown history kind {kind!r}")
+    try:
+        with np.errstate(all="ignore"):  # the grid rejects samples that are not finite
+            return from_function(f, step, horizon)
+    except ValueError as e:  # samples that are not finite, or fewer than two
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def _echo(cfg, outdir):
@@ -410,9 +455,11 @@ def _echo(cfg, outdir):
 
 
 def _write_summary(outdir, lines):
+    """Write summary.txt and print the same lines."""
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         for line in lines:
             fh.write(line + "\n")
+    print("\n".join(lines))
 
 
 # --- tasks -------------------------------------------------------------------
@@ -443,10 +490,10 @@ def cmd_check(cfg: dict, outdir: str) -> int:
     all_pass = True
     for cond in conds:
         if a_node == "auto":
-            sugg = suggest_a(sys_obj, cond, sampling, trial)
-            a = sugg.a
-            lines.append(f"{cond}: suggested a = {[_fmt(v) for v in a]}")
-        report = check_condition(sys_obj, cond, a, sampling)
+            report = suggest_a(sys_obj, cond, sampling, trial).report
+            lines.append(f"{cond}: suggested a = {[_fmt(v) for v in report.a]}")
+        else:
+            report = check_condition(sys_obj, cond, a, sampling)
         all_pass &= report.passed
         for compv in report.components:
             if compv.skipped:
@@ -480,7 +527,6 @@ def cmd_check(cfg: dict, outdir: str) -> int:
     )
     lines.append(f"overall={'PASS' if all_pass else 'FAIL'}")
     _write_summary(outdir, lines)
-    print("\n".join(lines))
     return EXIT_OK if all_pass else EXIT_FAILED_CHECK
 
 
@@ -521,7 +567,6 @@ def cmd_simulate(cfg: dict, outdir: str) -> int:
         lines.append(f"threshold_exceeded=mass_residual ({_fmt(mass_dev)} > {_fmt(thr)})")
         code = EXIT_THRESHOLD
     _write_summary(outdir, lines)
-    print("\n".join(lines))
     return code
 
 
@@ -564,7 +609,6 @@ def cmd_pair(cfg: dict, outdir: str) -> int:
         lines.append(f"threshold_exceeded=cone_margin ({_fmt(min_margin)} < {_fmt(thr)})")
         code = EXIT_THRESHOLD
     _write_summary(outdir, lines)
-    print("\n".join(lines))
     return code
 
 
@@ -574,6 +618,8 @@ def cmd_invert(cfg: dict, outdir: str) -> int:
     dspec = sys_obj if isinstance(sys_obj, DOperatorSpec) else sys_obj.dspec
     node = _req(cfg, "yhat", "config")
     tol = _num(cfg["sim"]["inv_tol"], "sim.inv_tol")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"sim.inv_tol: expected a finite number > 0, got {tol!r}")
     yhat = _parse_history(
         node, "yhat", dspec.m, _YHAT_DEFAULTS["step"], _YHAT_DEFAULTS["horizon"]
     )
@@ -590,7 +636,6 @@ def cmd_invert(cfg: dict, outdir: str) -> int:
         f"roundtrip_residual={_fmt(resid)}",
     ]
     _write_summary(outdir, lines)
-    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -611,7 +656,6 @@ def cmd_mass_audit(cfg: dict, outdir: str) -> int:
         lines.append(f"threshold_exceeded=mass_residual ({_fmt(worst)} > {_fmt(thr)})")
         code = EXIT_THRESHOLD
     _write_summary(outdir, lines)
-    print("\n".join(lines))
     return code
 
 
@@ -642,7 +686,6 @@ def cmd_covering(cfg: dict, outdir: str) -> int:
     lines.append(f"e_max_trend_monotone_decreasing={'yes' if monotone else 'no'}")
     lines.append("diagnostic_only=yes")
     _write_summary(outdir, lines)
-    print("\n".join(lines))
     return EXIT_OK
 
 

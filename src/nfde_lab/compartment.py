@@ -235,11 +235,6 @@ class CompartmentalSystem:
         ]
         return max(lags, default=0.0)
 
-    def is_closed(self) -> bool:
-        return all(t.is_zero() for t in self.outflows) and all(
-            p.is_zero() for p in self.inflows
-        )
-
 
 def _induced_dspec(m, c, alpha, flow) -> DOperatorSpec:
     zero = TrigPoly.const(0.0)
@@ -306,7 +301,6 @@ class NeutralDiagSystem:
         elif np.any(cvals >= 1.0 - _EQ_TOL):
             raise StructuralPreconditionError("each c_i must stay below 1")
         object.__setattr__(self, "_c_sup", np.max(cvals, axis=0))
-        object.__setattr__(self, "_c_inf", np.min(cvals, axis=0))
         dspec = _induced_dspec(self.m, self.c, alpha, self.flow)
         zero_t = TransportSpec.zero()
         zero_p = TrigPoly.const(0.0)
@@ -332,10 +326,6 @@ class NeutralDiagSystem:
     @property
     def c_sup(self) -> np.ndarray:
         return self._c_sup
-
-    @property
-    def c_inf(self) -> np.ndarray:
-        return self._c_inf
 
 
 def _general(sys) -> CompartmentalSystem:
@@ -657,33 +647,32 @@ def _nmin(x):
     return np.minimum(x, 0.0)
 
 
-def _check_structural(sys: NeutralDiagSystem, cond: str, active) -> None:
+def _prepare(sys: NeutralDiagSystem, cond: str, thetas: np.ndarray, n_check) -> tuple:
+    """Validate one condition's inputs and build its phase data.
+
+    Returns (phase data, the components whose c_i is not identically zero,
+    n_check as an int).
+    """
+    if cond not in CONDITIONS:
+        raise ValueError(f"unknown condition {cond!r}")
+    whole = isinstance(n_check, (int, np.integer)) or (
+        isinstance(n_check, (float, np.floating)) and float(n_check).is_integer()
+    )
+    if isinstance(n_check, bool) or not whole or n_check < 0:
+        raise ValueError(f"n_check must be a whole number >= 0, got {n_check!r}")
+    active = [i for i in range(sys.m) if not sys.c[i].is_zero()]
     for i in active:
         rho_ii, alpha_i = sys.rho[i][i], sys.alpha[i]
         if cond == "G3" and abs(rho_ii - 2.0 * alpha_i) > _EQ_TOL:
-            raise StructuralPreconditionError(
-                f"G3 needs rho_ii = 2 alpha_i for component {i}"
-            )
+            raise StructuralPreconditionError(f"G3 needs rho_ii = 2 alpha_i for component {i}")
         if cond == "G5" and abs(rho_ii - alpha_i) > _EQ_TOL:
-            raise StructuralPreconditionError(
-                f"G5 needs rho_ii = alpha_i for component {i}"
-            )
+            raise StructuralPreconditionError(f"G5 needs rho_ii = alpha_i for component {i}")
         if cond in ("G4", "G9") and rho_ii > alpha_i + _EQ_TOL:
-            raise StructuralPreconditionError(
-                f"{cond} needs rho_ii <= alpha_i for component {i}"
-            )
-
-
-def _check_coefficient_sum(pre: _Precomp, cond: str) -> None:
+            raise StructuralPreconditionError(f"{cond} needs rho_ii <= alpha_i for component {i}")
+    pre = _Precomp(sys, thetas)
     if cond in ("G8", "G9") and np.any(pre.c.sum(axis=1) >= 1.0 - _EQ_TOL):
-        raise StructuralPreconditionError(
-            f"{cond} needs sum_i c_i < 1 at every sampled phase"
-        )
-
-
-def _active(sys: NeutralDiagSystem) -> list:
-    """Components whose coefficient is not identically zero."""
-    return [i for i in range(sys.m) if not sys.c[i].is_zero()]
+        raise StructuralPreconditionError(f"{cond} needs sum_i c_i < 1 at every sampled phase")
+    return pre, active, int(n_check)
 
 
 def _check_rates(a: np.ndarray, what: str) -> None:
@@ -691,15 +680,6 @@ def _check_rates(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
     if np.any(a > 0):
         raise ValueError(f"{what} must be <= 0")
-
-
-def _check_depth(n_check) -> int:
-    whole = isinstance(n_check, (int, np.integer)) or (
-        isinstance(n_check, (float, np.floating)) and float(n_check).is_integer()
-    )
-    if isinstance(n_check, bool) or not whole or n_check < 0:
-        raise ValueError(f"n_check must be a whole number >= 0, got {n_check!r}")
-    return int(n_check)
 
 
 def _exp_rates(rates: np.ndarray, scale: float) -> np.ndarray:
@@ -836,12 +816,25 @@ def _component_margins(
     return {"_g4": _g4_margins(pre, i, rates, n_check)}
 
 
-class _Margins(dict):
-    """`condition_margins`' mapping, carrying the phase data it was computed from."""
+def _one_rate(entry: dict, k: int) -> dict:
+    """Row k of `_component_margins`' arrays, copied out in `condition_margins`' form."""
+    if "_g4" in entry:
+        marg, n0, found, certified = entry["_g4"]
+        return {"_g4": (marg[k].copy(), n0[k].copy(), found[k].copy(), bool(certified[k]))}
+    return {name: arr[k].copy() for name, arr in entry.items()}
 
-    def __init__(self, pre: _Precomp, items):
-        super().__init__(items)
-        self.pre = pre
+
+def _margins_at(sys: NeutralDiagSystem, cond: str, a, thetas: np.ndarray, n_check) -> tuple:
+    """(phase data, rates, depth, margins per active component) at one rate vector."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.shape != (sys.m,):
+        raise DimensionMismatchError("need one rate a_i per component")
+    _check_rates(a, "rates a_i")
+    pre, active, n_check = _prepare(sys, cond, thetas, n_check)
+    entries = {
+        i: _one_rate(_component_margins(pre, cond, i, a[i : i + 1], n_check), 0) for i in active
+    }
+    return pre, a, n_check, entries
 
 
 def condition_margins(
@@ -858,63 +851,32 @@ def condition_margins(
     Components with identically zero c_i are omitted (their conditions are
     vacuous; the canonical rate for them is -sup L_plus - 1).
     """
-    if cond not in CONDITIONS:
-        raise ValueError(f"unknown condition {cond!r}")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.shape != (sys.m,):
-        raise DimensionMismatchError("need one rate a_i per component")
-    _check_rates(a, "rates a_i")
-    n_check = _check_depth(n_check)
-    active = _active(sys)
-    _check_structural(sys, cond, active)
-    pre = _Precomp(sys, thetas)
-    _check_coefficient_sum(pre, cond)
-    out = {}
-    for i in active:
-        entry = _component_margins(pre, cond, i, a[i : i + 1], n_check)
-        if cond == "G4":
-            marg, n0, found, certified = entry["_g4"]
-            out[i] = {"_g4": (marg[0], n0[0], found[0], bool(certified[0]))}
-        else:
-            out[i] = {name: arr[0] for name, arr in entry.items()}
-    return _Margins(pre, out)
+    return _margins_at(sys, cond, a, thetas, n_check)[3]
 
 
-def check_condition(
-    sys: NeutralDiagSystem,
-    cond: str,
-    a,
-    sampling: Optional[SamplingConfig] = None,
-    n_check: int = 50,
-    strictness_tol: float = 1e-9,
-) -> ConditionReport:
-    """Evaluate one sufficient monotonicity condition over sampled phases.
+# A margin above this clears its inequality strictly at every sampled phase.
+_STRICT_TOL = 1e-9
 
-    Reports the minimum margin per component and sub-inequality with the
-    worst phase as witness. Components with c_i identically zero are
-    skipped as vacuous, with the canonical rate -sup L_plus_i - 1 attached.
-    Strictness is flagged when a margin clears strictness_tol everywhere.
-    """
-    thetas = sample_thetas(sys.flow, sampling)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    margins = condition_margins(sys, cond, a, thetas, n_check)
-    components = []
-    all_pass = True
-    notes = []
+
+def _report(pre: _Precomp, cond: str, a: np.ndarray, n_check: int, entries: dict):
+    """The verdict of `cond` at rates `a` from the one-rate margins of each active component."""
+    sys = pre.sys
     offdiag = [
         (i, j)
         for i in range(sys.m)
         for j in range(sys.m)
         if i != j and not sys.transports[i][j].is_zero() and sys.rho[i][j] > 0
     ]
+    notes = ()
     if offdiag:
-        notes.append(
+        notes = (
             "off-diagonal transit lags are not constrained by these conditions "
-            f"(present for pairs {offdiag})"
+            f"(present for pairs {offdiag})",
         )
-    canon = margins.pre.canonical_a()
+    canon = pre.canonical_a()
+    components = []
     for i in range(sys.m):
-        if i not in margins:
+        if i not in entries:
             components.append(
                 ComponentVerdict(
                     index=i,
@@ -926,65 +888,59 @@ def check_condition(
                 )
             )
             continue
-        entry = margins[i]
-        if cond == "G4":
-            marg, n0, found, certified = entry["_g4"]
-            idx = int(np.argmin(marg))
-            ok = bool(np.all(found) and np.min(marg) >= 0.0)
-            sub = SubMargin(
-                name="G4",
-                min_margin=float(np.min(marg)),
-                witness=TorusPoint(thetas[idx]),
-                strict_everywhere=bool(np.all(found) and np.min(marg) > strictness_tol),
-            )
-            note = "" if certified else f"tail verified to depth {n_check} only"
-            components.append(
-                ComponentVerdict(
-                    index=i,
-                    skipped=False,
-                    prescribed_a=None,
-                    subs=(sub,),
-                    passed=ok,
-                    note=note,
-                    n0_max=int(np.max(n0)) if np.all(found) else None,
-                    tail_certified=certified,
-                )
-            )
-            all_pass &= ok
-            continue
+        entry = entries[i]
+        g4 = entry.get("_g4")
         subs = []
-        strict_flags = []
-        mins = []
-        for name, arr in entry.items():
-            idx = int(np.argmin(arr))
+        for name, arr in ({"G4": g4[0]} if g4 else entry).items():
+            idx = int(np.argmin(arr))  # G4 margins are -inf where no depth is feasible
             mn = float(arr[idx])
-            strict = bool(mn > strictness_tol)
-            subs.append(SubMargin(name, mn, TorusPoint(thetas[idx]), strict))
-            strict_flags.append(strict)
-            mins.append(mn)
+            subs.append(SubMargin(name, mn, TorusPoint(pre.thetas[idx]), bool(mn > _STRICT_TOL)))
+        worst = min(sub.min_margin for sub in subs)
         if cond == "G8":
-            ok = mins[0] > 0.0
-        elif cond == "G5":
-            ok = min(mins) >= 0.0
+            ok = worst > 0.0
+        elif cond in ("G4", "G5"):
+            ok = worst >= 0.0
         else:  # G3, G9: all hold, at least one strict everywhere
-            ok = min(mins) >= 0.0 and any(strict_flags)
+            ok = worst >= 0.0 and any(sub.strict_everywhere for sub in subs)
+        tail = {}
+        if g4:
+            _, n0, found, certified = g4
+            tail = dict(
+                note="" if certified else f"tail verified to depth {n_check} only",
+                n0_max=int(np.max(n0)) if np.all(found) else None,
+                tail_certified=certified,
+            )
         components.append(
             ComponentVerdict(
-                index=i,
-                skipped=False,
-                prescribed_a=None,
-                subs=tuple(subs),
-                passed=bool(ok),
+                index=i, skipped=False, prescribed_a=None, subs=tuple(subs), passed=ok, **tail
             )
         )
-        all_pass &= bool(ok)
     return ConditionReport(
         condition=cond,
         a=a,
         components=tuple(components),
-        passed=bool(all_pass),
-        notes=tuple(notes),
+        passed=all(comp.passed for comp in components),
+        notes=notes,
     )
+
+
+def check_condition(
+    sys: NeutralDiagSystem,
+    cond: str,
+    a,
+    sampling: Optional[SamplingConfig] = None,
+    n_check: int = 50,
+) -> ConditionReport:
+    """Evaluate one sufficient monotonicity condition over sampled phases.
+
+    Reports the minimum margin per component and sub-inequality with the
+    worst phase as witness. Components with c_i identically zero are
+    skipped as vacuous, with the canonical rate -sup L_plus_i - 1 attached.
+    Strictness is flagged when a margin clears _STRICT_TOL everywhere.
+    """
+    thetas = sample_thetas(sys.flow, sampling)
+    pre, a, n_check, entries = _margins_at(sys, cond, a, thetas, n_check)
+    return _report(pre, cond, a, n_check, entries)
 
 
 @dataclass(frozen=True)
@@ -993,6 +949,7 @@ class SuggestAReport:
     trials: np.ndarray
     margins: np.ndarray  # (n_trials, m); NaN for skipped components
     prescribed: tuple  # indices that received the canonical rate directly
+    report: ConditionReport  # the condition checked at the rates `a`
 
 
 def suggest_a(
@@ -1008,11 +965,10 @@ def suggest_a(
     within _EQ_TOL resolve toward zero. Components with c_i identically zero
     receive the canonical rate directly. The phase-sampled data are built
     once per scan, and each component's margins are evaluated at all its
-    trial rates in one `_component_margins` call, with the arithmetic of
-    `condition_margins` at each rate.
+    trial rates in one `_component_margins` call. The report at the chosen
+    rates is read off the scan's rows, which are bit for bit the margins
+    `check_condition` computes at those rates.
     """
-    if cond not in CONDITIONS:
-        raise ValueError(f"unknown condition {cond!r}")
     thetas = sample_thetas(sys.flow, sampling)
     if trial_a is None:
         trial_a = np.linspace(-8.0, 0.0, 33)
@@ -1020,22 +976,13 @@ def suggest_a(
     if trial_a.size == 0:
         raise ValueError("trial grid must be nonempty")
     _check_rates(trial_a, "trial rates")
-    n_check = _check_depth(n_check)
-    pre = _Precomp(sys, thetas)
-    active = _active(sys)
-    _check_structural(sys, cond, active)
-    _check_coefficient_sum(pre, cond)
-    best = np.zeros(sys.m)
-    prescribed = []
+    pre, active, n_check = _prepare(sys, cond, thetas, n_check)
     canon = pre.canonical_a()
+    best = canon.copy()  # the canonical rate stays for the skipped components
     trials_per_comp = [np.unique(np.concatenate([trial_a, [canon[i]]])) for i in range(sys.m)]
-    n_tr = max(c.size for c in trials_per_comp)
-    surface = np.full((n_tr, sys.m), np.nan)
-    for i in range(sys.m):
-        if i not in active:
-            best[i] = canon[i]
-            prescribed.append(i)
-            continue
+    surface = np.full((max(c.size for c in trials_per_comp), sys.m), np.nan)
+    entries = {}
+    for i in active:
         cand = trials_per_comp[i]
         entry = _component_margins(pre, cond, i, cand, n_check)
         if cond == "G4":
@@ -1043,12 +990,13 @@ def suggest_a(
         else:
             vals = np.min([np.min(arr, axis=1) for arr in entry.values()], axis=0)
         surface[: cand.size, i] = vals
-        top = np.max(vals)
-        tied = np.nonzero(vals >= top - _EQ_TOL)[0]
-        best[i] = float(cand[tied].max())  # toward zero
+        k = np.nonzero(vals >= np.max(vals) - _EQ_TOL)[0][-1]  # ties toward zero
+        best[i] = float(cand[k])
+        entries[i] = _one_rate(entry, k)
     return SuggestAReport(
         a=best,
         trials=trial_a,
         margins=surface,
-        prescribed=tuple(prescribed),
+        prescribed=tuple(i for i in range(sys.m) if i not in active),
+        report=_report(pre, cond, best, n_check, entries),
     )

@@ -148,7 +148,6 @@ class SamplingConfig:
     grid_per_dim: int = 64
     orbit_points: int = 512
     orbit_step: float = 0.37
-    origin: Optional[TorusPoint] = None
 
     def __post_init__(self):
         if self.grid_per_dim < 1:
@@ -167,9 +166,8 @@ def sample_thetas(flow: TorusFlow, sampling: Optional[SamplingConfig] = None) ->
     axes = [np.arange(g) / g] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([ax.ravel() for ax in mesh], axis=1)
-    origin = sampling.origin or TorusPoint(np.zeros(d))
     ts = (np.arange(sampling.orbit_points) + 1) * sampling.orbit_step
-    orbit = advance_many(flow, origin, ts)
+    orbit = advance_many(flow, TorusPoint(np.zeros(d)), ts)
     return np.vstack([grid, orbit])
 
 
@@ -197,16 +195,13 @@ class DOperatorSpec:
     def support(self) -> float:
         return self.nu.support
 
-    def stability(self, sampling: Optional[SamplingConfig] = None, guard: float = 1e-6):
-        """Cached stability estimate with the default sampling plan."""
-        if sampling is None:
-            cached = getattr(self, "_stab_cache", None)
-            if cached is not None:
-                return cached
-            est = stability_margin(self, guard=guard)
+    def stability(self):
+        """Stability estimate with the default sampling plan, computed once."""
+        est = getattr(self, "_stab_cache", None)
+        if est is None:
+            est = stability_margin(self)
             object.__setattr__(self, "_stab_cache", est)
-            return est
-        return stability_margin(self, sampling, guard=guard)
+        return est
 
 
 def _batch_inverse(Bv: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -219,10 +214,12 @@ def _batch_inverse(Bv: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.linalg.inv(Bv)
 
 
+# lam must stay this far below one for the delayed part to count as a contraction.
+_STABILITY_GUARD = 1e-6
+
+
 def stability_margin(
-    spec: DOperatorSpec,
-    sampling: Optional[SamplingConfig] = None,
-    guard: float = 1e-6,
+    spec: DOperatorSpec, sampling: Optional[SamplingConfig] = None
 ) -> StabilityEstimate:
     """Sampled sup of the weighted delayed mass, and the induced norm bound.
 
@@ -246,7 +243,7 @@ def stability_margin(
     per_point = np.max(rows, axis=1)
     idx = int(np.argmax(per_point))
     lam = float(per_point[idx])
-    if lam >= 1.0 - guard:
+    if lam >= 1.0 - _STABILITY_GUARD:
         raise UnstableMarginError(lam)
     return StabilityEstimate(
         lam=lam,

@@ -58,7 +58,6 @@ from .history import (
     _EQ_TOL,
     _SNAP,
     HistoryGrid,
-    TailPolicy,
     _nodes,
     cubic_rows,
     cubic_stencil,
@@ -82,10 +81,18 @@ class SimConfig:
     divergence_limit: float = 1e9
 
     def __post_init__(self):
-        if self.h <= 0 or self.t_end <= 0:
-            raise ValueError("h and t_end must be positive")
+        if not (0 < self.h < math.inf and 0 < self.t_end < math.inf):
+            raise ValueError("h and t_end must be positive and finite")
+        if not 0 < self.inv_tol < math.inf:
+            raise ValueError("inv_tol must be positive and finite")
+        if self.n_trunc is not None and self.n_trunc < 0:
+            raise ValueError("n_trunc must be >= 0")
         if self.log_stride < 1:
             raise ValueError("log_stride must be >= 1")
+        if not self.tol_cone >= 0:
+            raise ValueError("tol_cone must be >= 0")
+        if not self.divergence_limit > 0:
+            raise ValueError("divergence_limit must be positive")
         if abs(self.nsteps * self.h - self.t_end) > 1e-6 * max(1.0, self.t_end):
             raise ValueError("t_end must be an integer number of steps")
 
@@ -230,9 +237,6 @@ class SimState:
     def t(self) -> float:
         return (self.k - self.Jh) * self.h
 
-    def point_at(self, t: float) -> TorusPoint:
-        return TorusPoint(self.p0.theta + t * self.flow.freqs)
-
     def _ensure_capacity(self, extra: int):
         need = self.k + extra + 1
         if need > self.Z.shape[0]:
@@ -241,17 +245,6 @@ class SimState:
                 grown = np.empty((rows, self.m))
                 grown[: self.k + 1] = getattr(self, name)[: self.k + 1]
                 setattr(self, name, grown)
-
-    def read(self, buf: np.ndarray, ts) -> np.ndarray:
-        """Rows of a stored buffer (Z or X) at the given times."""
-        pos = np.atleast_1d(np.asarray(ts, dtype=float)) / self.h + self.Jh
-        if np.any(pos < -_SNAP) or np.any(pos > self.k + _SNAP):
-            raise HorizonError("requested time outside the stored trajectory")
-        return cubic_rows(buf[: self.k + 1], np.clip(pos, 0.0, self.k))
-
-    def zhat_segment(self, t: float, depth: int) -> HistoryGrid:
-        vals = self.read(self.Z, t - self.h * np.arange(depth + 1))
-        return HistoryGrid(self.h, vals, TailPolicy.CONSTANT)
 
     def stage(self, j: int) -> _Stage:
         """Data of stage j (see the module docstring); the plan supplies
@@ -327,7 +320,10 @@ def init_from_z(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> Sim
 
 def reconstruct_z(state: SimState, s: float) -> np.ndarray:
     """Physical state at time s, read from the stored z."""
-    return state.read(state.X, [s])[0]
+    pos = s / state.h + state.Jh
+    if not -_SNAP <= pos <= state.k + _SNAP:
+        raise HorizonError("requested time outside the stored trajectory")
+    return cubic_rows(state.X[: state.k + 1], np.clip([pos], 0.0, state.k))[0]
 
 
 def _rhs(state: SimState, stage: _Stage, z: np.ndarray) -> np.ndarray:
@@ -542,6 +538,10 @@ class CoveringReport:
     e_min: float
 
 
+# Shifts shorter than this are trivial returns, left out of the covering report.
+_MIN_RETURN = 1.0
+
+
 def covering_diagnostic(
     log: TrajectoryLog,
     flow: TorusFlow,
@@ -549,7 +549,6 @@ def covering_diagnostic(
     return_tol: float,
     window: float,
     t_min: float = 0.0,
-    min_return: float = 1.0,
 ) -> CoveringReport:
     """Compare the state with itself across near-returns of the driving phase."""
     t = log.t
@@ -569,7 +568,7 @@ def covering_diagnostic(
     # 1.0, and a second reduction maps that to 0.0
     d = np.abs(np.mod(np.mod(p0.theta + T[:, None] * flow.freqs, 1.0), 1.0) - p0.theta)
     dist = np.max(np.minimum(d, 1.0 - d), axis=1)
-    skip = (T < min_return - _SNAP) | (dist >= return_tol)  # trivial short returns, far phases
+    skip = (T < _MIN_RETURN - _SNAP) | (dist >= return_tol)  # trivial short returns, far phases
     entries = []
     for k, Tk, dk in zip(ks[~skip], T[~skip], dist[~skip]):
         e = float(np.max(np.abs(log.z[i0 + k : i1 + 1 + k] - base)))

@@ -29,7 +29,7 @@ from nfde_lab import NeutralDiagSystem, TorusPoint, advance, eval_trig
 from nfde_lab.base_flow import advance_many
 from nfde_lab.compartment import _general, _nmin, _rate, _coeff_at, total_mass
 from nfde_lab.d_operator import eval_poly_matrix_many
-from nfde_lab.errors import UnorderedPairError
+from nfde_lab.errors import HorizonError, UnorderedPairError
 from nfde_lab.history import _EQ_TOL, _SNAP, HistoryGrid, TailPolicy, _nodes, cubic_rows
 from nfde_lab.integrator import PairLog, TrajectoryLog, _Stage, init_from_z, step
 from nfde_lab.ordering import matrix_exp
@@ -181,11 +181,25 @@ def component_margins_direct(pre, cond: str, i: int, a_i: float, n_check: int) -
     return {"_g4": g4_component_direct(pre, i, a_i, n_check)}
 
 
+def point_at(state, t: float) -> TorusPoint:
+    """The driving phase of a run at time t, unreduced."""
+    return TorusPoint(state.p0.theta + t * state.flow.freqs)
+
+
+def zhat_segment(state, t: float, depth: int) -> HistoryGrid:
+    """The stored zhat on the grid t, t - h, ..., t - depth h, by cubic reads."""
+    pos = (t - state.h * np.arange(depth + 1)) / state.h + state.Jh
+    if np.any(pos < -_SNAP) or np.any(pos > state.k + _SNAP):
+        raise HorizonError("requested time outside the stored trajectory")
+    vals = cubic_rows(state.Z[: state.k + 1], np.clip(pos, 0.0, state.k))
+    return HistoryGrid(state.h, vals, TailPolicy.CONSTANT)
+
+
 def stage_direct(state, t_s: float) -> _Stage:
     """Stage data at t_s computed on the spot: phase, B^-1 by one inversion,
     each atom weight by one evaluation, delayed z by one cubic_rows call."""
     spec = state.general.dspec
-    p = state.point_at(t_s)
+    p = point_at(state, t_s)
     th = p.theta[None, :]
     Binv = np.linalg.inv(eval_poly_matrix_many(spec.B, th)[0])
     rest = np.zeros(state.m)
@@ -267,7 +281,7 @@ def run_direct(sys, p0: TorusPoint, z_hist, cfg) -> TrajectoryLog:
         zhs.append(state.Z[state.k].copy())
         win = mass_window(state)
         zs.append(win.samples[0].copy())
-        Ms.append(total_mass(state.general, state.point_at(t), win))
+        Ms.append(total_mass(state.general, point_at(state, t), win))
 
     log_now()
     for k in range(1, nsteps + 1):
@@ -331,7 +345,7 @@ def run_ordered_pair_direct(sys, p0: TorusPoint, z_x, z_y, cfg) -> PairLog:
         wy = mass_window(sy)
         zx.append(wx.samples[0].copy())
         zy.append(wy.samples[0].copy())
-        p_t = sx.point_at(t)
+        p_t = point_at(sx, t)
         mx.append(total_mass(general, p_t, wx))
         my.append(total_mass(general, p_t, wy))
         supz.append(float(np.max(np.abs(wy.samples - wx.samples))))

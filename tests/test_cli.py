@@ -556,3 +556,96 @@ def test_result_csv_header_and_number_format(tmp_path, task):
                 assert part == format(value, ".17g")
                 numbers += 1
     assert numbers >= len(rows) - 1
+
+
+OPEN_CFG = {**SIM_CFG, "system": OPEN_SCALAR}
+INVERT_CFG = {
+    "system": {"kind": "d_operator", "m": 1, "atoms": [{"lag": 1.0, "weight": [[0.5]]}]},
+    "yhat": {"kind": "constant", "value": [1.0], "horizon": 3.0},
+}
+PAIR_GIVEN_CFG = {**CONE_CFG, "z_init_y": {"kind": "constant", "value": [3.0]}}
+SINE_BEND = {"gain": 1.0, "shape": {"kind": "sine_bend", "eps": 1.5}}
+# case id -> (task, config, the key the error must name). Each of these
+# used to escape `main` with a traceback, or to run with a wrong meaning.
+EXIT_TWO = {
+    "cone-number": ("pair", _with(PAIR_CFG, "cone", 5), "cone"),
+    "system.c-number": ("simulate", _with(SIM_CFG, "system.c", 0.3), "system.c"),
+    "poly-terms-number": (
+        "simulate",
+        _with(SIM_CFG, "system.c", [{"constant": 0.3, "terms": 5}]),
+        "system.c.terms",
+    ),
+    "outflows-number": ("simulate", _with(OPEN_CFG, "system.outflows", 0.5), "system.outflows"),
+    "inflows-number": ("simulate", _with(OPEN_CFG, "system.inflows", 0.5), "system.inflows"),
+    "sine_bend-eps": ("simulate", _with(SIM_CFG, "system.gains", [[SINE_BEND]]), "eps"),
+    "z_init.step-zero": ("simulate", _with(SIM_CFG, "z_init.step", 0), "z_init.step"),
+    "z_init.step-negative": ("simulate", _with(SIM_CFG, "z_init.step", -0.1), "z_init.step"),
+    "yhat.step-zero": ("invert", _with(INVERT_CFG, "yhat.step", 0), "yhat.step"),
+    "z_init.horizon-negative": (
+        "simulate",
+        _with(SIM_CFG, "z_init.horizon", -1.0),
+        "z_init.horizon",
+    ),
+    "z_init.horizon-inf": ("simulate", _with(SIM_CFG, "z_init.horizon", "inf"), "z_init.horizon"),
+    "z_init-period-zero": (
+        "simulate",
+        _with(SIM_CFG, "z_init", {"kind": "sinusoid", "base": [1.0], "amp": [0.1], "period": [0]}),
+        "z_init",
+    ),
+    "z_init-nan": ("simulate", _with(SIM_CFG, "z_init.value", ["nan"]), "z_init"),
+    "z_init_y-nan": ("pair", _with(PAIR_GIVEN_CFG, "z_init_y.value", ["nan"]), "z_init_y"),
+    "sim.t_end-inf": ("simulate", _with(SIM_CFG, "sim.t_end", "inf"), "t_end"),
+    "sim.inv_tol-zero": ("simulate", _with(SIM_CFG, "sim.inv_tol", 0), "inv_tol"),
+    "sim.inv_tol-invert": ("invert", _with(INVERT_CFG, "sim.inv_tol", -1e-8), "inv_tol"),
+    "sim.n_trunc-negative": ("simulate", _with(SIM_CFG, "sim.n_trunc", -3), "n_trunc"),
+    "system.g6-string": ("check", _with(SIM_CFG, "system.g6", "false"), "system.g6"),
+    "cone.assume_hurwitz-string": (
+        "pair",
+        _with(PAIR_CFG, "cone.assume_hurwitz", "no"),
+        "cone.assume_hurwitz",
+    ),
+    "sim.tol_cone-negative": ("pair", _with(PAIR_GIVEN_CFG, "sim.tol_cone", -1.0), "tol_cone"),
+    "sim.divergence_limit-zero": (
+        "simulate",
+        _with(SIM_CFG, "sim.divergence_limit", 0),
+        "divergence_limit",
+    ),
+    "sim-typo": ("simulate", _with(SIM_CFG, "sim", {"h": 0.02, "t_End": 0.2}), "t_End"),
+    "sampling-typo": ("check", _with(SIM_CFG, "sampling.grid_per_dm", 3), "grid_per_dm"),
+    "check-typo": ("check", _with(SIM_CFG, "check.conditons", ["G4"]), "conditons"),
+    "check.trial_a-typo": ("check", _with(SIM_CFG, "check.trial_A", [-1.0]), "trial_A"),
+    "covering-typo": ("covering", _with(SIM_CFG, "covering.windw", 3.0), "windw"),
+    "flow-typo": ("simulate", _with(SIM_CFG, "flow.freq", [0.5]), "freq"),
+    "cone-typo": ("pair", _with(PAIR_CFG, "cone.horizn", 1.0), "horizn"),
+    "thresholds-typo": ("simulate", _with(SIM_CFG, "thresholds.mass_resid", 1.0), "mass_resid"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_TWO))
+def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, case):
+    task, cfg, key = EXIT_TWO[case]
+    assert _run(tmp_path, task, cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_known_keys_are_accepted(tmp_path):
+    # every key of the closed blocks, set to its default or a valid value
+    cfg = {
+        **SIM_CFG,
+        "flow": {"freqs": [0.6180339887498949]},
+        "sim": {
+            "h": 0.02, "t_end": 0.2, "inv_tol": 1e-8, "n_trunc": 3, "log_stride": 1,
+            "tol_cone": 0.0, "divergence_limit": 1e9,
+        },
+        "sampling": {"grid_per_dim": 4, "orbit_points": 4, "orbit_step": 0.37},
+        "check": {"conditions": ["G5"], "a": "auto", "trial_a": [-1.0]},
+        "covering": {"return_tols": [0.1], "window": 0.1, "t_min": 0.0},
+        "cone": {"A": [[-2.0]], "horizon": "inf", "assume_hurwitz": False},
+        "thresholds": {"mass_residual": 1.0, "cone_margin": -1.0},
+        "z_init_y": {"kind": "ordered_offset", "lam": 0.2},
+    }
+    cfg["system"] = {**S1_SYSTEM, "g6": True}
+    assert _run(tmp_path, "check", cfg) == 0
+    assert _run(tmp_path, "pair", cfg) == 0
+    assert _run(tmp_path, "simulate", cfg) == 0

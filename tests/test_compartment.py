@@ -1,3 +1,4 @@
+import json
 import math
 from unittest.mock import patch
 
@@ -30,7 +31,7 @@ from nfde_lab import (
     suggest_a,
     total_mass,
 )
-from nfde_lab import compartment
+from nfde_lab import cli, compartment
 from nfde_lab.base_flow import derivative_along_flow_many, eval_trig_many
 from nfde_lab.compartment import _component_margins, _Precomp, condition_margins
 from nfde_lab.d_operator import identity_poly_matrix, sample_thetas
@@ -577,6 +578,119 @@ def test_rate_scan_matches_per_rate_oracle(
             assert report.a[i] == cand[vals >= np.max(vals) - 1e-12].max()
 
 
+def _assert_same_report(got, want):
+    """Two ConditionReports agree field by field; margins and witnesses bit for bit."""
+    assert got.condition == want.condition
+    assert got.a.tobytes() == want.a.tobytes()
+    assert got.passed is want.passed
+    assert got.notes == want.notes
+    assert len(got.components) == len(want.components)
+    for g, w in zip(got.components, want.components):
+        assert (g.index, g.skipped, g.passed, g.note) == (w.index, w.skipped, w.passed, w.note)
+        assert (g.n0_max, g.tail_certified) == (w.n0_max, w.tail_certified)
+        assert type(g.tail_certified) is type(w.tail_certified)
+        assert np.array(g.prescribed_a, dtype=float).tobytes() == np.array(
+            w.prescribed_a, dtype=float
+        ).tobytes()
+        assert len(g.subs) == len(w.subs)
+        for gs, ws in zip(g.subs, w.subs):
+            assert (gs.name, gs.strict_everywhere) == (ws.name, ws.strict_everywhere)
+            assert np.float64(gs.min_margin).tobytes() == np.float64(ws.min_margin).tobytes()
+            assert gs.witness.theta.tobytes() == ws.witness.theta.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.sampled_from([1, 2, 3]),
+    cond=st.sampled_from(["G3", "G4", "G5", "G8", "G9"]),
+    dim=st.sampled_from([1, 2]),
+    equal_lags=st.booleans(),
+    zero_first=st.booleans(),
+    n_check=st.sampled_from([0, 1, 2, 50]),
+    chunk=st.sampled_from([1, 2, 5, None]),
+)
+def test_suggested_report_matches_check_condition(
+    seed, m, cond, dim, equal_lags, zero_first, n_check, chunk
+):
+    # check_condition at the suggested rates is the oracle for the report
+    # suggest_a reads off its scan
+    sys = _random_diag_system(np.random.default_rng(seed), m, cond, dim, equal_lags)
+    if zero_first:
+        sys = NeutralDiagSystem(
+            m=m,
+            c=(TrigPoly.const(0.0),) + sys.c[1:],
+            alpha=sys.alpha,
+            rho=sys.rho,
+            transports=sys.transports,
+            flow=sys.flow,
+        )
+    n = sample_thetas(sys.flow, ORACLE_SAMPLING).shape[0]
+    elements = compartment._SCAN_ELEMENTS if chunk is None else chunk * n
+    with patch.object(compartment, "_SCAN_ELEMENTS", elements):
+        got = suggest_a(sys, cond, ORACLE_SAMPLING, ORACLE_TRIALS, n_check).report
+    want = check_condition(sys, cond, got.a, ORACLE_SAMPLING, n_check)
+    _assert_same_report(got, want)
+
+
+def test_check_task_evaluates_each_condition_once(tmp_path, monkeypatch):
+    cfg = {
+        "flow": {"freqs": [GOLDEN_FREQ, float(SILVER_FREQ)]},
+        "system": {
+            "kind": "neutral_diag",
+            "m": 3,
+            "c": [
+                {"constant": 0.18, "terms": [{"k": [1, 0], "sin": 0.05}]},
+                {"constant": 0.16, "terms": [{"k": [0, 1], "cos": 0.05}]},
+                0.0,
+            ],
+            "alpha": [1.0, 0.8, 1.2],
+            "rho": [[1.0, 0.5, 0.5], [0.5, 0.8, 0.5], [0.5, 0.5, 1.2]],
+            "gains": [[1.0, 0.1, 0.05], [0.12, 0.95, 0.1], [0.08, 0.1, 1.05]],
+        },
+        "sampling": {"grid_per_dim": 6, "orbit_points": 16},
+        "check": {"conditions": ["G4", "G5", "G9"], "a": "auto"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    per_call = []  # per suggest_a call: [phase data built, components evaluated]
+    unwanted = []
+
+    class Counting(_Precomp):
+        def __init__(self, *args):
+            per_call[-1][0] += 1
+            super().__init__(*args)
+
+    margins = compartment._component_margins
+
+    def counting_margins(pre, cond, i, rates, n_check):
+        per_call[-1][1].append(i)
+        return margins(pre, cond, i, rates, n_check)
+
+    suggest = cli.suggest_a
+
+    def counting_suggest(*args, **kwargs):
+        per_call.append([0, []])
+        return suggest(*args, **kwargs)
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            unwanted.append(name)
+
+        return call
+
+    monkeypatch.setattr(compartment, "_Precomp", Counting)
+    monkeypatch.setattr(compartment, "_component_margins", counting_margins)
+    monkeypatch.setattr(cli, "suggest_a", counting_suggest)
+    monkeypatch.setattr(cli, "check_condition", forbidden("check_condition"))
+    monkeypatch.setattr(compartment, "check_condition", forbidden("check_condition"))
+    monkeypatch.setattr(compartment, "condition_margins", forbidden("condition_margins"))
+    code = cli.main(["check", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert per_call == [[1, [0, 1]]] * 3
+    assert unwanted == []
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 5, None])
 def test_g4_scan_covers_unfound_and_deep_phases(golden_flow, chunk):
     # rho < alpha with oscillating c and gain: at a = -1 the rate splits the
@@ -604,6 +718,28 @@ def test_g4_scan_covers_unfound_and_deep_phases(golden_flow, chunk):
     assert found[1].any() and not found[1].all()
     assert not found[3].any()
     assert n0[0].max() > 0
+
+
+def test_g4_verdict_reads_its_margins(golden_flow):
+    # s1 at a = -1: q[0] = 0, so every phase is feasible at depth 1 with a
+    # least margin of exactly 0, which passes but is not strict
+    rep = check_condition(s1_system(golden_flow), "G4", [-1.0], ORACLE_SAMPLING, 5)
+    (comp,) = rep.components
+    assert rep.passed and comp.passed and comp.n0_max == 1
+    assert comp.subs[0].min_margin == 0.0 and not comp.subs[0].strict_everywhere
+    # a rate at which some phases find no feasible depth: margin -inf, no n0_max
+    sys = NeutralDiagSystem(
+        m=1,
+        c=(TrigPoly.from_terms(0.3, [([1], 0.0, 0.2)]),),
+        alpha=np.array([1.0]),
+        rho=np.array([[0.6]]),
+        transports=((TransportSpec(TrigPoly.from_terms(1.0, [([1], 0.3, 0.0)])),),),
+        flow=golden_flow,
+    )
+    sampling = SamplingConfig(grid_per_dim=16, orbit_points=16)
+    (comp,) = check_condition(sys, "G4", [-1.0], sampling, 20).components
+    assert not comp.passed and comp.n0_max is None
+    assert comp.subs[0].min_margin == -np.inf
 
 
 def test_g4_scan_zero_q_is_not_feasible(golden_flow):

@@ -45,6 +45,7 @@ from nfde_lab.integrator import required_z_horizon
 from nfde_lab.ordering import ConeSpec, make_comparison_upper
 
 from .conftest import const_c_system, s1_system
+from .oracles import point_at, zhat_segment
 from .test_compartment import open_scalar_system
 
 
@@ -137,7 +138,7 @@ def test_reconstruct_dual_path_agreement(golden_flow, origin):
         need + 0.1,
     )
     state = init_from_z(s1, origin, z0, cfg)
-    seg = state.zhat_segment(0.0, state.Jh)
+    seg = zhat_segment(state, 0.0, state.Jh)
     x = invert_Dhat(s1.dspec, origin, seg, cfg.inv_tol)
     fast = reconstruct_z(state, 0.0)[0]
     tail = 0.5 ** state.n_trunc * np.max(np.abs(seg.samples)) / 0.5
@@ -276,7 +277,7 @@ def test_transform_consistency_along_run(golden_flow, origin):
     extra = int(round(1.0 / cfg.h))
     ts = t_now - cfg.h * np.arange(depth + extra + 1)
     zwin = HistoryGrid(cfg.h, np.stack([reconstruct_z(state, s) for s in ts]))
-    p_now = state.point_at(t_now)
+    p_now = point_at(state, t_now)
     lifted = eval_Dhat_segment(s1.dspec, p_now, zwin, depth)
     stored = state.Z[state.k - depth : state.k + 1][::-1]
     assert np.max(np.abs(lifted.samples - stored)) <= cfg.inv_tol + 1e-6
@@ -563,8 +564,8 @@ def test_stored_z_matches_neumann_inversion(kind, phase, amp, freq, h):
     every = int(round(0.5 / h))
     for n in range(cfg.nsteps + 1):
         if n % every == 0:
-            seg = state.zhat_segment(state.t, state.Jh)
-            x = invert_Dhat(sys.dspec, state.point_at(state.t), seg, cfg.inv_tol)
+            seg = zhat_segment(state, state.t, state.Jh)
+            x = invert_Dhat(sys.dspec, point_at(state, state.t), seg, cfg.inv_tol)
             gap = float(np.max(np.abs(x.samples[0] - reconstruct_z(state, state.t))))
             assert gap <= cfg.inv_tol + _interp_bound(state)
         if n < cfg.nsteps:

@@ -3,9 +3,12 @@
 Each integration case runs one CLI task and compares every number in
 `summary.txt` and the column sums of `result.csv` with values recorded
 before the stage plan replaced the per-stage phase computations (which left
-every output byte-identical). The `check` case compares every suggested
-rate and margin in `summary.txt` and every margin in `result.csv` with
-values recorded before the rate scan evaluated all trial rates at once.
+every output byte-identical); the `invert` and `covering` cases were
+recorded later, before the condition checkers were reduced to one
+evaluation per condition, to give a baseline for a change of the inverse.
+The `check` case compares every suggested rate and margin in `summary.txt`
+and every margin in `result.csv` with values recorded before the rate scan
+evaluated all trial rates at once.
 The tolerance is 1e-12 relative: a change of the method or of its
 floating-point order moves these numbers far more.
 """
@@ -76,6 +79,29 @@ C3 = {
     "z_init": {"kind": "constant", "value": [0.7, 1.0, 1.3]},
 }
 
+# The operator of C3 alone (phase-dependent B, two atoms), inverted on a
+# sinusoidal target.
+C3_INVERT = {
+    "schema": 1,
+    "flow": C3["flow"],
+    "theta0": [0.25, 0.7],
+    "system": {
+        "kind": "d_operator",
+        "m": 3,
+        "B": C3["system"]["B"],
+        "atoms": C3["system"]["atoms"],
+    },
+    "yhat": {
+        "kind": "sinusoid",
+        "base": [0.8, 0.75, 0.9],
+        "amp": [0.15, 0.1, 0.2],
+        "period": [1.0, 2.0, 3.0],
+        "phase": [0.3, 1.1, 2.0],
+        "step": 0.05,
+        "horizon": 10.0,
+    },
+}
+
 # task, config, summary numbers in order, result.csv column sums, data rows
 CASES = {
     "s1-mass-audit": (
@@ -109,6 +135,34 @@ CASES = {
         [0.0003424479481447737],
         {"t": 5.500000000000001, "M": 30.315193298578638, "residual": 0.001436459939895057},
         11,
+    ),
+    "c3-invert": (
+        "invert",
+        C3_INVERT,
+        [0.3935281743472413, 2.0526833603875296, 2.3693269568525466e-12],
+        {
+            "s": -1215.5000000000002,
+            "z1": 241.36355428691553,
+            "z2": 205.5658611078119,
+            "z3": 269.2430259509249,
+        },
+        221,
+    ),
+    "s1-covering": (
+        "covering",
+        S1,
+        [
+            0.1, 98.0, 0.29895944578133005, 0.10690215454597807,
+            0.03, 29.0, 0.22616407567097863, 0.1230385630264923,
+            0.01, 9.0, 0.19121029095116615, 0.1594699425256838,
+        ],
+        {
+            "return_tol": 10.75999999999996,
+            "T": 3462.2999999999993,
+            "phase_dist": 5.437739411636308,
+            "e": 26.9739822535695,
+        },
+        136,
     ),
 }
 

@@ -7,6 +7,7 @@ here keeps SciPy out of it."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -51,3 +52,41 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_setup_mark_comes_before_checker_work(tmp_path, monkeypatch):
+    # perfbench/child.py ends `setup_s` at the first call of cli.suggest_a or
+    # cli.check_condition; the checkers' phase data must be built after it
+    from nfde_lab import cli, compartment
+
+    spec = importlib.util.spec_from_file_location("child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for name in ("suggest_a", "check_condition"):
+        monkeypatch.setattr(cli, name, getattr(cli, name))  # restored after the test
+    marks = {}
+    child._first_entry_hook(cli, ("suggest_a", "check_condition"), marks)
+    built = []
+
+    class Marked(compartment._Precomp):
+        def __init__(self, *args):
+            built.append("first_entry" in marks)
+            super().__init__(*args)
+
+    monkeypatch.setattr(compartment, "_Precomp", Marked)
+    cfg = {
+        "system": {
+            "kind": "neutral_diag",
+            "m": 1,
+            "c": [{"constant": 0.3, "terms": [{"k": [1], "sin": 0.2}]}],
+            "alpha": [1.0],
+            "rho": [[1.0]],
+            "gains": [[1.0]],
+        },
+        "sampling": {"grid_per_dim": 8, "orbit_points": 8},
+        "check": {"conditions": ["G4", "G5"], "a": "auto"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert built and all(built)
