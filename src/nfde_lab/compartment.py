@@ -206,7 +206,28 @@ class CompartmentalSystem:
         if self.dspec.m != self.m:
             raise DimensionMismatchError("operator dimension does not match m")
         self.dspec.stability()  # raises when the delayed part is not a contraction
+        self._check_gains()
         object.__setattr__(self, "_terms", self._balance_terms())
+
+    def _check_gains(self) -> None:
+        """Raise StructuralPreconditionError for a transport or outflow gain
+        below zero: a constant gain directly, a phase-dependent one at the
+        sampled phases the c_i check of NeutralDiagSystem uses."""
+        gains = [
+            (f"transport gain for pair ({i},{j})", self.transports[i][j].gain)
+            for i in range(self.m)
+            for j in range(self.m)
+        ] + [(f"outflow gain of compartment {i}", tr.gain) for i, tr in enumerate(self.outflows)]
+        thetas = None
+        for name, gain in gains:
+            if gain.is_constant():
+                low = gain.constant
+            else:
+                if thetas is None:
+                    thetas = sample_thetas(self.flow)
+                low = float(np.min(eval_trig_many(gain, thetas)))
+            if low < -_EQ_TOL:
+                raise StructuralPreconditionError(f"negative {name}")
 
     def _balance_terms(self) -> tuple:
         """Per compartment i, the terms of its balance in eval_F's order:
@@ -569,7 +590,9 @@ class _Precomp:
                 tr = sys.transports[i][j]
                 gain = eval_trig_many(tr.gain, thetas)
                 if np.any(gain < -_EQ_TOL):
-                    raise ValueError(f"negative transport gain for pair ({i},{j})")
+                    raise StructuralPreconditionError(
+                        f"negative transport gain for pair ({i},{j})"
+                    )
                 lp[:, i, j] = gain * tr.shape.deriv_bounds()[1]
         self.L_plus = lp.sum(axis=1)  # (n, m): column sums l_plus[j][i]
         self._lm_shift = {}

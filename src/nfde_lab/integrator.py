@@ -23,9 +23,15 @@ depends on the phase alone for a block of _PLAN_STEPS steps at a time, as
 the first stage of the block is needed: the phase rows, B^-1 (one batched
 inversion when B varies), each atom's weight matrix, and for every delay
 the four rows and weights of the cubic stencil, which equal those
-`cubic_rows` would use with the K rows stored at that stage. A stage then
-does only the work that needs z: the gather of the delayed z, the atom and
-density products, and the balance law `eval_F`. The phases and every
+`cubic_rows` would use with the K rows stored at that stage. Because every
+delay is at least h, the delayed z of the next several stages is stored
+before they start: a read window runs from the stage asked for to the last
+stage of its block whose stencil reads only stored rows (the rest of the
+block for delays longer than the block, one step for a delay of 2h), and
+one gather from X, one product per atom and the density part compute the
+delayed part of D and z at the pipe lags for all of its stages at once. A
+stage then looks up its row and does only the work that needs its own
+value: rebuilding z and the balance law `eval_F`. The phases and every
 stage value are bit-identical to computing each stage from scratch.
 
 Logging happens after the run. The log rows are read off the stored X and
@@ -38,6 +44,7 @@ states.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -177,9 +184,10 @@ class _PlanBlock:
     Row r holds stage lo + r: its phase, B^-1 there (None when B is
     constant), each atom's weight matrix, and for every delay the rows and
     weights of the cubic stencil that reads z there from the stored X.
+    `reach[r]` is the newest stored row that stages lo .. lo + r read.
     """
 
-    __slots__ = ("lo", "hi", "theta", "Binv", "W", "idx", "w")
+    __slots__ = ("lo", "hi", "theta", "Binv", "W", "idx", "w", "reach")
 
     def __init__(self, state: SimState, b: int):
         spec = state.general.dspec
@@ -204,6 +212,45 @@ class _PlanBlock:
         idx, w = cubic_stencil((state.Jh + n + 1)[:, None], pos)
         self.idx = np.ascontiguousarray(idx.transpose(0, 2, 1))
         self.w = np.ascontiguousarray(w.transpose(0, 2, 1))[..., None]
+        reach = idx.reshape(j.size, -1).max(axis=1, initial=0)
+        self.reach = np.maximum.accumulate(reach).tolist()
+
+
+class _ReadWindow:
+    """The delayed reads of the stages lo .. hi - 1 of a plan block.
+
+    The window runs from a requested stage to the last stage of its block
+    whose stencil reads only rows already stored, so one gather from X, one
+    product per atom and the density part serve all of them. Row s holds
+    stage lo + s: the delayed part of D there (`rest`) and z at every delay
+    (`rows`, indexed like `_Delays.lags`). Each value is bit-identical to
+    the same stage computed on its own.
+    """
+
+    __slots__ = ("lo", "hi", "rest", "rows")
+
+    def __init__(self, state: SimState, blk: _PlanBlock, j: int):
+        r = j - blk.lo
+        end = bisect.bisect_right(blk.reach, state.k)
+        if end <= r:
+            raise HorizonError(f"stage {j} reads z beyond the stored row {state.k}")
+        self.lo = j
+        self.hi = blk.lo + end
+        rest = np.zeros((end - r, state.m))
+        rows = None
+        d = state.delays
+        if d.lags.size:
+            taps = blk.w[r:end] * state.X[blk.idx[r:end]]
+            rows = taps[:, 0] + taps[:, 1] + taps[:, 2] + taps[:, 3]
+            for W, n in zip(blk.W, d.atom):
+                rest += np.matmul(W[r:end], rows[:, n, :, None])[..., 0]
+            if d.dens.size:
+                dens = state.general.dspec.nu.density
+                # one stage at a time: einsum over the window sums in another order
+                for s in range(end - r):
+                    rest[s] += dens.step * np.einsum("lab,lb->a", dens.values, rows[s, d.dens])
+        self.rest = rest
+        self.rows = rows
 
 
 class SimState:
@@ -232,6 +279,7 @@ class SimState:
             self._Binv = np.linalg.inv(np.array([[b.constant for b in row] for row in B]))
         self._ahead = None  # stage data at the current time, left by the last step
         self._block = None  # the stage plan's current block
+        self._window = None  # the read window of the current stages
 
     @property
     def t(self) -> float:
@@ -248,26 +296,19 @@ class SimState:
 
     def stage(self, j: int) -> _Stage:
         """Data of stage j (see the module docstring); the plan supplies
-        everything that depends on the phase only, and every delayed z read
-        here is already stored."""
+        everything that depends on the phase only, and the read window the
+        delayed z, all of it already stored."""
         blk = self._block
         if blk is None or not blk.lo <= j < blk.hi:
             blk = self._block = _PlanBlock(self, max(0, (j - 1) // (2 * _PLAN_STEPS)))
+        win = self._window
+        if win is None or not win.lo <= j < win.hi:
+            win = self._window = _ReadWindow(self, blk, j)
         r = j - blk.lo
+        s = j - win.lo
         Binv = self._Binv if blk.Binv is None else blk.Binv[r]
-        rest = np.zeros(self.m)
-        delayed = {}
-        d = self.delays
-        if d.lags.size:
-            taps = blk.w[r] * self.X[blk.idx[r]]
-            rows = taps[0] + taps[1] + taps[2] + taps[3]
-            for W, n in zip(blk.W, d.atom):
-                rest += W[r] @ rows[n]
-            if d.dens.size:
-                dens = self.general.dspec.nu.density
-                rest += dens.step * np.einsum("lab,lb->a", dens.values, rows[d.dens])
-            delayed = {lag: rows[n] for lag, n in d.pipe}
-        return _Stage(TorusPoint.of_reduced(blk.theta[r]), Binv, rest, delayed)
+        delayed = {lag: win.rows[s, n] for lag, n in self.delays.pipe}
+        return _Stage(TorusPoint.of_reduced(blk.theta[r]), Binv, win.rest[s], delayed)
 
 
 def _auto_n_trunc(c_sup: float, inv_tol: float) -> int:
@@ -351,8 +392,8 @@ def step(state: SimState, cfg: Optional[SimConfig] = None) -> SimState:
     end = state.stage(2 * n + 2)
     k4 = _rhs(state, end, end.z(v0 + h * k3))
     vn = v0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    top = float(np.max(np.abs(vn)))
-    if not np.isfinite(top) or top > cfg.divergence_limit:
+    top = float(np.abs(vn).max())
+    if not math.isfinite(top) or top > cfg.divergence_limit:
         raise DivergenceError(t + h, top)
     state._ensure_capacity(1)
     state.Z[k + 1] = vn

@@ -243,6 +243,32 @@ def test_invalid_system_cell_exit_two(tmp_path, system):
     assert _simulate_code(tmp_path, system, {"h": 0.05, "t_end": 1.0}) == 2
 
 
+NEGATIVE_GAINS = {
+    "constant": -1.0,
+    "trig": {"constant": 0.1, "terms": [{"k": [1], "sin": 0.5}]},  # dips to -0.4
+}
+
+
+@pytest.mark.parametrize("gain", sorted(NEGATIVE_GAINS))
+@pytest.mark.parametrize("task", ["check", "simulate"])
+def test_negative_transport_gain_exit_three(tmp_path, capsys, task, gain):
+    cfg = {
+        "system": {**S1_SYSTEM, "gains": [[NEGATIVE_GAINS[gain]]]},
+        "sim": {"h": 0.01, "t_end": 0.1},
+        "z_init": {"kind": "constant", "value": [1.0]},
+        "check": {"conditions": ["G5"], "a": [-2.0]},
+    }
+    assert main([task, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 3
+    assert "negative transport gain for pair (0,0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gain", sorted(NEGATIVE_GAINS))
+def test_negative_outflow_gain_exit_three(tmp_path, capsys, gain):
+    system = {**OPEN_SCALAR, "outflows": [NEGATIVE_GAINS[gain]]}
+    assert _simulate_code(tmp_path, system, {"h": 0.05, "t_end": 1.0}) == 3
+    assert "negative outflow gain of compartment 0" in capsys.readouterr().err
+
+
 def test_t_end_off_step_grid_exit_two(tmp_path):
     assert _simulate_code(tmp_path, S1_SYSTEM, {"h": 0.03, "t_end": 1.0}) == 2
 

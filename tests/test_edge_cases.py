@@ -16,6 +16,7 @@ from nfde_lab import (
     PipeSpec,
     ShapeFn,
     SimConfig,
+    StructuralPreconditionError,
     TorusPoint,
     TransportSpec,
     TrigPoly,
@@ -137,17 +138,17 @@ def test_eval_F_horizon_error(golden_flow, origin):
 
 
 def test_negative_gain_rejected(golden_flow):
-    sys = NeutralDiagSystem(
-        m=1,
-        c=(TrigPoly.const(0.2),),
-        alpha=np.array([1.0]),
-        rho=np.array([[1.0]]),
-        transports=((TransportSpec(TrigPoly.from_terms(0.1, [([1], 0.5, 0.0)])),),),
-        flow=golden_flow,
-    )
-    # the gain dips to 0.1 - 0.5 at the opposite phase
-    with pytest.raises(ValueError):
-        lipschitz_bounds(sys, TorusPoint([0.5]))
+    # the gain dips to 0.1 - 0.5 at the opposite phase: the system is
+    # rejected where it is built
+    with pytest.raises(StructuralPreconditionError, match="negative transport gain"):
+        NeutralDiagSystem(
+            m=1,
+            c=(TrigPoly.const(0.2),),
+            alpha=np.array([1.0]),
+            rho=np.array([[1.0]]),
+            transports=((TransportSpec(TrigPoly.from_terms(0.1, [([1], 0.5, 0.0)])),),),
+            flow=golden_flow,
+        )
 
 
 def test_pq_sequence_validation(golden_flow, origin):

@@ -601,15 +601,22 @@ def _assert_same_stage(fast, slow):
         assert _bits(fast.delayed[lag]) == _bits(row)
 
 
+# s1 with both delays at a few steps: read windows of one and two steps
+S1_LAG_STEPS = {"s1_lag_h": 1, "s1_lag_2h": 2, "s1_lag_3h": 3}
+
+
 def _plan_case(kind, phase, h):
-    """A fixture system and start phase; `s1_lag_h` puts s1's delays at h."""
-    if kind == "three_compartment":
+    """A fixture system, start phase and step; `s1_lag_h`, `s1_lag_2h` and
+    `s1_lag_3h` put s1's delays at h, 2h and 3h, and `mixed_lags` runs the
+    ring (lags 0.4, 0.5, 0.6, 1.0 and 1.2) at h = 0.02."""
+    if kind in ("three_compartment", "mixed_lags"):
         flow = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0])
-        return three_compartment_system(flow), TorusPoint([phase, 1.0 - phase])
+        h = 0.02 if kind == "mixed_lags" else h
+        return three_compartment_system(flow), TorusPoint([phase, 1.0 - phase]), h
     flow = TorusFlow([GOLDEN_FREQ])
     if kind == "density":
-        return density_system(flow), TorusPoint([phase])
-    lag = h if kind == "s1_lag_h" else 1.0
+        return density_system(flow), TorusPoint([phase]), h
+    lag = S1_LAG_STEPS[kind] * h if kind in S1_LAG_STEPS else 1.0
     base = s1_system(flow)
     sys = NeutralDiagSystem(
         m=1,
@@ -619,10 +626,13 @@ def _plan_case(kind, phase, h):
         transports=base.transports,
         flow=flow,
     )
-    return sys, TorusPoint([phase])
+    return sys, TorusPoint([phase]), h
 
 
-@pytest.mark.parametrize("kind", ["s1", "s1_lag_h", "three_compartment", "density"])
+@pytest.mark.parametrize(
+    "kind",
+    ["s1", "s1_lag_h", "s1_lag_2h", "s1_lag_3h", "three_compartment", "mixed_lags", "density"],
+)
 @settings(max_examples=10, deadline=None)
 @given(
     phase=st.floats(0.0, 1.0),
@@ -636,15 +646,16 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
     # phase, B^-1, the delayed part of D and z at the pipe lags, bit for bit.
     # h = 0.03, 0.045, 0.0375 put lags off the half-step grid (4-point
     # stencils); a lag of h (s1_lag_h, density at h = 0.05) reads the newest
-    # rows one-sided; small blocks cross many block boundaries; runs go past
-    # cfg.nsteps, which is 10.
+    # rows one-sided; small blocks cross many block boundaries and cut read
+    # windows short; runs go past cfg.nsteps, which is 10. The rows not yet
+    # stored hold NaN at every query, so a window that reads one fails.
     from unittest import mock
 
     from nfde_lab import integrator
 
     from .oracles import stage_direct
 
-    sys, p0 = _plan_case(kind, phase, h)
+    sys, p0, h = _plan_case(kind, phase, h)
     cfg = SimConfig(h=h, t_end=10 * h)
     offsets = np.arange(sys.m)[None, :]
     z0 = from_function(
@@ -652,14 +663,20 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
         h,
         required_z_horizon(sys, cfg) + 2 * h,
     )
+
+    def stage(j):
+        state.X[state.k + 1 :] = np.nan
+        return state.stage(j)
+
     with mock.patch.object(integrator, "_PLAN_STEPS", block or integrator._PLAN_STEPS):
         state = init_from_z(sys, p0, z0, cfg)
-        _assert_same_stage(state.stage(0), stage_direct(state, state.t))
+        _assert_same_stage(stage(0), stage_direct(state, state.t))
         for n in range(steps):
             t = state.t
-            _assert_same_stage(state.stage(2 * n + 1), stage_direct(state, t + 0.5 * h))
+            _assert_same_stage(stage(2 * n + 1), stage_direct(state, t + 0.5 * h))
             end = stage_direct(state, t + h)
-            _assert_same_stage(state.stage(2 * n + 2), end)
+            _assert_same_stage(stage(2 * n + 2), end)
+            state.X[state.k + 1 :] = np.nan
             step(state)
             _assert_same_stage(state._ahead, end)
 
@@ -744,7 +761,7 @@ def _log_case(kind, phase, h, amp, shift=0.0):
         flow = TorusFlow([GOLDEN_FREQ])
         sys, p0 = phase_gain_system(flow), TorusPoint([phase])
     else:
-        sys, p0 = _plan_case(kind, phase, h)
+        sys, p0, _ = _plan_case(kind, phase, h)
     offsets = np.arange(sys.m)[None, :]
     need = required_z_horizon(sys, SimConfig(h=h, t_end=h))
     z0 = from_function(

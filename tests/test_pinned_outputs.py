@@ -5,7 +5,9 @@ Each integration case runs one CLI task and compares every number in
 before the stage plan replaced the per-stage phase computations (which left
 every output byte-identical); the `invert` and `covering` cases were
 recorded later, before the condition checkers were reduced to one
-evaluation per condition, to give a baseline for a change of the inverse.
+evaluation per condition, to give a baseline for a change of the inverse;
+the short-delay case before the stage plan read the delayed state a window
+of stages at a time.
 The `check` case compares every suggested rate and margin in `summary.txt`
 and every margin in `result.csv` with values recorded before the rate scan
 evaluated all trial rates at once.
@@ -128,6 +130,18 @@ CASES = {
             "z_diff_sup": 212.1445170472485,
         },
         1001,
+    ),
+    # delays of two steps: each read window of the stage plan is one step long
+    "s1-short-delay-mass-audit": (
+        "mass-audit",
+        {
+            **S1,
+            "system": {**S1["system"], "alpha": [0.02], "rho": [[0.02]]},
+            "sim": {"h": 0.01, "t_end": 2.0, "log_stride": 10},
+        },
+        [1.5442329254433673e-05],
+        {"t": 21.0, "M": 30.239737549392142, "residual": -0.00026245060785701213},
+        21,
     ),
     "c3-mass-audit": (
         "mass-audit",

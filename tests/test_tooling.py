@@ -90,3 +90,50 @@ def test_setup_mark_comes_before_checker_work(tmp_path, monkeypatch):
     path.write_text(json.dumps(cfg))
     assert cli.main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 1)
     assert built and all(built)
+
+
+def test_setup_mark_comes_before_stage_plan_work(tmp_path, monkeypatch):
+    # perfbench/child.py ends `setup_s` at the first call of integrator.step;
+    # the stage plan's blocks and read windows must be built after it, and
+    # step must run once per step
+    from nfde_lab import cli, integrator
+
+    spec = importlib.util.spec_from_file_location("child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    calls = []
+    step = integrator.step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "step", counted)  # restored after the test
+    marks = {}
+    child._first_entry_hook(integrator, ("step",), marks)
+    built = []
+    for name in ("_PlanBlock", "_ReadWindow"):
+        base = getattr(integrator, name)
+
+        def init(self, *args, _base=base):
+            built.append("first_entry" in marks)
+            _base.__init__(self, *args)
+
+        monkeypatch.setattr(integrator, name, type(name, (base,), {"__init__": init}))
+    cfg = {
+        "system": {
+            "kind": "neutral_diag",
+            "m": 1,
+            "c": [{"constant": 0.3, "terms": [{"k": [1], "sin": 0.2}]}],
+            "alpha": [0.5],
+            "rho": [[0.5]],
+            "gains": [[1.0]],
+        },
+        "sim": {"h": 0.01, "t_end": 2.0, "log_stride": 10},
+        "z_init": {"kind": "constant", "value": [2.0]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["mass-audit", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(built) > 2 and all(built)
+    assert len(calls) == 200
