@@ -61,16 +61,6 @@ class TorusPoint:
         theta = np.mod(np.atleast_1d(np.asarray(self.theta, dtype=float)), 1.0)
         object.__setattr__(self, "theta", _frozen_array(theta, ndim=1))
 
-    @classmethod
-    def of_reduced(cls, theta: np.ndarray) -> "TorusPoint":
-        """Wrap a read-only 1-d row already reduced by np.mod(., 1.0).
-
-        No copy and no second reduction, so the phase keeps its bits.
-        """
-        p = object.__new__(cls)
-        object.__setattr__(p, "theta", theta)
-        return p
-
     @property
     def dim(self) -> int:
         return self.theta.size
@@ -102,10 +92,6 @@ class TrigPoly:
         object.__setattr__(self, "k_vecs", _frozen_array(k, dtype=int, ndim=2))
         object.__setattr__(self, "cos_coeffs", _frozen_array(c, ndim=1))
         object.__setattr__(self, "sin_coeffs", _frozen_array(s, ndim=1))
-        # kept as flags: the integrator asks for every coefficient at every stage
-        constant = not (np.any(c) or np.any(s))
-        object.__setattr__(self, "_constant", constant)
-        object.__setattr__(self, "_zero", constant and self.constant == 0.0)
 
     @classmethod
     def const(cls, value: float) -> "TrigPoly":
@@ -131,10 +117,10 @@ class TrigPoly:
         return None if self.n_terms == 0 else self.k_vecs.shape[1]
 
     def is_zero(self) -> bool:
-        return self._zero
+        return self.is_constant() and self.constant == 0.0
 
     def is_constant(self) -> bool:
-        return self._constant
+        return not (self.cos_coeffs.any() or self.sin_coeffs.any())
 
     def sup_bound(self) -> float:
         """Certified upper bound: constant + sum(|cos| + |sin|)."""

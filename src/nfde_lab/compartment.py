@@ -154,10 +154,6 @@ class PipeSpec:
             raise ValueError("transit weights must sum to 1")
         object.__setattr__(self, "atoms", atoms)
 
-    @property
-    def max_lag(self) -> float:
-        return max(r for r, _ in self.atoms)
-
     @classmethod
     def instant(cls):
         return cls(((0.0, 1.0),))
@@ -207,7 +203,7 @@ class CompartmentalSystem:
             raise DimensionMismatchError("operator dimension does not match m")
         self.dspec.stability()  # raises when the delayed part is not a contraction
         self._check_gains()
-        object.__setattr__(self, "_terms", self._balance_terms())
+        object.__setattr__(self, "_terms", _BalanceTerms(self))
 
     def _check_gains(self) -> None:
         """Raise StructuralPreconditionError for a transport or outflow gain
@@ -229,32 +225,71 @@ class CompartmentalSystem:
             if low < -_EQ_TOL:
                 raise StructuralPreconditionError(f"negative {name}")
 
-    def _balance_terms(self) -> tuple:
-        """Per compartment i, the terms of its balance in eval_F's order:
-        the active outflow and out-transports (into j, by j), the inflow,
-        and one (j, r, w, transport) entry per atom of each active pipe
-        into i."""
-        terms = []
-        for i in range(self.m):
-            outs = (self.outflows[i],) + tuple(self.transports[j][i] for j in range(self.m))
-            pipes = tuple(
-                (j, r, w, self.transports[i][j])
-                for j in range(self.m)
-                if not self.transports[i][j].is_zero()
-                for r, w in self.pipes[i][j].atoms
-            )
-            terms.append((tuple(tr for tr in outs if not tr.is_zero()), self.inflows[i], pipes))
-        return tuple(terms)
-
     @property
     def max_pipe_lag(self) -> float:
-        lags = [
-            self.pipes[i][j].max_lag
-            for i in range(self.m)
-            for j in range(self.m)
-            if not self.transports[i][j].is_zero()
-        ]
-        return max(lags, default=0.0)
+        return self._terms.lags[-1]
+
+
+class _BalanceTerms:
+    """The balance law of a network as a table of coefficient columns.
+
+    Column n, `cols[n] = (poly, r)`, is a gain or an inflow read at the
+    phase r back. `lags` holds 0.0 and then each distinct positive lag of an
+    active pipe. `rows[i]` holds compartment i's terms in the order its
+    balance sums them: (column, shape) per active outflow and out-transport
+    (into j, by j), the inflow's column, and (j, n, w, column, shape) per
+    atom of an active pipe into i, which reads z_j at lags[n] back.
+    """
+
+    __slots__ = ("freqs", "cols", "lags", "rows")
+
+    def __init__(self, g: CompartmentalSystem):
+        m = g.m
+        active = [(i, j) for i in range(m) for j in range(m) if not g.transports[i][j].is_zero()]
+        pipe = {r for i, j in active for r, _ in g.pipes[i][j].atoms if r > 0.0}
+        self.lags = (0.0,) + tuple(sorted(pipe))
+        self.freqs = g.flow.freqs
+        self.cols = []
+
+        def col(poly: TrigPoly, r: float = 0.0) -> int:
+            self.cols.append((poly, 0.0 if poly.is_constant() else r))
+            return len(self.cols) - 1
+
+        rows = []
+        for i in range(m):
+            outs = [g.outflows[i]] + [g.transports[j][i] for j in range(m)]
+            outs = tuple((col(tr.gain), tr.shape.value_scalar) for tr in outs if not tr.is_zero())
+            pipes = tuple(
+                (j, self.lags.index(r), w, col(tr.gain, r), tr.shape.value_scalar)
+                for j, tr in enumerate(g.transports[i])
+                if not tr.is_zero()
+                for r, w in g.pipes[i][j].atoms
+            )
+            rows.append((outs, col(g.inflows[i]), pipes))
+        self.rows = tuple(rows)
+
+    def coeffs(self, thetas: np.ndarray) -> np.ndarray:
+        """Every column at each row of the (n, d) phases: shape (n, columns).
+        A column read r back takes the phase of `advance_many` there."""
+        cols = []
+        for poly, r in self.cols:
+            th = np.mod(thetas + (-r) * self.freqs, 1.0) if r else thetas
+            cols.append(eval_trig_many(poly, th))
+        return np.column_stack(cols)
+
+    def balance(self, c, zs) -> np.ndarray:
+        """Net balance rate from a coefficient row c, where zs[n] is the
+        state at lags[n] back and zs[0] the state now."""
+        F = []
+        for i, (outs, inflow, pipes) in enumerate(self.rows):
+            total_out = 0.0
+            for n, shape in outs:
+                total_out += c[n] * shape(zs[0][i])
+            f = -total_out + c[inflow]
+            for j, lag, w, n, shape in pipes:
+                f += w * (c[n] * shape(zs[lag][j]))
+            F.append(f)
+        return np.array(F)
 
 
 def _induced_dspec(m, c, alpha, flow) -> DOperatorSpec:
@@ -353,17 +388,6 @@ def _general(sys) -> CompartmentalSystem:
     return sys.compartmental if isinstance(sys, NeutralDiagSystem) else sys
 
 
-def _coeff_at(poly: TrigPoly, th: np.ndarray) -> float:
-    """Value of a coefficient at one phase row; a constant needs no evaluation."""
-    if poly.is_constant():
-        return poly.constant
-    return float(eval_trig_many(poly, th)[0])
-
-
-def _rate(tr: TransportSpec, th: np.ndarray, v: float) -> float:
-    return _coeff_at(tr.gain, th) * tr.shape.value_scalar(v)
-
-
 def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
     """Net balance rate at one phase from a supplied history.
 
@@ -377,20 +401,9 @@ def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
         raise HorizonError(
             f"history horizon {hist.horizon:.6g} does not cover pipe lag {g.max_pipe_lag:.6g}"
         )
-    x0 = hist.sample_at(0.0)
-    th0 = p.theta[None, :]
-    F = np.zeros(g.m)
-    for i, (outs, inflow, pipes) in enumerate(g._terms):
-        total_out = 0.0
-        for tr in outs:
-            total_out += _rate(tr, th0, x0[i])
-        F[i] = -total_out + _coeff_at(inflow, th0)
-        for j, r, w, tr in pipes:
-            th_r = th0
-            if r != 0.0 and not tr.gain.is_constant():
-                th_r = advance_many(g.flow, p, [-r])
-            F[i] += w * _rate(tr, th_r, hist.sample_at(-r)[j])
-    return F
+    terms = g._terms
+    zs = [hist.sample_at(0.0)] + [hist.sample_at(-r) for r in terms.lags[1:]]
+    return terms.balance(terms.coeffs(p.theta[None, :])[0], zs)
 
 
 def _transit_integral(g, p, hist, tr, donor, r) -> float:

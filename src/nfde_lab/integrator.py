@@ -21,18 +21,22 @@ a run sits at time 0, stage 2n + 1 at n h + h/2 and stage 2n + 2 at
 n h + h, where it also starts step n + 1. The stage plan computes what
 depends on the phase alone for a block of _PLAN_STEPS steps at a time, as
 the first stage of the block is needed: the phase rows, B^-1 (one batched
-inversion when B varies), each atom's weight matrix, and for every delay
-the four rows and weights of the cubic stencil, which equal those
-`cubic_rows` would use with the K rows stored at that stage. Because every
-delay is at least h, the delayed z of the next several stages is stored
-before they start: a read window runs from the stage asked for to the last
-stage of its block whose stencil reads only stored rows (the rest of the
-block for delays longer than the block, one step for a delay of 2h), and
-one gather from X, one product per atom and the density part compute the
-delayed part of D and z at the pipe lags for all of its stages at once. A
-stage then looks up its row and does only the work that needs its own
-value: rebuilding z and the balance law `eval_F`. The phases and every
-stage value are bit-identical to computing each stage from scratch.
+inversion when B varies), each atom's weight matrix, the balance law's
+coefficient columns (each gain and inflow at the phase of the lag it is
+read at), and for every delay the four rows and weights of the cubic
+stencil, which equal those `cubic_rows` would use with the K rows stored
+at that stage. Because every delay is at least h, the delayed z of the
+next several stages is stored before they start: a read window runs from
+the stage asked for to the last stage of its block whose stencil reads
+only stored rows (the rest of the block for delays longer than the block,
+one step for a delay of 2h), and one gather from X, one product per atom
+and the density part compute the delayed part of D and z at the pipe lags
+for all of its stages at once. A stage then looks up its rows and does
+only the work that needs its own value: rebuilding z and summing the
+balance law's terms. The phases and every stage value are bit-identical
+to computing each stage from scratch when each coefficient has one term
+whose wave vector has one nonzero entry or entries of size at most 2;
+otherwise the batched products may round a last bit differently.
 
 Logging happens after the run. The log rows are read off the stored X and
 Z, the masses come from vectorised passes over X (`_total_mass_many`), and
@@ -52,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .base_flow import TorusFlow, TorusPoint
-from .compartment import _general, _mass_span, _total_mass_many, eval_F
+from .compartment import _general, _mass_span, _total_mass_many
 from .d_operator import eval_Dhat_segment, eval_poly_matrix_many
 from .errors import (
     DivergenceError,
@@ -112,23 +116,14 @@ class _Delays:
     """The delays the method of steps reads from the stored z.
 
     `lags` holds each distinct atom lag, density midpoint distance and
-    nonzero pipe lag once; the other fields index into it.
+    positive pipe lag once; the other fields index into it.
     """
 
     def __init__(self, general, h: float):
         nu = general.dspec.nu
         atom = [a.lag for a in nu.atoms]
         dens = [] if nu.density is None else [float(-mid) for mid in nu.density.midpoints]
-        pipe = sorted(
-            {
-                r
-                for i in range(general.m)
-                for j in range(general.m)
-                if not general.transports[i][j].is_zero()
-                for r, _ in general.pipes[i][j].atoms
-                if r > 0.0
-            }
-        )
+        pipe = list(general._terms.lags[1:])
         lags = sorted(set(atom + dens + pipe))
         if lags and lags[0] < h - _SNAP:
             raise StructuralPreconditionError(
@@ -139,7 +134,7 @@ class _Delays:
         self.lags = np.array(lags)
         self.atom = [row[r] for r in atom]
         self.dens = np.array([row[r] for r in dens], dtype=int)
-        self.pipe = [(r, row[r]) for r in pipe]
+        self.pipe = [row[r] for r in pipe]
 
 
 # Steps per block of the stage plan: the phase-only data of a block's
@@ -148,46 +143,34 @@ _PLAN_STEPS = 64
 
 
 class _Stage:
-    """A stage time's data apart from the stage value: the phase, B^-1 and
-    the delayed part of D there, and z at the pipe lags before it."""
+    """A stage time's data apart from the stage value: B^-1, the delayed part
+    of D and the balance law's coefficients `c` there, and z at the pipe lags
+    `zr`; `c` and `zr` are lists of floats, which the balance sums fastest."""
 
-    __slots__ = ("p", "Binv", "rest", "delayed")
+    __slots__ = ("Binv", "rest", "c", "zr")
 
-    def __init__(self, p, Binv, rest, delayed):
-        self.p = p
+    def __init__(self, Binv, rest, c, zr):
         self.Binv = Binv
         self.rest = rest
-        self.delayed = delayed
+        self.c = c
+        self.zr = zr
 
     def z(self, zhat: np.ndarray) -> np.ndarray:
         """Physical state at the stage time from the transformed one."""
         return self.Binv @ (zhat + self.rest)
 
 
-class _StageHistory:
-    """z at a stage time and at its pipe lags: what eval_F reads."""
-
-    __slots__ = ("m", "now", "delayed")
-
-    def __init__(self, now, delayed):
-        self.m = now.size
-        self.now = now
-        self.delayed = delayed
-
-    def sample_at(self, s: float) -> np.ndarray:
-        return self.now if s == 0.0 else self.delayed[-s]
-
-
 class _PlanBlock:
     """Phase-only data of the stages of _PLAN_STEPS consecutive steps.
 
     Row r holds stage lo + r: its phase, B^-1 there (None when B is
-    constant), each atom's weight matrix, and for every delay the rows and
-    weights of the cubic stencil that reads z there from the stored X.
-    `reach[r]` is the newest stored row that stages lo .. lo + r read.
+    constant), each atom's weight matrix, the balance law's coefficient row,
+    and for every delay the rows and weights of the cubic stencil that reads
+    z there from the stored X. `reach[r]` is the newest stored row that
+    stages lo .. lo + r read.
     """
 
-    __slots__ = ("lo", "hi", "theta", "Binv", "W", "idx", "w", "reach")
+    __slots__ = ("lo", "hi", "theta", "Binv", "W", "c", "idx", "w", "reach")
 
     def __init__(self, state: SimState, b: int):
         spec = state.general.dspec
@@ -200,12 +183,12 @@ class _PlanBlock:
         t = n * h + np.where(j % 2 == 1, 0.5 * h, h)
         t[j == 0] = 0 * h
         theta = np.mod(state.p0.theta[None, :] + t[:, None] * state.flow.freqs[None, :], 1.0)
-        theta.setflags(write=False)
         self.theta = theta
         self.Binv = None
         if state._Binv is None:
             self.Binv = np.linalg.inv(eval_poly_matrix_many(spec.B, theta))
         self.W = [eval_poly_matrix_many(atom.weight, theta) for atom in spec.nu.atoms]
+        self.c = state.general._terms.coeffs(theta)
         lags = state.delays.lags
         pos = (t[:, None] - lags[None, :]) / h + state.Jh
         # a stage of step n reads K = Jh + n + 1 stored rows
@@ -222,12 +205,12 @@ class _ReadWindow:
     The window runs from a requested stage to the last stage of its block
     whose stencil reads only rows already stored, so one gather from X, one
     product per atom and the density part serve all of them. Row s holds
-    stage lo + s: the delayed part of D there (`rest`) and z at every delay
-    (`rows`, indexed like `_Delays.lags`). Each value is bit-identical to
-    the same stage computed on its own.
+    stage lo + s: the delayed part of D there (`rest`) and z at each
+    positive pipe lag (`zr`). Each value is bit-identical to the same stage
+    computed on its own.
     """
 
-    __slots__ = ("lo", "hi", "rest", "rows")
+    __slots__ = ("lo", "hi", "rest", "zr")
 
     def __init__(self, state: SimState, blk: _PlanBlock, j: int):
         r = j - blk.lo
@@ -237,20 +220,18 @@ class _ReadWindow:
         self.lo = j
         self.hi = blk.lo + end
         rest = np.zeros((end - r, state.m))
-        rows = None
         d = state.delays
-        if d.lags.size:
-            taps = blk.w[r:end] * state.X[blk.idx[r:end]]
-            rows = taps[:, 0] + taps[:, 1] + taps[:, 2] + taps[:, 3]
-            for W, n in zip(blk.W, d.atom):
-                rest += np.matmul(W[r:end], rows[:, n, :, None])[..., 0]
-            if d.dens.size:
-                dens = state.general.dspec.nu.density
-                # one stage at a time: einsum over the window sums in another order
-                for s in range(end - r):
-                    rest[s] += dens.step * np.einsum("lab,lb->a", dens.values, rows[s, d.dens])
+        taps = blk.w[r:end] * state.X[blk.idx[r:end]]
+        rows = taps[:, 0] + taps[:, 1] + taps[:, 2] + taps[:, 3]
+        for W, n in zip(blk.W, d.atom):
+            rest += np.matmul(W[r:end], rows[:, n, :, None])[..., 0]
+        if d.dens.size:
+            dens = state.general.dspec.nu.density
+            # one stage at a time: einsum over the window sums in another order
+            for s in range(end - r):
+                rest[s] += dens.step * np.einsum("lab,lb->a", dens.values, rows[s, d.dens])
         self.rest = rest
-        self.rows = rows
+        self.zr = rows[:, d.pipe]
 
 
 class SimState:
@@ -307,8 +288,7 @@ class SimState:
         r = j - blk.lo
         s = j - win.lo
         Binv = self._Binv if blk.Binv is None else blk.Binv[r]
-        delayed = {lag: win.rows[s, n] for lag, n in self.delays.pipe}
-        return _Stage(TorusPoint.of_reduced(blk.theta[r]), Binv, win.rest[s], delayed)
+        return _Stage(Binv, win.rest[s], blk.c[r].tolist(), win.zr[s].tolist())
 
 
 def _auto_n_trunc(c_sup: float, inv_tol: float) -> int:
@@ -368,7 +348,7 @@ def reconstruct_z(state: SimState, s: float) -> np.ndarray:
 
 
 def _rhs(state: SimState, stage: _Stage, z: np.ndarray) -> np.ndarray:
-    return eval_F(state.general, stage.p, _StageHistory(z, stage.delayed))
+    return state.general._terms.balance(stage.c, [z.tolist(), *stage.zr])
 
 
 def step(state: SimState, cfg: Optional[SimConfig] = None) -> SimState:
@@ -533,7 +513,7 @@ def run_ordered_pair(
     margin0 = float(_cone_margins(v0, cone, expAh, cfg.h, [sx.Jh])[0])
     if margin0 < -cfg.tol_cone:
         j, c = np.unravel_index(int(np.argmin(v0)), v0.shape)
-        raise UnorderedPairError(((j - sx.Jh) * cfg.h, int(c)), margin0)
+        raise UnorderedPairError(((int(j) - sx.Jh) * cfg.h, int(c)), margin0)
     for _ in range(cfg.nsteps):
         step(sx, cfg)
         step(sy, cfg)

@@ -3,10 +3,11 @@
 `compartment._Precomp` evaluates the Lipschitz bounds and the backward
 products of c_i at every sampled phase at once; the scalar functions here
 compute the same quantities at one phase with plain loops. `stage_direct`
-builds an integrator stage from scratch at one time, where the integrator
-reads its phase data from the stage plan, and `eval_F_direct` walks the
-full transport grid, where `eval_F` walks the term table built with the
-system. `comparison_upper_rows_direct` exponentiates the block matrix
+builds an integrator stage from scratch at one time, each coefficient by a
+one-row evaluation at its own phase, where the integrator reads the stage
+plan's rows. `eval_F_direct` walks the transport grid one coefficient at a
+time, where `eval_F` sums one row of the system's coefficient table.
+`comparison_upper_rows_direct` exponentiates the block matrix
 afresh at every node with SciPy, where `make_comparison_upper` walks the
 nodes by the semigroup from two NumPy exponentials. `run_direct` and
 `run_ordered_pair_direct` log while they step, one point at a time through
@@ -26,8 +27,8 @@ import numpy as np
 import scipy.linalg
 
 from nfde_lab import NeutralDiagSystem, TorusPoint, advance, eval_trig
-from nfde_lab.base_flow import advance_many
-from nfde_lab.compartment import _general, _nmin, _rate, _coeff_at, total_mass
+from nfde_lab.base_flow import advance_many, eval_trig_many
+from nfde_lab.compartment import _general, _nmin, total_mass
 from nfde_lab.d_operator import eval_poly_matrix_many
 from nfde_lab.errors import HorizonError, UnorderedPairError
 from nfde_lab.history import _EQ_TOL, _SNAP, HistoryGrid, TailPolicy, _nodes, cubic_rows
@@ -196,14 +197,19 @@ def zhat_segment(state, t: float, depth: int) -> HistoryGrid:
 
 
 def stage_direct(state, t_s: float) -> _Stage:
-    """Stage data at t_s computed on the spot: phase, B^-1 by one inversion,
-    each atom weight by one evaluation, delayed z by one cubic_rows call."""
+    """Stage data at t_s computed on the spot: B^-1 by one inversion, each
+    atom weight and each coefficient column by one evaluation at its own
+    phase, delayed z by one cubic_rows call."""
     spec = state.general.dspec
     p = point_at(state, t_s)
     th = p.theta[None, :]
     Binv = np.linalg.inv(eval_poly_matrix_many(spec.B, th)[0])
+    c = [
+        float(eval_trig_many(poly, th if r == 0.0 else advance_many(state.flow, p, [-r]))[0])
+        for poly, r in state.general._terms.cols
+    ]
     rest = np.zeros(state.m)
-    delayed = {}
+    zr = []
     d = state.delays
     if d.lags.size:
         rows = cubic_rows(state.X[: state.k + 1], (t_s - d.lags) / state.h + state.Jh)
@@ -212,8 +218,19 @@ def stage_direct(state, t_s: float) -> _Stage:
         if d.dens.size:
             dens = spec.nu.density
             rest += dens.step * np.einsum("lab,lb->a", dens.values, rows[d.dens])
-        delayed = {r: rows[n] for r, n in d.pipe}
-    return _Stage(p, Binv, rest, delayed)
+        zr = [rows[n].tolist() for n in d.pipe]
+    return _Stage(Binv, rest, c, zr)
+
+
+def _coeff_at(poly, th: np.ndarray) -> float:
+    """Value of a coefficient at one phase row; a constant needs no evaluation."""
+    if poly.is_constant():
+        return poly.constant
+    return float(eval_trig_many(poly, th)[0])
+
+
+def _rate(tr, th: np.ndarray, v: float) -> float:
+    return _coeff_at(tr.gain, th) * tr.shape.value_scalar(v)
 
 
 def eval_F_direct(sys, p: TorusPoint, hist) -> np.ndarray:
@@ -328,7 +345,7 @@ def run_ordered_pair_direct(sys, p0: TorusPoint, z_x, z_y, cfg) -> PairLog:
     margin0 = pair_margin(sx, sy, cone, expAh, run_min_a)
     if margin0 < -cfg.tol_cone:
         j, c = np.unravel_index(int(np.argmin(v0)), v0.shape)
-        raise UnorderedPairError(((j - sx.Jh) * cfg.h, int(c)), margin0)
+        raise UnorderedPairError(((int(j) - sx.Jh) * cfg.h, int(c)), margin0)
     nsteps = cfg.nsteps
     general = sx.general
     ts, zx, zy, zhx, zhy, gaps, mx, my, margins, supz = (

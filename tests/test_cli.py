@@ -150,6 +150,19 @@ def test_pair_ordered_offset_and_unordered_exit(tmp_path):
     assert code == 3
 
 
+def test_unordered_pair_witness_is_plain_numbers(tmp_path, capsys):
+    # the witness prints as a time and a component, not as NumPy scalars
+    cfg = {
+        "system": {**S1_SYSTEM, "c": [0.3]},
+        "cone": {"a_diag": [-2.0], "horizon": 1.0},
+        "sim": {"h": 0.02, "t_end": 0.2},
+        "z_init": {"kind": "constant", "value": [1.0]},
+        "z_init_y": {"kind": "constant", "value": [0.5]},
+    }
+    assert main(["pair", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 3
+    assert "worst margin -3.500e-01 at (-18.0, 0)" in capsys.readouterr().err
+
+
 def test_invert_task_scalar_geometric(tmp_path):
     cfg = {
         "system": {

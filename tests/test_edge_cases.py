@@ -7,6 +7,7 @@ import pytest
 from nfde_lab import (
     AtomicMeasureFamily,
     ConeSpec,
+    DimensionMismatchError,
     DOperatorSpec,
     HistoryGrid,
     HorizonError,
@@ -17,6 +18,7 @@ from nfde_lab import (
     ShapeFn,
     SimConfig,
     StructuralPreconditionError,
+    TorusFlow,
     TorusPoint,
     TransportSpec,
     TrigPoly,
@@ -135,6 +137,23 @@ def test_eval_F_horizon_error(golden_flow, origin):
     short = constant_history([1.0], 0.1, 1.0)
     with pytest.raises(HorizonError):
         eval_F(sys, origin, short)
+
+
+def test_eval_F_point_dimension_error():
+    # a phase on the 1-torus against a 2-torus flow is rejected, also where
+    # a gain is read at a pipe lag's phase
+    flow = TorusFlow([0.6, 0.4])
+    gain = TrigPoly.from_terms(1.0, [([1, 1], 0.1, 0.0)])
+    sys = NeutralDiagSystem(
+        m=1,
+        c=(TrigPoly.const(0.2),),
+        alpha=np.array([1.0]),
+        rho=np.array([[0.5]]),
+        transports=((TransportSpec(gain),),),
+        flow=flow,
+    )
+    with pytest.raises(DimensionMismatchError):
+        eval_F(sys, TorusPoint([0.3]), constant_history([1.0], 0.1, 2.0))
 
 
 def test_negative_gain_rejected(golden_flow):

@@ -593,12 +593,12 @@ def _bits(a) -> bytes:
 
 
 def _assert_same_stage(fast, slow):
-    assert _bits(fast.p.theta) == _bits(slow.p.theta)
     assert _bits(fast.Binv) == _bits(slow.Binv)
     assert _bits(fast.rest) == _bits(slow.rest)
-    assert list(fast.delayed) == list(slow.delayed)
-    for lag, row in slow.delayed.items():
-        assert _bits(fast.delayed[lag]) == _bits(row)
+    assert _bits(fast.c) == _bits(slow.c)
+    assert len(fast.zr) == len(slow.zr)
+    for got, want in zip(fast.zr, slow.zr):
+        assert _bits(got) == _bits(want)
 
 
 # s1 with both delays at a few steps: read windows of one and two steps
@@ -616,6 +616,8 @@ def _plan_case(kind, phase, h):
     flow = TorusFlow([GOLDEN_FREQ])
     if kind == "density":
         return density_system(flow), TorusPoint([phase]), h
+    if kind == "phase_gain":
+        return phase_gain_system(flow), TorusPoint([phase]), h
     lag = S1_LAG_STEPS[kind] * h if kind in S1_LAG_STEPS else 1.0
     base = s1_system(flow)
     sys = NeutralDiagSystem(
@@ -631,7 +633,16 @@ def _plan_case(kind, phase, h):
 
 @pytest.mark.parametrize(
     "kind",
-    ["s1", "s1_lag_h", "s1_lag_2h", "s1_lag_3h", "three_compartment", "mixed_lags", "density"],
+    [
+        "s1",
+        "s1_lag_h",
+        "s1_lag_2h",
+        "s1_lag_3h",
+        "three_compartment",
+        "mixed_lags",
+        "density",
+        "phase_gain",
+    ],
 )
 @settings(max_examples=10, deadline=None)
 @given(
@@ -643,12 +654,15 @@ def _plan_case(kind, phase, h):
 )
 def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
     # the plan's stages against stages computed from scratch at each time:
-    # phase, B^-1, the delayed part of D and z at the pipe lags, bit for bit.
-    # h = 0.03, 0.045, 0.0375 put lags off the half-step grid (4-point
+    # phase, B^-1, the delayed part of D, the coefficient row (each gain
+    # and inflow at its own lag's phase) and z at the pipe lags, bit for
+    # bit. h = 0.03, 0.045, 0.0375 put lags off the half-step grid (4-point
     # stencils); a lag of h (s1_lag_h, density at h = 0.05) reads the newest
-    # rows one-sided; small blocks cross many block boundaries and cut read
-    # windows short; runs go past cfg.nsteps, which is 10. The rows not yet
-    # stored hold NaN at every query, so a window that reads one fails.
+    # rows one-sided; phase_gain reads a phase-dependent gain at the
+    # off-grid pipe lags 0.55 and 0.8; small blocks cross many block
+    # boundaries and cut read windows short; runs go past cfg.nsteps, which
+    # is 10. The rows not yet stored hold NaN at every query, so a window
+    # that reads one fails.
     from unittest import mock
 
     from nfde_lab import integrator
@@ -664,18 +678,21 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
         required_z_horizon(sys, cfg) + 2 * h,
     )
 
-    def stage(j):
+    def stage(j, t_s):
         state.X[state.k + 1 :] = np.nan
-        return state.stage(j)
+        fast = state.stage(j)
+        blk = state._block
+        assert _bits(blk.theta[j - blk.lo]) == _bits(point_at(state, t_s).theta)
+        return fast
 
     with mock.patch.object(integrator, "_PLAN_STEPS", block or integrator._PLAN_STEPS):
         state = init_from_z(sys, p0, z0, cfg)
-        _assert_same_stage(stage(0), stage_direct(state, state.t))
+        _assert_same_stage(stage(0, state.t), stage_direct(state, state.t))
         for n in range(steps):
             t = state.t
-            _assert_same_stage(stage(2 * n + 1), stage_direct(state, t + 0.5 * h))
+            _assert_same_stage(stage(2 * n + 1, t + 0.5 * h), stage_direct(state, t + 0.5 * h))
             end = stage_direct(state, t + h)
-            _assert_same_stage(stage(2 * n + 2), end)
+            _assert_same_stage(stage(2 * n + 2, t + h), end)
             state.X[state.k + 1 :] = np.nan
             step(state)
             _assert_same_stage(state._ahead, end)

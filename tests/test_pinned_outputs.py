@@ -7,7 +7,8 @@ every output byte-identical); the `invert` and `covering` cases were
 recorded later, before the condition checkers were reduced to one
 evaluation per condition, to give a baseline for a change of the inverse;
 the short-delay case before the stage plan read the delayed state a window
-of stages at a time.
+of stages at a time; the ring case, whose gains are read at a pipe lag's
+phase, before the stage plan evaluated the balance law's coefficients.
 The `check` case compares every suggested rate and margin in `summary.txt`
 and every margin in `result.csv` with values recorded before the rate scan
 evaluated all trial rates at once.
@@ -104,6 +105,39 @@ C3_INVERT = {
     },
 }
 
+# A ring 0 -> 1 -> 2 -> 0 on the 2-torus: every transport has its own
+# phase-dependent gain and a sine_bend shape, and runs through a pipe of lag
+# 0.4, so each gain is read at the phase 0.4 back; the inflow into 0 and B
+# depend on the phase too.
+DIAG_B = [[_poly(1.0, [1, 0], cos=0.1) if i == j else 0.0 for j in range(3)] for i in range(3)]
+RING = {
+    "schema": 1,
+    "flow": C3["flow"],
+    "theta0": [0.2, 0.6],
+    "system": {
+        "kind": "compartmental",
+        "m": 3,
+        "B": DIAG_B,
+        "atoms": [{"lag": 0.5, "weight": [[0.2 if i == j else 0.0 for j in range(3)] for i in range(3)]}],
+        "transports": [
+            [
+                {
+                    "gain": _poly(0.5 + 0.1 * i, [0, 1], cos=0.1, sin=0.05 * i),
+                    "shape": {"kind": "sine_bend", "eps": 0.3},
+                }
+                if j == (i - 1) % 3
+                else 0.0
+                for j in range(3)
+            ]
+            for i in range(3)
+        ],
+        "pipes": [[[[0.4, 1.0]] if j == (i - 1) % 3 else INSTANT for j in range(3)] for i in range(3)],
+        "inflows": [_poly(0.3, [1, 0], cos=0.1), 0.0, 0.0],
+    },
+    "sim": {"h": 0.02, "t_end": 2.0, "log_stride": 5},
+    "z_init": {"kind": "constant", "value": [1.0, 1.0, 1.0]},
+}
+
 # task, config, summary numbers in order, result.csv column sums, data rows
 CASES = {
     "s1-mass-audit": (
@@ -149,6 +183,13 @@ CASES = {
         [0.0003424479481447737],
         {"t": 5.500000000000001, "M": 30.315193298578638, "residual": 0.001436459939895057},
         11,
+    ),
+    "ring-phase-gain-mass-audit": (
+        "mass-audit",
+        RING,
+        [0.0007355467472707211],
+        {"t": 21.0, "M": 74.00636538596028, "residual": -0.0065050614525226196},
+        21,
     ),
     "c3-invert": (
         "invert",

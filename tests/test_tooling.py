@@ -94,9 +94,10 @@ def test_setup_mark_comes_before_checker_work(tmp_path, monkeypatch):
 
 def test_setup_mark_comes_before_stage_plan_work(tmp_path, monkeypatch):
     # perfbench/child.py ends `setup_s` at the first call of integrator.step;
-    # the stage plan's blocks and read windows must be built after it, and
-    # step must run once per step
-    from nfde_lab import cli, integrator
+    # the stage plan's blocks and read windows must be built, and the
+    # balance law's coefficient columns evaluated, after it, and step must
+    # run once per step
+    from nfde_lab import cli, compartment, integrator
 
     spec = importlib.util.spec_from_file_location("child", ROOT / "perfbench" / "child.py")
     child = importlib.util.module_from_spec(spec)
@@ -120,6 +121,14 @@ def test_setup_mark_comes_before_stage_plan_work(tmp_path, monkeypatch):
             _base.__init__(self, *args)
 
         monkeypatch.setattr(integrator, name, type(name, (base,), {"__init__": init}))
+    evaluated = []
+    coeffs = compartment._BalanceTerms.coeffs
+
+    def counted_coeffs(self, thetas):
+        evaluated.append("first_entry" in marks)
+        return coeffs(self, thetas)
+
+    monkeypatch.setattr(compartment._BalanceTerms, "coeffs", counted_coeffs)
     cfg = {
         "system": {
             "kind": "neutral_diag",
@@ -136,4 +145,5 @@ def test_setup_mark_comes_before_stage_plan_work(tmp_path, monkeypatch):
     path.write_text(json.dumps(cfg))
     assert cli.main(["mass-audit", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert len(built) > 2 and all(built)
+    assert evaluated and all(evaluated)
     assert len(calls) == 200
