@@ -58,7 +58,8 @@ from .errors import (
     UnorderedPairError,
     UnstableMarginError,
 )
-from .history import HistoryGrid, _fmt, _nodes, export_csv, from_function, import_csv, write_csv
+from .history import HistoryGrid, _fmt, _nodes, export_csv, from_function, import_csv
+from .history import resample, write_csv
 from .integrator import (
     SimConfig,
     covering_diagnostic,
@@ -110,6 +111,14 @@ def _num(value, where: str, array: bool = False):
         return np.asarray(value, dtype=float) if array else float(value)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from e
+
+
+def _finite(value, where: str, array: bool = False):
+    """_num, rejecting NaN and infinities."""
+    value = _num(value, where, array)
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{where}: expected finite numbers, got {value!r}")
+    return value
 
 
 def _parse_poly(node, where: str) -> TrigPoly:
@@ -465,7 +474,7 @@ def _write_summary(outdir, lines):
 # --- tasks -------------------------------------------------------------------
 
 
-def cmd_check(cfg: dict, outdir: str) -> int:
+def cmd_check(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
     flow = _parse_flow(cfg)
     sys_obj = _parse_system(cfg, flow)
     if not isinstance(sys_obj, NeutralDiagSystem):
@@ -477,13 +486,12 @@ def cmd_check(cfg: dict, outdir: str) -> int:
     for c in conds:
         if c not in CONDITIONS:
             raise ConfigError(f"unknown condition {c!r}")
-    sampling = _parse_sampling(cfg)
-    a_node = node["a"]
-    if a_node == "auto":
-        trial = node.get("trial_a")
-        if trial is not None:
-            trial = _parse_rates(trial, "check.trial_a")
-    else:
+    a_node, trial = node["a"], node.get("trial_a")
+    if trial is not None and a_node != "auto":
+        raise ConfigError('check.trial_a: only read when check.a is "auto"')
+    if trial is not None:
+        trial = _parse_rates(trial, "check.trial_a")
+    if a_node != "auto":
         a = _parse_rates(a_node, "check.a", sys_obj.m)
     rows = []
     lines = [f"task=check conditions={','.join(conds)}"]
@@ -537,20 +545,18 @@ def _sim_setup(cfg):
         raise ConfigError("simulation tasks need a compartmental system")
     cone = _parse_cone(cfg, sys_obj.m)
     sim = _parse_sim(cfg, cone)
-    need = required_z_horizon(sys_obj, sim)
-    z0 = _parse_history(
-        _req(cfg, "z_init", "config"), "z_init", sys_obj.m, sim.h, need + 2 * sim.h
-    )
-    p0 = TorusPoint(_num(cfg.get("theta0", [0.0] * flow.dim), "theta0", array=True))
+    need = required_z_horizon(sys_obj, sim) + 2 * sim.h
+    z0 = _parse_history(_req(cfg, "z_init", "config"), "z_init", sys_obj.m, sim.h, need)
+    p0 = TorusPoint(_finite(cfg.get("theta0", [0.0] * flow.dim), "theta0", array=True))
     return flow, sys_obj, sim, z0, p0
 
 
 def _threshold(cfg: dict, key: str):
     thr = _block(cfg, "thresholds", {}).get(key)
-    return None if thr is None else _num(thr, f"thresholds.{key}")
+    return None if thr is None else _finite(thr, f"thresholds.{key}")
 
 
-def cmd_simulate(cfg: dict, outdir: str) -> int:
+def cmd_simulate(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
     flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
     thr = _threshold(cfg, "mass_residual")
     log = run(sys_obj, p0, z0, sim)
@@ -570,27 +576,21 @@ def cmd_simulate(cfg: dict, outdir: str) -> int:
     return code
 
 
-def cmd_pair(cfg: dict, outdir: str) -> int:
+def cmd_pair(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
     flow, sys_obj, sim, z_x, p0 = _sim_setup(cfg)
     if sim.cone is None:
         raise ConfigError("task=pair needs a cone")
     node = _req(cfg, "z_init_y", "config")
     if _kind(cfg, "z_init_y") == "ordered_offset":
-        lam = _num(_block(cfg, "z_init_y", _OFFSET_DEFAULTS)["lam"], "z_init_y.lam")
-        comp = make_comparison_upper(
-            sim.cone, sys_obj.m, step=sim.h, horizon=z_x.horizon
-        )
-        yhat_x = eval_Dhat_segment(
-            sys_obj.dspec, p0, z_x, z_x.J - _nodes(sys_obj.dspec.support, sim.h)
-        )
-        bump = invert_Dhat(
-            sys_obj.dspec,
-            p0,
-            HistoryGrid(sim.h, comp.hist.samples[: yhat_x.J + 1], comp.hist.tail),
-            sim.inv_tol,
-        )
-        rows = z_x.sample_many(-sim.h * np.arange(bump.J + 1)) + lam * bump.samples
-        z_y = HistoryGrid(sim.h, rows, z_x.tail)
+        lam = _finite(_block(cfg, "z_init_y", _OFFSET_DEFAULTS)["lam"], "z_init_y.lam")
+        if z_x.step != sim.h:  # the offset is built on the step grid
+            z_x = resample(z_x, sim.h, z_x.horizon, z_x.tail)
+        comp = make_comparison_upper(sim.cone, sys_obj.m, step=sim.h, horizon=z_x.horizon)
+        # the bump's inverse reaches one delay span further back, to z_x.J
+        J = z_x.J - _nodes(sys_obj.dspec.support, sim.h)
+        yhat = HistoryGrid(sim.h, comp.hist.samples[: J + 1], comp.hist.tail)
+        bump = invert_Dhat(sys_obj.dspec, p0, yhat, sim.inv_tol)
+        z_y = HistoryGrid(sim.h, z_x.samples + lam * bump.samples, z_x.tail)
     else:
         z_y = _parse_history(node, "z_init_y", sys_obj.m, sim.h, z_x.horizon)
     thr = _threshold(cfg, "cone_margin")
@@ -612,19 +612,17 @@ def cmd_pair(cfg: dict, outdir: str) -> int:
     return code
 
 
-def cmd_invert(cfg: dict, outdir: str) -> int:
+def cmd_invert(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
     flow = _parse_flow(cfg)
     sys_obj = _parse_system(cfg, flow)
     dspec = sys_obj if isinstance(sys_obj, DOperatorSpec) else sys_obj.dspec
     node = _req(cfg, "yhat", "config")
-    tol = _num(cfg["sim"]["inv_tol"], "sim.inv_tol")
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"sim.inv_tol: expected a finite number > 0, got {tol!r}")
+    tol = _parse_sim(cfg, None).inv_tol
     yhat = _parse_history(
         node, "yhat", dspec.m, _YHAT_DEFAULTS["step"], _YHAT_DEFAULTS["horizon"]
     )
-    p0 = TorusPoint(_num(cfg.get("theta0", [0.0] * flow.dim), "theta0", array=True))
-    est = stability_margin(dspec, _parse_sampling(cfg))
+    p0 = TorusPoint(_finite(cfg.get("theta0", [0.0] * flow.dim), "theta0", array=True))
+    est = stability_margin(dspec, sampling)
     x = invert_Dhat(dspec, p0, yhat, tol)
     export_csv(x, os.path.join(outdir, "result.csv"))
     back = eval_Dhat_segment(dspec, p0, x, yhat.J)
@@ -639,7 +637,7 @@ def cmd_invert(cfg: dict, outdir: str) -> int:
     return EXIT_OK
 
 
-def cmd_mass_audit(cfg: dict, outdir: str) -> int:
+def cmd_mass_audit(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
     flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
     thr = _threshold(cfg, "mass_residual")
     log = run(sys_obj, p0, z0, sim)
@@ -659,7 +657,7 @@ def cmd_mass_audit(cfg: dict, outdir: str) -> int:
     return code
 
 
-def cmd_covering(cfg: dict, outdir: str) -> int:
+def cmd_covering(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
     flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
     node = _block(cfg, "covering", _COVERING_DEFAULTS)
     tols = node["return_tols"]
@@ -726,7 +724,7 @@ def main(argv=None) -> int:
         cfg["task"] = args.task
         _materialize(cfg, args.task)
         _echo(cfg, args.out)
-        return dispatch[args.task](cfg, args.out)
+        return dispatch[args.task](cfg, _parse_sampling(cfg), args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -11,9 +11,10 @@ steps. Every delay D reads is at least one step h, so at any stage time
     z(t) = B(w . t)^-1 [zhat(t) + sum_k W_k(w . t) z(t - s_k) + density part]
 
 is explicit in values of z already stored; the store starts from the given
-physical history. Delayed values come from the stored z through the shared
-cubic interpolation, so the effective order sits between 2 and 4
-depending on the smoothness of the data.
+physical history, as far back as the run reads (`_history_rows`). Delayed
+values come from the stored z through the shared cubic interpolation, so
+the effective order sits between 2 and 4 depending on the smoothness of
+the data.
 
 Every coefficient depends on the state only through z, and on time only
 through the phase w . t, whose orbit is fixed before the run. Stage 0 of
@@ -80,7 +81,9 @@ from .ordering import ConeSpec, matrix_exp
 
 @dataclass
 class SimConfig:
-    """Integration plan. n_trunc defaults from the contraction factor."""
+    """Integration plan. n_trunc, when given, stores that many delay spans of
+    history beyond what the run reads; inv_tol is for the caller's own
+    inversions, as the integrator inverts nothing."""
 
     h: float
     t_end: float
@@ -241,12 +244,11 @@ class SimState:
     index Jh is time zero and `k` points at the current step.
     """
 
-    def __init__(self, sys, p0, cfg, n_trunc, Jh, Z, X, k, delays):
+    def __init__(self, sys, p0, cfg, Jh, Z, X, k, delays):
         self.general = _general(sys)
         self.p0 = p0
         self.cfg = cfg
         self.h = cfg.h
-        self.n_trunc = n_trunc
         self.Jh = Jh
         self.Z = Z
         self.X = X
@@ -291,27 +293,28 @@ class SimState:
         return _Stage(Binv, win.rest[s], blk.c[r].tolist(), win.zr[s].tolist())
 
 
-def _auto_n_trunc(c_sup: float, inv_tol: float) -> int:
-    if c_sup <= 0.0:
-        return 0
-    return max(1, int(math.ceil(math.log(inv_tol) / math.log(c_sup))))
-
-
-def _history_plan(general, cfg: SimConfig):
-    """(n_trunc, Jh): truncation depth and stored history length in steps."""
-    n_trunc = cfg.n_trunc
-    if n_trunc is None:
-        n_trunc = _auto_n_trunc(general.dspec.stability().lam, cfg.inv_tol)
+def _history_rows(general, cfg: SimConfig) -> int:
+    """Stored history length in steps: the longest delay that the method of
+    steps or the mass window reads, plus the two rows a cubic stencil
+    reaches past it, and n_trunc extra delay spans when given."""
     S = general.dspec.support
-    H = general.max_pipe_lag + S + n_trunc * S
-    return n_trunc, max(1, _nodes(H, cfg.h))
+    return _nodes(max(general.max_pipe_lag, S) + (cfg.n_trunc or 0) * S, cfg.h) + 2
 
 
 def required_z_horizon(sys, cfg: SimConfig) -> float:
     """History length needed to initialize a run from physical data."""
     general = _general(sys)
-    _, Jh = _history_plan(general, cfg)
-    return Jh * cfg.h + general.dspec.support
+    return _history_rows(general, cfg) * cfg.h + general.dspec.support
+
+
+def _lift(general, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig, depth: int):
+    """z_hist on the step h, and its transform at the nodes 0 .. depth back."""
+    need = depth * cfg.h + general.dspec.support
+    if z_hist.horizon + _SNAP < need:
+        raise HorizonError(f"initial history covers {z_hist.horizon:.6g}, need {need:.6g}")
+    if abs(z_hist.step - cfg.h) > _EQ_TOL:
+        z_hist = resample(z_hist, cfg.h, z_hist.horizon, z_hist.tail)
+    return z_hist, eval_Dhat_segment(general.dspec, p0, z_hist, depth)
 
 
 def init_from_z(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> SimState:
@@ -322,21 +325,14 @@ def init_from_z(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> Sim
     """
     general = _general(sys)
     delays = _Delays(general, cfg.h)
-    n_trunc, Jh = _history_plan(general, cfg)
-    required = required_z_horizon(general, cfg)
-    if z_hist.horizon + _SNAP < required:
-        raise HorizonError(
-            f"initial history covers {z_hist.horizon:.6g}, need {required:.6g}"
-        )
-    if abs(z_hist.step - cfg.h) > _EQ_TOL:
-        z_hist = resample(z_hist, cfg.h, z_hist.horizon, z_hist.tail)
-    zhat = eval_Dhat_segment(general.dspec, p0, z_hist, Jh)
+    Jh = _history_rows(general, cfg)
+    z_hist, zhat = _lift(general, p0, z_hist, cfg, Jh)
     rows = Jh + cfg.nsteps + 8
     Z = np.empty((rows, general.m))
     Z[: Jh + 1] = zhat.samples[::-1]
     X = np.empty((rows, general.m))
     X[: Jh + 1] = z_hist.samples[Jh::-1]
-    return SimState(sys, p0, cfg, n_trunc, Jh, Z, X, Jh, delays)
+    return SimState(sys, p0, cfg, Jh, Z, X, Jh, delays)
 
 
 def reconstruct_z(state: SimState, s: float) -> np.ndarray:
@@ -498,26 +494,31 @@ def run_ordered_pair(
     """Integrate two initial data in lockstep and monitor order quantities.
 
     Requires cfg.cone; the initial transformed pair must be ordered within
-    cfg.tol_cone. At each log point the transformed cone margin, the
-    per-component operator gap, both masses, and the sup of the physical
-    difference over the mass window are recorded, all read off the stored
-    buffers once the run is done.
+    cfg.tol_cone as far back as both data reach. At each log point the
+    transformed cone margin, the per-component operator gap, both masses,
+    and the sup of the physical difference over the mass window are
+    recorded, all read off the stored buffers once the run is done.
     """
     if cfg.cone is None:
         raise ValueError("an ordered-pair run needs cfg.cone")
     cone = cfg.cone
-    sx = init_from_z(sys, p0, z_x, cfg)
-    sy = init_from_z(sys, p0, z_y, cfg)
+    general = _general(sys)
     expAh = matrix_exp(cone.A, cfg.h)
-    v0 = sy.Z[: sy.k + 1] - sx.Z[: sx.k + 1]
-    margin0 = float(_cone_margins(v0, cone, expAh, cfg.h, [sx.Jh])[0])
+    # the sign check reads the transformed histories as far back as both
+    # reach, not only the stored rows (a shorter one fails in _lift)
+    J = int(math.floor((min(z_x.horizon, z_y.horizon) - general.dspec.support) / cfg.h + _SNAP))
+    J = max(J, _history_rows(general, cfg))
+    zx0, zy0 = (_lift(general, p0, z, cfg, J)[1].samples[::-1] for z in (z_x, z_y))
+    v0 = zy0 - zx0
+    margin0 = float(_cone_margins(v0, cone, expAh, cfg.h, [J])[0])
     if margin0 < -cfg.tol_cone:
         j, c = np.unravel_index(int(np.argmin(v0)), v0.shape)
-        raise UnorderedPairError(((int(j) - sx.Jh) * cfg.h, int(c)), margin0)
+        raise UnorderedPairError(((int(j) - J) * cfg.h, int(c)), margin0)
+    sx = init_from_z(sys, p0, z_x, cfg)
+    sy = init_from_z(sys, p0, z_y, cfg)
     for _ in range(cfg.nsteps):
         step(sx, cfg)
         step(sy, cfg)
-    general = sx.general
     W = _mass_span(general, cfg.h)
     _check_stored(sx, cfg, W)
     _check_stored(sy, cfg, W)

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import re
 
 import pytest
 
@@ -151,7 +153,8 @@ def test_pair_ordered_offset_and_unordered_exit(tmp_path):
 
 
 def test_unordered_pair_witness_is_plain_numbers(tmp_path, capsys):
-    # the witness prints as a time and a component, not as NumPy scalars
+    # the witness prints as a time and a component, not as NumPy scalars; the
+    # default z_init reaches 2.08 back, so its transform reaches 1.08 back
     cfg = {
         "system": {**S1_SYSTEM, "c": [0.3]},
         "cone": {"a_diag": [-2.0], "horizon": 1.0},
@@ -160,7 +163,51 @@ def test_unordered_pair_witness_is_plain_numbers(tmp_path, capsys):
         "z_init_y": {"kind": "constant", "value": [0.5]},
     }
     assert main(["pair", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 3
-    assert "worst margin -3.500e-01 at (-18.0, 0)" in capsys.readouterr().err
+    assert "worst margin -3.500e-01 at (-1.08, 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon, code", [(9.0, 0), (30.0, 3)])
+def test_pair_checks_all_of_the_given_history(tmp_path, capsys, horizon, code):
+    # z_init_y - z_init = 0.5 cos(2 pi s / 40) is positive on (-10, 0], which
+    # covers the 1.04 a run stores, and negative on (-30, -10): the initial
+    # check reads as far back as the data go
+    cfg = {
+        "system": {**S1_SYSTEM, "c": [0.3]},
+        "cone": {"a_diag": [-2.0], "horizon": 1.0},
+        "sim": {"h": 0.02, "t_end": 0.2},
+        "z_init": {"kind": "constant", "value": [1.0], "horizon": horizon},
+        "z_init_y": {
+            "kind": "sinusoid", "base": [1.0], "amp": [0.5], "period": [40.0],
+            "phase": [0.5 * math.pi],
+        },
+    }
+    assert main(["pair", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == code
+    if code == 3:
+        err = capsys.readouterr().err
+        assert float(re.search(r"at \((\S+), 0\)", err).group(1)) < -10.0
+
+
+def test_ordered_offset_on_a_coarser_z_init_grid(tmp_path):
+    # a z_init sampled at 2h is put on the step grid before the offset is
+    # added, so the pair matches the one from z_init sampled at h
+    results = []
+    for step in (0.01, 0.02):
+        cfg = {
+            "system": S1_SYSTEM,
+            "cone": {"a_diag": [-2.0], "horizon": 1.0},
+            "sim": {"h": 0.01, "t_end": 0.5, "log_stride": 10},
+            "z_init": {
+                "kind": "sinusoid", "base": [2.0], "amp": [0.2], "period": [5.0], "step": step,
+            },
+            "z_init_y": {"kind": "ordered_offset", "lam": 0.2},
+        }
+        out = tmp_path / str(step)
+        assert main(["pair", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        with open(out / "result.csv", newline="") as fh:
+            results.append([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
+    assert len(results[0]) == len(results[1])
+    for fine, coarse in zip(*results):
+        assert coarse == pytest.approx(fine, rel=0.0, abs=1e-8)
 
 
 def test_invert_task_scalar_geometric(tmp_path):
@@ -657,6 +704,33 @@ EXIT_TWO = {
     "flow-typo": ("simulate", _with(SIM_CFG, "flow.freq", [0.5]), "freq"),
     "cone-typo": ("pair", _with(PAIR_CFG, "cone.horizn", 1.0), "horizn"),
     "thresholds-typo": ("simulate", _with(SIM_CFG, "thresholds.mass_resid", 1.0), "mass_resid"),
+    # NaN and Infinity, which json.load accepts
+    "theta0-nan": ("simulate", _with(SIM_CFG, "theta0", [float("nan")]), "theta0"),
+    "theta0-inf": ("mass-audit", _with(SIM_CFG, "theta0", [float("inf")]), "theta0"),
+    "z_init_y.lam-inf": ("pair", _with(PAIR_CFG, "z_init_y.lam", float("inf")), "z_init_y.lam"),
+    "thresholds.mass_residual-nan": (
+        "simulate",
+        _with(SIM_CFG, "thresholds.mass_residual", float("nan")),
+        "thresholds.mass_residual",
+    ),
+    "check.trial_a-with-a": (
+        "check",
+        _with(_with(SIM_CFG, "check.a", [-2.0]), "check.trial_a", [-1.0]),
+        "check.trial_a",
+    ),
+    # the sampling block is parsed for every task, not only check and invert
+    "sampling-simulate": ("simulate", _with(SIM_CFG, "sampling.grid_per_dim", 0), "grid_per_dim"),
+    "sampling-mass-audit": (
+        "mass-audit",
+        _with(SIM_CFG, "sampling.orbit_points", -5),
+        "orbit_points",
+    ),
+    "sampling-pair": ("pair", _with(PAIR_CFG, "sampling.orbit_step", "inf"), "orbit_step"),
+    "sampling-covering": (
+        "covering",
+        _with(SIM_CFG, "sampling.grid_per_dim", 2.5),
+        "sampling.grid_per_dim",
+    ),
 }
 
 

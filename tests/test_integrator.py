@@ -49,6 +49,14 @@ from .oracles import point_at, zhat_segment
 from .test_compartment import open_scalar_system
 
 
+# Extra delay spans of stored history for the tests whose Neumann oracle
+# inverts the stored zhat: one more than the depth the contraction factor
+# and inv_tol = 1e-8 give (27 for s1 and any constant c = 0.5, 20 for the
+# three-compartment ring, 37 for the density system), so the store is at
+# least as long as the one the integrator kept when it derived that depth.
+_N_TRUNC = {"s1": 28, "three_compartment": 21, "density": 38}
+
+
 def make_state(sys, cfg, z_value=2.0, p0=None):
     p0 = p0 or TorusPoint([0.0])
     need = required_z_horizon(sys, cfg)
@@ -94,17 +102,38 @@ def test_init_reconstruct_round_trip(golden_flow, origin):
 def test_init_horizon_error(golden_flow, origin):
     s1 = s1_system(golden_flow)
     cfg = SimConfig(h=0.05, t_end=1.0)
-    z0 = constant_history([2.0], 0.05, 5.0)  # far too short
+    z0 = constant_history([2.0], 0.05, 2.0)  # 2.1 is needed
     with pytest.raises(HorizonError):
         init_from_z(s1, origin, z0, cfg)
 
 
+@pytest.mark.parametrize(
+    "kind, h, n_trunc, want",
+    [
+        ("s1", 0.01, None, 2.02),
+        ("s1", 0.05, None, 2.1),
+        ("s1", 0.05, 2, 4.1),
+        ("ring", 0.05, None, 2.3),
+    ],
+)
+def test_required_horizon_follows_the_delays(kind, h, n_trunc, want):
+    # the longest delay (s1: 1.0; the ring: its pipe lag 1.2), two stencil
+    # rows, n_trunc delay spans of 1.0, and the support 1.0 that transforming
+    # the oldest stored row reads
+    if kind == "ring":
+        sys = three_compartment_system(TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0]))
+    else:
+        sys = s1_system(TorusFlow([GOLDEN_FREQ]))
+    cfg = SimConfig(h=h, t_end=1.0, n_trunc=n_trunc)
+    assert required_z_horizon(sys, cfg) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
 def test_reconstruct_geometric(golden_flow, origin):
     sys = const_c_system(golden_flow, c0=0.5)
-    cfg = SimConfig(h=0.05, t_end=1.0, inv_tol=1e-8)
+    cfg = SimConfig(h=0.05, t_end=1.0, inv_tol=1e-8, n_trunc=_N_TRUNC["s1"])
     state, _, _ = make_state(sys, cfg, z_value=2.0, p0=origin)
     val = reconstruct_z(state, 0.0)[0]
-    tail = 0.5**state.n_trunc * 1.0 / 0.5
+    tail = 0.5**cfg.n_trunc * 1.0 / 0.5
     assert abs(val - 2.0) <= tail + 1e-12
 
 
@@ -130,7 +159,7 @@ def test_reconstruct_identity_when_c_zero(golden_flow, origin):
 def test_reconstruct_dual_path_agreement(golden_flow, origin):
     # diagonal product series vs general Neumann inversion
     s1 = s1_system(golden_flow)
-    cfg = SimConfig(h=0.05, t_end=1.0, inv_tol=1e-8)
+    cfg = SimConfig(h=0.05, t_end=1.0, inv_tol=1e-8, n_trunc=_N_TRUNC["s1"])
     need = required_z_horizon(s1, cfg)
     z0 = from_function(
         lambda s: (1.5 + 0.4 * np.sin(0.9 * s) + 0.1 * np.cos(2.3 * s))[:, None],
@@ -141,7 +170,7 @@ def test_reconstruct_dual_path_agreement(golden_flow, origin):
     seg = zhat_segment(state, 0.0, state.Jh)
     x = invert_Dhat(s1.dspec, origin, seg, cfg.inv_tol)
     fast = reconstruct_z(state, 0.0)[0]
-    tail = 0.5 ** state.n_trunc * np.max(np.abs(seg.samples)) / 0.5
+    tail = 0.5 ** cfg.n_trunc * np.max(np.abs(seg.samples)) / 0.5
     assert abs(fast - x.samples[0, 0]) <= cfg.inv_tol + tail + 1e-9
 
 
@@ -553,7 +582,7 @@ def test_stored_z_matches_neumann_inversion(kind, phase, amp, freq, h):
         flow = TorusFlow([GOLDEN_FREQ])
         sys = s1_system(flow) if kind == "s1" else density_system(flow)
         p0 = TorusPoint([phase])
-    cfg = SimConfig(h=h, t_end=round(2.0 / h) * h)
+    cfg = SimConfig(h=h, t_end=round(2.0 / h) * h, n_trunc=_N_TRUNC[kind])
     offsets = np.arange(sys.m)[None, :]
     z0 = from_function(
         lambda s: 1.0 + amp * np.sin(freq * s[:, None] + offsets),
@@ -601,18 +630,60 @@ def _assert_same_stage(fast, slow):
         assert _bits(got) == _bits(want)
 
 
+# Allowed gap between a plan stage and `stage_direct` where the batched
+# evaluation of a multi-term coefficient rounds differently from a one-row
+# one, in units of eps times the largest entry of the compared field; 40
+# seeded multi_term runs of 120 stages differ in 8% of the fields, by at
+# most 1.9 of these units.
+_STAGE_ULPS = 4
+
+
+def _assert_close_stage(fast, slow):
+    pairs = [(fast.Binv, slow.Binv), (fast.rest, slow.rest), (fast.c, slow.c)]
+    assert len(fast.zr) == len(slow.zr)
+    for got, want in pairs + list(zip(fast.zr, slow.zr)):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        scale = float(np.max(np.abs(want), initial=0.0))
+        assert np.max(np.abs(got - want), initial=0.0) <= _STAGE_ULPS * np.finfo(float).eps * scale
+
+
+def multi_term_system(flow2):
+    """Two compartments on the 2-torus whose B, atom weight, gain and inflow
+    each have two terms, one of wave vector (1, 3); the gain is read at the
+    off-grid pipe lag 0.55."""
+    def poly(c, a, b):
+        return TrigPoly.from_terms(c, [([1, 3], a, 0.5 * b), ([0, 1], 0.5 * a, b)])
+
+    zero = TrigPoly.const(0.0)
+    B = [[poly(1.0, 0.1, 0.05), TrigPoly.const(0.05)], [zero, poly(1.0, 0.05, 0.1)]]
+    weight = [[poly(0.2, 0.05, 0.03), zero], [zero, poly(0.15, 0.04, 0.02)]]
+    none = TransportSpec.zero()
+    inst = PipeSpec.instant()
+    return CompartmentalSystem(
+        m=2,
+        transports=((none, TransportSpec.linear(0.5)), (TransportSpec(poly(0.6, 0.1, 0.1)), none)),
+        outflows=(none, none),
+        inflows=(poly(0.4, 0.1, 0.05), zero),
+        pipes=((inst, inst), (PipeSpec.delta(0.55), inst)),
+        dspec=DOperatorSpec(2, B, AtomicMeasureFamily((MeasureAtom(0.5, weight),)), flow2),
+        flow=flow2,
+    )
+
+
 # s1 with both delays at a few steps: read windows of one and two steps
 S1_LAG_STEPS = {"s1_lag_h": 1, "s1_lag_2h": 2, "s1_lag_3h": 3}
 
 
 def _plan_case(kind, phase, h):
     """A fixture system, start phase and step; `s1_lag_h`, `s1_lag_2h` and
-    `s1_lag_3h` put s1's delays at h, 2h and 3h, and `mixed_lags` runs the
-    ring (lags 0.4, 0.5, 0.6, 1.0 and 1.2) at h = 0.02."""
-    if kind in ("three_compartment", "mixed_lags"):
+    `s1_lag_3h` put s1's delays at h, 2h and 3h, `mixed_lags` runs the
+    ring (lags 0.4, 0.5, 0.6, 1.0 and 1.2) at h = 0.02, and `multi_term` has
+    coefficients of two terms."""
+    if kind in ("three_compartment", "mixed_lags", "multi_term"):
         flow = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0])
         h = 0.02 if kind == "mixed_lags" else h
-        return three_compartment_system(flow), TorusPoint([phase, 1.0 - phase]), h
+        build = multi_term_system if kind == "multi_term" else three_compartment_system
+        return build(flow), TorusPoint([phase, 1.0 - phase]), h
     flow = TorusFlow([GOLDEN_FREQ])
     if kind == "density":
         return density_system(flow), TorusPoint([phase]), h
@@ -642,6 +713,7 @@ def _plan_case(kind, phase, h):
         "mixed_lags",
         "density",
         "phase_gain",
+        "multi_term",
     ],
 )
 @settings(max_examples=10, deadline=None)
@@ -662,7 +734,9 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
     # off-grid pipe lags 0.55 and 0.8; small blocks cross many block
     # boundaries and cut read windows short; runs go past cfg.nsteps, which
     # is 10. The rows not yet stored hold NaN at every query, so a window
-    # that reads one fails.
+    # that reads one fails. multi_term's two-term coefficients are compared
+    # within _STAGE_ULPS: their batched evaluation is not bit-identical to a
+    # one-row one, as the phases still are.
     from unittest import mock
 
     from nfde_lab import integrator
@@ -685,17 +759,18 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
         assert _bits(blk.theta[j - blk.lo]) == _bits(point_at(state, t_s).theta)
         return fast
 
+    same = _assert_close_stage if kind == "multi_term" else _assert_same_stage
     with mock.patch.object(integrator, "_PLAN_STEPS", block or integrator._PLAN_STEPS):
         state = init_from_z(sys, p0, z0, cfg)
-        _assert_same_stage(stage(0, state.t), stage_direct(state, state.t))
+        same(stage(0, state.t), stage_direct(state, state.t))
         for n in range(steps):
             t = state.t
-            _assert_same_stage(stage(2 * n + 1, t + 0.5 * h), stage_direct(state, t + 0.5 * h))
+            same(stage(2 * n + 1, t + 0.5 * h), stage_direct(state, t + 0.5 * h))
             end = stage_direct(state, t + h)
-            _assert_same_stage(stage(2 * n + 2, t + h), end)
+            same(stage(2 * n + 2, t + h), end)
             state.X[state.k + 1 :] = np.nan
             step(state)
-            _assert_same_stage(state._ahead, end)
+            same(state._ahead, end)
 
 
 @st.composite

@@ -140,11 +140,15 @@ RING = {
 
 # task, config, summary numbers in order, result.csv column sums, data rows
 CASES = {
+    # residual sum re-recorded when the history a run needs shrank from 30.0
+    # to 2.02 time units (was -0.01304373418099214, 1.8e-10 relative): the
+    # row of time zero moved from 2,900 to 102, so the stencil positions
+    # t / h - lag / h + row, and with them the cubic weights, round differently
     "s1-mass-audit": (
         "mass-audit",
         S1,
         [3.3880071374170484e-05],
-        {"t": 50050.0, "M": 3403.386956265817, "residual": -0.01304373418099214},
+        {"t": 50050.0, "M": 3403.386956265817, "residual": -0.013043734183391997},
         1001,
     ),
     "s1-pair": (
