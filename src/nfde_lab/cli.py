@@ -123,16 +123,16 @@ def _finite(value, where: str, array: bool = False):
 
 def _parse_poly(node, where: str) -> TrigPoly:
     if isinstance(node, (int, float)):
-        return TrigPoly.const(float(node))
+        return TrigPoly.const(_finite(node, where))
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: polynomial must be a number or an object")
-    constant = _num(node.get("constant", 0.0), f"{where}.constant")
+    constant = _finite(node.get("constant", 0.0), f"{where}.constant")
     terms = []
     for t in _list(node.get("terms", []), f"{where}.terms"):
         k = _req(t, "k", f"{where}.terms")
         k = [_whole(v, f"{where}.terms.k") for v in (k if isinstance(k, list) else [k])]
-        cos = _num(t.get("cos", 0.0), f"{where}.terms.cos")
-        sin = _num(t.get("sin", 0.0), f"{where}.terms.sin")
+        cos = _finite(t.get("cos", 0.0), f"{where}.terms.cos")
+        sin = _finite(t.get("sin", 0.0), f"{where}.terms.sin")
         terms.append((k, cos, sin))
     try:
         return TrigPoly.from_terms(constant, terms)
@@ -194,8 +194,8 @@ def _parse_system(cfg: dict, flow: TorusFlow):
         c = [_parse_poly(v, "system.c") for v in _list(_req(node, "c", "system"), "system.c")]
         if len(c) != m:
             raise ConfigError("system.c must have m entries")
-        alpha = _num(_req(node, "alpha", "system"), "system.alpha", array=True)
-        rho = np.atleast_2d(_num(_req(node, "rho", "system"), "system.rho", array=True))
+        alpha = _finite(_req(node, "alpha", "system"), "system.alpha", array=True)
+        rho = np.atleast_2d(_finite(_req(node, "rho", "system"), "system.rho", array=True))
         gains = _parse_transports(_req(node, "gains", "system"), m, "system.gains")
         try:
             return NeutralDiagSystem(
@@ -231,10 +231,10 @@ def _parse_system(cfg: dict, flow: TorusFlow):
                     raise ConfigError("system.pipes must be an m x m grid of atom lists")
                 pipes = tuple(
                     tuple(
-                        PipeSpec(tuple((float(r), float(w)) for r, w in cell))
-                        for cell in row
+                        PipeSpec(_finite(cell, f"system.pipes[{i}][{j}]", array=True))
+                        for j, cell in enumerate(row)
                     )
-                    for row in pipes_node
+                    for i, row in enumerate(pipes_node)
                 )
             return CompartmentalSystem(
                 m=m,
@@ -260,10 +260,9 @@ def _parse_dspec(node, m, flow) -> DOperatorSpec:
     atoms = []
     try:
         for k, at in enumerate(node.get("atoms", [])):
-            lag = float(_req(at, "lag", f"system.atoms[{k}]"))
-            weight = _parse_matrix_of(
-                _parse_poly, _req(at, "weight", f"system.atoms[{k}]"), m, "weight"
-            )
+            where = f"system.atoms[{k}]"
+            lag = _finite(_req(at, "lag", where), f"{where}.lag")
+            weight = _parse_matrix_of(_parse_poly, _req(at, "weight", where), m, f"{where}.weight")
             atoms.append(MeasureAtom(lag, weight))
         return DOperatorSpec(m, B, AtomicMeasureFamily(tuple(atoms)), flow)
     except (ValueError, TypeError) as e:
@@ -275,9 +274,9 @@ def _parse_cone(cfg: dict, m: int):
         return None
     node = _block(cfg, "cone", {})
     if "a_diag" in node:
-        A = np.diag(_num(node["a_diag"], "cone.a_diag", array=True))
+        A = np.diag(_finite(node["a_diag"], "cone.a_diag", array=True))
     elif "A" in node:
-        A = _num(node["A"], "cone.A", array=True)
+        A = _finite(node["A"], "cone.A", array=True)
     else:
         raise ConfigError("cone needs a_diag or A")
     if np.atleast_2d(A).shape != (m, m):
@@ -663,9 +662,9 @@ def cmd_covering(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
     tols = node["return_tols"]
     if not isinstance(tols, list):
         raise ConfigError(f"covering.return_tols: expected a list, got {tols!r}")
-    tols = [_num(v, "covering.return_tols") for v in tols]
-    window = _num(node["window"], "covering.window")
-    t_min = _num(node["t_min"], "covering.t_min")
+    tols = [_finite(v, "covering.return_tols") for v in tols]
+    window = _finite(node["window"], "covering.window")
+    t_min = _finite(node["t_min"], "covering.t_min")
     log = run(sys_obj, p0, z0, sim)
     rows = []
     lines = ["task=covering"]

@@ -22,9 +22,9 @@ a run sits at time 0, stage 2n + 1 at n h + h/2 and stage 2n + 2 at
 n h + h, where it also starts step n + 1. The stage plan computes what
 depends on the phase alone for a block of _PLAN_STEPS steps at a time, as
 the first stage of the block is needed: the phase rows, B^-1 (one batched
-inversion when B varies), each atom's weight matrix, the balance law's
-coefficient columns (each gain and inflow at the phase of the lag it is
-read at), and for every delay the four rows and weights of the cubic
+inversion, also of a constant B), each atom's weight matrix, the balance
+law's coefficient columns (each gain and inflow at the phase of the lag it
+is read at), and for every delay the four rows and weights of the cubic
 stencil, which equal those `cubic_rows` would use with the K rows stored
 at that stage. Because every delay is at least h, the delayed z of the
 next several stages is stored before they start: a read window runs from
@@ -41,7 +41,8 @@ otherwise the batched products may round a last bit differently.
 
 Logging happens after the run. The log rows are read off the stored X and
 Z, the masses come from vectorised passes over X (`_total_mass_many`), and
-the pair monitors from running and windowed minima over the stored gap.
+the pair monitors from running and windowed minima over the stored gap
+between two runs, each of which integrated and logged as `run` does.
 Each value is the one the same quantity computed at its log point while
 stepping gives, bit for bit apart from the rounding `_total_mass_many`
 states.
@@ -166,11 +167,10 @@ class _Stage:
 class _PlanBlock:
     """Phase-only data of the stages of _PLAN_STEPS consecutive steps.
 
-    Row r holds stage lo + r: its phase, B^-1 there (None when B is
-    constant), each atom's weight matrix, the balance law's coefficient row,
-    and for every delay the rows and weights of the cubic stencil that reads
-    z there from the stored X. `reach[r]` is the newest stored row that
-    stages lo .. lo + r read.
+    Row r holds stage lo + r: its phase, B^-1 there, each atom's weight
+    matrix, the balance law's coefficient row, and for every delay the rows
+    and weights of the cubic stencil that reads z there from the stored X.
+    `reach[r]` is the newest stored row that stages lo .. lo + r read.
     """
 
     __slots__ = ("lo", "hi", "theta", "Binv", "W", "c", "idx", "w", "reach")
@@ -187,9 +187,7 @@ class _PlanBlock:
         t[j == 0] = 0 * h
         theta = np.mod(state.p0.theta[None, :] + t[:, None] * state.flow.freqs[None, :], 1.0)
         self.theta = theta
-        self.Binv = None
-        if state._Binv is None:
-            self.Binv = np.linalg.inv(eval_poly_matrix_many(spec.B, theta))
+        self.Binv = np.linalg.inv(eval_poly_matrix_many(spec.B, theta))
         self.W = [eval_poly_matrix_many(atom.weight, theta) for atom in spec.nu.atoms]
         self.c = state.general._terms.coeffs(theta)
         lags = state.delays.lags
@@ -256,10 +254,6 @@ class SimState:
         self.flow = self.general.flow
         self.m = self.general.m
         self.delays = delays
-        B = self.general.dspec.B
-        self._Binv = None
-        if all(b.is_constant() for row in B for b in row):
-            self._Binv = np.linalg.inv(np.array([[b.constant for b in row] for row in B]))
         self._ahead = None  # stage data at the current time, left by the last step
         self._block = None  # the stage plan's current block
         self._window = None  # the read window of the current stages
@@ -289,8 +283,7 @@ class SimState:
             win = self._window = _ReadWindow(self, blk, j)
         r = j - blk.lo
         s = j - win.lo
-        Binv = self._Binv if blk.Binv is None else blk.Binv[r]
-        return _Stage(Binv, win.rest[s], blk.c[r].tolist(), win.zr[s].tolist())
+        return _Stage(blk.Binv[r], win.rest[s], blk.c[r].tolist(), win.zr[s].tolist())
 
 
 def _history_rows(general, cfg: SimConfig) -> int:
@@ -317,6 +310,18 @@ def _lift(general, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig, depth: i
     return z_hist, eval_Dhat_segment(general.dspec, p0, z_hist, depth)
 
 
+def _start(general, p0: TorusPoint, cfg: SimConfig, delays: _Delays, z_hist, zhat) -> SimState:
+    """Trajectory buffers at time zero from a lifted initial history: the
+    newest Jh + 1 nodes of z_hist, on the step h, and of its transform zhat."""
+    Jh = _history_rows(general, cfg)
+    rows = Jh + cfg.nsteps + 8
+    Z = np.empty((rows, general.m))
+    Z[: Jh + 1] = zhat.samples[Jh::-1]
+    X = np.empty((rows, general.m))
+    X[: Jh + 1] = z_hist.samples[Jh::-1]
+    return SimState(general, p0, cfg, Jh, Z, X, Jh, delays)
+
+
 def init_from_z(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> SimState:
     """Transform initial physical data and set up the trajectory buffers.
 
@@ -325,14 +330,8 @@ def init_from_z(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> Sim
     """
     general = _general(sys)
     delays = _Delays(general, cfg.h)
-    Jh = _history_rows(general, cfg)
-    z_hist, zhat = _lift(general, p0, z_hist, cfg, Jh)
-    rows = Jh + cfg.nsteps + 8
-    Z = np.empty((rows, general.m))
-    Z[: Jh + 1] = zhat.samples[::-1]
-    X = np.empty((rows, general.m))
-    X[: Jh + 1] = z_hist.samples[Jh::-1]
-    return SimState(sys, p0, cfg, Jh, Z, X, Jh, delays)
+    lifted = _lift(general, p0, z_hist, cfg, _history_rows(general, cfg))
+    return _start(general, p0, cfg, delays, *lifted)
 
 
 def reconstruct_z(state: SimState, s: float) -> np.ndarray:
@@ -347,14 +346,13 @@ def _rhs(state: SimState, stage: _Stage, z: np.ndarray) -> np.ndarray:
     return state.general._terms.balance(stage.c, [z.tolist(), *stage.zr])
 
 
-def step(state: SimState, cfg: Optional[SimConfig] = None) -> SimState:
+def step(state: SimState) -> SimState:
     """Advance one classical Runge-Kutta step; mutates and returns the state.
 
     The two middle stages share their stage data; the data at the new time
     serve the last stage, the stored z there, and the next step's first
     stage.
     """
-    cfg = cfg or state.cfg
     h = state.h
     t = state.t
     k = state.k
@@ -369,7 +367,7 @@ def step(state: SimState, cfg: Optional[SimConfig] = None) -> SimState:
     k4 = _rhs(state, end, end.z(v0 + h * k3))
     vn = v0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     top = float(np.abs(vn).max())
-    if not math.isfinite(top) or top > cfg.divergence_limit:
+    if not math.isfinite(top) or top > state.cfg.divergence_limit:
         raise DivergenceError(t + h, top)
     state._ensure_capacity(1)
     state.Z[k + 1] = vn
@@ -401,13 +399,13 @@ def _log_rows(Jh: int, cfg: SimConfig) -> np.ndarray:
     return Jh + n
 
 
-def _check_stored(state: SimState, cfg: SimConfig, W: int) -> None:
+def _check_stored(state: SimState, W: int) -> None:
     """Raise DivergenceError at the first row of X[Jh - W : k + 1], the rows
     the log reads, that is not finite or exceeds the divergence guard; the
     step guard watches zhat only."""
     lo = state.Jh - W
     top = np.max(np.abs(state.X[lo : state.k + 1]), axis=1)
-    bad = ~(top <= cfg.divergence_limit)
+    bad = ~(top <= state.cfg.divergence_limit)
     if np.any(bad):
         j = int(np.argmax(bad))
         raise DivergenceError((lo + j - state.Jh) * state.h, float(top[j]))
@@ -445,33 +443,38 @@ def _cone_margins(V: np.ndarray, cone: ConeSpec, expAh: np.ndarray, h: float, ro
     return np.minimum(sign, _window_min(slack, W, rows))
 
 
-def run(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> TrajectoryLog:
-    """Integrate to t_end, logging every log_stride steps (plus the endpoint).
-
-    The log is read off the stored buffers once the run is done; the mass
-    at every log point comes from one vectorised pass.
-    """
-    state = init_from_z(sys, p0, z_hist, cfg)
+def _run(state: SimState) -> TrajectoryLog:
+    """Step a state at time zero to t_end, check the stored rows the log
+    reads, and read the log off the stored buffers."""
+    cfg = state.cfg
     for _ in range(cfg.nsteps):
-        step(state, cfg)
-    general = state.general
-    _check_stored(state, cfg, _mass_span(general, cfg.h))
+        step(state)
+    _check_stored(state, _mass_span(state.general, cfg.h))
     rows = _log_rows(state.Jh, cfg)
     return TrajectoryLog(
         t=(rows - state.Jh) * cfg.h,
         z=state.X[rows],
         zhat=state.Z[rows],
-        M=_total_mass_many(general, p0.theta, state.X, state.Jh, cfg.h, rows),
-        p0=p0,
+        M=_total_mass_many(state.general, state.p0.theta, state.X, state.Jh, cfg.h, rows),
+        p0=state.p0,
         flow=state.flow,
         h=cfg.h,
         final_state=state,
     )
 
 
+def run(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> TrajectoryLog:
+    """Integrate to t_end, logging every log_stride steps (plus the endpoint).
+
+    The log is read off the stored buffers once the run is done; the mass
+    at every log point comes from one vectorised pass.
+    """
+    return _run(init_from_z(sys, p0, z_hist, cfg))
+
+
 @dataclass
 class PairLog:
-    """Lockstep comparison run of an ordered pair of initial data."""
+    """Comparison run of an ordered pair of initial data."""
 
     t: np.ndarray
     z_x: np.ndarray
@@ -491,13 +494,15 @@ class PairLog:
 def run_ordered_pair(
     sys, p0: TorusPoint, z_x: HistoryGrid, z_y: HistoryGrid, cfg: SimConfig
 ) -> PairLog:
-    """Integrate two initial data in lockstep and monitor order quantities.
+    """Integrate two initial data and monitor order quantities.
 
     Requires cfg.cone; the initial transformed pair must be ordered within
-    cfg.tol_cone as far back as both data reach. At each log point the
+    cfg.tol_cone as far back as both data reach. That check's lift of each
+    history starts its member, which runs as `run` would: x to the end,
+    then y, so x's error is raised when both diverge. At each log point the
     transformed cone margin, the per-component operator gap, both masses,
     and the sup of the physical difference over the mass window are
-    recorded, all read off the stored buffers once the run is done.
+    recorded, all read off the members' stored buffers.
     """
     if cfg.cone is None:
         raise ValueError("an ordered-pair run needs cfg.cone")
@@ -508,35 +513,30 @@ def run_ordered_pair(
     # reach, not only the stored rows (a shorter one fails in _lift)
     J = int(math.floor((min(z_x.horizon, z_y.horizon) - general.dspec.support) / cfg.h + _SNAP))
     J = max(J, _history_rows(general, cfg))
-    zx0, zy0 = (_lift(general, p0, z, cfg, J)[1].samples[::-1] for z in (z_x, z_y))
-    v0 = zy0 - zx0
+    lifts = [_lift(general, p0, z, cfg, J) for z in (z_x, z_y)]
+    (_, zhat_x), (_, zhat_y) = lifts
+    v0 = zhat_y.samples[::-1] - zhat_x.samples[::-1]
     margin0 = float(_cone_margins(v0, cone, expAh, cfg.h, [J])[0])
     if margin0 < -cfg.tol_cone:
         j, c = np.unravel_index(int(np.argmin(v0)), v0.shape)
         raise UnorderedPairError(((int(j) - J) * cfg.h, int(c)), margin0)
-    sx = init_from_z(sys, p0, z_x, cfg)
-    sy = init_from_z(sys, p0, z_y, cfg)
-    for _ in range(cfg.nsteps):
-        step(sx, cfg)
-        step(sy, cfg)
-    W = _mass_span(general, cfg.h)
-    _check_stored(sx, cfg, W)
-    _check_stored(sy, cfg, W)
+    delays = _Delays(general, cfg.h)
+    lx, ly = [_run(_start(general, p0, cfg, delays, *lift)) for lift in lifts]
+    sx, sy = lx.final_state, ly.final_state
     rows = _log_rows(sx.Jh, cfg)
-    K = sx.k + 1
-    V = sy.Z[:K] - sx.Z[:K]
-    dz = np.max(np.abs(sy.X[:K] - sx.X[:K]), axis=1)
+    V = sy.Z[: sy.k + 1] - sx.Z[: sx.k + 1]
+    dz = np.max(np.abs(sy.X[: sy.k + 1] - sx.X[: sx.k + 1]), axis=1)
     return PairLog(
-        t=(rows - sx.Jh) * cfg.h,
-        z_x=sx.X[rows],
-        z_y=sy.X[rows],
-        zhat_x=sx.Z[rows],
-        zhat_y=sy.Z[rows],
+        t=lx.t,
+        z_x=lx.z,
+        z_y=ly.z,
+        zhat_x=lx.zhat,
+        zhat_y=ly.zhat,
         d_gap=V[rows],
-        mass_x=_total_mass_many(general, p0.theta, sx.X, sx.Jh, cfg.h, rows),
-        mass_y=_total_mass_many(general, p0.theta, sy.X, sy.Jh, cfg.h, rows),
+        mass_x=lx.M,
+        mass_y=ly.M,
         cone_margin=_cone_margins(V, cone, expAh, cfg.h, rows),
-        z_diff_sup=-_window_min(-dz, W + 1, rows),
+        z_diff_sup=-_window_min(-dz, _mass_span(general, cfg.h) + 1, rows),
         p0=p0,
         flow=sx.flow,
         h=cfg.h,

@@ -302,7 +302,7 @@ def run_direct(sys, p0: TorusPoint, z_hist, cfg) -> TrajectoryLog:
 
     log_now()
     for k in range(1, nsteps + 1):
-        step(state, cfg)
+        step(state)
         if k % cfg.log_stride == 0 or k == nsteps:
             log_now()
     return TrajectoryLog(
@@ -370,8 +370,8 @@ def run_ordered_pair_direct(sys, p0: TorusPoint, z_x, z_y, cfg) -> PairLog:
 
     log_now()
     for k in range(1, nsteps + 1):
-        step(sx, cfg)
-        step(sy, cfg)
+        step(sx)
+        step(sy)
         run_min_a = min(run_min_a, float(np.min(sy.Z[sy.k] - sx.Z[sx.k])))
         if k % cfg.log_stride == 0 or k == nsteps:
             log_now()

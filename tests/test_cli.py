@@ -649,6 +649,7 @@ INVERT_CFG = {
     "system": {"kind": "d_operator", "m": 1, "atoms": [{"lag": 1.0, "weight": [[0.5]]}]},
     "yhat": {"kind": "constant", "value": [1.0], "horizon": 3.0},
 }
+NAN, INF = float("nan"), float("inf")
 PAIR_GIVEN_CFG = {**CONE_CFG, "z_init_y": {"kind": "constant", "value": [3.0]}}
 SINE_BEND = {"gain": 1.0, "shape": {"kind": "sine_bend", "eps": 1.5}}
 # case id -> (task, config, the key the error must name). Each of these
@@ -718,6 +719,40 @@ EXIT_TWO = {
         _with(_with(SIM_CFG, "check.a", [-2.0]), "check.trial_a", [-1.0]),
         "check.trial_a",
     ),
+    # non-finite numbers in the system, cone and covering blocks
+    "system.alpha-nan": ("check", _with(SIM_CFG, "system.alpha", [NAN]), "system.alpha"),
+    "system.rho-nan": ("simulate", _with(SIM_CFG, "system.rho", [[NAN]]), "system.rho"),
+    "system.gains-nan": ("simulate", _with(SIM_CFG, "system.gains", [[NAN]]), "system.gains"),
+    "system.c-sin-inf": (
+        "simulate",
+        _with(SIM_CFG, "system.c", [{"constant": 0.3, "terms": [{"k": [1], "sin": INF}]}]),
+        "system.c.terms.sin",
+    ),
+    "system.inflows-nan": ("simulate", _with(OPEN_CFG, "system.inflows", [NAN]), "system.inflows"),
+    "atom-lag-nan": (
+        "simulate",
+        _with(OPEN_CFG, "system.atoms", [{"lag": NAN, "weight": [[0.5]]}]),
+        "system.atoms[0].lag",
+    ),
+    "atom-weight-nan": (
+        "invert",
+        _with(INVERT_CFG, "system.atoms", [{"lag": 1.0, "weight": [[NAN]]}]),
+        "system.atoms[0].weight[0][0]",
+    ),
+    "pipe-lag-inf": (
+        "simulate",
+        _with(OPEN_CFG, "system.pipes", [[[[INF, 1.0]]]]),
+        "system.pipes[0][0]",
+    ),
+    "cone.a_diag-nan": ("pair", _with(PAIR_GIVEN_CFG, "cone.a_diag", [NAN]), "cone.a_diag"),
+    "cone.A-inf": ("pair", _with(PAIR_GIVEN_CFG, "cone", {"A": [[-INF]]}), "cone.A"),
+    "covering.return_tols-nan": (
+        "covering",
+        _with(SIM_CFG, "covering.return_tols", [NAN]),
+        "covering.return_tols",
+    ),
+    "covering.window-inf": ("covering", _with(SIM_CFG, "covering.window", INF), "covering.window"),
+    "covering.t_min-nan": ("covering", _with(SIM_CFG, "covering.t_min", NAN), "covering.t_min"),
     # the sampling block is parsed for every task, not only check and invert
     "sampling-simulate": ("simulate", _with(SIM_CFG, "sampling.grid_per_dim", 0), "grid_per_dim"),
     "sampling-mass-audit": (

@@ -487,8 +487,9 @@ def test_divergence_guard(golden_flow, origin):
         run(sys, origin, z0, cfg)
 
 
-def three_compartment_system(flow2):
-    """Ring of three compartments: phase-dependent B, atoms at lags 0.5 and 1."""
+def three_compartment_system(flow2, constant_B=False):
+    """Ring of three compartments: phase-dependent B, atoms at lags 0.5 and 1;
+    with constant_B, B is a constant matrix that is not the identity."""
     def poly(c, k, cos=0.0, sin=0.0):
         return TrigPoly.from_terms(c, [(k, cos, sin)])
 
@@ -498,6 +499,9 @@ def three_compartment_system(flow2):
         [zero, poly(1.0, [0, 1], sin=0.1), TrigPoly.const(0.05)],
         [TrigPoly.const(0.05), zero, TrigPoly.const(1.0)],
     ]
+    if constant_B:
+        rows = ((1.15, 0.05, 0.0), (0.0, 0.9, 0.05), (0.05, 0.0, 1.0))
+        B = [[TrigPoly.const(v) for v in row] for row in rows]
     w1 = [
         [poly(0.2, [1, 0], sin=0.05), zero, zero],
         [zero, TrigPoly.const(0.15), zero],
@@ -677,13 +681,16 @@ S1_LAG_STEPS = {"s1_lag_h": 1, "s1_lag_2h": 2, "s1_lag_3h": 3}
 def _plan_case(kind, phase, h):
     """A fixture system, start phase and step; `s1_lag_h`, `s1_lag_2h` and
     `s1_lag_3h` put s1's delays at h, 2h and 3h, `mixed_lags` runs the
-    ring (lags 0.4, 0.5, 0.6, 1.0 and 1.2) at h = 0.02, and `multi_term` has
+    ring (lags 0.4, 0.5, 0.6, 1.0 and 1.2) at h = 0.02, `constant_B` the
+    ring with a constant B that is not the identity, and `multi_term` has
     coefficients of two terms."""
-    if kind in ("three_compartment", "mixed_lags", "multi_term"):
+    if kind in ("three_compartment", "mixed_lags", "constant_B", "multi_term"):
         flow = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0])
         h = 0.02 if kind == "mixed_lags" else h
-        build = multi_term_system if kind == "multi_term" else three_compartment_system
-        return build(flow), TorusPoint([phase, 1.0 - phase]), h
+        if kind == "multi_term":
+            return multi_term_system(flow), TorusPoint([phase, 1.0 - phase]), h
+        sys = three_compartment_system(flow, constant_B=kind == "constant_B")
+        return sys, TorusPoint([phase, 1.0 - phase]), h
     flow = TorusFlow([GOLDEN_FREQ])
     if kind == "density":
         return density_system(flow), TorusPoint([phase]), h
@@ -711,6 +718,7 @@ def _plan_case(kind, phase, h):
         "s1_lag_3h",
         "three_compartment",
         "mixed_lags",
+        "constant_B",
         "density",
         "phase_gain",
         "multi_term",
@@ -734,9 +742,11 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
     # off-grid pipe lags 0.55 and 0.8; small blocks cross many block
     # boundaries and cut read windows short; runs go past cfg.nsteps, which
     # is 10. The rows not yet stored hold NaN at every query, so a window
-    # that reads one fails. multi_term's two-term coefficients are compared
-    # within _STAGE_ULPS: their batched evaluation is not bit-identical to a
-    # one-row one, as the phases still are.
+    # that reads one fails. constant_B inverts its constant B in the plan's
+    # batch like a varying one, bit for bit with one inversion. multi_term's
+    # two-term coefficients are compared within _STAGE_ULPS: their batched
+    # evaluation is not bit-identical to a one-row one, as the phases still
+    # are.
     from unittest import mock
 
     from nfde_lab import integrator
@@ -968,14 +978,14 @@ def test_log_makes_no_call_per_log_point(golden_flow, origin, monkeypatch):
                 monkeypatch.setattr(mod, name, count(name, fn))
     post_init = count("HistoryGrid", history.HistoryGrid.__post_init__)
     monkeypatch.setattr(history.HistoryGrid, "__post_init__", post_init)
-    init = integrator.init_from_z
+    lift = integrator._lift
 
-    def init_then_reset(*args, **kwargs):
-        state = init(*args, **kwargs)
+    def lift_then_reset(*args, **kwargs):
+        lifted = lift(*args, **kwargs)
         counts.pop("HistoryGrid", None)  # the initial transform builds grids
-        return state
+        return lifted
 
-    monkeypatch.setattr(integrator, "init_from_z", init_then_reset)
+    monkeypatch.setattr(integrator, "_lift", lift_then_reset)
     sys = s1_system(golden_flow)
     seen = []
     for nsteps in (100, 200):
@@ -994,6 +1004,68 @@ def test_log_makes_no_call_per_log_point(golden_flow, origin, monkeypatch):
         assert c.get("HistoryGrid", 0) == 0, what
     assert seen[0][1].get("_total_mass_many", 0) >= 1
     assert seen[0][1] == seen[2][1] and seen[1][1] == seen[3][1]
+
+
+def _pair_case(kind):
+    """A system, start phase, pair config and two initial histories that
+    reach past the stored rows, z_y the shorter; the pair need not be
+    ordered (tol_cone is infinite)."""
+    sys, p0, h = _plan_case(kind, 0.3, 0.05)
+    cone = ConeSpec(np.diag(-np.linspace(1.0, 2.0, sys.m)), 1.0)
+    cfg = SimConfig(h=h, t_end=40 * h, log_stride=3, cone=cone, tol_cone=np.inf)
+    need = required_z_horizon(sys, cfg)
+    offsets = np.arange(sys.m)[None, :]
+    z_x = from_function(lambda s: 1.0 + 0.3 * np.sin(3.0 * s[:, None] + offsets), h, need + 3.0)
+    z_y = from_function(lambda s: 1.5 + 0.2 * np.cos(2.0 * s[:, None] + offsets), h, need + 1.5)
+    return sys, p0, cfg, z_x, z_y
+
+
+def test_pair_lifts_each_history_once(monkeypatch):
+    # the order check's lift of each history also starts its member
+    from nfde_lab import d_operator, integrator
+
+    sys, p0, cfg, z_x, z_y = _pair_case("s1")
+    calls = []
+    lift = d_operator.eval_Dhat_segment
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return lift(*args, **kwargs)
+
+    for mod in (d_operator, integrator):
+        monkeypatch.setattr(mod, "eval_Dhat_segment", counted)
+    run_ordered_pair(sys, p0, z_x, z_y, cfg)
+    assert len(calls) == 2
+    assert calls[0] == calls[1] > integrator._history_rows(sys.compartmental, cfg)
+
+
+@pytest.mark.parametrize("kind", ["s1", "three_compartment"])
+def test_pair_members_match_plain_runs(kind):
+    # each member starts from the newest rows of a deeper lift than `run`
+    # makes, and must still step, store and log as `run` does, bit for bit
+    sys, p0, cfg, z_x, z_y = _pair_case(kind)
+    plog = run_ordered_pair(sys, p0, z_x, z_y, cfg)
+    for z_hist, tag in ((z_x, "x"), (z_y, "y")):
+        log = run(sys, p0, z_hist, cfg)
+        assert _bits(getattr(plog, f"z_{tag}")) == _bits(log.z)
+        assert _bits(getattr(plog, f"zhat_{tag}")) == _bits(log.zhat)
+        assert _bits(getattr(plog, f"mass_{tag}")) == _bits(log.M)
+    assert _bits(plog.t) == _bits(log.t)
+
+
+def test_pair_reports_x_divergence_when_both_diverge(golden_flow, origin):
+    # the members run one after the other, x first: x's stored history is
+    # above the guard, which its log pass finds after its run, and y's first
+    # step exceeds it, which would come first if the two stepped together
+    sys = s1_system(golden_flow)
+    cone = ConeSpec(np.array([[-2.0]]), 1.0)
+    cfg = SimConfig(h=0.05, t_end=1.0, cone=cone, tol_cone=np.inf, divergence_limit=10.0)
+    need = required_z_horizon(sys, cfg) + 0.1
+    z_x = constant_history([10.5], cfg.h, need)
+    z_y = constant_history([30.0], cfg.h, need)
+    with pytest.raises(DivergenceError) as err:
+        run_ordered_pair(sys, origin, z_x, z_y, cfg)
+    assert err.value.t < 0 and err.value.value == 10.5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e12])

@@ -92,11 +92,11 @@ def test_setup_mark_comes_before_checker_work(tmp_path, monkeypatch):
     assert built and all(built)
 
 
-def test_setup_mark_comes_before_stage_plan_work(tmp_path, monkeypatch):
-    # perfbench/child.py ends `setup_s` at the first call of integrator.step;
-    # the stage plan's blocks and read windows must be built, and the
-    # balance law's coefficient columns evaluated, after it, and step must
-    # run once per step
+def _stage_plan_marks(tmp_path, monkeypatch, task, extra):
+    """Run `task` on a short s1 config updated with `extra`, with the set-up
+    mark of perfbench/child.py hooked. Return whether the mark was set at
+    each plan block or read window built and at each evaluation of the
+    balance law's coefficient columns, and the number of step calls."""
     from nfde_lab import cli, compartment, integrator
 
     spec = importlib.util.spec_from_file_location("child", ROOT / "perfbench" / "child.py")
@@ -140,10 +140,33 @@ def test_setup_mark_comes_before_stage_plan_work(tmp_path, monkeypatch):
         },
         "sim": {"h": 0.01, "t_end": 2.0, "log_stride": 10},
         "z_init": {"kind": "constant", "value": [2.0]},
+        **extra,
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert cli.main(["mass-audit", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert cli.main([task, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    return built, evaluated, len(calls)
+
+
+def test_setup_mark_comes_before_stage_plan_work(tmp_path, monkeypatch):
+    # perfbench/child.py ends `setup_s` at the first call of integrator.step;
+    # the stage plan's blocks and read windows must be built, and the
+    # balance law's coefficient columns evaluated, after it, and step must
+    # run once per step
+    built, evaluated, steps = _stage_plan_marks(tmp_path, monkeypatch, "mass-audit", {})
     assert len(built) > 2 and all(built)
     assert evaluated and all(evaluated)
-    assert len(calls) == 200
+    assert steps == 200
+
+
+def test_setup_mark_comes_before_stage_plan_work_in_pair(tmp_path, monkeypatch):
+    # the same for a pair, which steps each of its two members 200 times;
+    # no member may build its stage plan before the first step of either
+    extra = {
+        "cone": {"a_diag": [-2.0], "horizon": 1.0},
+        "z_init_y": {"kind": "ordered_offset", "lam": 0.2},
+    }
+    built, evaluated, steps = _stage_plan_marks(tmp_path, monkeypatch, "pair", extra)
+    assert len(built) > 2 and all(built)
+    assert evaluated and all(evaluated)
+    assert steps == 2 * 200
