@@ -277,9 +277,10 @@ class _BalanceTerms:
             cols.append(eval_trig_many(poly, th))
         return np.column_stack(cols)
 
-    def balance(self, c, zs) -> np.ndarray:
-        """Net balance rate from a coefficient row c, where zs[n] is the
-        state at lags[n] back and zs[0] the state now."""
+    def balance(self, c, zs) -> list:
+        """Net balance rate, one float per compartment, from a coefficient
+        row c, where zs[n] is the state at lags[n] back and zs[0] the state
+        now."""
         F = []
         for i, (outs, inflow, pipes) in enumerate(self.rows):
             total_out = 0.0
@@ -289,7 +290,7 @@ class _BalanceTerms:
             for j, lag, w, n, shape in pipes:
                 f += w * (c[n] * shape(zs[lag][j]))
             F.append(f)
-        return np.array(F)
+        return F
 
 
 def _induced_dspec(m, c, alpha, flow) -> DOperatorSpec:
@@ -403,7 +404,7 @@ def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
         )
     terms = g._terms
     zs = [hist.sample_at(0.0)] + [hist.sample_at(-r) for r in terms.lags[1:]]
-    return terms.balance(terms.coeffs(p.theta[None, :])[0], zs)
+    return np.array(terms.balance(terms.coeffs(p.theta[None, :])[0], zs))
 
 
 def _transit_integral(g, p, hist, tr, donor, r) -> float:

@@ -1,51 +1,36 @@
 """Fixed-step integration of the transformed delay equation.
 
-The integrated variable is the transformed state zhat(t) = D(w . t, z_t),
-which satisfies an ordinary delay equation zhat' = G(w . t, zhat_t) with
-G = F after inverting the lifted operator. Integrating zhat avoids
-differentiating the neutral term.
-
-The physical state z is stored next to zhat and rebuilt by the method of
-steps. Every delay D reads is at least one step h, so at any stage time
+The integrated variable is zhat(t) = D(w . t, z_t), which solves the delay
+equation zhat' = G(w . t, zhat_t), so the neutral term is never
+differentiated. The physical state z is stored next to zhat and rebuilt by
+the method of steps: every delay D reads is at least one step h, so
 
     z(t) = B(w . t)^-1 [zhat(t) + sum_k W_k(w . t) z(t - s_k) + density part]
 
-is explicit in values of z already stored; the store starts from the given
-physical history, as far back as the run reads (`_history_rows`). Delayed
-values come from the stored z through the shared cubic interpolation, so
-the effective order sits between 2 and 4 depending on the smoothness of
-the data.
+is explicit in stored values of z, read by cubic interpolation (order 2
+to 4 with the smoothness of the data) from a store that starts at the
+given history, as far back as the run reads (`_history_rows`).
 
-Every coefficient depends on the state only through z, and on time only
-through the phase w . t, whose orbit is fixed before the run. Stage 0 of
-a run sits at time 0, stage 2n + 1 at n h + h/2 and stage 2n + 2 at
-n h + h, where it also starts step n + 1. The stage plan computes what
-depends on the phase alone for a block of _PLAN_STEPS steps at a time, as
-the first stage of the block is needed: the phase rows, B^-1 (one batched
-inversion, also of a constant B), each atom's weight matrix, the balance
-law's coefficient columns (each gain and inflow at the phase of the lag it
-is read at), and for every delay the four rows and weights of the cubic
-stencil, which equal those `cubic_rows` would use with the K rows stored
-at that stage. Because every delay is at least h, the delayed z of the
-next several stages is stored before they start: a read window runs from
-the stage asked for to the last stage of its block whose stencil reads
-only stored rows (the rest of the block for delays longer than the block,
-one step for a delay of 2h), and one gather from X, one product per atom
-and the density part compute the delayed part of D and z at the pipe lags
-for all of its stages at once. A stage then looks up its rows and does
-only the work that needs its own value: rebuilding z and summing the
-balance law's terms. The phases and every stage value are bit-identical
-to computing each stage from scratch when each coefficient has one term
-whose wave vector has one nonzero entry or entries of size at most 2;
-otherwise the batched products may round a last bit differently.
+Stage 0 sits at time 0, stage 2n + 1 at n h + h/2 and stage 2n + 2 at
+n h + h. A stage plan builds what depends on the phase alone for
+_PLAN_STEPS steps at a time (phases, B^-1, atom weights, the balance law's
+coefficients, cubic stencils), and a read window the delayed part of D and
+z at the pipe lags for every stage whose stencils read only stored rows.
+Both are bit-identical to each stage computed from scratch when each
+coefficient has one term whose wave vector has one nonzero entry or
+entries of size at most 2; otherwise a last bit may differ.
 
-Logging happens after the run. The log rows are read off the stored X and
-Z, the masses come from vectorised passes over X (`_total_mass_many`), and
-the pair monitors from running and windowed minima over the stored gap
-between two runs, each of which integrated and logged as `run` does.
-Each value is the one the same quantity computed at its log point while
-stepping gives, bit for bit apart from the rounding `_total_mass_many`
-states.
+A stage's own work, rebuilding z and summing the balance law, runs on
+Python floats, in the order of the array expressions it replaced. B^-1 is
+kept on a pattern fixed per system (`_inverse_pattern`), off which it
+vanishes; z sums each pattern row left to right, which rounds as NumPy
+does where each row has one entry (a diagonal B) but not as BLAS sums a
+longer row.
+
+The log is read off the stored X and Z after the run, with masses from
+vectorised passes (`_total_mass_many`) and pair monitors from running and
+windowed minima; each value is the one computed at its log point while
+stepping, bit for bit apart from the rounding `_total_mass_many` states.
 """
 
 from __future__ import annotations
@@ -147,30 +132,57 @@ _PLAN_STEPS = 64
 
 
 class _Stage:
-    """A stage time's data apart from the stage value: B^-1, the delayed part
-    of D and the balance law's coefficients `c` there, and z at the pipe lags
-    `zr`; `c` and `zr` are lists of floats, which the balance sums fastest."""
+    """A stage time's data as lists of floats: B^-1 at the columns
+    `pattern[i]` of each row i in turn, the delayed part of D `rest`, the
+    balance law's coefficients `c` and z at the pipe lags `zr`."""
 
-    __slots__ = ("Binv", "rest", "c", "zr")
+    __slots__ = ("pattern", "Binv", "rest", "c", "zr")
 
-    def __init__(self, Binv, rest, c, zr):
+    def __init__(self, pattern, Binv, rest, c, zr):
+        self.pattern = pattern
         self.Binv = Binv
         self.rest = rest
         self.c = c
         self.zr = zr
 
-    def z(self, zhat: np.ndarray) -> np.ndarray:
-        """Physical state at the stage time from the transformed one."""
-        return self.Binv @ (zhat + self.rest)
+    def z(self, zhat: list) -> list:
+        """Physical state from the transformed one: z_i sums B^-1_ij
+        (zhat_j + rest_j) over pattern[i] left to right, which rounds as
+        NumPy's product where the row has one entry but not as BLAS sums
+        a longer row."""
+        b = self.Binv
+        if len(b) == len(zhat):  # one entry per row, the diagonal
+            return [d * (a + r) for d, a, r in zip(b, zhat, self.rest)]
+        v = [a + r for a, r in zip(zhat, self.rest)]
+        entries = iter(b)
+        z = []
+        for cols in self.pattern:
+            acc = next(entries) * v[cols[0]]
+            for j in cols[1:]:
+                acc += next(entries) * v[j]
+            z.append(acc)
+        return z
+
+
+def _inverse_pattern(B) -> tuple:
+    """Columns, in order, of each row of B^-1 that may be nonzero at some
+    phase: those reachable from the row along B's nonzero entries, itself
+    included. B^-1 is a polynomial in B, so it vanishes off this pattern."""
+    nonzero = [[i == j or not p.is_zero() for j, p in enumerate(row)] for i, row in enumerate(B)]
+    reach = np.array(nonzero)
+    while not np.array_equal(reach @ reach, reach):
+        reach = reach @ reach
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in reach)
 
 
 class _PlanBlock:
     """Phase-only data of the stages of _PLAN_STEPS consecutive steps.
 
-    Row r holds stage lo + r: its phase, B^-1 there, each atom's weight
-    matrix, the balance law's coefficient row, and for every delay the rows
-    and weights of the cubic stencil that reads z there from the stored X.
-    `reach[r]` is the newest stored row that stages lo .. lo + r read.
+    Row r holds stage lo + r: its phase, B^-1 there on the state's pattern,
+    each atom's weight matrix, the balance law's coefficient row, and for
+    every delay the rows and weights of the cubic stencil that reads z there
+    from the stored X. `reach[r]` is the newest stored row that stages
+    lo .. lo + r read.
     """
 
     __slots__ = ("lo", "hi", "theta", "Binv", "W", "c", "idx", "w", "reach")
@@ -187,7 +199,11 @@ class _PlanBlock:
         t[j == 0] = 0 * h
         theta = np.mod(state.p0.theta[None, :] + t[:, None] * state.flow.freqs[None, :], 1.0)
         self.theta = theta
-        self.Binv = np.linalg.inv(eval_poly_matrix_many(spec.B, theta))
+        pat = state.pattern
+        rows = [i for i, cols in enumerate(pat) for _ in cols]
+        cols = [j for row in pat for j in row]
+        Binv = np.linalg.inv(eval_poly_matrix_many(spec.B, theta))
+        self.Binv = Binv[:, rows, cols]
         self.W = [eval_poly_matrix_many(atom.weight, theta) for atom in spec.nu.atoms]
         self.c = state.general._terms.coeffs(theta)
         lags = state.delays.lags
@@ -254,7 +270,8 @@ class SimState:
         self.flow = self.general.flow
         self.m = self.general.m
         self.delays = delays
-        self._ahead = None  # stage data at the current time, left by the last step
+        self.pattern = _inverse_pattern(self.general.dspec.B)
+        self._ahead = None  # stage data, zhat and z at the current time, from the last step
         self._block = None  # the stage plan's current block
         self._window = None  # the read window of the current stages
 
@@ -283,7 +300,14 @@ class SimState:
             win = self._window = _ReadWindow(self, blk, j)
         r = j - blk.lo
         s = j - win.lo
-        return _Stage(blk.Binv[r], win.rest[s], blk.c[r].tolist(), win.zr[s].tolist())
+        # per stage: lists of a whole block hold several times its memory
+        return _Stage(
+            self.pattern,
+            blk.Binv[r].tolist(),
+            win.rest[s].tolist(),
+            blk.c[r].tolist(),
+            win.zr[s].tolist(),
+        )
 
 
 def _history_rows(general, cfg: SimConfig) -> int:
@@ -342,38 +366,45 @@ def reconstruct_z(state: SimState, s: float) -> np.ndarray:
     return cubic_rows(state.X[: state.k + 1], np.clip([pos], 0.0, state.k))[0]
 
 
-def _rhs(state: SimState, stage: _Stage, z: np.ndarray) -> np.ndarray:
-    return state.general._terms.balance(stage.c, [z.tolist(), *stage.zr])
-
-
 def step(state: SimState) -> SimState:
     """Advance one classical Runge-Kutta step; mutates and returns the state.
 
     The two middle stages share their stage data; the data at the new time
     serve the last stage, the stored z there, and the next step's first
-    stage.
+    stage, which also takes zhat and z there from this step.
     """
     h = state.h
     t = state.t
     k = state.k
-    v0 = state.Z[k]
     n = k - state.Jh
-    now = state._ahead or state.stage(2 * n)
-    k1 = _rhs(state, now, state.X[k])
+    balance = state.general._terms.balance
+    now, v0, z0 = state._ahead or (state.stage(2 * n), state.Z[k].tolist(), state.X[k].tolist())
+    k1 = balance(now.c, [z0, *now.zr])
     mid = state.stage(2 * n + 1)
-    k2 = _rhs(state, mid, mid.z(v0 + 0.5 * h * k1))
-    k3 = _rhs(state, mid, mid.z(v0 + 0.5 * h * k2))
+    hh = 0.5 * h
+    k2 = balance(mid.c, [mid.z([a + hh * f for a, f in zip(v0, k1)]), *mid.zr])
+    k3 = balance(mid.c, [mid.z([a + hh * f for a, f in zip(v0, k2)]), *mid.zr])
     end = state.stage(2 * n + 2)
-    k4 = _rhs(state, end, end.z(v0 + h * k3))
-    vn = v0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    top = float(np.abs(vn).max())
+    k4 = balance(end.c, [end.z([a + h * f for a, f in zip(v0, k3)]), *end.zr])
+    h6 = h / 6.0
+    vn = [
+        a + h6 * (((f1 + 2.0 * f2) + 2.0 * f3) + f4)
+        for a, f1, f2, f3, f4 in zip(v0, k1, k2, k3, k4)
+    ]
+    top = 0.0
+    for a in map(abs, vn):
+        if not a <= top:  # larger, or NaN, which wins as in NumPy's max
+            top = a
+            if a != a:
+                break
     if not math.isfinite(top) or top > state.cfg.divergence_limit:
         raise DivergenceError(t + h, top)
+    z = end.z(vn)
     state._ensure_capacity(1)
     state.Z[k + 1] = vn
-    state.X[k + 1] = end.z(vn)
+    state.X[k + 1] = z
     state.k = k + 1
-    state._ahead = end
+    state._ahead = (end, vn, z)
     return state
 
 
@@ -449,6 +480,7 @@ def _run(state: SimState) -> TrajectoryLog:
     cfg = state.cfg
     for _ in range(cfg.nsteps):
         step(state)
+    state._block = state._window = None  # rebuilt if the state steps on
     _check_stored(state, _mass_span(state.general, cfg.h))
     rows = _log_rows(state.Jh, cfg)
     return TrajectoryLog(

@@ -5,7 +5,9 @@ products of c_i at every sampled phase at once; the scalar functions here
 compute the same quantities at one phase with plain loops. `stage_direct`
 builds an integrator stage from scratch at one time, each coefficient by a
 one-row evaluation at its own phase, where the integrator reads the stage
-plan's rows. `eval_F_direct` walks the transport grid one coefficient at a
+plan's rows; `step_direct` steps on such stages with NumPy arithmetic, a
+matrix-vector product for z, where `step` works on Python floats over the
+pattern of B^-1. `eval_F_direct` walks the transport grid one coefficient at a
 time, where `eval_F` sums one row of the system's coefficient table.
 `comparison_upper_rows_direct` exponentiates the block matrix
 afresh at every node with SciPy, where `make_comparison_upper` walks the
@@ -30,7 +32,7 @@ from nfde_lab import NeutralDiagSystem, TorusPoint, advance, eval_trig
 from nfde_lab.base_flow import advance_many, eval_trig_many
 from nfde_lab.compartment import _general, _nmin, total_mass
 from nfde_lab.d_operator import eval_poly_matrix_many
-from nfde_lab.errors import HorizonError, UnorderedPairError
+from nfde_lab.errors import DivergenceError, HorizonError, UnorderedPairError
 from nfde_lab.history import _EQ_TOL, _SNAP, HistoryGrid, TailPolicy, _nodes, cubic_rows
 from nfde_lab.integrator import PairLog, TrajectoryLog, _Stage, init_from_z, step
 from nfde_lab.ordering import matrix_exp
@@ -196,10 +198,12 @@ def zhat_segment(state, t: float, depth: int) -> HistoryGrid:
     return HistoryGrid(state.h, vals, TailPolicy.CONSTANT)
 
 
-def stage_direct(state, t_s: float) -> _Stage:
+def _stage_arrays(state, t_s: float):
     """Stage data at t_s computed on the spot: B^-1 by one inversion, each
     atom weight and each coefficient column by one evaluation at its own
-    phase, delayed z by one cubic_rows call."""
+    phase, delayed z by one cubic_rows call. Returns B^-1 and the delayed
+    part of D as arrays, and the coefficients and z at the pipe lags as
+    lists."""
     spec = state.general.dspec
     p = point_at(state, t_s)
     th = p.theta[None, :]
@@ -219,7 +223,49 @@ def stage_direct(state, t_s: float) -> _Stage:
             dens = spec.nu.density
             rest += dens.step * np.einsum("lab,lb->a", dens.values, rows[d.dens])
         zr = [rows[n].tolist() for n in d.pipe]
-    return _Stage(Binv, rest, c, zr)
+    return Binv, rest, c, zr
+
+
+def stage_direct(state, t_s: float) -> _Stage:
+    """The stage at t_s from `_stage_arrays`, with B^-1 kept on the state's
+    pattern."""
+    Binv, rest, c, zr = _stage_arrays(state, t_s)
+    entries = [float(Binv[i, j]) for i, cols in enumerate(state.pattern) for j in cols]
+    return _Stage(state.pattern, entries, rest.tolist(), c, zr)
+
+
+def step_direct(state, now=None):
+    """`step` in NumPy arithmetic on stages from `_stage_arrays`: z is the
+    product B^-1 (zhat + rest) and the Runge-Kutta combination runs on
+    arrays. `now` is the stage data at the current time that the previous
+    call returned, so that it reads z as that step did; returns the stage
+    data at the new time. Mutates the state as `step` does."""
+    h, t, k = state.h, state.t, state.k
+    balance = state.general._terms.balance
+
+    def z(stage, zhat):
+        return stage[0] @ (zhat + stage[1])
+
+    def rhs(stage, z):
+        return np.array(balance(stage[2], [z.tolist(), *stage[3]]))
+
+    v0 = state.Z[k]
+    now = now or _stage_arrays(state, t)
+    mid = _stage_arrays(state, t + 0.5 * h)
+    end = _stage_arrays(state, t + h)
+    k1 = rhs(now, state.X[k])
+    k2 = rhs(mid, z(mid, v0 + 0.5 * h * k1))
+    k3 = rhs(mid, z(mid, v0 + 0.5 * h * k2))
+    k4 = rhs(end, z(end, v0 + h * k3))
+    vn = v0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    top = float(np.abs(vn).max())
+    if not math.isfinite(top) or top > state.cfg.divergence_limit:
+        raise DivergenceError(t + h, top)
+    state._ensure_capacity(1)
+    state.Z[k + 1] = vn
+    state.X[k + 1] = z(end, vn)
+    state.k = k + 1
+    return end
 
 
 def _coeff_at(poly, th: np.ndarray) -> float:

@@ -338,6 +338,28 @@ def test_delay_below_step_exit_three(tmp_path):
     assert _simulate_code(tmp_path, system, {"h": 0.01, "t_end": 0.1}) == 3
 
 
+@pytest.mark.parametrize("where", [0, 2])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_component_exits_five(tmp_path, capsys, where, value):
+    # an inflow of 1e308 into one of three compartments overflows its new
+    # zhat to inf; an outflow of the same size makes the stage rates inf and
+    # -inf, whose sum is NaN. The guard must see it in the first or the last
+    # component, and report it as it always has.
+    outflows, inflows, z = [0.0] * 3, [0.0] * 3, [1.0] * 3
+    inflows[where] = 1e308
+    if value == "nan":
+        outflows[where], z[where] = 1e308, 2.0
+    system = {"kind": "compartmental", "m": 3, "transports": [[0.0] * 3] * 3}
+    cfg = {
+        "system": {**system, "outflows": outflows, "inflows": inflows},
+        "sim": {"h": 0.02, "t_end": 0.2},
+        "z_init": {"kind": "constant", "value": z},
+    }
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 5
+    err = capsys.readouterr().err
+    assert f"diverged: state norm {value} exceeded guard at t=0.02" in err
+
+
 def test_config_echo_ignores_thread_variable(tmp_path, monkeypatch):
     cfg = {"system": S1_SYSTEM, "check": {"conditions": ["G5"], "a": [-2.0]}}
     path = write_cfg(tmp_path, cfg)

@@ -625,13 +625,18 @@ def _bits(a) -> bytes:
     return np.asarray(a, dtype=float).tobytes()
 
 
+def _floats(values) -> bool:
+    return type(values) is list and all(type(v) is float for v in values)
+
+
 def _assert_same_stage(fast, slow):
-    assert _bits(fast.Binv) == _bits(slow.Binv)
-    assert _bits(fast.rest) == _bits(slow.rest)
-    assert _bits(fast.c) == _bits(slow.c)
-    assert len(fast.zr) == len(slow.zr)
+    # every field a stage's arithmetic reads is a list of Python floats
+    assert fast.pattern == slow.pattern
+    for got, want in ((fast.Binv, slow.Binv), (fast.rest, slow.rest), (fast.c, slow.c)):
+        assert _floats(got) and _bits(got) == _bits(want)
+    assert type(fast.zr) is list and len(fast.zr) == len(slow.zr)
     for got, want in zip(fast.zr, slow.zr):
-        assert _bits(got) == _bits(want)
+        assert _floats(got) and _bits(got) == _bits(want)
 
 
 # Allowed gap between a plan stage and `stage_direct` where the batched
@@ -643,6 +648,7 @@ _STAGE_ULPS = 4
 
 
 def _assert_close_stage(fast, slow):
+    assert fast.pattern == slow.pattern
     pairs = [(fast.Binv, slow.Binv), (fast.rest, slow.rest), (fast.c, slow.c)]
     assert len(fast.zr) == len(slow.zr)
     for got, want in pairs + list(zip(fast.zr, slow.zr)):
@@ -674,6 +680,34 @@ def multi_term_system(flow2):
     )
 
 
+def ring_system(flow2, m):
+    """Ring of m compartments with a diagonal B = 1 + 0.1 cos 2 pi theta_1:
+    one atom at lag 0.5 of weight 0.2 I, transport i-1 -> i of gain
+    0.5 + 0.1 cos 2 pi theta_2 through a pipe of lag 0.4, and an inflow
+    0.3 + 0.1 cos 2 pi theta_1 into compartment 0."""
+    zero = TrigPoly.const(0.0)
+
+    def diag(poly):
+        return [[poly if i == j else zero for j in range(m)] for i in range(m)]
+
+    gain = TransportSpec(TrigPoly.from_terms(0.5, [([0, 1], 0.1, 0.0)]))
+    none = TransportSpec.zero()
+    inst, pipe = PipeSpec.instant(), PipeSpec.delta(0.4)
+    B = diag(TrigPoly.from_terms(1.0, [([1, 0], 0.1, 0.0)]))
+    nu = AtomicMeasureFamily((MeasureAtom(0.5, diag(TrigPoly.const(0.2))),))
+    return CompartmentalSystem(
+        m=m,
+        transports=tuple(
+            tuple(gain if j == (i - 1) % m else none for j in range(m)) for i in range(m)
+        ),
+        outflows=(none,) * m,
+        inflows=(TrigPoly.from_terms(0.3, [([1, 0], 0.1, 0.0)]),) + (zero,) * (m - 1),
+        pipes=tuple(tuple(pipe if j == (i - 1) % m else inst for j in range(m)) for i in range(m)),
+        dspec=DOperatorSpec(m, B, nu, flow2),
+        flow=flow2,
+    )
+
+
 # s1 with both delays at a few steps: read windows of one and two steps
 S1_LAG_STEPS = {"s1_lag_h": 1, "s1_lag_2h": 2, "s1_lag_3h": 3}
 
@@ -682,13 +716,16 @@ def _plan_case(kind, phase, h):
     """A fixture system, start phase and step; `s1_lag_h`, `s1_lag_2h` and
     `s1_lag_3h` put s1's delays at h, 2h and 3h, `mixed_lags` runs the
     ring (lags 0.4, 0.5, 0.6, 1.0 and 1.2) at h = 0.02, `constant_B` the
-    ring with a constant B that is not the identity, and `multi_term` has
-    coefficients of two terms."""
-    if kind in ("three_compartment", "mixed_lags", "constant_B", "multi_term"):
+    ring with a constant B that is not the identity, `multi_term` has
+    coefficients of two terms, and `diagonal_ring` is `ring_system` at
+    m = 3."""
+    if kind in ("three_compartment", "mixed_lags", "constant_B", "multi_term", "diagonal_ring"):
         flow = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0])
         h = 0.02 if kind == "mixed_lags" else h
         if kind == "multi_term":
             return multi_term_system(flow), TorusPoint([phase, 1.0 - phase]), h
+        if kind == "diagonal_ring":
+            return ring_system(flow, 3), TorusPoint([phase, 1.0 - phase]), h
         sys = three_compartment_system(flow, constant_B=kind == "constant_B")
         return sys, TorusPoint([phase, 1.0 - phase]), h
     flow = TorusFlow([GOLDEN_FREQ])
@@ -709,21 +746,32 @@ def _plan_case(kind, phase, h):
     return sys, TorusPoint([phase]), h
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [
-        "s1",
-        "s1_lag_h",
-        "s1_lag_2h",
-        "s1_lag_3h",
-        "three_compartment",
-        "mixed_lags",
-        "constant_B",
-        "density",
-        "phase_gain",
-        "multi_term",
-    ],
-)
+def _plan_history(sys, cfg, amp):
+    """A smooth initial history, different in each component, as long as
+    the run needs."""
+    offsets = np.arange(sys.m)[None, :]
+    return from_function(
+        lambda s: 1.0 + amp * np.sin(3.0 * s[:, None] + offsets),
+        cfg.h,
+        required_z_horizon(sys, cfg) + 2 * cfg.h,
+    )
+
+
+PLAN_KINDS = [
+    "s1",
+    "s1_lag_h",
+    "s1_lag_2h",
+    "s1_lag_3h",
+    "three_compartment",
+    "mixed_lags",
+    "constant_B",
+    "density",
+    "phase_gain",
+    "multi_term",
+]
+
+
+@pytest.mark.parametrize("kind", PLAN_KINDS)
 @settings(max_examples=10, deadline=None)
 @given(
     phase=st.floats(0.0, 1.0),
@@ -755,12 +803,7 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
 
     sys, p0, h = _plan_case(kind, phase, h)
     cfg = SimConfig(h=h, t_end=10 * h)
-    offsets = np.arange(sys.m)[None, :]
-    z0 = from_function(
-        lambda s: 1.0 + amp * np.sin(3.0 * s[:, None] + offsets),
-        h,
-        required_z_horizon(sys, cfg) + 2 * h,
-    )
+    z0 = _plan_history(sys, cfg, amp)
 
     def stage(j, t_s):
         state.X[state.k + 1 :] = np.nan
@@ -780,7 +823,168 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
             same(stage(2 * n + 2, t + h), end)
             state.X[state.k + 1 :] = np.nan
             step(state)
-            same(state._ahead, end)
+            same(state._ahead[0], end)
+
+
+# Kinds whose B^-1 pattern has one entry per row: there the float stage
+# arithmetic rounds as the NumPy one does, bit for bit.
+ONE_ENTRY_KINDS = {
+    "s1",
+    "s1_lag_h",
+    "s1_lag_2h",
+    "s1_lag_3h",
+    "density",
+    "phase_gain",
+    "diagonal_ring",
+}
+
+# Allowed gap between `step` and `step_direct` over 10 steps elsewhere, in
+# units of eps times the largest entry of the compared row of Z or X: a row
+# of B^-1 of several entries sums in Python order, not the BLAS one, and a
+# multi_term coefficient rounds as the stage plan test states. 200 seeded
+# runs of each such kind differ by at most 2.4 of these units.
+_STEP_ULPS = 8
+
+
+@pytest.mark.parametrize("kind", PLAN_KINDS + ["diagonal_ring"])
+@settings(max_examples=10, deadline=None)
+@given(
+    phase=st.floats(0.0, 1.0),
+    amp=st.floats(0.0, 0.5),
+    h=st.sampled_from([0.05, 0.03, 0.045, 0.0375]),
+)
+def test_step_matches_direct_step(kind, phase, amp, h):
+    # 10 steps of the float stage arithmetic against NumPy arithmetic on
+    # stages built from scratch, as `step` computed before it worked on
+    # Python floats
+    from .oracles import step_direct
+
+    sys, p0, h = _plan_case(kind, phase, h)
+    cfg = SimConfig(h=h, t_end=10 * h)
+    z0 = _plan_history(sys, cfg, amp)
+    fast, slow = init_from_z(sys, p0, z0, cfg), init_from_z(sys, p0, z0, cfg)
+    one_entry = all(len(cols) == 1 for cols in fast.pattern)
+    assert one_entry == (kind in ONE_ENTRY_KINDS)
+    now = None
+    for _ in range(cfg.nsteps):
+        step(fast)
+        now = step_direct(slow, now)
+    assert fast.k == slow.k
+    for got, want in ((fast.Z, slow.Z), (fast.X, slow.X)):
+        got, want = got[: fast.k + 1], want[: slow.k + 1]
+        if one_entry:
+            assert _bits(got) == _bits(want)
+        else:
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= _STEP_ULPS * np.finfo(float).eps * scale)
+
+
+def _poly_matrix(rows):
+    """TrigPoly matrix from numbers and TrigPolys."""
+    return [[v if isinstance(v, TrigPoly) else TrigPoly.const(v) for v in row] for row in rows]
+
+
+def test_inverse_pattern_holds_every_nonzero_of_the_inverse():
+    # the kernel keeps B^-1 on the reachability closure of B's nonzero
+    # entries; every entry it drops is 0.0 for a diagonal or triangular B,
+    # and within 4 ulps of its row's largest entry where partial pivoting
+    # leaves rounding residue on an exact zero
+    from nfde_lab.d_operator import eval_poly_matrix_many
+    from nfde_lab.integrator import _inverse_pattern
+
+    def wave(c, k, a):
+        return TrigPoly.from_terms(c, [(k, a, 0.5 * a)])
+
+    p, q = wave(1.0, [1, 0], 0.1), wave(0.5, [0, 1], 0.1)
+    cases = {
+        "diagonal": (
+            _poly_matrix([[p, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, q]]),
+            ((0,), (1,), (2,)),
+            True,
+        ),
+        "upper_triangular": (
+            _poly_matrix([[p, 0.3, 0.0], [0.0, 0.8, q], [0.0, 0.0, 1.0]]),
+            ((0, 1, 2), (1, 2), (2,)),
+            True,
+        ),
+        "cyclic": (
+            _poly_matrix(
+                [
+                    [wave(1.0, [1, 0], 0.15), 0.05, 0.0],
+                    [0.0, wave(1.0, [0, 1], 0.1), 0.05],
+                    [0.05, 0.0, 1.0],
+                ]
+            ),
+            ((0, 1, 2), (0, 1, 2), (0, 1, 2)),
+            True,
+        ),
+        "reducible_pivoting": (
+            _poly_matrix([[TrigPoly.from_terms(0.01, [([1, 0], 0.001, 0.0)]), 0.0], [1.0, 1.0]]),
+            ((0,), (0, 1)),
+            False,
+        ),
+    }
+    thetas = np.random.default_rng(7).random((500, 2))
+    eps = np.finfo(float).eps
+    for name, (B, want, exact) in cases.items():
+        pattern = _inverse_pattern(B)
+        assert pattern == want, name
+        inv = np.linalg.inv(eval_poly_matrix_many(B, thetas))
+        kept = np.zeros(inv.shape[1:], dtype=bool)
+        for i, cols in enumerate(pattern):
+            kept[i, list(cols)] = True
+        dropped = np.where(kept, 0.0, np.abs(inv))
+        if exact:
+            assert np.all(dropped == 0.0), name
+        else:
+            row_max = np.max(np.abs(inv), axis=2, keepdims=True)
+            assert np.all(dropped <= 4 * eps * row_max), name
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{0: np.nan}, {2: np.nan}, {0: np.inf}, {2: -np.inf}, {0: np.inf, 2: np.nan}],
+    ids=["nan_first", "nan_last", "inf_first", "inf_last", "inf_then_nan"],
+)
+def test_step_guard_sees_any_bad_component(monkeypatch, bad):
+    # the last stage's rate is made NaN or inf in the given components of
+    # an m = 3 state, and so is the new zhat there; the guard must report
+    # what NumPy's max of |zhat| reports: NaN wherever a NaN sits, which
+    # Python's max skips unless it comes first, else the largest entry
+    from nfde_lab.compartment import _BalanceTerms
+
+    from .oracles import step_direct
+
+    balance = _BalanceTerms.balance
+    calls = [0]
+
+    def corrupted(self, c, zs):
+        F = balance(self, c, zs)
+        calls[0] += 1
+        if calls[0] == 4:  # k4 of the first step
+            for i, v in bad.items():
+                F[i] = v
+        return F
+
+    monkeypatch.setattr(_BalanceTerms, "balance", corrupted)
+    flow = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0])
+    sys = ring_system(flow, 3)
+    cfg = SimConfig(h=0.05, t_end=0.5)
+    z0 = _plan_history(sys, cfg, 0.2)
+    errors = []
+    for advance in (step, step_direct):
+        calls[0] = 0
+        state = init_from_z(sys, TorusPoint([0.3, 0.6]), z0, cfg)
+        with pytest.raises(DivergenceError) as err:
+            advance(state)
+        errors.append(err.value)
+    got, want = errors
+    assert got.t == want.t == cfg.h
+    assert str(got) == str(want)
+    if any(np.isnan(v) for v in bad.values()):
+        assert np.isnan(got.value) and np.isnan(want.value)
+    else:
+        assert got.value == want.value == np.inf
 
 
 @st.composite

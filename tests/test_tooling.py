@@ -3,8 +3,10 @@ tracer wraps the functions listed in its TRACED table, and the measured
 child process hooks a few more. A rename or deletion in nfde_lab that
 leaves one of these names dangling fails here, not in a traced benchmark
 run. Every CLI process pays for what `nfde_lab.cli` imports, so a check
-here keeps SciPy out of it."""
+here keeps SciPy out of it. The stage arithmetic sums in an explicit order,
+which a check here keeps free of `sum` and `math.fsum`."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -170,3 +172,33 @@ def test_setup_mark_comes_before_stage_plan_work_in_pair(tmp_path, monkeypatch):
     assert len(built) > 2 and all(built)
     assert evaluated and all(evaluated)
     assert steps == 2 * 200
+
+
+# Functions whose float sums must run in an explicit left-to-right order:
+# the float result of the built-in `sum` changed in Python 3.12, and
+# `math.fsum` rounds once for the whole sum.
+ORDERED_SUMS = [
+    ("integrator.py", "step"),
+    ("integrator.py", "_Stage.z"),
+    ("compartment.py", "_BalanceTerms.balance"),
+]
+
+
+def _function(tree, qualname):
+    node = tree
+    for name in qualname.split("."):
+        node = next(
+            n
+            for n in node.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name
+        )
+    return node
+
+
+@pytest.mark.parametrize("module, qualname", ORDERED_SUMS)
+def test_stage_arithmetic_calls_no_sum(module, qualname):
+    source = (ROOT / "src" / "nfde_lab" / module).read_text()
+    body = _function(ast.parse(source), qualname)
+    calls = [n.func for n in ast.walk(body) if isinstance(n, ast.Call)]
+    names = [f.id if isinstance(f, ast.Name) else getattr(f, "attr", None) for f in calls]
+    assert calls and "sum" not in names and "fsum" not in names
