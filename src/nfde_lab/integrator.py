@@ -21,11 +21,11 @@ coefficient has one term whose wave vector has one nonzero entry or
 entries of size at most 2; otherwise a last bit may differ.
 
 A stage's own work, rebuilding z and summing the balance law, runs on
-Python floats, in the order of the array expressions it replaced. B^-1 is
-kept on a pattern fixed per system (`_inverse_pattern`), off which it
-vanishes; z sums each pattern row left to right, which rounds as NumPy
-does where each row has one entry (a diagonal B) but not as BLAS sums a
-longer row.
+Python floats, in the order of the array expressions it replaced. A B
+whose off-diagonal entries are all zero keeps only the diagonal of B^-1,
+and z is one product per component, which rounds as NumPy does; any other
+B keeps all of B^-1, and z sums each row left to right, not in the order
+BLAS sums it.
 
 The log is read off the stored X and Z after the run, with masses from
 vectorised passes (`_total_mass_many`) and pair monitors from running and
@@ -132,14 +132,14 @@ _PLAN_STEPS = 64
 
 
 class _Stage:
-    """A stage time's data as lists of floats: B^-1 at the columns
-    `pattern[i]` of each row i in turn, the delayed part of D `rest`, the
-    balance law's coefficients `c` and z at the pipe lags `zr`."""
+    """A stage time's data as lists of floats: B^-1, its diagonal when
+    `SimState.diagonal_B` and else all of it row by row, the delayed part
+    of D `rest`, the balance law's coefficients `c` and z at the pipe lags
+    `zr`."""
 
-    __slots__ = ("pattern", "Binv", "rest", "c", "zr")
+    __slots__ = ("Binv", "rest", "c", "zr")
 
-    def __init__(self, pattern, Binv, rest, c, zr):
-        self.pattern = pattern
+    def __init__(self, Binv, rest, c, zr):
         self.Binv = Binv
         self.rest = rest
         self.c = c
@@ -147,38 +147,26 @@ class _Stage:
 
     def z(self, zhat: list) -> list:
         """Physical state from the transformed one: z_i sums B^-1_ij
-        (zhat_j + rest_j) over pattern[i] left to right, which rounds as
-        NumPy's product where the row has one entry but not as BLAS sums
-        a longer row."""
+        (zhat_j + rest_j) over j left to right, which rounds as NumPy's
+        product for a diagonal B^-1 but not as BLAS sums a full row."""
         b = self.Binv
-        if len(b) == len(zhat):  # one entry per row, the diagonal
+        m = len(zhat)
+        if len(b) == m:  # the diagonal
             return [d * (a + r) for d, a, r in zip(b, zhat, self.rest)]
         v = [a + r for a, r in zip(zhat, self.rest)]
-        entries = iter(b)
         z = []
-        for cols in self.pattern:
-            acc = next(entries) * v[cols[0]]
-            for j in cols[1:]:
-                acc += next(entries) * v[j]
+        for i in range(0, m * m, m):
+            acc = b[i] * v[0]
+            for j in range(1, m):
+                acc += b[i + j] * v[j]
             z.append(acc)
         return z
-
-
-def _inverse_pattern(B) -> tuple:
-    """Columns, in order, of each row of B^-1 that may be nonzero at some
-    phase: those reachable from the row along B's nonzero entries, itself
-    included. B^-1 is a polynomial in B, so it vanishes off this pattern."""
-    nonzero = [[i == j or not p.is_zero() for j, p in enumerate(row)] for i, row in enumerate(B)]
-    reach = np.array(nonzero)
-    while not np.array_equal(reach @ reach, reach):
-        reach = reach @ reach
-    return tuple(tuple(np.flatnonzero(row).tolist()) for row in reach)
 
 
 class _PlanBlock:
     """Phase-only data of the stages of _PLAN_STEPS consecutive steps.
 
-    Row r holds stage lo + r: its phase, B^-1 there on the state's pattern,
+    Row r holds stage lo + r: its phase, B^-1 there as _Stage keeps it,
     each atom's weight matrix, the balance law's coefficient row, and for
     every delay the rows and weights of the cubic stencil that reads z there
     from the stored X. `reach[r]` is the newest stored row that stages
@@ -199,11 +187,11 @@ class _PlanBlock:
         t[j == 0] = 0 * h
         theta = np.mod(state.p0.theta[None, :] + t[:, None] * state.flow.freqs[None, :], 1.0)
         self.theta = theta
-        pat = state.pattern
-        rows = [i for i, cols in enumerate(pat) for _ in cols]
-        cols = [j for row in pat for j in row]
         Binv = np.linalg.inv(eval_poly_matrix_many(spec.B, theta))
-        self.Binv = Binv[:, rows, cols]
+        if state.diagonal_B:
+            self.Binv = np.diagonal(Binv, axis1=1, axis2=2).copy()
+        else:
+            self.Binv = Binv.reshape(j.size, -1)
         self.W = [eval_poly_matrix_many(atom.weight, theta) for atom in spec.nu.atoms]
         self.c = state.general._terms.coeffs(theta)
         lags = state.delays.lags
@@ -270,7 +258,10 @@ class SimState:
         self.flow = self.general.flow
         self.m = self.general.m
         self.delays = delays
-        self.pattern = _inverse_pattern(self.general.dspec.B)
+        B = self.general.dspec.B
+        self.diagonal_B = all(
+            i == j or p.is_zero() for i, row in enumerate(B) for j, p in enumerate(row)
+        )
         self._ahead = None  # stage data, zhat and z at the current time, from the last step
         self._block = None  # the stage plan's current block
         self._window = None  # the read window of the current stages
@@ -302,7 +293,6 @@ class SimState:
         s = j - win.lo
         # per stage: lists of a whole block hold several times its memory
         return _Stage(
-            self.pattern,
             blk.Binv[r].tolist(),
             win.rest[s].tolist(),
             blk.c[r].tolist(),
@@ -480,7 +470,6 @@ def _run(state: SimState) -> TrajectoryLog:
     cfg = state.cfg
     for _ in range(cfg.nsteps):
         step(state)
-    state._block = state._window = None  # rebuilt if the state steps on
     _check_stored(state, _mass_span(state.general, cfg.h))
     rows = _log_rows(state.Jh, cfg)
     return TrajectoryLog(

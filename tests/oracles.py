@@ -7,8 +7,9 @@ builds an integrator stage from scratch at one time, each coefficient by a
 one-row evaluation at its own phase, where the integrator reads the stage
 plan's rows; `step_direct` steps on such stages with NumPy arithmetic, a
 matrix-vector product for z, where `step` works on Python floats over the
-pattern of B^-1. `eval_F_direct` walks the transport grid one coefficient at a
-time, where `eval_F` sums one row of the system's coefficient table.
+diagonal of B^-1 or all of it. `eval_F_direct` walks the transport grid
+one coefficient at a time, where `eval_F` sums one row of the system's
+coefficient table.
 `comparison_upper_rows_direct` exponentiates the block matrix
 afresh at every node with SciPy, where `make_comparison_upper` walks the
 nodes by the semigroup from two NumPy exponentials. `run_direct` and
@@ -227,11 +228,11 @@ def _stage_arrays(state, t_s: float):
 
 
 def stage_direct(state, t_s: float) -> _Stage:
-    """The stage at t_s from `_stage_arrays`, with B^-1 kept on the state's
-    pattern."""
+    """The stage at t_s from `_stage_arrays`, with B^-1 kept as `_Stage`
+    keeps it: its diagonal for a diagonal B, else all of it row by row."""
     Binv, rest, c, zr = _stage_arrays(state, t_s)
-    entries = [float(Binv[i, j]) for i, cols in enumerate(state.pattern) for j in cols]
-    return _Stage(state.pattern, entries, rest.tolist(), c, zr)
+    entries = np.diagonal(Binv) if state.diagonal_B else Binv.ravel()
+    return _Stage(entries.tolist(), rest.tolist(), c, zr)
 
 
 def step_direct(state, now=None):

@@ -631,7 +631,6 @@ def _floats(values) -> bool:
 
 def _assert_same_stage(fast, slow):
     # every field a stage's arithmetic reads is a list of Python floats
-    assert fast.pattern == slow.pattern
     for got, want in ((fast.Binv, slow.Binv), (fast.rest, slow.rest), (fast.c, slow.c)):
         assert _floats(got) and _bits(got) == _bits(want)
     assert type(fast.zr) is list and len(fast.zr) == len(slow.zr)
@@ -648,7 +647,6 @@ _STAGE_ULPS = 4
 
 
 def _assert_close_stage(fast, slow):
-    assert fast.pattern == slow.pattern
     pairs = [(fast.Binv, slow.Binv), (fast.rest, slow.rest), (fast.c, slow.c)]
     assert len(fast.zr) == len(slow.zr)
     for got, want in pairs + list(zip(fast.zr, slow.zr)):
@@ -826,9 +824,9 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
             same(state._ahead[0], end)
 
 
-# Kinds whose B^-1 pattern has one entry per row: there the float stage
-# arithmetic rounds as the NumPy one does, bit for bit.
-ONE_ENTRY_KINDS = {
+# Kinds with a diagonal B: there the float stage arithmetic rounds as the
+# NumPy one does, bit for bit.
+DIAGONAL_B_KINDS = {
     "s1",
     "s1_lag_h",
     "s1_lag_2h",
@@ -840,7 +838,7 @@ ONE_ENTRY_KINDS = {
 
 # Allowed gap between `step` and `step_direct` over 10 steps elsewhere, in
 # units of eps times the largest entry of the compared row of Z or X: a row
-# of B^-1 of several entries sums in Python order, not the BLAS one, and a
+# of a full B^-1 sums in Python order, not the BLAS one, and a
 # multi_term coefficient rounds as the stage plan test states. 200 seeded
 # runs of each such kind differ by at most 2.4 of these units.
 _STEP_ULPS = 8
@@ -863,8 +861,8 @@ def test_step_matches_direct_step(kind, phase, amp, h):
     cfg = SimConfig(h=h, t_end=10 * h)
     z0 = _plan_history(sys, cfg, amp)
     fast, slow = init_from_z(sys, p0, z0, cfg), init_from_z(sys, p0, z0, cfg)
-    one_entry = all(len(cols) == 1 for cols in fast.pattern)
-    assert one_entry == (kind in ONE_ENTRY_KINDS)
+    diagonal = fast.diagonal_B
+    assert diagonal == (kind in DIAGONAL_B_KINDS)
     now = None
     for _ in range(cfg.nsteps):
         step(fast)
@@ -872,7 +870,7 @@ def test_step_matches_direct_step(kind, phase, amp, h):
     assert fast.k == slow.k
     for got, want in ((fast.Z, slow.Z), (fast.X, slow.X)):
         got, want = got[: fast.k + 1], want[: slow.k + 1]
-        if one_entry:
+        if diagonal:
             assert _bits(got) == _bits(want)
         else:
             scale = np.max(np.abs(want), axis=1, keepdims=True)
@@ -884,61 +882,51 @@ def _poly_matrix(rows):
     return [[v if isinstance(v, TrigPoly) else TrigPoly.const(v) for v in row] for row in rows]
 
 
-def test_inverse_pattern_holds_every_nonzero_of_the_inverse():
-    # the kernel keeps B^-1 on the reachability closure of B's nonzero
-    # entries; every entry it drops is 0.0 for a diagonal or triangular B,
-    # and within 4 ulps of its row's largest entry where partial pivoting
-    # leaves rounding residue on an exact zero
-    from nfde_lab.d_operator import eval_poly_matrix_many
-    from nfde_lab.integrator import _inverse_pattern
+def test_plan_keeps_diagonal_or_full_inverse(golden_flow):
+    # a B with zero off-diagonal entries keeps the diagonal of B^-1, whose
+    # off-diagonal entries are then exactly 0.0 at every phase; any other B,
+    # triangular, cyclic or pivoting, keeps all of B^-1 row by row, bit for
+    # bit with the batched inversion
+    import dataclasses
+
+    from nfde_lab.d_operator import DOperatorSpec, eval_poly_matrix_many
 
     def wave(c, k, a):
         return TrigPoly.from_terms(c, [(k, a, 0.5 * a)])
 
     p, q = wave(1.0, [1, 0], 0.1), wave(0.5, [0, 1], 0.1)
     cases = {
-        "diagonal": (
-            _poly_matrix([[p, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, q]]),
-            ((0,), (1,), (2,)),
-            True,
-        ),
-        "upper_triangular": (
-            _poly_matrix([[p, 0.3, 0.0], [0.0, 0.8, q], [0.0, 0.0, 1.0]]),
-            ((0, 1, 2), (1, 2), (2,)),
-            True,
-        ),
-        "cyclic": (
-            _poly_matrix(
-                [
-                    [wave(1.0, [1, 0], 0.15), 0.05, 0.0],
-                    [0.0, wave(1.0, [0, 1], 0.1), 0.05],
-                    [0.05, 0.0, 1.0],
-                ]
-            ),
-            ((0, 1, 2), (0, 1, 2), (0, 1, 2)),
-            True,
-        ),
-        "reducible_pivoting": (
-            _poly_matrix([[TrigPoly.from_terms(0.01, [([1, 0], 0.001, 0.0)]), 0.0], [1.0, 1.0]]),
-            ((0,), (0, 1)),
-            False,
-        ),
+        "diagonal": [[p, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, q]],
+        "upper_triangular": [[p, 0.3, 0.0], [0.0, 0.8, q], [0.0, 0.0, 1.0]],
+        "cyclic": [
+            [wave(1.0, [1, 0], 0.15), 0.05, 0.0],
+            [0.0, wave(1.0, [0, 1], 0.1), 0.05],
+            [0.05, 0.0, 1.0],
+        ],
+        "reducible_pivoting": [
+            [TrigPoly.from_terms(0.01, [([1, 0], 0.001, 0.0)]), 0.0, 0.0],
+            [1.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+        ],
     }
-    thetas = np.random.default_rng(7).random((500, 2))
-    eps = np.finfo(float).eps
-    for name, (B, want, exact) in cases.items():
-        pattern = _inverse_pattern(B)
-        assert pattern == want, name
-        inv = np.linalg.inv(eval_poly_matrix_many(B, thetas))
-        kept = np.zeros(inv.shape[1:], dtype=bool)
-        for i, cols in enumerate(pattern):
-            kept[i, list(cols)] = True
-        dropped = np.where(kept, 0.0, np.abs(inv))
-        if exact:
-            assert np.all(dropped == 0.0), name
+    flow = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0])
+    ring = ring_system(flow, 3)
+    # an atom weight small enough for the pivoting B's inverse of size 100
+    nu = AtomicMeasureFamily((MeasureAtom(0.5, _poly_matrix(0.001 * np.eye(3))),))
+    cfg = SimConfig(h=0.05, t_end=0.5)
+    for name, rows in cases.items():
+        B = _poly_matrix(rows)
+        sys = dataclasses.replace(ring, dspec=dataclasses.replace(ring.dspec, B=B, nu=nu))
+        state = init_from_z(sys, TorusPoint([0.3, 0.7]), _plan_history(sys, cfg, 0.2), cfg)
+        assert state.diagonal_B == (name == "diagonal"), name
+        state.stage(0)
+        blk = state._block
+        inv = np.linalg.inv(eval_poly_matrix_many(B, blk.theta))
+        if state.diagonal_B:
+            assert np.all(inv[:, ~np.eye(3, dtype=bool)] == 0.0), name
+            assert _bits(blk.Binv) == _bits(np.diagonal(inv, axis1=1, axis2=2)), name
         else:
-            row_max = np.max(np.abs(inv), axis=2, keepdims=True)
-            assert np.all(dropped <= 4 * eps * row_max), name
+            assert _bits(blk.Binv) == _bits(inv.reshape(len(inv), 9)), name
 
 
 @pytest.mark.parametrize(
