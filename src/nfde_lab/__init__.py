@@ -1,6 +1,6 @@
 """Numerical laboratory for neutral compartmental delay systems driven by
 quasi-periodic torus rotations: a stable time-varying difference operator
-with a Neumann-series inverse, exponential-order cones, closed-form
+inverted by the method of steps, exponential-order cones, closed-form
 monotonicity condition checkers, and a fixed-step integrator for the
 transformed equation."""
 

@@ -588,7 +588,8 @@ def cmd_pair(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
         # the bump's inverse reaches one delay span further back, to z_x.J
         J = z_x.J - _nodes(sys_obj.dspec.support, sim.h)
         yhat = HistoryGrid(sim.h, comp.hist.samples[: J + 1], comp.hist.tail)
-        bump = invert_Dhat(sys_obj.dspec, p0, yhat, sim.inv_tol)
+        est = stability_margin(sys_obj.dspec, sampling)
+        bump = invert_Dhat(sys_obj.dspec, p0, yhat, sim.inv_tol, est=est)
         z_y = HistoryGrid(sim.h, z_x.samples + lam * bump.samples, z_x.tail)
     else:
         z_y = _parse_history(node, "z_init_y", sys_obj.m, sim.h, z_x.horizon)
@@ -622,7 +623,7 @@ def cmd_invert(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
     )
     p0 = TorusPoint(_finite(cfg.get("theta0", [0.0] * flow.dim), "theta0", array=True))
     est = stability_margin(dspec, sampling)
-    x = invert_Dhat(dspec, p0, yhat, tol)
+    x = invert_Dhat(dspec, p0, yhat, tol, est=est)
     export_csv(x, os.path.join(outdir, "result.csv"))
     back = eval_Dhat_segment(dspec, p0, x, yhat.J)
     resid = float(np.max(np.abs(back.samples - yhat.samples)))

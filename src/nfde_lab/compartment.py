@@ -53,7 +53,7 @@ from .errors import (
     HorizonError,
     StructuralPreconditionError,
 )
-from .history import _EQ_TOL, _SNAP, _nodes, _on_node, cubic_stencil
+from .history import _EQ_TOL, _SNAP, _nodes, cubic_stencil
 
 
 CONDITIONS = ("G3", "G4", "G5", "G8", "G9")
@@ -457,16 +457,12 @@ def _read_back(X: np.ndarray, rows: np.ndarray, pos: np.ndarray, K: int) -> np.n
     """X at fractional steps `pos` behind each of `rows`; (rows, pos, m).
 
     Each read is the one `cubic_rows` makes on the newest-first window of K
-    rows ending at the row: an on-node position returns its row, any other
-    the window's clipped cubic stencil summed left to right.
+    rows ending at the row: the window's clipped cubic stencil, summed left
+    to right.
     """
     idx, w = cubic_stencil(K, pos)
-    out = X[rows[:, None] - idx[None, :, 0]]
-    off = ~_on_node(pos)[1]
-    if np.any(off):
-        taps = w[None, off, :, None] * X[rows[:, None, None] - idx[None, off]]
-        out[:, off] = taps[:, :, 0] + taps[:, :, 1] + taps[:, :, 2] + taps[:, :, 3]
-    return out
+    taps = w[None, :, :, None] * X[rows[:, None, None] - idx[None]]
+    return taps[:, :, 0] + taps[:, :, 1] + taps[:, :, 2] + taps[:, :, 3]
 
 
 def _total_mass_many(

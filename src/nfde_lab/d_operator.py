@@ -12,8 +12,10 @@ flow gives the history-to-history map
 
 which factors as Bhat o (I - Lhat) with Lhat the delayed part premultiplied
 by B^{-1}. When the sampled sup of ||Lhat|| is below one the lift is
-invertible and the inverse is the Neumann series sum_n Lhat^n o Bhat^{-1};
-truncation depth is chosen a priori from the geometric tail bound.
+invertible, and the inverse is computed by the method of steps: the value
+at each node is B^{-1} applied to the target plus the delayed part, which
+reads only older, already solved nodes. The past is extended by a depth
+chosen a priori from the geometric tail bound.
 
 Sups over the torus are estimated by sampling a uniform phase grid plus a
 long orbit; the worst sampled phase is reported alongside the estimate.
@@ -33,7 +35,7 @@ from .errors import (
     SingularBError,
     UnstableMarginError,
 )
-from .history import _SNAP, FunctionHistory, HistoryGrid, TailPolicy, _nodes, cubic_rows, sup_norm
+from .history import _SNAP, FunctionHistory, HistoryGrid, _nodes, cubic_stencil, sup_norm
 
 
 def const_poly_matrix(values) -> list:
@@ -298,91 +300,89 @@ def eval_Dhat_segment(
     return HistoryGrid(h, out, hist.tail)
 
 
-def _shift_rows(vals: np.ndarray, off: float, tail: TailPolicy) -> np.ndarray:
-    """Rows of `vals` re-read at index j + off; beyond the end, tail policy."""
-    K = vals.shape[0]
-    tail_row = vals[-1] if tail is TailPolicy.CONSTANT else np.zeros(vals.shape[1])
-    io = int(round(off))
-    if abs(off - io) <= _SNAP * max(1.0, abs(off)):
-        if io == 0:
-            return vals.copy()
-        out = np.empty_like(vals)
-        if io < K:
-            out[: K - io] = vals[io:]
-            out[K - io :] = tail_row
-        else:
-            out[:] = tail_row
-        return out
-    pos = np.arange(K) + off
-    out = np.empty_like(vals)
-    inside = pos <= K - 1 + _SNAP
-    out[~inside] = tail_row
-    if np.any(inside):
-        out[inside] = cubic_rows(vals, np.clip(pos[inside], 0.0, K - 1))
-    return out
-
-
 def invert_Dhat(
     spec: DOperatorSpec,
     p: TorusPoint,
     yhat: HistoryGrid,
     tol: float,
     n_terms: Optional[int] = None,
+    est: Optional[StabilityEstimate] = None,
 ) -> HistoryGrid:
-    """Invert the lift by the truncated Neumann series.
+    """Invert the lift by the method of steps.
 
-    The series is evaluated on a working grid extended far enough into the
-    past that every returned node is free of tail effects; the returned
-    horizon exceeds the input's by the measure support, so a round trip
-    through eval_Dhat_segment at the input depth stays within tol plus
+    The inverse x solves x = B^-1 (yhat + delayed part of x) on a working
+    grid extended N delay spans into the past, N chosen a priori from the
+    geometric tail bound of `est` (default `spec.stability()`) unless
+    n_terms sets it. Past the grid, x is read at the grid's oldest row.
+    Starting from x = B^-1 yhat, the rows are solved from the oldest in
+    blocks of c rows, c the shortest distance from a row to a row its
+    cubic stencils read, so every block reads only solved rows; the oldest
+    reads the tail from the starting row, an error damped by lam^N at the
+    returned rows. When some read reaches fewer than one row back (c < 1),
+    the update runs over the whole grid N times instead, a fixed-point
+    iteration with the same lam^N error term. The returned horizon exceeds
+    the input's by the measure support, so a round trip through
+    eval_Dhat_segment at the input depth stays within tol plus
     interpolation error.
     """
     if spec.m != yhat.m:
         raise DimensionMismatchError(
             f"target dim {yhat.m} does not match operator dim {spec.m}"
         )
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    est = spec.stability()
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
+    if n_terms is not None and not (n_terms >= 0 and float(n_terms).is_integer()):
+        raise ValueError("n_terms must be a whole number >= 0")
+    if est is None:
+        est = spec.stability()
     lam = est.lam
     h = yhat.step
     Jy = yhat.J
     ynorm = sup_norm(yhat)
-    S = spec.support
-    n_s = _nodes(S, h)
+    n_s = _nodes(spec.support, h)
     if n_terms is not None:
-        N = max(0, int(n_terms))
+        N = int(n_terms)
     elif lam <= 0.0 or ynorm == 0.0 or spec.nu.is_empty():
         N = 0
     else:
         target = tol * (1.0 - lam) / (est.sup_Binv * ynorm)
         N = 0 if target >= 1.0 else int(np.ceil(np.log(target) / np.log(lam)))
     J_ret = Jy + n_s
-    J_work = J_ret + N * n_s
-    s_nodes = -h * np.arange(J_work + 1)
+    K = J_ret + N * n_s + 1
+    s_nodes = -h * np.arange(K)
     y_ext = yhat.sample_many(s_nodes)
     thetas = advance_many(spec.flow, p, s_nodes)
-    Bv = eval_poly_matrix_many(spec.B, thetas)
-    Binv = _batch_inverse(Bv, thetas)
-    term = np.einsum("jab,jb->ja", Binv, y_ext)
-    acc = term.copy()
+    Binv = _batch_inverse(eval_poly_matrix_many(spec.B, thetas), thetas)
+    x = np.einsum("jab,jb->ja", Binv, y_ext)
     if N > 0:
-        atom_data = [
-            (atom.lag / h, eval_poly_matrix_many(atom.weight, thetas))
-            for atom in spec.nu.atoms
-        ]
+        atoms = spec.nu.atoms
+        Wv = [eval_poly_matrix_many(atom.weight, thetas) for atom in atoms]
         dens = spec.nu.density
-        for _ in range(N):
-            z = np.zeros_like(term)
-            for off, Wv in atom_data:
-                z += np.einsum("jab,jb->ja", Wv, _shift_rows(term, off, yhat.tail))
+        offs = [atom.lag for atom in atoms] + ([] if dens is None else list(-dens.midpoints))
+        # row j reads x at row j + off of each delay; past row K - 1 the
+        # clipped stencil reads row K - 1 alone, the constant tail. Under a
+        # ZERO tail that row stays 0: it reads only past the grid, where
+        # yhat is 0 and x starts at 0
+        pos = np.arange(K)[:, None] + np.array(offs)[None, :] / h
+        beyond = pos > K - 1 + _SNAP
+        idx, w = cubic_stencil(K, np.clip(pos, 0.0, K - 1))
+        back = idx - np.arange(K)[:, None, None]
+        c = int(np.min(back[(w != 0.0) & ~beyond[..., None]], initial=K))
+        if c >= 1:
+            blocks = [slice(max(e - c, 0), e) for e in range(K, 0, -c)]
+        else:
+            blocks = [slice(0, K)] * N
+        w = w[..., None]
+        for blk in blocks:
+            taps = w[blk] * x[idx[blk]]
+            rows = taps[:, :, 0] + taps[:, :, 1] + taps[:, :, 2] + taps[:, :, 3]
+            z = y_ext[blk].copy()
+            for a, W in enumerate(Wv):
+                z += np.einsum("jab,jb->ja", W[blk], rows[:, a])
             if dens is not None:
-                for l, mid in enumerate(dens.midpoints):
-                    shifted = _shift_rows(term, -mid / h, yhat.tail)
-                    z += dens.step * np.einsum("ab,jb->ja", dens.values[l], shifted)
-            term = np.einsum("jab,jb->ja", Binv, z)
-            acc += term
-    return HistoryGrid(h, acc[: J_ret + 1], yhat.tail)
+                z += dens.step * np.einsum("lab,jlb->ja", dens.values, rows[:, len(Wv) :])
+            x[blk] = np.einsum("jab,jb->ja", Binv[blk], z)
+    return HistoryGrid(h, x[: J_ret + 1], yhat.tail)
 
 
 def extract_atom_at_zero(spec: DOperatorSpec, p: TorusPoint, rho: float) -> np.ndarray:

@@ -61,52 +61,32 @@ def _on_node(pos: np.ndarray):
 
 
 def cubic_rows(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Interpolate rows of `values` at fractional row indices `pos`.
+    """Interpolate rows of `values` at fractional row indices `pos` in [0, K-1].
 
-    pos must lie in [0, K-1]. Near-integer positions return the row
-    exactly; otherwise the cubic through four neighbouring rows is used
+    The taps of `cubic_stencil` gathered and summed left to right: on a node
+    the row exactly, elsewhere the cubic through four neighbouring rows
     (one-sided at the ends), or the linear interpolant when K < 4.
     """
-    K = values.shape[0]
-    pos = np.asarray(pos, dtype=float)
-    out = np.empty((pos.size,) + values.shape[1:], dtype=values.dtype)
-    ipos, on_node = _on_node(pos)
-    if np.any(on_node):
-        out[on_node] = values[ipos[on_node].astype(int)]
-    mid = ~on_node
-    if np.any(mid):
-        p = pos[mid]
-        if K >= 4:
-            b = np.clip(np.floor(p).astype(int) - 1, 0, K - 4)
-            u = p - b
-            w0, w1, w2, w3 = _cubic_weights(u)
-            vals = (
-                w0[:, None] * values[b]
-                + w1[:, None] * values[b + 1]
-                + w2[:, None] * values[b + 2]
-                + w3[:, None] * values[b + 3]
-            )
-        else:
-            j0 = np.clip(np.floor(p).astype(int), 0, K - 2)
-            u = (p - j0)[:, None]
-            vals = (1.0 - u) * values[j0] + u * values[j0 + 1]
-        out[mid] = vals
-    return out
+    idx, w = cubic_stencil(values.shape[0], pos)
+    taps = w[..., None] * values[idx]
+    return taps[..., 0, :] + taps[..., 1, :] + taps[..., 2, :] + taps[..., 3, :]
 
 
 def cubic_stencil(K, pos: np.ndarray):
-    """Rows and weights of `cubic_rows` at fractional row indices `pos`.
+    """Rows and weights of the interpolant at fractional row indices `pos`.
 
-    K is the number of stored rows, one value or one per position. Returns
-    integer rows `idx` and weights `w`, each of shape pos.shape + (4,), such
-    that for finite values `cubic_rows(values[:K], pos)` equals, bit for bit,
+    The one rule for reading a sampled history between its nodes. K is the
+    number of stored rows, one value or one per position, and pos lies in
+    [0, K-1]. Returns integer rows `idx` and weights `w`, each of shape
+    pos.shape + (4,); the value read is
 
         w[..., 0] * values[idx[..., 0]] + w[..., 1] * values[idx[..., 1]]
         + w[..., 2] * values[idx[..., 2]] + w[..., 3] * values[idx[..., 3]]
 
-    summed left to right. An on-node position reads its row four times with
-    weights (1, 0, 0, 0); the linear interpolant (K < 4) repeats its second
-    row with weight 0.
+    summed left to right, as `cubic_rows` does. An on-node position reads its
+    row four times with weights (1, 0, 0, 0), which returns a finite row bit
+    for bit, signed zeros included; the linear interpolant (K < 4) repeats
+    its second row with weight 0.
     """
     pos = np.asarray(pos, dtype=float)
     K = np.broadcast_to(np.asarray(K), pos.shape)

@@ -20,7 +20,13 @@ derive the log from the stored buffers after the run.
 margins at one rate a_i, with the G4 sequences held as full
 (n_check+1, n) arrays and reduced with prefix and suffix minima, where
 `compartment._component_margins` evaluates a vector of rates at once and
-streams G4 over the depth. Tests compare each pair.
+streams G4 over the depth.
+`cubic_rows_direct` interpolates rows with its own Lagrange weights and an
+on-node shortcut, where `history.cubic_rows` gathers the taps of
+`cubic_stencil`; the oracles here read stored rows through it.
+`invert_Dhat_neumann` inverts the lift by the truncated Neumann series, N
+full passes over the working grid, where `invert_Dhat` solves the same
+fixed point by the method of steps. Tests compare each pair.
 """
 
 import math
@@ -32,9 +38,14 @@ import scipy.linalg
 from nfde_lab import NeutralDiagSystem, TorusPoint, advance, eval_trig
 from nfde_lab.base_flow import advance_many, eval_trig_many
 from nfde_lab.compartment import _general, _nmin, total_mass
-from nfde_lab.d_operator import eval_poly_matrix_many
-from nfde_lab.errors import DivergenceError, HorizonError, UnorderedPairError
-from nfde_lab.history import _EQ_TOL, _SNAP, HistoryGrid, TailPolicy, _nodes, cubic_rows
+from nfde_lab.d_operator import _batch_inverse, eval_poly_matrix_many
+from nfde_lab.errors import (
+    DimensionMismatchError,
+    DivergenceError,
+    HorizonError,
+    UnorderedPairError,
+)
+from nfde_lab.history import _EQ_TOL, _SNAP, HistoryGrid, TailPolicy, _nodes, sup_norm
 from nfde_lab.integrator import PairLog, TrajectoryLog, _Stage, init_from_z, step
 from nfde_lab.ordering import matrix_exp
 
@@ -185,6 +196,125 @@ def component_margins_direct(pre, cond: str, i: int, a_i: float, n_check: int) -
     return {"_g4": g4_component_direct(pre, i, a_i, n_check)}
 
 
+def cubic_rows_direct(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Rows of `values` at fractional row indices `pos` in [0, K-1].
+
+    Near-integer positions return the row exactly; otherwise the cubic
+    through four neighbouring rows is used (one-sided at the ends), or the
+    linear interpolant when K < 4.
+    """
+    K = values.shape[0]
+    pos = np.asarray(pos, dtype=float)
+    out = np.empty((pos.size,) + values.shape[1:], dtype=values.dtype)
+    ipos = np.rint(pos)
+    on_node = np.abs(pos - ipos) <= _SNAP * np.maximum(1.0, np.abs(pos))
+    if np.any(on_node):
+        out[on_node] = values[ipos[on_node].astype(int)]
+    mid = ~on_node
+    if np.any(mid):
+        p = pos[mid]
+        if K >= 4:
+            b = np.clip(np.floor(p).astype(int) - 1, 0, K - 4)
+            u = p - b
+            w0 = -(u - 1.0) * (u - 2.0) * (u - 3.0) / 6.0
+            w1 = u * (u - 2.0) * (u - 3.0) / 2.0
+            w2 = -u * (u - 1.0) * (u - 3.0) / 2.0
+            w3 = u * (u - 1.0) * (u - 2.0) / 6.0
+            vals = (
+                w0[:, None] * values[b]
+                + w1[:, None] * values[b + 1]
+                + w2[:, None] * values[b + 2]
+                + w3[:, None] * values[b + 3]
+            )
+        else:
+            j0 = np.clip(np.floor(p).astype(int), 0, K - 2)
+            u = (p - j0)[:, None]
+            vals = (1.0 - u) * values[j0] + u * values[j0 + 1]
+        out[mid] = vals
+    return out
+
+
+def shifted_rows_direct(vals: np.ndarray, off: float, tail: TailPolicy) -> np.ndarray:
+    """Rows of `vals` re-read at index j + off; beyond the end, tail policy."""
+    K = vals.shape[0]
+    tail_row = vals[-1] if tail is TailPolicy.CONSTANT else np.zeros(vals.shape[1])
+    io = int(round(off))
+    if abs(off - io) <= _SNAP * max(1.0, abs(off)):
+        if io == 0:
+            return vals.copy()
+        out = np.empty_like(vals)
+        if io < K:
+            out[: K - io] = vals[io:]
+            out[K - io :] = tail_row
+        else:
+            out[:] = tail_row
+        return out
+    pos = np.arange(K) + off
+    out = np.empty_like(vals)
+    inside = pos <= K - 1 + _SNAP
+    out[~inside] = tail_row
+    if np.any(inside):
+        out[inside] = cubic_rows_direct(vals, np.clip(pos[inside], 0.0, K - 1))
+    return out
+
+
+def invert_Dhat_neumann(
+    spec, p: TorusPoint, yhat: HistoryGrid, tol: float, n_terms=None, est=None
+) -> HistoryGrid:
+    """`invert_Dhat` by the truncated Neumann series sum_n Lhat^n o Bhat^-1.
+
+    The same validation, a-priori depth N and working grid; the series is
+    summed in N full passes over the grid, each term re-read at every delay
+    by `shifted_rows_direct`.
+    """
+    if spec.m != yhat.m:
+        raise DimensionMismatchError(
+            f"target dim {yhat.m} does not match operator dim {spec.m}"
+        )
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
+    if n_terms is not None and not (n_terms >= 0 and float(n_terms).is_integer()):
+        raise ValueError("n_terms must be a whole number >= 0")
+    if est is None:
+        est = spec.stability()
+    lam = est.lam
+    h = yhat.step
+    ynorm = sup_norm(yhat)
+    n_s = _nodes(spec.support, h)
+    if n_terms is not None:
+        N = int(n_terms)
+    elif lam <= 0.0 or ynorm == 0.0 or spec.nu.is_empty():
+        N = 0
+    else:
+        target = tol * (1.0 - lam) / (est.sup_Binv * ynorm)
+        N = 0 if target >= 1.0 else int(np.ceil(np.log(target) / np.log(lam)))
+    J_ret = yhat.J + n_s
+    J_work = J_ret + N * n_s
+    s_nodes = -h * np.arange(J_work + 1)
+    y_ext = yhat.sample_many(s_nodes)
+    thetas = advance_many(spec.flow, p, s_nodes)
+    Binv = _batch_inverse(eval_poly_matrix_many(spec.B, thetas), thetas)
+    term = np.einsum("jab,jb->ja", Binv, y_ext)
+    acc = term.copy()
+    if N > 0:
+        atom_data = [
+            (atom.lag / h, eval_poly_matrix_many(atom.weight, thetas))
+            for atom in spec.nu.atoms
+        ]
+        dens = spec.nu.density
+        for _ in range(N):
+            z = np.zeros_like(term)
+            for off, Wv in atom_data:
+                z += np.einsum("jab,jb->ja", Wv, shifted_rows_direct(term, off, yhat.tail))
+            if dens is not None:
+                for l, mid in enumerate(dens.midpoints):
+                    shifted = shifted_rows_direct(term, -mid / h, yhat.tail)
+                    z += dens.step * np.einsum("ab,jb->ja", dens.values[l], shifted)
+            term = np.einsum("jab,jb->ja", Binv, z)
+            acc += term
+    return HistoryGrid(h, acc[: J_ret + 1], yhat.tail)
+
+
 def point_at(state, t: float) -> TorusPoint:
     """The driving phase of a run at time t, unreduced."""
     return TorusPoint(state.p0.theta + t * state.flow.freqs)
@@ -195,14 +325,14 @@ def zhat_segment(state, t: float, depth: int) -> HistoryGrid:
     pos = (t - state.h * np.arange(depth + 1)) / state.h + state.Jh
     if np.any(pos < -_SNAP) or np.any(pos > state.k + _SNAP):
         raise HorizonError("requested time outside the stored trajectory")
-    vals = cubic_rows(state.Z[: state.k + 1], np.clip(pos, 0.0, state.k))
+    vals = cubic_rows_direct(state.Z[: state.k + 1], np.clip(pos, 0.0, state.k))
     return HistoryGrid(state.h, vals, TailPolicy.CONSTANT)
 
 
 def _stage_arrays(state, t_s: float):
     """Stage data at t_s computed on the spot: B^-1 by one inversion, each
     atom weight and each coefficient column by one evaluation at its own
-    phase, delayed z by one cubic_rows call. Returns B^-1 and the delayed
+    phase, delayed z by one cubic_rows_direct call. Returns B^-1 and the delayed
     part of D as arrays, and the coefficients and z at the pipe lags as
     lists."""
     spec = state.general.dspec
@@ -217,7 +347,7 @@ def _stage_arrays(state, t_s: float):
     zr = []
     d = state.delays
     if d.lags.size:
-        rows = cubic_rows(state.X[: state.k + 1], (t_s - d.lags) / state.h + state.Jh)
+        rows = cubic_rows_direct(state.X[: state.k + 1], (t_s - d.lags) / state.h + state.Jh)
         for atom, n in zip(spec.nu.atoms, d.atom):
             rest += eval_poly_matrix_many(atom.weight, th)[0] @ rows[n]
         if d.dens.size:

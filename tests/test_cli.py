@@ -231,6 +231,53 @@ def test_invert_task_scalar_geometric(tmp_path):
     assert "lambda=0.5" in summary
 
 
+def test_invert_sizes_its_depth_from_the_reported_estimate(tmp_path):
+    # a coarse sampling block misses the weight's peak, so its lambda is
+    # smaller than the default plan's; the inverse must use the estimate
+    # summary.txt reports, not spec.stability()
+    import numpy as np
+
+    from nfde_lab import (
+        GOLDEN_FREQ,
+        AtomicMeasureFamily,
+        DOperatorSpec,
+        MeasureAtom,
+        TorusFlow,
+        TorusPoint,
+        TrigPoly,
+        constant_history,
+        invert_Dhat,
+        stability_margin,
+    )
+    from nfde_lab.d_operator import SamplingConfig, identity_poly_matrix
+
+    weight = {"constant": 0.3, "terms": [{"k": [1], "sin": 0.25}]}
+    cfg = {
+        "system": {
+            "kind": "d_operator",
+            "m": 1,
+            "atoms": [{"lag": 1.0, "weight": [[weight]]}],
+        },
+        "yhat": {"kind": "constant", "value": [1.0], "step": 0.05, "horizon": 3.0},
+        "sampling": {"grid_per_dim": 2, "orbit_points": 0},
+        "sim": {"inv_tol": 1e-10},
+    }
+    assert main(["invert", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    flow = TorusFlow([GOLDEN_FREQ])
+    c = TrigPoly.from_terms(0.3, [([1], 0.0, 0.25)])
+    atom = MeasureAtom(1.0, [[c]])
+    spec = DOperatorSpec(1, identity_poly_matrix(1), AtomicMeasureFamily((atom,)), flow)
+    est = stability_margin(spec, SamplingConfig(grid_per_dim=2, orbit_points=0))
+    assert est.lam < spec.stability().lam
+    yhat = constant_history([1.0], 0.05, 3.0)
+    want = invert_Dhat(spec, TorusPoint([0.0]), yhat, 1e-10, est=est).samples[:, 0]
+    default = invert_Dhat(spec, TorusPoint([0.0]), yhat, 1e-10).samples[:, 0]
+    got = np.array([float(r[1]) for r in read_result(tmp_path)[1:]])
+    assert got.tobytes() == want.tobytes() != default.tobytes()
+    summary = dict(ln.split("=", 1) for ln in (tmp_path / "summary.txt").read_text().split())
+    assert float(summary["lambda"]) == est.lam
+
+
 def test_covering_task(tmp_path):
     cfg = {
         "system": {**S1_SYSTEM, "c": [0.3]},

@@ -8,8 +8,10 @@ from nfde_lab import (
     DOperatorSpec,
     GOLDEN_FREQ,
     HistoryGrid,
+    MeasureAtom,
     MeasureDensity,
     SingularBError,
+    TailPolicy,
     TorusFlow,
     TorusPoint,
     TrigPoly,
@@ -28,6 +30,7 @@ from nfde_lab import (
 from nfde_lab.d_operator import SamplingConfig, const_poly_matrix, identity_poly_matrix
 
 from .conftest import random_contraction_spec, random_history, scalar_dspec
+from .oracles import invert_Dhat_neumann
 
 
 @pytest.fixture(scope="module")
@@ -266,3 +269,130 @@ def test_sampling_config_rejects_invalid_plans(plan):
     with pytest.raises(ValueError):
         SamplingConfig(**plan)
     assert SamplingConfig(grid_per_dim=1, orbit_points=0).orbit_points == 0
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"tol": 1e-8, "n_terms": -1},
+        {"tol": 1e-8, "n_terms": 2.5},
+    ],
+    ids=["tol-nan", "tol-inf", "n_terms-negative", "n_terms-fractional"],
+)
+def test_invert_rejects_bad_depth_inputs(half_spec, origin, kw):
+    # a NaN tol used to fail in int(nan), an infinite one to return B^-1 yhat
+    # silently, and a negative n_terms to be clamped to 0
+    yhat = constant_history([1.0], 0.05, 3.0)
+    with pytest.raises(ValueError, match="tol|n_terms"):
+        invert_Dhat(half_spec, origin, yhat, **kw)
+
+
+def _oracle_cases(flow):
+    """(spec, target) pairs covering each read of the sweep: seeded draws
+    with lags on the grid, a lag off it above 3h (block updates) and one
+    below (whole-grid passes), the density operator, and ZERO tails."""
+    rng = np.random.default_rng(1606)
+    h = 0.05
+    cases = []
+    for _ in range(8):
+        spec = random_contraction_spec(rng, flow, h=h)
+        cases.append((spec, random_history(rng, spec.m, h, 3.0)))
+    wave = HistoryGrid(h, (1.0 + 0.4 * np.sin(1.3 * (-h * np.arange(81))))[:, None])
+    for lag in (0.513, 0.12):
+        atom = MeasureAtom(lag, [[TrigPoly.from_terms(0.3, [([1], 0.1, 0.2)])]])
+        spec = DOperatorSpec(1, identity_poly_matrix(1), AtomicMeasureFamily((atom,)), flow)
+        cases.append((spec, wave))
+        cases.append((spec, HistoryGrid(h, wave.samples, TailPolicy.ZERO)))
+    dens = MeasureDensity(np.full((20, 1, 1), 0.4), 0.05)
+    spec = DOperatorSpec(1, identity_poly_matrix(1), AtomicMeasureFamily((), dens), flow)
+    cases.append((spec, wave))
+    spec = random_contraction_spec(rng, flow, h=h)
+    target = random_history(rng, spec.m, h, 3.0)
+    cases.append((spec, HistoryGrid(h, target.samples, TailPolicy.ZERO)))
+    return cases
+
+
+def test_invert_matches_neumann_oracle(golden_flow, origin):
+    # the method of steps at the default depth against 80 terms of the series
+    tol = 1e-10
+    for spec, yhat in _oracle_cases(golden_flow):
+        x = invert_Dhat(spec, origin, yhat, tol)
+        ref = invert_Dhat_neumann(spec, origin, yhat, tol, n_terms=80)
+        assert x.samples.shape == ref.samples.shape
+        assert np.max(np.abs(x.samples - ref.samples)) <= tol
+
+
+@pytest.mark.parametrize("tail", [TailPolicy.CONSTANT, TailPolicy.ZERO])
+@pytest.mark.parametrize("n_terms", [1, 2, 3])
+def test_invert_blocks_and_tail_closed_form(half_spec, origin, tail, n_terms):
+    # x = 1 + 0.5 x(. - 1) solved from the oldest row in blocks of one lag
+    # (20 rows), each block adding one term of the geometric series. Under
+    # the CONSTANT tail the target is 1 on the whole working grid of K rows
+    # and the oldest block reads the starting row B^-1 yhat = 1 past it;
+    # under the ZERO tail the target, and so x, is 0 past row 60
+    yhat = HistoryGrid(0.05, np.ones((61, 1)), tail)
+    x = invert_Dhat(half_spec, origin, yhat, 1e-8, n_terms=n_terms)
+    K = 61 + 20 + 20 * n_terms
+    j = np.arange(81)
+    if tail is TailPolicy.CONSTANT:
+        want = 2.0 - 0.5 ** ((K - 1 - j) // 20 + 1)
+    else:
+        want = np.where(j <= 60, 2.0 - 0.5 ** ((60 - j) // 20), 0.0)
+    assert np.array_equal(x.samples[:, 0], want)
+
+
+def _phase_B(rng, m):
+    """A phase-dependent B near 1.5 I, so B^-1 is not the identity."""
+    return [
+        [
+            TrigPoly.from_terms(1.5 if i == j else 0.1, [([1], 0.1 * rng.normal(), 0.1)])
+            for j in range(m)
+        ]
+        for i in range(m)
+    ]
+
+
+def test_invert_round_trip_on_nodes_is_rounding(golden_flow, origin):
+    # every read lands on a node, so each returned row solves its own
+    # equation exactly: the round trip leaves rounding only
+    rng = np.random.default_rng(88)
+    h = 0.05
+    for n in range(12):
+        spec = random_contraction_spec(rng, golden_flow, h=h)
+        if n % 2:
+            spec = DOperatorSpec(spec.m, _phase_B(rng, spec.m), spec.nu, spec.flow)
+        yhat = random_history(rng, spec.m, h, 3.0)
+        x = invert_Dhat(spec, origin, yhat, 1e-8)
+        back = eval_Dhat_segment(spec, origin, x, yhat.J)
+        resid = np.max(np.abs(back.samples - yhat.samples))
+        assert resid <= 1e-13 * (1.0 + sup_norm(yhat))
+
+
+@pytest.mark.parametrize("method", ["steps", "neumann"])
+def test_invert_compact_open_continuity(golden_flow, origin, method):
+    # D^-1 is uniformly continuous for the compact-open topology: a change of
+    # the target before -T moves the inverse on [-T', 0] by at most
+    # k_bound lam^floor((T - T') / S) sup|delta| plus the two truncations
+    inv = invert_Dhat if method == "steps" else invert_Dhat_neumann
+    rng = np.random.default_rng(2718)
+    h, tol = 0.05, 1e-10
+    for _ in range(20):
+        spec = random_contraction_spec(rng, golden_flow, h=h)
+        est = spec.stability()
+        S = spec.support
+        yhat = random_history(rng, spec.m, h, 6.0)
+        T = rng.uniform(S, 5.0)
+        T_near = rng.uniform(0.0, T - S)
+        delta = np.zeros_like(yhat.samples)
+        old = h * np.arange(yhat.J + 1) > T + 1e-9
+        delta[old] = rng.normal(scale=rng.uniform(0.1, 2.0), size=delta[old].shape)
+        moved = HistoryGrid(h, yhat.samples + delta, yhat.tail)
+        x0 = inv(spec, origin, yhat, tol).samples
+        x1 = inv(spec, origin, moved, tol).samples
+        near = h * np.arange(x0.shape[0]) <= T_near + 1e-9
+        move = float(np.max(np.abs(x1[near] - x0[near])))
+        q = int(np.floor((T - T_near) / S))
+        bound = est.k_bound * est.lam**q * float(np.max(np.abs(delta))) + 2.0 * tol
+        assert move <= bound

@@ -17,6 +17,8 @@ from nfde_lab import (
 )
 from nfde_lab.history import cubic_rows, cubic_stencil
 
+from .oracles import cubic_rows_direct
+
 
 def linear_grid(h=0.1, horizon=3.0):
     return from_function(lambda s: s[:, None], h, horizon)
@@ -163,8 +165,9 @@ def test_csv_header(tmp_path):
     m=st.integers(1, 3),
 )
 def test_cubic_stencil_reproduces_cubic_rows(seed, K, m):
-    # the stencil, gathered left to right, is cubic_rows bit for bit: on
-    # nodes, between them, clipped at both ends, and linear below 4 rows
+    # the stencil, gathered left to right, and cubic_rows, which gathers it,
+    # are the direct interpolant bit for bit: on nodes, between them,
+    # clipped at both ends, and linear below 4 rows
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(K, m))
     values[rng.integers(K)] = -0.0  # a signed zero must survive the gather
@@ -180,7 +183,9 @@ def test_cubic_stencil_reproduces_cubic_rows(seed, K, m):
     g = values[idx]
     taps = w[:, :, None] * g
     got = taps[:, 0] + taps[:, 1] + taps[:, 2] + taps[:, 3]
-    assert got.tobytes() == cubic_rows(values, pos).tobytes()
+    want = cubic_rows_direct(values, pos).tobytes()
+    assert got.tobytes() == want
+    assert cubic_rows(values, pos).tobytes() == want
     # a per-position K gives the same stencils as one call per K
     Ks = rng.integers(2, K + 1, size=pos.size)
     pos_k = np.minimum(pos, Ks - 1)

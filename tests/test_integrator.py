@@ -49,8 +49,8 @@ from .oracles import point_at, zhat_segment
 from .test_compartment import open_scalar_system
 
 
-# Extra delay spans of stored history for the tests whose Neumann oracle
-# inverts the stored zhat: one more than the depth the contraction factor
+# Extra delay spans of stored history for the tests whose oracle inverts
+# the stored zhat: one more than the depth the contraction factor
 # and inv_tol = 1e-8 give (27 for s1 and any constant c = 0.5, 20 for the
 # three-compartment ring, 37 for the density system), so the store is at
 # least as long as the one the integrator kept when it derived that depth.
@@ -157,7 +157,7 @@ def test_reconstruct_identity_when_c_zero(golden_flow, origin):
 
 
 def test_reconstruct_dual_path_agreement(golden_flow, origin):
-    # diagonal product series vs general Neumann inversion
+    # diagonal product series vs the general inverse of the lift
     s1 = s1_system(golden_flow)
     cfg = SimConfig(h=0.05, t_end=1.0, inv_tol=1e-8, n_trunc=_N_TRUNC["s1"])
     need = required_z_horizon(s1, cfg)

@@ -4,7 +4,9 @@ child process hooks a few more. A rename or deletion in nfde_lab that
 leaves one of these names dangling fails here, not in a traced benchmark
 run. Every CLI process pays for what `nfde_lab.cli` imports, so a check
 here keeps SciPy out of it. The stage arithmetic sums in an explicit order,
-which a check here keeps free of `sum` and `math.fsum`."""
+which a check here keeps free of `sum` and `math.fsum`. A sampled history
+is read by one rule, `history.cubic_stencil`, which a check here keeps the
+only user of the interpolation weights."""
 
 import ast
 import importlib
@@ -202,3 +204,26 @@ def test_stage_arithmetic_calls_no_sum(module, qualname):
     calls = [n.func for n in ast.walk(body) if isinstance(n, ast.Call)]
     names = [f.id if isinstance(f, ast.Name) else getattr(f, "attr", None) for f in calls]
     assert calls and "sum" not in names and "fsum" not in names
+
+
+def _names(node):
+    """Every name a tree refers to or imports, attributes included."""
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    ]
+
+
+def test_one_interpolation_rule():
+    # cubic_stencil is the only code that knows how to read a sampled
+    # history: only it uses the Lagrange weights, and no module keeps a
+    # row-shift reader of its own
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in paths]
+    uses = sum(_names(tree).count("_cubic_weights") for tree in trees)
+    history = ast.parse((ROOT / "src" / "nfde_lab" / "history.py").read_text())
+    inside = _names(_function(history, "cubic_stencil")).count("_cubic_weights")
+    assert inside >= 1 and uses == inside
+    funcs = [n.name for tree in trees for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert "_shift_rows" not in funcs
