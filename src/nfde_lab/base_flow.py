@@ -88,6 +88,8 @@ class TrigPoly:
         s = np.atleast_1d(np.asarray(self.sin_coeffs, dtype=float))
         if k.shape[0] != c.size or c.size != s.size:
             raise ValueError("k_vecs, cos_coeffs, sin_coeffs must have equal length")
+        if not np.all(np.isfinite(np.concatenate([[float(self.constant)], c, s]))):
+            raise ValueError("polynomial coefficients must be finite")
         object.__setattr__(self, "constant", float(self.constant))
         object.__setattr__(self, "k_vecs", _frozen_array(k, dtype=int, ndim=2))
         object.__setattr__(self, "cos_coeffs", _frozen_array(c, ndim=1))

@@ -44,7 +44,6 @@ from .d_operator import (
     MeasureAtom,
     SamplingConfig,
     eval_D,
-    eval_poly_matrix_many,
     identity_poly_matrix,
     sample_thetas,
 )
@@ -53,7 +52,7 @@ from .errors import (
     HorizonError,
     StructuralPreconditionError,
 )
-from .history import _EQ_TOL, _SNAP, _nodes, cubic_stencil
+from .history import _EQ_TOL, _SNAP, _nodes, cubic_stencil, gather
 
 
 CONDITIONS = ("G3", "G4", "G5", "G8", "G9")
@@ -457,12 +456,10 @@ def _read_back(X: np.ndarray, rows: np.ndarray, pos: np.ndarray, K: int) -> np.n
     """X at fractional steps `pos` behind each of `rows`; (rows, pos, m).
 
     Each read is the one `cubic_rows` makes on the newest-first window of K
-    rows ending at the row: the window's clipped cubic stencil, summed left
-    to right.
+    rows ending at the row: the window's clipped cubic stencil, gathered.
     """
     idx, w = cubic_stencil(K, pos)
-    taps = w[None, :, :, None] * X[rows[:, None, None] - idx[None]]
-    return taps[:, :, 0] + taps[:, :, 1] + taps[:, :, 2] + taps[:, :, 3]
+    return gather(X, rows[:, None, None] - idx[None], w[None])
 
 
 def _total_mass_many(
@@ -482,10 +479,7 @@ def _total_mass_many(
     spec = g.dspec
     freqs = g.flow.freqs
     W = _mass_span(g, h)
-    atoms = spec.nu.atoms
-    dens = spec.nu.density
-    offsets = [a.lag for a in atoms] + ([] if dens is None else list(-dens.midpoints))
-    pos_D = np.array(offsets) / h
+    pos_D = -spec.offsets / h
     pipes = []  # (donor, transport, [(r, w, Q, remainder or None)]) in total_mass's order
     for donor in range(g.m):
         for dest in range(g.m):
@@ -506,15 +500,7 @@ def _total_mass_many(
         rk = rows[c : c + _MASS_CHUNK]
         t = (rk - Jh) * h
         th = np.mod(theta0[None, :] + t[:, None] * freqs[None, :], 1.0)
-        D = np.matmul(eval_poly_matrix_many(spec.B, th), X[rk][..., None])[..., 0]
-        if offsets:
-            back = _read_back(X, rk, pos_D, W + 1)
-            for a, atom in enumerate(atoms):
-                Wv = eval_poly_matrix_many(atom.weight, th)
-                D -= np.matmul(Wv, np.ascontiguousarray(back[:, a, :, None]))[..., 0]
-            if dens is not None:
-                D -= dens.step * np.einsum("lab,nlb->na", dens.values, back[:, len(atoms) :])
-        total = np.sum(D, axis=1)
+        total = np.sum(spec.apply(th, _read_back(X, rk, pos_D, W + 1)), axis=1)
         lo = rk[0] - W  # the oldest stored row the chunk reads
         if pipes:
             ts = (np.arange(lo, rk[-1] + 1) - Jh) * h

@@ -17,6 +17,11 @@ at each node is B^{-1} applied to the target plus the delayed part, which
 reads only older, already solved nodes. The past is extended by a depth
 chosen a priori from the geometric tail bound.
 
+Only this module knows how the delayed part is laid out and summed: the
+lift, the inverse, the integrator's stages and the stored mass read x at
+`AtomicMeasureFamily.delays` and sum the terms by its `add_into`, or
+`DOperatorSpec.apply` for D itself.
+
 Sups over the torus are estimated by sampling a uniform phase grid plus a
 long orbit; the worst sampled phase is reported alongside the estimate.
 """
@@ -35,7 +40,7 @@ from .errors import (
     SingularBError,
     UnstableMarginError,
 )
-from .history import _SNAP, FunctionHistory, HistoryGrid, _nodes, cubic_stencil, sup_norm
+from .history import _SNAP, FunctionHistory, HistoryGrid, _nodes, cubic_stencil, gather, sup_norm
 
 
 def const_poly_matrix(values) -> list:
@@ -46,6 +51,11 @@ def const_poly_matrix(values) -> list:
 
 def identity_poly_matrix(m: int) -> list:
     return const_poly_matrix(np.eye(m))
+
+
+def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix-vector products of (..., m, m) and (..., m) as one stacked matmul."""
+    return np.matmul(M, x[..., None])[..., 0]
 
 
 def eval_poly_matrix_many(mat, thetas: np.ndarray) -> np.ndarray:
@@ -69,8 +79,8 @@ class MeasureAtom:
     weight: list  # m x m nested list of TrigPoly
 
     def __post_init__(self):
-        if self.lag <= 0:
-            raise ValueError("delayed atoms must have strictly positive lag")
+        if not 0.0 < self.lag < math.inf:
+            raise ValueError("delayed atoms must have a finite, strictly positive lag")
         object.__setattr__(self, "lag", float(self.lag))
 
 
@@ -88,8 +98,10 @@ class MeasureDensity:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
             raise ValueError("density values must have shape (n_cells, m, m)")
-        if self.step <= 0:
-            raise ValueError("density step must be positive")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("density values must be finite")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("density step must be positive and finite")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -130,6 +142,32 @@ class AtomicMeasureFamily:
 
     def is_empty(self) -> bool:
         return not self.atoms and self.density is None
+
+    @property
+    def delays(self) -> np.ndarray:
+        """Lags the delayed part reads x at: atom lags, then density midpoints."""
+        mids = [] if self.density is None else (-self.density.midpoints).tolist()
+        return np.array([a.lag for a in self.atoms] + mids)
+
+    def weights(self, thetas: np.ndarray) -> list:
+        """Each atom's weight matrix at (n, d) phases, one (n, m, m) array per atom."""
+        return [eval_poly_matrix_many(a.weight, thetas) for a in self.atoms]
+
+    def add_into(self, acc: np.ndarray, W: list, rows: np.ndarray, op=np.add) -> np.ndarray:
+        """Apply op(acc, term) in place to each term in turn and return acc:
+        W_k x(-s_k) per atom, then step times the density's cells
+        V_l x(-mid_l) summed left to right. acc is (n, m), W from `weights`
+        at the n phases, rows (n, len(delays), m) x at `delays`. Each product
+        is one stacked matmul, so a row does not depend on the batch size."""
+        for k, Wk in enumerate(W):
+            op(acc, _mv(Wk, rows[:, k]), out=acc)
+        if self.density is not None:
+            first, *rest = self.density.values
+            cells = _mv(first, rows[:, len(W)])
+            for k, V in enumerate(rest, start=len(W) + 1):
+                cells += _mv(V, rows[:, k])
+            op(acc, self.density.step * cells, out=acc)
+        return acc
 
 
 @dataclass(frozen=True)
@@ -197,6 +235,23 @@ class DOperatorSpec:
     def support(self) -> float:
         return self.nu.support
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """Offsets D reads x at, the rows `apply` takes: 0, then -nu.delays."""
+        return np.append(0.0, -self.nu.delays)
+
+    def apply(self, thetas: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """D at (n, d) phases, (n, m): B x(0) with each term of the delayed
+        part subtracted in turn (not a negated add, which would flip the
+        sign of an exact zero). rows (n, len(offsets), m) holds x at
+        `offsets`."""
+        if rows.shape[-1] != self.m:
+            raise DimensionMismatchError(
+                f"history dim {rows.shape[-1]} does not match operator dim {self.m}"
+            )
+        Bx = _mv(eval_poly_matrix_many(self.B, thetas), rows[:, 0])
+        return self.nu.add_into(Bx, self.nu.weights(thetas), rows[:, 1:], np.subtract)
+
     def stability(self):
         """Stability estimate with the default sampling plan, computed once."""
         est = getattr(self, "_stab_cache", None)
@@ -234,7 +289,7 @@ def stability_margin(
     Binv = _batch_inverse(Bv, thetas)
     sup_Binv = float(np.max(np.sum(np.abs(Binv), axis=2)))
     rows = np.zeros((thetas.shape[0], spec.m))
-    for atom in spec.nu.atoms:
+    for atom in spec.nu.atoms:  # one weight at a time: thetas may be many
         Wv = eval_poly_matrix_many(atom.weight, thetas)
         rows += np.sum(np.abs(np.einsum("nab,nbc->nac", Binv, Wv)), axis=2)
     if spec.nu.density is not None:
@@ -245,7 +300,7 @@ def stability_margin(
     per_point = np.max(rows, axis=1)
     idx = int(np.argmax(per_point))
     lam = float(per_point[idx])
-    if lam >= 1.0 - _STABILITY_GUARD:
+    if not lam < 1.0 - _STABILITY_GUARD:  # NaN data fails here too
         raise UnstableMarginError(lam)
     return StabilityEstimate(
         lam=lam,
@@ -258,45 +313,21 @@ def stability_margin(
 
 def eval_D(spec: DOperatorSpec, p: TorusPoint, hist) -> np.ndarray:
     """Apply the operator at one phase: B(w) x(0) minus the delayed mass."""
-    if hist.m != spec.m:
-        raise DimensionMismatchError(
-            f"history dim {hist.m} does not match operator dim {spec.m}"
-        )
-    th = p.theta[None, :]
-    out = eval_poly_matrix_many(spec.B, th)[0] @ hist.sample_at(0.0)
-    for atom in spec.nu.atoms:
-        Wv = eval_poly_matrix_many(atom.weight, th)[0]
-        out -= Wv @ hist.sample_at(-atom.lag)
-    if spec.nu.density is not None:
-        dens = spec.nu.density
-        vals = hist.sample_many(dens.midpoints)  # (L, m)
-        out -= dens.step * np.einsum("lab,lb->a", dens.values, vals)
-    return out
+    return spec.apply(p.theta[None, :], hist.sample_many(spec.offsets)[None])[0]
 
 
 def eval_Dhat_segment(
     spec: DOperatorSpec, p: TorusPoint, hist: HistoryGrid, depth: int
 ) -> HistoryGrid:
     """Lift along the flow: node j holds D(w . (-j h), x_{-j h}), j = 0..depth."""
-    if hist.m != spec.m:
-        raise DimensionMismatchError(
-            f"history dim {hist.m} does not match operator dim {spec.m}"
-        )
     if depth < 1:
         raise ValueError("depth must be at least 1")
     h = hist.step
     s_nodes = -h * np.arange(depth + 1)
     thetas = advance_many(spec.flow, p, s_nodes)
-    Bv = eval_poly_matrix_many(spec.B, thetas)
-    out = np.einsum("jab,jb->ja", Bv, hist.sample_many(s_nodes))
-    for atom in spec.nu.atoms:
-        Wv = eval_poly_matrix_many(atom.weight, thetas)
-        out -= np.einsum("jab,jb->ja", Wv, hist.sample_many(s_nodes - atom.lag))
-    if spec.nu.density is not None:
-        dens = spec.nu.density
-        for l, mid in enumerate(dens.midpoints):
-            vals = hist.sample_many(s_nodes + mid)
-            out -= dens.step * np.einsum("ab,jb->ja", dens.values[l], vals)
+    offs = spec.offsets
+    rows = hist.sample_many((s_nodes[:, None] + offs[None, :]).ravel())
+    out = spec.apply(thetas, rows.reshape(depth + 1, offs.size, hist.m))
     return HistoryGrid(h, out, hist.tail)
 
 
@@ -355,15 +386,12 @@ def invert_Dhat(
     Binv = _batch_inverse(eval_poly_matrix_many(spec.B, thetas), thetas)
     x = np.einsum("jab,jb->ja", Binv, y_ext)
     if N > 0:
-        atoms = spec.nu.atoms
-        Wv = [eval_poly_matrix_many(atom.weight, thetas) for atom in atoms]
-        dens = spec.nu.density
-        offs = [atom.lag for atom in atoms] + ([] if dens is None else list(-dens.midpoints))
+        W = spec.nu.weights(thetas)
         # row j reads x at row j + off of each delay; past row K - 1 the
         # clipped stencil reads row K - 1 alone, the constant tail. Under a
         # ZERO tail that row stays 0: it reads only past the grid, where
         # yhat is 0 and x starts at 0
-        pos = np.arange(K)[:, None] + np.array(offs)[None, :] / h
+        pos = np.arange(K)[:, None] + spec.nu.delays[None, :] / h
         beyond = pos > K - 1 + _SNAP
         idx, w = cubic_stencil(K, np.clip(pos, 0.0, K - 1))
         back = idx - np.arange(K)[:, None, None]
@@ -372,15 +400,9 @@ def invert_Dhat(
             blocks = [slice(max(e - c, 0), e) for e in range(K, 0, -c)]
         else:
             blocks = [slice(0, K)] * N
-        w = w[..., None]
         for blk in blocks:
-            taps = w[blk] * x[idx[blk]]
-            rows = taps[:, :, 0] + taps[:, :, 1] + taps[:, :, 2] + taps[:, :, 3]
-            z = y_ext[blk].copy()
-            for a, W in enumerate(Wv):
-                z += np.einsum("jab,jb->ja", W[blk], rows[:, a])
-            if dens is not None:
-                z += dens.step * np.einsum("lab,jlb->ja", dens.values, rows[:, len(Wv) :])
+            rows = gather(x, idx[blk], w[blk])
+            z = spec.nu.add_into(y_ext[blk].copy(), [Wk[blk] for Wk in W], rows)
             x[blk] = np.einsum("jab,jb->ja", Binv[blk], z)
     return HistoryGrid(h, x[: J_ret + 1], yhat.tail)
 

@@ -54,22 +54,24 @@ def _cubic_weights(u: np.ndarray):
     return w0, w1, w2, w3
 
 
-def _on_node(pos: np.ndarray):
-    """Nearest row index of each position, and whether it counts as on that row."""
-    ipos = np.rint(pos)
-    return ipos, np.abs(pos - ipos) <= _SNAP * np.maximum(1.0, np.abs(pos))
-
-
 def cubic_rows(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Interpolate rows of `values` at fractional row indices `pos` in [0, K-1].
 
-    The taps of `cubic_stencil` gathered and summed left to right: on a node
-    the row exactly, elsewhere the cubic through four neighbouring rows
-    (one-sided at the ends), or the linear interpolant when K < 4.
+    The stencils of `cubic_stencil`, gathered: on a node the row exactly,
+    elsewhere the cubic through four neighbouring rows (one-sided at the
+    ends), or the linear interpolant when K < 4.
     """
-    idx, w = cubic_stencil(values.shape[0], pos)
-    taps = w[..., None] * values[idx]
-    return taps[..., 0, :] + taps[..., 1, :] + taps[..., 2, :] + taps[..., 3, :]
+    return gather(values, *cubic_stencil(values.shape[0], pos))
+
+
+def gather(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """What each stencil (idx, w of `cubic_stencil`, shape P + (4,), w may
+    broadcast) reads from the rows of `values`, shape P + (m,): the four taps
+    summed left to right, here only, one gathered at a time to save memory."""
+    taps = w[..., 0, None] * values[idx[..., 0]]
+    for k in (1, 2, 3):
+        taps += w[..., k, None] * values[idx[..., k]]
+    return taps
 
 
 def cubic_stencil(K, pos: np.ndarray):
@@ -77,20 +79,21 @@ def cubic_stencil(K, pos: np.ndarray):
 
     The one rule for reading a sampled history between its nodes. K is the
     number of stored rows, one value or one per position, and pos lies in
-    [0, K-1]. Returns integer rows `idx` and weights `w`, each of shape
-    pos.shape + (4,); the value read is
+    [0, K-1] or within the node snap past K-1. Returns integer rows `idx`
+    and weights `w`, each of shape pos.shape + (4,); the value read is
 
         w[..., 0] * values[idx[..., 0]] + w[..., 1] * values[idx[..., 1]]
         + w[..., 2] * values[idx[..., 2]] + w[..., 3] * values[idx[..., 3]]
 
-    summed left to right, as `cubic_rows` does. An on-node position reads its
+    summed left to right, as `gather` does. An on-node position reads its
     row four times with weights (1, 0, 0, 0), which returns a finite row bit
     for bit, signed zeros included; the linear interpolant (K < 4) repeats
     its second row with weight 0.
     """
     pos = np.asarray(pos, dtype=float)
     K = np.broadcast_to(np.asarray(K), pos.shape)
-    ipos, on_node = _on_node(pos)
+    ipos = np.rint(pos)
+    on_node = np.abs(pos - ipos) <= _SNAP * np.maximum(1.0, np.abs(pos))
     floor = np.floor(pos).astype(int)
     cubic = K >= 4
     b = np.where(cubic, np.clip(floor - 1, 0, K - 4), np.clip(floor, 0, K - 2))
@@ -155,16 +158,12 @@ class HistoryGrid:
         if np.any(s > _SNAP):
             raise ValueError("history offsets must be <= 0")
         pos = np.maximum(-s / self.step, 0.0)
-        J = self.J
-        ipos, on_node = _on_node(pos)
-        eff = np.where(on_node, ipos, pos)
-        beyond = eff > J
+        # past the last node unless within the node snap, which the stencil applies
+        beyond = pos - self.J > _SNAP * np.maximum(1.0, pos)
         out = np.empty((s.size, self.m))
-        if np.any(beyond):
-            out[beyond] = self._tail_value()
-        inside = ~beyond
-        if np.any(inside):
-            out[inside] = cubic_rows(self.samples, eff[inside])
+        out[beyond] = self._tail_value()
+        if not np.all(beyond):
+            out[~beyond] = cubic_rows(self.samples, pos[~beyond])
         return out
 
     def sample_at(self, s: float) -> np.ndarray:

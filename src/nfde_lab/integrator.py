@@ -15,7 +15,9 @@ Stage 0 sits at time 0, stage 2n + 1 at n h + h/2 and stage 2n + 2 at
 n h + h. A stage plan builds what depends on the phase alone for
 _PLAN_STEPS steps at a time (phases, B^-1, atom weights, the balance law's
 coefficients, cubic stencils), and a read window the delayed part of D and
-z at the pipe lags for every stage whose stencils read only stored rows.
+z at the pipe lags for every stage whose stencils read only stored rows:
+one `history.gather` of the stored z and one `add_into` of the operator's
+delayed part, which knows its layout, as the lift and the mass do.
 Both are bit-identical to each stage computed from scratch when each
 coefficient has one term whose wave vector has one nonzero entry or
 entries of size at most 2; otherwise a last bit may differ.
@@ -59,6 +61,7 @@ from .history import (
     _nodes,
     cubic_rows,
     cubic_stencil,
+    gather,
     resample,
     write_csv,
 )
@@ -104,16 +107,14 @@ class SimConfig:
 class _Delays:
     """The delays the method of steps reads from the stored z.
 
-    `lags` holds each distinct atom lag, density midpoint distance and
-    positive pipe lag once; the other fields index into it.
+    `lags` holds each distinct delay of the operator (`nu.delays`) and
+    positive pipe lag once; `nu` and `pipe` index into it.
     """
 
     def __init__(self, general, h: float):
-        nu = general.dspec.nu
-        atom = [a.lag for a in nu.atoms]
-        dens = [] if nu.density is None else [float(-mid) for mid in nu.density.midpoints]
+        nu = general.dspec.nu.delays.tolist()
         pipe = list(general._terms.lags[1:])
-        lags = sorted(set(atom + dens + pipe))
+        lags = sorted(set(nu + pipe))
         if lags and lags[0] < h - _SNAP:
             raise StructuralPreconditionError(
                 f"delay {lags[0]:.6g} is shorter than the step h={h:.6g}: every atom "
@@ -121,8 +122,7 @@ class _Delays:
             )
         row = {r: n for n, r in enumerate(lags)}
         self.lags = np.array(lags)
-        self.atom = [row[r] for r in atom]
-        self.dens = np.array([row[r] for r in dens], dtype=int)
+        self.nu = [row[r] for r in nu]
         self.pipe = [row[r] for r in pipe]
 
 
@@ -192,15 +192,13 @@ class _PlanBlock:
             self.Binv = np.diagonal(Binv, axis1=1, axis2=2).copy()
         else:
             self.Binv = Binv.reshape(j.size, -1)
-        self.W = [eval_poly_matrix_many(atom.weight, theta) for atom in spec.nu.atoms]
+        self.W = spec.nu.weights(theta)
         self.c = state.general._terms.coeffs(theta)
         lags = state.delays.lags
         pos = (t[:, None] - lags[None, :]) / h + state.Jh
         # a stage of step n reads K = Jh + n + 1 stored rows
-        idx, w = cubic_stencil((state.Jh + n + 1)[:, None], pos)
-        self.idx = np.ascontiguousarray(idx.transpose(0, 2, 1))
-        self.w = np.ascontiguousarray(w.transpose(0, 2, 1))[..., None]
-        reach = idx.reshape(j.size, -1).max(axis=1, initial=0)
+        self.idx, self.w = cubic_stencil((state.Jh + n + 1)[:, None], pos)
+        reach = self.idx.reshape(j.size, -1).max(axis=1, initial=0)
         self.reach = np.maximum.accumulate(reach).tolist()
 
 
@@ -208,8 +206,8 @@ class _ReadWindow:
     """The delayed reads of the stages lo .. hi - 1 of a plan block.
 
     The window runs from a requested stage to the last stage of its block
-    whose stencil reads only rows already stored, so one gather from X, one
-    product per atom and the density part serve all of them. Row s holds
+    whose stencil reads only rows already stored, so one gather from X and
+    one `add_into` of the delayed part serve all of them. Row s holds
     stage lo + s: the delayed part of D there (`rest`) and z at each
     positive pipe lag (`zr`). Each value is bit-identical to the same stage
     computed on its own.
@@ -224,18 +222,10 @@ class _ReadWindow:
             raise HorizonError(f"stage {j} reads z beyond the stored row {state.k}")
         self.lo = j
         self.hi = blk.lo + end
-        rest = np.zeros((end - r, state.m))
         d = state.delays
-        taps = blk.w[r:end] * state.X[blk.idx[r:end]]
-        rows = taps[:, 0] + taps[:, 1] + taps[:, 2] + taps[:, 3]
-        for W, n in zip(blk.W, d.atom):
-            rest += np.matmul(W[r:end], rows[:, n, :, None])[..., 0]
-        if d.dens.size:
-            dens = state.general.dspec.nu.density
-            # one stage at a time: einsum over the window sums in another order
-            for s in range(end - r):
-                rest[s] += dens.step * np.einsum("lab,lb->a", dens.values, rows[s, d.dens])
-        self.rest = rest
+        rows = gather(state.X, blk.idx[r:end], blk.w[r:end])
+        W = [Wk[r:end] for Wk in blk.W]
+        self.rest = state.general.dspec.nu.add_into(np.zeros((end - r, state.m)), W, rows[:, d.nu])
         self.zr = rows[:, d.pipe]
 
 

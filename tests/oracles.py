@@ -348,11 +348,16 @@ def _stage_arrays(state, t_s: float):
     d = state.delays
     if d.lags.size:
         rows = cubic_rows_direct(state.X[: state.k + 1], (t_s - d.lags) / state.h + state.Jh)
-        for atom, n in zip(spec.nu.atoms, d.atom):
+        atoms, dens = spec.nu.atoms, spec.nu.density
+        for atom, n in zip(atoms, d.nu):
             rest += eval_poly_matrix_many(atom.weight, th)[0] @ rows[n]
-        if d.dens.size:
-            dens = spec.nu.density
-            rest += dens.step * np.einsum("lab,lb->a", dens.values, rows[d.dens])
+        if dens is not None:
+            # each cell's product, summed left to right, times the step once
+            cells = [v @ rows[n] for v, n in zip(dens.values, d.nu[len(atoms) :])]
+            total = cells[0]
+            for cell in cells[1:]:
+                total = total + cell
+            rest += dens.step * total
         zr = [rows[n].tolist() for n in d.pipe]
     return Binv, rest, c, zr
 

@@ -17,6 +17,7 @@ from nfde_lab import (
     TrigPoly,
     UnstableMarginError,
     advance,
+    compact_open_metric,
     constant_history,
     eval_D,
     eval_Dhat_segment,
@@ -99,6 +100,59 @@ def test_dhat_linearity(golden_flow, origin, seed, a, b):
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, abs(a) + abs(b))
 
 
+def _off_grid_spec(flow):
+    """A scalar operator whose atom lag 0.513 and density midpoints
+    0.035 .. 0.525 all fall between the nodes of the step 0.05."""
+    atom = MeasureAtom(0.513, [[TrigPoly.from_terms(0.2, [([1], 0.1, 0.1)])]])
+    dens = MeasureDensity(np.full((8, 1, 1), 0.3), 0.07)
+    return DOperatorSpec(1, identity_poly_matrix(1), AtomicMeasureFamily((atom,), dens), flow)
+
+
+def test_dhat_compact_open_continuity(golden_flow, origin):
+    # Dhat at s reads x only on [s - S, s], and an off-grid delay's stencil
+    # two rows further back: a change of x before -(T + 2h) leaves the lift
+    # bit-identical on [-(T - S), 0], so the two lifts are at most
+    # 2^-floor(T - S) apart in the compact-open metric
+    rng = np.random.default_rng(1729)
+    h = 0.05
+    for n in range(12):
+        if n % 3:
+            spec = random_contraction_spec(rng, golden_flow, h=h)
+        else:
+            spec = _off_grid_spec(golden_flow)
+        S = spec.support
+        x = random_history(rng, spec.m, h, 8.0)
+        T = rng.uniform(S + 1.0, 6.0)
+        old = h * np.arange(x.J + 1) > T + 2 * h + 1e-9
+        moved = x.samples.copy()
+        moved[old] += rng.normal(scale=rng.uniform(0.1, 2.0), size=moved[old].shape)
+        depth = int(np.floor((x.horizon - S) / h))
+        d0 = eval_Dhat_segment(spec, origin, x, depth)
+        d1 = eval_Dhat_segment(spec, origin, HistoryGrid(h, moved, x.tail), depth)
+        near = h * np.arange(depth + 1) <= T - S + 1e-9
+        assert d0.samples[near].tobytes() == d1.samples[near].tobytes()
+        assert not np.array_equal(d0.samples, d1.samples)
+        assert compact_open_metric(d0, d1) <= 2.0 ** -np.floor(T - S) + 2.0**-30
+
+
+def test_dhat_segment_samples_once(golden_flow, origin, monkeypatch):
+    # every (node, delay) pair of the lift, atoms and density cells alike,
+    # is read in one sample_many call, and node 0 is eval_D bit for bit
+    spec = _off_grid_spec(golden_flow)
+    hist = random_history(np.random.default_rng(5), 1, 0.05, 3.0)
+    calls = []
+    sample_many = HistoryGrid.sample_many
+
+    def counted(self, s):
+        calls.append(np.size(s))
+        return sample_many(self, s)
+
+    monkeypatch.setattr(HistoryGrid, "sample_many", counted)
+    out = eval_Dhat_segment(spec, origin, hist, 20)
+    assert calls == [21 * (2 + 8)]
+    assert out.samples[0].tobytes() == eval_D(spec, origin, hist).tobytes()
+
+
 def test_stability_constant_weight(half_spec):
     est = stability_margin(half_spec)
     assert est.lam == pytest.approx(0.5, abs=1e-12)
@@ -118,6 +172,43 @@ def test_stability_unstable_weight(golden_flow):
     spec = scalar_dspec(golden_flow, 1.2)
     with pytest.raises(UnstableMarginError):
         stability_margin(spec)
+
+
+def test_stability_rejects_nan_margin(golden_flow):
+    # weights that overflow to inf at phase 0 make B^-1 W NaN there (0 * inf):
+    # a NaN lam is no contraction, and used to pass the guard
+    big = TrigPoly.from_terms(1e308, [([1], 1e308, 0.0)])
+    nu = AtomicMeasureFamily((MeasureAtom(1.0, [[big, big], [big, big]]),))
+    spec = DOperatorSpec(2, identity_poly_matrix(2), nu, golden_flow)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(UnstableMarginError):
+            stability_margin(spec)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MeasureAtom(float("nan"), [[TrigPoly.const(0.5)]]),
+        lambda: MeasureAtom(float("inf"), [[TrigPoly.const(0.5)]]),
+        lambda: MeasureDensity(np.full((4, 1, 1), 0.1), float("nan")),
+        lambda: MeasureDensity(np.full((4, 1, 1), 0.1), float("inf")),
+        lambda: MeasureDensity(np.full((4, 1, 1), np.nan), 0.1),
+        lambda: TrigPoly.from_terms(0.5, [([1], float("nan"), 0.0)]),
+        lambda: TrigPoly.const(float("nan")),
+    ],
+    ids=[
+        "atom-lag-nan",
+        "atom-lag-inf",
+        "density-step-nan",
+        "density-step-inf",
+        "density-values-nan",
+        "poly-coefficient-nan",
+        "poly-constant-nan",
+    ],
+)
+def test_non_finite_operator_data_is_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 def test_stability_singular_B(golden_flow):
@@ -389,10 +480,18 @@ def test_invert_compact_open_continuity(golden_flow, origin, method):
         old = h * np.arange(yhat.J + 1) > T + 1e-9
         delta[old] = rng.normal(scale=rng.uniform(0.1, 2.0), size=delta[old].shape)
         moved = HistoryGrid(h, yhat.samples + delta, yhat.tail)
-        x0 = inv(spec, origin, yhat, tol).samples
-        x1 = inv(spec, origin, moved, tol).samples
+        g0, g1 = inv(spec, origin, yhat, tol), inv(spec, origin, moved, tol)
+        x0, x1 = g0.samples, g1.samples
+
+        def bound(T_near):
+            q = int(np.floor((T - T_near) / S))
+            return est.k_bound * est.lam**q * float(np.max(np.abs(delta))) + 2.0 * tol
+
         near = h * np.arange(x0.shape[0]) <= T_near + 1e-9
         move = float(np.max(np.abs(x1[near] - x0[near])))
-        q = int(np.floor((T - T_near) / S))
-        bound = est.k_bound * est.lam**q * float(np.max(np.abs(delta))) + 2.0 * tol
-        assert move <= bound
+        assert move <= bound(T_near)
+        # the same bound at T' = n bounds the seminorm over [-n, 0] in the
+        # compact-open metric, with the trivial bound 1 from n = T on
+        b = [min(1.0, bound(n)) if n < T else 1.0 for n in range(1, 31)]
+        ceiling = sum(0.5**n * b_n for n, b_n in enumerate(b, start=1)) + 2.0**-30
+        assert compact_open_metric(g0, g1) <= ceiling

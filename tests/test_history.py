@@ -15,7 +15,7 @@ from nfde_lab import (
     seminorm_n,
     sup_norm,
 )
-from nfde_lab.history import cubic_rows, cubic_stencil
+from nfde_lab.history import _SNAP, cubic_rows, cubic_stencil
 
 from .oracles import cubic_rows_direct
 
@@ -194,3 +194,42 @@ def test_cubic_stencil_reproduces_cubic_rows(seed, K, m):
         one_idx, one_w = cubic_stencil(Ks[n], pos_k[n : n + 1])
         assert np.array_equal(idx_k[n], one_idx[0])
         assert w_k[n].tobytes() == one_w[0].tobytes()
+
+
+@pytest.mark.parametrize("tail", [TailPolicy.CONSTANT, TailPolicy.ZERO])
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(2, 12),
+    m=st.integers(1, 3),
+    h=st.sampled_from([0.1, 0.05, 0.03, 1.0 / 3.0]),
+)
+def test_sample_many_matches_direct_reads(tail, seed, K, m, h):
+    # sample_many decides inside or beyond the grid once and leaves the node
+    # snap to the stencil: bit for bit the direct interpolant on nodes,
+    # between them and within the snap past the last node, and the tail
+    # value past that, as when positions were snapped before the decision
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(K, m))
+    values[rng.integers(K)] = -0.0
+    J = K - 1
+    snap = _SNAP * max(1.0, J)
+    pos = np.concatenate(
+        [
+            rng.uniform(0.0, J, size=20),
+            np.arange(K, dtype=float),
+            np.arange(K) * (1.0 + 1e-12),
+            [J + 0.5 * snap, J + 3.0 * snap, J + 0.5],
+            rng.uniform(J, J + 3.0, size=10),
+        ]
+    )
+    hist = HistoryGrid(h, values, tail)
+    got = hist.sample_many(-h * pos)
+    read = np.maximum(h * pos / h, 0.0)  # the positions sample_many reads
+    ipos = np.rint(read)
+    on_node = np.abs(read - ipos) <= _SNAP * np.maximum(1.0, np.abs(read))
+    eff = np.where(on_node, ipos, read)
+    want = np.empty_like(got)
+    want[eff > J] = values[-1] if tail is TailPolicy.CONSTANT else 0.0
+    want[eff <= J] = cubic_rows_direct(values, eff[eff <= J])
+    assert got.tobytes() == want.tobytes()

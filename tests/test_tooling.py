@@ -6,7 +6,10 @@ run. Every CLI process pays for what `nfde_lab.cli` imports, so a check
 here keeps SciPy out of it. The stage arithmetic sums in an explicit order,
 which a check here keeps free of `sum` and `math.fsum`. A sampled history
 is read by one rule, `history.cubic_stencil`, which a check here keeps the
-only user of the interpolation weights."""
+only user of the interpolation weights, and its stencils are summed in one
+place, `history.gather`. The operator's delayed part is laid out and summed
+in `d_operator` alone, which a check here keeps the only reader of the
+measure's atoms, density and midpoints."""
 
 import ast
 import importlib
@@ -227,3 +230,29 @@ def test_one_interpolation_rule():
     assert inside >= 1 and uses == inside
     funcs = [n.name for tree in trees for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
     assert "_shift_rows" not in funcs
+
+
+def _reads_measure_layout(node):
+    """An attribute read of the measure's density or its midpoints, or of
+    the atoms of the family `nu` (a pipe's atoms are its own)."""
+    if not isinstance(node, ast.Attribute):
+        return False
+    if node.attr in ("density", "midpoints"):
+        return True
+    owner = node.value
+    owner_name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+    return node.attr == "atoms" and owner_name == "nu"
+
+
+def test_one_delayed_part_and_one_gather():
+    # d_operator alone knows how the delayed part is laid out, and
+    # history.gather alone sums the four taps of a stencil
+    src = ROOT / "src" / "nfde_lab"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    for name, tree in trees.items():
+        if name != "d_operator.py":
+            reads = [n.lineno for n in ast.walk(tree) if _reads_measure_layout(n)]
+            assert not reads, f"{name} reads the measure's layout at lines {reads}"
+    uses = sum(_names(tree).count("taps") for tree in trees.values())
+    inside = _names(_function(trees["history.py"], "gather")).count("taps")
+    assert inside >= 1 and uses == inside
