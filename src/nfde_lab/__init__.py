@@ -6,6 +6,7 @@ transformed equation."""
 
 from .base_flow import (
     GOLDEN_FREQ,
+    SamplingConfig,
     TorusFlow,
     TorusPoint,
     TrigPoly,
@@ -32,7 +33,6 @@ from .d_operator import (
     DOperatorSpec,
     MeasureAtom,
     MeasureDensity,
-    SamplingConfig,
     StabilityEstimate,
     eval_D,
     eval_Dhat_segment,

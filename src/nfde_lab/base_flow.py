@@ -11,10 +11,14 @@ exact for decimal inputs. Minimality of the rotation requires the
 frequencies to be rationally independent together with 1; that is the
 caller's obligation and is not machine-checked. The shipped default
 GOLDEN_FREQ = (sqrt(5) - 1) / 2 satisfies it in one dimension.
+
+Every sup over the torus is estimated on the phases `sample_thetas` draws
+by the flow's one sampling plan, so all estimates of a run share it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +37,29 @@ def _frozen_array(values, dtype=float, ndim=None):
 
 
 @dataclass(frozen=True)
+class SamplingConfig:
+    """Phase-sampling plan: a uniform grid per torus dimension plus one orbit."""
+
+    grid_per_dim: int = 64
+    orbit_points: int = 512
+    orbit_step: float = 0.37
+
+    def __post_init__(self):
+        if self.grid_per_dim < 1:
+            raise ValueError("grid_per_dim must be >= 1")
+        if self.orbit_points < 0:
+            raise ValueError("orbit_points must be >= 0")
+        if not math.isfinite(self.orbit_step):
+            raise ValueError("orbit_step must be finite")
+
+
+@dataclass(frozen=True)
 class TorusFlow:
-    """Rotation flow on the d-torus, d = len(freqs)."""
+    """Rotation flow on the d-torus, d = len(freqs), with the sampling plan
+    that every sup over its torus is estimated on."""
 
     freqs: np.ndarray
+    sampling: SamplingConfig = field(default_factory=SamplingConfig)
 
     def __post_init__(self):
         freqs = _frozen_array(np.atleast_1d(self.freqs), ndim=1)
@@ -161,6 +184,17 @@ def advance_many(flow: TorusFlow, p: TorusPoint, ts) -> np.ndarray:
         )
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     return np.mod(p.theta[None, :] + ts[:, None] * flow.freqs[None, :], 1.0)
+
+
+def sample_thetas(flow: TorusFlow) -> np.ndarray:
+    """Phases of the flow's sampling plan, for sup estimation; shape (N, dim)."""
+    g = flow.sampling.grid_per_dim
+    axes = [np.arange(g) / g] * flow.dim
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([ax.ravel() for ax in mesh], axis=1)
+    ts = (np.arange(flow.sampling.orbit_points) + 1) * flow.sampling.orbit_step
+    orbit = advance_many(flow, TorusPoint(np.zeros(flow.dim)), ts)
+    return np.vstack([grid, orbit])
 
 
 def eval_trig_many(poly: TrigPoly, thetas: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import sys as _sys
 
 import numpy as np
 
-from .base_flow import GOLDEN_FREQ, TorusFlow, TorusPoint, TrigPoly
+from .base_flow import GOLDEN_FREQ, SamplingConfig, TorusFlow, TorusPoint, TrigPoly
 from .compartment import (
     CONDITIONS,
     CompartmentalSystem,
@@ -41,11 +41,9 @@ from .d_operator import (
     AtomicMeasureFamily,
     DOperatorSpec,
     MeasureAtom,
-    SamplingConfig,
     eval_Dhat_segment,
     identity_poly_matrix,
     invert_Dhat,
-    stability_margin,
 )
 from .errors import (
     ConfigError,
@@ -166,9 +164,11 @@ def _parse_matrix_of(parser, node, m, where):
 
 
 def _parse_flow(cfg: dict) -> TorusFlow:
+    """The flow with the config's sampling plan, which every sampled sup of the task reads."""
+    sampling = _parse_sampling(cfg)
     freqs = _block(cfg, "flow", {"freqs": [GOLDEN_FREQ]})["freqs"]
     try:
-        return TorusFlow(np.asarray(freqs, dtype=float))
+        return TorusFlow(np.asarray(freqs, dtype=float), sampling)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"flow: {e}") from e
 
@@ -473,7 +473,7 @@ def _write_summary(outdir, lines):
 # --- tasks -------------------------------------------------------------------
 
 
-def cmd_check(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
+def cmd_check(cfg: dict, outdir: str) -> int:
     flow = _parse_flow(cfg)
     sys_obj = _parse_system(cfg, flow)
     if not isinstance(sys_obj, NeutralDiagSystem):
@@ -497,10 +497,10 @@ def cmd_check(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
     all_pass = True
     for cond in conds:
         if a_node == "auto":
-            report = suggest_a(sys_obj, cond, sampling, trial).report
+            report = suggest_a(sys_obj, cond, trial).report
             lines.append(f"{cond}: suggested a = {[_fmt(v) for v in report.a]}")
         else:
-            report = check_condition(sys_obj, cond, a, sampling)
+            report = check_condition(sys_obj, cond, a)
         all_pass &= report.passed
         for compv in report.components:
             if compv.skipped:
@@ -555,7 +555,7 @@ def _threshold(cfg: dict, key: str):
     return None if thr is None else _finite(thr, f"thresholds.{key}")
 
 
-def cmd_simulate(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
+def cmd_simulate(cfg: dict, outdir: str) -> int:
     flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
     thr = _threshold(cfg, "mass_residual")
     log = run(sys_obj, p0, z0, sim)
@@ -575,7 +575,7 @@ def cmd_simulate(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
     return code
 
 
-def cmd_pair(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
+def cmd_pair(cfg: dict, outdir: str) -> int:
     flow, sys_obj, sim, z_x, p0 = _sim_setup(cfg)
     if sim.cone is None:
         raise ConfigError("task=pair needs a cone")
@@ -588,8 +588,7 @@ def cmd_pair(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
         # the bump's inverse reaches one delay span further back, to z_x.J
         J = z_x.J - _nodes(sys_obj.dspec.support, sim.h)
         yhat = HistoryGrid(sim.h, comp.hist.samples[: J + 1], comp.hist.tail)
-        est = stability_margin(sys_obj.dspec, sampling)
-        bump = invert_Dhat(sys_obj.dspec, p0, yhat, sim.inv_tol, est=est)
+        bump = invert_Dhat(sys_obj.dspec, p0, yhat, sim.inv_tol)
         z_y = HistoryGrid(sim.h, z_x.samples + lam * bump.samples, z_x.tail)
     else:
         z_y = _parse_history(node, "z_init_y", sys_obj.m, sim.h, z_x.horizon)
@@ -612,7 +611,7 @@ def cmd_pair(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
     return code
 
 
-def cmd_invert(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
+def cmd_invert(cfg: dict, outdir: str) -> int:
     flow = _parse_flow(cfg)
     sys_obj = _parse_system(cfg, flow)
     dspec = sys_obj if isinstance(sys_obj, DOperatorSpec) else sys_obj.dspec
@@ -622,22 +621,21 @@ def cmd_invert(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
         node, "yhat", dspec.m, _YHAT_DEFAULTS["step"], _YHAT_DEFAULTS["horizon"]
     )
     p0 = TorusPoint(_finite(cfg.get("theta0", [0.0] * flow.dim), "theta0", array=True))
-    est = stability_margin(dspec, sampling)
-    x = invert_Dhat(dspec, p0, yhat, tol, est=est)
+    x = invert_Dhat(dspec, p0, yhat, tol)
     export_csv(x, os.path.join(outdir, "result.csv"))
     back = eval_Dhat_segment(dspec, p0, x, yhat.J)
     resid = float(np.max(np.abs(back.samples - yhat.samples)))
     lines = [
         "task=invert",
-        f"lambda={_fmt(est.lam)}",
-        f"k_bound={_fmt(est.k_bound)}",
+        f"lambda={_fmt(dspec.stability.lam)}",
+        f"k_bound={_fmt(dspec.stability.k_bound)}",
         f"roundtrip_residual={_fmt(resid)}",
     ]
     _write_summary(outdir, lines)
     return EXIT_OK
 
 
-def cmd_mass_audit(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
+def cmd_mass_audit(cfg: dict, outdir: str) -> int:
     flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
     thr = _threshold(cfg, "mass_residual")
     log = run(sys_obj, p0, z0, sim)
@@ -657,7 +655,7 @@ def cmd_mass_audit(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
     return code
 
 
-def cmd_covering(cfg: dict, sampling: SamplingConfig, outdir: str) -> int:
+def cmd_covering(cfg: dict, outdir: str) -> int:
     flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
     node = _block(cfg, "covering", _COVERING_DEFAULTS)
     tols = node["return_tols"]
@@ -724,7 +722,7 @@ def main(argv=None) -> int:
         cfg["task"] = args.task
         _materialize(cfg, args.task)
         _echo(cfg, args.out)
-        return dispatch[args.task](cfg, _parse_sampling(cfg), args.out)
+        return dispatch[args.task](cfg, args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=_sys.stderr)
         return EXIT_CONFIG

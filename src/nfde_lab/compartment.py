@@ -37,15 +37,10 @@ from .base_flow import (
     advance_many,
     derivative_along_flow_many,
     eval_trig_many,
+    sample_thetas,
 )
 from .d_operator import (
-    AtomicMeasureFamily,
-    DOperatorSpec,
-    MeasureAtom,
-    SamplingConfig,
-    eval_D,
-    identity_poly_matrix,
-    sample_thetas,
+    AtomicMeasureFamily, DOperatorSpec, MeasureAtom, eval_D, identity_poly_matrix
 )
 from .errors import (
     DimensionMismatchError,
@@ -200,14 +195,15 @@ class CompartmentalSystem:
         object.__setattr__(self, "inflows", tuple(self.inflows))
         if self.dspec.m != self.m:
             raise DimensionMismatchError("operator dimension does not match m")
-        self.dspec.stability()  # raises when the delayed part is not a contraction
+        self.dspec.stability  # raises when the delayed part is not a contraction
         self._check_gains()
         object.__setattr__(self, "_terms", _BalanceTerms(self))
 
     def _check_gains(self) -> None:
         """Raise StructuralPreconditionError for a transport or outflow gain
         below zero: a constant gain directly, a phase-dependent one at the
-        sampled phases the c_i check of NeutralDiagSystem uses."""
+        flow's sampled phases, which the c_i check of NeutralDiagSystem and
+        the condition checkers read too."""
         gains = [
             (f"transport gain for pair ({i},{j})", self.transports[i][j].gain)
             for i in range(self.m)
@@ -580,47 +576,37 @@ class _Precomp:
         m = sys.m
         n = thetas.shape[0]
         self.c = np.stack([eval_trig_many(ci, thetas) for ci in sys.c], axis=1)
-        lp = np.zeros((n, m, m))
+        lp = np.zeros((n, m, m))  # the gains were checked >= 0 where the system was built
         for i in range(m):
             for j in range(m):
                 tr = sys.transports[i][j]
-                gain = eval_trig_many(tr.gain, thetas)
-                if np.any(gain < -_EQ_TOL):
-                    raise StructuralPreconditionError(
-                        f"negative transport gain for pair ({i},{j})"
-                    )
-                lp[:, i, j] = gain * tr.shape.deriv_bounds()[1]
+                lp[:, i, j] = eval_trig_many(tr.gain, thetas) * tr.shape.deriv_bounds()[1]
         self.L_plus = lp.sum(axis=1)  # (n, m): column sums l_plus[j][i]
-        self._lm_shift = {}
-        self._c_shift = {}
         self._gamma = None
 
     def canonical_a(self) -> np.ndarray:
         """The rate -sup L_plus_i - 1 per component."""
         return -np.max(self.L_plus, axis=0) - 1.0
 
+    def _shifted(self, poly: TrigPoly, shift: float) -> np.ndarray:
+        """poly at the phases shifted back by `shift`."""
+        return eval_trig_many(poly, np.mod(self.thetas - shift * self.sys.flow.freqs[None, :], 1.0))
+
     def l_minus_shifted(self, i: int) -> np.ndarray:
         """l_minus_ii evaluated at phases shifted back by rho_ii."""
-        if i not in self._lm_shift:
-            rho_ii = self.sys.rho[i][i]
-            sh = np.mod(self.thetas - rho_ii * self.sys.flow.freqs[None, :], 1.0)
-            tr = self.sys.transports[i][i]
-            self._lm_shift[i] = (
-                eval_trig_many(tr.gain, sh) * tr.shape.deriv_bounds()[0]
-            )
-        return self._lm_shift[i]
+        tr = self.sys.transports[i][i]
+        return self._shifted(tr.gain, self.sys.rho[i][i]) * tr.shape.deriv_bounds()[0]
 
     def _c_at(self, i: int, shift: float, rows: dict) -> np.ndarray:
         """c_i at the phases shifted back by `shift`, memoised in `rows`."""
         key = float(shift)
         if key not in rows:
-            sh = np.mod(self.thetas - shift * self.sys.flow.freqs[None, :], 1.0)
-            rows[key] = eval_trig_many(self.sys.c[i], sh)
+            rows[key] = self.c_shifted(i, shift)
         return rows[key]
 
     def c_shifted(self, i: int, shift: float) -> np.ndarray:
-        """c_i at the phases shifted back by `shift`, kept for the life of the data."""
-        return self._c_at(i, shift, self._c_shift.setdefault(i, {}))
+        """c_i at the phases shifted back by `shift`."""
+        return self._shifted(self.sys.c[i], shift)
 
     def gamma(self) -> np.ndarray:
         if self._gamma is None:
@@ -947,18 +933,16 @@ def check_condition(
     sys: NeutralDiagSystem,
     cond: str,
     a,
-    sampling: Optional[SamplingConfig] = None,
     n_check: int = 50,
 ) -> ConditionReport:
-    """Evaluate one sufficient monotonicity condition over sampled phases.
+    """Evaluate one sufficient monotonicity condition over the flow's sampled phases.
 
     Reports the minimum margin per component and sub-inequality with the
     worst phase as witness. Components with c_i identically zero are
     skipped as vacuous, with the canonical rate -sup L_plus_i - 1 attached.
     Strictness is flagged when a margin clears _STRICT_TOL everywhere.
     """
-    thetas = sample_thetas(sys.flow, sampling)
-    pre, a, n_check, entries = _margins_at(sys, cond, a, thetas, n_check)
+    pre, a, n_check, entries = _margins_at(sys, cond, a, sample_thetas(sys.flow), n_check)
     return _report(pre, cond, a, n_check, entries)
 
 
@@ -974,7 +958,6 @@ class SuggestAReport:
 def suggest_a(
     sys: NeutralDiagSystem,
     cond: str,
-    sampling: Optional[SamplingConfig] = None,
     trial_a=None,
     n_check: int = 50,
 ) -> SuggestAReport:
@@ -988,14 +971,13 @@ def suggest_a(
     rates is read off the scan's rows, which are bit for bit the margins
     `check_condition` computes at those rates.
     """
-    thetas = sample_thetas(sys.flow, sampling)
     if trial_a is None:
         trial_a = np.linspace(-8.0, 0.0, 33)
     trial_a = np.atleast_1d(np.asarray(trial_a, dtype=float))
     if trial_a.size == 0:
         raise ValueError("trial grid must be nonempty")
     _check_rates(trial_a, "trial rates")
-    pre, active, n_check = _prepare(sys, cond, thetas, n_check)
+    pre, active, n_check = _prepare(sys, cond, sample_thetas(sys.flow), n_check)
     canon = pre.canonical_a()
     best = canon.copy()  # the canonical rate stays for the skipped components
     trials_per_comp = [np.unique(np.concatenate([trial_a, [canon[i]]])) for i in range(sys.m)]

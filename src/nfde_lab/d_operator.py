@@ -22,19 +22,23 @@ lift, the inverse, the integrator's stages and the stored mass read x at
 `AtomicMeasureFamily.delays` and sum the terms by its `add_into`, or
 `DOperatorSpec.apply` for D itself.
 
-Sups over the torus are estimated by sampling a uniform phase grid plus a
-long orbit; the worst sampled phase is reported alongside the estimate.
+Sups over the torus are estimated on the phases of the flow's sampling
+plan (`base_flow.sample_thetas`), the plan every sampled sup of a run
+reads; the worst sampled phase is reported alongside the estimate. An
+operator computes its stability estimate once, on first use of
+`DOperatorSpec.stability`, and the inverse reads it there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .base_flow import TorusFlow, TorusPoint, TrigPoly, advance_many, eval_trig_many
+from .base_flow import TorusFlow, TorusPoint, TrigPoly, advance_many, eval_trig_many, sample_thetas
 from .errors import (
     DimensionMismatchError,
     SingularBError,
@@ -182,36 +186,6 @@ class StabilityEstimate:
 
 
 @dataclass(frozen=True)
-class SamplingConfig:
-    """Phase-sampling plan: a uniform grid per torus dimension plus one orbit."""
-
-    grid_per_dim: int = 64
-    orbit_points: int = 512
-    orbit_step: float = 0.37
-
-    def __post_init__(self):
-        if self.grid_per_dim < 1:
-            raise ValueError("grid_per_dim must be >= 1")
-        if self.orbit_points < 0:
-            raise ValueError("orbit_points must be >= 0")
-        if not math.isfinite(self.orbit_step):
-            raise ValueError("orbit_step must be finite")
-
-
-def sample_thetas(flow: TorusFlow, sampling: Optional[SamplingConfig] = None) -> np.ndarray:
-    """Phases used for sup estimation; shape (N, dim)."""
-    sampling = sampling or SamplingConfig()
-    d = flow.dim
-    g = sampling.grid_per_dim
-    axes = [np.arange(g) / g] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([ax.ravel() for ax in mesh], axis=1)
-    ts = (np.arange(sampling.orbit_points) + 1) * sampling.orbit_step
-    orbit = advance_many(flow, TorusPoint(np.zeros(d)), ts)
-    return np.vstack([grid, orbit])
-
-
-@dataclass(frozen=True)
 class DOperatorSpec:
     """Difference operator data: instantaneous matrix, delayed family, flow."""
 
@@ -252,13 +226,10 @@ class DOperatorSpec:
         Bx = _mv(eval_poly_matrix_many(self.B, thetas), rows[:, 0])
         return self.nu.add_into(Bx, self.nu.weights(thetas), rows[:, 1:], np.subtract)
 
-    def stability(self):
-        """Stability estimate with the default sampling plan, computed once."""
-        est = getattr(self, "_stab_cache", None)
-        if est is None:
-            est = stability_margin(self)
-            object.__setattr__(self, "_stab_cache", est)
-        return est
+    @cached_property
+    def stability(self) -> StabilityEstimate:
+        """`stability_margin` on the flow's sampling plan, computed on first use."""
+        return stability_margin(self)
 
 
 def _batch_inverse(Bv: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -275,16 +246,14 @@ def _batch_inverse(Bv: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 _STABILITY_GUARD = 1e-6
 
 
-def stability_margin(
-    spec: DOperatorSpec, sampling: Optional[SamplingConfig] = None
-) -> StabilityEstimate:
+def stability_margin(spec: DOperatorSpec) -> StabilityEstimate:
     """Sampled sup of the weighted delayed mass, and the induced norm bound.
 
     lam is the max over sampled phases of the max row sum of
     sum_k |B^-1 W_k| plus the integrated |B^-1 density|; k_bound is
     sup||B^-1|| / (1 - lam). Raises when lam is not safely below one.
     """
-    thetas = sample_thetas(spec.flow, sampling)
+    thetas = sample_thetas(spec.flow)
     Bv = eval_poly_matrix_many(spec.B, thetas)
     Binv = _batch_inverse(Bv, thetas)
     sup_Binv = float(np.max(np.sum(np.abs(Binv), axis=2)))
@@ -337,13 +306,12 @@ def invert_Dhat(
     yhat: HistoryGrid,
     tol: float,
     n_terms: Optional[int] = None,
-    est: Optional[StabilityEstimate] = None,
 ) -> HistoryGrid:
     """Invert the lift by the method of steps.
 
     The inverse x solves x = B^-1 (yhat + delayed part of x) on a working
     grid extended N delay spans into the past, N chosen a priori from the
-    geometric tail bound of `est` (default `spec.stability()`) unless
+    geometric tail bound of `spec.stability` unless
     n_terms sets it. Past the grid, x is read at the grid's oldest row.
     Starting from x = B^-1 yhat, the rows are solved from the oldest in
     blocks of c rows, c the shortest distance from a row to a row its
@@ -364,8 +332,7 @@ def invert_Dhat(
         raise ValueError("tolerance must be finite and positive")
     if n_terms is not None and not (n_terms >= 0 and float(n_terms).is_integer()):
         raise ValueError("n_terms must be a whole number >= 0")
-    if est is None:
-        est = spec.stability()
+    est = spec.stability
     lam = est.lam
     h = yhat.step
     Jy = yhat.J

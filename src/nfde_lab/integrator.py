@@ -164,7 +164,8 @@ class _Stage:
 
 
 class _PlanBlock:
-    """Phase-only data of the stages of _PLAN_STEPS consecutive steps.
+    """Phase-only data of the stages of _PLAN_STEPS consecutive steps, or of
+    the steps the run has left, if fewer.
 
     Row r holds stage lo + r: its phase, B^-1 there as _Stage keeps it,
     each atom's weight matrix, the balance law's coefficient row, and for
@@ -179,7 +180,7 @@ class _PlanBlock:
         spec = state.general.dspec
         h = state.h
         self.lo = 0 if b == 0 else 2 * b * _PLAN_STEPS + 1
-        self.hi = 2 * (b + 1) * _PLAN_STEPS + 1
+        self.hi = min(2 * (b + 1) * _PLAN_STEPS, 2 * state.cfg.nsteps) + 1
         j = np.arange(self.lo, self.hi)
         n = np.maximum(j - 1, 0) // 2  # the step each stage belongs to
         # the same float expressions as the step times: t + 0.5 h and t + h
@@ -233,7 +234,8 @@ class SimState:
     """Single-owner integration state: the trajectory so far.
 
     Z[k] holds zhat and X[k] the physical state z at time (k - Jh) * h;
-    index Jh is time zero and `k` points at the current step.
+    index Jh is time zero and `k` points at the current step. The buffers
+    hold the run's rows and no more: Jh + cfg.nsteps + 1.
     """
 
     def __init__(self, sys, p0, cfg, Jh, Z, X, k, delays):
@@ -260,21 +262,14 @@ class SimState:
     def t(self) -> float:
         return (self.k - self.Jh) * self.h
 
-    def _ensure_capacity(self, extra: int):
-        need = self.k + extra + 1
-        if need > self.Z.shape[0]:
-            rows = max(need, 2 * self.Z.shape[0])
-            for name in ("Z", "X"):
-                grown = np.empty((rows, self.m))
-                grown[: self.k + 1] = getattr(self, name)[: self.k + 1]
-                setattr(self, name, grown)
-
     def stage(self, j: int) -> _Stage:
         """Data of stage j (see the module docstring); the plan supplies
         everything that depends on the phase only, and the read window the
         delayed z, all of it already stored."""
         blk = self._block
         if blk is None or not blk.lo <= j < blk.hi:
+            if j > 2 * self.cfg.nsteps:
+                raise HorizonError(f"no step goes past the run's end, t_end = {self.cfg.t_end:.6g}")
             blk = self._block = _PlanBlock(self, max(0, (j - 1) // (2 * _PLAN_STEPS)))
         win = self._window
         if win is None or not win.lo <= j < win.hi:
@@ -315,10 +310,11 @@ def _lift(general, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig, depth: i
 
 
 def _start(general, p0: TorusPoint, cfg: SimConfig, delays: _Delays, z_hist, zhat) -> SimState:
-    """Trajectory buffers at time zero from a lifted initial history: the
-    newest Jh + 1 nodes of z_hist, on the step h, and of its transform zhat."""
+    """Trajectory buffers of the whole run, at time zero from a lifted
+    initial history: the newest Jh + 1 nodes of z_hist, on the step h, and
+    of its transform zhat."""
     Jh = _history_rows(general, cfg)
-    rows = Jh + cfg.nsteps + 8
+    rows = Jh + cfg.nsteps + 1
     Z = np.empty((rows, general.m))
     Z[: Jh + 1] = zhat.samples[Jh::-1]
     X = np.empty((rows, general.m))
@@ -380,7 +376,6 @@ def step(state: SimState) -> SimState:
     if not math.isfinite(top) or top > state.cfg.divergence_limit:
         raise DivergenceError(t + h, top)
     z = end.z(vn)
-    state._ensure_capacity(1)
     state.Z[k + 1] = vn
     state.X[k + 1] = z
     state.k = k + 1
@@ -436,22 +431,42 @@ def _window_min(a: np.ndarray, width: int, ends: np.ndarray) -> np.ndarray:
     return np.where(starts <= 0, pre[ends], np.minimum(suf[np.maximum(starts, 0)], pre[ends]))
 
 
+def _cone_window(V: np.ndarray, cone: ConeSpec, h: float) -> int:
+    """Steps of the cone window over the rows of V."""
+    return V.shape[0] if cone.infinite else int(math.floor(cone.horizon / h + _SNAP))
+
+
+def _decay_slack(V: np.ndarray, expAh: np.ndarray) -> np.ndarray:
+    """v(j) - exp(A h) v(j - 1) per row j and component; +inf at row 0,
+    where no step ends."""
+    slack = np.full(V.shape, np.inf)
+    slack[1:] = V[1:] - V[:-1] @ expAh.T
+    return slack
+
+
 def _cone_margins(V: np.ndarray, cone: ConeSpec, expAh: np.ndarray, h: float, rows) -> np.ndarray:
     """Raw cone margin of the transformed gap V = Zy - Zx at each of rows.
 
     The margin at row k is the least entry of V[: k + 1] (the sign part) or,
-    if lower, the least decay slack v(j) - exp(A h) v(j - 1) over the steps
-    j of the cone window ending at k.
+    if lower, the least decay slack over the steps of the cone window
+    ending at k.
     """
     rows = np.asarray(rows)
     sign = np.minimum.accumulate(np.min(V, axis=1))[rows]
-    W = V.shape[0] if cone.infinite else int(math.floor(cone.horizon / h + _SNAP))
+    W = _cone_window(V, cone, h)
     if W == 0:
         return sign
-    slack = np.empty(V.shape[0])
-    slack[0] = np.inf  # no step ends at the oldest row
-    slack[1:] = np.min(V[1:] - V[:-1] @ expAh.T, axis=1)
-    return np.minimum(sign, _window_min(slack, W, rows))
+    return np.minimum(sign, _window_min(np.min(_decay_slack(V, expAh), axis=1), W, rows))
+
+
+def _margin_witness(V: np.ndarray, cone: ConeSpec, expAh: np.ndarray, h: float) -> tuple:
+    """(row, component) of V where the cone margin at its last row is
+    attained: the least decay slack in the window if it is below the least
+    entry of V, else that entry."""
+    slack = _decay_slack(V, expAh)
+    slack[: max(V.shape[0] - _cone_window(V, cone, h), 0)] = np.inf
+    worst = slack if np.min(slack) < np.min(V) else V
+    return np.unravel_index(int(np.argmin(worst)), V.shape)
 
 
 def _run(state: SimState) -> TrajectoryLog:
@@ -529,7 +544,7 @@ def run_ordered_pair(
     v0 = zhat_y.samples[::-1] - zhat_x.samples[::-1]
     margin0 = float(_cone_margins(v0, cone, expAh, cfg.h, [J])[0])
     if margin0 < -cfg.tol_cone:
-        j, c = np.unravel_index(int(np.argmin(v0)), v0.shape)
+        j, c = _margin_witness(v0, cone, expAh, cfg.h)
         raise UnorderedPairError(((int(j) - J) * cfg.h, int(c)), margin0)
     delays = _Delays(general, cfg.h)
     lx, ly = [_run(_start(general, p0, cfg, delays, *lift)) for lift in lifts]

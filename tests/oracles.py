@@ -259,7 +259,7 @@ def shifted_rows_direct(vals: np.ndarray, off: float, tail: TailPolicy) -> np.nd
 
 
 def invert_Dhat_neumann(
-    spec, p: TorusPoint, yhat: HistoryGrid, tol: float, n_terms=None, est=None
+    spec, p: TorusPoint, yhat: HistoryGrid, tol: float, n_terms=None
 ) -> HistoryGrid:
     """`invert_Dhat` by the truncated Neumann series sum_n Lhat^n o Bhat^-1.
 
@@ -275,8 +275,7 @@ def invert_Dhat_neumann(
         raise ValueError("tolerance must be finite and positive")
     if n_terms is not None and not (n_terms >= 0 and float(n_terms).is_integer()):
         raise ValueError("n_terms must be a whole number >= 0")
-    if est is None:
-        est = spec.stability()
+    est = spec.stability
     lam = est.lam
     h = yhat.step
     ynorm = sup_norm(yhat)
@@ -397,7 +396,6 @@ def step_direct(state, now=None):
     top = float(np.abs(vn).max())
     if not math.isfinite(top) or top > state.cfg.divergence_limit:
         raise DivergenceError(t + h, top)
-    state._ensure_capacity(1)
     state.Z[k + 1] = vn
     state.X[k + 1] = z(end, vn)
     state.k = k + 1
@@ -516,6 +514,19 @@ def pair_margin(sx, sy, cone, expAh, run_min_a):
     return min(run_min_a, worst)
 
 
+def pair_witness(sx, sy, cone, expAh, v):
+    """(row, component) where `pair_margin` is attained at the current time,
+    v the gaps so far: the least decay slack of the cone window when it is
+    below every gap, else the least gap."""
+    k = sx.k
+    W = k if cone.infinite else min(k, int(math.floor(cone.horizon / sx.h + _SNAP)))
+    slack = v[k - W + 1 : k + 1] - v[k - W : k] @ expAh.T
+    if slack.size and np.min(slack) < np.min(v):
+        j, c = np.unravel_index(int(np.argmin(slack)), slack.shape)
+        return k - W + 1 + j, c
+    return np.unravel_index(int(np.argmin(v)), v.shape)
+
+
 def run_ordered_pair_direct(sys, p0: TorusPoint, z_x, z_y, cfg) -> PairLog:
     """`run_ordered_pair` monitoring while it steps, one point at a time."""
     cone = cfg.cone
@@ -526,7 +537,7 @@ def run_ordered_pair_direct(sys, p0: TorusPoint, z_x, z_y, cfg) -> PairLog:
     run_min_a = float(np.min(v0))
     margin0 = pair_margin(sx, sy, cone, expAh, run_min_a)
     if margin0 < -cfg.tol_cone:
-        j, c = np.unravel_index(int(np.argmin(v0)), v0.shape)
+        j, c = pair_witness(sx, sy, cone, expAh, v0)
         raise UnorderedPairError(((int(j) - sx.Jh) * cfg.h, int(c)), margin0)
     nsteps = cfg.nsteps
     general = sx.general

@@ -75,7 +75,7 @@ def inversion_sweep():
     worst_excess = -np.inf
     for _ in range(100):
         spec = random_contraction_spec(rng, FLOW, h=0.05, lam_max=0.7)
-        est = spec.stability()
+        est = spec.stability
         assert est.lam <= 0.7
         yhat = random_history(rng, spec.m, 0.05, 3.0)
         x = invert_Dhat(spec, P0, yhat, inv_tol)

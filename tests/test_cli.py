@@ -234,7 +234,7 @@ def test_invert_task_scalar_geometric(tmp_path):
 def test_invert_sizes_its_depth_from_the_reported_estimate(tmp_path):
     # a coarse sampling block misses the weight's peak, so its lambda is
     # smaller than the default plan's; the inverse must use the estimate
-    # summary.txt reports, not spec.stability()
+    # summary.txt reports, the one on the config's plan
     import numpy as np
 
     from nfde_lab import (
@@ -247,9 +247,9 @@ def test_invert_sizes_its_depth_from_the_reported_estimate(tmp_path):
         TrigPoly,
         constant_history,
         invert_Dhat,
-        stability_margin,
     )
-    from nfde_lab.d_operator import SamplingConfig, identity_poly_matrix
+    from nfde_lab.base_flow import SamplingConfig
+    from nfde_lab.d_operator import identity_poly_matrix
 
     weight = {"constant": 0.3, "terms": [{"k": [1], "sin": 0.25}]}
     cfg = {
@@ -263,14 +263,18 @@ def test_invert_sizes_its_depth_from_the_reported_estimate(tmp_path):
         "sim": {"inv_tol": 1e-10},
     }
     assert main(["invert", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
-    flow = TorusFlow([GOLDEN_FREQ])
     c = TrigPoly.from_terms(0.3, [([1], 0.0, 0.25)])
     atom = MeasureAtom(1.0, [[c]])
-    spec = DOperatorSpec(1, identity_poly_matrix(1), AtomicMeasureFamily((atom,)), flow)
-    est = stability_margin(spec, SamplingConfig(grid_per_dim=2, orbit_points=0))
-    assert est.lam < spec.stability().lam
+
+    def spec_on(flow):
+        return DOperatorSpec(1, identity_poly_matrix(1), AtomicMeasureFamily((atom,)), flow)
+
+    coarse = spec_on(TorusFlow([GOLDEN_FREQ], SamplingConfig(grid_per_dim=2, orbit_points=0)))
+    spec = spec_on(TorusFlow([GOLDEN_FREQ]))
+    est = coarse.stability
+    assert est.lam < spec.stability.lam
     yhat = constant_history([1.0], 0.05, 3.0)
-    want = invert_Dhat(spec, TorusPoint([0.0]), yhat, 1e-10, est=est).samples[:, 0]
+    want = invert_Dhat(coarse, TorusPoint([0.0]), yhat, 1e-10).samples[:, 0]
     default = invert_Dhat(spec, TorusPoint([0.0]), yhat, 1e-10).samples[:, 0]
     got = np.array([float(r[1]) for r in read_result(tmp_path)[1:]])
     assert got.tobytes() == want.tobytes() != default.tobytes()
@@ -513,6 +517,36 @@ PAIR_CFG = {
     "cone": {"a_diag": [-2.0], "horizon": 1.0},
     "z_init_y": {"kind": "ordered_offset", "lam": 0.2},
 }
+
+
+@pytest.mark.parametrize(
+    "task, cfg",
+    [
+        ("invert", {"system": S1_SYSTEM, "yhat": {"kind": "constant", "value": [1.0]}}),
+        ("pair", PAIR_CFG),
+    ],
+)
+def test_task_estimates_stability_once_on_the_configs_plan(tmp_path, monkeypatch, task, cfg):
+    # the system's build-time contraction check and the inverse read one
+    # estimate per operator, taken on the config's sampling plan
+    import nfde_lab
+    from nfde_lab import cli, d_operator
+    from nfde_lab.base_flow import SamplingConfig
+
+    specs = []
+    real = d_operator.stability_margin
+
+    def counted(spec, *args):
+        specs.append(spec)
+        return real(spec, *args)
+
+    for mod in (nfde_lab, cli, d_operator):  # every module that holds the function
+        if vars(mod).get("stability_margin") is real:
+            monkeypatch.setattr(mod, "stability_margin", counted)
+    cfg = {**cfg, "sampling": {"grid_per_dim": 8, "orbit_points": 8}}
+    assert main([task, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+    assert len(specs) == 1
+    assert specs[0].flow.sampling == SamplingConfig(grid_per_dim=8, orbit_points=8)
 
 
 @pytest.mark.parametrize(

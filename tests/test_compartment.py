@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -32,9 +33,9 @@ from nfde_lab import (
     total_mass,
 )
 from nfde_lab import cli, compartment
-from nfde_lab.base_flow import derivative_along_flow_many, eval_trig_many
+from nfde_lab.base_flow import derivative_along_flow_many, eval_trig_many, sample_thetas
 from nfde_lab.compartment import _component_margins, _Precomp, condition_margins
-from nfde_lab.d_operator import identity_poly_matrix, sample_thetas
+from nfde_lab.d_operator import identity_poly_matrix
 
 from .conftest import const_c_system, s1_system
 from .oracles import c_product, component_margins_direct, lipschitz_bounds, pq_sequence
@@ -375,11 +376,24 @@ def test_g9_structural_precondition(golden_flow):
 
 def test_induced_operator_contraction_matches_coefficient(golden_flow):
     s1 = s1_system(golden_flow)
-    est = s1.dspec.stability()
+    est = s1.dspec.stability
     thetas = sample_thetas(golden_flow)
     c_max = float(np.max(eval_trig_many(s1.c[0], thetas)))
     assert abs(est.lam - c_max) <= 1e-3
     assert est.lam == pytest.approx(c_max, abs=1e-12)  # same sampling plan
+
+
+def test_build_checks_read_the_flows_plan():
+    # a coarse plan sees c = 0.3 + 0.2 sin at the phases 0 and 1/2 only,
+    # where it is 0.3: the contraction estimate and the G4 tail certificate's
+    # c_sup are taken over those phases, not over the default plan
+    flow = TorusFlow([GOLDEN_FREQ], SamplingConfig(grid_per_dim=2, orbit_points=0))
+    s1 = s1_system(flow)
+    thetas = sample_thetas(flow)
+    assert s1.dspec.stability.sample_count == thetas.shape[0] == 2
+    want = np.max(np.stack([eval_trig_many(ci, thetas) for ci in s1.c], axis=1), axis=0)
+    assert s1.c_sup.tolist() == want.tolist() == [0.3]
+    assert s1.dspec.stability.lam == pytest.approx(0.3, abs=1e-15)
 
 
 def test_coefficient_bound_validation(golden_flow):
@@ -444,6 +458,7 @@ def test_suggest_a_zero_gains_ties_toward_zero(golden_flow):
 
 SILVER_FREQ = np.sqrt(2.0) - 1.0
 ORACLE_SAMPLING = SamplingConfig(grid_per_dim=3, orbit_points=8)
+ORACLE_FLOW = TorusFlow([GOLDEN_FREQ], ORACLE_SAMPLING)
 ORACLE_TRIALS = np.array([-3.0, -1.5, -0.5, 0.0])
 # rates handed to the scan directly: duplicates, and some with mixed feasibility
 SCAN_RATES = np.array([-3.0, -1.5, -1.5, -1.0, -0.5, 0.0])
@@ -455,7 +470,7 @@ def _random_diag_system(rng, m, cond, dim, equal_lags=False, const_c=False):
     With equal_lags, rho_ii = alpha_i wherever the structure allows it;
     with const_c, every coefficient c_i is constant.
     """
-    flow = TorusFlow([GOLDEN_FREQ, SILVER_FREQ][:dim])
+    flow = TorusFlow([GOLDEN_FREQ, SILVER_FREQ][:dim], ORACLE_SAMPLING)
 
     def poly(c0, amp):
         k = rng.integers(-1, 2, dim)
@@ -547,11 +562,11 @@ def test_rate_scan_matches_per_rate_oracle(
     seed, m, cond, dim, equal_lags, const_c, n_check, chunk
 ):
     sys = _random_diag_system(np.random.default_rng(seed), m, cond, dim, equal_lags, const_c)
-    thetas = sample_thetas(sys.flow, ORACLE_SAMPLING)
+    thetas = sample_thetas(sys.flow)
     elements = compartment._SCAN_ELEMENTS if chunk is None else chunk * thetas.shape[0]
     with patch.object(compartment, "_SCAN_ELEMENTS", elements):
         pre = _Precomp(sys, thetas)
-        report = suggest_a(sys, cond, ORACLE_SAMPLING, ORACLE_TRIALS, n_check)
+        report = suggest_a(sys, cond, ORACLE_TRIALS, n_check)
         canon = _canonical_rates(sys, thetas)
         assert np.array_equal(pre.canonical_a(), canon)
         one_rate = condition_margins(sys, cond, SCAN_RATES[[3] * m], thetas, n_check)
@@ -625,11 +640,11 @@ def test_suggested_report_matches_check_condition(
             transports=sys.transports,
             flow=sys.flow,
         )
-    n = sample_thetas(sys.flow, ORACLE_SAMPLING).shape[0]
+    n = sample_thetas(sys.flow).shape[0]
     elements = compartment._SCAN_ELEMENTS if chunk is None else chunk * n
     with patch.object(compartment, "_SCAN_ELEMENTS", elements):
-        got = suggest_a(sys, cond, ORACLE_SAMPLING, ORACLE_TRIALS, n_check).report
-    want = check_condition(sys, cond, got.a, ORACLE_SAMPLING, n_check)
+        got = suggest_a(sys, cond, ORACLE_TRIALS, n_check).report
+    want = check_condition(sys, cond, got.a, n_check)
     _assert_same_report(got, want)
 
 
@@ -706,7 +721,7 @@ def test_g4_scan_covers_unfound_and_deep_phases(golden_flow, chunk):
         transports=((gain,),),
         flow=golden_flow,
     )
-    thetas = sample_thetas(golden_flow, SamplingConfig(grid_per_dim=16, orbit_points=16))
+    thetas = sample_thetas(replace(golden_flow, sampling=SamplingConfig(16, 16)))
     rates = np.array([-3.0, -1.0, -1.0, 0.0])
     elements = compartment._SCAN_ELEMENTS if chunk is None else chunk * thetas.shape[0]
     with patch.object(compartment, "_SCAN_ELEMENTS", elements):
@@ -723,7 +738,7 @@ def test_g4_scan_covers_unfound_and_deep_phases(golden_flow, chunk):
 def test_g4_verdict_reads_its_margins(golden_flow):
     # s1 at a = -1: q[0] = 0, so every phase is feasible at depth 1 with a
     # least margin of exactly 0, which passes but is not strict
-    rep = check_condition(s1_system(golden_flow), "G4", [-1.0], ORACLE_SAMPLING, 5)
+    rep = check_condition(s1_system(ORACLE_FLOW), "G4", [-1.0], 5)
     (comp,) = rep.components
     assert rep.passed and comp.passed and comp.n0_max == 1
     assert comp.subs[0].min_margin == 0.0 and not comp.subs[0].strict_everywhere
@@ -734,17 +749,16 @@ def test_g4_verdict_reads_its_margins(golden_flow):
         alpha=np.array([1.0]),
         rho=np.array([[0.6]]),
         transports=((TransportSpec(TrigPoly.from_terms(1.0, [([1], 0.3, 0.0)])),),),
-        flow=golden_flow,
+        flow=replace(golden_flow, sampling=SamplingConfig(grid_per_dim=16, orbit_points=16)),
     )
-    sampling = SamplingConfig(grid_per_dim=16, orbit_points=16)
-    (comp,) = check_condition(sys, "G4", [-1.0], sampling, 20).components
+    (comp,) = check_condition(sys, "G4", [-1.0], 20).components
     assert not comp.passed and comp.n0_max is None
     assert comp.subs[0].min_margin == -np.inf
 
 
 def test_g4_scan_zero_q_is_not_feasible(golden_flow):
     # L_plus = 1 and a = -1 make q[0] exactly 0: depth 0 fails q[0] > 0, depth 1 holds
-    pre = _Precomp(s1_system(golden_flow), sample_thetas(golden_flow, ORACLE_SAMPLING))
+    pre = _Precomp(s1_system(golden_flow), sample_thetas(ORACLE_FLOW))
     got = _component_margins(pre, "G4", 0, np.array([-1.0]), 5)
     _assert_same(_row("G4", got, 0), component_margins_direct(pre, "G4", 0, -1.0, 5))
     assert np.all(got["_g4"][1] == 1)
@@ -778,7 +792,7 @@ def test_check_condition_builds_phase_data_once(golden_flow):
 
 def test_g4_terms_keep_no_shifted_rows(golden_flow):
     # alpha = rho = 1: the shifted product reuses all but one row of the other
-    pre = _Precomp(s1_system(golden_flow), sample_thetas(golden_flow, ORACLE_SAMPLING))
+    pre = _Precomp(s1_system(golden_flow), sample_thetas(ORACLE_FLOW))
     calls = []
 
     def counting(poly, thetas):
@@ -789,9 +803,7 @@ def test_g4_terms_keep_no_shifted_rows(golden_flow):
         neg_LC, C_sh = pre.g4_terms(0, 10)
     assert len(calls) == 11  # shifts 0, 1, ..., 10 once each
     assert neg_LC.shape == C_sh.shape == (10, pre.thetas.shape[0])
-    assert pre._c_shift == {}
-    pre.c_shifted(0, 1.0)  # the G3 row stays for the life of the data
-    assert list(pre._c_shift[0]) == [1.0]
+    assert not any(isinstance(v, dict) for v in vars(pre).values())  # no row memo outlives a call
 
 
 @pytest.mark.parametrize("n_check", [-1, 2.5, float("nan"), "3", True, None])
@@ -831,7 +843,7 @@ def test_suggest_a_rejects_bad_trial_rates(golden_flow, trial):
 def test_condition_margins_rejects_bad_rates(golden_flow, a):
     s1 = s1_system(golden_flow)
     with pytest.raises(ValueError):
-        condition_margins(s1, "G5", [a], sample_thetas(golden_flow, ORACLE_SAMPLING))
+        condition_margins(s1, "G5", [a], sample_thetas(ORACLE_FLOW))
 
 
 def _scalar_g4(pv, qv):
@@ -856,7 +868,7 @@ def test_g4_margins_match_scalar_pq_sequence(golden_flow, rho_frac, a):
     alpha = np.array([1.0, 0.7])
     rho = np.array([[rho_frac * 1.0, 0.5], [0.5, rho_frac * 0.7]])
     sys = NeutralDiagSystem(m=2, c=c, alpha=alpha, rho=rho, transports=gains, flow=golden_flow)
-    thetas = sample_thetas(golden_flow, SamplingConfig(grid_per_dim=8, orbit_points=4))
+    thetas = sample_thetas(replace(golden_flow, sampling=SamplingConfig(8, 4)))
     depth = 20
     out = condition_margins(sys, "G4", [a, a], thetas, depth)
     n0_seen = set()

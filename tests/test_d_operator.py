@@ -28,7 +28,8 @@ from nfde_lab import (
     stability_margin,
     sup_norm,
 )
-from nfde_lab.d_operator import SamplingConfig, const_poly_matrix, identity_poly_matrix
+from nfde_lab.base_flow import SamplingConfig, sample_thetas
+from nfde_lab.d_operator import const_poly_matrix, identity_poly_matrix
 
 from .conftest import random_contraction_spec, random_history, scalar_dspec
 from .oracles import invert_Dhat_neumann
@@ -245,7 +246,7 @@ def test_invert_round_trip_random_specs(golden_flow, origin):
     h = 0.05
     for _ in range(20):
         spec = random_contraction_spec(rng, golden_flow, h=h)
-        est = spec.stability()
+        est = spec.stability
         yhat = random_history(rng, spec.m, h, 3.0)
         x = invert_Dhat(spec, origin, yhat, 1e-8)
         back = eval_Dhat_segment(spec, origin, x, yhat.J)
@@ -343,14 +344,11 @@ def test_invert_requires_stability(golden_flow, origin):
         invert_Dhat(spec, origin, yhat, 1e-8)
 
 
-def test_sampling_config_shapes(golden_flow):
-    from nfde_lab.d_operator import sample_thetas
-
-    thetas = sample_thetas(golden_flow, SamplingConfig(grid_per_dim=16, orbit_points=32))
+def test_sampling_config_shapes():
+    thetas = sample_thetas(TorusFlow([GOLDEN_FREQ], SamplingConfig(16, 32)))
     assert thetas.shape == (48, 1)
-    flow2 = TorusFlow([GOLDEN_FREQ, 0.3])
-    thetas2 = sample_thetas(flow2, SamplingConfig(grid_per_dim=8, orbit_points=10))
-    assert thetas2.shape == (74, 2)
+    flow2 = TorusFlow([GOLDEN_FREQ, 0.3], SamplingConfig(grid_per_dim=8, orbit_points=10))
+    assert sample_thetas(flow2).shape == (74, 2)
 
 
 @pytest.mark.parametrize(
@@ -471,7 +469,7 @@ def test_invert_compact_open_continuity(golden_flow, origin, method):
     h, tol = 0.05, 1e-10
     for _ in range(20):
         spec = random_contraction_spec(rng, golden_flow, h=h)
-        est = spec.stability()
+        est = spec.stability
         S = spec.support
         yhat = random_history(rng, spec.m, h, 6.0)
         T = rng.uniform(S, 5.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,6 +357,32 @@ def test_pair_unordered_rejected(golden_flow, origin):
         run_ordered_pair(s1, origin, z0, z_bad, cfg)
 
 
+def test_unordered_pair_witness_is_where_the_margin_is_attained(golden_flow, origin):
+    # the transformed gap is 0.3 before -1.5, 1.0 up to -0.5 and 0.6 after:
+    # positive everywhere, and each step decays no faster than exp(-2 h)
+    # except the drop from 1.0 to 0.6, which ends at -0.48. The margin is
+    # that step's decay slack, so the witness is there, not at the least
+    # gap, which lies outside the cone window
+    from nfde_lab import UnorderedPairError
+
+    from .oracles import run_ordered_pair_direct
+
+    s1 = s1_system(golden_flow)
+    cone = ConeSpec(np.array([[-2.0]]), 1.0)
+    cfg = SimConfig(h=0.02, t_end=0.2, cone=cone)
+    k = np.arange(151)[:, None]  # rows back from time 0
+    gap = HistoryGrid(cfg.h, np.where(k < 25, 0.6, np.where(k <= 75, 1.0, 0.3)))
+    bump = invert_Dhat(s1.dspec, origin, gap, 1e-12)
+    z_x = constant_history([2.0], cfg.h, bump.horizon)
+    z_y = HistoryGrid(cfg.h, z_x.samples + bump.samples)
+    want = 0.6 - math.exp(-2.0 * cfg.h)
+    for runner in (run_ordered_pair, run_ordered_pair_direct):
+        with pytest.raises(UnorderedPairError) as err:
+            runner(s1, origin, z_x, z_y, cfg)
+        assert err.value.witness == (pytest.approx(-0.48, abs=1e-12), 0)
+        assert err.value.margin == pytest.approx(want, abs=1e-9)
+
+
 def test_covering_constant_equilibrium(golden_flow, origin):
     sys = const_c_system(golden_flow, c0=0.3)
     cfg = SimConfig(h=0.02, t_end=40.0, log_stride=5)
@@ -566,7 +594,7 @@ def _interp_bound(state) -> float:
         return 0.0
     W = int(np.ceil(steps.max())) + 4
     d4 = np.diff(state.X[state.k - W : state.k + 1], 4, axis=0)
-    return state.general.dspec.stability().k_bound * float(np.max(np.abs(d4)))
+    return state.general.dspec.stability.k_bound * float(np.max(np.abs(d4)))
 
 
 @pytest.mark.parametrize("kind", ["s1", "three_compartment", "density"])
@@ -744,6 +772,45 @@ def _plan_case(kind, phase, h):
     return sys, TorusPoint([phase]), h
 
 
+@pytest.mark.parametrize("block", [1, 8, 30, None])
+def test_plan_builds_only_the_runs_stages(block):
+    # 30 steps have 61 stages: the plan builds each once, however the
+    # blocks fall, and none past the run's end
+    from unittest import mock
+
+    from nfde_lab import integrator
+
+    sys, p0, h = _plan_case("three_compartment", 0.3, 0.05)
+    cfg = SimConfig(h=h, t_end=30 * h)
+    rows = []
+
+    class Counted(integrator._PlanBlock):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rows.append(self.theta.shape[0])
+
+    with mock.patch.object(integrator, "_PLAN_STEPS", block or integrator._PLAN_STEPS):
+        with mock.patch.object(integrator, "_PlanBlock", Counted):
+            run(sys, p0, _plan_history(sys, cfg, 0.2), cfg)
+    assert sum(rows) == 2 * cfg.nsteps + 1
+
+
+def test_state_stores_exactly_its_run(golden_flow, origin):
+    # the buffers hold the run's rows; a step past its end names the end and
+    # leaves the state as it was
+    cfg = SimConfig(h=0.05, t_end=0.5)
+    state = init_from_z(
+        s1_system(golden_flow), origin, _plan_history(s1_system(golden_flow), cfg, 0.2), cfg
+    )
+    assert state.Z.shape[0] == state.X.shape[0] == state.Jh + cfg.nsteps + 1
+    for _ in range(cfg.nsteps):
+        step(state)
+    Z = state.Z.copy()
+    with pytest.raises(HorizonError, match="t_end = 0.5"):
+        step(state)
+    assert state.k == state.Jh + cfg.nsteps and np.array_equal(state.Z, Z)
+
+
 def _plan_history(sys, cfg, amp):
     """A smooth initial history, different in each component, as long as
     the run needs."""
@@ -786,8 +853,8 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
     # stencils); a lag of h (s1_lag_h, density at h = 0.05) reads the newest
     # rows one-sided; phase_gain reads a phase-dependent gain at the
     # off-grid pipe lags 0.55 and 0.8; small blocks cross many block
-    # boundaries and cut read windows short; runs go past cfg.nsteps, which
-    # is 10. The rows not yet stored hold NaN at every query, so a window
+    # boundaries and cut read windows short, and the run's end cuts its last
+    # block short. The rows not yet stored hold NaN at every query, so a window
     # that reads one fails. constant_B inverts its constant B in the plan's
     # batch like a varying one, bit for bit with one inversion. multi_term's
     # two-term coefficients are compared within _STAGE_ULPS: their batched
@@ -800,7 +867,7 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
     from .oracles import stage_direct
 
     sys, p0, h = _plan_case(kind, phase, h)
-    cfg = SimConfig(h=h, t_end=10 * h)
+    cfg = SimConfig(h=h, t_end=steps * h)
     z0 = _plan_history(sys, cfg, amp)
 
     def stage(j, t_s):

@@ -9,7 +9,8 @@ is read by one rule, `history.cubic_stencil`, which a check here keeps the
 only user of the interpolation weights, and its stencils are summed in one
 place, `history.gather`. The operator's delayed part is laid out and summed
 in `d_operator` alone, which a check here keeps the only reader of the
-measure's atoms, density and midpoints."""
+measure's atoms, density and midpoints. The sampling plan rides on the
+flow, which a check here keeps the only way a plan reaches a sampled sup."""
 
 import ast
 import importlib
@@ -256,3 +257,39 @@ def test_one_delayed_part_and_one_gather():
     uses = sum(_names(tree).count("taps") for tree in trees.values())
     inside = _names(_function(trees["history.py"], "gather")).count("taps")
     assert inside >= 1 and uses == inside
+
+
+def _called(tree, name):
+    """The calls in a tree of a function or class by that name."""
+    return [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and (n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)) == name
+    ]
+
+
+def test_one_sampling_plan():
+    # base_flow defines the plan and cli parses it onto the flow; no other
+    # module builds one, sample_thetas reads the flow alone, and no frozen
+    # dataclass is written to after __post_init__ (a cache on one included)
+    src = ROOT / "src" / "nfde_lab"
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name not in ("base_flow.py", "cli.py"):
+            assert not _called(tree, "SamplingConfig"), f"{path.name} builds a SamplingConfig"
+        for call in _called(tree, "sample_thetas"):
+            assert len(call.args) + len(call.keywords) == 1, f"{path.name}:{call.lineno}"
+        setup = {
+            id(n)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+            for n in ast.walk(fn)
+        }
+        writes = [
+            call.lineno
+            for call in _called(tree, "__setattr__")
+            if isinstance(call.func.value, ast.Name) and call.func.value.id == "object"
+            and id(call) not in setup
+        ]
+        assert not writes, f"{path.name} sets attributes outside __post_init__ at {writes}"
