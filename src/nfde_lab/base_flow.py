@@ -36,6 +36,16 @@ def _frozen_array(values, dtype=float, ndim=None):
     return arr
 
 
+def _is_whole(n) -> bool:
+    """True for an int, a NumPy integer or a float with no fractional part;
+    False for a bool."""
+    if isinstance(n, bool):
+        return False
+    if isinstance(n, (float, np.floating)):
+        return float(n).is_integer()
+    return isinstance(n, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     """Phase-sampling plan: a uniform grid per torus dimension plus one orbit."""
@@ -45,6 +55,11 @@ class SamplingConfig:
     orbit_step: float = 0.37
 
     def __post_init__(self):
+        for name in ("grid_per_dim", "orbit_points"):
+            n = getattr(self, name)
+            if not _is_whole(n):
+                raise ValueError(f"{name} must be a whole number, got {n!r}")
+            object.__setattr__(self, name, int(n))
         if self.grid_per_dim < 1:
             raise ValueError("grid_per_dim must be >= 1")
         if self.orbit_points < 0:

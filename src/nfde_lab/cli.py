@@ -25,7 +25,7 @@ import sys as _sys
 
 import numpy as np
 
-from .base_flow import GOLDEN_FREQ, SamplingConfig, TorusFlow, TorusPoint, TrigPoly
+from .base_flow import GOLDEN_FREQ, SamplingConfig, TorusFlow, TorusPoint, TrigPoly, _is_whole
 from .compartment import (
     CONDITIONS,
     CompartmentalSystem,
@@ -117,6 +117,20 @@ def _finite(value, where: str, array: bool = False):
     if not np.all(np.isfinite(value)):
         raise ConfigError(f"{where}: expected finite numbers, got {value!r}")
     return value
+
+
+def _vector(value, where: str) -> np.ndarray:
+    """A flat list of finite numbers."""
+    v = _finite(value, where, array=True)
+    if v.ndim != 1:
+        raise ConfigError(f"{where}: expected a flat list of numbers, got {value!r}")
+    return v
+
+
+def _theta0(cfg: dict, flow) -> TorusPoint:
+    """The starting phase: a flat list of numbers, or one number."""
+    value = cfg.get("theta0", [0.0] * flow.dim)
+    return TorusPoint(_vector([value] if isinstance(value, (int, float)) else value, "theta0"))
 
 
 def _parse_poly(node, where: str) -> TrigPoly:
@@ -274,7 +288,7 @@ def _parse_cone(cfg: dict, m: int):
         return None
     node = _block(cfg, "cone", {})
     if "a_diag" in node:
-        A = np.diag(_finite(node["a_diag"], "cone.a_diag", array=True))
+        A = np.diag(_vector(node["a_diag"], "cone.a_diag"))
     elif "A" in node:
         A = _finite(node["A"], "cone.A", array=True)
     else:
@@ -360,8 +374,7 @@ def _materialize(cfg: dict, task: str) -> None:
 
 
 def _whole(value, where: str) -> int:
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole:
+    if not _is_whole(value):
         raise ConfigError(f"{where}: expected a whole number, got {value!r}")
     return int(value)
 
@@ -546,7 +559,7 @@ def _sim_setup(cfg):
     sim = _parse_sim(cfg, cone)
     need = required_z_horizon(sys_obj, sim) + 2 * sim.h
     z0 = _parse_history(_req(cfg, "z_init", "config"), "z_init", sys_obj.m, sim.h, need)
-    p0 = TorusPoint(_finite(cfg.get("theta0", [0.0] * flow.dim), "theta0", array=True))
+    p0 = _theta0(cfg, flow)
     return flow, sys_obj, sim, z0, p0
 
 
@@ -620,7 +633,7 @@ def cmd_invert(cfg: dict, outdir: str) -> int:
     yhat = _parse_history(
         node, "yhat", dspec.m, _YHAT_DEFAULTS["step"], _YHAT_DEFAULTS["horizon"]
     )
-    p0 = TorusPoint(_finite(cfg.get("theta0", [0.0] * flow.dim), "theta0", array=True))
+    p0 = _theta0(cfg, flow)
     x = invert_Dhat(dspec, p0, yhat, tol)
     export_csv(x, os.path.join(outdir, "result.csv"))
     back = eval_Dhat_segment(dspec, p0, x, yhat.J)
@@ -714,7 +727,7 @@ def main(argv=None) -> int:
     try:
         try:
             schema = int(cfg.get("schema", 1))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             schema = None
         if schema != 1:
             raise ConfigError(f"unsupported schema version {cfg.get('schema')!r}")

@@ -34,20 +34,19 @@ from .base_flow import (
     TorusFlow,
     TorusPoint,
     TrigPoly,
+    _is_whole,
     advance_many,
     derivative_along_flow_many,
     eval_trig_many,
     sample_thetas,
 )
-from .d_operator import (
-    AtomicMeasureFamily, DOperatorSpec, MeasureAtom, eval_D, identity_poly_matrix
-)
+from .d_operator import AtomicMeasureFamily, DOperatorSpec, MeasureAtom, identity_poly_matrix
 from .errors import (
     DimensionMismatchError,
     HorizonError,
     StructuralPreconditionError,
 )
-from .history import _EQ_TOL, _SNAP, _nodes, cubic_stencil, gather
+from .history import _EQ_TOL, _SNAP, HistoryGrid, _nodes, cubic_stencil, gather
 
 
 CONDITIONS = ("G3", "G4", "G5", "G8", "G9")
@@ -402,41 +401,18 @@ def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
     return np.array(terms.balance(terms.coeffs(p.theta[None, :])[0], zs))
 
 
-def _transit_integral(g, p, hist, tr, donor, r) -> float:
-    """Trapezoid of the in-transit rate over [-r, 0] at the history grid step."""
-    h = hist.step
-    Q = int(np.floor(r / h + _SNAP))
-    s = -h * np.arange(Q + 1)
-    thetas = advance_many(g.flow, p, s)
-    vals = tr.eval_at(thetas, hist.sample_many(s)[:, donor])
-    total = float(np.trapezoid(vals[::-1], dx=h)) if Q >= 1 else 0.0
-    rem = r - Q * h
-    if rem > _SNAP * max(1.0, r):
-        th_r = advance_many(g.flow, p, [-r])
-        f_r = float(tr.eval_at(th_r, hist.sample_at(-r)[donor])[0])
-        total += 0.5 * rem * (f_r + float(vals[-1]))
-    return total
-
-
-def total_mass(sys, p: TorusPoint, hist) -> float:
-    """Stored mass (sum of operator components) plus mass in transit."""
+def total_mass(sys, p: TorusPoint, hist: HistoryGrid) -> float:
+    """Stored mass (sum of operator components) plus mass in transit, read
+    from the newest W + 1 nodes of hist, W = `_mass_span`: one row of
+    `_total_mass_many`. A node past the grid takes hist's tail policy."""
     g = _general(sys)
-    maxlag = g.max_pipe_lag
-    if hasattr(hist, "horizon") and maxlag > hist.horizon + _SNAP:
+    if g.max_pipe_lag > hist.horizon + _SNAP:
         raise HorizonError(
-            f"history horizon {hist.horizon:.6g} does not cover pipe lag {maxlag:.6g}"
+            f"history horizon {hist.horizon:.6g} does not cover pipe lag {g.max_pipe_lag:.6g}"
         )
-    total = float(np.sum(eval_D(g.dspec, p, hist)))
-    for donor in range(g.m):
-        for dest in range(g.m):
-            tr = g.transports[dest][donor]
-            if tr.is_zero():
-                continue
-            for r, w in g.pipes[dest][donor].atoms:
-                if r <= _SNAP:
-                    continue
-                total += w * _transit_integral(g, p, hist, tr, donor, r)
-    return total
+    W = _mass_span(g, hist.step)
+    X = hist.sample_many(-hist.step * np.arange(W, -1, -1))
+    return float(_total_mass_many(g, p.theta, X, W, hist.step, np.array([W]))[0])
 
 
 def _mass_span(g, h: float) -> int:
@@ -461,22 +437,20 @@ def _read_back(X: np.ndarray, rows: np.ndarray, pos: np.ndarray, K: int) -> np.n
 def _total_mass_many(
     sys, theta0: np.ndarray, X: np.ndarray, Jh: int, h: float, rows: np.ndarray
 ) -> np.ndarray:
-    """`total_mass` at each of `rows` of a stored trajectory, in a few passes.
+    """Total mass at each of `rows` of a stored trajectory, in a few passes.
 
     X[j] holds z at time (j - Jh) h on the orbit from phase theta0. The mass
-    at row k reads the window X[k - W : k + 1] with the phases, stencils and
-    summation order of `total_mass` on that window as a HistoryGrid, so the
-    results agree bit for bit, with one exception: the in-transit rate at a
-    stored row takes its phase from theta0 directly rather than by stepping
-    back from the phase at k, so a phase-dependent gain on a lagged pipe
-    agrees to rounding only.
+    at row k is the sum of the operator's components plus, per lagged pipe,
+    the trapezoid of its in-transit rate over the lag, all read from the
+    window X[k - W : k + 1], W = `_mass_span`, through that window's clipped
+    cubic stencils. The rate at a stored row takes its phase from theta0.
     """
     g = _general(sys)
     spec = g.dspec
     freqs = g.flow.freqs
     W = _mass_span(g, h)
     pos_D = -spec.offsets / h
-    pipes = []  # (donor, transport, [(r, w, Q, remainder or None)]) in total_mass's order
+    pipes = []  # (donor, transport, [(r, w, Q, remainder or None)]) in summation order
     for donor in range(g.m):
         for dest in range(g.m):
             tr = g.transports[dest][donor]
@@ -660,10 +634,7 @@ def _prepare(sys: NeutralDiagSystem, cond: str, thetas: np.ndarray, n_check) -> 
     """
     if cond not in CONDITIONS:
         raise ValueError(f"unknown condition {cond!r}")
-    whole = isinstance(n_check, (int, np.integer)) or (
-        isinstance(n_check, (float, np.floating)) and float(n_check).is_integer()
-    )
-    if isinstance(n_check, bool) or not whole or n_check < 0:
+    if not _is_whole(n_check) or n_check < 0:
         raise ValueError(f"n_check must be a whole number >= 0, got {n_check!r}")
     active = [i for i in range(sys.m) if not sys.c[i].is_zero()]
     for i in active:
@@ -994,6 +965,7 @@ def suggest_a(
         k = np.nonzero(vals >= np.max(vals) - _EQ_TOL)[0][-1]  # ties toward zero
         best[i] = float(cand[k])
         entries[i] = _one_rate(entry, k)
+        del entry  # free its (rates, phases) arrays before the next component is scanned
     return SuggestAReport(
         a=best,
         trials=trial_a,

@@ -29,10 +29,14 @@ and z is one product per component, which rounds as NumPy does; any other
 B keeps all of B^-1, and z sums each row left to right, not in the order
 BLAS sums it.
 
-The log is read off the stored X and Z after the run, with masses from
-vectorised passes (`_total_mass_many`) and pair monitors from running and
-windowed minima; each value is the one computed at its log point while
-stepping, bit for bit apart from the rounding `_total_mass_many` states.
+The log is read off the stored X and Z after the run: masses from
+vectorised passes of `_total_mass_many`, the one mass kernel, which
+`total_mass` calls too, and pair monitors from running and windowed minima
+of the decay slack that `ordering` defines with the cone margin. Each value
+is the one computed at its log point while stepping, bit for bit, except
+that the mass reads a lagged phase-dependent gain at a phase taken from the
+start directly, not stepped back from the log point, which may round
+differently.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from .history import (
     resample,
     write_csv,
 )
-from .ordering import ConeSpec, matrix_exp
+from .ordering import ConeSpec, _decay_slack, _end_margin, _window, matrix_exp
 
 
 @dataclass
@@ -431,19 +435,6 @@ def _window_min(a: np.ndarray, width: int, ends: np.ndarray) -> np.ndarray:
     return np.where(starts <= 0, pre[ends], np.minimum(suf[np.maximum(starts, 0)], pre[ends]))
 
 
-def _cone_window(V: np.ndarray, cone: ConeSpec, h: float) -> int:
-    """Steps of the cone window over the rows of V."""
-    return V.shape[0] if cone.infinite else int(math.floor(cone.horizon / h + _SNAP))
-
-
-def _decay_slack(V: np.ndarray, expAh: np.ndarray) -> np.ndarray:
-    """v(j) - exp(A h) v(j - 1) per row j and component; +inf at row 0,
-    where no step ends."""
-    slack = np.full(V.shape, np.inf)
-    slack[1:] = V[1:] - V[:-1] @ expAh.T
-    return slack
-
-
 def _cone_margins(V: np.ndarray, cone: ConeSpec, expAh: np.ndarray, h: float, rows) -> np.ndarray:
     """Raw cone margin of the transformed gap V = Zy - Zx at each of rows.
 
@@ -453,20 +444,10 @@ def _cone_margins(V: np.ndarray, cone: ConeSpec, expAh: np.ndarray, h: float, ro
     """
     rows = np.asarray(rows)
     sign = np.minimum.accumulate(np.min(V, axis=1))[rows]
-    W = _cone_window(V, cone, h)
+    W = _window(V.shape[0], cone, h)
     if W == 0:
         return sign
     return np.minimum(sign, _window_min(np.min(_decay_slack(V, expAh), axis=1), W, rows))
-
-
-def _margin_witness(V: np.ndarray, cone: ConeSpec, expAh: np.ndarray, h: float) -> tuple:
-    """(row, component) of V where the cone margin at its last row is
-    attained: the least decay slack in the window if it is below the least
-    entry of V, else that entry."""
-    slack = _decay_slack(V, expAh)
-    slack[: max(V.shape[0] - _cone_window(V, cone, h), 0)] = np.inf
-    worst = slack if np.min(slack) < np.min(V) else V
-    return np.unravel_index(int(np.argmin(worst)), V.shape)
 
 
 def _run(state: SimState) -> TrajectoryLog:
@@ -542,10 +523,9 @@ def run_ordered_pair(
     lifts = [_lift(general, p0, z, cfg, J) for z in (z_x, z_y)]
     (_, zhat_x), (_, zhat_y) = lifts
     v0 = zhat_y.samples[::-1] - zhat_x.samples[::-1]
-    margin0 = float(_cone_margins(v0, cone, expAh, cfg.h, [J])[0])
+    margin0, j, c, _ = _end_margin(v0, cone, expAh, cfg.h)
     if margin0 < -cfg.tol_cone:
-        j, c = _margin_witness(v0, cone, expAh, cfg.h)
-        raise UnorderedPairError(((int(j) - J) * cfg.h, int(c)), margin0)
+        raise UnorderedPairError(((j - J) * cfg.h, c), margin0)
     delays = _Delays(general, cfg.h)
     lx, ly = [_run(_start(general, p0, cfg, delays, *lift)) for lift in lifts]
     sx, sy = lx.final_state, ly.final_state

@@ -6,6 +6,12 @@ v(t) >= exp(A (t - s)) v(s) for s <= t inside the horizon. Because
 exp(A h) is entrywise nonnegative, checking consecutive grid nodes chains
 to every node pair, so membership on a grid costs O(J).
 
+The cone margin of a gap history is defined here once, on rows oldest
+first (`_end_margin`): the least gap or, if lower, the least decay slack
+v(j) - exp(A h) v(j - 1) over the steps of the cone window, witnessed at
+the oldest row where it is attained. `cone_membership` reads it at the
+newest node, and the integrator's pair monitor at every logged row.
+
 With the infinite horizon the matrix must additionally be Hurwitz; this is
 verified exactly for triangular matrices and by the Gershgorin row test
 otherwise, unless the caller explicitly vouches for it.
@@ -165,36 +171,31 @@ class OrderReport:
     witness: Optional[tuple]
 
 
-def _raw_cone_margin(v: np.ndarray, cone: ConeSpec, step: float):
-    """Smallest slack over the sign check and the consecutive-pair checks."""
-    J = v.shape[0] - 1
-    expAh = matrix_exp(cone.A, step)
-    idx_flat = int(np.argmin(v))
-    j_a, c_a = divmod(idx_flat, v.shape[1])
-    best = float(v[j_a, c_a])
-    witness = (-j_a * step, -j_a * step, c_a)
-    if cone.infinite:
-        npairs = J
-    else:
-        npairs = min(J, int(np.floor(cone.horizon / step + _SNAP)))
-    if npairs >= 1:
-        newer = v[:npairs]
-        older = v[1 : npairs + 1]
-        slack = newer - older @ expAh.T
-        idx = int(np.argmin(slack))
-        jp, cp = divmod(idx, v.shape[1])
-        worst = float(slack[jp, cp])
-        if worst < best:
-            best = worst
-            witness = (-(jp + 1) * step, -jp * step, cp)
-    if cone.infinite:
-        # constant tail: one self-pair certifies every pair reaching into it
-        tail_slack = v[J] - expAh @ v[J]
-        worst = float(np.min(tail_slack))
-        if worst < best:
-            best = worst
-            witness = (-math.inf, -J * step, int(np.argmin(tail_slack)))
-    return best, witness
+def _window(n: int, cone: ConeSpec, h: float) -> int:
+    """Steps of the cone window over n rows."""
+    return n if cone.infinite else int(math.floor(cone.horizon / h + _SNAP))
+
+
+def _decay_slack(V: np.ndarray, expAh: np.ndarray) -> np.ndarray:
+    """v(j) - exp(A h) v(j - 1) per row j (oldest first) and component;
+    +inf at row 0, where no step ends."""
+    slack = np.full(V.shape, np.inf)
+    slack[1:] = V[1:] - V[:-1] @ expAh.T
+    return slack
+
+
+def _end_margin(V: np.ndarray, cone: ConeSpec, expAh: np.ndarray, h: float) -> tuple:
+    """Raw cone margin at the last row of V, rows oldest first: the least
+    entry of V or, if lower, the least decay slack over the steps of the
+    cone window ending there. Returns (margin, row, component, from_step),
+    where the margin is attained at its oldest row; from_step tells that
+    it is the slack of the step from row - 1 to row."""
+    slack = _decay_slack(V, expAh)
+    slack[: max(V.shape[0] - _window(V.shape[0], cone, h), 0)] = np.inf
+    from_step = bool(np.min(slack) < np.min(V))
+    worst = slack if from_step else V
+    row, comp = divmod(int(np.argmin(worst)), V.shape[1])
+    return float(worst[row, comp]), row, comp, from_step
 
 
 def cone_membership(
@@ -215,8 +216,18 @@ def cone_membership(
         raise HorizonError(
             f"grid horizon {x.horizon:.6g} does not cover cone horizon {cone.horizon:.6g}"
         )
-    v = y.samples - x.samples
-    raw, witness = _raw_cone_margin(v, cone, x.step)
+    h = x.step
+    V = y.samples[::-1] - x.samples[::-1]  # oldest first
+    expAh = matrix_exp(cone.A, h)
+    raw, row, comp, from_step = _end_margin(V, cone, expAh, h)
+    j = x.J - row  # nodes back from the newest
+    witness = (-(j + 1) * h if from_step else -j * h, -j * h, comp)
+    if cone.infinite:
+        # constant tail: one self-pair certifies every pair reaching into it
+        tail = V[0] - expAh @ V[0]
+        if np.min(tail) < raw:
+            raw = float(np.min(tail))
+            witness = (-math.inf, -x.J * h, int(np.argmin(tail)))
     return OrderReport(raw >= -tol_cone, min(0.0, raw), witness)
 
 

@@ -12,10 +12,13 @@ one coefficient at a time, where `eval_F` sums one row of the system's
 coefficient table.
 `comparison_upper_rows_direct` exponentiates the block matrix
 afresh at every node with SciPy, where `make_comparison_upper` walks the
-nodes by the semigroup from two NumPy exponentials. `run_direct` and
-`run_ordered_pair_direct` log while they step, one point at a time through
-a HistoryGrid window and `total_mass`, where `run` and `run_ordered_pair`
-derive the log from the stored buffers after the run.
+nodes by the semigroup from two NumPy exponentials. `total_mass_direct` sums
+the operator through `eval_D` and walks the pipes one at a time over a
+HistoryGrid, where `total_mass` is one row of `_total_mass_many`, the
+stored-row pass the log reads. `run_direct` and `run_ordered_pair_direct`
+log while they step, one point at a time through a HistoryGrid window and
+`total_mass_direct`, where `run` and `run_ordered_pair` derive the log from
+the stored buffers after the run.
 `component_margins_direct` and `g4_component_direct` evaluate the condition
 margins at one rate a_i, with the G4 sequences held as full
 (n_check+1, n) arrays and reduced with prefix and suffix minima, where
@@ -37,8 +40,8 @@ import scipy.linalg
 
 from nfde_lab import NeutralDiagSystem, TorusPoint, advance, eval_trig
 from nfde_lab.base_flow import advance_many, eval_trig_many
-from nfde_lab.compartment import _general, _nmin, total_mass
-from nfde_lab.d_operator import _batch_inverse, eval_poly_matrix_many
+from nfde_lab.compartment import _general, _nmin
+from nfde_lab.d_operator import _batch_inverse, eval_D, eval_poly_matrix_many
 from nfde_lab.errors import (
     DimensionMismatchError,
     DivergenceError,
@@ -458,8 +461,41 @@ def comparison_upper_rows_direct(cone, m: int, step: float, horizon: float) -> n
     return rows
 
 
+def _transit_integral(g, p, hist, tr, donor, r) -> float:
+    """Trapezoid of the in-transit rate over [-r, 0] at the history grid step."""
+    h = hist.step
+    Q = int(np.floor(r / h + _SNAP))
+    s = -h * np.arange(Q + 1)
+    thetas = advance_many(g.flow, p, s)
+    vals = tr.eval_at(thetas, hist.sample_many(s)[:, donor])
+    total = float(np.trapezoid(vals[::-1], dx=h)) if Q >= 1 else 0.0
+    rem = r - Q * h
+    if rem > _SNAP * max(1.0, r):
+        th_r = advance_many(g.flow, p, [-r])
+        f_r = float(tr.eval_at(th_r, hist.sample_at(-r)[donor])[0])
+        total += 0.5 * rem * (f_r + float(vals[-1]))
+    return total
+
+
+def total_mass_direct(sys, p: TorusPoint, hist) -> float:
+    """Stored mass through `eval_D` plus each lagged pipe's transit integral,
+    one pipe at a time, read from the whole of hist."""
+    g = _general(sys)
+    total = float(np.sum(eval_D(g.dspec, p, hist)))
+    for donor in range(g.m):
+        for dest in range(g.m):
+            tr = g.transports[dest][donor]
+            if tr.is_zero():
+                continue
+            for r, w in g.pipes[dest][donor].atoms:
+                if r <= _SNAP:
+                    continue
+                total += w * _transit_integral(g, p, hist, tr, donor, r)
+    return total
+
+
 def mass_window(state) -> HistoryGrid:
-    """Stored z over the window total_mass reads, newest row first."""
+    """Stored z over the window the total mass reads, newest row first."""
     general = state.general
     wlen = max(general.max_pipe_lag, general.dspec.support, state.h)
     W = _nodes(wlen, state.h)
@@ -467,7 +503,7 @@ def mass_window(state) -> HistoryGrid:
 
 
 def run_direct(sys, p0: TorusPoint, z_hist, cfg) -> TrajectoryLog:
-    """`run` logging while it steps: one mass window and total_mass per point."""
+    """`run` logging while it steps: one mass window and total_mass_direct per point."""
     state = init_from_z(sys, p0, z_hist, cfg)
     nsteps = cfg.nsteps
     ts, zs, zhs, Ms = [], [], [], []
@@ -478,7 +514,7 @@ def run_direct(sys, p0: TorusPoint, z_hist, cfg) -> TrajectoryLog:
         zhs.append(state.Z[state.k].copy())
         win = mass_window(state)
         zs.append(win.samples[0].copy())
-        Ms.append(total_mass(state.general, point_at(state, t), win))
+        Ms.append(total_mass_direct(state.general, point_at(state, t), win))
 
     log_now()
     for k in range(1, nsteps + 1):
@@ -556,8 +592,8 @@ def run_ordered_pair_direct(sys, p0: TorusPoint, z_x, z_y, cfg) -> PairLog:
         zx.append(wx.samples[0].copy())
         zy.append(wy.samples[0].copy())
         p_t = point_at(sx, t)
-        mx.append(total_mass(general, p_t, wx))
-        my.append(total_mass(general, p_t, wy))
+        mx.append(total_mass_direct(general, p_t, wx))
+        my.append(total_mass_direct(general, p_t, wy))
         supz.append(float(np.max(np.abs(wy.samples - wx.samples))))
         margins.append(pair_margin(sx, sy, cone, expAh, run_min_a))
 

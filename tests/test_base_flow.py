@@ -14,7 +14,7 @@ from nfde_lab import (
     eval_trig,
     torus_distance,
 )
-from nfde_lab.base_flow import advance_many, eval_trig_many
+from nfde_lab.base_flow import SamplingConfig, advance_many, eval_trig_many
 
 
 def test_advance_identity():
@@ -143,3 +143,18 @@ def test_torus_distance_wraps():
     a = TorusPoint([0.95, 0.1])
     b = TorusPoint([0.05, 0.2])
     assert torus_distance(a, b) == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{"grid_per_dim": 2.5}, {"orbit_points": 1.5}, {"grid_per_dim": True}, {"orbit_points": "4"}],
+)
+def test_sampling_counts_must_be_whole(counts):
+    # a fractional grid count would space the grid unevenly on [0, 1)
+    with pytest.raises(ValueError, match="whole number"):
+        SamplingConfig(**counts)
+
+
+def test_sampling_counts_keep_whole_floats_as_ints():
+    plan = SamplingConfig(grid_per_dim=3.0, orbit_points=np.int64(4))
+    assert plan == SamplingConfig(3, 4) and type(plan.grid_per_dim) is int

@@ -869,6 +869,11 @@ EXIT_TWO = {
         _with(SIM_CFG, "sampling.grid_per_dim", 2.5),
         "sampling.grid_per_dim",
     ),
+    # a schema no int holds, and a phase or cone diagonal that is not a flat list
+    "schema-inf": ("simulate", _with(SIM_CFG, "schema", INF), "schema"),
+    "theta0-nested": ("simulate", _with(SIM_CFG, "theta0", [[0.1]]), "theta0"),
+    "cone.a_diag-scalar": ("pair", _with(PAIR_CFG, "cone.a_diag", -2.0), "cone.a_diag"),
+    "cone.a_diag-nested": ("pair", _with(PAIR_CFG, "cone.a_diag", [[-2.0]]), "cone.a_diag"),
 }
 
 

@@ -34,11 +34,18 @@ from nfde_lab import (
 )
 from nfde_lab import cli, compartment
 from nfde_lab.base_flow import derivative_along_flow_many, eval_trig_many, sample_thetas
-from nfde_lab.compartment import _component_margins, _Precomp, condition_margins
-from nfde_lab.d_operator import identity_poly_matrix
+from nfde_lab.compartment import _component_margins, _mass_span, _Precomp, condition_margins
+from nfde_lab.d_operator import MeasureAtom, MeasureDensity, identity_poly_matrix
+from nfde_lab.history import TailPolicy
 
 from .conftest import const_c_system, s1_system
-from .oracles import c_product, component_margins_direct, lipschitz_bounds, pq_sequence
+from .oracles import (
+    c_product,
+    component_margins_direct,
+    lipschitz_bounds,
+    pq_sequence,
+    total_mass_direct,
+)
 
 
 def open_scalar_system(flow, inflow=0.0, outflow_gain=0.0):
@@ -174,6 +181,82 @@ def test_total_mass_linear_for_identity_shapes(golden_flow, origin):
     lhs = total_mass(sys, origin, combo)
     rhs = 2.0 * total_mass(sys, origin, a) + 0.5 * total_mass(sys, origin, b)
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def _random_mass_case(rng, flow):
+    """A network with off-node atom, density and pipe lags, random gains
+    and shapes, and a history of random length and tail policy. Returns
+    (system, history, whether a lagged pipe has a phase-dependent gain)."""
+    h = float(rng.choice([0.05, 0.1]))
+    m = int(rng.integers(1, 4))
+
+    def poly(c, vary):
+        return TrigPoly.from_terms(c, [([1], 0.0, 0.5 * c)]) if vary else TrigPoly.const(c)
+
+    atoms = tuple(
+        MeasureAtom(
+            h * (int(rng.integers(1, 15)) + float(rng.uniform(0.05, 0.95))),
+            [[poly(float(rng.uniform(-0.1, 0.1)), rng.random() < 0.5) for _ in range(m)]
+             for _ in range(m)],
+        )
+        for _ in range(int(rng.integers(1, 3)))
+    )
+    density = None
+    if rng.random() < 0.3:
+        density = MeasureDensity(rng.uniform(-0.05, 0.05, size=(4, m, m)), 1.5 * h)
+    shapes = [ShapeFn.identity(), ShapeFn.saturate(), ShapeFn.sine_bend(0.3)]
+    transports, pipes, lagged_phase = [], [], False
+    for _ in range(m):
+        trow, prow = [], []
+        for _ in range(m):
+            if rng.random() < 0.3:
+                trow.append(TransportSpec.zero())
+                prow.append(PipeSpec.instant())
+                continue
+            vary = rng.random() < 0.4
+            gain = poly(float(rng.uniform(0.2, 1.5)), vary)
+            trow.append(TransportSpec(gain, shapes[int(rng.integers(3))]))
+            n = int(rng.integers(1, 3))
+            lags = [
+                0.0 if rng.random() < 0.2 else h * (int(rng.integers(0, 12)) + float(rng.random()))
+                for _ in range(n)
+            ]
+            prow.append(PipeSpec(tuple(zip(lags, rng.dirichlet(np.ones(n))))))
+            lagged_phase |= vary and max(lags) > 0.0
+        transports.append(tuple(trow))
+        pipes.append(tuple(prow))
+    dspec = DOperatorSpec(m, identity_poly_matrix(m), AtomicMeasureFamily(atoms, density), flow)
+    sys = CompartmentalSystem(
+        m=m,
+        transports=tuple(transports),
+        outflows=(TransportSpec.zero(),) * m,
+        inflows=(TrigPoly.const(0.0),) * m,
+        pipes=tuple(pipes),
+        dspec=dspec,
+        flow=flow,
+    )
+    W = _mass_span(sys, h)
+    J = int(rng.integers(max(int(np.ceil(sys.max_pipe_lag / h - 1e-9)), 1), W + 8))
+    tail = TailPolicy.ZERO if rng.random() < 0.5 else TailPolicy.CONSTANT
+    return sys, HistoryGrid(h, rng.normal(size=(J + 1, m)), tail), lagged_phase
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_total_mass_matches_direct_on_its_window(golden_flow, seed):
+    # total_mass reads the newest W + 1 nodes, padded by the tail policy;
+    # the per-pipe oracle on that window as a HistoryGrid must agree bit for
+    # bit, except for the phase of a lagged phase-dependent gain
+    rng = np.random.default_rng(seed)
+    sys, hist, lagged_phase = _random_mass_case(rng, golden_flow)
+    p = TorusPoint([rng.random()])
+    W = _mass_span(sys, hist.step)
+    window = HistoryGrid(hist.step, hist.sample_many(-hist.step * np.arange(W + 1)), hist.tail)
+    got = total_mass(sys, p, hist)
+    want = total_mass_direct(sys, p, window)
+    if lagged_phase:
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+    else:
+        assert got == want
 
 
 def test_lipschitz_bounds_linear(golden_flow, origin):

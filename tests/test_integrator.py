@@ -383,6 +383,21 @@ def test_unordered_pair_witness_is_where_the_margin_is_attained(golden_flow, ori
         assert err.value.margin == pytest.approx(want, abs=1e-9)
 
 
+def test_unordered_pair_witness_is_the_oldest_row_on_ties(golden_flow, origin):
+    # D is the identity, so the transformed gap is -0.5 at every node back to
+    # -1.0; each step's slack -0.5 (1 - exp(-2 h)) is above it, so the margin
+    # is the sign part, attained at every node, and the witness the oldest
+    from nfde_lab import UnorderedPairError
+
+    sys = open_scalar_system(golden_flow)
+    cfg = SimConfig(h=0.02, t_end=0.2, cone=ConeSpec(np.array([[-2.0]]), 1.0))
+    z_x = constant_history([1.0], cfg.h, 1.0)
+    z_y = constant_history([0.5], cfg.h, 1.0)
+    with pytest.raises(UnorderedPairError) as err:
+        run_ordered_pair(sys, origin, z_x, z_y, cfg)
+    assert (err.value.witness, err.value.margin) == ((-50 * cfg.h, 0), -0.5)
+
+
 def test_covering_constant_equilibrium(golden_flow, origin):
     sys = const_c_system(golden_flow, c0=0.3)
     cfg = SimConfig(h=0.02, t_end=40.0, log_stride=5)

@@ -17,6 +17,7 @@ from nfde_lab import (
     matrix_exp,
     transformed_cone_membership,
 )
+from nfde_lab.integrator import _cone_margins
 from nfde_lab.ordering import _expm
 from .conftest import scalar_dspec
 from .oracles import comparison_upper_rows_direct
@@ -179,6 +180,38 @@ def test_fast_agrees_with_brute_force():
         brute = brute_membership(x, y, cone, 1e-9)
         disagreements += fast != brute
     assert disagreements == 0
+
+
+def test_membership_margin_is_the_pair_monitor_at_the_last_row():
+    # one cone margin: on a finite horizon, cone_membership reports the
+    # pair monitor's margin at the newest row of the same gaps, bit for bit
+    rng = np.random.default_rng(21)
+    J, h = 40, 0.05
+    for _ in range(40):
+        m = int(rng.integers(1, 4))
+        A = random_quasipositive(rng, m)
+        cone = ConeSpec(A, float(rng.uniform(0.1, J * h)))
+        x = HistoryGrid(h, rng.normal(size=(J + 1, m)))
+        y = HistoryGrid(h, x.samples + rng.normal(0.5, 1.0, size=(J + 1, m)))
+        V = y.samples[::-1] - x.samples[::-1]
+        last = _cone_margins(V, cone, matrix_exp(A, h), h, [J])[0]
+        assert cone_membership(x, y, cone).min_margin == min(0.0, last)
+
+
+def test_membership_witness_is_the_oldest_row_on_ties():
+    h = 0.1
+    # exp(A h) = 1, so a step's slack is the newer gap minus the older; the
+    # steps from -h to 0 and from -3h to -2h both drop by 1
+    cone = ConeSpec(np.array([[0.0]]), 0.4)
+    zero = constant_history([0.0], h, 0.4)
+    y = HistoryGrid(h, [[0.0], [1.0], [0.0], [1.0], [0.0]])
+    rep = cone_membership(zero, y, cone)
+    assert (rep.min_margin, rep.witness) == (-1.0, (-3 * h, -2 * h, 0))
+    # a constant gap of -0.5 decays slower than exp(-h), so the sign part
+    # is the margin, attained at every node
+    cone = ConeSpec(np.array([[-1.0]]), 0.4)
+    rep = cone_membership(constant_history([0.5], h, 0.4), zero, cone)
+    assert (rep.min_margin, rep.witness) == (-0.5, (-4 * h, -4 * h, 0))
 
 
 def test_smooth_criterion_equivalence_diagonal():

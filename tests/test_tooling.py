@@ -293,3 +293,23 @@ def test_one_sampling_plan():
             and id(call) not in setup
         ]
         assert not writes, f"{path.name} sets attributes outside __post_init__ at {writes}"
+
+
+def test_one_mass_kernel_and_one_cone_margin():
+    # compartment._total_mass_many is the one mass kernel: it alone calls
+    # np.trapezoid in src/. ordering alone defines the decay slack, and the
+    # per-pipe walker and the integrator's copies of the margin are gone
+    src = ROOT / "src" / "nfde_lab"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    uses = sum(len(_called(tree, "trapezoid")) for tree in trees.values())
+    inside = len(_called(_function(trees["compartment.py"], "_total_mass_many"), "trapezoid"))
+    assert inside >= 1 and uses == inside
+    defs = [
+        (name, n.name)
+        for name, tree in trees.items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef)
+    ]
+    assert [name for name, fn in defs if fn == "_decay_slack"] == ["ordering.py"]
+    gone = {"_transit_integral", "_margin_witness", "_cone_window"}
+    assert not [(name, fn) for name, fn in defs if fn in gone]
