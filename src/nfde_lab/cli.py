@@ -81,6 +81,22 @@ EXIT_DIVERGED = 5
 
 # --- config parsing ---------------------------------------------------------
 
+# Cap on the numbers in one array (800 MB): stored rows x m of a run or a
+# history, sampled phases x m^2. Checked before anything is allocated.
+MAX_CELLS = 10**8
+
+
+def _bounded(read, test, want: str):
+    """A reader: `read`, then reject what `test` fails as not `want`."""
+
+    def checked(value, where: str):
+        x = read(value, where)
+        if not test(x):
+            raise ConfigError(f"{where}: expected {want}, got {value!r}")
+        return x
+
+    return checked
+
 
 def _req(node: dict, key: str, where: str):
     if not isinstance(node, dict):
@@ -90,25 +106,25 @@ def _req(node: dict, key: str, where: str):
     return node[key]
 
 
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a list, got {value!r}")
-    return value
-
-
-def _flag(value, where: str) -> bool:
-    """A JSON true or false; a string such as "false" is not read as a truth value."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true or false, got {value!r}")
-    return value
+_list = _bounded(lambda v, where: v, lambda v: isinstance(v, list), "a list")
+# JSON true or false; the string "false" is not a truth value
+_flag = _bounded(lambda v, where: v, lambda v: isinstance(v, bool), "true or false")
 
 
 def _num(value, where: str, array: bool = False):
-    """value as a float, or as a float array when array is set."""
+    """value as a float, or as a float array when array is set. JSON true,
+    false and strings are not numbers."""
+    def number(v):
+        if array and isinstance(v, list):
+            return all(number(x) for x in v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
     try:
-        return np.asarray(value, dtype=float) if array else float(value)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from e
+        if number(value):
+            return np.asarray(value, dtype=float) if array else float(value)
+    except (ValueError, OverflowError):  # a ragged list, or an integer no float holds
+        pass
+    raise ConfigError(f"{where}: expected a number, got {value!r}")
 
 
 def _finite(value, where: str, array: bool = False):
@@ -119,18 +135,160 @@ def _finite(value, where: str, array: bool = False):
     return value
 
 
-def _vector(value, where: str) -> np.ndarray:
-    """A flat list of finite numbers."""
-    v = _finite(value, where, array=True)
-    if v.ndim != 1:
-        raise ConfigError(f"{where}: expected a flat list of numbers, got {value!r}")
-    return v
+def _array(value, where: str) -> np.ndarray:
+    return _finite(value, where, array=True)
 
 
-def _theta0(cfg: dict, flow) -> TorusPoint:
-    """The starting phase: a flat list of numbers, or one number."""
-    value = cfg.get("theta0", [0.0] * flow.dim)
-    return TorusPoint(_vector([value] if isinstance(value, (int, float)) else value, "theta0"))
+_vector = _bounded(_array, lambda v: v.ndim == 1, "a flat list of numbers")
+
+
+def _whole(value, where: str) -> int:
+    if not _is_whole(value) or abs(value) > 2**53:  # past 2**53 floats skip integers
+        raise ConfigError(f"{where}: expected a whole number, got {value!r}")
+    return int(value)
+
+
+def _fits(cells, key: str) -> None:
+    """Reject an array of more than MAX_CELLS numbers, naming key."""
+    if cells > MAX_CELLS:
+        n = float(cells) if cells < 1e300 else math.inf
+        size = f"{n:.3g} numbers ({n * 8 / 2**30:.3g} GiB)"
+        raise ConfigError(f"{key}: one array would hold {size}, over the cap of {MAX_CELLS:.0e}")
+
+
+def _optional(read):
+    """read, also taking null, as None."""
+    return lambda value, where: None if value is None else read(value, where)
+
+
+# Readers: a JSON value and its dotted key in, the value checked and parsed out.
+_positive = _bounded(_num, lambda x: 0 < x < math.inf, "a finite number > 0")
+_above_zero = _bounded(_num, lambda x: x > 0, "a number > 0")
+_not_negative = _bounded(_num, lambda x: x >= 0, "a number >= 0")
+_count = _bounded(_whole, lambda n: n >= 0, "a whole number >= 0")
+_count1 = _bounded(_whole, lambda n: n >= 1, "a whole number >= 1")
+_schema = _bounded(_whole, lambda n: n == 1, "version 1")
+_conditions = _bounded(
+    _list, lambda c: c and all(x in CONDITIONS for x in c), f"a list of {'/'.join(CONDITIONS)}"
+)
+_rates = _bounded(  # one rate, or a nonempty flat list of them
+    lambda v, where: np.atleast_1d(_num(v, where, array=True)),
+    lambda a: a.ndim == 1 and a.size > 0 and np.all(np.isfinite(a)) and np.all(a <= 0),
+    "a nonempty list of finite rates <= 0",
+)
+
+
+def _point(value, where: str) -> np.ndarray:
+    """A flat list of finite numbers, or one number."""
+    return _vector(value if isinstance(value, list) else [value], where)
+
+
+def _numbers(value, where: str) -> list:
+    return [_finite(v, where) for v in _list(value, where)]
+
+
+_NONE = object()  # no default: the task's own, or none
+
+# block -> key -> (reader, default) for each key outside the system and the
+# history formulas ("" is the top level; README lists it). Only the top level
+# and the histories, whose keys depend on their kind, take other keys.
+_TABLE = {
+    "": {"schema": (_schema, 1), "theta0": (_point, _NONE)},
+    "sim": {
+        "h": (_positive, 0.01),
+        "t_end": (_positive, 10.0),
+        "inv_tol": (_positive, 1e-8),
+        "n_trunc": (_optional(_count), SimConfig.n_trunc),
+        "log_stride": (_count1, SimConfig.log_stride),
+        "tol_cone": (_not_negative, SimConfig.tol_cone),
+        "divergence_limit": (_above_zero, SimConfig.divergence_limit),
+    },
+    "sampling": {
+        "grid_per_dim": (_count1, SamplingConfig.grid_per_dim),
+        "orbit_points": (_count, SamplingConfig.orbit_points),
+        "orbit_step": (_finite, SamplingConfig.orbit_step),
+    },
+    "flow": {"freqs": (_point, [GOLDEN_FREQ])},
+    "check": {
+        "conditions": (_conditions, ["G5"]),
+        "a": (lambda v, w: v if v == "auto" else _rates(v, w), "auto"),
+        "trial_a": (_optional(_rates), _NONE),
+    },
+    "covering": {
+        "return_tols": (_numbers, [0.1, 0.03, 0.01]),
+        "window": (_finite, 50.0),
+        "t_min": (_finite, 0.0),
+    },
+    "cone": {
+        "a_diag": (_vector, _NONE),
+        "A": (_array, _NONE),
+        "horizon": (lambda v, w: math.inf if v in ("inf", None) else _above_zero(v, w), "inf"),
+        "assume_hurwitz": (_flag, False),
+    },
+    "thresholds": {
+        "mass_residual": (_optional(_finite), _NONE),
+        "cone_margin": (_optional(_finite), _NONE),
+    },
+    "z_init": {"step": (_positive, _NONE), "horizon": (_positive, _NONE)},
+    "z_init_y": {"step": (_positive, _NONE), "horizon": (_positive, _NONE), "lam": (_finite, 0.1)},
+    "yhat": {"step": (_positive, 0.05), "horizon": (_positive, 40.0)},
+}
+_OPEN = ("", "z_init", "z_init_y", "yhat")
+
+
+def _shown(name: str, task: str, node: dict) -> bool:
+    """Whether the echo fills in the defaults of block `name` for this task
+    (a csv yhat brings its own grid)."""
+    kind = node.get("kind")
+    return {
+        "check": task == "check",
+        "covering": task == "covering",
+        "yhat": task == "invert" and kind in ("constant", "sinusoid"),
+        "z_init_y": task == "pair" and kind == "ordered_offset",
+    }.get(name, name in ("", "sim", "sampling", "flow"))
+
+
+def _materialize(cfg: dict, task: str) -> dict:
+    """Read every key of _TABLE in cfg, whatever the task, and fill in the
+    defaults the echo shows. Returns the parsed blocks, the flow, the plan
+    (no cone yet), `inv_tol` and `theta0`; "cone" is None for no cone."""
+    conf = {}
+    for name, fields in _TABLE.items():
+        node = cfg.get(name, {}) if name else cfg
+        if name == "cone" and node is None:  # a null cone is no cone
+            node = {}
+        if not isinstance(node, dict):
+            raise ConfigError(f"{name}: expected an object, got {node!r}")
+        unknown = sorted(set(node) - set(fields))
+        if unknown and name not in _OPEN:
+            raise ConfigError(f"{name}: unknown keys {unknown}")
+        defaults = {k: d for k, (_, d) in fields.items() if d is not _NONE}
+        given = {**defaults, **{k: node[k] for k in fields if k in node}}
+        conf[name] = {k: fields[k][0](v, f"{name}.{k}" if name else k) for k, v in given.items()}
+        if _shown(name, task, node):
+            for k, d in defaults.items():
+                node.setdefault(k, d)
+            if name:
+                cfg[name] = node
+    try:
+        flow = TorusFlow(conf["flow"]["freqs"], SamplingConfig(**conf["sampling"]))
+    except ValueError as e:  # no frequency
+        raise ConfigError(f"flow: {e}") from e
+    theta0 = conf[""].get("theta0", np.zeros(flow.dim))
+    if theta0.size != flow.dim:
+        raise ConfigError(f"theta0: expected one number per frequency, got {cfg['theta0']!r}")
+    inv_tol = conf["sim"].pop("inv_tol")
+    try:
+        plan = SimConfig(**conf["sim"])
+    except ValueError as e:  # t_end off the step grid
+        raise ConfigError(f"sim: {e}") from e
+    if conf["check"].get("trial_a") is not None and not isinstance(conf["check"]["a"], str):
+        raise ConfigError('check.trial_a: only read when check.a is "auto"')
+    if cfg.get("cone") is None:
+        conf["cone"] = None
+    elif not {"a_diag", "A"} & set(cfg["cone"]):
+        raise ConfigError("cone needs a_diag or A")
+    return {**conf, "flow": flow, "sim": plan, "inv_tol": inv_tol, "theta0": TorusPoint(theta0)}
 
 
 def _parse_poly(node, where: str) -> TrigPoly:
@@ -177,16 +335,6 @@ def _parse_matrix_of(parser, node, m, where):
     return out
 
 
-def _parse_flow(cfg: dict) -> TorusFlow:
-    """The flow with the config's sampling plan, which every sampled sup of the task reads."""
-    sampling = _parse_sampling(cfg)
-    freqs = _block(cfg, "flow", {"freqs": [GOLDEN_FREQ]})["freqs"]
-    try:
-        return TorusFlow(np.asarray(freqs, dtype=float), sampling)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"flow: {e}") from e
-
-
 def _parse_transports(node, m, where):
     def one(v, w):
         shape = ShapeFn.identity()
@@ -204,6 +352,9 @@ def _parse_system(cfg: dict, flow: TorusFlow):
     node = _req(cfg, "system", "config")
     kind = _req(node, "kind", "system")
     m = _whole(_req(node, "m", "system"), "system.m")
+    grid, orbit = flow.sampling.grid_per_dim**flow.dim, flow.sampling.orbit_points
+    key = "sampling.grid_per_dim" if grid >= orbit else "sampling.orbit_points"
+    _fits((grid + orbit) * m * m, key)  # the phase data of a sampled sup
     if kind == "neutral_diag":
         c = [_parse_poly(v, "system.c") for v in _list(_req(node, "c", "system"), "system.c")]
         if len(c) != m:
@@ -283,152 +434,22 @@ def _parse_dspec(node, m, flow) -> DOperatorSpec:
         raise ConfigError(f"system: {e}") from e
 
 
-def _parse_cone(cfg: dict, m: int):
-    if cfg.get("cone") is None:
+def _parse_cone(node, m: int):
+    """The cone of the parsed cone block, or None."""
+    if node is None:
         return None
-    node = _block(cfg, "cone", {})
-    if "a_diag" in node:
-        A = np.diag(_vector(node["a_diag"], "cone.a_diag"))
-    elif "A" in node:
-        A = _finite(node["A"], "cone.A", array=True)
-    else:
-        raise ConfigError("cone needs a_diag or A")
+    A = np.diag(node["a_diag"]) if "a_diag" in node else node["A"]
     if np.atleast_2d(A).shape != (m, m):
         raise ConfigError(f"cone: expected an {m}x{m} matrix, got shape {A.shape}")
-    horizon = node.get("horizon", "inf")
-    horizon = math.inf if horizon in ("inf", None) else _num(horizon, "cone.horizon")
     try:
-        return ConeSpec(A, horizon, _flag(node.get("assume_hurwitz", False), "cone.assume_hurwitz"))
+        return ConeSpec(A, node["horizon"], node["assume_hurwitz"])
     except ValueError as e:
         raise ConfigError(f"cone: {e}") from e
 
 
-# Defaults of the `sampling` and `sim` blocks, which the parsers and the
-# echoed config share. The sim block holds SimConfig's fields except the cone
-# (a block of its own), with a default step and horizon for its two
-# required fields.
-_SAMPLING_DEFAULTS = {
-    key: getattr(SamplingConfig, key) for key in ("grid_per_dim", "orbit_points", "orbit_step")
-}
-_SIM_DEFAULTS = {
-    "h": 0.01,
-    "t_end": 10.0,
-    **{
-        f.name: f.default
-        for f in dataclasses.fields(SimConfig)
-        if f.name not in ("h", "t_end", "cone")
-    },
-}
-
-# Defaults of the blocks that a single task reads: `check` and `covering`,
-# the grid of a `yhat` given by a formula (a csv file brings its own grid),
-# and the bump size of an ordered_offset `z_init_y`.
-_CHECK_DEFAULTS = {"conditions": ["G5"], "a": "auto"}
-_COVERING_DEFAULTS = {"return_tols": [1e-1, 3e-2, 1e-2], "window": 50.0, "t_min": 0.0}
-_YHAT_DEFAULTS = {"step": 0.05, "horizon": 40.0}
-_OFFSET_DEFAULTS = {"lam": 0.1}
-
-# Every key of the blocks whose keys are all known; any other key in one of
-# them is a misspelling. History blocks are not listed: their keys depend on
-# their kind.
-_KEYS = {
-    "sim": set(_SIM_DEFAULTS),
-    "sampling": set(_SAMPLING_DEFAULTS),
-    "check": {*_CHECK_DEFAULTS, "trial_a"},
-    "covering": set(_COVERING_DEFAULTS),
-    "flow": {"freqs"},
-    "cone": {"a_diag", "A", "horizon", "assume_hurwitz"},
-    "thresholds": {"mass_residual", "cone_margin"},
-}
-
-
-def _block(cfg: dict, name: str, defaults: dict) -> dict:
-    """A config block with each missing key set to its default."""
-    node = cfg.get(name, {})
-    if not isinstance(node, dict):
-        raise ConfigError(f"{name}: expected an object, got {node!r}")
-    unknown = sorted(set(node) - _KEYS.get(name, set(node)))
-    if unknown:
-        raise ConfigError(f"{name}: unknown keys {unknown}")
-    return {**defaults, **node}
-
-
-def _kind(cfg: dict, name: str):
-    node = cfg.get(name)
-    return node.get("kind") if isinstance(node, dict) else None
-
-
-def _materialize(cfg: dict, task: str) -> None:
-    """Set every default the task reads into cfg, so that the echo is complete."""
-    cfg["sim"] = _block(cfg, "sim", _SIM_DEFAULTS)
-    cfg["sampling"] = _block(cfg, "sampling", _SAMPLING_DEFAULTS)
-    cfg.setdefault("flow", {"freqs": [GOLDEN_FREQ]})
-    if task == "check":
-        cfg["check"] = _block(cfg, "check", _CHECK_DEFAULTS)
-    elif task == "covering":
-        cfg["covering"] = _block(cfg, "covering", _COVERING_DEFAULTS)
-    elif task == "invert" and _kind(cfg, "yhat") in ("constant", "sinusoid"):
-        cfg["yhat"] = _block(cfg, "yhat", _YHAT_DEFAULTS)
-    elif task == "pair" and _kind(cfg, "z_init_y") == "ordered_offset":
-        cfg["z_init_y"] = _block(cfg, "z_init_y", _OFFSET_DEFAULTS)
-
-
-def _whole(value, where: str) -> int:
-    if not _is_whole(value):
-        raise ConfigError(f"{where}: expected a whole number, got {value!r}")
-    return int(value)
-
-
-def _parse_sampling(cfg: dict) -> SamplingConfig:
-    """The sampling block; a missing key takes the SamplingConfig default."""
-    vals = _block(cfg, "sampling", _SAMPLING_DEFAULTS)
-    try:
-        return SamplingConfig(
-            grid_per_dim=_whole(vals["grid_per_dim"], "sampling.grid_per_dim"),
-            orbit_points=_whole(vals["orbit_points"], "sampling.orbit_points"),
-            orbit_step=_num(vals["orbit_step"], "sampling.orbit_step"),
-        )
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"sampling: {e}") from e
-
-
-def _parse_rates(value, where: str, m=None) -> np.ndarray:
-    """A list of finite rates <= 0; exactly m of them when m is given."""
-    a = np.atleast_1d(_num(value, where, array=True))
-    if a.ndim != 1 or a.size == 0 or (m is not None and a.size != m):
-        want = f"{m} rates" if m is not None else "a nonempty list of rates"
-        raise ConfigError(f"{where}: expected {want}, got {value!r}")
-    if not np.all(np.isfinite(a)) or np.any(a > 0):
-        raise ConfigError(f"{where}: rates must be finite and <= 0, got {value!r}")
-    return a
-
-
-def _parse_sim(cfg: dict, cone) -> SimConfig:
-    """The sim block; a missing key takes its _SIM_DEFAULTS value."""
-    node = _block(cfg, "sim", _SIM_DEFAULTS)
-    n_trunc = node["n_trunc"]
-    try:
-        return SimConfig(
-            h=_num(node["h"], "sim.h"),
-            t_end=_num(node["t_end"], "sim.t_end"),
-            inv_tol=_num(node["inv_tol"], "sim.inv_tol"),
-            n_trunc=None if n_trunc is None else _whole(n_trunc, "sim.n_trunc"),
-            log_stride=_whole(node["log_stride"], "sim.log_stride"),
-            cone=cone,
-            tol_cone=_num(node["tol_cone"], "sim.tol_cone"),
-            divergence_limit=_num(node["divergence_limit"], "sim.divergence_limit"),
-        )
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"sim: {e}") from e
-
-
 def _parse_history(node, where, m, step, horizon) -> HistoryGrid:
+    """A history block on the grid `step`, `horizon`."""
     kind = _req(node, "kind", where)
-    horizon = _num(node.get("horizon", horizon), f"{where}.horizon")
-    step = _num(node.get("step", step), f"{where}.step")
-    for key, v in (("step", step), ("horizon", horizon)):
-        if not 0.0 < v < math.inf:
-            raise ConfigError(f"{where}.{key}: expected a finite number > 0, got {v!r}")
 
     def floats(key, default=None):
         value = _req(node, key, where) if default is None else node.get(key, default)
@@ -462,6 +483,7 @@ def _parse_history(node, where, m, step, horizon) -> HistoryGrid:
             raise ConfigError(f"{where}: {e}") from e
     else:
         raise ConfigError(f"{where}: unknown history kind {kind!r}")
+    _fits((horizon / step + 1) * m, f"{where}.step and {where}.horizon")
     try:
         with np.errstate(all="ignore"):  # the grid rejects samples that are not finite
             return from_function(f, step, horizon)
@@ -483,34 +505,33 @@ def _write_summary(outdir, lines):
     print("\n".join(lines))
 
 
+def _verdict(outdir, lines, conf, key, value) -> int:
+    """Write the summary; exit code 4 when value is past the threshold `key`."""
+    thr, sign = conf["thresholds"].get(key), "<" if key == "cone_margin" else ">"
+    past = thr is not None and (value < thr if sign == "<" else value > thr)
+    if past:
+        lines.append(f"threshold_exceeded={key} ({_fmt(value)} {sign} {_fmt(thr)})")
+    _write_summary(outdir, lines)
+    return EXIT_THRESHOLD if past else EXIT_OK
+
+
 # --- tasks -------------------------------------------------------------------
 
 
-def cmd_check(cfg: dict, outdir: str) -> int:
-    flow = _parse_flow(cfg)
-    sys_obj = _parse_system(cfg, flow)
+def cmd_check(cfg: dict, conf: dict, outdir: str) -> int:
+    sys_obj = _parse_system(cfg, conf["flow"])
     if not isinstance(sys_obj, NeutralDiagSystem):
         raise ConfigError("task=check needs a neutral_diag system")
-    node = _block(cfg, "check", _CHECK_DEFAULTS)
-    conds = node["conditions"]
-    if not isinstance(conds, list) or not conds:
-        raise ConfigError(f"check.conditions: expected a nonempty list, got {conds!r}")
-    for c in conds:
-        if c not in CONDITIONS:
-            raise ConfigError(f"unknown condition {c!r}")
-    a_node, trial = node["a"], node.get("trial_a")
-    if trial is not None and a_node != "auto":
-        raise ConfigError('check.trial_a: only read when check.a is "auto"')
-    if trial is not None:
-        trial = _parse_rates(trial, "check.trial_a")
-    if a_node != "auto":
-        a = _parse_rates(a_node, "check.a", sys_obj.m)
+    conds, a = conf["check"]["conditions"], conf["check"]["a"]
+    auto = isinstance(a, str)
+    if not auto and a.size != sys_obj.m:
+        raise ConfigError(f"check.a: expected {sys_obj.m} rates, got {cfg['check']['a']!r}")
     rows = []
     lines = [f"task=check conditions={','.join(conds)}"]
     all_pass = True
     for cond in conds:
-        if a_node == "auto":
-            report = suggest_a(sys_obj, cond, trial).report
+        if auto:
+            report = suggest_a(sys_obj, cond, conf["check"].get("trial_a")).report
             lines.append(f"{cond}: suggested a = {[_fmt(v) for v in report.a]}")
         else:
             report = check_condition(sys_obj, cond, a)
@@ -550,27 +571,24 @@ def cmd_check(cfg: dict, outdir: str) -> int:
     return EXIT_OK if all_pass else EXIT_FAILED_CHECK
 
 
-def _sim_setup(cfg):
-    flow = _parse_flow(cfg)
+def _sim_setup(cfg: dict, conf: dict):
+    flow = conf["flow"]
     sys_obj = _parse_system(cfg, flow)
     if isinstance(sys_obj, DOperatorSpec):
         raise ConfigError("simulation tasks need a compartmental system")
-    cone = _parse_cone(cfg, sys_obj.m)
-    sim = _parse_sim(cfg, cone)
+    sim = dataclasses.replace(conf["sim"], cone=_parse_cone(conf["cone"], sys_obj.m))
     need = required_z_horizon(sys_obj, sim) + 2 * sim.h
-    z0 = _parse_history(_req(cfg, "z_init", "config"), "z_init", sys_obj.m, sim.h, need)
-    p0 = _theta0(cfg, flow)
-    return flow, sys_obj, sim, z0, p0
+    past = need / sim.h
+    key = "sim.t_end" if sim.nsteps >= past else "sim.n_trunc" if sim.n_trunc else "sim.h"
+    _fits((past + sim.nsteps) * sys_obj.m, key)  # the stored rows of a run
+    node, grid = _req(cfg, "z_init", "config"), conf["z_init"]
+    step, horizon = grid.get("step", sim.h), grid.get("horizon", need)
+    z0 = _parse_history(node, "z_init", sys_obj.m, step, horizon)
+    return flow, sys_obj, sim, z0, conf["theta0"]
 
 
-def _threshold(cfg: dict, key: str):
-    thr = _block(cfg, "thresholds", {}).get(key)
-    return None if thr is None else _finite(thr, f"thresholds.{key}")
-
-
-def cmd_simulate(cfg: dict, outdir: str) -> int:
-    flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
-    thr = _threshold(cfg, "mass_residual")
+def cmd_simulate(cfg: dict, conf: dict, outdir: str) -> int:
+    flow, sys_obj, sim, z0, p0 = _sim_setup(cfg, conf)
     log = run(sys_obj, p0, z0, sim)
     trajectory_to_csv(log, os.path.join(outdir, "result.csv"))
     mass_dev = float(np.max(np.abs(log.M - log.M[0])))
@@ -580,32 +598,26 @@ def cmd_simulate(cfg: dict, outdir: str) -> int:
         f"max_abs_mass_deviation={_fmt(mass_dev)}",
         f"final_z={[_fmt(v) for v in log.z[-1]]}",
     ]
-    code = EXIT_OK
-    if thr is not None and mass_dev > thr:
-        lines.append(f"threshold_exceeded=mass_residual ({_fmt(mass_dev)} > {_fmt(thr)})")
-        code = EXIT_THRESHOLD
-    _write_summary(outdir, lines)
-    return code
+    return _verdict(outdir, lines, conf, "mass_residual", mass_dev)
 
 
-def cmd_pair(cfg: dict, outdir: str) -> int:
-    flow, sys_obj, sim, z_x, p0 = _sim_setup(cfg)
+def cmd_pair(cfg: dict, conf: dict, outdir: str) -> int:
+    flow, sys_obj, sim, z_x, p0 = _sim_setup(cfg, conf)
     if sim.cone is None:
         raise ConfigError("task=pair needs a cone")
-    node = _req(cfg, "z_init_y", "config")
-    if _kind(cfg, "z_init_y") == "ordered_offset":
-        lam = _finite(_block(cfg, "z_init_y", _OFFSET_DEFAULTS)["lam"], "z_init_y.lam")
+    node, grid = _req(cfg, "z_init_y", "config"), conf["z_init_y"]
+    if node.get("kind") == "ordered_offset":
         if z_x.step != sim.h:  # the offset is built on the step grid
             z_x = resample(z_x, sim.h, z_x.horizon, z_x.tail)
         comp = make_comparison_upper(sim.cone, sys_obj.m, step=sim.h, horizon=z_x.horizon)
         # the bump's inverse reaches one delay span further back, to z_x.J
         J = z_x.J - _nodes(sys_obj.dspec.support, sim.h)
         yhat = HistoryGrid(sim.h, comp.hist.samples[: J + 1], comp.hist.tail)
-        bump = invert_Dhat(sys_obj.dspec, p0, yhat, sim.inv_tol)
-        z_y = HistoryGrid(sim.h, z_x.samples + lam * bump.samples, z_x.tail)
+        bump = invert_Dhat(sys_obj.dspec, p0, yhat, conf["inv_tol"])
+        z_y = HistoryGrid(sim.h, z_x.samples + grid["lam"] * bump.samples, z_x.tail)
     else:
-        z_y = _parse_history(node, "z_init_y", sys_obj.m, sim.h, z_x.horizon)
-    thr = _threshold(cfg, "cone_margin")
+        step, horizon = grid.get("step", sim.h), grid.get("horizon", z_x.horizon)
+        z_y = _parse_history(node, "z_init_y", sys_obj.m, step, horizon)
     plog = run_ordered_pair(sys_obj, p0, z_x, z_y, sim)
     pair_to_csv(plog, os.path.join(outdir, "result.csv"))
     min_margin = float(np.min(plog.cone_margin))
@@ -616,25 +628,18 @@ def cmd_pair(cfg: dict, outdir: str) -> int:
         f"max_abs_d_gap={_fmt(max_gap)}",
         f"final_z_diff_sup={_fmt(plog.z_diff_sup[-1])}",
     ]
-    code = EXIT_OK
-    if thr is not None and min_margin < thr:
-        lines.append(f"threshold_exceeded=cone_margin ({_fmt(min_margin)} < {_fmt(thr)})")
-        code = EXIT_THRESHOLD
-    _write_summary(outdir, lines)
-    return code
+    return _verdict(outdir, lines, conf, "cone_margin", min_margin)
 
 
-def cmd_invert(cfg: dict, outdir: str) -> int:
-    flow = _parse_flow(cfg)
-    sys_obj = _parse_system(cfg, flow)
+def cmd_invert(cfg: dict, conf: dict, outdir: str) -> int:
+    sys_obj = _parse_system(cfg, conf["flow"])
     dspec = sys_obj if isinstance(sys_obj, DOperatorSpec) else sys_obj.dspec
-    node = _req(cfg, "yhat", "config")
-    tol = _parse_sim(cfg, None).inv_tol
+    grid = conf["yhat"]
     yhat = _parse_history(
-        node, "yhat", dspec.m, _YHAT_DEFAULTS["step"], _YHAT_DEFAULTS["horizon"]
+        _req(cfg, "yhat", "config"), "yhat", dspec.m, grid["step"], grid["horizon"]
     )
-    p0 = _theta0(cfg, flow)
-    x = invert_Dhat(dspec, p0, yhat, tol)
+    p0 = conf["theta0"]
+    x = invert_Dhat(dspec, p0, yhat, conf["inv_tol"])
     export_csv(x, os.path.join(outdir, "result.csv"))
     back = eval_Dhat_segment(dspec, p0, x, yhat.J)
     resid = float(np.max(np.abs(back.samples - yhat.samples)))
@@ -648,9 +653,8 @@ def cmd_invert(cfg: dict, outdir: str) -> int:
     return EXIT_OK
 
 
-def cmd_mass_audit(cfg: dict, outdir: str) -> int:
-    flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
-    thr = _threshold(cfg, "mass_residual")
+def cmd_mass_audit(cfg: dict, conf: dict, outdir: str) -> int:
+    flow, sys_obj, sim, z0, p0 = _sim_setup(cfg, conf)
     log = run(sys_obj, p0, z0, sim)
     resid = mass_balance_residual(sys_obj, log)
     write_csv(
@@ -660,23 +664,12 @@ def cmd_mass_audit(cfg: dict, outdir: str) -> int:
     )
     worst = float(np.max(np.abs(resid)))
     lines = ["task=mass-audit", f"max_abs_residual={_fmt(worst)}"]
-    code = EXIT_OK
-    if thr is not None and worst > thr:
-        lines.append(f"threshold_exceeded=mass_residual ({_fmt(worst)} > {_fmt(thr)})")
-        code = EXIT_THRESHOLD
-    _write_summary(outdir, lines)
-    return code
+    return _verdict(outdir, lines, conf, "mass_residual", worst)
 
 
-def cmd_covering(cfg: dict, outdir: str) -> int:
-    flow, sys_obj, sim, z0, p0 = _sim_setup(cfg)
-    node = _block(cfg, "covering", _COVERING_DEFAULTS)
-    tols = node["return_tols"]
-    if not isinstance(tols, list):
-        raise ConfigError(f"covering.return_tols: expected a list, got {tols!r}")
-    tols = [_finite(v, "covering.return_tols") for v in tols]
-    window = _finite(node["window"], "covering.window")
-    t_min = _finite(node["t_min"], "covering.t_min")
+def cmd_covering(cfg: dict, conf: dict, outdir: str) -> int:
+    flow, sys_obj, sim, z0, p0 = _sim_setup(cfg, conf)
+    tols, window, t_min = (conf["covering"][k] for k in ("return_tols", "window", "t_min"))
     log = run(sys_obj, p0, z0, sim)
     rows = []
     lines = ["task=covering"]
@@ -725,17 +718,10 @@ def main(argv=None) -> int:
         "covering": cmd_covering,
     }
     try:
-        try:
-            schema = int(cfg.get("schema", 1))
-        except (TypeError, ValueError, OverflowError):
-            schema = None
-        if schema != 1:
-            raise ConfigError(f"unsupported schema version {cfg.get('schema')!r}")
-        cfg.setdefault("schema", 1)
         cfg["task"] = args.task
-        _materialize(cfg, args.task)
+        conf = _materialize(cfg, args.task)
         _echo(cfg, args.out)
-        return dispatch[args.task](cfg, args.out)
+        return dispatch[args.task](cfg, conf, args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -75,12 +75,10 @@ from .ordering import ConeSpec, _decay_slack, _end_margin, _window, matrix_exp
 @dataclass
 class SimConfig:
     """Integration plan. n_trunc, when given, stores that many delay spans of
-    history beyond what the run reads; inv_tol is for the caller's own
-    inversions, as the integrator inverts nothing."""
+    history beyond what the run reads."""
 
     h: float
     t_end: float
-    inv_tol: float = 1e-8
     n_trunc: Optional[int] = None
     log_stride: int = 1
     cone: Optional[ConeSpec] = None
@@ -90,8 +88,6 @@ class SimConfig:
     def __post_init__(self):
         if not (0 < self.h < math.inf and 0 < self.t_end < math.inf):
             raise ValueError("h and t_end must be positive and finite")
-        if not 0 < self.inv_tol < math.inf:
-            raise ValueError("inv_tol must be positive and finite")
         if self.n_trunc is not None and self.n_trunc < 0:
             raise ValueError("n_trunc must be >= 0")
         if self.log_stride < 1:

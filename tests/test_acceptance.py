@@ -222,7 +222,7 @@ def test_criterion_08_monotonicity_preserved(s1):
         lambda s: (2.0 + 0.3 * np.sin(0.8 * s))[:, None], cfg.h, PAIR_HORIZON
     )
     comp = make_comparison_upper(CONE, 1, step=cfg.h, horizon=z_x.horizon + 1.5)
-    bump = invert_Dhat(s1.dspec, P0, comp.hist, cfg.inv_tol)
+    bump = invert_Dhat(s1.dspec, P0, comp.hist, 1e-8)
     z_y = HistoryGrid(cfg.h, z_x.samples + 0.3 * bump.samples[: z_x.J + 1])
     plog = run_ordered_pair(s1, P0, z_x, z_y, cfg)
     worst = float(np.min(plog.cone_margin))

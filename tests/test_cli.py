@@ -874,6 +874,30 @@ EXIT_TWO = {
     "theta0-nested": ("simulate", _with(SIM_CFG, "theta0", [[0.1]]), "theta0"),
     "cone.a_diag-scalar": ("pair", _with(PAIR_CFG, "cone.a_diag", -2.0), "cone.a_diag"),
     "cone.a_diag-nested": ("pair", _with(PAIR_CFG, "cone.a_diag", [[-2.0]]), "cone.a_diag"),
+    # a phase with one number per torus dimension, on the 1-torus
+    "theta0-long": ("simulate", _with(SIM_CFG, "theta0", [0.1, 0.2]), "theta0"),
+    "theta0-empty": ("simulate", _with(SIM_CFG, "theta0", []), "theta0"),
+    # every key is read whatever the task, so check rejects what simulate does
+    "check-theta0-nested": ("check", _with(SIM_CFG, "theta0", [[0.1]]), "theta0"),
+    "check-sim.h-negative": ("check", _with(SIM_CFG, "sim.h", -1), "sim.h"),
+    # JSON true, false and strings are not numbers; they used to read as 1.0
+    # or be converted
+    "sim.h-true": ("simulate", _with(SIM_CFG, "sim.h", True), "sim.h"),
+    "thresholds.mass_residual-true": (
+        "mass-audit",
+        _with(SIM_CFG, "thresholds.mass_residual", True),
+        "thresholds.mass_residual",
+    ),
+    "z_init_y.lam-true": ("pair", _with(PAIR_CFG, "z_init_y.lam", True), "z_init_y.lam"),
+    "sim.h-string": ("simulate", _with(SIM_CFG, "sim.h", "0.02"), "sim.h"),
+    # a count no float holds used to escape as an OverflowError or IndexError
+    "sim.n_trunc-huge": ("simulate", _with(SIM_CFG, "sim.n_trunc", 10**400), "sim.n_trunc"),
+    "sim.log_stride-huge": ("simulate", _with(SIM_CFG, "sim.log_stride", 10**400), "log_stride"),
+    "covering.window-string": (
+        "covering",
+        _with(SIM_CFG, "covering.window", "5"),
+        "covering.window",
+    ),
 }
 
 
@@ -905,3 +929,57 @@ def test_known_keys_are_accepted(tmp_path):
     assert _run(tmp_path, "check", cfg) == 0
     assert _run(tmp_path, "pair", cfg) == 0
     assert _run(tmp_path, "simulate", cfg) == 0
+
+
+GOLDEN, SILVER = 0.6180339887498949, 0.41421356237309515
+# case id -> (task, config, the key the error must name). Each asks for more
+# than MAX_CELLS numbers in one array: a 1e11-step run, 1e9 or 1e12 sampled
+# phases, a 1e11-row history.
+OVERSIZED = {
+    "sim.t_end": ("mass-audit", _with(SIM_CFG, "sim", {"h": 0.01, "t_end": 1e9}), "sim.t_end"),
+    "sim.t_end-pair": ("pair", _with(PAIR_CFG, "sim", {"h": 0.01, "t_end": 1e9}), "sim.t_end"),
+    "sampling-check": (
+        "check",
+        _with(SIM_CFG, "sampling.grid_per_dim", 10**9),
+        "sampling.grid_per_dim",
+    ),
+    "sampling-2-torus": (
+        "simulate",
+        _with(_with(OPEN_CFG, "flow.freqs", [GOLDEN, SILVER]), "sampling.grid_per_dim", 10**6),
+        "sampling.grid_per_dim",
+    ),
+    "sampling.orbit_points": (
+        "invert",
+        _with(INVERT_CFG, "sampling.orbit_points", 10**9),
+        "sampling.orbit_points",
+    ),
+    "z_init.horizon": ("simulate", _with(SIM_CFG, "z_init.horizon", 1e9), "z_init.horizon"),
+    "yhat.step": ("invert", _with(INVERT_CFG, "yhat.step", 1e-9), "yhat.step"),
+}
+# what would allocate the oversized arrays: the sampled phases of the plan,
+# or a history grid and the run's buffers
+ALLOCATORS = {
+    "sampling": ("sample_thetas",),
+    "rows": ("from_function", "run", "run_ordered_pair", "_start", "invert_Dhat"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_runs_exit_two_before_allocating(tmp_path, capsys, monkeypatch, case):
+    # every function that would allocate the oversized arrays fails the test
+    # when it is reached: the budget check must come first
+    import nfde_lab
+    from nfde_lab import base_flow, cli, compartment, d_operator, history, integrator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized array was about to be allocated")
+
+    names = ALLOCATORS["sampling" if case.startswith("sampling") else "rows"]
+    for mod in (nfde_lab, base_flow, cli, compartment, d_operator, history, integrator):
+        for name in names:
+            if name in vars(mod):  # every module that holds the function
+                monkeypatch.setattr(mod, name, refuse)
+    task, cfg, key = OVERSIZED[case]
+    assert _run(tmp_path, task, cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "GiB" in err

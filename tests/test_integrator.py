@@ -132,7 +132,7 @@ def test_required_horizon_follows_the_delays(kind, h, n_trunc, want):
 
 def test_reconstruct_geometric(golden_flow, origin):
     sys = const_c_system(golden_flow, c0=0.5)
-    cfg = SimConfig(h=0.05, t_end=1.0, inv_tol=1e-8, n_trunc=_N_TRUNC["s1"])
+    cfg = SimConfig(h=0.05, t_end=1.0, n_trunc=_N_TRUNC["s1"])
     state, _, _ = make_state(sys, cfg, z_value=2.0, p0=origin)
     val = reconstruct_z(state, 0.0)[0]
     tail = 0.5**cfg.n_trunc * 1.0 / 0.5
@@ -161,7 +161,7 @@ def test_reconstruct_identity_when_c_zero(golden_flow, origin):
 def test_reconstruct_dual_path_agreement(golden_flow, origin):
     # diagonal product series vs the general inverse of the lift
     s1 = s1_system(golden_flow)
-    cfg = SimConfig(h=0.05, t_end=1.0, inv_tol=1e-8, n_trunc=_N_TRUNC["s1"])
+    cfg = SimConfig(h=0.05, t_end=1.0, n_trunc=_N_TRUNC["s1"])
     need = required_z_horizon(s1, cfg)
     z0 = from_function(
         lambda s: (1.5 + 0.4 * np.sin(0.9 * s) + 0.1 * np.cos(2.3 * s))[:, None],
@@ -170,10 +170,10 @@ def test_reconstruct_dual_path_agreement(golden_flow, origin):
     )
     state = init_from_z(s1, origin, z0, cfg)
     seg = zhat_segment(state, 0.0, state.Jh)
-    x = invert_Dhat(s1.dspec, origin, seg, cfg.inv_tol)
+    x = invert_Dhat(s1.dspec, origin, seg, 1e-8)
     fast = reconstruct_z(state, 0.0)[0]
     tail = 0.5 ** cfg.n_trunc * np.max(np.abs(seg.samples)) / 0.5
-    assert abs(fast - x.samples[0, 0]) <= cfg.inv_tol + tail + 1e-9
+    assert abs(fast - x.samples[0, 0]) <= 1e-8 + tail + 1e-9
 
 
 def test_step_preserves_equilibrium(golden_flow, origin):
@@ -205,8 +205,7 @@ def test_step_pure_ode_constant(golden_flow, origin):
 
 def test_run_equilibrium_flat(golden_flow, origin):
     sys = const_c_system(golden_flow, c0=0.3)
-    # reconstruction tail must sit below the 1e-10 flatness bound
-    cfg = SimConfig(h=0.01, t_end=10.0, log_stride=50, inv_tol=1e-12)
+    cfg = SimConfig(h=0.01, t_end=10.0, log_stride=50)
     state, p0, z0 = make_state(sys, cfg, z_value=2.0, p0=origin)
     log = run(sys, p0, z0, cfg)
     assert np.max(np.abs(log.z - 2.0)) <= 1e-10
@@ -311,7 +310,7 @@ def test_transform_consistency_along_run(golden_flow, origin):
     p_now = point_at(state, t_now)
     lifted = eval_Dhat_segment(s1.dspec, p_now, zwin, depth)
     stored = state.Z[state.k - depth : state.k + 1][::-1]
-    assert np.max(np.abs(lifted.samples - stored)) <= cfg.inv_tol + 1e-6
+    assert np.max(np.abs(lifted.samples - stored)) <= 1e-8 + 1e-6
 
 
 def test_pair_identical_data(golden_flow, origin):
@@ -333,7 +332,7 @@ def test_pair_ordered_short_run(golden_flow, origin):
     need = required_z_horizon(s1, cfg)
     z0 = constant_history([2.0], cfg.h, need + 0.1)
     comp = make_comparison_upper(cone, 1, step=cfg.h, horizon=z0.horizon + 1.5)
-    bump = invert_Dhat(s1.dspec, origin, comp.hist, cfg.inv_tol)
+    bump = invert_Dhat(s1.dspec, origin, comp.hist, 1e-8)
     rows = z0.sample_many(-cfg.h * np.arange(z0.J + 1)) + 0.2 * bump.samples[: z0.J + 1]
     z_y = HistoryGrid(cfg.h, rows)
     plog = run_ordered_pair(s1, origin, z0, z_y, cfg)
@@ -641,9 +640,9 @@ def test_stored_z_matches_neumann_inversion(kind, phase, amp, freq, h):
     for n in range(cfg.nsteps + 1):
         if n % every == 0:
             seg = zhat_segment(state, state.t, state.Jh)
-            x = invert_Dhat(sys.dspec, point_at(state, state.t), seg, cfg.inv_tol)
+            x = invert_Dhat(sys.dspec, point_at(state, state.t), seg, 1e-8)
             gap = float(np.max(np.abs(x.samples[0] - reconstruct_z(state, state.t))))
-            assert gap <= cfg.inv_tol + _interp_bound(state)
+            assert gap <= 1e-8 + _interp_bound(state)
         if n < cfg.nsteps:
             step(state)
 

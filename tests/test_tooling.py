@@ -10,13 +10,16 @@ only user of the interpolation weights, and its stencils are summed in one
 place, `history.gather`. The operator's delayed part is laid out and summed
 in `d_operator` alone, which a check here keeps the only reader of the
 measure's atoms, density and midpoints. The sampling plan rides on the
-flow, which a check here keeps the only way a plan reaches a sampled sup."""
+flow, which a check here keeps the only way a plan reaches a sampled sup.
+The CLI reads its config through one table, which a check here keeps the
+only source of defaults and in step with the README's key table."""
 
 import ast
 import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -313,3 +316,37 @@ def test_one_mass_kernel_and_one_cone_margin():
     assert [name for name, fn in defs if fn == "_decay_slack"] == ["ordering.py"]
     gone = {"_transit_integral", "_margin_witness", "_cone_window"}
     assert not [(name, fn) for name, fn in defs if fn in gone]
+
+
+def test_one_config_table():
+    # cli reads every config key through one table, _TABLE: no per-block
+    # defaults or key sets are left beside it, no task reads a number from
+    # the config itself, and the README's key table lists exactly the
+    # table's keys and defaults
+    from nfde_lab import cli
+
+    left = [n for n in vars(cli) if n == "_KEYS" or re.fullmatch(r"_\w+_DEFAULTS", n)]
+    assert not left, f"cli keeps {left} beside _TABLE"
+    tree = ast.parse((ROOT / "src" / "nfde_lab" / "cli.py").read_text())
+    readers = ("_num", "_finite", "_whole", "_flag", "_vector", "_point", "_rates", "_positive")
+    tasks = [
+        fn
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith(("cmd_", "_sim_setup"))
+    ]
+    for fn in tasks:
+        assert not [r for r in readers if _called(fn, r)], f"{fn.name} parses a key"
+    want = {
+        (block, key): "—" if default is cli._NONE else f"`{json.dumps(default)}`"
+        for block, fields in cli._TABLE.items()
+        for key, (_, default) in fields.items()
+    }
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| block | key | type | default | bounds |")
+    got = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        block, key, _, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        got["" if block == "(top level)" else block.strip("`"), key.strip("`")] = default
+    assert got == want
