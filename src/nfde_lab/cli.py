@@ -156,6 +156,12 @@ def _fits(cells, key: str) -> None:
         raise ConfigError(f"{key}: one array would hold {size}, over the cap of {MAX_CELLS:.0e}")
 
 
+def _shaped(shape):
+    """A reader of finite numbers of `shape`, as NeutralDiagSystem shapes alpha and rho."""
+    lift = np.atleast_1d if len(shape) == 1 else np.atleast_2d
+    return _bounded(lambda v, w: lift(_array(v, w)), lambda a: a.shape == shape, f"shape {shape}")
+
+
 def _optional(read):
     """read, also taking null, as None."""
     return lambda value, where: None if value is None else read(value, where)
@@ -281,13 +287,13 @@ def _materialize(cfg: dict, task: str) -> dict:
     try:
         plan = SimConfig(**conf["sim"])
     except ValueError as e:  # t_end off the step grid
-        raise ConfigError(f"sim: {e}") from e
+        raise ConfigError(f"sim.t_end and sim.h: {e}") from e
     if conf["check"].get("trial_a") is not None and not isinstance(conf["check"]["a"], str):
         raise ConfigError('check.trial_a: only read when check.a is "auto"')
     if cfg.get("cone") is None:
         conf["cone"] = None
-    elif not {"a_diag", "A"} & set(cfg["cone"]):
-        raise ConfigError("cone needs a_diag or A")
+    elif len({"a_diag", "A"} & set(cfg["cone"])) != 1:
+        raise ConfigError("cone needs exactly one of cone.a_diag and cone.A")
     return {**conf, "flow": flow, "sim": plan, "inv_tol": inv_tol, "theta0": TorusPoint(theta0)}
 
 
@@ -351,7 +357,7 @@ def _parse_transports(node, m, where):
 def _parse_system(cfg: dict, flow: TorusFlow):
     node = _req(cfg, "system", "config")
     kind = _req(node, "kind", "system")
-    m = _whole(_req(node, "m", "system"), "system.m")
+    m = _count1(_req(node, "m", "system"), "system.m")
     grid, orbit = flow.sampling.grid_per_dim**flow.dim, flow.sampling.orbit_points
     key = "sampling.grid_per_dim" if grid >= orbit else "sampling.orbit_points"
     _fits((grid + orbit) * m * m, key)  # the phase data of a sampled sup
@@ -359,8 +365,8 @@ def _parse_system(cfg: dict, flow: TorusFlow):
         c = [_parse_poly(v, "system.c") for v in _list(_req(node, "c", "system"), "system.c")]
         if len(c) != m:
             raise ConfigError("system.c must have m entries")
-        alpha = _finite(_req(node, "alpha", "system"), "system.alpha", array=True)
-        rho = np.atleast_2d(_finite(_req(node, "rho", "system"), "system.rho", array=True))
+        alpha = _shaped((m,))(_req(node, "alpha", "system"), "system.alpha")
+        rho = _shaped((m, m))(_req(node, "rho", "system"), "system.rho")
         gains = _parse_transports(_req(node, "gains", "system"), m, "system.gains")
         try:
             return NeutralDiagSystem(
@@ -387,20 +393,11 @@ def _parse_system(cfg: dict, flow: TorusFlow):
             _parse_poly(v, "system.inflows")
             for v in _list(node.get("inflows", [0.0] * m), "system.inflows")
         )
-        pipes_node = node.get("pipes")
         try:
-            if pipes_node is None:
-                pipes = tuple(tuple(PipeSpec.instant() for _ in range(m)) for _ in range(m))
-            else:
-                if len(pipes_node) != m or any(len(row) != m for row in pipes_node):
-                    raise ConfigError("system.pipes must be an m x m grid of atom lists")
-                pipes = tuple(
-                    tuple(
-                        PipeSpec(_finite(cell, f"system.pipes[{i}][{j}]", array=True))
-                        for j, cell in enumerate(row)
-                    )
-                    for i, row in enumerate(pipes_node)
-                )
+            pipes = _parse_matrix_of(  # instant pipes by default
+                lambda v, w: PipeSpec(_finite(v, w, array=True)),
+                node.get("pipes", [[[[0.0, 1.0]]] * m] * m), m, "system.pipes",
+            )
             return CompartmentalSystem(
                 m=m,
                 transports=transports,
@@ -453,12 +450,12 @@ def _parse_history(node, where, m, step, horizon) -> HistoryGrid:
 
     def floats(key, default=None):
         value = _req(node, key, where) if default is None else node.get(key, default)
-        return np.atleast_1d(_num(value, f"{where}.{key}", array=True))
+        return _point(value, f"{where}.{key}")
 
     if kind == "constant":
         value = floats("value")
         if value.size != m:
-            raise ConfigError(f"{where}: value must have {m} entries")
+            raise ConfigError(f"{where}.value: expected {m} entries")
 
         def f(s):
             return np.tile(value, (s.size, 1))
@@ -482,7 +479,7 @@ def _parse_history(node, where, m, step, horizon) -> HistoryGrid:
         except (OSError, ValueError) as e:
             raise ConfigError(f"{where}: {e}") from e
     else:
-        raise ConfigError(f"{where}: unknown history kind {kind!r}")
+        raise ConfigError(f"{where}.kind: unknown history kind {kind!r}")
     _fits((horizon / step + 1) * m, f"{where}.step and {where}.horizon")
     try:
         with np.errstate(all="ignore"):  # the grid rejects samples that are not finite
@@ -540,18 +537,10 @@ def cmd_check(cfg: dict, conf: dict, outdir: str) -> int:
             if compv.skipped:
                 rows.append([cond, compv.index, "skipped", "", "", "pass"])
                 continue
+            verdict = "pass" if compv.passed else "fail"
             for sub in compv.subs:
                 witness = ";".join(_fmt(v) for v in sub.witness.theta)
-                rows.append(
-                    [
-                        cond,
-                        compv.index,
-                        sub.name,
-                        sub.min_margin,
-                        witness,
-                        "pass" if compv.passed else "fail",
-                    ]
-                )
+                rows.append([cond, compv.index, sub.name, sub.min_margin, witness, verdict])
                 lines.append(
                     f"{cond} comp {compv.index} {sub.name}: margin {_fmt(sub.min_margin)}"
                     f"{' (strict)' if sub.strict_everywhere else ''}"

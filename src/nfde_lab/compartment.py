@@ -46,7 +46,7 @@ from .errors import (
     HorizonError,
     StructuralPreconditionError,
 )
-from .history import _EQ_TOL, _SNAP, HistoryGrid, _nodes, cubic_stencil, gather
+from .history import _EQ_TOL, _SNAP, HistoryGrid, _nodes, _read_back
 
 
 CONDITIONS = ("G3", "G4", "G5", "G8", "G9")
@@ -422,16 +422,6 @@ def _mass_span(g, h: float) -> int:
 
 # Log rows per pass of `_total_mass_many`; bounds its windows of stored rows.
 _MASS_CHUNK = 64
-
-
-def _read_back(X: np.ndarray, rows: np.ndarray, pos: np.ndarray, K: int) -> np.ndarray:
-    """X at fractional steps `pos` behind each of `rows`; (rows, pos, m).
-
-    Each read is the one `cubic_rows` makes on the newest-first window of K
-    rows ending at the row: the window's clipped cubic stencil, gathered.
-    """
-    idx, w = cubic_stencil(K, pos)
-    return gather(X, rows[:, None, None] - idx[None], w[None])
 
 
 def _total_mass_many(
@@ -951,7 +941,9 @@ def suggest_a(
     pre, active, n_check = _prepare(sys, cond, sample_thetas(sys.flow), n_check)
     canon = pre.canonical_a()
     best = canon.copy()  # the canonical rate stays for the skipped components
-    trials_per_comp = [np.unique(np.concatenate([trial_a, [canon[i]]])) for i in range(sys.m)]
+    # np.unique's sort and drop of adjacent repeats, without the numpy.ma it imports
+    trials_per_comp = [np.sort(np.append(trial_a, c)) for c in canon]
+    trials_per_comp = [t[np.append(True, t[1:] != t[:-1])] for t in trials_per_comp]
     surface = np.full((max(c.size for c in trials_per_comp), sys.m), np.nan)
     entries = {}
     for i in active:

@@ -12,10 +12,11 @@ flow gives the history-to-history map
 
 which factors as Bhat o (I - Lhat) with Lhat the delayed part premultiplied
 by B^{-1}. When the sampled sup of ||Lhat|| is below one the lift is
-invertible, and the inverse is computed by the method of steps: the value
-at each node is B^{-1} applied to the target plus the delayed part, which
-reads only older, already solved nodes. The past is extended by a depth
-chosen a priori from the geometric tail bound.
+invertible, and the inverse is computed by the method of steps: each node
+solves B x = target + delayed part, whose reads, the lift's causal ones
+(`history._read_back`), take the node itself, moved to the left side, and
+older, already solved nodes. The past is extended by a depth chosen a
+priori from the geometric tail bound.
 
 Only this module knows how the delayed part is laid out and summed: the
 lift, the inverse, the integrator's stages and the stored mass read x at
@@ -39,12 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .base_flow import TorusFlow, TorusPoint, TrigPoly, advance_many, eval_trig_many, sample_thetas
-from .errors import (
-    DimensionMismatchError,
-    SingularBError,
-    UnstableMarginError,
-)
-from .history import _SNAP, FunctionHistory, HistoryGrid, _nodes, cubic_stencil, gather, sup_norm
+from .errors import DimensionMismatchError, SingularBError, UnstableMarginError
+from .history import FunctionHistory, HistoryGrid, _back_stencil, _nodes, gather, sup_norm
 
 
 def const_poly_matrix(values) -> list:
@@ -288,15 +285,15 @@ def eval_D(spec: DOperatorSpec, p: TorusPoint, hist) -> np.ndarray:
 def eval_Dhat_segment(
     spec: DOperatorSpec, p: TorusPoint, hist: HistoryGrid, depth: int
 ) -> HistoryGrid:
-    """Lift along the flow: node j holds D(w . (-j h), x_{-j h}), j = 0..depth."""
+    """Lift along the flow: node j holds D(w . (-j h), x_{-j h}), j = 0..depth,
+    read from the history cut at j (`HistoryGrid.read_back`), never from a
+    newer row: it is `eval_D` on that cut bit for bit."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     h = hist.step
-    s_nodes = -h * np.arange(depth + 1)
-    thetas = advance_many(spec.flow, p, s_nodes)
-    offs = spec.offsets
-    rows = hist.sample_many((s_nodes[:, None] + offs[None, :]).ravel())
-    out = spec.apply(thetas, rows.reshape(depth + 1, offs.size, hist.m))
+    nodes = np.arange(depth + 1)
+    thetas = advance_many(spec.flow, p, -h * nodes)
+    out = spec.apply(thetas, hist.read_back(nodes, -spec.offsets / h))
     return HistoryGrid(h, out, hist.tail)
 
 
@@ -309,20 +306,22 @@ def invert_Dhat(
 ) -> HistoryGrid:
     """Invert the lift by the method of steps.
 
-    The inverse x solves x = B^-1 (yhat + delayed part of x) on a working
-    grid extended N delay spans into the past, N chosen a priori from the
-    geometric tail bound of `spec.stability` unless
-    n_terms sets it. Past the grid, x is read at the grid's oldest row.
-    Starting from x = B^-1 yhat, the rows are solved from the oldest in
-    blocks of c rows, c the shortest distance from a row to a row its
-    cubic stencils read, so every block reads only solved rows; the oldest
-    reads the tail from the starting row, an error damped by lam^N at the
-    returned rows. When some read reaches fewer than one row back (c < 1),
-    the update runs over the whole grid N times instead, a fixed-point
-    iteration with the same lam^N error term. The returned horizon exceeds
-    the input's by the measure support, so a round trip through
-    eval_Dhat_segment at the input depth stays within tol plus
-    interpolation error.
+    The inverse x solves B x = yhat + delayed part of x on a working grid
+    extended N delay spans into the past, N chosen a priori from the
+    geometric tail bound of `spec.stability` unless n_terms sets it. x is
+    read by the lift's causal rule, and past the grid at its oldest row as
+    it stands (0 under a ZERO tail: its target is 0 and it reads only past
+    the grid). A row's tap on itself, weight |w0| <= 1 (an off-grid delay
+    under 2h, or a stencil clipped at the oldest rows), moves to the left:
+    row j solves (B - sum w0 W) x_j = yhat_j + the reads of older rows, one
+    batched inverse for all rows (B^-1 when every w0 is 0). Starting from
+    x = B^-1 yhat, the rows are solved from the oldest in blocks of c >= 1
+    rows, c the shortest distance from a row to an older row it reads, so
+    every block reads only solved rows; the oldest reads the starting row,
+    an error damped by lam^N at the returned rows. These reach one support
+    past the input's, or to the oldest row that its nodes' stencils read,
+    so a round trip through eval_Dhat_segment at the input depth stays
+    within tol at every node.
     """
     if spec.m != yhat.m:
         raise DimensionMismatchError(
@@ -335,7 +334,6 @@ def invert_Dhat(
     est = spec.stability
     lam = est.lam
     h = yhat.step
-    Jy = yhat.J
     ynorm = sup_norm(yhat)
     n_s = _nodes(spec.support, h)
     if n_terms is not None:
@@ -345,32 +343,32 @@ def invert_Dhat(
     else:
         target = tol * (1.0 - lam) / (est.sup_Binv * ynorm)
         N = 0 if target >= 1.0 else int(np.ceil(np.log(target) / np.log(lam)))
-    J_ret = Jy + n_s
+    pos = spec.nu.delays / h
+    reach = int(np.max(_back_stencil(pos, n_s + 4)[0], initial=0))
+    J_ret = yhat.J + max(n_s, reach)
     K = J_ret + N * n_s + 1
     s_nodes = -h * np.arange(K)
     y_ext = yhat.sample_many(s_nodes)
     thetas = advance_many(spec.flow, p, s_nodes)
-    Binv = _batch_inverse(eval_poly_matrix_many(spec.B, thetas), thetas)
-    x = np.einsum("jab,jb->ja", Binv, y_ext)
-    if N > 0:
-        W = spec.nu.weights(thetas)
-        # row j reads x at row j + off of each delay; past row K - 1 the
-        # clipped stencil reads row K - 1 alone, the constant tail. Under a
-        # ZERO tail that row stays 0: it reads only past the grid, where
-        # yhat is 0 and x starts at 0
-        pos = np.arange(K)[:, None] + spec.nu.delays[None, :] / h
-        beyond = pos > K - 1 + _SNAP
-        idx, w = cubic_stencil(K, np.clip(pos, 0.0, K - 1))
-        back = idx - np.arange(K)[:, None, None]
-        c = int(np.min(back[(w != 0.0) & ~beyond[..., None]], initial=K))
-        if c >= 1:
-            blocks = [slice(max(e - c, 0), e) for e in range(K, 0, -c)]
-        else:
-            blocks = [slice(0, K)] * N
-        for blk in blocks:
-            rows = gather(x, idx[blk], w[blk])
-            z = spec.nu.add_into(y_ext[blk].copy(), [Wk[blk] for Wk in W], rows)
-            x[blk] = np.einsum("jab,jb->ja", Binv[blk], z)
+    Bv = eval_poly_matrix_many(spec.B, thetas)
+    W = spec.nu.weights(thetas)
+    j = np.arange(K)  # x is newest first: row j reads rows j .. K - 1
+    back, w, beyond = _back_stencil(pos, (K - j)[:, None])
+    live = (w != 0.0) & ~beyond[..., None]
+    own = live & (back == 0)
+    if np.any(own):  # B - sum w0 W, column by column
+        w0 = np.where(own, w, 0.0).sum(axis=-1)
+        for i, e in enumerate(np.eye(spec.m)):
+            Bv[:, :, i] -= spec.nu.add_into(np.zeros((K, spec.m)), W, w0[..., None] * e)
+        w = np.where(own, 0.0, w)
+    c = int(np.min(back[live & ~own], initial=K))
+    Ainv = _batch_inverse(Bv, thetas)
+    x = np.einsum("jab,jb->ja", Ainv, y_ext)
+    for e in range(K, 0, -c):
+        blk = slice(max(e - c, 0), e)
+        reads = gather(x, j[blk, None, None] + back[blk], w[blk])
+        z = spec.nu.add_into(y_ext[blk].copy(), [Wk[blk] for Wk in W], reads)
+        x[blk] = np.einsum("jab,jb->ja", Ainv[blk], z)
     return HistoryGrid(h, x[: J_ret + 1], yhat.tail)
 
 
@@ -390,9 +388,7 @@ def extract_atom_at_zero(spec: DOperatorSpec, p: TorusPoint, rho: float) -> np.n
         return np.where(s <= -2.0 * rho, 0.0, np.where(s <= -rho, s / rho + 2.0, 1.0))
 
     out = np.empty((spec.m, spec.m))
-    for i in range(spec.m):
-        e = np.zeros(spec.m)
-        e[i] = 1.0
+    for i, e in enumerate(np.eye(spec.m)):
         probe = FunctionHistory(lambda s, e=e: phi(s)[:, None] * e[None, :], spec.m)
         out[:, i] = eval_D(spec, p, probe)
     return out

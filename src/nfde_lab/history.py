@@ -114,6 +114,26 @@ def cubic_stencil(K, pos: np.ndarray):
     return idx, w
 
 
+def _back_stencil(pos: np.ndarray, K):
+    """The causal read rule: stencils that read `pos` fractional steps back
+    from a row within the K rows ending at it (K one value or one per row,
+    shape (rows, 1)), clipped there as `cubic_stencil` clips a grid, so no
+    read takes a newer row. Returns the taps' rows back from the row, their
+    weights, and the reads past the K rows, which take the oldest of them."""
+    beyond = pos - (K - 1) > _SNAP * np.maximum(1.0, pos)
+    return (*cubic_stencil(K, np.minimum(pos, K - 1)), beyond)
+
+
+def _read_back(X: np.ndarray, rows: np.ndarray, pos: np.ndarray, K, tail=None) -> np.ndarray:
+    """X, stored oldest first, read by `_back_stencil` behind each of `rows`,
+    shape (rows, pos, m); a read past the K rows takes `tail` if given."""
+    back, w, beyond = _back_stencil(pos, K)
+    out = gather(X, rows[:, None, None] - back, w)
+    if tail is not None:
+        out[np.broadcast_to(beyond, out.shape[:2])] = tail
+    return out
+
+
 @dataclass(frozen=True)
 class HistoryGrid:
     """Uniformly sampled history; row j holds the value at offset -j*step."""
@@ -153,17 +173,23 @@ class HistoryGrid:
         return np.zeros(self.m)
 
     def sample_many(self, s) -> np.ndarray:
-        """Values at each offset in s (all <= 0); shape (len(s), m)."""
+        """Values at each offset in s (all <= 0), shape (len(s), m): node 0 of `read_back`."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s > _SNAP):
             raise ValueError("history offsets must be <= 0")
-        pos = np.maximum(-s / self.step, 0.0)
-        # past the last node unless within the node snap, which the stencil applies
-        beyond = pos - self.J > _SNAP * np.maximum(1.0, pos)
-        out = np.empty((s.size, self.m))
-        out[beyond] = self._tail_value()
-        if not np.all(beyond):
-            out[~beyond] = cubic_rows(self.samples, pos[~beyond])
+        return self.read_back(np.zeros(1, dtype=int), np.maximum(-s / self.step, 0.0))[0]
+
+    def read_back(self, nodes: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Each node j's values at fractional steps pos >= 0 behind it, shape
+        (nodes, pos, m): its cut, rows j .. J, read by `_read_back`, and the
+        tail past it; a node past the grid reads the tail alone."""
+        tail = self._tail_value()
+        pad = max(int(np.max(nodes)) - self.J, 0)  # tail rows for nodes past the grid
+        X = np.concatenate([np.tile(tail, (pad, 1)), self.samples[::-1]])
+        K = np.maximum(self.J + 1 - nodes, 1)[:, None]
+        out = np.tile(tail, (nodes.size, pos.size, 1))
+        near = pos <= self.J + 1  # a read further back is past every cut: the tail
+        out[:, near] = _read_back(X, self.J + pad - nodes, pos[near], K, tail)
         return out
 
     def sample_at(self, s: float) -> np.ndarray:
@@ -208,15 +234,12 @@ def from_function(fn, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> 
 
 def constant_history(value, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> HistoryGrid:
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    J = _nodes(horizon, step)
-    return HistoryGrid(step, np.tile(value, (J + 1, 1)), tail)
+    return from_function(lambda s: np.tile(value, (s.size, 1)), step, horizon, tail)
 
 
 def resample(hist, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> HistoryGrid:
     """Re-sample any history-like object onto a uniform grid."""
-    J = _nodes(horizon, step)
-    s = -step * np.arange(J + 1)
-    return HistoryGrid(step, hist.sample_many(s), tail)
+    return from_function(hist.sample_many, step, horizon, tail)
 
 
 def sup_norm(hist: HistoryGrid) -> float:

@@ -238,27 +238,39 @@ def cubic_rows_direct(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def shifted_rows_direct(vals: np.ndarray, off: float, tail: TailPolicy) -> np.ndarray:
-    """Rows of `vals` re-read at index j + off; beyond the end, tail policy."""
+    """Rows of `vals` re-read off > 0 steps behind each by the causal rule:
+    row j reads its cut vals[j:] at off as `cubic_rows_direct` reads a grid,
+    and past the cut the tail policy."""
     K = vals.shape[0]
     tail_row = vals[-1] if tail is TailPolicy.CONSTANT else np.zeros(vals.shape[1])
+    out = np.tile(tail_row, (K, 1))
     io = int(round(off))
     if abs(off - io) <= _SNAP * max(1.0, abs(off)):
-        if io == 0:
-            return vals.copy()
-        out = np.empty_like(vals)
-        if io < K:
-            out[: K - io] = vals[io:]
-            out[K - io :] = tail_row
-        else:
-            out[:] = tail_row
+        out[: max(K - io, 0)] = vals[io:]
         return out
-    pos = np.arange(K) + off
-    out = np.empty_like(vals)
-    inside = pos <= K - 1 + _SNAP
-    out[~inside] = tail_row
-    if np.any(inside):
-        out[inside] = cubic_rows_direct(vals, np.clip(pos[inside], 0.0, K - 1))
+    # rows j < n read their cut's unclipped cubic on vals[j + b .. j + b + 3]
+    b = max(int(np.floor(off)) - 1, 0)
+    n = max(K - b - 3, 0)
+    u = off - b
+    w = (
+        -(u - 1.0) * (u - 2.0) * (u - 3.0) / 6.0,
+        u * (u - 2.0) * (u - 3.0) / 2.0,
+        -u * (u - 1.0) * (u - 3.0) / 2.0,
+        u * (u - 1.0) * (u - 2.0) / 6.0,
+    )
+    out[:n] = sum(w[t] * vals[b + t : b + t + n] for t in range(4))
+    for j in range(n, K):  # shorter cuts: clipped, linear, or past them
+        if off <= K - 1 - j:
+            out[j] = cubic_rows_direct(vals[j:], np.array([off]))[0]
     return out
+
+
+def _reach(off: float) -> int:
+    """How many rows behind its own row a read off steps back reaches."""
+    io = int(round(off))
+    if abs(off - io) <= _SNAP * max(1.0, abs(off)):
+        return io
+    return max(int(np.floor(off)) + 2, 3)
 
 
 def invert_Dhat_neumann(
@@ -268,7 +280,8 @@ def invert_Dhat_neumann(
 
     The same validation, a-priori depth N and working grid; the series is
     summed in N full passes over the grid, each term re-read at every delay
-    by `shifted_rows_direct`.
+    by `shifted_rows_direct`, the causal read of the lift, whose tap on a
+    row's own value stays in the series.
     """
     if spec.m != yhat.m:
         raise DimensionMismatchError(
@@ -290,7 +303,10 @@ def invert_Dhat_neumann(
     else:
         target = tol * (1.0 - lam) / (est.sup_Binv * ynorm)
         N = 0 if target >= 1.0 else int(np.ceil(np.log(target) / np.log(lam)))
-    J_ret = yhat.J + n_s
+    lags = [atom.lag for atom in spec.nu.atoms]
+    if spec.nu.density is not None:
+        lags += (-spec.nu.density.midpoints).tolist()
+    J_ret = yhat.J + max([n_s] + [_reach(lag / h) for lag in lags])
     J_work = J_ret + N * n_s
     s_nodes = -h * np.arange(J_work + 1)
     y_ext = yhat.sample_many(s_nodes)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -759,6 +760,9 @@ SINE_BEND = {"gain": 1.0, "shape": {"kind": "sine_bend", "eps": 1.5}}
 # used to escape `main` with a traceback, or to run with a wrong meaning.
 EXIT_TWO = {
     "cone-number": ("pair", _with(PAIR_CFG, "cone", 5), "cone"),
+    # a cone block gives exactly one of its matrices: a_diag or A
+    "cone-a_diag-and-A": ("pair", _with(PAIR_CFG, "cone.A", [[5.0]]), "cone.a_diag and cone.A"),
+    "cone-neither": ("pair", _with(PAIR_CFG, "cone", {"horizon": 1}), "cone.a_diag and cone.A"),
     "system.c-number": ("simulate", _with(SIM_CFG, "system.c", 0.3), "system.c"),
     "poly-terms-number": (
         "simulate",
@@ -983,3 +987,44 @@ def test_oversized_runs_exit_two_before_allocating(tmp_path, capsys, monkeypatch
     assert _run(tmp_path, task, cfg) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err and "GiB" in err
+
+
+def _leaves(node, path=()):
+    """The dotted paths (list indices kept) of every leaf of a JSON tree."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+def test_leaf_sweep_of_the_readme_example_ends_in_documented_exits(tmp_path, capsys):
+    # every leaf of README's s1 example, set in turn to each value below and
+    # run under check and simulate (cut to 20 steps), ends in a documented
+    # exit code: 1 only from check, 2 only naming the key's path (list
+    # indices dropped); an exception leaving main fails the test
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    base = json.loads(text.split("```json")[1].split("```")[0])
+    base["sim"]["t_end"] = 20 * base["sim"]["h"]
+    values = ["x", None, [], {}, True, math.nan, math.inf, -1, 0.5, [[1.0]]]
+    runs = 0
+    for path in _leaves(base):
+        key = ".".join(p for p in path if isinstance(p, str))
+        for value in values:
+            cfg = json.loads(json.dumps(base))
+            node = cfg
+            for p in path[:-1]:
+                node = node[p]
+            node[path[-1]] = value
+            for task in ("check", "simulate"):
+                code = _run(tmp_path, task, cfg)
+                err = capsys.readouterr().err
+                where = (task, key, value, code, err)
+                assert code in (0, 1, 2, 3, 4, 5), where
+                assert code != 1 or task == "check", where
+                assert code != 2 or key in err, where
+                runs += 1
+    assert runs == 2 * len(values) * len(list(_leaves(base)))

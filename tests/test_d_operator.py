@@ -28,7 +28,7 @@ from nfde_lab import (
     stability_margin,
     sup_norm,
 )
-from nfde_lab.base_flow import SamplingConfig, sample_thetas
+from nfde_lab.base_flow import SamplingConfig, advance_many, sample_thetas
 from nfde_lab.d_operator import const_poly_matrix, identity_poly_matrix
 
 from .conftest import random_contraction_spec, random_history, scalar_dspec
@@ -138,20 +138,96 @@ def test_dhat_compact_open_continuity(golden_flow, origin):
 
 def test_dhat_segment_samples_once(golden_flow, origin, monkeypatch):
     # every (node, delay) pair of the lift, atoms and density cells alike,
-    # is read in one sample_many call, and node 0 is eval_D bit for bit
+    # is read in one read_back call, and node 0 is eval_D bit for bit
     spec = _off_grid_spec(golden_flow)
     hist = random_history(np.random.default_rng(5), 1, 0.05, 3.0)
     calls = []
-    sample_many = HistoryGrid.sample_many
+    read_back = HistoryGrid.read_back
 
-    def counted(self, s):
-        calls.append(np.size(s))
-        return sample_many(self, s)
+    def counted(self, nodes, pos):
+        calls.append((np.size(nodes), np.size(pos)))
+        return read_back(self, nodes, pos)
 
-    monkeypatch.setattr(HistoryGrid, "sample_many", counted)
+    monkeypatch.setattr(HistoryGrid, "read_back", counted)
     out = eval_Dhat_segment(spec, origin, hist, 20)
-    assert calls == [21 * (2 + 8)]
+    assert calls == [(21, 2 + 8)]
     assert out.samples[0].tobytes() == eval_D(spec, origin, hist).tobytes()
+
+
+# the lags of the read-rule cases at h = 0.05: two under h, one under 3h
+# (2.4 h) and one on the grid
+SHORT_LAGS = (0.03, 0.07, 0.12, 0.5)
+
+
+def _short_delay_spec(flow, case):
+    """B = 1 and an atom of weight 0.4 at SHORT_LAGS[case], or (case 4) a
+    density whose midpoints 0.02, 0.06, ... start under h, or (case 5) a
+    2 x 2 operator with a phase-dependent B, an atom at 0.03 and a density."""
+    if case < 4:
+        return scalar_dspec(flow, 0.4, lag=SHORT_LAGS[case])
+    dens = MeasureDensity(np.full((6, 1, 1), 0.5), 0.04)
+    if case == 4:
+        return DOperatorSpec(1, identity_poly_matrix(1), AtomicMeasureFamily((), dens), flow)
+    rng = np.random.default_rng(64)
+    atom = MeasureAtom(0.03, const_poly_matrix([[0.2, 0.05], [-0.1, 0.15]]))
+    dens = MeasureDensity(np.tile([[0.3, -0.1], [0.1, 0.2]], (4, 1, 1)), 0.05)
+    return DOperatorSpec(2, _phase_B(rng, 2), AtomicMeasureFamily((atom,), dens), flow)
+
+
+@pytest.mark.parametrize("tail", [TailPolicy.CONSTANT, TailPolicy.ZERO])
+@pytest.mark.parametrize("case", range(6))
+def test_dhat_node_is_eval_D_on_the_cut_history(golden_flow, origin, case, tail):
+    # node j of the lift reads only the history cut at j: it is eval_D on
+    # that cut bit for bit, down to cuts of two rows, whose reads are
+    # clipped to linear stencils and past them take the tail
+    spec = _short_delay_spec(golden_flow, case)
+    h = 0.05
+    x = random_history(np.random.default_rng(40 + case), spec.m, h, 2.0)
+    x = HistoryGrid(h, x.samples, tail)
+    depth = x.J - 1
+    out = eval_Dhat_segment(spec, origin, x, depth)
+    thetas = advance_many(spec.flow, origin, -h * np.arange(depth + 1))
+    for j in range(depth + 1):
+        cut = HistoryGrid(h, x.samples[j:], tail)
+        assert out.samples[j].tobytes() == eval_D(spec, TorusPoint(thetas[j]), cut).tobytes()
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_dhat_reads_nothing_after_its_node(golden_flow, origin, case):
+    # the mirror of test_dhat_compact_open_continuity: a change of x only
+    # after the node at -T leaves the lift bit-identical there and before
+    rng = np.random.default_rng(7 + case)
+    spec = _short_delay_spec(golden_flow, case)
+    h = 0.05
+    x = random_history(rng, spec.m, h, 4.0)
+    depth = int(np.floor((x.horizon - spec.support) / h))
+    for _ in range(5):
+        j0 = int(rng.integers(1, depth))
+        moved = x.samples.copy()
+        moved[:j0] += rng.normal(scale=rng.uniform(0.1, 2.0), size=moved[:j0].shape)
+        d0 = eval_Dhat_segment(spec, origin, x, depth)
+        d1 = eval_Dhat_segment(spec, origin, HistoryGrid(h, moved, x.tail), depth)
+        assert d0.samples[j0:].tobytes() == d1.samples[j0:].tobytes()
+        assert not np.array_equal(d0.samples[:j0], d1.samples[:j0])
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_invert_round_trip_short_delays_every_node(golden_flow, origin, case):
+    # with every read causal, each row of the inverse solves its own
+    # equation, the oldest returned node included: the round trip is
+    # within tol everywhere (with the centred reads the oldest node of
+    # lags 0.03 and 0.07 missed it by 4.0e-4 and 8.6e-5)
+    spec = _short_delay_spec(golden_flow, case)
+    h, tol = 0.05, 1e-8
+
+    def wave(s):  # the first component, and the second at 0.7 s
+        v = np.stack([s, 0.7 * s], axis=1)[:, : spec.m]
+        return 1.0 + 0.4 * np.sin(1.3 * v) + 0.2 * np.cos(3.1 * v)
+
+    yhat = from_function(wave, h, 4.0)
+    x = invert_Dhat(spec, origin, yhat, tol)
+    back = eval_Dhat_segment(spec, origin, x, yhat.J)
+    assert np.max(np.abs(back.samples - yhat.samples)) <= tol
 
 
 def test_stability_constant_weight(half_spec):
@@ -380,8 +456,9 @@ def test_invert_rejects_bad_depth_inputs(half_spec, origin, kw):
 
 def _oracle_cases(flow):
     """(spec, target) pairs covering each read of the sweep: seeded draws
-    with lags on the grid, a lag off it above 3h (block updates) and one
-    below (whole-grid passes), the density operator, and ZERO tails."""
+    with lags on the grid, lags off it above 3h (blocks of rows), under 3h
+    and under h (a tap on the row itself, solved row by row), the density
+    operator, whose first midpoint lies under h, and ZERO tails."""
     rng = np.random.default_rng(1606)
     h = 0.05
     cases = []
@@ -389,7 +466,7 @@ def _oracle_cases(flow):
         spec = random_contraction_spec(rng, flow, h=h)
         cases.append((spec, random_history(rng, spec.m, h, 3.0)))
     wave = HistoryGrid(h, (1.0 + 0.4 * np.sin(1.3 * (-h * np.arange(81))))[:, None])
-    for lag in (0.513, 0.12):
+    for lag in (0.513, 0.12, 0.03):
         atom = MeasureAtom(lag, [[TrigPoly.from_terms(0.3, [([1], 0.1, 0.2)])]])
         spec = DOperatorSpec(1, identity_poly_matrix(1), AtomicMeasureFamily((atom,)), flow)
         cases.append((spec, wave))

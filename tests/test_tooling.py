@@ -7,10 +7,13 @@ here keeps SciPy out of it. The stage arithmetic sums in an explicit order,
 which a check here keeps free of `sum` and `math.fsum`. A sampled history
 is read by one rule, `history.cubic_stencil`, which a check here keeps the
 only user of the interpolation weights, and its stencils are summed in one
-place, `history.gather`. The operator's delayed part is laid out and summed
-in `d_operator` alone, which a check here keeps the only reader of the
-measure's atoms, density and midpoints. The sampling plan rides on the
-flow, which a check here keeps the only way a plan reaches a sampled sup.
+place, `history.gather`. Stored rows are read back from a row by one causal
+reader, `history._read_back`, and only the integrator builds stencils
+besides it. A `check` run leaves `numpy.ma` unimported. The operator's
+delayed part is laid out and summed in `d_operator` alone, which a check
+here keeps the only reader of the measure's atoms, density and midpoints.
+The sampling plan rides on the flow, which a check here keeps the only way
+a plan reaches a sampled sup.
 The CLI reads its config through one table, which a check here keeps the
 only source of defaults and in step with the README's key table."""
 
@@ -63,6 +66,31 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_check_run_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use (10-17 ms); the rate scan of
+    # check with a: auto dedupes its rates without it
+    cfg = {
+        "flow": {"freqs": [0.6180339887498949]},
+        "system": {
+            "kind": "neutral_diag", "m": 1, "alpha": [1.0], "rho": [[1.0]], "gains": [[1.0]],
+            "c": [{"constant": 0.3, "terms": [{"k": [1], "sin": 0.2}]}],
+        },
+        "check": {"conditions": ["G4", "G5"], "a": "auto"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = (
+        "import sys, nfde_lab.cli as cli; "
+        f"code = cli.main(['check', '--config', {str(path)!r}, '--out', {str(tmp_path)!r}]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "0 False"
 
 
 def test_setup_mark_comes_before_checker_work(tmp_path, monkeypatch):
@@ -234,6 +262,23 @@ def test_one_interpolation_rule():
     assert inside >= 1 and uses == inside
     funcs = [n.name for tree in trees for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
     assert "_shift_rows" not in funcs
+
+
+def test_one_read_rule():
+    # history._read_back is the one causal reader of stored rows: the lift,
+    # its inverse and the mass read through it, and only the integrator's
+    # stage plan builds cubic stencils of its own
+    src = ROOT / "src" / "nfde_lab"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    defs = [
+        name
+        for name, tree in trees.items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name == "_read_back"
+    ]
+    assert defs == ["history.py"]
+    callers = sorted(name for name, tree in trees.items() if _called(tree, "cubic_stencil"))
+    assert callers == ["history.py", "integrator.py"]
 
 
 def _reads_measure_layout(node):
