@@ -12,8 +12,8 @@ frequencies to be rationally independent together with 1; that is the
 caller's obligation and is not machine-checked. The shipped default
 GOLDEN_FREQ = (sqrt(5) - 1) / 2 satisfies it in one dimension.
 
-Every sup over the torus is estimated on the phases `sample_thetas` draws
-by the flow's one sampling plan, so all estimates of a run share it.
+Every sup over the torus is estimated on the phases of the flow's one
+sampling plan, so all estimates of a run share it.
 """
 
 from __future__ import annotations
@@ -201,15 +201,29 @@ def advance_many(flow: TorusFlow, p: TorusPoint, ts) -> np.ndarray:
     return np.mod(p.theta[None, :] + ts[:, None] * flow.freqs[None, :], 1.0)
 
 
+# Phases per block of `plan_blocks`: a sup reduced block by block holds
+# O(PLAN_BLOCK m^2) numbers at any plan size. Counted in phases, not numbers,
+# so each of m^2 matrix entries is evaluated once per block; the default
+# orbit is one block, the default 64^2 grid eight.
+PLAN_BLOCK = 512
+
+
+def plan_blocks(flow: TorusFlow):
+    """The flow's sampling plan, built (n <= PLAN_BLOCK, dim) rows at a
+    time: the uniform grid in C order, then the orbit."""
+    plan, d = flow.sampling, flow.dim
+    g, n_grid = plan.grid_per_dim, plan.grid_per_dim**d
+    for lo in range(0, n_grid, PLAN_BLOCK):
+        idx = np.unravel_index(np.arange(lo, min(lo + PLAN_BLOCK, n_grid)), (g,) * d)
+        yield np.stack(idx, axis=1) / g
+    for lo in range(0, plan.orbit_points, PLAN_BLOCK):
+        ts = (np.arange(lo, min(lo + PLAN_BLOCK, plan.orbit_points)) + 1) * plan.orbit_step
+        yield advance_many(flow, TorusPoint(np.zeros(d)), ts)
+
+
 def sample_thetas(flow: TorusFlow) -> np.ndarray:
     """Phases of the flow's sampling plan, for sup estimation; shape (N, dim)."""
-    g = flow.sampling.grid_per_dim
-    axes = [np.arange(g) / g] * flow.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([ax.ravel() for ax in mesh], axis=1)
-    ts = (np.arange(flow.sampling.orbit_points) + 1) * flow.sampling.orbit_step
-    orbit = advance_many(flow, TorusPoint(np.zeros(flow.dim)), ts)
-    return np.vstack([grid, orbit])
+    return np.concatenate(list(plan_blocks(flow)))
 
 
 def eval_trig_many(poly: TrigPoly, thetas: np.ndarray) -> np.ndarray:

@@ -82,7 +82,8 @@ EXIT_DIVERGED = 5
 # --- config parsing ---------------------------------------------------------
 
 # Cap on the numbers in one array (800 MB): stored rows x m of a run or a
-# history, sampled phases x m^2. Checked before anything is allocated.
+# history, sampled phases x m^2 of the checkers (the build-time sups read the
+# plan in blocks). Checked before anything is allocated.
 MAX_CELLS = 10**8
 
 
@@ -341,17 +342,24 @@ def _parse_matrix_of(parser, node, m, where):
     return out
 
 
-def _parse_transports(node, m, where):
-    def one(v, w):
-        shape = ShapeFn.identity()
-        if isinstance(v, dict) and ("gain" in v or "shape" in v):
-            shape = _parse_shape(v.get("shape"), w)
-            gain = _parse_poly(v.get("gain", 0.0), w)
-        else:
-            gain = _parse_poly(v, w)
-        return TransportSpec(gain, shape)
+def _parse_transport(v, where) -> TransportSpec:
+    """A gain polynomial, or an object of `gain` and `shape`."""
+    if isinstance(v, dict) and ("gain" in v or "shape" in v):
+        shape = _parse_shape(v.get("shape"), f"{where}.shape")
+        return TransportSpec(_parse_poly(v.get("gain", 0.0), f"{where}.gain"), shape)
+    return TransportSpec(_parse_poly(v, where), ShapeFn.identity())
 
-    return tuple(tuple(row) for row in _parse_matrix_of(one, node, m, where))
+
+def _parse_transports(node, m, where):
+    return tuple(tuple(row) for row in _parse_matrix_of(_parse_transport, node, m, where))
+
+
+def _parse_pipe(v, where) -> PipeSpec:
+    """A pipe's [lag, weight] pairs."""
+    try:
+        return PipeSpec(_finite(v, where, array=True))
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def _parse_system(cfg: dict, flow: TorusFlow):
@@ -360,7 +368,7 @@ def _parse_system(cfg: dict, flow: TorusFlow):
     m = _count1(_req(node, "m", "system"), "system.m")
     grid, orbit = flow.sampling.grid_per_dim**flow.dim, flow.sampling.orbit_points
     key = "sampling.grid_per_dim" if grid >= orbit else "sampling.orbit_points"
-    _fits((grid + orbit) * m * m, key)  # the phase data of a sampled sup
+    _fits((grid + orbit) * m * m, key)  # the checkers' phase data
     if kind == "neutral_diag":
         c = [_parse_poly(v, "system.c") for v in _list(_req(node, "c", "system"), "system.c")]
         if len(c) != m:
@@ -386,18 +394,17 @@ def _parse_system(cfg: dict, flow: TorusFlow):
             _req(node, "transports", "system"), m, "system.transports"
         )
         outflows = tuple(
-            _parse_transports([[v]], 1, "system.outflows")[0][0]
-            for v in _list(node.get("outflows", [0.0] * m), "system.outflows")
+            _parse_transport(v, f"system.outflows[{k}]")
+            for k, v in enumerate(_list(node.get("outflows", [0.0] * m), "system.outflows"))
         )
         inflows = tuple(
             _parse_poly(v, "system.inflows")
             for v in _list(node.get("inflows", [0.0] * m), "system.inflows")
         )
+        pipes = _parse_matrix_of(  # instant pipes by default
+            _parse_pipe, node.get("pipes", [[[[0.0, 1.0]]] * m] * m), m, "system.pipes"
+        )
         try:
-            pipes = _parse_matrix_of(  # instant pipes by default
-                lambda v, w: PipeSpec(_finite(v, w, array=True)),
-                node.get("pipes", [[[[0.0, 1.0]]] * m] * m), m, "system.pipes",
-            )
             return CompartmentalSystem(
                 m=m,
                 transports=transports,
@@ -420,15 +427,14 @@ def _parse_dspec(node, m, flow) -> DOperatorSpec:
     else:
         B = identity_poly_matrix(m)
     atoms = []
-    try:
-        for k, at in enumerate(node.get("atoms", [])):
-            where = f"system.atoms[{k}]"
-            lag = _finite(_req(at, "lag", where), f"{where}.lag")
-            weight = _parse_matrix_of(_parse_poly, _req(at, "weight", where), m, f"{where}.weight")
-            atoms.append(MeasureAtom(lag, weight))
-        return DOperatorSpec(m, B, AtomicMeasureFamily(tuple(atoms)), flow)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"system: {e}") from e
+    for k, at in enumerate(_list(node.get("atoms", []), "system.atoms")):
+        where = f"system.atoms[{k}]"
+        lag = _positive(_req(at, "lag", where), f"{where}.lag")
+        if any(a.lag == lag for a in atoms):
+            raise ConfigError(f"{where}.lag: atom lags must be distinct, got {lag!r} twice")
+        weight = _parse_matrix_of(_parse_poly, _req(at, "weight", where), m, f"{where}.weight")
+        atoms.append(MeasureAtom(lag, weight))
+    return DOperatorSpec(m, B, AtomicMeasureFamily(tuple(atoms)), flow)
 
 
 def _parse_cone(node, m: int):

@@ -38,6 +38,7 @@ from .base_flow import (
     advance_many,
     derivative_along_flow_many,
     eval_trig_many,
+    plan_blocks,
     sample_thetas,
 )
 from .d_operator import AtomicMeasureFamily, DOperatorSpec, MeasureAtom, identity_poly_matrix
@@ -208,14 +209,11 @@ class CompartmentalSystem:
             for i in range(self.m)
             for j in range(self.m)
         ] + [(f"outflow gain of compartment {i}", tr.gain) for i, tr in enumerate(self.outflows)]
-        thetas = None
         for name, gain in gains:
             if gain.is_constant():
                 low = gain.constant
             else:
-                if thetas is None:
-                    thetas = sample_thetas(self.flow)
-                low = float(np.min(eval_trig_many(gain, thetas)))
+                low = np.min([np.min(eval_trig_many(gain, th)) for th in plan_blocks(self.flow)])
             if low < -_EQ_TOL:
                 raise StructuralPreconditionError(f"negative {name}")
 
@@ -340,18 +338,20 @@ class NeutralDiagSystem:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "transports", _as_transport_grid(self.transports, self.m))
         object.__setattr__(self, "c", tuple(self.c))
-        thetas = sample_thetas(self.flow)
-        cvals = np.stack([eval_trig_many(ci, thetas) for ci in self.c], axis=1)
-        if np.any(cvals < -_EQ_TOL):
+        negative = over = False
+        sups = []
+        for thetas in plan_blocks(self.flow):
+            cvals = np.stack([eval_trig_many(ci, thetas) for ci in self.c], axis=1)
+            negative |= bool(np.any(cvals < -_EQ_TOL))
+            over |= bool(np.any((cvals.sum(axis=1) if self.g6 else cvals) >= 1.0 - _EQ_TOL))
+            sups.append(np.max(cvals, axis=0))
+        if negative:
             raise StructuralPreconditionError("coefficients c_i must be >= 0")
-        if self.g6:
-            if np.any(cvals.sum(axis=1) >= 1.0 - _EQ_TOL):
-                raise StructuralPreconditionError(
-                    "sum of c_i must stay below 1 when g6 is requested"
-                )
-        elif np.any(cvals >= 1.0 - _EQ_TOL):
+        if over and self.g6:
+            raise StructuralPreconditionError("sum of c_i must stay below 1 when g6 is requested")
+        if over:
             raise StructuralPreconditionError("each c_i must stay below 1")
-        object.__setattr__(self, "_c_sup", np.max(cvals, axis=0))
+        object.__setattr__(self, "_c_sup", np.max(sups, axis=0))
         dspec = _induced_dspec(self.m, self.c, alpha, self.flow)
         zero_t = TransportSpec.zero()
         zero_p = TrigPoly.const(0.0)
@@ -532,7 +532,10 @@ class ConditionReport:
 
 
 class _Precomp:
-    """Phase-sampled ingredients shared across components and trial rates."""
+    """Phase-sampled ingredients shared across components and trial rates.
+
+    It holds the whole plan (`sample_thetas`), not a block of it: the margin
+    at every phase and the phase that attains the worst are the report."""
 
     def __init__(self, sys: NeutralDiagSystem, thetas: np.ndarray):
         self.sys = sys

@@ -24,7 +24,7 @@ lift, the inverse, the integrator's stages and the stored mass read x at
 `DOperatorSpec.apply` for D itself.
 
 Sups over the torus are estimated on the phases of the flow's sampling
-plan (`base_flow.sample_thetas`), the plan every sampled sup of a run
+plan (`base_flow.plan_blocks`), the plan every sampled sup of a run
 reads; the worst sampled phase is reported alongside the estimate. An
 operator computes its stability estimate once, on first use of
 `DOperatorSpec.stability`, and the inverse reads it there.
@@ -39,7 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from .base_flow import TorusFlow, TorusPoint, TrigPoly, advance_many, eval_trig_many, sample_thetas
+from .base_flow import TorusFlow, TorusPoint, TrigPoly, advance_many, eval_trig_many, plan_blocks
+from .base_flow import sample_thetas  # noqa: F401  perfbench's tracer wraps it here
 from .errors import DimensionMismatchError, SingularBError, UnstableMarginError
 from .history import FunctionHistory, HistoryGrid, _back_stencil, _nodes, gather, sup_norm
 
@@ -60,7 +61,8 @@ def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def eval_poly_matrix_many(mat, thetas: np.ndarray) -> np.ndarray:
-    """Evaluate an m x m matrix of polynomials at (n, d) phases -> (n, m, m)."""
+    """Evaluate an m x m matrix of polynomials at (n, d) phases -> (n, m, m).
+    An entry without terms is written as its constant, not evaluated."""
     thetas = np.atleast_2d(thetas)
     m = len(mat)
     out = np.empty((thetas.shape[0], m, m))
@@ -68,7 +70,7 @@ def eval_poly_matrix_many(mat, thetas: np.ndarray) -> np.ndarray:
         if len(row) != m:
             raise DimensionMismatchError("polynomial matrix is not square")
         for j, poly in enumerate(row):
-            out[:, i, j] = eval_trig_many(poly, thetas)
+            out[:, i, j] = poly.constant if poly.n_terms == 0 else eval_trig_many(poly, thetas)
     return out
 
 
@@ -249,31 +251,36 @@ def stability_margin(spec: DOperatorSpec) -> StabilityEstimate:
     lam is the max over sampled phases of the max row sum of
     sum_k |B^-1 W_k| plus the integrated |B^-1 density|; k_bound is
     sup||B^-1|| / (1 - lam). Raises when lam is not safely below one.
+    Read by `plan_blocks`, in O(PLAN_BLOCK m^2) memory; the worst phase is
+    the first attaining lam, and a singular B raises at its first phase.
     """
-    thetas = sample_thetas(spec.flow)
-    Bv = eval_poly_matrix_many(spec.B, thetas)
-    Binv = _batch_inverse(Bv, thetas)
-    sup_Binv = float(np.max(np.sum(np.abs(Binv), axis=2)))
-    rows = np.zeros((thetas.shape[0], spec.m))
-    for atom in spec.nu.atoms:  # one weight at a time: thetas may be many
-        Wv = eval_poly_matrix_many(atom.weight, thetas)
-        rows += np.sum(np.abs(np.einsum("nab,nbc->nac", Binv, Wv)), axis=2)
-    if spec.nu.density is not None:
-        dens = spec.nu.density
-        for l in range(dens.values.shape[0]):
-            prod = np.abs(np.einsum("nab,bc->nac", Binv, dens.values[l]))
-            rows += dens.step * np.sum(prod, axis=2)
-    per_point = np.max(rows, axis=1)
-    idx = int(np.argmax(per_point))
-    lam = float(per_point[idx])
+    lam, sup_Binv, count = -math.inf, -math.inf, 0
+    for thetas in plan_blocks(spec.flow):
+        Binv = _batch_inverse(eval_poly_matrix_many(spec.B, thetas), thetas)
+        sup_Binv = np.maximum(sup_Binv, np.max(np.sum(np.abs(Binv), axis=2)))
+        rows = np.zeros((thetas.shape[0], spec.m))
+        for atom in spec.nu.atoms:
+            Wv = eval_poly_matrix_many(atom.weight, thetas)
+            rows += np.sum(np.abs(np.einsum("nab,nbc->nac", Binv, Wv)), axis=2)
+        if spec.nu.density is not None:
+            dens = spec.nu.density
+            for l in range(dens.values.shape[0]):
+                prod = np.abs(np.einsum("nab,bc->nac", Binv, dens.values[l]))
+                rows += dens.step * np.sum(prod, axis=2)
+        per_point = np.max(rows, axis=1)
+        idx = int(np.argmax(per_point))  # the first maximum, or the first NaN
+        if np.argmax([lam, per_point[idx]]):  # and so across blocks
+            lam, worst = float(per_point[idx]), TorusPoint(thetas[idx])
+        count += thetas.shape[0]
+    sup_Binv = float(sup_Binv)
     if not lam < 1.0 - _STABILITY_GUARD:  # NaN data fails here too
         raise UnstableMarginError(lam)
     return StabilityEstimate(
         lam=lam,
         k_bound=sup_Binv / (1.0 - lam),
         sup_Binv=sup_Binv,
-        sample_count=thetas.shape[0],
-        worst_point=TorusPoint(thetas[idx]),
+        sample_count=count,
+        worst_point=worst,
     )
 
 

@@ -29,7 +29,9 @@ on-node shortcut, where `history.cubic_rows` gathers the taps of
 `cubic_stencil`; the oracles here read stored rows through it.
 `invert_Dhat_neumann` inverts the lift by the truncated Neumann series, N
 full passes over the working grid, where `invert_Dhat` solves the same
-fixed point by the method of steps. Tests compare each pair.
+fixed point by the method of steps. `stability_margin_direct` takes the
+sampled sup over the whole plan at once, where `stability_margin` reduces
+it a block of phases at a time. Tests compare each pair.
 """
 
 import math
@@ -39,14 +41,21 @@ import numpy as np
 import scipy.linalg
 
 from nfde_lab import NeutralDiagSystem, TorusPoint, advance, eval_trig
-from nfde_lab.base_flow import advance_many, eval_trig_many
+from nfde_lab.base_flow import advance_many, eval_trig_many, sample_thetas
 from nfde_lab.compartment import _general, _nmin
-from nfde_lab.d_operator import _batch_inverse, eval_D, eval_poly_matrix_many
+from nfde_lab.d_operator import (
+    _STABILITY_GUARD,
+    StabilityEstimate,
+    _batch_inverse,
+    eval_D,
+    eval_poly_matrix_many,
+)
 from nfde_lab.errors import (
     DimensionMismatchError,
     DivergenceError,
     HorizonError,
     UnorderedPairError,
+    UnstableMarginError,
 )
 from nfde_lab.history import _EQ_TOL, _SNAP, HistoryGrid, TailPolicy, _nodes, sup_norm
 from nfde_lab.integrator import PairLog, TrajectoryLog, _Stage, init_from_z, step
@@ -331,6 +340,36 @@ def invert_Dhat_neumann(
             term = np.einsum("jab,jb->ja", Binv, z)
             acc += term
     return HistoryGrid(h, acc[: J_ret + 1], yhat.tail)
+
+
+def stability_margin_direct(spec) -> StabilityEstimate:
+    """`stability_margin` over the whole sampling plan at once: every
+    (N, m, m) array of the plan held together, one argmax over all phases."""
+    thetas = sample_thetas(spec.flow)
+    Bv = eval_poly_matrix_many(spec.B, thetas)
+    Binv = _batch_inverse(Bv, thetas)
+    sup_Binv = float(np.max(np.sum(np.abs(Binv), axis=2)))
+    rows = np.zeros((thetas.shape[0], spec.m))
+    for atom in spec.nu.atoms:
+        Wv = eval_poly_matrix_many(atom.weight, thetas)
+        rows += np.sum(np.abs(np.einsum("nab,nbc->nac", Binv, Wv)), axis=2)
+    if spec.nu.density is not None:
+        dens = spec.nu.density
+        for l in range(dens.values.shape[0]):
+            prod = np.abs(np.einsum("nab,bc->nac", Binv, dens.values[l]))
+            rows += dens.step * np.sum(prod, axis=2)
+    per_point = np.max(rows, axis=1)
+    idx = int(np.argmax(per_point))
+    lam = float(per_point[idx])
+    if not lam < 1.0 - _STABILITY_GUARD:
+        raise UnstableMarginError(lam)
+    return StabilityEstimate(
+        lam=lam,
+        k_bound=sup_Binv / (1.0 - lam),
+        sup_Binv=sup_Binv,
+        sample_count=thetas.shape[0],
+        worst_point=TorusPoint(thetas[idx]),
+    )
 
 
 def point_at(state, t: float) -> TorusPoint:

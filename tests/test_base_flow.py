@@ -14,7 +14,14 @@ from nfde_lab import (
     eval_trig,
     torus_distance,
 )
-from nfde_lab.base_flow import SamplingConfig, advance_many, eval_trig_many
+from nfde_lab.base_flow import (
+    PLAN_BLOCK,
+    SamplingConfig,
+    advance_many,
+    eval_trig_many,
+    plan_blocks,
+    sample_thetas,
+)
 
 
 def test_advance_identity():
@@ -158,3 +165,35 @@ def test_sampling_counts_must_be_whole(counts):
 def test_sampling_counts_keep_whole_floats_as_ints():
     plan = SamplingConfig(grid_per_dim=3.0, orbit_points=np.int64(4))
     assert plan == SamplingConfig(3, 4) and type(plan.grid_per_dim) is int
+
+
+def _plan_by_meshgrid(flow):
+    """The sampling plan built whole: the grid by meshgrid, then the orbit."""
+    g = flow.sampling.grid_per_dim
+    mesh = np.meshgrid(*[np.arange(g) / g] * flow.dim, indexing="ij")
+    grid = np.stack([ax.ravel() for ax in mesh], axis=1)
+    ts = (np.arange(flow.sampling.orbit_points) + 1) * flow.sampling.orbit_step
+    return np.vstack([grid, advance_many(flow, TorusPoint(np.zeros(flow.dim)), ts)])
+
+
+@pytest.mark.parametrize(
+    "freqs, plan",
+    [
+        ([GOLDEN_FREQ], SamplingConfig()),
+        ([GOLDEN_FREQ], SamplingConfig(1025, 0)),
+        ([GOLDEN_FREQ, 0.3], SamplingConfig(23, 1100, 0.11)),
+        ([GOLDEN_FREQ, 0.3], SamplingConfig(64, 512)),
+        ([0.1, 0.2, 0.3], SamplingConfig(9, 1)),
+        ([0.1, 0.2, 0.3], SamplingConfig(1, 3)),
+    ],
+)
+def test_plan_blocks_concatenate_to_the_plan(freqs, plan):
+    # blocks of at most PLAN_BLOCK phases, the grid's before the orbit's,
+    # whose rows are the whole plan's bit for bit, in order
+    flow = TorusFlow(freqs, plan)
+    blocks = list(plan_blocks(flow))
+    assert all(0 < b.shape[0] <= PLAN_BLOCK and b.shape[1] == len(freqs) for b in blocks)
+    want = _plan_by_meshgrid(flow)
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
+    assert sample_thetas(flow).tobytes() == want.tobytes()
+    assert sample_thetas(flow).shape == want.shape

@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -963,7 +965,7 @@ OVERSIZED = {
 # what would allocate the oversized arrays: the sampled phases of the plan,
 # or a history grid and the run's buffers
 ALLOCATORS = {
-    "sampling": ("sample_thetas",),
+    "sampling": ("sample_thetas", "plan_blocks"),
     "rows": ("from_function", "run", "run_ordered_pair", "_start", "invert_Dhat"),
 }
 
@@ -1001,6 +1003,20 @@ def _leaves(node, path=()):
         yield path
 
 
+# the values each leaf of a config is set to in turn by the leaf sweeps
+LEAF_VALUES = ["x", None, [], {}, True, math.nan, math.inf, -1, 0.5, [[1.0]]]
+
+
+def _with_leaf(base, path, value):
+    """A copy of the config base with its leaf at path set to value."""
+    cfg = json.loads(json.dumps(base))
+    node = cfg
+    for p in path[:-1]:
+        node = node[p]
+    node[path[-1]] = value
+    return cfg
+
+
 def test_leaf_sweep_of_the_readme_example_ends_in_documented_exits(tmp_path, capsys):
     # every leaf of README's s1 example, set in turn to each value below and
     # run under check and simulate (cut to 20 steps), ends in a documented
@@ -1009,16 +1025,11 @@ def test_leaf_sweep_of_the_readme_example_ends_in_documented_exits(tmp_path, cap
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     base = json.loads(text.split("```json")[1].split("```")[0])
     base["sim"]["t_end"] = 20 * base["sim"]["h"]
-    values = ["x", None, [], {}, True, math.nan, math.inf, -1, 0.5, [[1.0]]]
     runs = 0
     for path in _leaves(base):
         key = ".".join(p for p in path if isinstance(p, str))
-        for value in values:
-            cfg = json.loads(json.dumps(base))
-            node = cfg
-            for p in path[:-1]:
-                node = node[p]
-            node[path[-1]] = value
+        for value in LEAF_VALUES:
+            cfg = _with_leaf(base, path, value)
             for task in ("check", "simulate"):
                 code = _run(tmp_path, task, cfg)
                 err = capsys.readouterr().err
@@ -1027,4 +1038,39 @@ def test_leaf_sweep_of_the_readme_example_ends_in_documented_exits(tmp_path, cap
                 assert code != 1 or task == "check", where
                 assert code != 2 or key in err, where
                 runs += 1
-    assert runs == 2 * len(values) * len(list(_leaves(base)))
+    assert runs == 2 * len(LEAF_VALUES) * len(list(_leaves(base)))
+
+
+def _c3_audit_config(monkeypatch) -> dict:
+    """The mass-audit config of the c3-general benchmark workload, seed 0."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    return next(t.config for t in workloads.generate("c3-general", 0) if t.task == "mass-audit")
+
+
+def test_leaf_sweep_of_the_c3_audit_ends_in_documented_exits(tmp_path, capsys, monkeypatch):
+    # the README sweep's assertions over every leaf of the 3-compartment
+    # general system's mass-audit config (a sampling plan of 8/8 phases, the
+    # run cut to 2 steps): a pipe, an atom lag or a transport's shape or gain
+    # that the system rejects exits 2 naming its leaf, where each list index
+    # may be named or dropped
+    base = _c3_audit_config(monkeypatch)
+    base["sampling"] = {"grid_per_dim": 8, "orbit_points": 8}
+    base["sim"]["t_end"] = 2 * base["sim"]["h"]
+    runs = 0
+    for path in _leaves(base):
+        key = "".join(
+            rf"(\[{p}\])?" if isinstance(p, int) else (r"\." if n else "") + re.escape(p)
+            for n, p in enumerate(path)
+        )
+        for value in LEAF_VALUES:
+            code = _run(tmp_path, "mass-audit", _with_leaf(base, path, value))
+            err = capsys.readouterr().err
+            where = (path, value, code, err)
+            assert code in (0, 2, 3, 4, 5), where
+            assert code != 2 or re.search(key, err), where
+            runs += 1
+    assert runs == len(LEAF_VALUES) * len(list(_leaves(base)))

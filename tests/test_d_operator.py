@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,11 +31,17 @@ from nfde_lab import (
     stability_margin,
     sup_norm,
 )
-from nfde_lab.base_flow import SamplingConfig, advance_many, sample_thetas
-from nfde_lab.d_operator import const_poly_matrix, identity_poly_matrix
+from nfde_lab.base_flow import (
+    PLAN_BLOCK,
+    SamplingConfig,
+    advance_many,
+    eval_trig_many,
+    sample_thetas,
+)
+from nfde_lab.d_operator import const_poly_matrix, eval_poly_matrix_many, identity_poly_matrix
 
 from .conftest import random_contraction_spec, random_history, scalar_dspec
-from .oracles import invert_Dhat_neumann
+from .oracles import invert_Dhat_neumann, stability_margin_direct
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +303,130 @@ def test_stability_singular_B(golden_flow):
     )
     with pytest.raises(SingularBError):
         stability_margin(spec)
+
+
+def _torus_spec(rng, flow, m):
+    """A seeded operator on the flow's torus: B = I with two entries given
+    two modes each, two atoms with two modes on every entry but a zero and
+    a constant one, and a density; the delayed part stays a contraction."""
+
+    def poly(constant, scale):
+        k = rng.integers(-2, 3, size=(2, flow.dim))
+        terms = [(k[n], *rng.uniform(-scale, scale, 2)) for n in range(2)]
+        return TrigPoly.from_terms(constant, terms)
+
+    B = [[TrigPoly.const(float(i == j)) for j in range(m)] for i in range(m)]
+    B[-1][0] = poly(0.0, 0.02)
+    B[0][0] = poly(1.0, 0.05)
+    atoms = []
+    for lag in (0.5, 1.25):
+        weight = [
+            [poly(rng.uniform(-0.06, 0.06) / m, 0.06 / m) for _ in range(m)] for _ in range(m)
+        ]
+        weight[0][-1], weight[-1][0] = TrigPoly.const(0.0), TrigPoly.const(0.05)
+        atoms.append(MeasureAtom(lag, weight))
+    density = MeasureDensity(rng.uniform(-0.02, 0.02, size=(3, m, m)), 0.25)
+    return DOperatorSpec(m, B, AtomicMeasureFamily(tuple(atoms), density), flow)
+
+
+def _same_estimate(got, want):
+    assert (got.lam, got.k_bound, got.sup_Binv) == (want.lam, want.k_bound, want.sup_Binv)
+    assert got.sample_count == want.sample_count
+    assert got.worst_point.theta.tobytes() == want.worst_point.theta.tobytes()
+
+
+@pytest.mark.parametrize(
+    "freqs, plan",
+    [
+        ([GOLDEN_FREQ], SamplingConfig(700, 300)),
+        ([GOLDEN_FREQ, 0.41421356237309515], SamplingConfig(23, 600, 0.11)),
+        ([GOLDEN_FREQ, 0.41421356237309515, 0.7320508075688772], SamplingConfig(9, 513)),
+    ],
+    ids=["d1", "d2", "d3"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stability_by_blocks_is_the_whole_plan_estimate(freqs, plan, seed):
+    # plans that are no multiple of the block: the estimate read a block at
+    # a time equals the whole-plan one bit for bit, worst phase included
+    flow = TorusFlow(freqs, plan)
+    rng = np.random.default_rng(seed)
+    spec = _torus_spec(rng, flow, int(rng.integers(1, 4)))
+    assert (plan.grid_per_dim ** len(freqs)) % PLAN_BLOCK and plan.orbit_points % PLAN_BLOCK
+    _same_estimate(stability_margin(spec), stability_margin_direct(spec))
+
+
+def test_stability_tie_across_blocks_keeps_the_first_phase():
+    # c = 0.3 + 0.2 cos(4 pi theta) is 0.5 exactly at theta 0 (row 0) and 0.5
+    # (row 512, the next block's first): the first sampled phase is the witness
+    flow = TorusFlow([GOLDEN_FREQ], SamplingConfig(2 * PLAN_BLOCK, 40))
+    spec = scalar_dspec(flow, TrigPoly.from_terms(0.3, [([2], 0.2, 0.0)]))
+    est = stability_margin(spec)
+    assert est.lam == 0.5 and est.worst_point.theta.tolist() == [0.0]
+    _same_estimate(est, stability_margin_direct(spec))
+
+
+def test_stability_singular_B_in_a_later_block():
+    # B = 1 + cos(2 pi theta) vanishes at theta = 0.5, row 512: the second
+    # block raises, at the same phase and determinant as the whole plan
+    flow = TorusFlow([GOLDEN_FREQ], SamplingConfig(2 * PLAN_BLOCK, 0))
+    B = [[TrigPoly.from_terms(1.0, [([1], 1.0, 0.0)])]]
+    spec = DOperatorSpec(1, B, scalar_dspec(flow, 0.2).nu, flow)
+    errors = []
+    for estimate in (stability_margin, stability_margin_direct):
+        with pytest.raises(SingularBError) as info:
+            estimate(spec)
+        errors.append(info.value)
+    assert errors[0].point.theta.tolist() == [0.5] == errors[1].point.theta.tolist()
+    assert errors[0].det == errors[1].det
+
+
+def test_stability_nan_in_a_later_block_is_not_skipped():
+    # weights overflow to inf only near theta = 0.75, in the second block, where
+    # B^-1 W is NaN (0 * inf); the first block's lam is finite and past one.
+    # The estimate is NaN, as over the whole plan
+    flow = TorusFlow([GOLDEN_FREQ], SamplingConfig(2 * PLAN_BLOCK, 0))
+    big = TrigPoly.from_terms(0.9e308, [([1], 0.0, -0.9e308)])
+    zero = TrigPoly.const(0.0)
+    nu = AtomicMeasureFamily((MeasureAtom(1.0, [[big, zero], [zero, zero]]),))
+    spec = DOperatorSpec(2, identity_poly_matrix(2), nu, flow)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for estimate in (stability_margin, stability_margin_direct):
+            with pytest.raises(UnstableMarginError) as info:
+                estimate(spec)
+            assert math.isnan(info.value.lam)
+
+
+def test_stability_memory_does_not_grow_with_the_plan():
+    # a d = 3, m = 3 operator on the default plan, 64^3 + 512 = 262,656
+    # phases: the whole plan held 102 MiB, one block at a time stays under 4
+    flow = TorusFlow([GOLDEN_FREQ, 0.41421356237309515, 0.7320508075688772])
+    B = const_poly_matrix(np.eye(3))
+    B[0][0] = TrigPoly.from_terms(1.0, [([1, 0, 0], 0.1, 0.0)])
+    W = const_poly_matrix(np.full((3, 3), 0.1))
+    W[2][1] = TrigPoly.from_terms(0.1, [([0, 1, 1], 0.0, 0.05)])
+    spec = DOperatorSpec(3, B, AtomicMeasureFamily((MeasureAtom(1.0, W),)), flow)
+    tracemalloc.start()
+    try:
+        est = stability_margin(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.sample_count == 262_656
+    assert peak <= 4 * 2**20, peak
+
+
+def test_constant_entries_are_written_not_evaluated(golden_flow):
+    # an entry without terms is its constant at every phase, bit for bit as
+    # eval_trig_many gives it
+    thetas = sample_thetas(golden_flow)
+    mat = [
+        [TrigPoly.const(0.3), TrigPoly.from_terms(0.1, [([1], 0.2, 0.0)])],
+        [TrigPoly.const(0.0), TrigPoly.const(-1e-300)],
+    ]
+    got = eval_poly_matrix_many(mat, thetas)
+    for i, row in enumerate(mat):
+        for j, poly in enumerate(row):
+            assert got[:, i, j].tobytes() == eval_trig_many(poly, thetas).tobytes()
 
 
 def test_invert_constant_geometric(half_spec, origin):

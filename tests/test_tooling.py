@@ -319,15 +319,43 @@ def _called(tree, name):
 
 def test_one_sampling_plan():
     # base_flow defines the plan and cli parses it onto the flow; no other
-    # module builds one, sample_thetas reads the flow alone, and no frozen
-    # dataclass is written to after __post_init__ (a cache on one included)
+    # module builds one or its phases, sample_thetas reads the flow alone,
+    # and no frozen dataclass is written to after __post_init__ (a cache on
+    # one included). The build-time sups stream the phases by plan_blocks;
+    # only the condition checkers take the whole plan
     src = ROOT / "src" / "nfde_lab"
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        if path.name not in ("base_flow.py", "cli.py"):
-            assert not _called(tree, "SamplingConfig"), f"{path.name} builds a SamplingConfig"
-        for call in _called(tree, "sample_thetas"):
-            assert len(call.args) + len(call.keywords) == 1, f"{path.name}:{call.lineno}"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    defs = [
+        (name, n.name)
+        for name, tree in trees.items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name in ("plan_blocks", "sample_thetas")
+    ]
+    assert defs == [("base_flow.py", "plan_blocks"), ("base_flow.py", "sample_thetas")]
+    streamed = (
+        ("d_operator.py", "stability_margin"),
+        ("compartment.py", "CompartmentalSystem._check_gains"),
+        ("compartment.py", "NeutralDiagSystem.__post_init__"),
+    )
+    for name, qualname in streamed:
+        fn = _function(trees[name], qualname)
+        assert _called(fn, "plan_blocks") and not _called(fn, "sample_thetas"), qualname
+    whole = [
+        (name, fn.name)
+        for name, tree in trees.items()
+        if name != "base_flow.py"
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and _called(fn, "sample_thetas")
+    ]
+    assert whole == [("compartment.py", "check_condition"), ("compartment.py", "suggest_a")]
+    for name, tree in trees.items():
+        if name != "base_flow.py":
+            phases = _called(tree, "meshgrid") + _called(tree, "unravel_index")
+            assert not phases, f"{name} builds plan phases"
+        if name not in ("base_flow.py", "cli.py"):
+            assert not _called(tree, "SamplingConfig"), f"{name} builds a SamplingConfig"
+        for call in _called(tree, "sample_thetas") + _called(tree, "plan_blocks"):
+            assert len(call.args) + len(call.keywords) == 1, f"{name}:{call.lineno}"
         setup = {
             id(n)
             for fn in ast.walk(tree)
@@ -340,7 +368,7 @@ def test_one_sampling_plan():
             if isinstance(call.func.value, ast.Name) and call.func.value.id == "object"
             and id(call) not in setup
         ]
-        assert not writes, f"{path.name} sets attributes outside __post_init__ at {writes}"
+        assert not writes, f"{name} sets attributes outside __post_init__ at {writes}"
 
 
 def test_one_mass_kernel_and_one_cone_margin():
