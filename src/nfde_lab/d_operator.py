@@ -12,26 +12,26 @@ flow gives the history-to-history map
 
 which factors as Bhat o (I - Lhat) with Lhat the delayed part premultiplied
 by B^{-1}. When the sampled sup of ||Lhat|| is below one the lift is
-invertible, and the inverse is computed by the method of steps: each node
-solves B x = target + delayed part, whose reads, the lift's causal ones
-(`history._read_back`), take the node itself, moved to the left side, and
-older, already solved nodes. The past is extended by a depth chosen a
-priori from the geometric tail bound.
+invertible. Its inverse and the integrator's z are one method of steps,
+`StepPlan`: each row solves A x = target + delayed part, read at the
+caller's stencils from older, solved rows, a tap on the row itself moved
+into A. The inverse extends the past by a depth chosen a priori from the
+geometric tail bound.
 
 Only this module knows how the delayed part is laid out and summed: the
-lift, the inverse, the integrator's stages and the stored mass read x at
+lift, the method of steps and the stored mass read x at
 `AtomicMeasureFamily.delays` and sum the terms by its `add_into`, or
 `DOperatorSpec.apply` for D itself.
 
-Sups over the torus are estimated on the phases of the flow's sampling
-plan (`base_flow.plan_blocks`), the plan every sampled sup of a run
-reads; the worst sampled phase is reported alongside the estimate. An
-operator computes its stability estimate once, on first use of
-`DOperatorSpec.stability`, and the inverse reads it there.
+Sups over the torus are estimated on the flow's sampling plan
+(`base_flow.plan_blocks`), with the worst sampled phase. An operator
+computes its stability estimate once, on first use of
+`DOperatorSpec.stability`, where the inverse reads it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -232,13 +232,22 @@ class DOperatorSpec:
 
 
 def _batch_inverse(Bv: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    dets = np.linalg.det(Bv)
+    """B^-1 at each phase, or SingularBError at the first where |det B| <
+    1e-14 max(1, max|B|)^m; det is taken where Hadamard's bound on B^-1
+    does not clear that by 1e3."""
     scale = np.maximum(1.0, np.max(np.abs(Bv), axis=(1, 2)) ** Bv.shape[1])
-    bad = np.abs(dets) < 1e-14 * scale
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise SingularBError(TorusPoint(thetas[i]), float(dets[i]))
-    return np.linalg.inv(Bv)
+    try:
+        Binv = np.linalg.inv(Bv)
+    except np.linalg.LinAlgError:  # a zero pivot
+        Binv = np.full_like(Bv, np.nan)
+    with np.errstate(all="ignore"):  # a NaN or inf clears nothing
+        bound = -0.5 * np.sum(np.log(np.einsum("nij,nij->ni", Binv, Binv)), axis=1)
+        check = np.flatnonzero(~(np.isfinite(bound) & (bound >= np.log(1e-11 * scale))))
+    dets = np.linalg.det(Bv[check])
+    bad = np.flatnonzero(np.abs(dets) < 1e-14 * scale[check])
+    if bad.size:
+        raise SingularBError(TorusPoint(thetas[check[bad[0]]]), float(dets[bad[0]]))
+    return Binv
 
 
 # lam must stay this far below one for the delayed part to count as a contraction.
@@ -304,6 +313,37 @@ def eval_Dhat_segment(
     return HistoryGrid(h, out, hist.tail)
 
 
+class StepPlan:
+    """The method of steps: row r, at phase theta[r], solves A x = acc + the
+    delayed part of x, read at stencils (idx, w) for the columns `cols` of
+    nu.delays; A = B - sum w0 W takes a row's taps w0 on itself. A tap of
+    weight 0 still reads its row, which must be written: it may hold NaN.
+    reach[r] is the newest row rows 0 .. r read."""
+
+    __slots__ = ("nu", "cols", "W", "Ainv", "idx", "w", "reach")
+
+    def __init__(self, spec, theta, idx, w, w0=0.0, cols=slice(None)):
+        n = theta.shape[0]
+        B, W = eval_poly_matrix_many(spec.B, theta), spec.nu.weights(theta)
+        if np.any(w0):  # B - sum w0 W, column by column
+            for i, e in enumerate(np.eye(spec.m)):
+                B[:, :, i] -= spec.nu.add_into(np.zeros((n, spec.m)), W, w0[..., None] * e)
+        self.nu, self.cols, self.W, self.idx, self.w = spec.nu, cols, W, idx, w
+        self.Ainv = _batch_inverse(B, theta)
+        self.reach = np.maximum.accumulate(idx.reshape(n, -1).max(axis=1, initial=0)).tolist()
+
+    def end(self, written: int) -> int:
+        """One past the last row that, as all before it, reads only `written` rows."""
+        return bisect.bisect_right(self.reach, written - 1)
+
+    def read(self, X: np.ndarray, lo: int, hi: int, acc: np.ndarray) -> np.ndarray:
+        """Rows lo .. hi - 1 read from X: one `gather` of every column, returned,
+        and one `add_into` of the delayed part into acc."""
+        rows = gather(X, self.idx[lo:hi], self.w[lo:hi])
+        self.nu.add_into(acc, [Wk[lo:hi] for Wk in self.W], rows[:, self.cols])
+        return rows
+
+
 def invert_Dhat(
     spec: DOperatorSpec,
     p: TorusPoint,
@@ -311,24 +351,18 @@ def invert_Dhat(
     tol: float,
     n_terms: Optional[int] = None,
 ) -> HistoryGrid:
-    """Invert the lift by the method of steps.
+    """Invert the lift by the method of steps, a `StepPlan` over the grid.
 
-    The inverse x solves B x = yhat + delayed part of x on a working grid
-    extended N delay spans into the past, N chosen a priori from the
-    geometric tail bound of `spec.stability` unless n_terms sets it. x is
-    read by the lift's causal rule, and past the grid at its oldest row as
-    it stands (0 under a ZERO tail: its target is 0 and it reads only past
-    the grid). A row's tap on itself, weight |w0| <= 1 (an off-grid delay
-    under 2h, or a stencil clipped at the oldest rows), moves to the left:
-    row j solves (B - sum w0 W) x_j = yhat_j + the reads of older rows, one
-    batched inverse for all rows (B^-1 when every w0 is 0). Starting from
-    x = B^-1 yhat, the rows are solved from the oldest in blocks of c >= 1
-    rows, c the shortest distance from a row to an older row it reads, so
-    every block reads only solved rows; the oldest reads the starting row,
-    an error damped by lam^N at the returned rows. These reach one support
-    past the input's, or to the oldest row that its nodes' stencils read,
-    so a round trip through eval_Dhat_segment at the input depth stays
-    within tol at every node.
+    x solves B x = yhat + delayed part of x on a working grid extended N
+    delay spans into the past, N from the geometric tail bound of
+    `spec.stability` unless n_terms sets it. Its nodes, oldest first, are
+    the plan's rows, read back from each by the lift's causal rule, past
+    the grid at its oldest row as it stands (0 under a ZERO tail), and a
+    tap on the row itself moves into A. The oldest gap rows, gap the least
+    distance from a row to an older row it reads, read A^-1 yhat: an error
+    damped by lam^N at the returned rows, which reach one support past the
+    input's, or to the oldest row its nodes' stencils read, so a round trip
+    through eval_Dhat_segment at the input depth stays within tol.
     """
     if spec.m != yhat.m:
         raise DimensionMismatchError(
@@ -354,29 +388,26 @@ def invert_Dhat(
     reach = int(np.max(_back_stencil(pos, n_s + 4)[0], initial=0))
     J_ret = yhat.J + max(n_s, reach)
     K = J_ret + N * n_s + 1
-    s_nodes = -h * np.arange(K)
-    y_ext = yhat.sample_many(s_nodes)
-    thetas = advance_many(spec.flow, p, s_nodes)
-    Bv = eval_poly_matrix_many(spec.B, thetas)
-    W = spec.nu.weights(thetas)
-    j = np.arange(K)  # x is newest first: row j reads rows j .. K - 1
-    back, w, beyond = _back_stencil(pos, (K - j)[:, None])
+    s_nodes = -h * np.arange(K - 1, -1, -1)  # oldest first
+    y = yhat.sample_many(s_nodes)
+    r = np.arange(K)[:, None]  # row r comes after r rows
+    b, w, beyond = _back_stencil(pos, r + 1)
     live = (w != 0.0) & ~beyond[..., None]
-    own = live & (back == 0)
-    if np.any(own):  # B - sum w0 W, column by column
-        w0 = np.where(own, w, 0.0).sum(axis=-1)
-        for i, e in enumerate(np.eye(spec.m)):
-            Bv[:, :, i] -= spec.nu.add_into(np.zeros((K, spec.m)), W, w0[..., None] * e)
-        w = np.where(own, 0.0, w)
-    c = int(np.min(back[live & ~own], initial=K))
-    Ainv = _batch_inverse(Bv, thetas)
-    x = np.einsum("jab,jb->ja", Ainv, y_ext)
-    for e in range(K, 0, -c):
-        blk = slice(max(e - c, 0), e)
-        reads = gather(x, j[blk, None, None] + back[blk], w[blk])
-        z = spec.nu.add_into(y_ext[blk].copy(), [Wk[blk] for Wk in W], reads)
-        x[blk] = np.einsum("jab,jb->ja", Ainv[blk], z)
-    return HistoryGrid(h, x[: J_ret + 1], yhat.tail)
+    own = live & (b == 0)
+    gap = int(np.min(b, where=live & (b > 0), initial=K))
+    # taps on the row itself read the row before with weight 0 (row 0 its
+    # starting value); the live one's weight moves into A
+    idx = np.maximum(r[..., None] - np.maximum(b, 1), 0)
+    w0 = np.where(own, w, 0.0).sum(axis=-1)
+    plan = StepPlan(spec, advance_many(spec.flow, p, s_nodes), idx, np.where(own, 0.0, w), w0)
+    x = np.empty((K, spec.m))
+    x[:gap] = np.einsum("jab,jb->ja", plan.Ainv[:gap], y[:gap])  # what the first window reads
+    lo, hi = 0, gap
+    while lo < K:
+        plan.read(x, lo, hi, y[lo:hi])
+        x[lo:hi] = np.einsum("jab,jb->ja", plan.Ainv[lo:hi], y[lo:hi])
+        lo, hi = hi, plan.end(hi)
+    return HistoryGrid(h, x[::-1][: J_ret + 1], yhat.tail)
 
 
 def extract_atom_at_zero(spec: DOperatorSpec, p: TorusPoint, rho: float) -> np.ndarray:

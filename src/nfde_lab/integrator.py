@@ -12,36 +12,27 @@ to 4 with the smoothness of the data) from a store that starts at the
 given history, as far back as the run reads (`_history_rows`).
 
 Stage 0 sits at time 0, stage 2n + 1 at n h + h/2 and stage 2n + 2 at
-n h + h. A stage plan builds what depends on the phase alone for
-_PLAN_STEPS steps at a time (phases, B^-1, atom weights, the balance law's
-coefficients, cubic stencils), and a read window the delayed part of D and
-z at the pipe lags for every stage whose stencils read only stored rows:
-one `history.gather` of the stored z and one `add_into` of the operator's
-delayed part, which knows its layout, as the lift and the mass do.
-Both are bit-identical to each stage computed from scratch when each
-coefficient has one term whose wave vector has one nonzero entry or
-entries of size at most 2; otherwise a last bit may differ.
+n h + h. They run on the inverse's method of steps, `StepPlan`: a plan
+block is its plan over the stages of _PLAN_STEPS steps, a read window its
+window over those reading only stored rows. Both match each stage from
+scratch bit for bit when each coefficient has one term whose wave vector
+has one nonzero entry or entries of size at most 2; otherwise a last bit
+may differ. A B singular at a stage phase raises SingularBError there.
 
 A stage's own work, rebuilding z and summing the balance law, runs on
-Python floats, in the order of the array expressions it replaced. A B
-whose off-diagonal entries are all zero keeps only the diagonal of B^-1,
-and z is one product per component, which rounds as NumPy does; any other
-B keeps all of B^-1, and z sums each row left to right, not in the order
-BLAS sums it.
+Python floats in the order of the array expressions it replaced: z is one
+product per component when B is diagonal, rounding as NumPy does, and
+else sums each row of B^-1 left to right, not in BLAS's order.
 
-The log is read off the stored X and Z after the run: masses from
-vectorised passes of `_total_mass_many`, the one mass kernel, which
-`total_mass` calls too, and pair monitors from running and windowed minima
-of the decay slack that `ordering` defines with the cone margin. Each value
-is the one computed at its log point while stepping, bit for bit, except
-that the mass reads a lagged phase-dependent gain at a phase taken from the
-start directly, not stepped back from the log point, which may round
-differently.
+The log is read off the stored X and Z after the run (`_total_mass_many`,
+and minima of the decay slack `ordering` defines for pairs), each value as
+computed at its log point while stepping, bit for bit, except that the
+mass reads a lagged phase-dependent gain at a phase taken from the start
+directly, which may round differently.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,7 +41,7 @@ import numpy as np
 
 from .base_flow import TorusFlow, TorusPoint
 from .compartment import _general, _mass_span, _total_mass_many
-from .d_operator import eval_Dhat_segment, eval_poly_matrix_many
+from .d_operator import StepPlan, eval_Dhat_segment
 from .errors import (
     DivergenceError,
     HorizonError,
@@ -58,17 +49,8 @@ from .errors import (
     StructuralPreconditionError,
     UnorderedPairError,
 )
-from .history import (
-    _EQ_TOL,
-    _SNAP,
-    HistoryGrid,
-    _nodes,
-    cubic_rows,
-    cubic_stencil,
-    gather,
-    resample,
-    write_csv,
-)
+from .history import _EQ_TOL, _SNAP, HistoryGrid, _nodes, cubic_rows, cubic_stencil, resample
+from .history import write_csv
 from .ordering import ConeSpec, _decay_slack, _end_margin, _window, matrix_exp
 
 
@@ -163,21 +145,14 @@ class _Stage:
         return z
 
 
-class _PlanBlock:
-    """Phase-only data of the stages of _PLAN_STEPS consecutive steps, or of
-    the steps the run has left, if fewer.
+class _PlanBlock(StepPlan):
+    """The plan of the stages of _PLAN_STEPS steps, or of the steps the run
+    has left, if fewer: row r holds stage lo + r, its phase, B^-1 as _Stage
+    keeps it and the balance law's coefficient row."""
 
-    Row r holds stage lo + r: its phase, B^-1 there as _Stage keeps it,
-    each atom's weight matrix, the balance law's coefficient row, and for
-    every delay the rows and weights of the cubic stencil that reads z there
-    from the stored X. `reach[r]` is the newest stored row that stages
-    lo .. lo + r read.
-    """
-
-    __slots__ = ("lo", "hi", "theta", "Binv", "W", "c", "idx", "w", "reach")
+    __slots__ = ("lo", "hi", "theta", "Binv", "c")
 
     def __init__(self, state: SimState, b: int):
-        spec = state.general.dspec
         h = state.h
         self.lo = 0 if b == 0 else 2 * b * _PLAN_STEPS + 1
         self.hi = min(2 * (b + 1) * _PLAN_STEPS, 2 * state.cfg.nsteps) + 1
@@ -188,46 +163,31 @@ class _PlanBlock:
         t[j == 0] = 0 * h
         theta = np.mod(state.p0.theta[None, :] + t[:, None] * state.flow.freqs[None, :], 1.0)
         self.theta = theta
-        Binv = np.linalg.inv(eval_poly_matrix_many(spec.B, theta))
-        if state.diagonal_B:
-            self.Binv = np.diagonal(Binv, axis1=1, axis2=2).copy()
-        else:
-            self.Binv = Binv.reshape(j.size, -1)
-        self.W = spec.nu.weights(theta)
-        self.c = state.general._terms.coeffs(theta)
-        lags = state.delays.lags
-        pos = (t[:, None] - lags[None, :]) / h + state.Jh
+        pos = (t[:, None] - state.delays.lags[None, :]) / h + state.Jh
         # a stage of step n reads K = Jh + n + 1 stored rows
-        self.idx, self.w = cubic_stencil((state.Jh + n + 1)[:, None], pos)
-        reach = self.idx.reshape(j.size, -1).max(axis=1, initial=0)
-        self.reach = np.maximum.accumulate(reach).tolist()
+        idx, w = cubic_stencil((state.Jh + n + 1)[:, None], pos)
+        super().__init__(state.general.dspec, theta, idx, w, cols=state.delays.nu)
+        A = self.Ainv
+        self.Binv = np.diagonal(A, 0, 1, 2).copy() if state.diagonal_B else A.reshape(j.size, -1)
+        self.c = state.general._terms.coeffs(theta)
 
 
 class _ReadWindow:
-    """The delayed reads of the stages lo .. hi - 1 of a plan block.
-
-    The window runs from a requested stage to the last stage of its block
-    whose stencil reads only rows already stored, so one gather from X and
-    one `add_into` of the delayed part serve all of them. Row s holds
-    stage lo + s: the delayed part of D there (`rest`) and z at each
-    positive pipe lag (`zr`). Each value is bit-identical to the same stage
-    computed on its own.
-    """
+    """The read window from a stage to the last of its block reading only
+    stored rows: row s holds stage lo + s, the delayed part of D (`rest`)
+    and z at each pipe lag (`zr`), as the stage on its own."""
 
     __slots__ = ("lo", "hi", "rest", "zr")
 
     def __init__(self, state: SimState, blk: _PlanBlock, j: int):
         r = j - blk.lo
-        end = bisect.bisect_right(blk.reach, state.k)
+        end = blk.end(state.k + 1)
         if end <= r:
             raise HorizonError(f"stage {j} reads z beyond the stored row {state.k}")
         self.lo = j
         self.hi = blk.lo + end
-        d = state.delays
-        rows = gather(state.X, blk.idx[r:end], blk.w[r:end])
-        W = [Wk[r:end] for Wk in blk.W]
-        self.rest = state.general.dspec.nu.add_into(np.zeros((end - r, state.m)), W, rows[:, d.nu])
-        self.zr = rows[:, d.pipe]
+        self.rest = np.zeros((end - r, state.m))
+        self.zr = blk.read(state.X, r, end, self.rest)[:, state.delays.pipe]
 
 
 class SimState:

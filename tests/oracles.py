@@ -29,9 +29,12 @@ on-node shortcut, where `history.cubic_rows` gathers the taps of
 `cubic_stencil`; the oracles here read stored rows through it.
 `invert_Dhat_neumann` inverts the lift by the truncated Neumann series, N
 full passes over the working grid, where `invert_Dhat` solves the same
-fixed point by the method of steps. `stability_margin_direct` takes the
-sampled sup over the whole plan at once, where `stability_margin` reduces
-it a block of phases at a time. Tests compare each pair.
+fixed point by the method of steps. `invert_Dhat_direct` is that method
+with phases, inverse, stencils and blocks of rows of its own, where
+`invert_Dhat` runs the method-of-steps kernel it shares with the
+integrator's stages. `stability_margin_direct` takes the sampled sup over
+the whole plan at once, where `stability_margin` reduces it a block of
+phases at a time. Tests compare each pair.
 """
 
 import math
@@ -54,10 +57,20 @@ from nfde_lab.errors import (
     DimensionMismatchError,
     DivergenceError,
     HorizonError,
+    SingularBError,
     UnorderedPairError,
     UnstableMarginError,
 )
-from nfde_lab.history import _EQ_TOL, _SNAP, HistoryGrid, TailPolicy, _nodes, sup_norm
+from nfde_lab.history import (
+    _EQ_TOL,
+    _SNAP,
+    HistoryGrid,
+    TailPolicy,
+    _back_stencil,
+    _nodes,
+    gather,
+    sup_norm,
+)
 from nfde_lab.integrator import PairLog, TrajectoryLog, _Stage, init_from_z, step
 from nfde_lab.ordering import matrix_exp
 
@@ -340,6 +353,94 @@ def invert_Dhat_neumann(
             term = np.einsum("jab,jb->ja", Binv, z)
             acc += term
     return HistoryGrid(h, acc[: J_ret + 1], yhat.tail)
+
+
+def batch_inverse_direct(Bv: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """`d_operator._batch_inverse` with the determinant taken at every
+    phase before the inverse."""
+    dets = np.linalg.det(Bv)
+    scale = np.maximum(1.0, np.max(np.abs(Bv), axis=(1, 2)) ** Bv.shape[1])
+    bad = np.abs(dets) < 1e-14 * scale
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise SingularBError(TorusPoint(thetas[i]), float(dets[i]))
+    return np.linalg.inv(Bv)
+
+
+def invert_Dhat_direct(
+    spec,
+    p: TorusPoint,
+    yhat: HistoryGrid,
+    tol: float,
+    n_terms=None,
+) -> HistoryGrid:
+    """`invert_Dhat` with phases, inverse, stencils and blocks of its own,
+    solved in place on a newest-first grid that starts as B^-1 yhat.
+
+    The inverse x solves B x = yhat + delayed part of x on a working grid
+    extended N delay spans into the past, N chosen a priori from the
+    geometric tail bound of `spec.stability` unless n_terms sets it. x is
+    read by the lift's causal rule, and past the grid at its oldest row as
+    it stands (0 under a ZERO tail: its target is 0 and it reads only past
+    the grid). A row's tap on itself, weight |w0| <= 1 (an off-grid delay
+    under 2h, or a stencil clipped at the oldest rows), moves to the left:
+    row j solves (B - sum w0 W) x_j = yhat_j + the reads of older rows, one
+    batched inverse for all rows (B^-1 when every w0 is 0). Starting from
+    x = B^-1 yhat, the rows are solved from the oldest in blocks of c >= 1
+    rows, c the shortest distance from a row to an older row it reads, so
+    every block reads only solved rows; the oldest reads the starting row,
+    an error damped by lam^N at the returned rows. These reach one support
+    past the input's, or to the oldest row that its nodes' stencils read,
+    so a round trip through eval_Dhat_segment at the input depth stays
+    within tol at every node.
+    """
+    if spec.m != yhat.m:
+        raise DimensionMismatchError(
+            f"target dim {yhat.m} does not match operator dim {spec.m}"
+        )
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
+    if n_terms is not None and not (n_terms >= 0 and float(n_terms).is_integer()):
+        raise ValueError("n_terms must be a whole number >= 0")
+    est = spec.stability
+    lam = est.lam
+    h = yhat.step
+    ynorm = sup_norm(yhat)
+    n_s = _nodes(spec.support, h)
+    if n_terms is not None:
+        N = int(n_terms)
+    elif lam <= 0.0 or ynorm == 0.0 or spec.nu.is_empty():
+        N = 0
+    else:
+        target = tol * (1.0 - lam) / (est.sup_Binv * ynorm)
+        N = 0 if target >= 1.0 else int(np.ceil(np.log(target) / np.log(lam)))
+    pos = spec.nu.delays / h
+    reach = int(np.max(_back_stencil(pos, n_s + 4)[0], initial=0))
+    J_ret = yhat.J + max(n_s, reach)
+    K = J_ret + N * n_s + 1
+    s_nodes = -h * np.arange(K)
+    y_ext = yhat.sample_many(s_nodes)
+    thetas = advance_many(spec.flow, p, s_nodes)
+    Bv = eval_poly_matrix_many(spec.B, thetas)
+    W = spec.nu.weights(thetas)
+    j = np.arange(K)  # x is newest first: row j reads rows j .. K - 1
+    back, w, beyond = _back_stencil(pos, (K - j)[:, None])
+    live = (w != 0.0) & ~beyond[..., None]
+    own = live & (back == 0)
+    if np.any(own):  # B - sum w0 W, column by column
+        w0 = np.where(own, w, 0.0).sum(axis=-1)
+        for i, e in enumerate(np.eye(spec.m)):
+            Bv[:, :, i] -= spec.nu.add_into(np.zeros((K, spec.m)), W, w0[..., None] * e)
+        w = np.where(own, 0.0, w)
+    c = int(np.min(back[live & ~own], initial=K))
+    Ainv = _batch_inverse(Bv, thetas)
+    x = np.einsum("jab,jb->ja", Ainv, y_ext)
+    for e in range(K, 0, -c):
+        blk = slice(max(e - c, 0), e)
+        reads = gather(x, j[blk, None, None] + back[blk], w[blk])
+        z = spec.nu.add_into(y_ext[blk].copy(), [Wk[blk] for Wk in W], reads)
+        x[blk] = np.einsum("jab,jb->ja", Ainv[blk], z)
+    return HistoryGrid(h, x[: J_ret + 1], yhat.tail)
 
 
 def stability_margin_direct(spec) -> StabilityEstimate:

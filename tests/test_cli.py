@@ -392,6 +392,30 @@ def test_delay_below_step_exit_three(tmp_path):
     assert _simulate_code(tmp_path, system, {"h": 0.01, "t_end": 0.1}) == 3
 
 
+def test_singular_B_at_a_stage_phase_exit_three(tmp_path, capsys):
+    # B = 1 + cos(2 pi theta) vanishes at theta = 0.5 only: the sampling plan
+    # 0, 1/3, 2/3 misses it, and the run's first stage sits there. The stage
+    # plan inverts B by the checked batched inverse, which names the phase
+    system = {
+        "kind": "compartmental",
+        "m": 1,
+        "B": [[{"constant": 1.0, "terms": [{"k": [1], "cos": 1.0}]}]],
+        "transports": [[0.0]],
+        "outflows": [0.5],
+        "inflows": [0.2],
+    }
+    cfg = {
+        "system": system,
+        "sampling": {"grid_per_dim": 3, "orbit_points": 0},
+        "theta0": [0.5],
+        "sim": {"h": 0.01, "t_end": 0.1},
+        "z_init": {"kind": "constant", "value": [1.0]},
+    }
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "instantaneous coefficient matrix singular" in err and "[0.5]" in err
+
+
 @pytest.mark.parametrize("where", [0, 2])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_component_exits_five(tmp_path, capsys, where, value):

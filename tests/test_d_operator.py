@@ -41,7 +41,12 @@ from nfde_lab.base_flow import (
 from nfde_lab.d_operator import const_poly_matrix, eval_poly_matrix_many, identity_poly_matrix
 
 from .conftest import random_contraction_spec, random_history, scalar_dspec
-from .oracles import invert_Dhat_neumann, stability_margin_direct
+from .oracles import (
+    batch_inverse_direct,
+    invert_Dhat_direct,
+    invert_Dhat_neumann,
+    stability_margin_direct,
+)
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +173,17 @@ def test_dhat_segment_samples_once(golden_flow, origin, monkeypatch):
 SHORT_LAGS = (0.03, 0.07, 0.12, 0.5)
 
 
+def _short_wave(m):
+    """The target of test_invert_round_trip_short_delays_every_node: on 4.0
+    at h = 0.05, its first component, and the second at 0.7 s."""
+
+    def wave(s):
+        v = np.stack([s, 0.7 * s], axis=1)[:, :m]
+        return 1.0 + 0.4 * np.sin(1.3 * v) + 0.2 * np.cos(3.1 * v)
+
+    return from_function(wave, 0.05, 4.0)
+
+
 def _short_delay_spec(flow, case):
     """B = 1 and an atom of weight 0.4 at SHORT_LAGS[case], or (case 4) a
     density whose midpoints 0.02, 0.06, ... start under h, or (case 5) a
@@ -237,6 +253,97 @@ def test_invert_round_trip_short_delays_every_node(golden_flow, origin, case):
     x = invert_Dhat(spec, origin, yhat, tol)
     back = eval_Dhat_segment(spec, origin, x, yhat.J)
     assert np.max(np.abs(back.samples - yhat.samples)) <= tol
+
+
+@pytest.fixture
+def nan_empty(monkeypatch):
+    """np.empty, for the test, fills each new float buffer with NaN."""
+    empty = np.empty
+
+    def filled(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", filled)
+
+
+@pytest.mark.parametrize("tail", [TailPolicy.CONSTANT, TailPolicy.ZERO])
+@pytest.mark.parametrize("case", range(6))
+def test_invert_is_the_direct_method_of_steps(golden_flow, origin, case, tail, nan_empty):
+    # the shared kernel's plan and read windows give the rows of the
+    # method's own implementation bit for bit: its blocks of c rows, the
+    # oldest reading B^-1 yhat past the grid, and the own-row taps moved to
+    # the left side. x starts as NaN, and a tap of weight 0 still reads its
+    # row, so a window that read a row before solving it, its own row
+    # included, would leave NaN in the rows
+    spec = _short_delay_spec(golden_flow, case)
+    yhat = HistoryGrid(0.05, _short_wave(spec.m).samples, tail)
+    for n_terms in (None, 0, 2):
+        got = invert_Dhat(spec, origin, yhat, 1e-8, n_terms=n_terms)
+        want = invert_Dhat_direct(spec, origin, yhat, 1e-8, n_terms=n_terms)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+@pytest.mark.parametrize("tail", [TailPolicy.CONSTANT, TailPolicy.ZERO])
+@pytest.mark.parametrize("lags", [(1e-11,), (1e-11, 0.5)])
+def test_invert_lag_under_the_snap_reads_no_unwritten_row(
+    golden_flow, origin, lags, tail, nan_empty
+):
+    # a lag under the node snap reads the row itself at all four taps: one
+    # of weight 1, moved into A, and three of weight 0, which still read
+    # their row. None may read a row before it is solved, the row itself,
+    # the newest row past the oldest or NaN would reach the result; with an
+    # atom at 0.5 the oldest rows also read past the grid
+    atoms = tuple(MeasureAtom(lag, const_poly_matrix([[0.4]])) for lag in lags)
+    spec = DOperatorSpec(1, identity_poly_matrix(1), AtomicMeasureFamily(atoms), golden_flow)
+    yhat = HistoryGrid(0.05, _short_wave(1).samples, tail)
+    for n_terms in (None, 0, 2):
+        got = invert_Dhat(spec, origin, yhat, 1e-8, n_terms=n_terms)
+        want = invert_Dhat_direct(spec, origin, yhat, 1e-8, n_terms=n_terms)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def test_invert_is_the_direct_method_of_steps_on_the_oracle_cases(golden_flow, origin, nan_empty):
+    for spec, yhat in _oracle_cases(golden_flow):
+        got = invert_Dhat(spec, origin, yhat, 1e-10)
+        want = invert_Dhat_direct(spec, origin, yhat, 1e-10)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def _inverse_or_error(invert, Bv, thetas):
+    try:
+        return invert(Bv, thetas).tobytes()
+    except SingularBError as err:
+        return err.point.theta.tobytes(), err.det
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_checked_inverse_is_the_det_gate_at_every_phase(m):
+    # the determinant is skipped only where Hadamard's bound clears the
+    # gate: the same inverse bytes, or the same first singular phase and
+    # det, on batches with column pairs made near dependent and zero B
+    from nfde_lab.d_operator import _batch_inverse
+
+    rng = np.random.default_rng(26 + m)
+    raised = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        Bv = rng.normal(size=(n, m, m)) + 3.0 * np.eye(m)
+        near = rng.random(n) < 0.2
+        spread = 10.0 ** rng.uniform(-16, -9) * rng.normal(size=(int(near.sum()), m))
+        if m == 1:
+            Bv[near, 0, 0] = spread[:, 0]
+        else:
+            Bv[near, :, -1] = Bv[near, :, 0] + spread
+        Bv[rng.random(n) < 0.03] = 0.0
+        Bv *= 10.0 ** rng.uniform(-3, 3)
+        thetas = rng.random((n, 1))
+        want = _inverse_or_error(batch_inverse_direct, Bv, thetas)
+        assert _inverse_or_error(_batch_inverse, Bv, thetas) == want
+        raised += isinstance(want, tuple)
+    assert 30 < raised < 270
 
 
 def test_stability_constant_weight(half_spec):

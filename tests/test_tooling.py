@@ -9,7 +9,9 @@ is read by one rule, `history.cubic_stencil`, which a check here keeps the
 only user of the interpolation weights, and its stencils are summed in one
 place, `history.gather`. Stored rows are read back from a row by one causal
 reader, `history._read_back`, and only the integrator builds stencils
-besides it. A `check` run leaves `numpy.ma` unimported. The operator's
+besides it. The lift's inverse and the integrator's stages share one
+method-of-steps kernel, `d_operator.StepPlan`, and `np.linalg.inv` is called
+in one checked place. A `check` run leaves `numpy.ma` unimported. The operator's
 delayed part is laid out and summed in `d_operator` alone, which a check
 here keeps the only reader of the measure's atoms, density and midpoints.
 The sampling plan rides on the flow, which a check here keeps the only way
@@ -265,9 +267,10 @@ def test_one_interpolation_rule():
 
 
 def test_one_read_rule():
-    # history._read_back is the one causal reader of stored rows: the lift,
-    # its inverse and the mass read through it, and only the integrator's
-    # stage plan builds cubic stencils of its own
+    # history._read_back is the one causal reader of stored rows: the lift
+    # and the mass read through it, the lift's inverse builds its stencils
+    # by the same _back_stencil, and only the integrator's stage plan
+    # builds cubic stencils of its own
     src = ROOT / "src" / "nfde_lab"
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     defs = [
@@ -279,6 +282,44 @@ def test_one_read_rule():
     assert defs == ["history.py"]
     callers = sorted(name for name, tree in trees.items() if _called(tree, "cubic_stencil"))
     assert callers == ["history.py", "integrator.py"]
+
+
+def _linalg_inv(tree):
+    """The reads of numpy.linalg.inv in a tree, and its imports by name."""
+    return [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+        and n.attr == "inv"
+        and getattr(n.value, "attr", None) == "linalg"
+        or isinstance(n, ast.ImportFrom)
+        and n.module == "numpy.linalg"
+        and any(a.name == "inv" for a in n.names)
+    ]
+
+
+def test_one_method_of_steps():
+    # d_operator.StepPlan is the one method-of-steps kernel: the lift's
+    # inverse and the integrator's stages pass it their stencils and take
+    # B^-1, the atom weights and the windowed delayed reads from it, and B
+    # is inverted by the checked batched inverse alone, the only use of
+    # np.linalg.inv
+    src = ROOT / "src" / "nfde_lab"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    uses = sum(len(_linalg_inv(tree)) for tree in trees.values())
+    inside = len(_linalg_inv(_function(trees["d_operator.py"], "_batch_inverse")))
+    assert inside >= 1 and uses == inside
+    users = (
+        ("d_operator.py", "invert_Dhat"),
+        ("integrator.py", "_PlanBlock"),
+        ("integrator.py", "_ReadWindow"),
+        ("integrator.py", "SimState"),
+    )
+    kernel_work = ("eval_poly_matrix_many", "weights", "_batch_inverse", "gather", "add_into")
+    for name, qualname in users:
+        fn = _function(trees[name], qualname)
+        assert not [w for w in kernel_work if _called(fn, w)], qualname
+    assert _called(_function(trees["d_operator.py"], "invert_Dhat"), "StepPlan")
 
 
 def _reads_measure_layout(node):
