@@ -369,56 +369,43 @@ def _parse_system(cfg: dict, flow: TorusFlow):
     grid, orbit = flow.sampling.grid_per_dim**flow.dim, flow.sampling.orbit_points
     key = "sampling.grid_per_dim" if grid >= orbit else "sampling.orbit_points"
     _fits((grid + orbit) * m * m, key)  # the checkers' phase data
+    if kind == "d_operator":
+        return _parse_dspec(node, m, flow)
     if kind == "neutral_diag":
         c = [_parse_poly(v, "system.c") for v in _list(_req(node, "c", "system"), "system.c")]
         if len(c) != m:
             raise ConfigError("system.c must have m entries")
-        alpha = _shaped((m,))(_req(node, "alpha", "system"), "system.alpha")
-        rho = _shaped((m, m))(_req(node, "rho", "system"), "system.rho")
-        gains = _parse_transports(_req(node, "gains", "system"), m, "system.gains")
-        try:
-            return NeutralDiagSystem(
-                m=m,
-                c=tuple(c),
-                alpha=alpha,
-                rho=rho,
-                transports=gains,
-                flow=flow,
-                g6=_flag(node.get("g6", False), "system.g6"),
-            )
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"system: {e}") from e
-    if kind == "compartmental":
-        dspec = _parse_dspec(node, m, flow)
-        transports = _parse_transports(
-            _req(node, "transports", "system"), m, "system.transports"
+        cls, parts = NeutralDiagSystem, dict(
+            c=tuple(c),
+            alpha=_shaped((m,))(_req(node, "alpha", "system"), "system.alpha"),
+            rho=_shaped((m, m))(_req(node, "rho", "system"), "system.rho"),
+            transports=_parse_transports(_req(node, "gains", "system"), m, "system.gains"),
+            g6=_flag(node.get("g6", False), "system.g6"),
         )
-        outflows = tuple(
-            _parse_transport(v, f"system.outflows[{k}]")
-            for k, v in enumerate(_list(node.get("outflows", [0.0] * m), "system.outflows"))
+    elif kind == "compartmental":
+        cls, parts = CompartmentalSystem, dict(
+            dspec=_parse_dspec(node, m, flow),
+            transports=_parse_transports(
+                _req(node, "transports", "system"), m, "system.transports"
+            ),
+            outflows=tuple(
+                _parse_transport(v, f"system.outflows[{k}]")
+                for k, v in enumerate(_list(node.get("outflows", [0.0] * m), "system.outflows"))
+            ),
+            inflows=tuple(
+                _parse_poly(v, "system.inflows")
+                for v in _list(node.get("inflows", [0.0] * m), "system.inflows")
+            ),
+            pipes=_parse_matrix_of(  # instant pipes by default
+                _parse_pipe, node.get("pipes", [[[[0.0, 1.0]]] * m] * m), m, "system.pipes"
+            ),
         )
-        inflows = tuple(
-            _parse_poly(v, "system.inflows")
-            for v in _list(node.get("inflows", [0.0] * m), "system.inflows")
-        )
-        pipes = _parse_matrix_of(  # instant pipes by default
-            _parse_pipe, node.get("pipes", [[[[0.0, 1.0]]] * m] * m), m, "system.pipes"
-        )
-        try:
-            return CompartmentalSystem(
-                m=m,
-                transports=transports,
-                outflows=outflows,
-                inflows=inflows,
-                pipes=pipes,
-                dspec=dspec,
-                flow=flow,
-            )
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"system: {e}") from e
-    if kind == "d_operator":
-        return _parse_dspec(node, m, flow)
-    raise ConfigError(f"system.kind {kind!r} is not supported")
+    else:
+        raise ConfigError(f"system.kind {kind!r} is not supported")
+    try:
+        return cls(m=m, flow=flow, **parts)
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"system: {e}") from e
 
 
 def _parse_dspec(node, m, flow) -> DOperatorSpec:

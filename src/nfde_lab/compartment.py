@@ -2,10 +2,12 @@
 
 Material moves between m compartments through pipes with discrete transit
 time distributions; each transport rate is a phase-dependent gain times a
-fixed shape of the donor content. The neutral-diagonal family couples each
-compartment to its own delayed content through a coefficient c_i below one
-in absolute size, one delay alpha_i per compartment, and a transit lag
-rho_ij per pipe, with no exchange with the environment.
+fixed shape of the donor content. `CompartmentalSystem` is the one system
+type that integration, mass and operator functions take. Its subclass
+`NeutralDiagSystem` is the neutral-diagonal family: each compartment is
+coupled to its own delayed content through a coefficient c_i below one in
+absolute size, one delay alpha_i per compartment, and a transit lag rho_ij
+per pipe, with no exchange with the environment.
 
 Condition checkers evaluate closed-form inequalities in the gains, the
 delayed self-coupling coefficients, and an exponential rate vector a <= 0
@@ -202,8 +204,8 @@ class CompartmentalSystem:
     def _check_gains(self) -> None:
         """Raise StructuralPreconditionError for a transport or outflow gain
         below zero: a constant gain directly, a phase-dependent one at the
-        flow's sampled phases, which the c_i check of NeutralDiagSystem and
-        the condition checkers read too."""
+        flow's sampled phases. A NeutralDiagSystem runs its c_i check on the
+        same phases before this, and the condition checkers read them too."""
         gains = [
             (f"transport gain for pair ({i},{j})", self.transports[i][j].gain)
             for i in range(self.m)
@@ -302,22 +304,28 @@ def _induced_dspec(m, c, alpha, flow) -> DOperatorSpec:
 
 
 @dataclass(frozen=True)
-class NeutralDiagSystem:
+class NeutralDiagSystem(CompartmentalSystem):
     """Closed network whose operator couples each z_i to its own delayed value:
 
-        D_i(w, x) = x_i(0) - c_i(w) x_i(-alpha_i),   0 <= c_i(w) < 1.
+        D_i(w, x) = x_i(0) - c_i(w) x_i(-alpha_i),   0 <= c_i(w) < 1,
 
+    with one delta pipe of lag rho_ij per pair and no outflow or inflow. It
+    is a CompartmentalSystem whose outflows, inflows, pipes and dspec are
+    derived from c, alpha and rho; its own checks run before the network's.
     Setting g6=True additionally demands sum_i c_i(w) < 1 at the sampled
     phases, which the differentiable-coefficient conditions (G8, G9) need.
+    c_sup holds each c_i's sup over those phases.
     """
 
-    m: int
     c: tuple  # per-compartment TrigPoly
     alpha: np.ndarray
     rho: np.ndarray  # (m, m) transit lags, rho[i][j] for the j -> i pipe
-    transports: tuple
-    flow: TorusFlow
     g6: bool = False
+    outflows: tuple = field(init=False)
+    inflows: tuple = field(init=False)
+    pipes: tuple = field(init=False)
+    dspec: DOperatorSpec = field(init=False)
+    c_sup: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if len(self.c) != self.m:
@@ -351,36 +359,13 @@ class NeutralDiagSystem:
             raise StructuralPreconditionError("sum of c_i must stay below 1 when g6 is requested")
         if over:
             raise StructuralPreconditionError("each c_i must stay below 1")
-        object.__setattr__(self, "_c_sup", np.max(sups, axis=0))
-        dspec = _induced_dspec(self.m, self.c, alpha, self.flow)
-        zero_t = TransportSpec.zero()
-        zero_p = TrigPoly.const(0.0)
-        pipes = tuple(
-            tuple(PipeSpec.delta(rho[i][j]) for j in range(self.m))
-            for i in range(self.m)
-        )
-        comp = CompartmentalSystem(
-            m=self.m,
-            transports=self.transports,
-            outflows=(zero_t,) * self.m,
-            inflows=(zero_p,) * self.m,
-            pipes=pipes,
-            dspec=dspec,
-            flow=self.flow,
-        )
-        object.__setattr__(self, "compartmental", comp)
-
-    @property
-    def dspec(self) -> DOperatorSpec:
-        return self.compartmental.dspec
-
-    @property
-    def c_sup(self) -> np.ndarray:
-        return self._c_sup
-
-
-def _general(sys) -> CompartmentalSystem:
-    return sys.compartmental if isinstance(sys, NeutralDiagSystem) else sys
+        object.__setattr__(self, "c_sup", np.max(sups, axis=0))
+        object.__setattr__(self, "outflows", (TransportSpec.zero(),) * self.m)
+        object.__setattr__(self, "inflows", (TrigPoly.const(0.0),) * self.m)
+        pipes = tuple(tuple(PipeSpec.delta(r) for r in row) for row in rho)
+        object.__setattr__(self, "pipes", pipes)
+        object.__setattr__(self, "dspec", _induced_dspec(self.m, self.c, alpha, self.flow))
+        super().__post_init__()
 
 
 def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
@@ -389,14 +374,13 @@ def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
     Only the offsets 0 and minus each pipe lag are read, one at a time
     through hist.sample_at.
     """
-    g = _general(sys)
-    if hist.m != g.m:
+    if hist.m != sys.m:
         raise DimensionMismatchError("history dimension does not match the system")
-    if hasattr(hist, "horizon") and g.max_pipe_lag > hist.horizon + _SNAP:
+    if hasattr(hist, "horizon") and sys.max_pipe_lag > hist.horizon + _SNAP:
         raise HorizonError(
-            f"history horizon {hist.horizon:.6g} does not cover pipe lag {g.max_pipe_lag:.6g}"
+            f"history horizon {hist.horizon:.6g} does not cover pipe lag {sys.max_pipe_lag:.6g}"
         )
-    terms = g._terms
+    terms = sys._terms
     zs = [hist.sample_at(0.0)] + [hist.sample_at(-r) for r in terms.lags[1:]]
     return np.array(terms.balance(terms.coeffs(p.theta[None, :])[0], zs))
 
@@ -405,19 +389,18 @@ def total_mass(sys, p: TorusPoint, hist: HistoryGrid) -> float:
     """Stored mass (sum of operator components) plus mass in transit, read
     from the newest W + 1 nodes of hist, W = `_mass_span`: one row of
     `_total_mass_many`. A node past the grid takes hist's tail policy."""
-    g = _general(sys)
-    if g.max_pipe_lag > hist.horizon + _SNAP:
+    if sys.max_pipe_lag > hist.horizon + _SNAP:
         raise HorizonError(
-            f"history horizon {hist.horizon:.6g} does not cover pipe lag {g.max_pipe_lag:.6g}"
+            f"history horizon {hist.horizon:.6g} does not cover pipe lag {sys.max_pipe_lag:.6g}"
         )
-    W = _mass_span(g, hist.step)
+    W = _mass_span(sys, hist.step)
     X = hist.sample_many(-hist.step * np.arange(W, -1, -1))
-    return float(_total_mass_many(g, p.theta, X, W, hist.step, np.array([W]))[0])
+    return float(_total_mass_many(sys, p.theta, X, W, hist.step, np.array([W]))[0])
 
 
-def _mass_span(g, h: float) -> int:
+def _mass_span(sys, h: float) -> int:
     """Steps of stored history behind a time that its total mass reads."""
-    return _nodes(max(g.max_pipe_lag, g.dspec.support, h), h)
+    return _nodes(max(sys.max_pipe_lag, sys.dspec.support, h), h)
 
 
 # Log rows per pass of `_total_mass_many`; bounds its windows of stored rows.
@@ -435,19 +418,18 @@ def _total_mass_many(
     window X[k - W : k + 1], W = `_mass_span`, through that window's clipped
     cubic stencils. The rate at a stored row takes its phase from theta0.
     """
-    g = _general(sys)
-    spec = g.dspec
-    freqs = g.flow.freqs
-    W = _mass_span(g, h)
+    spec = sys.dspec
+    freqs = sys.flow.freqs
+    W = _mass_span(sys, h)
     pos_D = -spec.offsets / h
     pipes = []  # (donor, transport, [(r, w, Q, remainder or None)]) in summation order
-    for donor in range(g.m):
-        for dest in range(g.m):
-            tr = g.transports[dest][donor]
+    for donor in range(sys.m):
+        for dest in range(sys.m):
+            tr = sys.transports[dest][donor]
             if tr.is_zero():
                 continue
             parts = []
-            for r, w in g.pipes[dest][donor].atoms:
+            for r, w in sys.pipes[dest][donor].atoms:
                 if r <= _SNAP:
                     continue
                 Q = int(np.floor(r / h + _SNAP))
@@ -487,13 +469,12 @@ def mass_balance_residual(sys, log) -> np.ndarray:
     integral uses the trapezoid rule on the log times. Closed systems
     should show r identically zero up to integrator and quadrature error.
     """
-    g = _general(sys)
-    thetas = advance_many(g.flow, log.p0, log.t)
+    thetas = advance_many(sys.flow, log.p0, log.t)
     net = np.zeros(log.t.size)
-    for i in range(g.m):
-        net += eval_trig_many(g.inflows[i], thetas)
-        if not g.outflows[i].is_zero():
-            net -= g.outflows[i].eval_at(thetas, log.z[:, i])
+    for i in range(sys.m):
+        net += eval_trig_many(sys.inflows[i], thetas)
+        if not sys.outflows[i].is_zero():
+            net -= sys.outflows[i].eval_at(thetas, log.z[:, i])
     dt = np.diff(log.t)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * dt * (net[1:] + net[:-1]))])
     return log.M - log.M[0] - integral

@@ -17,8 +17,9 @@ class SingularBError(NfdeError):
     """The instantaneous coefficient matrix is singular at some sampled phase."""
 
     def __init__(self, point, det):
+        theta = [float(v) for v in point.theta]
         super().__init__(
-            f"instantaneous coefficient matrix singular at {point} (det={det:.3e})"
+            f"instantaneous coefficient matrix singular at theta={theta} (det={det:.3e})"
         )
         self.point = point
         self.det = det

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .base_flow import TorusFlow, TorusPoint
-from .compartment import _general, _mass_span, _total_mass_many
+from .compartment import _mass_span, _total_mass_many
 from .d_operator import StepPlan, eval_Dhat_segment
 from .errors import (
     DivergenceError,
@@ -93,9 +93,9 @@ class _Delays:
     positive pipe lag once; `nu` and `pipe` index into it.
     """
 
-    def __init__(self, general, h: float):
-        nu = general.dspec.nu.delays.tolist()
-        pipe = list(general._terms.lags[1:])
+    def __init__(self, sys, h: float):
+        nu = sys.dspec.nu.delays.tolist()
+        pipe = list(sys._terms.lags[1:])
         lags = sorted(set(nu + pipe))
         if lags and lags[0] < h - _SNAP:
             raise StructuralPreconditionError(
@@ -193,13 +193,14 @@ class _ReadWindow:
 class SimState:
     """Single-owner integration state: the trajectory so far.
 
-    Z[k] holds zhat and X[k] the physical state z at time (k - Jh) * h;
-    index Jh is time zero and `k` points at the current step. The buffers
-    hold the run's rows and no more: Jh + cfg.nsteps + 1.
+    `general` is the system integrated. Z[k] holds zhat and X[k] the
+    physical state z at time (k - Jh) * h; index Jh is time zero and `k`
+    points at the current step. The buffers hold the run's rows and no
+    more: Jh + cfg.nsteps + 1.
     """
 
     def __init__(self, sys, p0, cfg, Jh, Z, X, k, delays):
-        self.general = _general(sys)
+        self.general = sys
         self.p0 = p0
         self.cfg = cfg
         self.h = cfg.h
@@ -207,10 +208,10 @@ class SimState:
         self.Z = Z
         self.X = X
         self.k = k
-        self.flow = self.general.flow
-        self.m = self.general.m
+        self.flow = sys.flow
+        self.m = sys.m
         self.delays = delays
-        B = self.general.dspec.B
+        B = sys.dspec.B
         self.diagonal_B = all(
             i == j or p.is_zero() for i, row in enumerate(B) for j, p in enumerate(row)
         )
@@ -245,41 +246,40 @@ class SimState:
         )
 
 
-def _history_rows(general, cfg: SimConfig) -> int:
+def _history_rows(sys, cfg: SimConfig) -> int:
     """Stored history length in steps: the longest delay that the method of
     steps or the mass window reads, plus the two rows a cubic stencil
     reaches past it, and n_trunc extra delay spans when given."""
-    S = general.dspec.support
-    return _nodes(max(general.max_pipe_lag, S) + (cfg.n_trunc or 0) * S, cfg.h) + 2
+    S = sys.dspec.support
+    return _nodes(max(sys.max_pipe_lag, S) + (cfg.n_trunc or 0) * S, cfg.h) + 2
 
 
 def required_z_horizon(sys, cfg: SimConfig) -> float:
     """History length needed to initialize a run from physical data."""
-    general = _general(sys)
-    return _history_rows(general, cfg) * cfg.h + general.dspec.support
+    return _history_rows(sys, cfg) * cfg.h + sys.dspec.support
 
 
-def _lift(general, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig, depth: int):
+def _lift(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig, depth: int):
     """z_hist on the step h, and its transform at the nodes 0 .. depth back."""
-    need = depth * cfg.h + general.dspec.support
+    need = depth * cfg.h + sys.dspec.support
     if z_hist.horizon + _SNAP < need:
         raise HorizonError(f"initial history covers {z_hist.horizon:.6g}, need {need:.6g}")
     if abs(z_hist.step - cfg.h) > _EQ_TOL:
         z_hist = resample(z_hist, cfg.h, z_hist.horizon, z_hist.tail)
-    return z_hist, eval_Dhat_segment(general.dspec, p0, z_hist, depth)
+    return z_hist, eval_Dhat_segment(sys.dspec, p0, z_hist, depth)
 
 
-def _start(general, p0: TorusPoint, cfg: SimConfig, delays: _Delays, z_hist, zhat) -> SimState:
+def _start(sys, p0: TorusPoint, cfg: SimConfig, delays: _Delays, z_hist, zhat) -> SimState:
     """Trajectory buffers of the whole run, at time zero from a lifted
     initial history: the newest Jh + 1 nodes of z_hist, on the step h, and
     of its transform zhat."""
-    Jh = _history_rows(general, cfg)
+    Jh = _history_rows(sys, cfg)
     rows = Jh + cfg.nsteps + 1
-    Z = np.empty((rows, general.m))
+    Z = np.empty((rows, sys.m))
     Z[: Jh + 1] = zhat.samples[Jh::-1]
-    X = np.empty((rows, general.m))
+    X = np.empty((rows, sys.m))
     X[: Jh + 1] = z_hist.samples[Jh::-1]
-    return SimState(general, p0, cfg, Jh, Z, X, Jh, delays)
+    return SimState(sys, p0, cfg, Jh, Z, X, Jh, delays)
 
 
 def init_from_z(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> SimState:
@@ -288,10 +288,9 @@ def init_from_z(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> Sim
     Raises StructuralPreconditionError when a delay the method of steps
     reads is shorter than one step.
     """
-    general = _general(sys)
-    delays = _Delays(general, cfg.h)
-    lifted = _lift(general, p0, z_hist, cfg, _history_rows(general, cfg))
-    return _start(general, p0, cfg, delays, *lifted)
+    delays = _Delays(sys, cfg.h)
+    lifted = _lift(sys, p0, z_hist, cfg, _history_rows(sys, cfg))
+    return _start(sys, p0, cfg, delays, *lifted)
 
 
 def reconstruct_z(state: SimState, s: float) -> np.ndarray:
@@ -470,20 +469,19 @@ def run_ordered_pair(
     if cfg.cone is None:
         raise ValueError("an ordered-pair run needs cfg.cone")
     cone = cfg.cone
-    general = _general(sys)
     expAh = matrix_exp(cone.A, cfg.h)
     # the sign check reads the transformed histories as far back as both
     # reach, not only the stored rows (a shorter one fails in _lift)
-    J = int(math.floor((min(z_x.horizon, z_y.horizon) - general.dspec.support) / cfg.h + _SNAP))
-    J = max(J, _history_rows(general, cfg))
-    lifts = [_lift(general, p0, z, cfg, J) for z in (z_x, z_y)]
+    J = int(math.floor((min(z_x.horizon, z_y.horizon) - sys.dspec.support) / cfg.h + _SNAP))
+    J = max(J, _history_rows(sys, cfg))
+    lifts = [_lift(sys, p0, z, cfg, J) for z in (z_x, z_y)]
     (_, zhat_x), (_, zhat_y) = lifts
     v0 = zhat_y.samples[::-1] - zhat_x.samples[::-1]
     margin0, j, c, _ = _end_margin(v0, cone, expAh, cfg.h)
     if margin0 < -cfg.tol_cone:
         raise UnorderedPairError(((j - J) * cfg.h, c), margin0)
-    delays = _Delays(general, cfg.h)
-    lx, ly = [_run(_start(general, p0, cfg, delays, *lift)) for lift in lifts]
+    delays = _Delays(sys, cfg.h)
+    lx, ly = [_run(_start(sys, p0, cfg, delays, *lift)) for lift in lifts]
     sx, sy = lx.final_state, ly.final_state
     rows = _log_rows(sx.Jh, cfg)
     V = sy.Z[: sy.k + 1] - sx.Z[: sx.k + 1]
@@ -498,7 +496,7 @@ def run_ordered_pair(
         mass_x=lx.M,
         mass_y=ly.M,
         cone_margin=_cone_margins(V, cone, expAh, cfg.h, rows),
-        z_diff_sup=-_window_min(-dz, _mass_span(general, cfg.h) + 1, rows),
+        z_diff_sup=-_window_min(-dz, _mass_span(sys, cfg.h) + 1, rows),
         p0=p0,
         flow=sx.flow,
         h=cfg.h,

@@ -45,7 +45,7 @@ import scipy.linalg
 
 from nfde_lab import NeutralDiagSystem, TorusPoint, advance, eval_trig
 from nfde_lab.base_flow import advance_many, eval_trig_many, sample_thetas
-from nfde_lab.compartment import _general, _nmin
+from nfde_lab.compartment import _nmin
 from nfde_lab.d_operator import (
     _STABILITY_GUARD,
     StabilityEstimate,
@@ -574,27 +574,26 @@ def _rate(tr, th: np.ndarray, v: float) -> float:
 
 def eval_F_direct(sys, p: TorusPoint, hist) -> np.ndarray:
     """Net balance rate by a walk over the whole m x m transport grid."""
-    g = _general(sys)
     x0 = hist.sample_at(0.0)
     th0 = p.theta[None, :]
-    F = np.zeros(g.m)
-    for i in range(g.m):
+    F = np.zeros(sys.m)
+    for i in range(sys.m):
         total_out = 0.0
-        if not g.outflows[i].is_zero():
-            total_out += _rate(g.outflows[i], th0, x0[i])
-        for j in range(g.m):
-            tr = g.transports[j][i]
+        if not sys.outflows[i].is_zero():
+            total_out += _rate(sys.outflows[i], th0, x0[i])
+        for j in range(sys.m):
+            tr = sys.transports[j][i]
             if not tr.is_zero():
                 total_out += _rate(tr, th0, x0[i])
-        F[i] = -total_out + _coeff_at(g.inflows[i], th0)
-        for j in range(g.m):
-            tr = g.transports[i][j]
+        F[i] = -total_out + _coeff_at(sys.inflows[i], th0)
+        for j in range(sys.m):
+            tr = sys.transports[i][j]
             if tr.is_zero():
                 continue
-            for r, w in g.pipes[i][j].atoms:
+            for r, w in sys.pipes[i][j].atoms:
                 th_r = th0
                 if r != 0.0 and not tr.gain.is_constant():
-                    th_r = advance_many(g.flow, p, [-r])
+                    th_r = advance_many(sys.flow, p, [-r])
                 F[i] += w * _rate(tr, th_r, hist.sample_at(-r)[j])
     return F
 
@@ -636,17 +635,16 @@ def _transit_integral(g, p, hist, tr, donor, r) -> float:
 def total_mass_direct(sys, p: TorusPoint, hist) -> float:
     """Stored mass through `eval_D` plus each lagged pipe's transit integral,
     one pipe at a time, read from the whole of hist."""
-    g = _general(sys)
-    total = float(np.sum(eval_D(g.dspec, p, hist)))
-    for donor in range(g.m):
-        for dest in range(g.m):
-            tr = g.transports[dest][donor]
+    total = float(np.sum(eval_D(sys.dspec, p, hist)))
+    for donor in range(sys.m):
+        for dest in range(sys.m):
+            tr = sys.transports[dest][donor]
             if tr.is_zero():
                 continue
-            for r, w in g.pipes[dest][donor].atoms:
+            for r, w in sys.pipes[dest][donor].atoms:
                 if r <= _SNAP:
                     continue
-                total += w * _transit_integral(g, p, hist, tr, donor, r)
+                total += w * _transit_integral(sys, p, hist, tr, donor, r)
     return total
 
 

@@ -485,6 +485,7 @@ def test_stability_singular_B_in_a_later_block():
         errors.append(info.value)
     assert errors[0].point.theta.tolist() == [0.5] == errors[1].point.theta.tolist()
     assert errors[0].det == errors[1].det
+    assert str(errors[0]).endswith("singular at theta=[0.5] (det=0.000e+00)")
 
 
 def test_stability_nan_in_a_later_block_is_not_skipped():

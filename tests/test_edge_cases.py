@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nfde_lab import (
+    GOLDEN_FREQ,
     AtomicMeasureFamily,
     ConeSpec,
     DimensionMismatchError,
@@ -14,6 +15,7 @@ from nfde_lab import (
     MeasureAtom,
     MeasureDensity,
     NeutralDiagSystem,
+    NfdeError,
     PipeSpec,
     ShapeFn,
     SimConfig,
@@ -168,6 +170,50 @@ def test_negative_gain_rejected(golden_flow):
             transports=((TransportSpec(TrigPoly.from_terms(0.1, [([1], 0.5, 0.0)])),),),
             flow=golden_flow,
         )
+
+
+_NEGATIVE_GAIN = TransportSpec.linear(-0.5)
+
+
+def _order_case(c=(0.2,), alpha=(1.0,), rho=((1.0,),), g6=False):
+    """A neutral-diagonal system with a negative gain, which the network's
+    own check rejects, and the given parts."""
+    m = len(c)
+    return dict(
+        m=m,
+        c=tuple(TrigPoly.const(v) for v in c),
+        alpha=np.array(alpha),
+        rho=np.array(rho),
+        transports=tuple(tuple(_NEGATIVE_GAIN for _ in range(m)) for _ in range(m)),
+        flow=TorusFlow([GOLDEN_FREQ]),
+        g6=g6,
+    )
+
+
+@pytest.mark.parametrize(
+    "parts, error, message",
+    [
+        (_order_case(c=(1.2,)), StructuralPreconditionError, "each c_i must stay below 1"),
+        (_order_case(c=(-0.1,)), StructuralPreconditionError, "coefficients c_i must be >= 0"),
+        (
+            _order_case(c=(1.5,), alpha=(1.0, 2.0)),
+            DimensionMismatchError,
+            "alpha must have shape (m,)",
+        ),
+        (_order_case(rho=((-1.0,),)), StructuralPreconditionError, "rho must be nonnegative"),
+        (
+            _order_case(c=(0.6, 0.45), alpha=(1.0, 1.0), rho=np.ones((2, 2)), g6=True),
+            StructuralPreconditionError,
+            "sum of c_i must stay below 1 when g6 is requested",
+        ),
+    ],
+)
+def test_neutral_diag_checks_run_before_the_network_checks(parts, error, message):
+    # each system also has a negative gain, and the first and third also an
+    # unstable operator: the neutral-diagonal rule it breaks is the error raised
+    with pytest.raises(NfdeError) as info:
+        NeutralDiagSystem(**parts)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_pq_sequence_validation(golden_flow, origin):

@@ -29,6 +29,7 @@ from nfde_lab import (
     step,
 )
 from nfde_lab.compartment import (
+    _induced_dspec,
     CompartmentalSystem,
     NeutralDiagSystem,
     PipeSpec,
@@ -1309,7 +1310,7 @@ def test_pair_lifts_each_history_once(monkeypatch):
         monkeypatch.setattr(mod, "eval_Dhat_segment", counted)
     run_ordered_pair(sys, p0, z_x, z_y, cfg)
     assert len(calls) == 2
-    assert calls[0] == calls[1] > integrator._history_rows(sys.compartmental, cfg)
+    assert calls[0] == calls[1] > integrator._history_rows(sys, cfg)
 
 
 @pytest.mark.parametrize("kind", ["s1", "three_compartment"])
@@ -1324,6 +1325,71 @@ def test_pair_members_match_plain_runs(kind):
         assert _bits(getattr(plog, f"zhat_{tag}")) == _bits(log.zhat)
         assert _bits(getattr(plog, f"mass_{tag}")) == _bits(log.M)
     assert _bits(plog.t) == _bits(log.t)
+
+
+def _network_by_hand(sys):
+    """The network a NeutralDiagSystem is, built from its parts: its
+    transports, no outflow or inflow, a delta pipe of lag rho_ij per pair
+    and the operator its c and alpha induce."""
+    m = sys.m
+    return CompartmentalSystem(
+        m=m,
+        transports=sys.transports,
+        outflows=(TransportSpec.zero(),) * m,
+        inflows=(TrigPoly.const(0.0),) * m,
+        pipes=tuple(tuple(PipeSpec.delta(sys.rho[i][j]) for j in range(m)) for i in range(m)),
+        dspec=_induced_dspec(m, sys.c, sys.alpha, sys.flow),
+        flow=sys.flow,
+    )
+
+
+def _diag_zero_c(flow):
+    """m = 3: c_1 identically zero, compartments 0 and 2 share alpha = 1,
+    a phase-dependent gain, a saturating shape and an instant pipe."""
+    c = (TrigPoly.from_terms(0.3, [([1], 0.1, 0.05)]), TrigPoly.const(0.0), TrigPoly.const(0.2))
+    gain = TransportSpec(TrigPoly.from_terms(0.2, [([1], 0.05, 0.0)]))
+    sat = TransportSpec(TrigPoly.const(0.1), ShapeFn.saturate())
+    zero = TransportSpec.zero()
+    return NeutralDiagSystem(
+        m=3,
+        c=c,
+        alpha=np.array([1.0, 0.7, 1.0]),
+        rho=np.array([[1.0, 0.5, 0.0], [0.4, 0.7, 0.5], [0.0, 0.3, 1.0]]),
+        transports=(
+            (TransportSpec.linear(1.0), gain, zero),
+            (sat, TransportSpec.linear(0.9), TransportSpec.linear(0.1)),
+            (TransportSpec.linear(0.05), zero, TransportSpec.linear(1.1)),
+        ),
+        flow=flow,
+    )
+
+
+def _poly_key(poly):
+    return (poly.constant, poly.k_vecs.tobytes(), poly.cos_coeffs.tobytes(), poly.sin_coeffs.tobytes())
+
+
+@pytest.mark.parametrize("build", [s1_system, _diag_zero_c])
+def test_neutral_diag_runs_as_its_network_by_hand(build, golden_flow):
+    # a NeutralDiagSystem is the CompartmentalSystem of its parts: the same
+    # balance-law table, and the same run and pair logs, bit for bit
+    sys = build(golden_flow)
+    net = _network_by_hand(sys)
+    ours, theirs = sys._terms, net._terms
+    assert [(_poly_key(p), r) for p, r in ours.cols] == [(_poly_key(p), r) for p, r in theirs.cols]
+    assert ours.lags == theirs.lags and ours.rows == theirs.rows
+    assert sys.max_pipe_lag == net.max_pipe_lag
+    cone = ConeSpec(np.diag(-np.linspace(1.0, 2.0, sys.m)), 1.0)
+    cfg = SimConfig(h=0.05, t_end=2.0, log_stride=3, cone=cone, tol_cone=np.inf)
+    p0 = TorusPoint([0.3])
+    z_x, z_y = _plan_history(sys, cfg, 0.3), _plan_history(sys, cfg, 0.1)
+    for log, other in (
+        (run(sys, p0, z_x, cfg), run(net, p0, z_x, cfg)),
+        (run_ordered_pair(sys, p0, z_x, z_y, cfg), run_ordered_pair(net, p0, z_x, z_y, cfg)),
+    ):
+        names = [k for k, v in vars(log).items() if isinstance(v, np.ndarray)]
+        assert len(names) >= 4
+        for name in names:
+            assert _bits(getattr(log, name)) == _bits(getattr(other, name)), name
 
 
 def test_pair_reports_x_divergence_when_both_diverge(golden_flow, origin):

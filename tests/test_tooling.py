@@ -17,7 +17,9 @@ here keeps the only reader of the measure's atoms, density and midpoints.
 The sampling plan rides on the flow, which a check here keeps the only way
 a plan reaches a sampled sup.
 The CLI reads its config through one table, which a check here keeps the
-only source of defaults and in step with the README's key table."""
+only source of defaults and in step with the README's key table. A
+NeutralDiagSystem is a CompartmentalSystem, which a check here keeps the one
+system type: no module unwraps it, and only `check` asks which kind it got."""
 
 import ast
 import importlib
@@ -464,3 +466,26 @@ def test_one_config_table():
         block, key, _, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
         got["" if block == "(top level)" else block.strip("`"), key.strip("`")] = default
     assert got == want
+
+
+def test_one_system_type():
+    # a NeutralDiagSystem is a CompartmentalSystem: every integration, mass
+    # and operator function takes the system it is given, with no helper
+    # that unwraps it or a copy of its network beside it, and only cmd_check
+    # asks for the neutral-diagonal kind
+    from nfde_lab.compartment import CompartmentalSystem, NeutralDiagSystem
+
+    assert issubclass(NeutralDiagSystem, CompartmentalSystem)
+    src = ROOT / "src" / "nfde_lab"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    asks = []
+    for name, tree in trees.items():
+        defs = [n for n in ast.walk(tree) if getattr(n, "name", None) == "_general"]
+        assert not defs and "_general" not in _names(tree), name
+        reads = [n.lineno for n in ast.walk(tree) if getattr(n, "attr", None) == "compartmental"]
+        assert not reads, f"{name} reads .compartmental at lines {reads}"
+        for top in tree.body:
+            for call in _called(top, "isinstance"):
+                if "NeutralDiagSystem" in _names(call.args[1]):
+                    asks.append((name, getattr(top, "name", None)))
+    assert asks == [("cli.py", "cmd_check")]
