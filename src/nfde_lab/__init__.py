@@ -10,11 +10,7 @@ from .base_flow import (
     TorusFlow,
     TorusPoint,
     TrigPoly,
-    advance,
     advance_many,
-    derivative_along_flow,
-    eval_trig,
-    torus_distance,
 )
 from .compartment import (
     CompartmentalSystem,

@@ -2,6 +2,8 @@
 
 Every model in this package is driven by a rotation flow on a d-torus:
 phases advance linearly at fixed frequencies and are reduced modulo one.
+That rule, (theta + t * freqs) mod 1, is written once, in `_rotate`; every
+module moves a phase along the flow through it or `advance_many`.
 Coefficients that vary with the driving phase (neutral-term gains,
 transport gains, inflows) are real trigonometric polynomials evaluated
 along the rotation.
@@ -68,7 +70,7 @@ class SamplingConfig:
             raise ValueError("orbit_step must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusFlow:
     """Rotation flow on the d-torus, d = len(freqs), with the sampling plan
     that every sup over its torus is estimated on."""
@@ -89,7 +91,7 @@ class TorusFlow:
         return self.freqs.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusPoint:
     """A phase on the torus, componentwise reduced to [0, 1)."""
 
@@ -104,7 +106,7 @@ class TorusPoint:
         return self.theta.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrigPoly:
     """Real trigonometric polynomial on the torus.
 
@@ -182,13 +184,11 @@ def _check_dim(poly: TrigPoly, dim: int):
         )
 
 
-def advance(flow: TorusFlow, p: TorusPoint, t: float) -> TorusPoint:
-    """Rotate: (theta + t * freqs) mod 1, componentwise."""
-    if p.dim != flow.dim:
-        raise DimensionMismatchError(
-            f"point dim {p.dim} does not match flow dim {flow.dim}"
-        )
-    return TorusPoint(np.mod(p.theta + t * flow.freqs, 1.0))
+def _rotate(flow: TorusFlow, thetas, t) -> np.ndarray:
+    """The rotation rule, (theta + t * freqs) mod 1 componentwise: phases of
+    shape (d,) or (n, d) moved by one time t, or by one time per row."""
+    t = np.asarray(t, dtype=float)
+    return np.mod(thetas + (t[:, None] if t.ndim else t) * flow.freqs, 1.0)
 
 
 def advance_many(flow: TorusFlow, p: TorusPoint, ts) -> np.ndarray:
@@ -197,8 +197,7 @@ def advance_many(flow: TorusFlow, p: TorusPoint, ts) -> np.ndarray:
         raise DimensionMismatchError(
             f"point dim {p.dim} does not match flow dim {flow.dim}"
         )
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return np.mod(p.theta[None, :] + ts[:, None] * flow.freqs[None, :], 1.0)
+    return _rotate(flow, p.theta, np.atleast_1d(ts))
 
 
 # Phases per block of `plan_blocks`: a sup reduced block by block holds
@@ -240,11 +239,6 @@ def eval_trig_many(poly: TrigPoly, thetas: np.ndarray) -> np.ndarray:
     )
 
 
-def eval_trig(poly: TrigPoly, x: TorusPoint) -> float:
-    """Evaluate at a single torus point."""
-    return float(eval_trig_many(poly, x.theta[None, :])[0])
-
-
 def derivative_along_flow_many(
     poly: TrigPoly, flow: TorusFlow, thetas: np.ndarray
 ) -> np.ndarray:
@@ -262,16 +256,3 @@ def derivative_along_flow_many(
     return (-np.sin(angles) * rates) @ poly.cos_coeffs + (
         np.cos(angles) * rates
     ) @ poly.sin_coeffs
-
-
-def derivative_along_flow(poly: TrigPoly, flow: TorusFlow, x: TorusPoint) -> float:
-    """Chain rule: sum_k 2*pi*<k, freqs> * (-cos_k sin(..) + sin_k cos(..))."""
-    return float(derivative_along_flow_many(poly, flow, x.theta[None, :])[0])
-
-
-def torus_distance(a: TorusPoint, b: TorusPoint) -> float:
-    """Max over components of the circle distance between phases."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError("points live on tori of different dimension")
-    d = np.abs(a.theta - b.theta)
-    return float(np.max(np.minimum(d, 1.0 - d)))

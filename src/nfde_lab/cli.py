@@ -82,8 +82,10 @@ EXIT_DIVERGED = 5
 # --- config parsing ---------------------------------------------------------
 
 # Cap on the numbers in one array (800 MB): stored rows x m of a run or a
-# history, sampled phases x m^2 of the checkers (the build-time sups read the
-# plan in blocks). Checked before anything is allocated.
+# history, and the sampled phases x m^2 that only `check` holds. Every task
+# caps the plan's phases alone by it too: the build-time sups read the plan
+# in blocks, so its size is their time, not their memory. Checked before
+# anything is allocated.
 MAX_CELLS = 10**8
 
 
@@ -368,7 +370,7 @@ def _parse_system(cfg: dict, flow: TorusFlow):
     m = _count1(_req(node, "m", "system"), "system.m")
     grid, orbit = flow.sampling.grid_per_dim**flow.dim, flow.sampling.orbit_points
     key = "sampling.grid_per_dim" if grid >= orbit else "sampling.orbit_points"
-    _fits((grid + orbit) * m * m, key)  # the checkers' phase data
+    _fits(grid + orbit, key)  # the phases every build-time sup walks
     if kind == "d_operator":
         return _parse_dspec(node, m, flow)
     if kind == "neutral_diag":
@@ -509,7 +511,12 @@ def _verdict(outdir, lines, conf, key, value) -> int:
 
 
 def cmd_check(cfg: dict, conf: dict, outdir: str) -> int:
-    sys_obj = _parse_system(cfg, conf["flow"])
+    flow = conf["flow"]
+    grid, orbit = flow.sampling.grid_per_dim**flow.dim, flow.sampling.orbit_points
+    key = "sampling.grid_per_dim" if grid >= orbit else "sampling.orbit_points"
+    m = _count1(_req(_req(cfg, "system", "config"), "m", "system"), "system.m")
+    _fits((grid + orbit) * m * m, key)  # the checkers' phase data, before the build walks the plan
+    sys_obj = _parse_system(cfg, flow)
     if not isinstance(sys_obj, NeutralDiagSystem):
         raise ConfigError("task=check needs a neutral_diag system")
     conds, a = conf["check"]["conditions"], conf["check"]["a"]

@@ -37,6 +37,7 @@ from .base_flow import (
     TorusPoint,
     TrigPoly,
     _is_whole,
+    _rotate,
     advance_many,
     derivative_along_flow_many,
     eval_trig_many,
@@ -108,7 +109,7 @@ class ShapeFn:
         return (0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportSpec:
     """Transport rate g(w, v) = gain(w) * shape(v); gain must stay >= 0."""
 
@@ -166,7 +167,7 @@ def _as_transport_grid(transports, m: int):
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompartmentalSystem:
     """General network: transports g_ij (from j into i), pipes, in/outflows.
 
@@ -235,14 +236,14 @@ class _BalanceTerms:
     atom of an active pipe into i, which reads z_j at lags[n] back.
     """
 
-    __slots__ = ("freqs", "cols", "lags", "rows")
+    __slots__ = ("flow", "cols", "lags", "rows")
 
     def __init__(self, g: CompartmentalSystem):
         m = g.m
         active = [(i, j) for i in range(m) for j in range(m) if not g.transports[i][j].is_zero()]
         pipe = {r for i, j in active for r, _ in g.pipes[i][j].atoms if r > 0.0}
         self.lags = (0.0,) + tuple(sorted(pipe))
-        self.freqs = g.flow.freqs
+        self.flow = g.flow
         self.cols = []
 
         def col(poly: TrigPoly, r: float = 0.0) -> int:
@@ -267,7 +268,7 @@ class _BalanceTerms:
         A column read r back takes the phase of `advance_many` there."""
         cols = []
         for poly, r in self.cols:
-            th = np.mod(thetas + (-r) * self.freqs, 1.0) if r else thetas
+            th = _rotate(self.flow, thetas, -r) if r else thetas
             cols.append(eval_trig_many(poly, th))
         return np.column_stack(cols)
 
@@ -303,7 +304,7 @@ def _induced_dspec(m, c, alpha, flow) -> DOperatorSpec:
     return DOperatorSpec(m, identity_poly_matrix(m), AtomicMeasureFamily(tuple(atoms)), flow)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeutralDiagSystem(CompartmentalSystem):
     """Closed network whose operator couples each z_i to its own delayed value:
 
@@ -371,8 +372,8 @@ class NeutralDiagSystem(CompartmentalSystem):
 def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
     """Net balance rate at one phase from a supplied history.
 
-    Only the offsets 0 and minus each pipe lag are read, one at a time
-    through hist.sample_at.
+    Only the offsets 0 and minus each pipe lag are read, all in one
+    hist.sample_many call.
     """
     if hist.m != sys.m:
         raise DimensionMismatchError("history dimension does not match the system")
@@ -381,7 +382,7 @@ def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
             f"history horizon {hist.horizon:.6g} does not cover pipe lag {sys.max_pipe_lag:.6g}"
         )
     terms = sys._terms
-    zs = [hist.sample_at(0.0)] + [hist.sample_at(-r) for r in terms.lags[1:]]
+    zs = hist.sample_many([0.0] + [-r for r in terms.lags[1:]])
     return np.array(terms.balance(terms.coeffs(p.theta[None, :])[0], zs))
 
 
@@ -419,7 +420,6 @@ def _total_mass_many(
     cubic stencils. The rate at a stored row takes its phase from theta0.
     """
     spec = sys.dspec
-    freqs = sys.flow.freqs
     W = _mass_span(sys, h)
     pos_D = -spec.offsets / h
     pipes = []  # (donor, transport, [(r, w, Q, remainder or None)]) in summation order
@@ -441,19 +441,19 @@ def _total_mass_many(
     for c in range(0, rows.size, _MASS_CHUNK):
         rk = rows[c : c + _MASS_CHUNK]
         t = (rk - Jh) * h
-        th = np.mod(theta0[None, :] + t[:, None] * freqs[None, :], 1.0)
+        th = _rotate(sys.flow, theta0, t)
         total = np.sum(spec.apply(th, _read_back(X, rk, pos_D, W + 1)), axis=1)
         lo = rk[0] - W  # the oldest stored row the chunk reads
         if pipes:
             ts = (np.arange(lo, rk[-1] + 1) - Jh) * h
-            th_s = np.mod(theta0[None, :] + ts[:, None] * freqs[None, :], 1.0)
+            th_s = _rotate(sys.flow, theta0, ts)
         for donor, tr, parts in pipes:
             rate = tr.eval_at(th_s, X[lo : rk[-1] + 1, donor])
             for r, w, Q, rem in parts:
                 win = sliding_window_view(rate, Q + 1)[rk - Q - lo]
                 part = np.trapezoid(win, dx=h, axis=-1) if Q >= 1 else np.zeros(rk.size)
                 if rem is not None:
-                    th_r = np.mod(th + (-r) * freqs[None, :], 1.0)
+                    th_r = _rotate(sys.flow, th, -r)
                     x_r = _read_back(X, rk, np.array([r / h]), W + 1)[:, 0, donor]
                     f_r = tr.eval_at(th_r, x_r)
                     part += 0.5 * rem * (f_r + win[:, 0])
@@ -483,7 +483,7 @@ def mass_balance_residual(sys, log) -> np.ndarray:
 # --- condition checking ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubMargin:
     name: str
     min_margin: float
@@ -491,7 +491,7 @@ class SubMargin:
     strict_everywhere: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentVerdict:
     index: int
     skipped: bool
@@ -503,7 +503,7 @@ class ComponentVerdict:
     tail_certified: Optional[bool] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
     condition: str
     a: np.ndarray
@@ -538,7 +538,7 @@ class _Precomp:
 
     def _shifted(self, poly: TrigPoly, shift: float) -> np.ndarray:
         """poly at the phases shifted back by `shift`."""
-        return eval_trig_many(poly, np.mod(self.thetas - shift * self.sys.flow.freqs[None, :], 1.0))
+        return eval_trig_many(poly, _rotate(self.sys.flow, self.thetas, -shift))
 
     def l_minus_shifted(self, i: int) -> np.ndarray:
         """l_minus_ii evaluated at phases shifted back by rho_ii."""
@@ -891,7 +891,7 @@ def check_condition(
     return _report(pre, cond, a, n_check, entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuggestAReport:
     a: np.ndarray
     trials: np.ndarray

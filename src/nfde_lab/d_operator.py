@@ -45,14 +45,9 @@ from .errors import DimensionMismatchError, SingularBError, UnstableMarginError
 from .history import FunctionHistory, HistoryGrid, _back_stencil, _nodes, gather, sup_norm
 
 
-def const_poly_matrix(values) -> list:
-    """Matrix of constant polynomials from a numeric matrix."""
-    arr = np.atleast_2d(np.asarray(values, dtype=float))
-    return [[TrigPoly.const(v) for v in row] for row in arr]
-
-
 def identity_poly_matrix(m: int) -> list:
-    return const_poly_matrix(np.eye(m))
+    """The m x m identity as a matrix of constant polynomials."""
+    return [[TrigPoly.const(v) for v in row] for row in np.eye(m)]
 
 
 def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -74,7 +69,7 @@ def eval_poly_matrix_many(mat, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureAtom:
     """Point mass of the delayed part: weight matrix at a positive lag."""
 
@@ -87,7 +82,7 @@ class MeasureAtom:
         object.__setattr__(self, "lag", float(self.lag))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureDensity:
     """Piecewise-constant matrix density on [-n_cells*step, 0).
 
@@ -119,7 +114,7 @@ class MeasureDensity:
         return -(np.arange(self.values.shape[0]) + 0.5) * self.step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicMeasureFamily:
     """Delayed part of the operator: atoms plus an optional density.
 
@@ -173,7 +168,7 @@ class AtomicMeasureFamily:
         return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityEstimate:
     """Sampled contraction estimate for the lifted delayed part."""
 
@@ -184,7 +179,7 @@ class StabilityEstimate:
     worst_point: TorusPoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DOperatorSpec:
     """Difference operator data: instantaneous matrix, delayed family, flow."""
 

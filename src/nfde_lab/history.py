@@ -134,7 +134,7 @@ def _read_back(X: np.ndarray, rows: np.ndarray, pos: np.ndarray, K, tail=None) -
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistoryGrid:
     """Uniformly sampled history; row j holds the value at offset -j*step."""
 
@@ -192,10 +192,6 @@ class HistoryGrid:
         out[:, near] = _read_back(X, self.J + pad - nodes, pos[near], K, tail)
         return out
 
-    def sample_at(self, s: float) -> np.ndarray:
-        """Value at a single offset s <= 0; shape (m,)."""
-        return self.sample_many([s])[0]
-
 
 class FunctionHistory:
     """Adapter wrapping an exact vectorized function of the offset."""
@@ -217,9 +213,6 @@ class FunctionHistory:
                 f"expected {(s.size, self.m)}"
             )
         return vals
-
-    def sample_at(self, s: float) -> np.ndarray:
-        return self.sample_many([s])[0]
 
 
 def from_function(fn, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> HistoryGrid:

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base_flow import TorusFlow, TorusPoint
+from .base_flow import TorusFlow, TorusPoint, _rotate
 from .compartment import _mass_span, _total_mass_many
 from .d_operator import StepPlan, eval_Dhat_segment
 from .errors import (
@@ -54,7 +54,7 @@ from .history import write_csv
 from .ordering import ConeSpec, _decay_slack, _end_margin, _window, matrix_exp
 
 
-@dataclass
+@dataclass(eq=False)
 class SimConfig:
     """Integration plan. n_trunc, when given, stores that many delay spans of
     history beyond what the run reads."""
@@ -161,7 +161,7 @@ class _PlanBlock(StepPlan):
         # the same float expressions as the step times: t + 0.5 h and t + h
         t = n * h + np.where(j % 2 == 1, 0.5 * h, h)
         t[j == 0] = 0 * h
-        theta = np.mod(state.p0.theta[None, :] + t[:, None] * state.flow.freqs[None, :], 1.0)
+        theta = _rotate(state.flow, state.p0.theta, t)
         self.theta = theta
         pos = (t[:, None] - state.delays.lags[None, :]) / h + state.Jh
         # a stage of step n reads K = Jh + n + 1 stored rows
@@ -342,7 +342,7 @@ def step(state: SimState) -> SimState:
     return state
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectoryLog:
     """Logged run: times, physical and transformed states, total mass."""
 
@@ -434,7 +434,7 @@ def run(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig) -> TrajectoryL
     return _run(init_from_z(sys, p0, z_hist, cfg))
 
 
-@dataclass
+@dataclass(eq=False)
 class PairLog:
     """Comparison run of an ordered pair of initial data."""
 
@@ -548,7 +548,7 @@ def covering_diagnostic(
     T = ks * dt
     # the phase after T in [0, 1): np.mod rounds a tiny negative sum up to
     # 1.0, and a second reduction maps that to 0.0
-    d = np.abs(np.mod(np.mod(p0.theta + T[:, None] * flow.freqs, 1.0), 1.0) - p0.theta)
+    d = np.abs(np.mod(_rotate(flow, p0.theta, T), 1.0) - p0.theta)
     dist = np.max(np.minimum(d, 1.0 - d), axis=1)
     skip = (T < _MIN_RETURN - _SNAP) | (dist >= return_tol)  # trivial short returns, far phases
     entries = []

@@ -129,7 +129,7 @@ def _certify_hurwitz(A: np.ndarray, assume: bool) -> None:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeSpec:
     """Cone data: quasipositive matrix and a finite or infinite horizon."""
 
@@ -255,7 +255,7 @@ def transformed_cone_membership(
     return cone_membership(Dx, Dy, cone, tol_cone)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonUpper:
     """A strictly positive cone member used to sandwich bounded data."""
 

@@ -35,6 +35,10 @@ with phases, inverse, stencils and blocks of rows of its own, where
 integrator's stages. `stability_margin_direct` takes the sampled sup over
 the whole plan at once, where `stability_margin` reduces it a block of
 phases at a time. Tests compare each pair.
+`advance`, `eval_trig`, `derivative_along_flow` and `sample_at` are the
+one-point forms of `advance_many`, `eval_trig_many`,
+`derivative_along_flow_many` and a history's `sample_many`, each one row of
+it; `torus_distance` and `const_poly_matrix` are test helpers.
 """
 
 import math
@@ -43,8 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from nfde_lab import NeutralDiagSystem, TorusPoint, advance, eval_trig
-from nfde_lab.base_flow import advance_many, eval_trig_many, sample_thetas
+from nfde_lab import NeutralDiagSystem, TorusPoint, TrigPoly
+from nfde_lab.base_flow import (
+    advance_many,
+    derivative_along_flow_many,
+    eval_trig_many,
+    sample_thetas,
+)
 from nfde_lab.compartment import _nmin
 from nfde_lab.d_operator import (
     _STABILITY_GUARD,
@@ -73,6 +82,41 @@ from nfde_lab.history import (
 )
 from nfde_lab.integrator import PairLog, TrajectoryLog, _Stage, init_from_z, step
 from nfde_lab.ordering import matrix_exp
+
+
+def advance(flow, p: TorusPoint, t: float) -> TorusPoint:
+    """The phase t along the orbit from p: one row of `advance_many`."""
+    return TorusPoint(advance_many(flow, p, [t])[0])
+
+
+def eval_trig(poly, x: TorusPoint) -> float:
+    """poly at one phase: one row of `eval_trig_many`."""
+    return float(eval_trig_many(poly, x.theta[None, :])[0])
+
+
+def derivative_along_flow(poly, flow, x: TorusPoint) -> float:
+    """d/dt of poly along the rotation at one phase: one row of
+    `derivative_along_flow_many`."""
+    return float(derivative_along_flow_many(poly, flow, x.theta[None, :])[0])
+
+
+def torus_distance(a: TorusPoint, b: TorusPoint) -> float:
+    """Max over components of the circle distance between phases."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError("points live on tori of different dimension")
+    d = np.abs(a.theta - b.theta)
+    return float(np.max(np.minimum(d, 1.0 - d)))
+
+
+def const_poly_matrix(values) -> list:
+    """Matrix of constant polynomials from a numeric matrix."""
+    arr = np.atleast_2d(np.asarray(values, dtype=float))
+    return [[TrigPoly.const(v) for v in row] for row in arr]
+
+
+def sample_at(hist, s: float) -> np.ndarray:
+    """hist at one offset s <= 0: one row of its `sample_many`."""
+    return hist.sample_many([s])[0]
 
 
 @dataclass(frozen=True)
@@ -574,7 +618,7 @@ def _rate(tr, th: np.ndarray, v: float) -> float:
 
 def eval_F_direct(sys, p: TorusPoint, hist) -> np.ndarray:
     """Net balance rate by a walk over the whole m x m transport grid."""
-    x0 = hist.sample_at(0.0)
+    x0 = sample_at(hist, 0.0)
     th0 = p.theta[None, :]
     F = np.zeros(sys.m)
     for i in range(sys.m):
@@ -594,7 +638,7 @@ def eval_F_direct(sys, p: TorusPoint, hist) -> np.ndarray:
                 th_r = th0
                 if r != 0.0 and not tr.gain.is_constant():
                     th_r = advance_many(sys.flow, p, [-r])
-                F[i] += w * _rate(tr, th_r, hist.sample_at(-r)[j])
+                F[i] += w * _rate(tr, th_r, sample_at(hist, -r)[j])
     return F
 
 
@@ -627,7 +671,7 @@ def _transit_integral(g, p, hist, tr, donor, r) -> float:
     rem = r - Q * h
     if rem > _SNAP * max(1.0, r):
         th_r = advance_many(g.flow, p, [-r])
-        f_r = float(tr.eval_at(th_r, hist.sample_at(-r)[donor])[0])
+        f_r = float(tr.eval_at(th_r, sample_at(hist, -r)[donor])[0])
         total += 0.5 * rem * (f_r + float(vals[-1]))
     return total
 

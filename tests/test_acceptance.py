@@ -23,7 +23,6 @@ from nfde_lab import (
     constant_history,
     covering_diagnostic,
     eval_Dhat_segment,
-    eval_trig,
     extract_atom_at_zero,
     from_function,
     invert_Dhat,
@@ -44,6 +43,7 @@ from nfde_lab.d_operator import (
 from nfde_lab.integrator import required_z_horizon
 
 from .conftest import random_contraction_spec, random_history, s1_system, scalar_dspec
+from .oracles import eval_trig
 from .test_ordering import brute_membership, constructed_member, random_quasipositive
 
 FLOW = TorusFlow([GOLDEN_FREQ])

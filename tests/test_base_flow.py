@@ -9,19 +9,18 @@ from nfde_lab import (
     TorusFlow,
     TorusPoint,
     TrigPoly,
-    advance,
-    derivative_along_flow,
-    eval_trig,
-    torus_distance,
 )
 from nfde_lab.base_flow import (
     PLAN_BLOCK,
     SamplingConfig,
+    _rotate,
     advance_many,
     eval_trig_many,
     plan_blocks,
     sample_thetas,
 )
+
+from .oracles import advance, derivative_along_flow, eval_trig, torus_distance
 
 
 def test_advance_identity():
@@ -135,6 +134,39 @@ def test_derivative_matches_along_orbit():
             eval_trig(p, advance(flow, x, t + h)) - eval_trig(p, advance(flow, x, t - h))
         ) / (2.0 * h)
         assert abs(derivative_along_flow(p, flow, q) - fd) <= 1e-6
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rotate_is_each_inline_rotation_bit_for_bit(d, seed):
+    # the one rotation rule gives the bits of each form it replaced: start
+    # phase plus times, phases plus (-r) freqs, phases minus shift freqs,
+    # and the covering diagnostic's double reduction
+    rng = np.random.default_rng(seed)
+    flow = TorusFlow(rng.uniform(0.01, 2.0, size=d))
+    f = flow.freqs
+    below_one = np.nextafter(1.0, 0.0)
+    theta0 = rng.choice([below_one, 0.0, rng.random()], size=d)
+    thetas = rng.random((40, d))
+    thetas[::3] = below_one
+    ts = np.concatenate([[0.0, -0.0, 1e6, -1e6, -1e-20], rng.uniform(-50.0, 50.0, 35)])
+    ts[5::4] = -rng.uniform(0.0, 1e-12, ts[5::4].size)
+    forms = [
+        (np.mod(theta0[None, :] + ts[:, None] * f[None, :], 1.0), _rotate(flow, theta0, ts)),
+        (
+            np.mod(np.mod(theta0 + ts[:, None] * f, 1.0), 1.0),
+            np.mod(_rotate(flow, theta0, ts), 1.0),
+        ),
+    ]
+    for r in [0.0, 1.0, 1e6, *rng.uniform(0.0, 5.0, 4)]:
+        forms.append((np.mod(thetas + (-r) * f, 1.0), _rotate(flow, thetas, -r)))
+        forms.append((np.mod(thetas + (-r) * f[None, :], 1.0), _rotate(flow, thetas, -r)))
+        forms.append((np.mod(thetas - r * f[None, :], 1.0), _rotate(flow, thetas, -r)))
+    for old, new in forms:
+        assert old.shape == new.shape and old.tobytes() == new.tobytes()
+    rows = _rotate(flow, thetas, ts)  # one time per row
+    want = np.stack([np.mod(th + t * f, 1.0) for th, t in zip(thetas, ts)])
+    assert rows.tobytes() == want.tobytes()
 
 
 def test_advance_many_matches_advance():

@@ -1067,14 +1067,14 @@ def test_leaf_sweep_of_the_readme_example_ends_in_documented_exits(tmp_path, cap
     assert runs == 2 * len(LEAF_VALUES) * len(list(_leaves(base)))
 
 
-def _c3_audit_config(monkeypatch) -> dict:
-    """The mass-audit config of the c3-general benchmark workload, seed 0."""
+def _workload_config(monkeypatch, name: str, task: str) -> dict:
+    """The config of one task of a benchmark workload, seed 0."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up there
     spec.loader.exec_module(workloads)
-    return next(t.config for t in workloads.generate("c3-general", 0) if t.task == "mass-audit")
+    return next(t.config for t in workloads.generate(name, 0) if t.task == task)
 
 
 def test_leaf_sweep_of_the_c3_audit_ends_in_documented_exits(tmp_path, capsys, monkeypatch):
@@ -1083,7 +1083,7 @@ def test_leaf_sweep_of_the_c3_audit_ends_in_documented_exits(tmp_path, capsys, m
     # run cut to 2 steps): a pipe, an atom lag or a transport's shape or gain
     # that the system rejects exits 2 naming its leaf, where each list index
     # may be named or dropped
-    base = _c3_audit_config(monkeypatch)
+    base = _workload_config(monkeypatch, "c3-general", "mass-audit")
     base["sampling"] = {"grid_per_dim": 8, "orbit_points": 8}
     base["sim"]["t_end"] = 2 * base["sim"]["h"]
     runs = 0
@@ -1100,3 +1100,23 @@ def test_leaf_sweep_of_the_c3_audit_ends_in_documented_exits(tmp_path, capsys, m
             assert code != 2 or re.search(key, err), where
             runs += 1
     assert runs == len(LEAF_VALUES) * len(list(_leaves(base)))
+
+
+def test_only_check_is_capped_on_phases_times_m_squared(tmp_path, capsys, monkeypatch):
+    # only `check` holds the sampled phases x m^2. The c3-general invert
+    # config holds 201 x 3 history cells and a plan of 64^2 + 512 = 4608
+    # phases, 41472 numbers at m = 3: a cap between them leaves it running.
+    # d3-check's plan of 20^2 + 256 = 656 phases holds 656 x 9 at m = 3,
+    # which check refuses before the system's build walks the plan.
+    from nfde_lab import cli, compartment, d_operator
+
+    invert = _workload_config(monkeypatch, "c3-general", "invert")
+    check = _workload_config(monkeypatch, "d3-check", "check")
+    monkeypatch.setattr(cli, "MAX_CELLS", 10_000)
+    assert _run(tmp_path, "invert", invert) == 0
+    monkeypatch.setattr(cli, "MAX_CELLS", 656 * 9 - 1)
+    for mod in (compartment, d_operator):
+        monkeypatch.setattr(mod, "plan_blocks", None)  # a walk of the plan fails the run
+    assert _run(tmp_path, "check", check) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "sampling.grid_per_dim" in err and "GiB" in err

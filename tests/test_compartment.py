@@ -23,11 +23,9 @@ from nfde_lab import (
     TorusPoint,
     TransportSpec,
     TrigPoly,
-    advance,
     check_condition,
     constant_history,
     eval_F,
-    eval_trig,
     invert_Dhat,
     suggest_a,
     total_mass,
@@ -36,12 +34,14 @@ from nfde_lab import cli, compartment
 from nfde_lab.base_flow import derivative_along_flow_many, eval_trig_many, sample_thetas
 from nfde_lab.compartment import _component_margins, _mass_span, _Precomp, condition_margins
 from nfde_lab.d_operator import MeasureAtom, MeasureDensity, identity_poly_matrix
-from nfde_lab.history import TailPolicy
+from nfde_lab.history import FunctionHistory, TailPolicy
 
 from .conftest import const_c_system, s1_system
 from .oracles import (
+    advance,
     c_product,
     component_margins_direct,
+    eval_trig,
     lipschitz_bounds,
     pq_sequence,
     total_mass_direct,
@@ -82,6 +82,18 @@ def test_eval_F_oscillating_gain_spot_value(golden_flow, origin):
     k_now = eval_trig(gain, origin)
     k_del = eval_trig(gain, advance(golden_flow, origin, -1.0))
     assert got == pytest.approx(2.0 * k_del - 2.0 * k_now, abs=1e-13)
+
+
+def test_eval_F_reads_its_offsets_in_one_call(golden_flow, origin):
+    # the offsets 0 and minus each pipe lag, all in one sample_many call
+    calls = []
+
+    def fn(s):
+        calls.append(s.tolist())
+        return np.full((s.size, 1), 2.0)
+
+    eval_F(s1_system(golden_flow), origin, FunctionHistory(fn, 1))
+    assert calls == [[0.0, -1.0]]
 
 
 def test_eval_F_pure_inflow(golden_flow, origin):

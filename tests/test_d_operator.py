@@ -19,12 +19,10 @@ from nfde_lab import (
     TorusPoint,
     TrigPoly,
     UnstableMarginError,
-    advance,
     compact_open_metric,
     constant_history,
     eval_D,
     eval_Dhat_segment,
-    eval_trig,
     extract_atom_at_zero,
     from_function,
     invert_Dhat,
@@ -38,13 +36,17 @@ from nfde_lab.base_flow import (
     eval_trig_many,
     sample_thetas,
 )
-from nfde_lab.d_operator import const_poly_matrix, eval_poly_matrix_many, identity_poly_matrix
+from nfde_lab.d_operator import eval_poly_matrix_many, identity_poly_matrix
 
 from .conftest import random_contraction_spec, random_history, scalar_dspec
 from .oracles import (
+    advance,
     batch_inverse_direct,
+    const_poly_matrix,
+    eval_trig,
     invert_Dhat_direct,
     invert_Dhat_neumann,
+    sample_at,
     stability_margin_direct,
 )
 
@@ -67,7 +69,7 @@ def test_eval_D_linear_history(half_spec, origin):
 def test_eval_D_empty_measure_is_instantaneous(golden_flow, origin):
     spec = DOperatorSpec(2, identity_poly_matrix(2), AtomicMeasureFamily(), golden_flow)
     hist = from_function(lambda s: np.stack([np.cos(s), s], axis=1), 0.1, 2.0)
-    assert np.allclose(eval_D(spec, origin, hist), hist.sample_at(0.0), atol=1e-15)
+    assert np.allclose(eval_D(spec, origin, hist), sample_at(hist, 0.0), atol=1e-15)
 
 
 def test_eval_D_with_density(golden_flow, origin):

@@ -1,9 +1,14 @@
 """Surfaces not exercised by the main module tests: densities, saturating
-shapes, multi-atom pipes, precondition errors, and config validation."""
+shapes, multi-atom pipes, precondition errors, config validation, and the
+equality of the package's dataclasses."""
+
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+import nfde_lab
 from nfde_lab import (
     GOLDEN_FREQ,
     AtomicMeasureFamily,
@@ -24,20 +29,26 @@ from nfde_lab import (
     TorusPoint,
     TransportSpec,
     TrigPoly,
+    check_condition,
     cone_membership,
     constant_history,
     eval_D,
     eval_F,
     eval_Dhat_segment,
     invert_Dhat,
+    make_comparison_upper,
+    required_z_horizon,
+    run,
+    run_ordered_pair,
     stability_margin,
+    suggest_a,
     total_mass,
 )
 from nfde_lab.compartment import CompartmentalSystem
 from nfde_lab.d_operator import identity_poly_matrix
 
 from .conftest import const_c_system
-from .oracles import lipschitz_bounds, pq_sequence
+from .oracles import lipschitz_bounds, pq_sequence, sample_at
 
 
 @pytest.fixture()
@@ -105,7 +116,8 @@ def test_multi_atom_pipe_eval_F(golden_flow, origin):
     assert eval_F(sys, origin, hist)[0] == pytest.approx(0.0, abs=1e-14)
     ramp = HistoryGrid(0.05, np.linspace(2.0, 0.0, 41)[:, None])  # z(s) = 2 + 2.5 s... decreasing into the past
     got = eval_F(sys, origin, ramp)[0]
-    want = -ramp.sample_at(0.0)[0] + 0.25 * ramp.sample_at(-0.5)[0] + 0.75 * ramp.sample_at(-1.0)[0]
+    z = [sample_at(ramp, s)[0] for s in (0.0, -0.5, -1.0)]
+    want = -z[0] + 0.25 * z[1] + 0.75 * z[2]
     assert got == pytest.approx(want, abs=1e-13)
 
 
@@ -297,3 +309,76 @@ def test_eval_D_density_with_atoms(golden_flow, origin):
     assert eval_D(spec, origin, hist)[0] == pytest.approx(0.5, abs=1e-12)
     est = stability_margin(spec)
     assert est.lam == pytest.approx(0.5, abs=1e-12)
+
+
+def _one_of_each():
+    """A fresh instance of each dataclass that holds a NumPy array, directly
+    or through another such class, keyed by class."""
+    flow = TorusFlow([GOLDEN_FREQ])
+    s1 = const_c_system(flow)
+    net = CompartmentalSystem(
+        m=1,
+        transports=s1.transports,
+        outflows=s1.outflows,
+        inflows=s1.inflows,
+        pipes=s1.pipes,
+        dspec=s1.dspec,
+        flow=flow,
+    )
+    report = check_condition(s1, "G5", [-2.0])
+    verdict = report.components[0]
+    cone = ConeSpec(np.array([[-2.0]]), 1.0)
+    cfg = SimConfig(h=0.05, t_end=0.2, cone=cone)
+    z0 = constant_history([2.0], cfg.h, required_z_horizon(s1, cfg) + 0.1)
+    p0 = TorusPoint([0.0])
+    atom = s1.dspec.nu.atoms[0]
+    dens = MeasureDensity(np.full((2, 1, 1), 0.1), 0.5)
+    objs = [
+        flow,
+        p0,
+        TrigPoly.from_terms(0.3, [([1], 0.0, 0.2)]),
+        s1.transports[0][0],
+        net,
+        s1,
+        verdict.subs[0],
+        verdict,
+        report,
+        suggest_a(s1, "G5"),
+        atom,
+        dens,
+        AtomicMeasureFamily((atom,), dens),
+        s1.dspec.stability,
+        s1.dspec,
+        z0,
+        cfg,
+        run(s1, p0, z0, cfg),
+        run_ordered_pair(s1, p0, z0, z0, cfg),
+        cone,
+        make_comparison_upper(cone, 1, step=0.1, horizon=1.0),
+    ]
+    return {type(x): x for x in objs}
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # a generated __eq__ over NumPy fields raises on a truth value, and a
+    # generated __hash__ raises on an unhashable array: equality and hash
+    # go by identity instead, and the classes without arrays keep theirs
+    ones, twos = _one_of_each(), _one_of_each()
+    assert set(ones) == set(twos) and len(ones) == 21
+    for cls, x in ones.items():
+        y = twos[cls]
+        assert x is not y and (x == x) is True, cls.__name__
+        assert (x == y) is False and (x != y) is True, cls.__name__
+        if cls.__dataclass_params__.frozen:
+            assert hash(x) == hash(x), cls.__name__
+    modules = [m for _, m in inspect.getmembers(nfde_lab, inspect.ismodule)]
+    classes = {
+        c
+        for mod in modules
+        for _, c in inspect.getmembers(mod, dataclasses.is_dataclass)
+        if inspect.isclass(c) and c.__module__ == mod.__name__
+    }
+    by_identity = {c for c in classes if not c.__dataclass_params__.eq}
+    assert by_identity == set(ones)
+    kept = {c.__name__ for c in classes - by_identity}
+    assert kept == {"ShapeFn", "PipeSpec", "SamplingConfig", "OrderReport", "CoveringReport"}

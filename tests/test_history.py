@@ -17,7 +17,7 @@ from nfde_lab import (
 )
 from nfde_lab.history import _SNAP, cubic_rows, cubic_stencil
 
-from .oracles import cubic_rows_direct
+from .oracles import cubic_rows_direct, sample_at
 
 
 def linear_grid(h=0.1, horizon=3.0):
@@ -29,13 +29,13 @@ def test_node_query_bit_exact():
     vals = rng.normal(size=(31, 2))
     hist = HistoryGrid(0.1, vals)
     for j in (0, 1, 17, 30):
-        got = hist.sample_at(-j * 0.1)
+        got = sample_at(hist, -j * 0.1)
         assert got[0] == vals[j, 0] and got[1] == vals[j, 1]
 
 
 def test_linear_interpolation_midpoint():
     hist = linear_grid()
-    assert hist.sample_at(-0.05)[0] == pytest.approx(-0.05, abs=1e-12)
+    assert sample_at(hist, -0.05)[0] == pytest.approx(-0.05, abs=1e-12)
 
 
 def test_cubic_exact_on_cubics():
@@ -123,14 +123,14 @@ def test_metric_indiscernible_on_grid():
 def test_tail_policies():
     hist_c = from_function(lambda s: s[:, None], 0.1, 1.0, TailPolicy.CONSTANT)
     hist_z = from_function(lambda s: s[:, None], 0.1, 1.0, TailPolicy.ZERO)
-    assert hist_c.sample_at(-5.0)[0] == pytest.approx(-1.0)
-    assert hist_z.sample_at(-5.0)[0] == 0.0
+    assert sample_at(hist_c, -5.0)[0] == pytest.approx(-1.0)
+    assert sample_at(hist_z, -5.0)[0] == 0.0
 
 
 def test_positive_offset_rejected():
     hist = constant_history([1.0], 0.1, 1.0)
     with pytest.raises(ValueError):
-        hist.sample_at(0.5)
+        sample_at(hist, 0.5)
 
 
 def test_metric_dimension_mismatch():

@@ -48,7 +48,7 @@ from nfde_lab.integrator import required_z_horizon
 from nfde_lab.ordering import ConeSpec, make_comparison_upper
 
 from .conftest import const_c_system, s1_system
-from .oracles import point_at, zhat_segment
+from .oracles import point_at, sample_at, zhat_segment
 from .test_compartment import open_scalar_system
 
 
@@ -99,7 +99,7 @@ def test_init_reconstruct_round_trip(golden_flow, origin):
     )
     state = init_from_z(s1, origin, z0, cfg)
     got = reconstruct_z(state, 0.0)
-    assert got[0] == pytest.approx(z0.sample_at(0.0)[0], abs=1e-7)
+    assert got[0] == pytest.approx(sample_at(z0, 0.0)[0], abs=1e-7)
 
 
 def test_init_horizon_error(golden_flow, origin):
@@ -155,7 +155,7 @@ def test_reconstruct_identity_when_c_zero(golden_flow, origin):
     state = init_from_z(sys, origin, z0, cfg)
     for s in (0.0, -0.5, -1.0):
         assert reconstruct_z(state, s)[0] == pytest.approx(
-            z0.sample_at(s)[0], abs=1e-13
+            sample_at(z0, s)[0], abs=1e-13
         )
 
 

@@ -19,7 +19,11 @@ a plan reaches a sampled sup.
 The CLI reads its config through one table, which a check here keeps the
 only source of defaults and in step with the README's key table. A
 NeutralDiagSystem is a CompartmentalSystem, which a check here keeps the one
-system type: no module unwraps it, and only `check` asks which kind it got."""
+system type: no module unwraps it, and only `check` asks which kind it got.
+A phase moves along the flow by one rule, `base_flow._rotate`, which a check
+here keeps the only reader of `TorusFlow.freqs` outside `base_flow`. The
+one-point twins of the array functions live in `tests/oracles.py`, and a
+check here keeps each one gone from the module or class it left."""
 
 import ast
 import importlib
@@ -489,3 +493,37 @@ def test_one_system_type():
                 if "NeutralDiagSystem" in _names(call.args[1]):
                     asks.append((name, getattr(top, "name", None)))
     assert asks == [("cli.py", "cmd_check")]
+
+
+def test_one_rotation_rule():
+    # (theta + t * freqs) mod 1 is written once, in base_flow._rotate: no
+    # other module reads the frequencies to move a phase by hand
+    src = ROOT / "src" / "nfde_lab"
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    reads = {
+        name: [n.lineno for n in ast.walk(tree) if getattr(n, "attr", None) == "freqs"]
+        for name, tree in trees.items()
+        if name != "base_flow.py"
+    }
+    assert reads and not any(reads.values()), reads
+
+
+# (module, class or None, name) of each one-point twin that only tests called;
+# tests/oracles.py holds each one, as one row of its array form where it has one
+REMOVED = [
+    (mod, None, name)
+    for mod in ("", "base_flow")
+    for name in ("advance", "eval_trig", "derivative_along_flow", "torus_distance")
+] + [
+    ("d_operator", None, "const_poly_matrix"),
+    ("history", "HistoryGrid", "sample_at"),
+    ("history", "FunctionHistory", "sample_at"),
+]
+
+
+@pytest.mark.parametrize("mod, cls, name", REMOVED)
+def test_removed_twins_stay_gone(mod, cls, name):
+    owner = importlib.import_module("nfde_lab" + (f".{mod}" if mod else ""))
+    if cls is not None:
+        owner = getattr(owner, cls)
+    assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
