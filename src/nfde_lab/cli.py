@@ -25,7 +25,8 @@ import sys as _sys
 
 import numpy as np
 
-from .base_flow import GOLDEN_FREQ, SamplingConfig, TorusFlow, TorusPoint, TrigPoly, _is_whole
+from .base_flow import GOLDEN_FREQ, PLAN_BLOCK, SamplingConfig, TorusFlow, TorusPoint, TrigPoly
+from .base_flow import _is_whole
 from .compartment import (
     CONDITIONS,
     CompartmentalSystem,
@@ -82,10 +83,9 @@ EXIT_DIVERGED = 5
 # --- config parsing ---------------------------------------------------------
 
 # Cap on the numbers in one array (800 MB): stored rows x m of a run or a
-# history, and the sampled phases x m^2 that only `check` holds. Every task
-# caps the plan's phases alone by it too: the build-time sups read the plan
-# in blocks, so its size is their time, not their memory. Checked before
-# anything is allocated.
+# history, and check's trial rates x PLAN_BLOCK phases. It caps the sampling
+# plan's phase count too, for time: no task holds the plan, and every sup
+# over it walks it a block at a time. Checked before anything is allocated.
 MAX_CELLS = 10**8
 
 
@@ -151,12 +151,14 @@ def _whole(value, where: str) -> int:
     return int(value)
 
 
-def _fits(cells, key: str) -> None:
-    """Reject an array of more than MAX_CELLS numbers, naming key."""
+def _fits(cells, key: str, unit: str = "") -> None:
+    """Reject an array of more than MAX_CELLS numbers, or given a unit,
+    more than MAX_CELLS of it, naming key."""
     if cells > MAX_CELLS:
         n = float(cells) if cells < 1e300 else math.inf
-        size = f"{n:.3g} numbers ({n * 8 / 2**30:.3g} GiB)"
-        raise ConfigError(f"{key}: one array would hold {size}, over the cap of {MAX_CELLS:.0e}")
+        size = f"one array would hold {n:.3g} numbers ({n * 8 / 2**30:.3g} GiB)"
+        size = f"{n:.3g} {unit}" if unit else size
+        raise ConfigError(f"{key}: {size}, over the cap of {MAX_CELLS:.0e}")
 
 
 def _shaped(shape):
@@ -291,8 +293,11 @@ def _materialize(cfg: dict, task: str) -> dict:
         plan = SimConfig(**conf["sim"])
     except ValueError as e:  # t_end off the step grid
         raise ConfigError(f"sim.t_end and sim.h: {e}") from e
-    if conf["check"].get("trial_a") is not None and not isinstance(conf["check"]["a"], str):
-        raise ConfigError('check.trial_a: only read when check.a is "auto"')
+    trial = conf["check"].get("trial_a")
+    if trial is not None:
+        if not isinstance(conf["check"]["a"], str):
+            raise ConfigError('check.trial_a: only read when check.a is "auto"')
+        _fits((trial.size + 1) * PLAN_BLOCK, "check.trial_a")  # and the canonical rate, per block
     if cfg.get("cone") is None:
         conf["cone"] = None
     elif len({"a_diag", "A"} & set(cfg["cone"])) != 1:
@@ -370,7 +375,7 @@ def _parse_system(cfg: dict, flow: TorusFlow):
     m = _count1(_req(node, "m", "system"), "system.m")
     grid, orbit = flow.sampling.grid_per_dim**flow.dim, flow.sampling.orbit_points
     key = "sampling.grid_per_dim" if grid >= orbit else "sampling.orbit_points"
-    _fits(grid + orbit, key)  # the phases every build-time sup walks
+    _fits(grid + orbit, key, "phases in the sampling plan")
     if kind == "d_operator":
         return _parse_dspec(node, m, flow)
     if kind == "neutral_diag":
@@ -511,12 +516,7 @@ def _verdict(outdir, lines, conf, key, value) -> int:
 
 
 def cmd_check(cfg: dict, conf: dict, outdir: str) -> int:
-    flow = conf["flow"]
-    grid, orbit = flow.sampling.grid_per_dim**flow.dim, flow.sampling.orbit_points
-    key = "sampling.grid_per_dim" if grid >= orbit else "sampling.orbit_points"
-    m = _count1(_req(_req(cfg, "system", "config"), "m", "system"), "system.m")
-    _fits((grid + orbit) * m * m, key)  # the checkers' phase data, before the build walks the plan
-    sys_obj = _parse_system(cfg, flow)
+    sys_obj = _parse_system(cfg, conf["flow"])
     if not isinstance(sys_obj, NeutralDiagSystem):
         raise ConfigError("task=check needs a neutral_diag system")
     conds, a = conf["check"]["conditions"], conf["check"]["a"]

@@ -42,7 +42,6 @@ from .base_flow import (
     derivative_along_flow_many,
     eval_trig_many,
     plan_blocks,
-    sample_thetas,
 )
 from .d_operator import AtomicMeasureFamily, DOperatorSpec, MeasureAtom, identity_poly_matrix
 from .errors import (
@@ -513,28 +512,18 @@ class ConditionReport:
 
 
 class _Precomp:
-    """Phase-sampled ingredients shared across components and trial rates.
+    """Phase-sampled ingredients shared across components and trial rates,
+    at one plan block in `_scan` or at the caller's phases. For G8 and G9
+    (`cond`) it checks sum_i c_i < 1 at the phases."""
 
-    It holds the whole plan (`sample_thetas`), not a block of it: the margin
-    at every phase and the phase that attains the worst are the report."""
-
-    def __init__(self, sys: NeutralDiagSystem, thetas: np.ndarray):
+    def __init__(self, sys: NeutralDiagSystem, thetas: np.ndarray, cond: str = ""):
         self.sys = sys
         self.thetas = thetas
-        m = sys.m
-        n = thetas.shape[0]
         self.c = np.stack([eval_trig_many(ci, thetas) for ci in sys.c], axis=1)
-        lp = np.zeros((n, m, m))  # the gains were checked >= 0 where the system was built
-        for i in range(m):
-            for j in range(m):
-                tr = sys.transports[i][j]
-                lp[:, i, j] = eval_trig_many(tr.gain, thetas) * tr.shape.deriv_bounds()[1]
-        self.L_plus = lp.sum(axis=1)  # (n, m): column sums l_plus[j][i]
+        if cond in ("G8", "G9") and np.any(self.c.sum(axis=1) >= 1.0 - _EQ_TOL):
+            raise StructuralPreconditionError(f"{cond} needs sum_i c_i < 1 at every sampled phase")
+        self.L_plus = _l_plus(sys, thetas)
         self._gamma = None
-
-    def canonical_a(self) -> np.ndarray:
-        """The rate -sup L_plus_i - 1 per component."""
-        return -np.max(self.L_plus, axis=0) - 1.0
 
     def _shifted(self, poly: TrigPoly, shift: float) -> np.ndarray:
         """poly at the phases shifted back by `shift`."""
@@ -545,67 +534,63 @@ class _Precomp:
         tr = self.sys.transports[i][i]
         return self._shifted(tr.gain, self.sys.rho[i][i]) * tr.shape.deriv_bounds()[0]
 
-    def _c_at(self, i: int, shift: float, rows: dict) -> np.ndarray:
-        """c_i at the phases shifted back by `shift`, memoised in `rows`."""
-        key = float(shift)
-        if key not in rows:
-            rows[key] = self.c_shifted(i, shift)
-        return rows[key]
-
     def c_shifted(self, i: int, shift: float) -> np.ndarray:
         """c_i at the phases shifted back by `shift`."""
         return self._shifted(self.sys.c[i], shift)
 
     def gamma(self) -> np.ndarray:
         if self._gamma is None:
-            self._gamma = np.stack(
-                [
-                    derivative_along_flow_many(ci, self.sys.flow, self.thetas)
-                    for ci in self.sys.c
-                ],
-                axis=1,
-            )
+            rates = [derivative_along_flow_many(c, self.sys.flow, self.thetas) for c in self.sys.c]
+            self._gamma = np.stack(rates, axis=1)
         return self._gamma
-
-    def c_products(self, i: int, base_shift: float, count: int, rows: dict) -> np.ndarray:
-        """Backward products of c_i from phases shifted by base_shift; (count+1, n).
-
-        The shifted rows of c_i are looked up in and added to `rows`.
-        """
-        alpha_i = self.sys.alpha[i]
-        shifts = base_shift + alpha_i * np.arange(count)
-        n = self.thetas.shape[0]
-        vals = np.empty((count, n))
-        for k, s in enumerate(shifts):
-            vals[k] = self._c_at(i, s, rows)
-        prods = np.ones((count + 1, n))
-        if count:
-            prods[1:] = np.cumprod(vals, axis=0)
-        return prods
 
     def g4_terms(self, i: int, n_check: int) -> tuple:
         """Rate-free parts of the G4 sequences for component i.
 
         Returns (-L_plus_i C^n for n = 1..n_check, C^{n-1} at phases shifted
-        by rho_ii for n = 1..n_check), both (n_check, n). The two products
-        share their shifted rows of c_i, which are dropped once both are built.
+        by rho_ii for n = 1..n_check), both (n_check, n), C^n the backward
+        product of c_i over n steps of alpha_i. The two share their shifted
+        rows of c_i, dropped once both are built.
         """
-        rows = {}
-        C = self.c_products(i, 0.0, n_check, rows)
-        C_sh = self.c_products(i, self.sys.rho[i][i], n_check, rows)
+        alpha_i, rows = self.sys.alpha[i], {}
+
+        def products(base):  # C^0 = 1, ..., C^n_check back from base
+            prods = np.ones((n_check + 1, self.thetas.shape[0]))
+            for k, shift in enumerate((base + alpha_i * np.arange(n_check)).tolist()):
+                if shift not in rows:
+                    rows[shift] = self.c_shifted(i, shift)
+                np.multiply(prods[k], rows[shift], out=prods[k + 1])
+            return prods
+
+        C, C_sh = products(0.0), products(self.sys.rho[i][i])
         return -self.L_plus[:, i] * C[1:], C_sh[:-1]
+
+
+def _l_plus(sys: NeutralDiagSystem, thetas: np.ndarray) -> np.ndarray:
+    """L_plus at each phase, (n, m): column i sums the upper Lipschitz
+    bounds l_plus[j][i] of the gains, checked >= 0 at build."""
+    m = sys.m
+    lp = np.zeros((thetas.shape[0], m, m))
+    for i in range(m):
+        for j in range(m):
+            tr = sys.transports[i][j]
+            lp[:, i, j] = eval_trig_many(tr.gain, thetas) * tr.shape.deriv_bounds()[1]
+    return lp.sum(axis=1)
+
+
+def _canonical_a(sys: NeutralDiagSystem) -> np.ndarray:
+    """The rate -sup L_plus_i - 1 per component, over the plan."""
+    sup = np.max([np.max(_l_plus(sys, th), axis=0) for th in plan_blocks(sys.flow)], axis=0)
+    return -sup - 1.0
 
 
 def _nmin(x):
     return np.minimum(x, 0.0)
 
 
-def _prepare(sys: NeutralDiagSystem, cond: str, thetas: np.ndarray, n_check) -> tuple:
-    """Validate one condition's inputs and build its phase data.
-
-    Returns (phase data, the components whose c_i is not identically zero,
-    n_check as an int).
-    """
+def _prepare(sys: NeutralDiagSystem, cond: str, n_check) -> tuple:
+    """Validate one condition's inputs. Returns (the components whose c_i
+    is not identically zero, n_check as an int)."""
     if cond not in CONDITIONS:
         raise ValueError(f"unknown condition {cond!r}")
     if not _is_whole(n_check) or n_check < 0:
@@ -619,10 +604,7 @@ def _prepare(sys: NeutralDiagSystem, cond: str, thetas: np.ndarray, n_check) -> 
             raise StructuralPreconditionError(f"G5 needs rho_ii = alpha_i for component {i}")
         if cond in ("G4", "G9") and rho_ii > alpha_i + _EQ_TOL:
             raise StructuralPreconditionError(f"{cond} needs rho_ii <= alpha_i for component {i}")
-    pre = _Precomp(sys, thetas)
-    if cond in ("G8", "G9") and np.any(pre.c.sum(axis=1) >= 1.0 - _EQ_TOL):
-        raise StructuralPreconditionError(f"{cond} needs sum_i c_i < 1 at every sampled phase")
-    return pre, active, int(n_check)
+    return active, int(n_check)
 
 
 def _check_rates(a: np.ndarray, what: str) -> None:
@@ -639,11 +621,6 @@ def _exp_rates(rates: np.ndarray, scale: float) -> np.ndarray:
     place, and the checkers' outputs are pinned to math.exp's values.
     """
     return np.array([math.exp(a * scale) for a in rates])[:, None]
-
-
-# Elements of one (rates, phases) block of the G4 depth scan: the trial rates
-# go through it in chunks of _SCAN_ELEMENTS // n_phases.
-_SCAN_ELEMENTS = 8192
 
 
 def _g4_block(neg_LC, C_sh, L, lm, a, fac, ea, n_check: int) -> tuple:
@@ -697,35 +674,13 @@ def _g4_block(neg_LC, C_sh, L, lm, a, fac, ea, n_check: int) -> tuple:
     return margins, n0, found
 
 
-def _g4_margins(pre: _Precomp, i: int, rates: np.ndarray, n_check: int) -> tuple:
-    """Margins for the accumulated-sequence condition on one component.
-
-    Returns (margins, n0, found), each (T, n) for the T rates, and
-    tail_certified (T,). The rates go through `_g4_block` in chunks, so the
-    working set stays near _SCAN_ELEMENTS elements per array.
-    """
-    sys = pre.sys
+def _tail_certified(sys: NeutralDiagSystem, i: int, rates: np.ndarray, neg_lc, lm) -> np.ndarray:
+    """G4's tail certificate at each rate from the least -L_plus_i sup c_i
+    and l_minus_ii over the phases: min(x + s) = min(x) + s exactly. It is
+    sound for rho_ii = alpha_i or a constant c_i."""
     alpha_i, rho_ii = sys.alpha[i], sys.rho[i][i]
-    L = pre.L_plus[:, i]
-    lm = pre.l_minus_shifted(i)
-    fac = _exp_rates(rates, alpha_i - rho_ii)
-    ea = _exp_rates(rates, alpha_i)
-    neg_LC, C_sh = pre.g4_terms(i, n_check)
-    T, n = rates.size, L.size
-    margins = np.empty((T, n))
-    n0 = np.empty((T, n), dtype=np.intp)
-    found = np.empty((T, n), dtype=bool)
-    chunk = max(1, _SCAN_ELEMENTS // n)
-    for lo in range(0, T, chunk):
-        sl = slice(lo, lo + chunk)
-        margins[sl], n0[sl], found[sl] = _g4_block(
-            neg_LC, C_sh, L, lm, rates[sl, None], fac[sl], ea[sl], n_check
-        )
-    # sound tail certificate: needs rho_ii = alpha_i or a constant coefficient;
-    # min(x + s) = min(x) + s exactly, as rounding is monotone
     sound = abs(rho_ii - alpha_i) <= _EQ_TOL or sys.c[i].is_constant()
-    tail_certified = sound & (np.min(-L * sys.c_sup[i]) + fac[:, 0] * np.min(lm) >= 0.0)
-    return margins, n0, found, tail_certified
+    return sound & (neg_lc + _exp_rates(rates, alpha_i - rho_ii)[:, 0] * lm >= 0.0)
 
 
 def _component_margins(
@@ -734,7 +689,8 @@ def _component_margins(
     """Margin arrays of one active component at each of `rates`, keyed by sub-inequality.
 
     Every array is (T, n) for the T rates; a rate-free one is a read-only
-    broadcast. Key "_g4" maps to the tuple of `_g4_margins`.
+    broadcast. Key "_g4" maps to G4's margins, n0 and found mask, each
+    (T, n), and the minima `_tail_certified` reads.
     """
     sys = pre.sys
     alpha_i, rho_ii = sys.alpha[i], sys.rho[i][i]
@@ -763,37 +719,23 @@ def _component_margins(
                 + _exp_rates(rates, rho_ii - alpha_i) * _nmin(a * ci + gam)
             ),
         }
-    return {"_g4": _g4_margins(pre, i, rates, n_check)}
+    lm = pre.l_minus_shifted(i)
+    neg_LC, C_sh = pre.g4_terms(i, n_check)
+    fac, ea = _exp_rates(rates, alpha_i - rho_ii), _exp_rates(rates, alpha_i)
+    margins, n0, found = _g4_block(neg_LC, C_sh, L, lm, a, fac, ea, n_check)
+    return {"_g4": (margins, n0, found, np.min(-L * sys.c_sup[i]), np.min(lm))}
 
 
-def _one_rate(entry: dict, k: int) -> dict:
-    """Row k of `_component_margins`' arrays, copied out in `condition_margins`' form."""
-    if "_g4" in entry:
-        marg, n0, found, certified = entry["_g4"]
-        return {"_g4": (marg[k].copy(), n0[k].copy(), found[k].copy(), bool(certified[k]))}
-    return {name: arr[k].copy() for name, arr in entry.items()}
-
-
-def _margins_at(sys: NeutralDiagSystem, cond: str, a, thetas: np.ndarray, n_check) -> tuple:
-    """(phase data, rates, depth, margins per active component) at one rate vector."""
+def _rate_vector(sys: NeutralDiagSystem, a) -> np.ndarray:
+    """a as one finite rate a_i <= 0 per component."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if a.shape != (sys.m,):
         raise DimensionMismatchError("need one rate a_i per component")
     _check_rates(a, "rates a_i")
-    pre, active, n_check = _prepare(sys, cond, thetas, n_check)
-    entries = {
-        i: _one_rate(_component_margins(pre, cond, i, a[i : i + 1], n_check), 0) for i in active
-    }
-    return pre, a, n_check, entries
+    return a
 
 
-def condition_margins(
-    sys: NeutralDiagSystem,
-    cond: str,
-    a,
-    thetas: np.ndarray,
-    n_check: int = 50,
-):
+def condition_margins(sys: NeutralDiagSystem, cond: str, a, thetas: np.ndarray, n_check=50):
     """Per-sampled-phase margin arrays, keyed by sub-inequality name.
 
     Returns a dict: component index -> dict of name -> (n,) array, with key
@@ -801,50 +743,78 @@ def condition_margins(
     Components with identically zero c_i are omitted (their conditions are
     vacuous; the canonical rate for them is -sup L_plus - 1).
     """
-    return _margins_at(sys, cond, a, thetas, n_check)[3]
+    a = _rate_vector(sys, a)
+    active, n_check = _prepare(sys, cond, n_check)
+    pre = _Precomp(sys, thetas, cond)
+    out = {}
+    for i in active:
+        entry = _component_margins(pre, cond, i, a[i : i + 1], n_check)
+        if "_g4" in entry:
+            marg, n0, found, neg_lc, lm = entry["_g4"]
+            certified = bool(_tail_certified(sys, i, a[i : i + 1], neg_lc, lm)[0])
+            entry = {"_g4": (marg[0], n0[0], found[0], certified)}
+        out[i] = {name: v if name == "_g4" else v[0].copy() for name, v in entry.items()}
+    return out
+
+
+def _least(run, blk) -> tuple:
+    """Fold a block's (least margins (T,), phases (T, d)) into the running
+    pair by np.argmin per rate: a tie keeps the earlier phase, a NaN wins."""
+    if run is None:
+        return blk
+    take = np.argmin([run[0], blk[0]], axis=0) == 1
+    return np.where(take, blk[0], run[0]), np.where(take[:, None], blk[1], run[1])
+
+
+def _scan(sys: NeutralDiagSystem, cond: str, cands: dict, n_check: int) -> tuple:
+    """Each active component's margins at its (T,) rates `cands[i]`, folded
+    over the plan one block at a time. Returns (least, g4) keyed by
+    component: least[i] maps each sub-inequality to its least margin per
+    rate and the first phase attaining it, ((T,), (T, d)); g4[i] holds
+    G4's deepest n0, whether every phase found one, and the certificate.
+    """
+    least, g4 = {i: {} for i in cands}, {}
+    folds = (np.maximum, np.logical_and, np.minimum, np.minimum)  # G4's, across blocks
+    for thetas in plan_blocks(sys.flow):
+        pre = _Precomp(sys, thetas, cond)
+        for i, rates in cands.items():
+            entry = _component_margins(pre, cond, i, rates, n_check)
+            if cond == "G4":
+                marg, n0, found, neg_lc, lm = entry.pop("_g4")
+                entry["G4"] = marg
+                blk = np.max(n0, axis=1), np.all(found, axis=1), neg_lc, lm
+                g4[i] = tuple(f(x, y) for f, x, y in zip(folds, g4[i], blk)) if i in g4 else blk
+            for name, arr in entry.items():
+                idx = np.argmin(arr, axis=1)
+                blk = arr[np.arange(idx.size), idx], thetas[idx]
+                least[i][name] = _least(least[i].get(name), blk)
+    for i, (deep, every, neg_lc, lm) in g4.items():
+        g4[i] = deep, every, _tail_certified(sys, i, cands[i], neg_lc, lm)
+    return least, g4
 
 
 # A margin above this clears its inequality strictly at every sampled phase.
 _STRICT_TOL = 1e-9
 
 
-def _report(pre: _Precomp, cond: str, a: np.ndarray, n_check: int, entries: dict):
-    """The verdict of `cond` at rates `a` from the one-rate margins of each active component."""
-    sys = pre.sys
-    offdiag = [
-        (i, j)
-        for i in range(sys.m)
-        for j in range(sys.m)
-        if i != j and not sys.transports[i][j].is_zero() and sys.rho[i][j] > 0
-    ]
-    notes = ()
-    if offdiag:
-        notes = (
-            "off-diagonal transit lags are not constrained by these conditions "
-            f"(present for pairs {offdiag})",
-        )
-    canon = pre.canonical_a()
+def _report(sys, cond: str, a: np.ndarray, canon: np.ndarray, n_check: int, scan, rows: dict):
+    """The verdict of `cond` at rates `a`, reading row rows[i] of each
+    active component's `_scan` folds; a skipped component gets canon[i]."""
+    least, g4 = scan
+    pairs = [(i, j) for i in range(sys.m) for j in range(sys.m) if i != j]
+    offdiag = [(i, j) for i, j in pairs if not sys.transports[i][j].is_zero() and sys.rho[i][j] > 0]
+    head = "off-diagonal transit lags are not constrained by these conditions"
+    notes = (f"{head} (present for pairs {offdiag})",) if offdiag else ()
     components = []
     for i in range(sys.m):
-        if i not in entries:
-            components.append(
-                ComponentVerdict(
-                    index=i,
-                    skipped=True,
-                    prescribed_a=float(canon[i]),
-                    subs=(),
-                    passed=True,
-                    note="coefficient identically zero: condition vacuous",
-                )
-            )
+        if i not in least:
+            note = "coefficient identically zero: condition vacuous"
+            components.append(ComponentVerdict(i, True, float(canon[i]), (), True, note))
             continue
-        entry = entries[i]
-        g4 = entry.get("_g4")
-        subs = []
-        for name, arr in ({"G4": g4[0]} if g4 else entry).items():
-            idx = int(np.argmin(arr))  # G4 margins are -inf where no depth is feasible
-            mn = float(arr[idx])
-            subs.append(SubMargin(name, mn, TorusPoint(pre.thetas[idx]), bool(mn > _STRICT_TOL)))
+        k, subs = rows[i], []
+        for name, (margins, phases) in least[i].items():  # G4's is -inf where no depth is
+            mn = float(margins[k])
+            subs.append(SubMargin(name, mn, TorusPoint(phases[k]), bool(mn > _STRICT_TOL)))
         worst = min(sub.min_margin for sub in subs)
         if cond == "G8":
             ok = worst > 0.0
@@ -853,42 +823,31 @@ def _report(pre: _Precomp, cond: str, a: np.ndarray, n_check: int, entries: dict
         else:  # G3, G9: all hold, at least one strict everywhere
             ok = worst >= 0.0 and any(sub.strict_everywhere for sub in subs)
         tail = {}
-        if g4:
-            _, n0, found, certified = g4
+        if i in g4:
+            deep, every, certified = (v[k] for v in g4[i])
             tail = dict(
                 note="" if certified else f"tail verified to depth {n_check} only",
-                n0_max=int(np.max(n0)) if np.all(found) else None,
-                tail_certified=certified,
+                n0_max=int(deep) if every else None,
+                tail_certified=bool(certified),
             )
-        components.append(
-            ComponentVerdict(
-                index=i, skipped=False, prescribed_a=None, subs=tuple(subs), passed=ok, **tail
-            )
-        )
-    return ConditionReport(
-        condition=cond,
-        a=a,
-        components=tuple(components),
-        passed=all(comp.passed for comp in components),
-        notes=notes,
-    )
+        components.append(ComponentVerdict(i, False, None, tuple(subs), ok, **tail))
+    passed = all(comp.passed for comp in components)
+    return ConditionReport(cond, a, tuple(components), passed, notes)
 
 
-def check_condition(
-    sys: NeutralDiagSystem,
-    cond: str,
-    a,
-    n_check: int = 50,
-) -> ConditionReport:
+def check_condition(sys: NeutralDiagSystem, cond: str, a, n_check: int = 50) -> ConditionReport:
     """Evaluate one sufficient monotonicity condition over the flow's sampled phases.
 
     Reports the minimum margin per component and sub-inequality with the
     worst phase as witness. Components with c_i identically zero are
     skipped as vacuous, with the canonical rate -sup L_plus_i - 1 attached.
     Strictness is flagged when a margin clears _STRICT_TOL everywhere.
+    It is `_scan` at one rate per component.
     """
-    pre, a, n_check, entries = _margins_at(sys, cond, a, sample_thetas(sys.flow), n_check)
-    return _report(pre, cond, a, n_check, entries)
+    a = _rate_vector(sys, a)
+    active, n_check = _prepare(sys, cond, n_check)
+    scan = _scan(sys, cond, {i: a[i : i + 1] for i in active}, n_check)
+    return _report(sys, cond, a, _canonical_a(sys), n_check, scan, dict.fromkeys(active, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -900,20 +859,14 @@ class SuggestAReport:
     report: ConditionReport  # the condition checked at the rates `a`
 
 
-def suggest_a(
-    sys: NeutralDiagSystem,
-    cond: str,
-    trial_a=None,
-    n_check: int = 50,
-) -> SuggestAReport:
+def suggest_a(sys: NeutralDiagSystem, cond: str, trial_a=None, n_check: int = 50) -> SuggestAReport:
     """Scan candidate rates a_i <= 0 and keep the best worst-case margin.
 
     The canonical rate -sup L_plus_i - 1 is always added to the scan. Ties
     within _EQ_TOL resolve toward zero. Components with c_i identically zero
-    receive the canonical rate directly. The phase-sampled data are built
-    once per scan, and each component's margins are evaluated at all its
-    trial rates in one `_component_margins` call. The report at the chosen
-    rates is read off the scan's rows, which are bit for bit the margins
+    receive the canonical rate directly. One `_scan` evaluates every
+    component at all its trial rates a plan block at a time, and the report
+    at the chosen rates reads its rows, which are bit for bit what
     `check_condition` computes at those rates.
     """
     if trial_a is None:
@@ -922,30 +875,25 @@ def suggest_a(
     if trial_a.size == 0:
         raise ValueError("trial grid must be nonempty")
     _check_rates(trial_a, "trial rates")
-    pre, active, n_check = _prepare(sys, cond, sample_thetas(sys.flow), n_check)
-    canon = pre.canonical_a()
+    active, n_check = _prepare(sys, cond, n_check)
+    canon = _canonical_a(sys)
     best = canon.copy()  # the canonical rate stays for the skipped components
     # np.unique's sort and drop of adjacent repeats, without the numpy.ma it imports
     trials_per_comp = [np.sort(np.append(trial_a, c)) for c in canon]
     trials_per_comp = [t[np.append(True, t[1:] != t[:-1])] for t in trials_per_comp]
     surface = np.full((max(c.size for c in trials_per_comp), sys.m), np.nan)
-    entries = {}
-    for i in active:
-        cand = trials_per_comp[i]
-        entry = _component_margins(pre, cond, i, cand, n_check)
-        if cond == "G4":
-            vals = np.min(entry["_g4"][0], axis=1)  # -inf where some phase has no n0
-        else:
-            vals = np.min([np.min(arr, axis=1) for arr in entry.values()], axis=0)
+    cands = {i: trials_per_comp[i] for i in active}
+    scan = _scan(sys, cond, cands, n_check)
+    rows = {}
+    for i, cand in cands.items():
+        vals = np.min([margins for margins, _ in scan[0][i].values()], axis=0)
         surface[: cand.size, i] = vals
-        k = np.nonzero(vals >= np.max(vals) - _EQ_TOL)[0][-1]  # ties toward zero
-        best[i] = float(cand[k])
-        entries[i] = _one_rate(entry, k)
-        del entry  # free its (rates, phases) arrays before the next component is scanned
+        rows[i] = np.nonzero(vals >= np.max(vals) - _EQ_TOL)[0][-1]  # ties toward zero
+        best[i] = float(cand[rows[i]])
     return SuggestAReport(
         a=best,
         trials=trial_a,
         margins=surface,
         prescribed=tuple(i for i in range(sys.m) if i not in active),
-        report=_report(pre, cond, best, n_check, entries),
+        report=_report(sys, cond, best, canon, n_check, scan, rows),
     )

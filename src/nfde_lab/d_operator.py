@@ -41,6 +41,7 @@ import numpy as np
 
 from .base_flow import TorusFlow, TorusPoint, TrigPoly, advance_many, eval_trig_many, plan_blocks
 from .base_flow import sample_thetas  # noqa: F401  perfbench's tracer wraps it here
+from .base_flow import _is_whole
 from .errors import DimensionMismatchError, SingularBError, UnstableMarginError
 from .history import FunctionHistory, HistoryGrid, _back_stencil, _nodes, gather, sup_norm
 
@@ -365,7 +366,7 @@ def invert_Dhat(
         )
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive")
-    if n_terms is not None and not (n_terms >= 0 and float(n_terms).is_integer()):
+    if n_terms is not None and not (_is_whole(n_terms) and n_terms >= 0):
         raise ValueError("n_terms must be a whole number >= 0")
     est = spec.stability
     lam = est.lam

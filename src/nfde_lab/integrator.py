@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base_flow import TorusFlow, TorusPoint, _rotate
+from .base_flow import TorusFlow, TorusPoint, _is_whole, _rotate
 from .compartment import _mass_span, _total_mass_many
 from .d_operator import StepPlan, eval_Dhat_segment
 from .errors import (
@@ -70,10 +70,12 @@ class SimConfig:
     def __post_init__(self):
         if not (0 < self.h < math.inf and 0 < self.t_end < math.inf):
             raise ValueError("h and t_end must be positive and finite")
-        if self.n_trunc is not None and self.n_trunc < 0:
-            raise ValueError("n_trunc must be >= 0")
-        if self.log_stride < 1:
-            raise ValueError("log_stride must be >= 1")
+        if self.n_trunc is not None and not (_is_whole(self.n_trunc) and self.n_trunc >= 0):
+            raise ValueError(f"n_trunc must be a whole number >= 0, got {self.n_trunc!r}")
+        if not (_is_whole(self.log_stride) and self.log_stride >= 1):
+            raise ValueError(f"log_stride must be a whole number >= 1, got {self.log_stride!r}")
+        self.log_stride = int(self.log_stride)
+        self.n_trunc = None if self.n_trunc is None else int(self.n_trunc)
         if not self.tol_cone >= 0:
             raise ValueError("tol_cone must be >= 0")
         if not self.divergence_limit > 0:

@@ -1,7 +1,7 @@
 """Slow oracles for the package's fast paths.
 
 `compartment._Precomp` evaluates the Lipschitz bounds and the backward
-products of c_i at every sampled phase at once; the scalar functions here
+products of c_i at every phase of a block at once; the scalar functions here
 compute the same quantities at one phase with plain loops. `stage_direct`
 builds an integrator stage from scratch at one time, each coefficient by a
 one-row evaluation at its own phase, where the integrator reads the stage
@@ -23,7 +23,10 @@ the stored buffers after the run.
 margins at one rate a_i, with the G4 sequences held as full
 (n_check+1, n) arrays and reduced with prefix and suffix minima, where
 `compartment._component_margins` evaluates a vector of rates at once and
-streams G4 over the depth.
+streams G4 over the depth. `check_condition_direct` reduces
+`condition_margins` over the whole plan at once, one argmin per
+sub-inequality, where `check_condition` and `suggest_a` fold the margins a
+plan block at a time.
 `cubic_rows_direct` interpolates rows with its own Lagrange weights and an
 on-node shortcut, where `history.cubic_rows` gathers the taps of
 `cubic_stencil`; the oracles here read stored rows through it.
@@ -54,7 +57,14 @@ from nfde_lab.base_flow import (
     eval_trig_many,
     sample_thetas,
 )
-from nfde_lab.compartment import _nmin
+from nfde_lab.compartment import (
+    _STRICT_TOL,
+    ComponentVerdict,
+    ConditionReport,
+    SubMargin,
+    _nmin,
+    condition_margins,
+)
 from nfde_lab.d_operator import (
     _STABILITY_GUARD,
     StabilityEstimate,
@@ -263,6 +273,63 @@ def component_margins_direct(pre, cond: str, i: int, a_i: float, n_check: int) -
             ),
         }
     return {"_g4": g4_component_direct(pre, i, a_i, n_check)}
+
+
+def check_condition_direct(sys, cond: str, a, n_check: int = 50) -> ConditionReport:
+    """`check_condition` over the whole plan at once: `condition_margins` at
+    every phase of `sample_thetas`, one argmin per sub-inequality, n0_max
+    and the tail certificate read off the per-phase arrays."""
+    thetas = sample_thetas(sys.flow)
+    a = np.asarray(a, dtype=float)
+    margins = condition_margins(sys, cond, a, thetas, n_check)
+    lp = np.zeros((thetas.shape[0], sys.m, sys.m))
+    for i in range(sys.m):
+        for j in range(sys.m):
+            tr = sys.transports[i][j]
+            lp[:, i, j] = eval_trig_many(tr.gain, thetas) * tr.shape.deriv_bounds()[1]
+    canon = -np.max(lp.sum(axis=1), axis=0) - 1.0
+    offdiag = [
+        (i, j)
+        for i in range(sys.m)
+        for j in range(sys.m)
+        if i != j and not sys.transports[i][j].is_zero() and sys.rho[i][j] > 0
+    ]
+    notes = ()
+    if offdiag:
+        notes = (
+            "off-diagonal transit lags are not constrained by these conditions "
+            f"(present for pairs {offdiag})",
+        )
+    components = []
+    for i in range(sys.m):
+        if i not in margins:
+            note = "coefficient identically zero: condition vacuous"
+            components.append(ComponentVerdict(i, True, float(canon[i]), (), True, note))
+            continue
+        g4 = margins[i].get("_g4")
+        subs = []
+        for name, arr in ({"G4": g4[0]} if g4 else margins[i]).items():
+            idx = int(np.argmin(arr))
+            mn = float(arr[idx])
+            subs.append(SubMargin(name, mn, TorusPoint(thetas[idx]), bool(mn > _STRICT_TOL)))
+        worst = min(sub.min_margin for sub in subs)
+        if cond == "G8":
+            ok = worst > 0.0
+        elif cond in ("G4", "G5"):
+            ok = worst >= 0.0
+        else:
+            ok = worst >= 0.0 and any(sub.strict_everywhere for sub in subs)
+        tail = {}
+        if g4:
+            _, n0, found, certified = g4
+            tail = dict(
+                note="" if certified else f"tail verified to depth {n_check} only",
+                n0_max=int(np.max(n0)) if np.all(found) else None,
+                tail_certified=certified,
+            )
+        components.append(ComponentVerdict(i, False, None, tuple(subs), ok, **tail))
+    passed = all(comp.passed for comp in components)
+    return ConditionReport(cond, a, tuple(components), passed, notes)
 
 
 def cubic_rows_direct(values: np.ndarray, pos: np.ndarray) -> np.ndarray:

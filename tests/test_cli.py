@@ -1014,7 +1014,12 @@ def test_oversized_runs_exit_two_before_allocating(tmp_path, capsys, monkeypatch
     task, cfg, key = OVERSIZED[case]
     assert _run(tmp_path, task, cfg) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and key in err and "GiB" in err
+    assert "config error" in err and key in err
+    # no task holds the plan: its cap is on the phase count, not on memory
+    if case.startswith("sampling"):
+        assert "phases in the sampling plan" in err and "GiB" not in err
+    else:
+        assert "GiB" in err
 
 
 def _leaves(node, path=()):
@@ -1102,21 +1107,43 @@ def test_leaf_sweep_of_the_c3_audit_ends_in_documented_exits(tmp_path, capsys, m
     assert runs == len(LEAF_VALUES) * len(list(_leaves(base)))
 
 
-def test_only_check_is_capped_on_phases_times_m_squared(tmp_path, capsys, monkeypatch):
-    # only `check` holds the sampled phases x m^2. The c3-general invert
-    # config holds 201 x 3 history cells and a plan of 64^2 + 512 = 4608
-    # phases, 41472 numbers at m = 3: a cap between them leaves it running.
-    # d3-check's plan of 20^2 + 256 = 656 phases holds 656 x 9 at m = 3,
-    # which check refuses before the system's build walks the plan.
-    from nfde_lab import cli, compartment, d_operator
+def test_no_task_is_capped_on_phases_times_m_squared(tmp_path, capsys, monkeypatch):
+    # no task holds the sampled phases x m^2: the checkers walk the plan a
+    # block at a time. The c3-general invert config holds 201 x 3 history
+    # cells and a plan of 64^2 + 512 = 4608 phases, 41472 numbers at m = 3;
+    # d3-check's plan of 20^2 + 256 = 656 phases would hold 656 x 9 at m = 3.
+    # A cap under either product leaves both running.
+    from nfde_lab import cli
 
     invert = _workload_config(monkeypatch, "c3-general", "invert")
     check = _workload_config(monkeypatch, "d3-check", "check")
     monkeypatch.setattr(cli, "MAX_CELLS", 10_000)
     assert _run(tmp_path, "invert", invert) == 0
     monkeypatch.setattr(cli, "MAX_CELLS", 656 * 9 - 1)
+    assert _run(tmp_path, "check", check) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_plan_and_trial_caps_name_their_key(tmp_path, capsys, monkeypatch):
+    # the plan's cap counts phases (its walk's time); check.trial_a's counts
+    # the numbers of one (rates, block) array, the canonical rate included.
+    # Both exit 2 naming their key before anything walks the plan.
+    from nfde_lab import cli, compartment, d_operator
+    from nfde_lab.base_flow import PLAN_BLOCK
+
+    check = _workload_config(monkeypatch, "d3-check", "check")
+    monkeypatch.setattr(cli, "MAX_CELLS", 600)  # under d3-check's 656 phases
+    assert _run(tmp_path, "check", check) == 2
+    err = capsys.readouterr().err
+    assert "config error: sampling.grid_per_dim: 656 phases in the sampling plan" in err
+    assert "over the cap of 6e+02" in err and "GiB" not in err
+    check["check"]["trial_a"] = [-2.0, -1.0, 0.0]
+    monkeypatch.setattr(cli, "MAX_CELLS", 4 * PLAN_BLOCK)
+    assert _run(tmp_path, "check", check) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_CELLS", 4 * PLAN_BLOCK - 1)
     for mod in (compartment, d_operator):
         monkeypatch.setattr(mod, "plan_blocks", None)  # a walk of the plan fails the run
     assert _run(tmp_path, "check", check) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "sampling.grid_per_dim" in err and "GiB" in err
+    assert "config error: check.trial_a: one array would hold 2.05e+03 numbers" in err

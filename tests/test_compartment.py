@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -30,9 +31,16 @@ from nfde_lab import (
     suggest_a,
     total_mass,
 )
-from nfde_lab import cli, compartment
+from nfde_lab import base_flow, cli, compartment
 from nfde_lab.base_flow import derivative_along_flow_many, eval_trig_many, sample_thetas
-from nfde_lab.compartment import _component_margins, _mass_span, _Precomp, condition_margins
+from nfde_lab.compartment import (
+    _component_margins,
+    _mass_span,
+    _Precomp,
+    _scan,
+    _tail_certified,
+    condition_margins,
+)
 from nfde_lab.d_operator import MeasureAtom, MeasureDensity, identity_poly_matrix
 from nfde_lab.history import FunctionHistory, TailPolicy
 
@@ -40,6 +48,7 @@ from .conftest import const_c_system, s1_system
 from .oracles import (
     advance,
     c_product,
+    check_condition_direct,
     component_margins_direct,
     eval_trig,
     lipschitz_bounds,
@@ -620,12 +629,19 @@ def _worst_margin(cond, entry):
     return min(float(np.min(arr)) for arr in entry.values())
 
 
-def _row(cond, entry, k):
-    """Rate k of the scan's (T, n) arrays, in `condition_margins`' form."""
+def _row(sys, cond, i, rates, entry, k):
+    """Rate k of `_component_margins`' (T, n) arrays for component i, in
+    `condition_margins`' form: G4's certificate comes from `_tail_certified`."""
     if cond == "G4":
-        marg, n0, found, certified = entry["_g4"]
+        marg, n0, found, neg_lc, lm = entry["_g4"]
+        certified = _tail_certified(sys, i, rates, neg_lc, lm)
         return {"_g4": (marg[k], n0[k], found[k], bool(certified[k]))}
     return {name: arr[k] for name, arr in entry.items()}
+
+
+def _plan_block(block):
+    """PLAN_BLOCK patched to `block` phases, or left at its value for None."""
+    return patch.object(base_flow, "PLAN_BLOCK", block or base_flow.PLAN_BLOCK)
 
 
 def _assert_same(got, want):
@@ -651,41 +667,43 @@ def _assert_same(got, want):
     equal_lags=st.booleans(),
     const_c=st.booleans(),
     n_check=st.sampled_from([0, 1, 2, 50]),
-    chunk=st.sampled_from([1, 2, 5, None]),
+    block=st.sampled_from([1, 2, 5, None]),
 )
 def test_rate_scan_matches_per_rate_oracle(
-    seed, m, cond, dim, equal_lags, const_c, n_check, chunk
+    seed, m, cond, dim, equal_lags, const_c, n_check, block
 ):
+    # suggest_a folds plan blocks of `block` phases; the oracles take the
+    # whole plan at once
     sys = _random_diag_system(np.random.default_rng(seed), m, cond, dim, equal_lags, const_c)
     thetas = sample_thetas(sys.flow)
-    elements = compartment._SCAN_ELEMENTS if chunk is None else chunk * thetas.shape[0]
-    with patch.object(compartment, "_SCAN_ELEMENTS", elements):
-        pre = _Precomp(sys, thetas)
+    pre = _Precomp(sys, thetas)
+    canon = _canonical_rates(sys, thetas)
+    one_rate = condition_margins(sys, cond, SCAN_RATES[[3] * m], thetas, n_check)
+    with _plan_block(block):
         report = suggest_a(sys, cond, ORACLE_TRIALS, n_check)
-        canon = _canonical_rates(sys, thetas)
-        assert np.array_equal(pre.canonical_a(), canon)
-        one_rate = condition_margins(sys, cond, SCAN_RATES[[3] * m], thetas, n_check)
-        for i in range(m):
-            if sys.c[i].is_zero():
-                assert i in report.prescribed
-                assert report.a[i] == canon[i]
-                assert np.all(np.isnan(report.margins[:, i]))
-                continue
-            rates = np.concatenate([SCAN_RATES, [canon[i], canon[i]]])
-            got = _component_margins(pre, cond, i, rates, n_check)
-            for k, a in enumerate(rates):
-                want = component_margins_direct(pre, cond, i, a, n_check)
-                _assert_same(_row(cond, got, k), want)
-            # the public one-rate path
-            _assert_same(one_rate[i], component_margins_direct(pre, cond, i, SCAN_RATES[3], n_check))
-            # the suggest_a surface and its choice
-            cand = np.unique(np.concatenate([ORACLE_TRIALS, [canon[i]]]))
-            vals = np.array(
-                [_worst_margin(cond, component_margins_direct(pre, cond, i, a, n_check)) for a in cand]
-            )
-            assert report.margins[: cand.size, i].tobytes() == vals.tobytes()
-            assert np.all(np.isnan(report.margins[cand.size :, i]))
-            assert report.a[i] == cand[vals >= np.max(vals) - 1e-12].max()
+        assert np.array_equal(compartment._canonical_a(sys), canon)
+    _assert_same_report(report.report, check_condition_direct(sys, cond, report.a, n_check))
+    for i in range(m):
+        if sys.c[i].is_zero():
+            assert i in report.prescribed
+            assert report.a[i] == canon[i]
+            assert np.all(np.isnan(report.margins[:, i]))
+            continue
+        rates = np.concatenate([SCAN_RATES, [canon[i], canon[i]]])
+        got = _component_margins(pre, cond, i, rates, n_check)
+        for k, a in enumerate(rates):
+            want = component_margins_direct(pre, cond, i, a, n_check)
+            _assert_same(_row(sys, cond, i, rates, got, k), want)
+        # the public one-rate path
+        _assert_same(one_rate[i], component_margins_direct(pre, cond, i, SCAN_RATES[3], n_check))
+        # the suggest_a surface and its choice
+        cand = np.unique(np.concatenate([ORACLE_TRIALS, [canon[i]]]))
+        vals = np.array(
+            [_worst_margin(cond, component_margins_direct(pre, cond, i, a, n_check)) for a in cand]
+        )
+        assert report.margins[: cand.size, i].tobytes() == vals.tobytes()
+        assert np.all(np.isnan(report.margins[cand.size :, i]))
+        assert report.a[i] == cand[vals >= np.max(vals) - 1e-12].max()
 
 
 def _assert_same_report(got, want):
@@ -718,13 +736,13 @@ def _assert_same_report(got, want):
     equal_lags=st.booleans(),
     zero_first=st.booleans(),
     n_check=st.sampled_from([0, 1, 2, 50]),
-    chunk=st.sampled_from([1, 2, 5, None]),
+    block=st.sampled_from([1, 2, 5, None]),
 )
 def test_suggested_report_matches_check_condition(
-    seed, m, cond, dim, equal_lags, zero_first, n_check, chunk
+    seed, m, cond, dim, equal_lags, zero_first, n_check, block
 ):
-    # check_condition at the suggested rates is the oracle for the report
-    # suggest_a reads off its scan
+    # the report suggest_a reads off its scan is check_condition's at the
+    # suggested rates, and both are the whole-plan oracle's, at any block size
     sys = _random_diag_system(np.random.default_rng(seed), m, cond, dim, equal_lags)
     if zero_first:
         sys = NeutralDiagSystem(
@@ -735,12 +753,42 @@ def test_suggested_report_matches_check_condition(
             transports=sys.transports,
             flow=sys.flow,
         )
-    n = sample_thetas(sys.flow).shape[0]
-    elements = compartment._SCAN_ELEMENTS if chunk is None else chunk * n
-    with patch.object(compartment, "_SCAN_ELEMENTS", elements):
+    with _plan_block(block):
         got = suggest_a(sys, cond, ORACLE_TRIALS, n_check).report
-    want = check_condition(sys, cond, got.a, n_check)
+        checked = check_condition(sys, cond, got.a, n_check)
+    want = check_condition_direct(sys, cond, got.a, n_check)
     _assert_same_report(got, want)
+    _assert_same_report(checked, want)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, None])
+@pytest.mark.parametrize("cond", compartment.CONDITIONS)
+def test_constant_coefficients_witness_the_first_phase(cond, block):
+    # every coefficient constant: every phase ties at every margin, so the
+    # witness is the plan's first phase however the plan is cut into blocks
+    flow = TorusFlow([GOLDEN_FREQ, SILVER_FREQ], ORACLE_SAMPLING)
+    rho = np.array([[1.0, 0.5], [0.5, 0.8]]) * (2.0 if cond == "G3" else 1.0)
+    sys = NeutralDiagSystem(
+        m=2,
+        c=(TrigPoly.const(0.2), TrigPoly.const(0.1)),
+        alpha=np.array([1.0, 0.8]),
+        rho=rho,
+        transports=(
+            (TransportSpec.linear(1.0), TransportSpec.linear(0.1)),
+            (TransportSpec.linear(0.2), TransportSpec(TrigPoly.const(0.9), ShapeFn.sine_bend(0.3))),
+        ),
+        flow=flow,
+    )
+    with _plan_block(block):
+        got = suggest_a(sys, cond, ORACLE_TRIALS, 10).report
+        checked = check_condition(sys, cond, got.a, 10)
+    want = check_condition_direct(sys, cond, got.a, 10)
+    _assert_same_report(got, want)
+    _assert_same_report(checked, want)
+    first = sample_thetas(flow)[0]
+    witnesses = [sub.witness.theta for comp in got.components for sub in comp.subs]
+    assert len(witnesses) >= 2
+    assert all(th.tobytes() == first.tobytes() for th in witnesses)
 
 
 def test_check_task_evaluates_each_condition_once(tmp_path, monkeypatch):
@@ -763,6 +811,8 @@ def test_check_task_evaluates_each_condition_once(tmp_path, monkeypatch):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    # 6^2 + 16 phases in blocks of 20: 20 + 16 grid phases, then 16 orbit phases
+    monkeypatch.setattr(base_flow, "PLAN_BLOCK", 20)
     per_call = []  # per suggest_a call: [phase data built, components evaluated]
     unwanted = []
 
@@ -797,15 +847,35 @@ def test_check_task_evaluates_each_condition_once(tmp_path, monkeypatch):
     monkeypatch.setattr(compartment, "condition_margins", forbidden("condition_margins"))
     code = cli.main(["check", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 0
-    assert per_call == [[1, [0, 1]]] * 3
+    assert per_call == [[3, [0, 1] * 3]] * 3  # one _Precomp per block, each active component once
     assert unwanted == []
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 5, None])
-def test_g4_scan_covers_unfound_and_deep_phases(golden_flow, chunk):
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 23])
+def test_least_fold_is_argmin_over_the_whole_plan(block):
+    # ties (signed zeros included), infinities and NaNs: folding the blocks'
+    # argmins picks the phase np.argmin over all 23 phases at once picks
+    rng = np.random.default_rng(block)
+    vals = rng.choice([-1.0, 0.0, -0.0, 2.0, -np.inf, np.nan], size=(4, 23))
+    vals[0] = 1.0  # every phase ties
+    vals[1][np.isnan(vals[1])] = -0.0  # no NaN
+    phases = rng.random((23, 2))
+    run = None
+    for lo in range(0, 23, block):
+        arr = vals[:, lo : lo + block]
+        idx = np.argmin(arr, axis=1)
+        run = compartment._least(run, (arr[np.arange(4), idx], phases[lo : lo + block][idx]))
+    want = np.argmin(vals, axis=1)
+    assert run[0].tobytes() == vals[np.arange(4), want].tobytes()
+    assert run[1].tobytes() == phases[want].tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, None])
+def test_g4_scan_covers_unfound_and_deep_phases(golden_flow, block):
     # rho < alpha with oscillating c and gain: at a = -1 the rate splits the
     # phases into feasible and infeasible ones, and at a = -3 some phases
-    # only become feasible past depth 0
+    # only become feasible past depth 0. The scan's folds over blocks of
+    # `block` phases are the whole-plan oracle's reductions, bit for bit.
     c = (TrigPoly.from_terms(0.3, [([1], 0.0, 0.2)]),)
     gain = TransportSpec(TrigPoly.from_terms(1.0, [([1], 0.3, 0.0)]), ShapeFn.sine_bend(0.3))
     sys = NeutralDiagSystem(
@@ -814,20 +884,23 @@ def test_g4_scan_covers_unfound_and_deep_phases(golden_flow, chunk):
         alpha=np.array([1.0]),
         rho=np.array([[0.6]]),
         transports=((gain,),),
-        flow=golden_flow,
+        flow=replace(golden_flow, sampling=SamplingConfig(16, 16)),
     )
-    thetas = sample_thetas(replace(golden_flow, sampling=SamplingConfig(16, 16)))
+    thetas = sample_thetas(sys.flow)
     rates = np.array([-3.0, -1.0, -1.0, 0.0])
-    elements = compartment._SCAN_ELEMENTS if chunk is None else chunk * thetas.shape[0]
-    with patch.object(compartment, "_SCAN_ELEMENTS", elements):
-        pre = _Precomp(sys, thetas)
-        got = _component_margins(pre, "G4", 0, rates, 20)
-    for k, a in enumerate(rates):
-        _assert_same(_row("G4", got, k), component_margins_direct(pre, "G4", 0, a, 20))
-    _, n0, found, _ = got["_g4"]
-    assert found[1].any() and not found[1].all()
-    assert not found[3].any()
-    assert n0[0].max() > 0
+    with _plan_block(block):
+        least, g4 = _scan(sys, "G4", {0: rates}, 20)
+    (margins, phases), (deep, every, certified) = least[0]["G4"], g4[0]
+    pre = _Precomp(sys, thetas)
+    direct = [component_margins_direct(pre, "G4", 0, a, 20)["_g4"] for a in rates]
+    for k, (marg, n0, found, cert) in enumerate(direct):
+        idx = int(np.argmin(marg))
+        assert np.float64(margins[k]).tobytes() == marg[idx].tobytes()
+        assert phases[k].tobytes() == thetas[idx].tobytes()
+        assert (deep[k], every[k], certified[k]) == (n0.max(), found.all(), cert)
+    assert direct[1][2].any() and not direct[1][2].all() and margins[1] == -np.inf
+    assert not direct[3][2].any()
+    assert direct[0][1].max() > 0
 
 
 def test_g4_verdict_reads_its_margins(golden_flow):
@@ -853,9 +926,11 @@ def test_g4_verdict_reads_its_margins(golden_flow):
 
 def test_g4_scan_zero_q_is_not_feasible(golden_flow):
     # L_plus = 1 and a = -1 make q[0] exactly 0: depth 0 fails q[0] > 0, depth 1 holds
-    pre = _Precomp(s1_system(golden_flow), sample_thetas(ORACLE_FLOW))
-    got = _component_margins(pre, "G4", 0, np.array([-1.0]), 5)
-    _assert_same(_row("G4", got, 0), component_margins_direct(pre, "G4", 0, -1.0, 5))
+    sys = s1_system(golden_flow)
+    pre = _Precomp(sys, sample_thetas(ORACLE_FLOW))
+    rates = np.array([-1.0])
+    got = _component_margins(pre, "G4", 0, rates, 5)
+    _assert_same(_row(sys, "G4", 0, rates, got, 0), component_margins_direct(pre, "G4", 0, -1.0, 5))
     assert np.all(got["_g4"][1] == 1)
 
 
@@ -878,11 +953,43 @@ def test_check_condition_builds_phase_data_once(golden_flow):
         ),
         flow=golden_flow,
     )
-    with patch.object(compartment, "_Precomp", Counting):
+    with patch.object(compartment, "_Precomp", Counting), _plan_block(100):
         rep = check_condition(sys, "G5", [-2.0, -2.0])
-    assert len(built) == 1
+    assert len(built) == 7  # one per block: 64 grid phases in one, 512 orbit phases in six
     assert rep.components[1].skipped
     assert rep.components[1].prescribed_a == -3.5  # -(0.5 + 2.0) - 1
+
+
+def _d3_system(grid_per_dim):
+    """d3-check's kind of system, m = 3, on a 3-torus sampled on a grid^3 + 512 plan."""
+    freqs = [GOLDEN_FREQ, SILVER_FREQ, np.sqrt(3.0) - 1.0]
+    flow = TorusFlow(freqs, SamplingConfig(grid_per_dim, 512))
+    c = tuple(
+        TrigPoly.from_terms(0.18, [(np.eye(3, dtype=int)[i], 0.03, -0.04)]) for i in range(3)
+    )
+    gains = [[1.05, 0.1, 0.12], [0.09, 0.95, 0.08], [0.06, 0.14, 1.0]]
+    transports = tuple(tuple(TransportSpec.linear(g) for g in row) for row in gains)
+    alpha = np.array([1.0, 0.8, 1.2])
+    rho = np.full((3, 3), 0.5)
+    rho[np.diag_indices(3)] = alpha
+    return NeutralDiagSystem(m=3, c=c, alpha=alpha, rho=rho, transports=transports, flow=flow)
+
+
+def test_g4_scan_memory_does_not_grow_with_the_plan():
+    # suggest_a on G4 holds one plan block of 512 phases at a time: its
+    # tracemalloc peak is the same at 8^3 + 512 = 1,024 and 16^3 + 512 =
+    # 4,608 phases, within 10%
+    small, large = _d3_system(8), _d3_system(16)
+    suggest_a(small, "G4")  # first-call allocations are not the scan's
+    peaks = []
+    for sys in (small, large):
+        tracemalloc.start()
+        try:
+            suggest_a(sys, "G4")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 def test_g4_terms_keep_no_shifted_rows(golden_flow):

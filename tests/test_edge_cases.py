@@ -243,6 +243,38 @@ def test_sim_config_validation():
         SimConfig(h=0.1, t_end=1.0, log_stride=0)
 
 
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        ("log_stride", 2.5),
+        ("log_stride", True),
+        ("log_stride", "2"),
+        ("n_trunc", 1.5),
+        ("n_trunc", True),
+        ("n_terms", True),
+        ("n_terms", "3"),
+        ("n_terms", 1.5),
+    ],
+)
+def test_library_counts_must_be_whole_numbers(golden_flow, origin, call, value):
+    # the rule SamplingConfig and the condition checkers use: an int, a NumPy
+    # integer or an integral float, never a bool or a string
+    with pytest.raises(ValueError, match="whole number"):
+        if call == "n_terms":
+            spec = DOperatorSpec(1, identity_poly_matrix(1), AtomicMeasureFamily(), golden_flow)
+            invert_Dhat(spec, origin, constant_history([1.0], 0.1, 1.0), 1e-8, n_terms=value)
+        else:
+            SimConfig(h=0.05, t_end=1.0, **{call: value})
+
+
+def test_library_counts_take_integral_floats(golden_flow, origin):
+    cfg = SimConfig(h=0.05, t_end=1.0, log_stride=2.0, n_trunc=np.int64(1))
+    assert (cfg.log_stride, cfg.n_trunc) == (2, 1)
+    assert type(cfg.log_stride) is int and type(cfg.n_trunc) is int
+    log = run(const_c_system(golden_flow), origin, constant_history([1.0], 0.05, 4.0), cfg)
+    assert log.t.size == 11
+
+
 def test_cone_horizon_not_covered(golden_flow):
     cone = ConeSpec(np.array([[-1.0]]), 5.0)
     x = constant_history([0.0], 0.1, 2.0)
