@@ -51,7 +51,6 @@ from .errors import (
 from .history import (
     FunctionHistory,
     HistoryGrid,
-    TailPolicy,
     compact_open_metric,
     constant_history,
     export_csv,

@@ -177,13 +177,6 @@ class TrigPoly:
         )
 
 
-def _check_dim(poly: TrigPoly, dim: int):
-    if poly.dim is not None and poly.dim != dim:
-        raise DimensionMismatchError(
-            f"polynomial over a {poly.dim}-torus evaluated on a {dim}-torus"
-        )
-
-
 def _rotate(flow: TorusFlow, thetas, t) -> np.ndarray:
     """The rotation rule, (theta + t * freqs) mod 1 componentwise: phases of
     shape (d,) or (n, d) moved by one time t, or by one time per row."""
@@ -225,17 +218,37 @@ def sample_thetas(flow: TorusFlow) -> np.ndarray:
     return np.concatenate(list(plan_blocks(flow)))
 
 
+def _angles(poly: TrigPoly, thetas: np.ndarray) -> np.ndarray:
+    """2 pi <k, theta> per phase row and term of a polynomial with terms,
+    shape (n, n_terms), its products summed over the torus left to right."""
+    d = poly.dim
+    if d != thetas.shape[1]:
+        raise DimensionMismatchError(
+            f"polynomial over a {d}-torus evaluated on a {thetas.shape[1]}-torus"
+        )
+    k = poly.k_vecs.T.astype(float)  # float rows: an int operand casts through a ufunc buffer
+    dot = thetas[:, 0, None] * k[0]
+    for i in range(1, d):
+        dot = dot + thetas[:, i, None] * k[i]
+    return 2.0 * np.pi * dot
+
+
+def _sum_terms(acc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """acc + a[:, 0] + b[:, 0] + a[:, 1] + b[:, 1] + ..., left to right, so
+    each row's sum is the same bits in a batch of any size."""
+    for k in range(a.shape[1]):
+        acc = acc + a[:, k] + b[:, k]
+    return acc
+
+
 def eval_trig_many(poly: TrigPoly, thetas: np.ndarray) -> np.ndarray:
     """Evaluate at an (n, d) array of phases; returns shape (n,)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if poly.n_terms == 0:
         return np.full(thetas.shape[0], poly.constant)
-    _check_dim(poly, thetas.shape[1])
-    angles = 2.0 * np.pi * (thetas @ poly.k_vecs.T)  # (n, n_terms)
-    return (
-        poly.constant
-        + np.cos(angles) @ poly.cos_coeffs
-        + np.sin(angles) @ poly.sin_coeffs
+    angles = _angles(poly, thetas)
+    return _sum_terms(
+        poly.constant, np.cos(angles) * poly.cos_coeffs, np.sin(angles) * poly.sin_coeffs
     )
 
 
@@ -246,13 +259,12 @@ def derivative_along_flow_many(
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if poly.n_terms == 0:
         return np.zeros(thetas.shape[0])
-    _check_dim(poly, thetas.shape[1])
+    angles = _angles(poly, thetas)
     if thetas.shape[1] != flow.dim:
         raise DimensionMismatchError(
             f"phases of dim {thetas.shape[1]} with a flow of dim {flow.dim}"
         )
     rates = 2.0 * np.pi * (poly.k_vecs @ flow.freqs)  # (n_terms,)
-    angles = 2.0 * np.pi * (thetas @ poly.k_vecs.T)
-    return (-np.sin(angles) * rates) @ poly.cos_coeffs + (
-        np.cos(angles) * rates
-    ) @ poly.sin_coeffs
+    a = (-np.sin(angles) * rates) * poly.cos_coeffs
+    b = (np.cos(angles) * rates) * poly.sin_coeffs
+    return _sum_terms(a[:, 0] + b[:, 0], a[:, 1:], b[:, 1:])

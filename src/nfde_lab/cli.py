@@ -597,13 +597,13 @@ def cmd_pair(cfg: dict, conf: dict, outdir: str) -> int:
     node, grid = _req(cfg, "z_init_y", "config"), conf["z_init_y"]
     if node.get("kind") == "ordered_offset":
         if z_x.step != sim.h:  # the offset is built on the step grid
-            z_x = resample(z_x, sim.h, z_x.horizon, z_x.tail)
+            z_x = resample(z_x, sim.h, z_x.horizon)
         comp = make_comparison_upper(sim.cone, sys_obj.m, step=sim.h, horizon=z_x.horizon)
         # the bump's inverse reaches one delay span further back, to z_x.J
         J = z_x.J - _nodes(sys_obj.dspec.support, sim.h)
-        yhat = HistoryGrid(sim.h, comp.hist.samples[: J + 1], comp.hist.tail)
+        yhat = HistoryGrid(sim.h, comp.hist.samples[: J + 1])
         bump = invert_Dhat(sys_obj.dspec, p0, yhat, conf["inv_tol"])
-        z_y = HistoryGrid(sim.h, z_x.samples + grid["lam"] * bump.samples, z_x.tail)
+        z_y = HistoryGrid(sim.h, z_x.samples + grid["lam"] * bump.samples)
     else:
         step, horizon = grid.get("step", sim.h), grid.get("horizon", z_x.horizon)
         z_y = _parse_history(node, "z_init_y", sys_obj.m, step, horizon)

@@ -388,7 +388,7 @@ def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
 def total_mass(sys, p: TorusPoint, hist: HistoryGrid) -> float:
     """Stored mass (sum of operator components) plus mass in transit, read
     from the newest W + 1 nodes of hist, W = `_mass_span`: one row of
-    `_total_mass_many`. A node past the grid takes hist's tail policy."""
+    `_total_mass_many`. A node past the grid reads hist's oldest sample."""
     if sys.max_pipe_lag > hist.horizon + _SNAP:
         raise HorizonError(
             f"history horizon {hist.horizon:.6g} does not cover pipe lag {sys.max_pipe_lag:.6g}"

@@ -306,7 +306,7 @@ def eval_Dhat_segment(
     nodes = np.arange(depth + 1)
     thetas = advance_many(spec.flow, p, -h * nodes)
     out = spec.apply(thetas, hist.read_back(nodes, -spec.offsets / h))
-    return HistoryGrid(h, out, hist.tail)
+    return HistoryGrid(h, out)
 
 
 class StepPlan:
@@ -353,12 +353,12 @@ def invert_Dhat(
     delay spans into the past, N from the geometric tail bound of
     `spec.stability` unless n_terms sets it. Its nodes, oldest first, are
     the plan's rows, read back from each by the lift's causal rule, past
-    the grid at its oldest row as it stands (0 under a ZERO tail), and a
-    tap on the row itself moves into A. The oldest gap rows, gap the least
-    distance from a row to an older row it reads, read A^-1 yhat: an error
-    damped by lam^N at the returned rows, which reach one support past the
-    input's, or to the oldest row its nodes' stencils read, so a round trip
-    through eval_Dhat_segment at the input depth stays within tol.
+    the grid at its oldest row, and a tap on the row itself moves into A.
+    The oldest gap rows, gap the least distance from a row to an older row
+    it reads, read A^-1 yhat: an error damped by lam^N at the returned rows,
+    which reach one support past the input's, or to the oldest row its
+    nodes' stencils read, so a round trip through eval_Dhat_segment at the
+    input depth stays within tol.
     """
     if spec.m != yhat.m:
         raise DimensionMismatchError(
@@ -403,7 +403,7 @@ def invert_Dhat(
         plan.read(x, lo, hi, y[lo:hi])
         x[lo:hi] = np.einsum("jab,jb->ja", plan.Ainv[lo:hi], y[lo:hi])
         lo, hi = hi, plan.end(hi)
-    return HistoryGrid(h, x[::-1][: J_ret + 1], yhat.tail)
+    return HistoryGrid(h, x[::-1][: J_ret + 1])
 
 
 def extract_atom_at_zero(spec: DOperatorSpec, p: TorusPoint, rho: float) -> np.ndarray:

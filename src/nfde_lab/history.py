@@ -2,9 +2,8 @@
 
 A history is a bounded, uniformly continuous function of a nonpositive
 time offset. Computationally it is held on a uniform grid with a finite
-horizon and a tail policy that extends it to the full half line: constant
-extension repeats the oldest sample (and keeps the function continuous),
-zero extension pads with zeros.
+horizon and continues past it as its oldest sample, which keeps it bounded
+and uniformly continuous on the whole half line.
 
 Between nodes the value is the cubic through the four nearest nodes, with
 the stencil shifted one-sided at either end of the grid, so polynomials of
@@ -18,7 +17,7 @@ Norms are grid sups: interpolation overshoot between nodes is ignored.
 from __future__ import annotations
 
 import csv
-import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +37,6 @@ _EQ_TOL = 1e-12
 def _nodes(length: float, step: float) -> int:
     """Grid intervals of the given step needed to cover a length, snapped."""
     return int(np.ceil(length / step - _SNAP))
-
-
-class TailPolicy(enum.Enum):
-    CONSTANT = "constant"
-    ZERO = "zero"
 
 
 def _cubic_weights(u: np.ndarray):
@@ -124,14 +118,11 @@ def _back_stencil(pos: np.ndarray, K):
     return (*cubic_stencil(K, np.minimum(pos, K - 1)), beyond)
 
 
-def _read_back(X: np.ndarray, rows: np.ndarray, pos: np.ndarray, K, tail=None) -> np.ndarray:
+def _read_back(X: np.ndarray, rows: np.ndarray, pos: np.ndarray, K) -> np.ndarray:
     """X, stored oldest first, read by `_back_stencil` behind each of `rows`,
-    shape (rows, pos, m); a read past the K rows takes `tail` if given."""
-    back, w, beyond = _back_stencil(pos, K)
-    out = gather(X, rows[:, None, None] - back, w)
-    if tail is not None:
-        out[np.broadcast_to(beyond, out.shape[:2])] = tail
-    return out
+    shape (rows, pos, m); a read past the K rows reads the oldest of them."""
+    back, w, _ = _back_stencil(pos, K)
+    return gather(X, rows[:, None, None] - back, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +131,10 @@ class HistoryGrid:
 
     step: float
     samples: np.ndarray
-    tail: TailPolicy = TailPolicy.CONSTANT
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("grid step must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValueError("grid step must be finite and positive")
         samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
         if samples.shape[0] < 2:
             raise ValueError("a history grid needs at least two samples")
@@ -167,11 +157,6 @@ class HistoryGrid:
     def horizon(self) -> float:
         return self.J * self.step
 
-    def _tail_value(self) -> np.ndarray:
-        if self.tail is TailPolicy.CONSTANT:
-            return self.samples[-1]
-        return np.zeros(self.m)
-
     def sample_many(self, s) -> np.ndarray:
         """Values at each offset in s (all <= 0), shape (len(s), m): node 0 of `read_back`."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -181,16 +166,11 @@ class HistoryGrid:
 
     def read_back(self, nodes: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Each node j's values at fractional steps pos >= 0 behind it, shape
-        (nodes, pos, m): its cut, rows j .. J, read by `_read_back`, and the
-        tail past it; a node past the grid reads the tail alone."""
-        tail = self._tail_value()
-        pad = max(int(np.max(nodes)) - self.J, 0)  # tail rows for nodes past the grid
-        X = np.concatenate([np.tile(tail, (pad, 1)), self.samples[::-1]])
-        K = np.maximum(self.J + 1 - nodes, 1)[:, None]
-        out = np.tile(tail, (nodes.size, pos.size, 1))
-        near = pos <= self.J + 1  # a read further back is past every cut: the tail
-        out[:, near] = _read_back(X, self.J + pad - nodes, pos[near], K, tail)
-        return out
+        (nodes, pos, m): its cut, rows j .. J, read by `_read_back`, so a
+        read past the grid is the oldest sample; a node past the grid reads
+        as the oldest node."""
+        j = np.minimum(nodes, self.J)
+        return _read_back(self.samples[::-1], self.J - j, pos, (self.J + 1 - j)[:, None])
 
 
 class FunctionHistory:
@@ -215,24 +195,24 @@ class FunctionHistory:
         return vals
 
 
-def from_function(fn, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> HistoryGrid:
+def from_function(fn, step: float, horizon: float) -> HistoryGrid:
     """Sample a vectorized function of the offset onto a fresh grid."""
     J = _nodes(horizon, step)
     s = -step * np.arange(J + 1)
     vals = np.asarray(fn(s), dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
-    return HistoryGrid(step, vals, tail)
+    return HistoryGrid(step, vals)
 
 
-def constant_history(value, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> HistoryGrid:
+def constant_history(value, step: float, horizon: float) -> HistoryGrid:
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    return from_function(lambda s: np.tile(value, (s.size, 1)), step, horizon, tail)
+    return from_function(lambda s: np.tile(value, (s.size, 1)), step, horizon)
 
 
-def resample(hist, step: float, horizon: float, tail=TailPolicy.CONSTANT) -> HistoryGrid:
+def resample(hist, step: float, horizon: float) -> HistoryGrid:
     """Re-sample any history-like object onto a uniform grid."""
-    return from_function(hist.sample_many, step, horizon, tail)
+    return from_function(hist.sample_many, step, horizon)
 
 
 def sup_norm(hist: HistoryGrid) -> float:
@@ -264,8 +244,8 @@ def compact_open_metric(x: HistoryGrid, y: HistoryGrid, n_max: int = 30) -> floa
     s = -hc * np.arange(Jc + 1)
     diff = x.sample_many(s) - y.sample_many(s)
     rownorm = np.max(np.abs(diff), axis=1)
-    # difference of the two tail values, relevant once both grids are exhausted
-    tailnorm = float(np.max(np.abs(x._tail_value() - y._tail_value())))
+    # difference of the two oldest samples, relevant once both grids are exhausted
+    tailnorm = float(np.max(np.abs(x.samples[-1] - y.samples[-1])))
     prefix = np.maximum.accumulate(rownorm)
     full = max(float(prefix[-1]), tailnorm)
     total = 0.0
@@ -304,7 +284,7 @@ def export_csv(hist: HistoryGrid, path) -> None:
     )
 
 
-def import_csv(path, tail=TailPolicy.CONSTANT) -> HistoryGrid:
+def import_csv(path) -> HistoryGrid:
     """Read a history written by export_csv; validates the uniform grid."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -315,9 +295,11 @@ def import_csv(path, tail=TailPolicy.CONSTANT) -> HistoryGrid:
         raise ValueError("history CSV must start with an 's' column")
     data = np.array([[float(v) for v in row] for row in rows[1:]])
     s = data[:, 0]
+    if not np.all(np.isfinite(s)):
+        raise ValueError("history CSV offsets must be finite")
     steps = -np.diff(s)
     if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > _SNAP * max(1.0, steps[0]):
         raise ValueError("history CSV offsets must decrease uniformly from 0")
     if abs(s[0]) > _EQ_TOL:
         raise ValueError("history CSV must start at offset 0")
-    return HistoryGrid(float(steps[0]), data[:, 1:], tail)
+    return HistoryGrid(float(steps[0]), data[:, 1:])

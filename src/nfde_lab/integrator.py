@@ -15,9 +15,8 @@ Stage 0 sits at time 0, stage 2n + 1 at n h + h/2 and stage 2n + 2 at
 n h + h. They run on the inverse's method of steps, `StepPlan`: a plan
 block is its plan over the stages of _PLAN_STEPS steps, a read window its
 window over those reading only stored rows. Both match each stage from
-scratch bit for bit when each coefficient has one term whose wave vector
-has one nonzero entry or entries of size at most 2; otherwise a last bit
-may differ. A B singular at a stage phase raises SingularBError there.
+scratch bit for bit. A B singular at a stage phase raises SingularBError
+there.
 
 A stage's own work, rebuilding z and summing the balance law, runs on
 Python floats in the order of the array expressions it replaced: z is one
@@ -267,7 +266,7 @@ def _lift(sys, p0: TorusPoint, z_hist: HistoryGrid, cfg: SimConfig, depth: int):
     if z_hist.horizon + _SNAP < need:
         raise HorizonError(f"initial history covers {z_hist.horizon:.6g}, need {need:.6g}")
     if abs(z_hist.step - cfg.h) > _EQ_TOL:
-        z_hist = resample(z_hist, cfg.h, z_hist.horizon, z_hist.tail)
+        z_hist = resample(z_hist, cfg.h, z_hist.horizon)
     return z_hist, eval_Dhat_segment(sys.dspec, p0, z_hist, depth)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .base_flow import TorusPoint
 from .d_operator import DOperatorSpec, eval_Dhat_segment
 from .errors import DimensionMismatchError, HorizonError
-from .history import _EQ_TOL, _SNAP, HistoryGrid, TailPolicy, _nodes
+from .history import _EQ_TOL, _SNAP, HistoryGrid, _nodes
 
 
 def is_quasipositive(A: np.ndarray) -> bool:
@@ -206,7 +206,8 @@ def cone_membership(
     Checks the componentwise sign on the whole grid and the exponential
     decay condition on consecutive nodes within the horizon; chaining
     extends the pairwise condition to all node pairs because exp(A h) is
-    entrywise nonnegative.
+    entrywise nonnegative. Past the grid a history is its oldest sample, so
+    under an infinite horizon that row's self-pair covers every pair there.
     """
     if x.m != y.m or cone.m != x.m:
         raise DimensionMismatchError("state dimensions disagree")
@@ -223,7 +224,6 @@ def cone_membership(
     j = x.J - row  # nodes back from the newest
     witness = (-(j + 1) * h if from_step else -j * h, -j * h, comp)
     if cone.infinite:
-        # constant tail: one self-pair certifies every pair reaching into it
         tail = V[0] - expAh @ V[0]
         if np.min(tail) < raw:
             raw = float(np.min(tail))
@@ -306,4 +306,4 @@ def make_comparison_upper(
         k0 = float(min(np.min(rows), 1.0))
     if k0 <= 0:
         raise ValueError("comparison history is not strictly positive")
-    return ComparisonUpper(HistoryGrid(step, rows, TailPolicy.CONSTANT), k0)
+    return ComparisonUpper(HistoryGrid(step, rows), k0)

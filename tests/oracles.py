@@ -84,7 +84,6 @@ from nfde_lab.history import (
     _EQ_TOL,
     _SNAP,
     HistoryGrid,
-    TailPolicy,
     _back_stencil,
     _nodes,
     gather,
@@ -370,13 +369,12 @@ def cubic_rows_direct(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return out
 
 
-def shifted_rows_direct(vals: np.ndarray, off: float, tail: TailPolicy) -> np.ndarray:
+def shifted_rows_direct(vals: np.ndarray, off: float) -> np.ndarray:
     """Rows of `vals` re-read off > 0 steps behind each by the causal rule:
     row j reads its cut vals[j:] at off as `cubic_rows_direct` reads a grid,
-    and past the cut the tail policy."""
+    and past the cut its oldest row."""
     K = vals.shape[0]
-    tail_row = vals[-1] if tail is TailPolicy.CONSTANT else np.zeros(vals.shape[1])
-    out = np.tile(tail_row, (K, 1))
+    out = np.tile(vals[-1], (K, 1))
     io = int(round(off))
     if abs(off - io) <= _SNAP * max(1.0, abs(off)):
         out[: max(K - io, 0)] = vals[io:]
@@ -456,14 +454,14 @@ def invert_Dhat_neumann(
         for _ in range(N):
             z = np.zeros_like(term)
             for off, Wv in atom_data:
-                z += np.einsum("jab,jb->ja", Wv, shifted_rows_direct(term, off, yhat.tail))
+                z += np.einsum("jab,jb->ja", Wv, shifted_rows_direct(term, off))
             if dens is not None:
                 for l, mid in enumerate(dens.midpoints):
-                    shifted = shifted_rows_direct(term, -mid / h, yhat.tail)
+                    shifted = shifted_rows_direct(term, -mid / h)
                     z += dens.step * np.einsum("ab,jb->ja", dens.values[l], shifted)
             term = np.einsum("jab,jb->ja", Binv, z)
             acc += term
-    return HistoryGrid(h, acc[: J_ret + 1], yhat.tail)
+    return HistoryGrid(h, acc[: J_ret + 1])
 
 
 def batch_inverse_direct(Bv: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -492,8 +490,7 @@ def invert_Dhat_direct(
     extended N delay spans into the past, N chosen a priori from the
     geometric tail bound of `spec.stability` unless n_terms sets it. x is
     read by the lift's causal rule, and past the grid at its oldest row as
-    it stands (0 under a ZERO tail: its target is 0 and it reads only past
-    the grid). A row's tap on itself, weight |w0| <= 1 (an off-grid delay
+    it stands. A row's tap on itself, weight |w0| <= 1 (an off-grid delay
     under 2h, or a stencil clipped at the oldest rows), moves to the left:
     row j solves (B - sum w0 W) x_j = yhat_j + the reads of older rows, one
     batched inverse for all rows (B^-1 when every w0 is 0). Starting from
@@ -551,7 +548,7 @@ def invert_Dhat_direct(
         reads = gather(x, j[blk, None, None] + back[blk], w[blk])
         z = spec.nu.add_into(y_ext[blk].copy(), [Wk[blk] for Wk in W], reads)
         x[blk] = np.einsum("jab,jb->ja", Ainv[blk], z)
-    return HistoryGrid(h, x[: J_ret + 1], yhat.tail)
+    return HistoryGrid(h, x[: J_ret + 1])
 
 
 def stability_margin_direct(spec) -> StabilityEstimate:
@@ -595,7 +592,7 @@ def zhat_segment(state, t: float, depth: int) -> HistoryGrid:
     if np.any(pos < -_SNAP) or np.any(pos > state.k + _SNAP):
         raise HorizonError("requested time outside the stored trajectory")
     vals = cubic_rows_direct(state.Z[: state.k + 1], np.clip(pos, 0.0, state.k))
-    return HistoryGrid(state.h, vals, TailPolicy.CONSTANT)
+    return HistoryGrid(state.h, vals)
 
 
 def _stage_arrays(state, t_s: float):
@@ -764,7 +761,7 @@ def mass_window(state) -> HistoryGrid:
     general = state.general
     wlen = max(general.max_pipe_lag, general.dspec.support, state.h)
     W = _nodes(wlen, state.h)
-    return HistoryGrid(state.h, state.X[state.k - W : state.k + 1][::-1], TailPolicy.CONSTANT)
+    return HistoryGrid(state.h, state.X[state.k - W : state.k + 1][::-1])
 
 
 def run_direct(sys, p0: TorusPoint, z_hist, cfg) -> TrajectoryLog:

@@ -515,6 +515,17 @@ def test_csv_history_errors_exit_two(tmp_path, content):
     assert _run(tmp_path, "invert", inv) == 2
 
 
+def test_csv_history_nan_offset_exits_two(tmp_path, capsys):
+    # NaN fails every comparison of the uniform-grid check, so an offset
+    # column 0, nan reached the run as a grid of step NaN
+    path = tmp_path / "hist.csv"
+    path.write_text("s,z1\n0,1.0\nnan,1.0\n")
+    cfg = {**SIM_CFG, "z_init": {"kind": "csv", "path": str(path)}}
+    assert _run(tmp_path, "simulate", cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "z_init" in err and "finite" in err
+
+
 @pytest.mark.parametrize("value", [2.5, "3", True])
 @pytest.mark.parametrize("key", ["sim.log_stride", "sim.n_trunc", "system.m"])
 def test_counts_must_be_whole_numbers(tmp_path, capsys, key, value):

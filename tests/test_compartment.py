@@ -42,7 +42,7 @@ from nfde_lab.compartment import (
     condition_margins,
 )
 from nfde_lab.d_operator import MeasureAtom, MeasureDensity, identity_poly_matrix
-from nfde_lab.history import FunctionHistory, TailPolicy
+from nfde_lab.history import FunctionHistory
 
 from .conftest import const_c_system, s1_system
 from .oracles import (
@@ -258,20 +258,19 @@ def _random_mass_case(rng, flow):
     )
     W = _mass_span(sys, h)
     J = int(rng.integers(max(int(np.ceil(sys.max_pipe_lag / h - 1e-9)), 1), W + 8))
-    tail = TailPolicy.ZERO if rng.random() < 0.5 else TailPolicy.CONSTANT
-    return sys, HistoryGrid(h, rng.normal(size=(J + 1, m)), tail), lagged_phase
+    return sys, HistoryGrid(h, rng.normal(size=(J + 1, m))), lagged_phase
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_total_mass_matches_direct_on_its_window(golden_flow, seed):
-    # total_mass reads the newest W + 1 nodes, padded by the tail policy;
+    # total_mass reads the newest W + 1 nodes, padded by the oldest sample;
     # the per-pipe oracle on that window as a HistoryGrid must agree bit for
     # bit, except for the phase of a lagged phase-dependent gain
     rng = np.random.default_rng(seed)
     sys, hist, lagged_phase = _random_mass_case(rng, golden_flow)
     p = TorusPoint([rng.random()])
     W = _mass_span(sys, hist.step)
-    window = HistoryGrid(hist.step, hist.sample_many(-hist.step * np.arange(W + 1)), hist.tail)
+    window = HistoryGrid(hist.step, hist.sample_many(-hist.step * np.arange(W + 1)))
     got = total_mass(sys, p, hist)
     want = total_mass_direct(sys, p, window)
     if lagged_phase:
@@ -568,18 +567,22 @@ ORACLE_TRIALS = np.array([-3.0, -1.5, -0.5, 0.0])
 SCAN_RATES = np.array([-3.0, -1.5, -1.5, -1.0, -0.5, 0.0])
 
 
-def _random_diag_system(rng, m, cond, dim, equal_lags=False, const_c=False):
+def _random_diag_system(rng, m, cond, dim, equal_lags=False, const_c=False, c_terms=1):
     """Small system whose diagonal lags fit the structure `cond` requires.
 
     With equal_lags, rho_ii = alpha_i wherever the structure allows it;
-    with const_c, every coefficient c_i is constant.
+    with const_c, every coefficient c_i is constant; a varying c_i has
+    c_terms terms, of amplitude sharing one bound.
     """
     flow = TorusFlow([GOLDEN_FREQ, SILVER_FREQ][:dim], ORACLE_SAMPLING)
 
-    def poly(c0, amp):
-        k = rng.integers(-1, 2, dim)
-        k[rng.integers(dim)] = 1
-        return TrigPoly.from_terms(c0, [(k, rng.uniform(-amp, amp), rng.uniform(-amp, amp))])
+    def poly(c0, amp, n=1):
+        terms = []
+        for _ in range(n):
+            k = rng.integers(-1, 2, dim)
+            k[rng.integers(dim)] = 1
+            terms.append((k, rng.uniform(-amp / n, amp / n), rng.uniform(-amp / n, amp / n)))
+        return TrigPoly.from_terms(c0, terms)
 
     shapes = [ShapeFn.identity(), ShapeFn.sine_bend(0.3), ShapeFn.saturate()]
     alpha = rng.uniform(0.5, 1.5, m)
@@ -594,7 +597,7 @@ def _random_diag_system(rng, m, cond, dim, equal_lags=False, const_c=False):
             return TrigPoly.const(0.0)
         if const_c:
             return TrigPoly.const(rng.uniform(0.08, 0.2))
-        return poly(rng.uniform(0.08, 0.2), 0.04)
+        return poly(rng.uniform(0.08, 0.2), 0.04, c_terms)
 
     c = tuple(coefficient() for _ in range(m))
     transports = tuple(
@@ -667,14 +670,16 @@ def _assert_same(got, want):
     equal_lags=st.booleans(),
     const_c=st.booleans(),
     n_check=st.sampled_from([0, 1, 2, 50]),
-    block=st.sampled_from([1, 2, 5, None]),
+    block=st.sampled_from([1, 2, 5, 7, None]),
+    c_terms=st.sampled_from([1, 3]),
 )
 def test_rate_scan_matches_per_rate_oracle(
-    seed, m, cond, dim, equal_lags, const_c, n_check, block
+    seed, m, cond, dim, equal_lags, const_c, n_check, block, c_terms
 ):
     # suggest_a folds plan blocks of `block` phases; the oracles take the
-    # whole plan at once
-    sys = _random_diag_system(np.random.default_rng(seed), m, cond, dim, equal_lags, const_c)
+    # whole plan at once, bit for bit also for coefficients of three terms
+    rng = np.random.default_rng(seed)
+    sys = _random_diag_system(rng, m, cond, dim, equal_lags, const_c, c_terms)
     thetas = sample_thetas(sys.flow)
     pre = _Precomp(sys, thetas)
     canon = _canonical_rates(sys, thetas)
@@ -736,14 +741,17 @@ def _assert_same_report(got, want):
     equal_lags=st.booleans(),
     zero_first=st.booleans(),
     n_check=st.sampled_from([0, 1, 2, 50]),
-    block=st.sampled_from([1, 2, 5, None]),
+    block=st.sampled_from([1, 2, 5, 7, None]),
+    c_terms=st.sampled_from([1, 3]),
 )
 def test_suggested_report_matches_check_condition(
-    seed, m, cond, dim, equal_lags, zero_first, n_check, block
+    seed, m, cond, dim, equal_lags, zero_first, n_check, block, c_terms
 ):
     # the report suggest_a reads off its scan is check_condition's at the
-    # suggested rates, and both are the whole-plan oracle's, at any block size
-    sys = _random_diag_system(np.random.default_rng(seed), m, cond, dim, equal_lags)
+    # suggested rates, and both are the whole-plan oracle's, at any block
+    # size and for coefficients of one or three terms
+    rng = np.random.default_rng(seed)
+    sys = _random_diag_system(rng, m, cond, dim, equal_lags, c_terms=c_terms)
     if zero_first:
         sys = NeutralDiagSystem(
             m=m,
@@ -759,6 +767,21 @@ def test_suggested_report_matches_check_condition(
     want = check_condition_direct(sys, cond, got.a, n_check)
     _assert_same_report(got, want)
     _assert_same_report(checked, want)
+
+
+@pytest.mark.parametrize("cond", ["G4", "G5", "G9"])
+def test_three_term_reports_do_not_depend_on_the_block(cond):
+    # a coefficient's bits do not depend on the phases evaluated with it,
+    # so 40 seeded m = 2 systems with three-term c_i report the whole-plan
+    # oracle's bits when the plan is walked 1, 7 or 512 phases at a time
+    for seed in range(40):
+        sys = _random_diag_system(np.random.default_rng(seed), 2, cond, 2, c_terms=3)
+        want = None
+        for block in (1, 7, 512):
+            with _plan_block(block):
+                got = suggest_a(sys, cond, ORACLE_TRIALS, 10).report
+            want = want or check_condition_direct(sys, cond, got.a, 10)
+            _assert_same_report(got, want)
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, None])

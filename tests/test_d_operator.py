@@ -14,7 +14,6 @@ from nfde_lab import (
     MeasureAtom,
     MeasureDensity,
     SingularBError,
-    TailPolicy,
     TorusFlow,
     TorusPoint,
     TrigPoly,
@@ -145,7 +144,7 @@ def test_dhat_compact_open_continuity(golden_flow, origin):
         moved[old] += rng.normal(scale=rng.uniform(0.1, 2.0), size=moved[old].shape)
         depth = int(np.floor((x.horizon - S) / h))
         d0 = eval_Dhat_segment(spec, origin, x, depth)
-        d1 = eval_Dhat_segment(spec, origin, HistoryGrid(h, moved, x.tail), depth)
+        d1 = eval_Dhat_segment(spec, origin, HistoryGrid(h, moved), depth)
         near = h * np.arange(depth + 1) <= T - S + 1e-9
         assert d0.samples[near].tobytes() == d1.samples[near].tobytes()
         assert not np.array_equal(d0.samples, d1.samples)
@@ -168,6 +167,12 @@ def test_dhat_segment_samples_once(golden_flow, origin, monkeypatch):
     out = eval_Dhat_segment(spec, origin, hist, 20)
     assert calls == [(21, 2 + 8)]
     assert out.samples[0].tobytes() == eval_D(spec, origin, hist).tobytes()
+
+
+def _ids(params):
+    """Test ids as they read when a history could also continue past its
+    grid as zeros, with the constant continuation a parameter."""
+    return [f"{p}-TailPolicy.CONSTANT" for p in params]
 
 
 # the lags of the read-rule cases at h = 0.05: two under h, one under 3h
@@ -201,21 +206,19 @@ def _short_delay_spec(flow, case):
     return DOperatorSpec(2, _phase_B(rng, 2), AtomicMeasureFamily((atom,), dens), flow)
 
 
-@pytest.mark.parametrize("tail", [TailPolicy.CONSTANT, TailPolicy.ZERO])
-@pytest.mark.parametrize("case", range(6))
-def test_dhat_node_is_eval_D_on_the_cut_history(golden_flow, origin, case, tail):
+@pytest.mark.parametrize("case", range(6), ids=_ids(range(6)))
+def test_dhat_node_is_eval_D_on_the_cut_history(golden_flow, origin, case):
     # node j of the lift reads only the history cut at j: it is eval_D on
     # that cut bit for bit, down to cuts of two rows, whose reads are
-    # clipped to linear stencils and past them take the tail
+    # clipped to linear stencils and past them take the cut's oldest row
     spec = _short_delay_spec(golden_flow, case)
     h = 0.05
     x = random_history(np.random.default_rng(40 + case), spec.m, h, 2.0)
-    x = HistoryGrid(h, x.samples, tail)
     depth = x.J - 1
     out = eval_Dhat_segment(spec, origin, x, depth)
     thetas = advance_many(spec.flow, origin, -h * np.arange(depth + 1))
     for j in range(depth + 1):
-        cut = HistoryGrid(h, x.samples[j:], tail)
+        cut = HistoryGrid(h, x.samples[j:])
         assert out.samples[j].tobytes() == eval_D(spec, TorusPoint(thetas[j]), cut).tobytes()
 
 
@@ -233,7 +236,7 @@ def test_dhat_reads_nothing_after_its_node(golden_flow, origin, case):
         moved = x.samples.copy()
         moved[:j0] += rng.normal(scale=rng.uniform(0.1, 2.0), size=moved[:j0].shape)
         d0 = eval_Dhat_segment(spec, origin, x, depth)
-        d1 = eval_Dhat_segment(spec, origin, HistoryGrid(h, moved, x.tail), depth)
+        d1 = eval_Dhat_segment(spec, origin, HistoryGrid(h, moved), depth)
         assert d0.samples[j0:].tobytes() == d1.samples[j0:].tobytes()
         assert not np.array_equal(d0.samples[:j0], d1.samples[:j0])
 
@@ -271,9 +274,8 @@ def nan_empty(monkeypatch):
     monkeypatch.setattr(np, "empty", filled)
 
 
-@pytest.mark.parametrize("tail", [TailPolicy.CONSTANT, TailPolicy.ZERO])
-@pytest.mark.parametrize("case", range(6))
-def test_invert_is_the_direct_method_of_steps(golden_flow, origin, case, tail, nan_empty):
+@pytest.mark.parametrize("case", range(6), ids=_ids(range(6)))
+def test_invert_is_the_direct_method_of_steps(golden_flow, origin, case, nan_empty):
     # the shared kernel's plan and read windows give the rows of the
     # method's own implementation bit for bit: its blocks of c rows, the
     # oldest reading B^-1 yhat past the grid, and the own-row taps moved to
@@ -281,18 +283,15 @@ def test_invert_is_the_direct_method_of_steps(golden_flow, origin, case, tail, n
     # row, so a window that read a row before solving it, its own row
     # included, would leave NaN in the rows
     spec = _short_delay_spec(golden_flow, case)
-    yhat = HistoryGrid(0.05, _short_wave(spec.m).samples, tail)
+    yhat = _short_wave(spec.m)
     for n_terms in (None, 0, 2):
         got = invert_Dhat(spec, origin, yhat, 1e-8, n_terms=n_terms)
         want = invert_Dhat_direct(spec, origin, yhat, 1e-8, n_terms=n_terms)
         assert got.samples.tobytes() == want.samples.tobytes()
 
 
-@pytest.mark.parametrize("tail", [TailPolicy.CONSTANT, TailPolicy.ZERO])
-@pytest.mark.parametrize("lags", [(1e-11,), (1e-11, 0.5)])
-def test_invert_lag_under_the_snap_reads_no_unwritten_row(
-    golden_flow, origin, lags, tail, nan_empty
-):
+@pytest.mark.parametrize("lags", [(1e-11,), (1e-11, 0.5)], ids=_ids(["lags0", "lags1"]))
+def test_invert_lag_under_the_snap_reads_no_unwritten_row(golden_flow, origin, lags, nan_empty):
     # a lag under the node snap reads the row itself at all four taps: one
     # of weight 1, moved into A, and three of weight 0, which still read
     # their row. None may read a row before it is solved, the row itself,
@@ -300,7 +299,7 @@ def test_invert_lag_under_the_snap_reads_no_unwritten_row(
     # atom at 0.5 the oldest rows also read past the grid
     atoms = tuple(MeasureAtom(lag, const_poly_matrix([[0.4]])) for lag in lags)
     spec = DOperatorSpec(1, identity_poly_matrix(1), AtomicMeasureFamily(atoms), golden_flow)
-    yhat = HistoryGrid(0.05, _short_wave(1).samples, tail)
+    yhat = _short_wave(1)
     for n_terms in (None, 0, 2):
         got = invert_Dhat(spec, origin, yhat, 1e-8, n_terms=n_terms)
         want = invert_Dhat_direct(spec, origin, yhat, 1e-8, n_terms=n_terms)
@@ -700,8 +699,8 @@ def test_invert_rejects_bad_depth_inputs(half_spec, origin, kw):
 def _oracle_cases(flow):
     """(spec, target) pairs covering each read of the sweep: seeded draws
     with lags on the grid, lags off it above 3h (blocks of rows), under 3h
-    and under h (a tap on the row itself, solved row by row), the density
-    operator, whose first midpoint lies under h, and ZERO tails."""
+    and under h (a tap on the row itself, solved row by row), and the
+    density operator, whose first midpoint lies under h."""
     rng = np.random.default_rng(1606)
     h = 0.05
     cases = []
@@ -713,13 +712,9 @@ def _oracle_cases(flow):
         atom = MeasureAtom(lag, [[TrigPoly.from_terms(0.3, [([1], 0.1, 0.2)])]])
         spec = DOperatorSpec(1, identity_poly_matrix(1), AtomicMeasureFamily((atom,)), flow)
         cases.append((spec, wave))
-        cases.append((spec, HistoryGrid(h, wave.samples, TailPolicy.ZERO)))
     dens = MeasureDensity(np.full((20, 1, 1), 0.4), 0.05)
     spec = DOperatorSpec(1, identity_poly_matrix(1), AtomicMeasureFamily((), dens), flow)
     cases.append((spec, wave))
-    spec = random_contraction_spec(rng, flow, h=h)
-    target = random_history(rng, spec.m, h, 3.0)
-    cases.append((spec, HistoryGrid(h, target.samples, TailPolicy.ZERO)))
     return cases
 
 
@@ -733,22 +728,18 @@ def test_invert_matches_neumann_oracle(golden_flow, origin):
         assert np.max(np.abs(x.samples - ref.samples)) <= tol
 
 
-@pytest.mark.parametrize("tail", [TailPolicy.CONSTANT, TailPolicy.ZERO])
-@pytest.mark.parametrize("n_terms", [1, 2, 3])
-def test_invert_blocks_and_tail_closed_form(half_spec, origin, tail, n_terms):
+@pytest.mark.parametrize("n_terms", [1, 2, 3], ids=_ids([1, 2, 3]))
+def test_invert_blocks_and_tail_closed_form(half_spec, origin, n_terms):
     # x = 1 + 0.5 x(. - 1) solved from the oldest row in blocks of one lag
-    # (20 rows), each block adding one term of the geometric series. Under
-    # the CONSTANT tail the target is 1 on the whole working grid of K rows
-    # and the oldest block reads the starting row B^-1 yhat = 1 past it;
-    # under the ZERO tail the target, and so x, is 0 past row 60
-    yhat = HistoryGrid(0.05, np.ones((61, 1)), tail)
+    # (20 rows), each block adding one term of the geometric series. The
+    # target is 1 on the whole working grid of K rows, past its grid as its
+    # oldest sample, and the oldest block reads the starting row
+    # B^-1 yhat = 1 past it
+    yhat = HistoryGrid(0.05, np.ones((61, 1)))
     x = invert_Dhat(half_spec, origin, yhat, 1e-8, n_terms=n_terms)
     K = 61 + 20 + 20 * n_terms
     j = np.arange(81)
-    if tail is TailPolicy.CONSTANT:
-        want = 2.0 - 0.5 ** ((K - 1 - j) // 20 + 1)
-    else:
-        want = np.where(j <= 60, 2.0 - 0.5 ** ((60 - j) // 20), 0.0)
+    want = 2.0 - 0.5 ** ((K - 1 - j) // 20 + 1)
     assert np.array_equal(x.samples[:, 0], want)
 
 
@@ -797,7 +788,7 @@ def test_invert_compact_open_continuity(golden_flow, origin, method):
         delta = np.zeros_like(yhat.samples)
         old = h * np.arange(yhat.J + 1) > T + 1e-9
         delta[old] = rng.normal(scale=rng.uniform(0.1, 2.0), size=delta[old].shape)
-        moved = HistoryGrid(h, yhat.samples + delta, yhat.tail)
+        moved = HistoryGrid(h, yhat.samples + delta)
         g0, g1 = inv(spec, origin, yhat, tol), inv(spec, origin, moved, tol)
         x0, x1 = g0.samples, g1.samples
 

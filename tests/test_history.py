@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from nfde_lab import (
     DimensionMismatchError,
     HistoryGrid,
-    TailPolicy,
     compact_open_metric,
     constant_history,
     export_csv,
@@ -121,10 +120,9 @@ def test_metric_indiscernible_on_grid():
 
 
 def test_tail_policies():
-    hist_c = from_function(lambda s: s[:, None], 0.1, 1.0, TailPolicy.CONSTANT)
-    hist_z = from_function(lambda s: s[:, None], 0.1, 1.0, TailPolicy.ZERO)
-    assert sample_at(hist_c, -5.0)[0] == pytest.approx(-1.0)
-    assert sample_at(hist_z, -5.0)[0] == 0.0
+    # past its grid a history is its oldest sample
+    hist = from_function(lambda s: s[:, None], 0.1, 1.0)
+    assert sample_at(hist, -5.0)[0] == hist.samples[-1, 0] == pytest.approx(-1.0)
 
 
 def test_positive_offset_rejected():
@@ -148,6 +146,22 @@ def test_csv_round_trip(tmp_path):
     back = import_csv(path)
     assert back.step == pytest.approx(hist.step, abs=1e-12)
     assert np.array_equal(back.samples, hist.samples)
+
+
+@pytest.mark.parametrize("second", ["nan", "-inf", "inf"])
+def test_csv_offsets_must_be_finite(tmp_path, second):
+    # NaN fails every comparison of the uniform-grid check, and an infinite
+    # offset makes an infinite step: both are offsets that are not finite
+    path = tmp_path / "h.csv"
+    path.write_text(f"s,z1\n0,1.0\n{second},2.0\n")
+    with pytest.raises(ValueError, match="finite"):
+        import_csv(path)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
+def test_grid_step_must_be_finite_and_positive(step):
+    with pytest.raises(ValueError, match="grid step"):
+        HistoryGrid(step, np.zeros((3, 1)))
 
 
 def test_csv_header(tmp_path):
@@ -196,7 +210,6 @@ def test_cubic_stencil_reproduces_cubic_rows(seed, K, m):
         assert w_k[n].tobytes() == one_w[0].tobytes()
 
 
-@pytest.mark.parametrize("tail", [TailPolicy.CONSTANT, TailPolicy.ZERO])
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -204,11 +217,11 @@ def test_cubic_stencil_reproduces_cubic_rows(seed, K, m):
     m=st.integers(1, 3),
     h=st.sampled_from([0.1, 0.05, 0.03, 1.0 / 3.0]),
 )
-def test_sample_many_matches_direct_reads(tail, seed, K, m, h):
-    # sample_many decides inside or beyond the grid once and leaves the node
-    # snap to the stencil: bit for bit the direct interpolant on nodes,
-    # between them and within the snap past the last node, and the tail
-    # value past that, as when positions were snapped before the decision
+def test_sample_many_matches_direct_reads(seed, K, m, h):
+    # sample_many leaves the node snap to the stencil: bit for bit the
+    # direct interpolant on nodes, between them and within the snap past
+    # the last node, and the oldest sample past that, as when positions
+    # were snapped before reading
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(K, m))
     values[rng.integers(K)] = -0.0
@@ -223,13 +236,13 @@ def test_sample_many_matches_direct_reads(tail, seed, K, m, h):
             rng.uniform(J, J + 3.0, size=10),
         ]
     )
-    hist = HistoryGrid(h, values, tail)
+    hist = HistoryGrid(h, values)
     got = hist.sample_many(-h * pos)
     read = np.maximum(h * pos / h, 0.0)  # the positions sample_many reads
     ipos = np.rint(read)
     on_node = np.abs(read - ipos) <= _SNAP * np.maximum(1.0, np.abs(read))
     eff = np.where(on_node, ipos, read)
     want = np.empty_like(got)
-    want[eff > J] = values[-1] if tail is TailPolicy.CONSTANT else 0.0
+    want[eff > J] = values[-1]
     want[eff <= J] = cubic_rows_direct(values, eff[eff <= J])
     assert got.tobytes() == want.tobytes()

@@ -681,23 +681,6 @@ def _assert_same_stage(fast, slow):
         assert _floats(got) and _bits(got) == _bits(want)
 
 
-# Allowed gap between a plan stage and `stage_direct` where the batched
-# evaluation of a multi-term coefficient rounds differently from a one-row
-# one, in units of eps times the largest entry of the compared field; 40
-# seeded multi_term runs of 120 stages differ in 8% of the fields, by at
-# most 1.9 of these units.
-_STAGE_ULPS = 4
-
-
-def _assert_close_stage(fast, slow):
-    pairs = [(fast.Binv, slow.Binv), (fast.rest, slow.rest), (fast.c, slow.c)]
-    assert len(fast.zr) == len(slow.zr)
-    for got, want in pairs + list(zip(fast.zr, slow.zr)):
-        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-        scale = float(np.max(np.abs(want), initial=0.0))
-        assert np.max(np.abs(got - want), initial=0.0) <= _STAGE_ULPS * np.finfo(float).eps * scale
-
-
 def multi_term_system(flow2):
     """Two compartments on the 2-torus whose B, atom weight, gain and inflow
     each have two terms, one of wave vector (1, 3); the gain is read at the
@@ -871,10 +854,9 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
     # boundaries and cut read windows short, and the run's end cuts its last
     # block short. The rows not yet stored hold NaN at every query, so a window
     # that reads one fails. constant_B inverts its constant B in the plan's
-    # batch like a varying one, bit for bit with one inversion. multi_term's
-    # two-term coefficients are compared within _STAGE_ULPS: their batched
-    # evaluation is not bit-identical to a one-row one, as the phases still
-    # are.
+    # batch like a varying one, bit for bit with one inversion, and
+    # multi_term's two-term coefficients evaluate in the plan's batch as in
+    # one row.
     from unittest import mock
 
     from nfde_lab import integrator
@@ -892,18 +874,17 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
         assert _bits(blk.theta[j - blk.lo]) == _bits(point_at(state, t_s).theta)
         return fast
 
-    same = _assert_close_stage if kind == "multi_term" else _assert_same_stage
     with mock.patch.object(integrator, "_PLAN_STEPS", block or integrator._PLAN_STEPS):
         state = init_from_z(sys, p0, z0, cfg)
-        same(stage(0, state.t), stage_direct(state, state.t))
+        _assert_same_stage(stage(0, state.t), stage_direct(state, state.t))
         for n in range(steps):
             t = state.t
-            same(stage(2 * n + 1, t + 0.5 * h), stage_direct(state, t + 0.5 * h))
+            _assert_same_stage(stage(2 * n + 1, t + 0.5 * h), stage_direct(state, t + 0.5 * h))
             end = stage_direct(state, t + h)
-            same(stage(2 * n + 2, t + h), end)
+            _assert_same_stage(stage(2 * n + 2, t + h), end)
             state.X[state.k + 1 :] = np.nan
             step(state)
-            same(state._ahead[0], end)
+            _assert_same_stage(state._ahead[0], end)
 
 
 # Kinds with a diagonal B: there the float stage arithmetic rounds as the
@@ -920,9 +901,8 @@ DIAGONAL_B_KINDS = {
 
 # Allowed gap between `step` and `step_direct` over 10 steps elsewhere, in
 # units of eps times the largest entry of the compared row of Z or X: a row
-# of a full B^-1 sums in Python order, not the BLAS one, and a
-# multi_term coefficient rounds as the stage plan test states. 200 seeded
-# runs of each such kind differ by at most 2.4 of these units.
+# of a full B^-1 sums in Python order, not the BLAS one. 200 seeded runs of
+# each such kind differ by at most 2.4 of these units.
 _STEP_ULPS = 8
 
 

@@ -23,11 +23,15 @@ system type: no module unwraps it, and only `check` asks which kind it got.
 A phase moves along the flow by one rule, `base_flow._rotate`, which a check
 here keeps the only reader of `TorusFlow.freqs` outside `base_flow`. The
 one-point twins of the array functions live in `tests/oracles.py`, and a
-check here keeps each one gone from the module or class it left."""
+check here keeps each one gone from the module or class it left. A history
+continues past its grid as its oldest sample, which a check here keeps the
+one extension: no tail policy, field or parameter."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -530,3 +534,22 @@ def test_removed_twins_stay_gone(mod, cls, name):
     if cls is not None:
         owner = getattr(owner, cls)
     assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
+
+
+def test_one_history_extension():
+    # a history continues past its grid as its oldest sample, the one
+    # extension that stays in BU: no tail policy to pick, on the grid or in
+    # the functions that build or pass on a grid
+    import nfde_lab
+    from nfde_lab import history
+
+    assert not hasattr(nfde_lab, "TailPolicy") and not hasattr(history, "TailPolicy")
+    assert [f.name for f in dataclasses.fields(history.HistoryGrid)] == ["step", "samples"]
+    for fn in (
+        history.from_function,
+        history.constant_history,
+        history.resample,
+        history.import_csv,
+        history._read_back,
+    ):
+        assert "tail" not in inspect.signature(fn).parameters, fn.__name__
