@@ -49,7 +49,6 @@ from .errors import (
     UnstableMarginError,
 )
 from .history import (
-    FunctionHistory,
     HistoryGrid,
     compact_open_metric,
     constant_history,

@@ -109,6 +109,14 @@ def _req(node: dict, key: str, where: str):
     return node[key]
 
 
+def _closed(node: dict, keys, where: str) -> None:
+    """The one unknown-key rule: reject the keys of the object node outside
+    keys, naming them, so that a misspelt key is not silently dropped."""
+    unknown = sorted(set(node) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+
+
 _list = _bounded(lambda v, where: v, lambda v: isinstance(v, list), "a list")
 # JSON true or false; the string "false" is not a truth value
 _flag = _bounded(lambda v, where: v, lambda v: isinstance(v, bool), "true or false")
@@ -198,11 +206,14 @@ def _numbers(value, where: str) -> list:
     return [_finite(v, where) for v in _list(value, where)]
 
 
+_tols = _bounded(_numbers, lambda t: t and min(t) > 0, "a nonempty list of numbers > 0")
+
+
 _NONE = object()  # no default: the task's own, or none
 
 # block -> key -> (reader, default) for each key outside the system and the
-# history formulas ("" is the top level; README lists it). Only the top level
-# and the histories, whose keys depend on their kind, take other keys.
+# history formulas ("" is the top level; README lists it). A block takes only
+# these keys, a history block those of its kind instead (`_keys`).
 _TABLE = {
     "": {"schema": (_schema, 1), "theta0": (_point, _NONE)},
     "sim": {
@@ -226,8 +237,8 @@ _TABLE = {
         "trial_a": (_optional(_rates), _NONE),
     },
     "covering": {
-        "return_tols": (_numbers, [0.1, 0.03, 0.01]),
-        "window": (_finite, 50.0),
+        "return_tols": (_tols, [0.1, 0.03, 0.01]),
+        "window": (_positive, 50.0),
         "t_min": (_finite, 0.0),
     },
     "cone": {
@@ -244,7 +255,34 @@ _TABLE = {
     "z_init_y": {"step": (_positive, _NONE), "horizon": (_positive, _NONE), "lam": (_finite, 0.1)},
     "yhat": {"step": (_positive, 0.05), "horizon": (_positive, 40.0)},
 }
-_OPEN = ("", "z_init", "z_init_y", "yhat")
+# history kind -> the keys it takes: the grid's where the kind is sampled
+# onto one. z_init_y also takes an ordered_offset, built from z_init.
+_HISTORY_KEYS = {
+    "constant": ("kind", "value", "step", "horizon"),
+    "sinusoid": ("kind", "base", "amp", "period", "phase", "step", "horizon"),
+    "csv": ("kind", "path"),
+}
+_OFFSET_KEYS = {**_HISTORY_KEYS, "ordered_offset": ("kind", "lam")}
+# system kind -> the keys it takes
+_SYSTEM_KEYS = {
+    "neutral_diag": ("kind", "m", "c", "alpha", "rho", "gains", "g6"),
+    "compartmental": ("kind", "m", "B", "atoms", "transports", "outflows", "inflows", "pipes"),
+    "d_operator": ("kind", "m", "B", "atoms"),
+}
+
+
+def _keys(name: str, node: dict):
+    """The keys block `name` takes: the top level its own and the blocks, a
+    given history block those of its kind, any other block its fields."""
+    if not name:
+        return {*_TABLE, *_TABLE[""], "system", "task"}
+    if name not in ("z_init", "z_init_y", "yhat") or not node:
+        return _TABLE[name]
+    kinds = _OFFSET_KEYS if name == "z_init_y" else _HISTORY_KEYS
+    kind = _req(node, "kind", name)
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"{name}.kind: unknown history kind {kind!r}")
+    return kinds[kind]
 
 
 def _shown(name: str, task: str, node: dict) -> bool:
@@ -270,9 +308,7 @@ def _materialize(cfg: dict, task: str) -> dict:
             node = {}
         if not isinstance(node, dict):
             raise ConfigError(f"{name}: expected an object, got {node!r}")
-        unknown = sorted(set(node) - set(fields))
-        if unknown and name not in _OPEN:
-            raise ConfigError(f"{name}: unknown keys {unknown}")
+        _closed(node, _keys(name, node), name or "config")
         defaults = {k: d for k, (_, d) in fields.items() if d is not _NONE}
         given = {**defaults, **{k: node[k] for k in fields if k in node}}
         conf[name] = {k: fields[k][0](v, f"{name}.{k}" if name else k) for k, v in given.items()}
@@ -310,10 +346,12 @@ def _parse_poly(node, where: str) -> TrigPoly:
         return TrigPoly.const(_finite(node, where))
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: polynomial must be a number or an object")
+    _closed(node, ("constant", "terms"), where)
     constant = _finite(node.get("constant", 0.0), f"{where}.constant")
     terms = []
     for t in _list(node.get("terms", []), f"{where}.terms"):
         k = _req(t, "k", f"{where}.terms")
+        _closed(t, ("k", "cos", "sin"), f"{where}.terms")
         k = [_whole(v, f"{where}.terms.k") for v in (k if isinstance(k, list) else [k])]
         cos = _finite(t.get("cos", 0.0), f"{where}.terms.cos")
         sin = _finite(t.get("sin", 0.0), f"{where}.terms.sin")
@@ -330,6 +368,7 @@ def _parse_shape(node, where: str) -> ShapeFn:
     if node == "saturate":
         return ShapeFn.saturate()
     if isinstance(node, dict) and node.get("kind") == "sine_bend":
+        _closed(node, ("kind", "eps"), where)
         eps = _num(_req(node, "eps", where), f"{where}.eps")
         try:
             return ShapeFn.sine_bend(eps)
@@ -352,6 +391,7 @@ def _parse_matrix_of(parser, node, m, where):
 def _parse_transport(v, where) -> TransportSpec:
     """A gain polynomial, or an object of `gain` and `shape`."""
     if isinstance(v, dict) and ("gain" in v or "shape" in v):
+        _closed(v, ("gain", "shape"), where)
         shape = _parse_shape(v.get("shape"), f"{where}.shape")
         return TransportSpec(_parse_poly(v.get("gain", 0.0), f"{where}.gain"), shape)
     return TransportSpec(_parse_poly(v, where), ShapeFn.identity())
@@ -376,6 +416,9 @@ def _parse_system(cfg: dict, flow: TorusFlow):
     grid, orbit = flow.sampling.grid_per_dim**flow.dim, flow.sampling.orbit_points
     key = "sampling.grid_per_dim" if grid >= orbit else "sampling.orbit_points"
     _fits(grid + orbit, key, "phases in the sampling plan")
+    if not (isinstance(kind, str) and kind in _SYSTEM_KEYS):
+        raise ConfigError(f"system.kind {kind!r} is not supported")
+    _closed(node, _SYSTEM_KEYS[kind], "system")
     if kind == "d_operator":
         return _parse_dspec(node, m, flow)
     if kind == "neutral_diag":
@@ -389,7 +432,7 @@ def _parse_system(cfg: dict, flow: TorusFlow):
             transports=_parse_transports(_req(node, "gains", "system"), m, "system.gains"),
             g6=_flag(node.get("g6", False), "system.g6"),
         )
-    elif kind == "compartmental":
+    else:
         cls, parts = CompartmentalSystem, dict(
             dspec=_parse_dspec(node, m, flow),
             transports=_parse_transports(
@@ -407,8 +450,6 @@ def _parse_system(cfg: dict, flow: TorusFlow):
                 _parse_pipe, node.get("pipes", [[[[0.0, 1.0]]] * m] * m), m, "system.pipes"
             ),
         )
-    else:
-        raise ConfigError(f"system.kind {kind!r} is not supported")
     try:
         return cls(m=m, flow=flow, **parts)
     except (ValueError, TypeError) as e:
@@ -424,6 +465,7 @@ def _parse_dspec(node, m, flow) -> DOperatorSpec:
     for k, at in enumerate(_list(node.get("atoms", []), "system.atoms")):
         where = f"system.atoms[{k}]"
         lag = _positive(_req(at, "lag", where), f"{where}.lag")
+        _closed(at, ("lag", "weight"), where)
         if any(a.lag == lag for a in atoms):
             raise ConfigError(f"{where}.lag: atom lags must be distinct, got {lag!r} twice")
         weight = _parse_matrix_of(_parse_poly, _req(at, "weight", where), m, f"{where}.weight")
@@ -445,7 +487,8 @@ def _parse_cone(node, m: int):
 
 
 def _parse_history(node, where, m, step, horizon) -> HistoryGrid:
-    """A history block on the grid `step`, `horizon`."""
+    """A history block on the grid `step`, `horizon`, whose kind and keys, if
+    given, `_materialize` has checked."""
     kind = _req(node, "kind", where)
 
     def floats(key, default=None):
@@ -473,13 +516,17 @@ def _parse_history(node, where, m, step, horizon) -> HistoryGrid:
                 2.0 * np.pi * s[:, None] / period[None, :] + phase[None, :]
             )
 
-    elif kind == "csv":
+    else:  # csv
+        path = _req(node, "path", where)
+        if not isinstance(path, str):
+            raise ConfigError(f"{where}.path: expected a file name, got {path!r}")
         try:
-            return import_csv(_req(node, "path", where))
+            hist = import_csv(path)
         except (OSError, ValueError) as e:
             raise ConfigError(f"{where}: {e}") from e
-    else:
-        raise ConfigError(f"{where}.kind: unknown history kind {kind!r}")
+        if hist.m != m:
+            raise ConfigError(f"{where}: expected {m} value columns, one per m, got {hist.m}")
+        return hist
     _fits((horizon / step + 1) * m, f"{where}.step and {where}.horizon")
     try:
         with np.errstate(all="ignore"):  # the grid rejects samples that are not finite

@@ -368,18 +368,23 @@ class NeutralDiagSystem(CompartmentalSystem):
         super().__post_init__()
 
 
-def eval_F(sys, p: TorusPoint, hist) -> np.ndarray:
-    """Net balance rate at one phase from a supplied history.
+def _check_covers_pipes(sys, hist: HistoryGrid) -> None:
+    """HorizonError unless hist reaches back to the longest pipe lag."""
+    if sys.max_pipe_lag > hist.horizon + _SNAP:
+        raise HorizonError(
+            f"history horizon {hist.horizon:.6g} does not cover pipe lag {sys.max_pipe_lag:.6g}"
+        )
+
+
+def eval_F(sys, p: TorusPoint, hist: HistoryGrid) -> np.ndarray:
+    """Net balance rate at one phase from a history grid.
 
     Only the offsets 0 and minus each pipe lag are read, all in one
     hist.sample_many call.
     """
     if hist.m != sys.m:
         raise DimensionMismatchError("history dimension does not match the system")
-    if hasattr(hist, "horizon") and sys.max_pipe_lag > hist.horizon + _SNAP:
-        raise HorizonError(
-            f"history horizon {hist.horizon:.6g} does not cover pipe lag {sys.max_pipe_lag:.6g}"
-        )
+    _check_covers_pipes(sys, hist)
     terms = sys._terms
     zs = hist.sample_many([0.0] + [-r for r in terms.lags[1:]])
     return np.array(terms.balance(terms.coeffs(p.theta[None, :])[0], zs))
@@ -389,10 +394,7 @@ def total_mass(sys, p: TorusPoint, hist: HistoryGrid) -> float:
     """Stored mass (sum of operator components) plus mass in transit, read
     from the newest W + 1 nodes of hist, W = `_mass_span`: one row of
     `_total_mass_many`. A node past the grid reads hist's oldest sample."""
-    if sys.max_pipe_lag > hist.horizon + _SNAP:
-        raise HorizonError(
-            f"history horizon {hist.horizon:.6g} does not cover pipe lag {sys.max_pipe_lag:.6g}"
-        )
+    _check_covers_pipes(sys, hist)
     W = _mass_span(sys, hist.step)
     X = hist.sample_many(-hist.step * np.arange(W, -1, -1))
     return float(_total_mass_many(sys, p.theta, X, W, hist.step, np.array([W]))[0])

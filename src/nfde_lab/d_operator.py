@@ -43,7 +43,7 @@ from .base_flow import TorusFlow, TorusPoint, TrigPoly, advance_many, eval_trig_
 from .base_flow import sample_thetas  # noqa: F401  perfbench's tracer wraps it here
 from .base_flow import _is_whole
 from .errors import DimensionMismatchError, SingularBError, UnstableMarginError
-from .history import FunctionHistory, HistoryGrid, _back_stencil, _nodes, gather, sup_norm
+from .history import HistoryGrid, _back_stencil, _nodes, gather, sup_norm
 
 
 def identity_poly_matrix(m: int) -> list:
@@ -289,8 +289,9 @@ def stability_margin(spec: DOperatorSpec) -> StabilityEstimate:
     )
 
 
-def eval_D(spec: DOperatorSpec, p: TorusPoint, hist) -> np.ndarray:
-    """Apply the operator at one phase: B(w) x(0) minus the delayed mass."""
+def eval_D(spec: DOperatorSpec, p: TorusPoint, hist: HistoryGrid) -> np.ndarray:
+    """Apply the operator at one phase to a history grid: B(w) x(0) minus the
+    delayed mass."""
     return spec.apply(p.theta[None, :], hist.sample_many(spec.offsets)[None])[0]
 
 
@@ -410,19 +411,13 @@ def extract_atom_at_zero(spec: DOperatorSpec, p: TorusPoint, rho: float) -> np.n
     """Recover the instantaneous matrix by probing with short plateau functions.
 
     The probe is 1 on (-rho, 0], falls linearly to 0 on (-2 rho, -rho], and
-    vanishes earlier; column i is the operator applied to probe * e_i. For
+    vanishes earlier; column i is D applied to probe * e_i, all in one batch. For
     atom-only delayed parts with 2 rho below the smallest lag this equals
     B(w) exactly.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-
-    def phi(s):
-        s = np.asarray(s, dtype=float)
-        return np.where(s <= -2.0 * rho, 0.0, np.where(s <= -rho, s / rho + 2.0, 1.0))
-
-    out = np.empty((spec.m, spec.m))
-    for i, e in enumerate(np.eye(spec.m)):
-        probe = FunctionHistory(lambda s, e=e: phi(s)[:, None] * e[None, :], spec.m)
-        out[:, i] = eval_D(spec, p, probe)
-    return out
+    s = spec.offsets
+    phi = np.where(s <= -2.0 * rho, 0.0, np.where(s <= -rho, s / rho + 2.0, 1.0))
+    rows = phi[None, :, None] * np.eye(spec.m)[:, None, :]
+    return spec.apply(np.repeat(p.theta[None, :], spec.m, axis=0), rows).T

@@ -1,9 +1,9 @@
-"""Finite representations of histories on (-inf, 0].
+"""A history on (-inf, 0] and its one representation, `HistoryGrid`.
 
 A history is a bounded, uniformly continuous function of a nonpositive
-time offset. Computationally it is held on a uniform grid with a finite
-horizon and continues past it as its oldest sample, which keeps it bounded
-and uniformly continuous on the whole half line.
+time offset. A grid holds it at uniform steps up to a finite horizon and
+continues past it as its oldest sample, which keeps it bounded and
+uniformly continuous on the whole half line.
 
 Between nodes the value is the cubic through the four nearest nodes, with
 the stencil shifted one-sided at either end of the grid, so polynomials of
@@ -173,28 +173,6 @@ class HistoryGrid:
         return _read_back(self.samples[::-1], self.J - j, pos, (self.J + 1 - j)[:, None])
 
 
-class FunctionHistory:
-    """Adapter wrapping an exact vectorized function of the offset."""
-
-    def __init__(self, fn, m: int):
-        self.fn = fn
-        self.m = int(m)
-
-    def sample_many(self, s) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s > _SNAP):
-            raise ValueError("history offsets must be <= 0")
-        vals = np.asarray(self.fn(s), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.shape != (s.size, self.m):
-            raise DimensionMismatchError(
-                f"history function returned shape {vals.shape}, "
-                f"expected {(s.size, self.m)}"
-            )
-        return vals
-
-
 def from_function(fn, step: float, horizon: float) -> HistoryGrid:
     """Sample a vectorized function of the offset onto a fresh grid."""
     J = _nodes(horizon, step)
@@ -210,8 +188,8 @@ def constant_history(value, step: float, horizon: float) -> HistoryGrid:
     return from_function(lambda s: np.tile(value, (s.size, 1)), step, horizon)
 
 
-def resample(hist, step: float, horizon: float) -> HistoryGrid:
-    """Re-sample any history-like object onto a uniform grid."""
+def resample(hist: HistoryGrid, step: float, horizon: float) -> HistoryGrid:
+    """Re-sample a history onto a uniform grid of another step or horizon."""
     return from_function(hist.sample_many, step, horizon)
 
 
@@ -293,6 +271,10 @@ def import_csv(path) -> HistoryGrid:
     header = rows[0]
     if not header or header[0] != "s":
         raise ValueError("history CSV must start with an 's' column")
+    if len(header) < 2:
+        raise ValueError("history CSV needs a value column after 's'")
+    if any(len(row) != len(header) for row in rows[1:]):
+        raise ValueError("history CSV rows must have one cell per header column")
     data = np.array([[float(v) for v in row] for row in rows[1:]])
     s = data[:, 0]
     if not np.all(np.isfinite(s)):

@@ -37,7 +37,9 @@ with phases, inverse, stencils and blocks of rows of its own, where
 `invert_Dhat` runs the method-of-steps kernel it shares with the
 integrator's stages. `stability_margin_direct` takes the sampled sup over
 the whole plan at once, where `stability_margin` reduces it a block of
-phases at a time. Tests compare each pair.
+phases at a time. `extract_atom_at_zero_direct` applies D to one probe
+column at a time, where `extract_atom_at_zero` applies it to all m columns
+in one batch. Tests compare each pair.
 `advance`, `eval_trig`, `derivative_along_flow` and `sample_at` are the
 one-point forms of `advance_many`, `eval_trig_many`,
 `derivative_along_flow_many` and a history's `sample_many`, each one row of
@@ -549,6 +551,17 @@ def invert_Dhat_direct(
         z = spec.nu.add_into(y_ext[blk].copy(), [Wk[blk] for Wk in W], reads)
         x[blk] = np.einsum("jab,jb->ja", Ainv[blk], z)
     return HistoryGrid(h, x[: J_ret + 1])
+
+
+def extract_atom_at_zero_direct(spec, p: TorusPoint, rho: float) -> np.ndarray:
+    """`extract_atom_at_zero` one column at a time: the probe times e_i read
+    at `spec.offsets`, and D applied to it at the one phase p."""
+    s = spec.offsets
+    phi = np.where(s <= -2.0 * rho, 0.0, np.where(s <= -rho, s / rho + 2.0, 1.0))
+    out = np.empty((spec.m, spec.m))
+    for i, e in enumerate(np.eye(spec.m)):
+        out[:, i] = spec.apply(p.theta[None, :], (phi[:, None] * e[None, :])[None])[0]
+    return out
 
 
 def stability_margin_direct(spec) -> StabilityEstimate:

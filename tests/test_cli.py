@@ -795,6 +795,8 @@ INVERT_CFG = {
 NAN, INF = float("nan"), float("inf")
 PAIR_GIVEN_CFG = {**CONE_CFG, "z_init_y": {"kind": "constant", "value": [3.0]}}
 SINE_BEND = {"gain": 1.0, "shape": {"kind": "sine_bend", "eps": 1.5}}
+# a csv z_init, read from the directory a case runs in (CSV_FILES)
+CSV_CFG = _with(SIM_CFG, "z_init", {"kind": "csv", "path": "one.csv"})
 # case id -> (task, config, the key the error must name). Each of these
 # used to escape `main` with a traceback, or to run with a wrong meaning.
 EXIT_TWO = {
@@ -941,19 +943,95 @@ EXIT_TWO = {
         _with(SIM_CFG, "covering.window", "5"),
         "covering.window",
     ),
+    # an unknown key of the top level, a system kind, a polynomial, a term, a
+    # transport, a shape, an atom or a history kind; each used to be dropped,
+    # so the config ran with a wrong meaning
+    "config-typo": ("mass-audit", _with(SIM_CFG, "threshold", {"mass_residual": -1}), "threshold"),
+    "system-neutral_diag-typo": ("simulate", _with(SIM_CFG, "system.g_6", True), "g_6"),
+    "system-compartmental-typo": ("simulate", _with(OPEN_CFG, "system.inflow", [1.0]), "inflow"),
+    "system-d_operator-typo": ("invert", _with(INVERT_CFG, "system.b", [[1.0]]), "system"),
+    "poly-typo": ("simulate", _with(SIM_CFG, "system.c", [{"constnat": 0.3}]), "constnat"),
+    "term-typo": (
+        "simulate",
+        _with(SIM_CFG, "system.c", [{"constant": 0.3, "terms": [{"k": [1], "sine": 0.2}]}]),
+        "system.c.terms: unknown keys ['sine']",
+    ),
+    "transport-typo": (
+        "simulate",
+        _with(SIM_CFG, "system.gains", [[{"gain": 1.0, "shap": "saturate"}]]),
+        "system.gains[0][0]: unknown keys ['shap']",
+    ),
+    "shape-typo": (
+        "simulate",
+        _with(SIM_CFG, "system.gains", [[{"shape": {"kind": "sine_bend", "eps": 0.5, "e": 1}}]]),
+        "system.gains[0][0].shape: unknown keys ['e']",
+    ),
+    "atom-typo": (
+        "invert",
+        _with(INVERT_CFG, "system.atoms", [{"lag": 1.0, "weight": [[0.5]], "weigth": [[0.9]]}]),
+        "system.atoms[0]: unknown keys ['weigth']",
+    ),
+    "sinusoid-typo": (
+        "simulate",
+        _with(SIM_CFG, "z_init", {"kind": "sinusoid", "base": [1.0], "amplitude": [0.5]}),
+        "z_init: unknown keys ['amplitude']",
+    ),
+    "constant-lam": ("pair", _with(PAIR_GIVEN_CFG, "z_init_y.lam", 0.5), "z_init_y"),
+    "ordered_offset-step": ("pair", _with(PAIR_CFG, "z_init_y.step", 0.01), "z_init_y"),
+    "csv-step": ("simulate", _with(CSV_CFG, "z_init.step", 0.5), "z_init: unknown keys ['step']"),
+    "yhat-csv-horizon": (
+        "invert",
+        _with(INVERT_CFG, "yhat", {"kind": "csv", "path": "one.csv", "horizon": 1.0}),
+        "yhat: unknown keys ['horizon']",
+    ),
+    # a csv history's value columns, one per component (files in CSV_FILES)
+    "csv-two-columns": ("simulate", _with(CSV_CFG, "z_init.path", "two.csv"), "z_init"),
+    "csv-no-value-column": ("simulate", _with(CSV_CFG, "z_init.path", "none.csv"), "z_init"),
+    "csv-path-list": ("simulate", _with(CSV_CFG, "z_init.path", []), "z_init.path"),
+    # covering's return tolerances and window are positive
+    "covering.return_tols-empty": (
+        "covering",
+        _with(SIM_CFG, "covering.return_tols", []),
+        "covering.return_tols",
+    ),
+    "covering.return_tols-zero": (
+        "covering",
+        _with(SIM_CFG, "covering.return_tols", [0.1, 0.0]),
+        "covering.return_tols",
+    ),
+    "covering.window-negative": (
+        "covering",
+        _with(SIM_CFG, "covering.window", -5),
+        "covering.window",
+    ),
+}
+# the csv histories EXIT_TWO reads, written to the directory each case runs in
+CSV_FILES = {
+    "one.csv": "s,z1\n0,1.0\n-0.5,1.0\n-1.0,1.0\n-1.5,1.0\n-2.0,1.0\n-2.5,1.0\n",
+    "two.csv": "s,z1,z2\n0,1.0,2.0\n-0.02,1.0,2.0\n",
+    "none.csv": "s\n0\n-0.02\n",
 }
 
 
 @pytest.mark.parametrize("case", sorted(EXIT_TWO))
-def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, case):
+def test_bad_input_exits_two_and_names_the_key(tmp_path, capsys, monkeypatch, case):
     task, cfg, key = EXIT_TWO[case]
+    for name, text in CSV_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)  # where a case's csv path is read from
     assert _run(tmp_path, task, cfg) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
 
 
 def test_known_keys_are_accepted(tmp_path):
-    # every key of the closed blocks, set to its default or a valid value
+    # every key of the closed blocks, and of every system kind, polynomial,
+    # term, transport, shape, atom and history kind, set to its default or a
+    # valid value: a closed set that drops a valid key fails here
+    from nfde_lab import cli
+
+    poly = {"constant": 0.3, "terms": [{"k": [1], "cos": 0.0, "sin": 0.2}]}
+    grid = {"step": 0.02, "horizon": 6.0}
     cfg = {
         **SIM_CFG,
         "flow": {"freqs": [0.6180339887498949]},
@@ -966,12 +1044,47 @@ def test_known_keys_are_accepted(tmp_path):
         "covering": {"return_tols": [0.1], "window": 0.1, "t_min": 0.0},
         "cone": {"A": [[-2.0]], "horizon": "inf", "assume_hurwitz": False},
         "thresholds": {"mass_residual": 1.0, "cone_margin": -1.0},
+        "z_init": {"kind": "constant", "value": [1.0], **grid},
         "z_init_y": {"kind": "ordered_offset", "lam": 0.2},
     }
-    cfg["system"] = {**S1_SYSTEM, "g6": True}
+    cfg["system"] = {**S1_SYSTEM, "c": [poly], "g6": True}
     assert _run(tmp_path, "check", cfg) == 0
     assert _run(tmp_path, "pair", cfg) == 0
     assert _run(tmp_path, "simulate", cfg) == 0
+    sine = {"kind": "sinusoid", "base": [1.0], "amp": [0.1], "period": [10.0], "phase": [0.0]}
+    given = {
+        **cfg,
+        "z_init": {**sine, **grid},
+        "z_init_y": {"kind": "constant", "value": [3.0], **grid},
+    }
+    assert _run(tmp_path, "pair", given) == 0
+    csv_path = tmp_path / "z.csv"
+    csv_path.write_text("s,z1\n" + "".join(f"{-0.1 * j:.1f},1.0\n" for j in range(31)))
+    atom = {"lag": 0.5, "weight": [[{"constant": 0.2}]]}
+    shaped = {"gain": 0.5, "shape": {"kind": "sine_bend", "eps": 0.5}}
+    open_cfg = {
+        **SIM_CFG,
+        "system": {
+            "kind": "compartmental", "m": 1, "B": [[1.0]], "atoms": [atom],
+            "transports": [[shaped]], "outflows": [0.1], "inflows": [1.0],
+            "pipes": [[[[1.0, 1.0]]]],
+        },
+        "z_init": {"kind": "csv", "path": str(csv_path)},
+    }
+    assert _run(tmp_path, "simulate", open_cfg) == 0
+    inverse = {
+        "system": {"kind": "d_operator", "m": 1, "B": [[1.0]], "atoms": [atom]},
+        "yhat": {"kind": "constant", "value": [1.0], **grid},
+    }
+    assert _run(tmp_path, "invert", inverse) == 0
+    systems = (cfg["system"], open_cfg["system"], inverse["system"])
+    assert {s["kind"]: set(s) for s in systems} == {
+        kind: set(keys) for kind, keys in cli._SYSTEM_KEYS.items()
+    }
+    histories = (given["z_init"], cfg["z_init_y"], given["z_init_y"], open_cfg["z_init"])
+    assert {h["kind"]: set(h) for h in histories} == {
+        kind: set(keys) for kind, keys in cli._OFFSET_KEYS.items()
+    }
 
 
 GOLDEN, SILVER = 0.6180339887498949, 0.41421356237309515

@@ -42,7 +42,6 @@ from nfde_lab.compartment import (
     condition_margins,
 )
 from nfde_lab.d_operator import MeasureAtom, MeasureDensity, identity_poly_matrix
-from nfde_lab.history import FunctionHistory
 
 from .conftest import const_c_system, s1_system
 from .oracles import (
@@ -93,15 +92,17 @@ def test_eval_F_oscillating_gain_spot_value(golden_flow, origin):
     assert got == pytest.approx(2.0 * k_del - 2.0 * k_now, abs=1e-13)
 
 
-def test_eval_F_reads_its_offsets_in_one_call(golden_flow, origin):
+def test_eval_F_reads_its_offsets_in_one_call(golden_flow, origin, monkeypatch):
     # the offsets 0 and minus each pipe lag, all in one sample_many call
     calls = []
+    sample_many = HistoryGrid.sample_many
 
-    def fn(s):
-        calls.append(s.tolist())
-        return np.full((s.size, 1), 2.0)
+    def counted(self, s):
+        calls.append(np.asarray(s, dtype=float).tolist())
+        return sample_many(self, s)
 
-    eval_F(s1_system(golden_flow), origin, FunctionHistory(fn, 1))
+    monkeypatch.setattr(HistoryGrid, "sample_many", counted)
+    eval_F(s1_system(golden_flow), origin, constant_history([2.0], 0.1, 3.0))
     assert calls == [[0.0, -1.0]]
 
 

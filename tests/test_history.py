@@ -158,6 +158,22 @@ def test_csv_offsets_must_be_finite(tmp_path, second):
         import_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("s\n0\n-0.1\n", "value column"),  # used to read as a history of m = 0
+        ("s,z1\n0\n-0.1\n", "one cell per header column"),
+        ("s,z1\n0,1.0,2.0\n-0.1,1.0,2.0\n", "one cell per header column"),
+    ],
+    ids=["no-value-column", "short-rows", "long-rows"],
+)
+def test_csv_value_columns_follow_the_header(tmp_path, text, match):
+    path = tmp_path / "h.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        import_csv(path)
+
+
 @pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
 def test_grid_step_must_be_finite_and_positive(step):
     with pytest.raises(ValueError, match="grid step"):

@@ -25,7 +25,9 @@ here keeps the only reader of `TorusFlow.freqs` outside `base_flow`. The
 one-point twins of the array functions live in `tests/oracles.py`, and a
 check here keeps each one gone from the module or class it left. A history
 continues past its grid as its oldest sample, which a check here keeps the
-one extension: no tail policy, field or parameter."""
+one extension: no tail policy, field or parameter. A history is a
+`HistoryGrid`, which a check here keeps the one representation: no wrapper
+of a callable and no `hasattr` probe in the package."""
 
 import ast
 import dataclasses
@@ -524,7 +526,6 @@ REMOVED = [
 ] + [
     ("d_operator", None, "const_poly_matrix"),
     ("history", "HistoryGrid", "sample_at"),
-    ("history", "FunctionHistory", "sample_at"),
 ]
 
 
@@ -553,3 +554,20 @@ def test_one_history_extension():
         history._read_back,
     ):
         assert "tail" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_one_history_representation():
+    # every history the package reads is a HistoryGrid: no wrapper of a
+    # callable beside it, and no duck-typed probe for what a history has
+    import nfde_lab
+    from nfde_lab import history
+
+    assert not hasattr(nfde_lab, "FunctionHistory")
+    assert not hasattr(history, "FunctionHistory")
+    src = ROOT / "src" / "nfde_lab"
+    probes = [
+        (path.name, n.lineno)
+        for path in sorted(src.glob("*.py"))
+        for n in _called(ast.parse(path.read_text()), "hasattr")
+    ]
+    assert not probes, probes
