@@ -233,9 +233,17 @@ class _BalanceTerms:
     balance sums them: (column, shape) per active outflow and out-transport
     (into j, by j), the inflow's column, and (j, n, w, column, shape) per
     atom of an active pipe into i, which reads z_j at lags[n] back.
+
+    When every active shape is the identity (`linear`), the rate is affine
+    in z: L z(now) + e, with L from `now`, (i, j, column, weight) per term
+    of z_j now in compartment i's rate (weight -1 for an outflow or an
+    out-transport, the pipe's for an instant pipe), and e from `inflow`,
+    each compartment's inflow column, and `lagged`, (i, j, lag, column,
+    weight) per atom of a lagged pipe, reading z_j at lags[lag + 1] back.
+    Each is a tuple of index arrays, one per field.
     """
 
-    __slots__ = ("flow", "cols", "lags", "rows")
+    __slots__ = ("flow", "m", "cols", "lags", "rows", "linear", "now", "inflow", "lagged")
 
     def __init__(self, g: CompartmentalSystem):
         m = g.m
@@ -243,13 +251,14 @@ class _BalanceTerms:
         pipe = {r for i, j in active for r, _ in g.pipes[i][j].atoms if r > 0.0}
         self.lags = (0.0,) + tuple(sorted(pipe))
         self.flow = g.flow
+        self.m = m
         self.cols = []
 
         def col(poly: TrigPoly, r: float = 0.0) -> int:
             self.cols.append((poly, 0.0 if poly.is_constant() else r))
             return len(self.cols) - 1
 
-        rows = []
+        rows, now, lagged = [], [], []
         for i in range(m):
             outs = [g.outflows[i]] + [g.transports[j][i] for j in range(m)]
             outs = tuple((col(tr.gain), tr.shape.value_scalar) for tr in outs if not tr.is_zero())
@@ -260,7 +269,15 @@ class _BalanceTerms:
                 for r, w in g.pipes[i][j].atoms
             )
             rows.append((outs, col(g.inflows[i]), pipes))
+            now += [(i, i, n, -1.0) for n, _ in outs]
+            now += [(i, j, n, w) for j, lag, w, n, _ in pipes if lag == 0]
+            lagged += [(i, j, lag - 1, n, w) for j, lag, w, n, _ in pipes if lag > 0]
         self.rows = tuple(rows)
+        rates = (*g.outflows, *(tr for row in g.transports for tr in row))
+        self.linear = all(tr.shape.kind == "identity" for tr in rates if not tr.is_zero())
+        self.now = _index_arrays(now, 4)
+        self.inflow = np.array([inflow for _, inflow, _ in rows])
+        self.lagged = _index_arrays(lagged, 5)
 
     def coeffs(self, thetas: np.ndarray) -> np.ndarray:
         """Every column at each row of the (n, d) phases: shape (n, columns).
@@ -285,6 +302,29 @@ class _BalanceTerms:
                 f += w * (c[n] * shape(zs[lag][j]))
             F.append(f)
         return F
+
+    def rate_matrix(self, c: np.ndarray) -> np.ndarray:
+        """L of a linear law at each of the (n, columns) coefficient rows c:
+        shape (n, m, m)."""
+        i, j, n, w = self.now
+        L = np.zeros((self.m, self.m, c.shape[0]))
+        np.add.at(L, (i, j), (c[:, n] * w).T)
+        return L.transpose(2, 0, 1)
+
+    def rate_offset(self, c: np.ndarray, zr: np.ndarray) -> np.ndarray:
+        """e of a linear law at each coefficient row of c, where zr[:, n] is
+        the state at lags[n + 1] back: shape (n, m)."""
+        i, j, lag, n, w = self.lagged
+        e = c[:, self.inflow].T.copy()
+        np.add.at(e, i, (w * (c[:, n] * zr[:, lag, j])).T)
+        return e.T
+
+
+def _index_arrays(terms: list, width: int) -> tuple:
+    """A list of term tuples as one array per field: integer indices, then
+    the weight."""
+    a = np.array(terms, dtype=float).reshape(-1, width).T
+    return tuple(f.astype(int) for f in a[:-1]) + (a[-1],)
 
 
 def _induced_dspec(m, c, alpha, flow) -> DOperatorSpec:

@@ -315,18 +315,28 @@ class StepPlan:
     delayed part of x, read at stencils (idx, w) for the columns `cols` of
     nu.delays; A = B - sum w0 W takes a row's taps w0 on itself. A tap of
     weight 0 still reads its row, which must be written: it may hold NaN.
-    reach[r] is the newest row rows 0 .. r read."""
+    reach[r] is the newest row rows 0 .. r read.
+
+    An A whose rows are all the same matrix is inverted once, at the first
+    row's phase, and that inverse serves every row, bit for bit as the
+    batch; a caller that holds it already, from a plan of the same A, passes
+    it as `Ainv` and the plan inverts nothing."""
 
     __slots__ = ("nu", "cols", "W", "Ainv", "idx", "w", "reach")
 
-    def __init__(self, spec, theta, idx, w, w0=0.0, cols=slice(None)):
+    def __init__(self, spec, theta, idx, w, w0=0.0, cols=slice(None), Ainv=None):
         n = theta.shape[0]
-        B, W = eval_poly_matrix_many(spec.B, theta), spec.nu.weights(theta)
-        if np.any(w0):  # B - sum w0 W, column by column
-            for i, e in enumerate(np.eye(spec.m)):
-                B[:, :, i] -= spec.nu.add_into(np.zeros((n, spec.m)), W, w0[..., None] * e)
+        W = spec.nu.weights(theta)
+        if Ainv is None:
+            B = eval_poly_matrix_many(spec.B, theta)
+            if np.any(w0):  # B - sum w0 W, column by column
+                for i, e in enumerate(np.eye(spec.m)):
+                    B[:, :, i] -= spec.nu.add_into(np.zeros((n, spec.m)), W, w0[..., None] * e)
+            if np.all(B == B[:1]):  # no entry depends on the phase
+                B, theta = B[:1], theta[:1]
+            Ainv = _batch_inverse(B, theta)
         self.nu, self.cols, self.W, self.idx, self.w = spec.nu, cols, W, idx, w
-        self.Ainv = _batch_inverse(B, theta)
+        self.Ainv = np.broadcast_to(Ainv, (n, spec.m, spec.m))
         self.reach = np.maximum.accumulate(idx.reshape(n, -1).max(axis=1, initial=0)).tolist()
 
     def end(self, written: int) -> int:
@@ -415,8 +425,8 @@ def extract_atom_at_zero(spec: DOperatorSpec, p: TorusPoint, rho: float) -> np.n
     atom-only delayed parts with 2 rho below the smallest lag this equals
     B(w) exactly.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be finite and positive")
     s = spec.offsets
     phi = np.where(s <= -2.0 * rho, 0.0, np.where(s <= -rho, s / rho + 2.0, 1.0))
     rows = phi[None, :, None] * np.eye(spec.m)[:, None, :]

@@ -16,12 +16,25 @@ n h + h. They run on the inverse's method of steps, `StepPlan`: a plan
 block is its plan over the stages of _PLAN_STEPS steps, a read window its
 window over those reading only stored rows. Both match each stage from
 scratch bit for bit. A B singular at a stage phase raises SingularBError
-there.
+there; a B none of whose entries depends on the phase is inverted once per
+run.
 
-A stage's own work, rebuilding z and summing the balance law, runs on
-Python floats in the order of the array expressions it replaced: z is one
-product per component when B is diagonal, rounding as NumPy does, and
-else sums each row of B^-1 left to right, not in BLAS's order.
+When every active transport and outflow shape is the identity, the
+balance law is linear in z and each stage's rate is affine in zhat:
+A_s zhat + b_s, A_s = L_s B_s^-1 from the phase alone (the plan block),
+b_s from stored rows (the read window). Such a run steps by one affine
+map per step, zhat -> zhat + (P_n - I) zhat + q_n, composed in NumPy for
+every whole step of a read window (`_compose`); adjacent windows share
+their boundary stage. A step then applies its map on floats and rebuilds
+z at its end stage only. It differs from the stage arithmetic below by
+rounding only: a few ulps of each stored row. A window holds the steps
+whose delayed reads are all stored, so delays under 3h give windows of
+one step, which pay the composition every step.
+
+Otherwise a stage's own work, rebuilding z and summing the balance law,
+runs on Python floats in the order of the array expressions it replaced:
+z is one product per component when B is diagonal, rounding as NumPy
+does, and else sums each row of B^-1 left to right, not in BLAS's order.
 
 The log is read off the stored X and Z after the run (`_total_mass_many`,
 and minima of the decay slack `ordering` defines for pairs), each value as
@@ -40,7 +53,7 @@ import numpy as np
 
 from .base_flow import TorusFlow, TorusPoint, _is_whole, _rotate
 from .compartment import _mass_span, _total_mass_many
-from .d_operator import StepPlan, eval_Dhat_segment
+from .d_operator import StepPlan, _mv, eval_Dhat_segment
 from .errors import (
     DivergenceError,
     HorizonError,
@@ -118,11 +131,11 @@ class _Stage:
     """A stage time's data as lists of floats: B^-1, its diagonal when
     `SimState.diagonal_B` and else all of it row by row, the delayed part
     of D `rest`, the balance law's coefficients `c` and z at the pipe lags
-    `zr`."""
+    `zr`, which the end stage of a linear law's step does without."""
 
     __slots__ = ("Binv", "rest", "c", "zr")
 
-    def __init__(self, Binv, rest, c, zr):
+    def __init__(self, Binv, rest, c=None, zr=None):
         self.Binv = Binv
         self.rest = rest
         self.c = c
@@ -149,9 +162,13 @@ class _Stage:
 class _PlanBlock(StepPlan):
     """The plan of the stages of _PLAN_STEPS steps, or of the steps the run
     has left, if fewer: row r holds stage lo + r, its phase, B^-1 as _Stage
-    keeps it and the balance law's coefficient row."""
+    keeps it, the balance law's coefficient row and, for a linear law, the
+    stage rate's matrix A = L B^-1 as the first m columns of `rate`; a
+    read window fills b into the last column of its copy. A B none of whose
+    entries depends on the phase is inverted by the run's first block only:
+    each later block takes its inverse from the block before."""
 
-    __slots__ = ("lo", "hi", "theta", "Binv", "c")
+    __slots__ = ("lo", "hi", "theta", "Binv", "c", "rate")
 
     def __init__(self, state: SimState, b: int):
         h = state.h
@@ -167,28 +184,103 @@ class _PlanBlock(StepPlan):
         pos = (t[:, None] - state.delays.lags[None, :]) / h + state.Jh
         # a stage of step n reads K = Jh + n + 1 stored rows
         idx, w = cubic_stencil((state.Jh + n + 1)[:, None], pos)
-        super().__init__(state.general.dspec, theta, idx, w, cols=state.delays.nu)
+        prior = state._block
+        Ainv = prior.Ainv[0] if state.fixed_B and prior is not None else None
+        super().__init__(state.general.dspec, theta, idx, w, cols=state.delays.nu, Ainv=Ainv)
         A = self.Ainv
         self.Binv = np.diagonal(A, 0, 1, 2).copy() if state.diagonal_B else A.reshape(j.size, -1)
-        self.c = state.general._terms.coeffs(theta)
+        terms = state.general._terms
+        self.c = terms.coeffs(theta)
+        self.rate = None
+        if state.linear:
+            self.rate = np.empty((j.size, state.m, state.m + 1))
+            np.matmul(terms.rate_matrix(self.c), A, out=self.rate[:, :, :-1])
 
 
 class _ReadWindow:
     """The read window from a stage to the last of its block reading only
     stored rows: row s holds stage lo + s, the delayed part of D (`rest`)
-    and z at each pipe lag (`zr`), as the stage on its own."""
+    and z at each pipe lag (`zr`), as the stage on its own.
 
-    __slots__ = ("lo", "hi", "rest", "zr")
+    For a linear law the window holds whole steps: it starts at a step's
+    middle stage (stage 0 for the first) and ends at a step's end. Each
+    stage's rate is A_s zhat + b_s, b_s = A_s rest_s + e_s, kept as the
+    m x (m + 1) matrix [A_s | b_s]; the last stage's is the `edge` where
+    the next window starts. `maps` holds each step as its affine map
+    (`_compose`): per row i the entries of P - I in the columns
+    `SimState.cols[i]`, the others being exact zeros, q_i, and the step's
+    end stage."""
 
-    def __init__(self, state: SimState, blk: _PlanBlock, j: int):
+    __slots__ = ("lo", "hi", "rest", "zr", "maps", "edge")
+
+    def __init__(self, state: SimState, blk: _PlanBlock, j: int, prev=None):
+        linear = state.linear
+        if linear:  # from the middle of j's step, or from stage 0
+            j = 2 * ((j - 1) // 2) + 1 if j > 2 else 0
         r = j - blk.lo
         end = blk.end(state.k + 1)
+        if linear:
+            end -= (blk.lo + end - 1) % 2  # a step's middle stage without its end
         if end <= r:
             raise HorizonError(f"stage {j} reads z beyond the stored row {state.k}")
         self.lo = j
         self.hi = blk.lo + end
         self.rest = np.zeros((end - r, state.m))
         self.zr = blk.read(state.X, r, end, self.rest)[:, state.delays.pipe]
+        if linear:
+            self._step_maps(state, blk, r, end, prev)
+
+    def _step_maps(self, state: SimState, blk: _PlanBlock, r: int, end: int, prev) -> None:
+        Ab = blk.rate[r:end].copy()
+        Ab[:, :, -1] = _mv(Ab[:, :, :-1], self.rest)
+        Ab[:, :, -1] += state.general._terms.rate_offset(blk.c[r:end], self.zr)
+        own = slice(2, None, 2)  # the end stages, of rows from a step's start
+        if self.lo:
+            if prev is None or prev.hi != self.lo:
+                raise HorizonError(f"stage {self.lo} starts no step after the last window's end")
+            Ab = np.concatenate([prev.edge, Ab])
+            own = slice(1, None, 2)
+        self.edge = Ab[-1:]
+        Dq = _compose(state.h, Ab)
+        rows = [Dq[:, i, c].tolist() for i, c in enumerate(state.cols)]
+        ends = map(_Stage, blk.Binv[r:end][own].tolist(), self.rest[own].tolist())
+        self.maps = list(zip(zip(*rows), Dq[:, :, -1].tolist(), ends))
+
+
+def _compose(h: float, Ab: np.ndarray) -> np.ndarray:
+    """The classical Runge-Kutta steps of the affine rates A_s zhat + b_s,
+    given as [A_s | b_s], with rows 2i, 2i + 1 and 2i + 2 at the start, the
+    middle and the end of step i: step i maps zhat to P_i zhat + q_i.
+    Returns [P_i - I | q_i] = (h/6)(K1 + 2 K2 + 2 K3 + K4), with
+    K1 = [A_0 | b_0], K2 = [A_1/2 | b_1/2] + (h/2) A_1/2 K1,
+    K3 = [A_1/2 | b_1/2] + (h/2) A_1/2 K2 and K4 = [A_1 | b_1] + h A_1 K3,
+    whose first m columns are the Runge-Kutta matrices of the affine map:
+    K2 = A_1/2 (I + (h/2) K1) and so on."""
+    m = Ab.shape[1]
+    G0, Gm, G1 = Ab[:-2:2], Ab[1::2], Ab[2::2]
+    hh = 0.5 * h
+    K1 = G0
+    K2 = Gm + hh * np.matmul(Gm[:, :, :m], K1)
+    K3 = Gm + hh * np.matmul(Gm[:, :, :m], K2)
+    K4 = G1 + h * np.matmul(G1[:, :, :m], K3)
+    return (h / 6.0) * (((K1 + 2.0 * K2) + 2.0 * K3) + K4)
+
+
+def _map_columns(terms, diagonal_B: bool) -> list:
+    """Per row i of a linear law's step maps P - I, the columns where an
+    entry can be other than zero: those a product of up to four stage
+    matrices A = L B^-1 reaches, from the terms of L and, unless B is
+    diagonal, a full B^-1. Every other entry sums products with a zero
+    factor of the finite A, and is exactly zero."""
+    m = terms.m
+    i, j = terms.now[:2]
+    L = np.zeros((m, m), dtype=int)
+    L[i, j] = 1
+    A = L if diagonal_B else L @ np.ones((m, m), dtype=int)
+    paths = A
+    for _ in range(3):
+        paths = np.minimum(paths + paths @ A, 1)
+    return [np.flatnonzero(row).tolist() for row in paths]
 
 
 class SimState:
@@ -212,10 +304,13 @@ class SimState:
         self.flow = sys.flow
         self.m = sys.m
         self.delays = delays
+        self.linear = sys._terms.linear
         B = sys.dspec.B
         self.diagonal_B = all(
             i == j or p.is_zero() for i, row in enumerate(B) for j, p in enumerate(row)
         )
+        self.fixed_B = all(p.is_constant() for row in B for p in row)
+        self.cols = _map_columns(sys._terms, self.diagonal_B) if self.linear else None
         self._ahead = None  # stage data, zhat and z at the current time, from the last step
         self._block = None  # the stage plan's current block
         self._window = None  # the read window of the current stages
@@ -224,10 +319,8 @@ class SimState:
     def t(self) -> float:
         return (self.k - self.Jh) * self.h
 
-    def stage(self, j: int) -> _Stage:
-        """Data of stage j (see the module docstring); the plan supplies
-        everything that depends on the phase only, and the read window the
-        delayed z, all of it already stored."""
+    def _read(self, j: int) -> tuple:
+        """The read window holding stage j, and the plan block it reads."""
         blk = self._block
         if blk is None or not blk.lo <= j < blk.hi:
             if j > 2 * self.cfg.nsteps:
@@ -235,7 +328,14 @@ class SimState:
             blk = self._block = _PlanBlock(self, max(0, (j - 1) // (2 * _PLAN_STEPS)))
         win = self._window
         if win is None or not win.lo <= j < win.hi:
-            win = self._window = _ReadWindow(self, blk, j)
+            win = self._window = _ReadWindow(self, blk, j, win)
+        return win, blk
+
+    def stage(self, j: int) -> _Stage:
+        """Data of stage j (see the module docstring); the plan supplies
+        everything that depends on the phase only, and the read window the
+        delayed z, all of it already stored."""
+        win, blk = self._read(j)
         r = j - blk.lo
         s = j - win.lo
         # per stage: lists of a whole block hold several times its memory
@@ -245,6 +345,15 @@ class SimState:
             blk.c[r].tolist(),
             win.zr[s].tolist(),
         )
+
+    def step_map(self, n: int) -> tuple:
+        """Step n of a linear law as lists of floats: the entries of
+        D_n = P_n - I in the columns `cols` row by row, q_n, and its end
+        stage."""
+        win = self._window
+        if win is None or not win.lo <= 2 * n + 1 < win.hi:
+            win = self._read(2 * n + 1)[0]
+        return win.maps[n - win.lo // 2]
 
 
 def _history_rows(sys, cfg: SimConfig) -> int:
@@ -305,28 +414,33 @@ def reconstruct_z(state: SimState, s: float) -> np.ndarray:
 def step(state: SimState) -> SimState:
     """Advance one classical Runge-Kutta step; mutates and returns the state.
 
-    The two middle stages share their stage data; the data at the new time
-    serve the last stage, the stored z there, and the next step's first
-    stage, which also takes zhat and z there from this step.
+    A linear law takes the step's affine map and applies it (`_apply`).
+    Otherwise the two middle stages share their stage data; the data at the
+    new time serve the last stage, the stored z there, and the next step's
+    first stage, which also takes zhat and z there from this step.
     """
-    h = state.h
-    t = state.t
     k = state.k
     n = k - state.Jh
-    balance = state.general._terms.balance
-    now, v0, z0 = state._ahead or (state.stage(2 * n), state.Z[k].tolist(), state.X[k].tolist())
-    k1 = balance(now.c, [z0, *now.zr])
-    mid = state.stage(2 * n + 1)
-    hh = 0.5 * h
-    k2 = balance(mid.c, [mid.z([a + hh * f for a, f in zip(v0, k1)]), *mid.zr])
-    k3 = balance(mid.c, [mid.z([a + hh * f for a, f in zip(v0, k2)]), *mid.zr])
-    end = state.stage(2 * n + 2)
-    k4 = balance(end.c, [end.z([a + h * f for a, f in zip(v0, k3)]), *end.zr])
-    h6 = h / 6.0
-    vn = [
-        a + h6 * (((f1 + 2.0 * f2) + 2.0 * f3) + f4)
-        for a, f1, f2, f3, f4 in zip(v0, k1, k2, k3, k4)
-    ]
+    now, v0, z0 = state._ahead or (None, state.Z[k].tolist(), state.X[k].tolist())
+    if state.linear:
+        D, q, end = state.step_map(n)
+        vn = _apply(D, state.cols, q, v0)
+    else:
+        h = state.h
+        balance = state.general._terms.balance
+        now = now or state.stage(2 * n)
+        k1 = balance(now.c, [z0, *now.zr])
+        mid = state.stage(2 * n + 1)
+        hh = 0.5 * h
+        k2 = balance(mid.c, [mid.z([a + hh * f for a, f in zip(v0, k1)]), *mid.zr])
+        k3 = balance(mid.c, [mid.z([a + hh * f for a, f in zip(v0, k2)]), *mid.zr])
+        end = state.stage(2 * n + 2)
+        k4 = balance(end.c, [end.z([a + h * f for a, f in zip(v0, k3)]), *end.zr])
+        h6 = h / 6.0
+        vn = [
+            a + h6 * (((f1 + 2.0 * f2) + 2.0 * f3) + f4)
+            for a, f1, f2, f3, f4 in zip(v0, k1, k2, k3, k4)
+        ]
     top = 0.0
     for a in map(abs, vn):
         if not a <= top:  # larger, or NaN, which wins as in NumPy's max
@@ -334,13 +448,24 @@ def step(state: SimState) -> SimState:
             if a != a:
                 break
     if not math.isfinite(top) or top > state.cfg.divergence_limit:
-        raise DivergenceError(t + h, top)
+        raise DivergenceError(state.t + state.h, top)
     z = end.z(vn)
     state.Z[k + 1] = vn
     state.X[k + 1] = z
     state.k = k + 1
     state._ahead = (end, vn, z)
     return state
+
+
+def _apply(D: list, cols: list, q: list, v: list) -> list:
+    """One step's affine map on zhat as floats: v_i + (q_i + sum_j D_ij v_j)
+    over the columns j in cols[i], the sum from q_i left to right."""
+    out = []
+    for a, row, js, acc in zip(v, D, cols, q):
+        for d, j in zip(row, js):
+            acc += d * v[j]
+        out.append(a + acc)
+    return out
 
 
 @dataclass(eq=False)

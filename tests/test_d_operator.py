@@ -321,6 +321,47 @@ def _inverse_or_error(invert, Bv, thetas):
         return err.point.theta.tobytes(), err.det
 
 
+def _plan_rows(n):
+    """Stencils of n rows of a plan over an operator without a delayed part."""
+    return np.zeros((n, 0, 4), dtype=int), np.zeros((n, 0, 4))
+
+
+def test_step_plan_inverts_a_phase_free_matrix_once(golden_flow, monkeypatch):
+    # B with constant entries: one inversion, at the first row's phase, that
+    # serves every row bit for bit as the batch; a plan given that inverse
+    # inverts nothing; a phase-dependent B is inverted as one batch
+    from nfde_lab import d_operator
+
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    thetas = np.linspace(0.0, 1.0, 37, endpoint=False)[:, None]
+    B = const_poly_matrix([[1.2, 0.3], [-0.1, 0.9]])
+    spec = DOperatorSpec(2, B, AtomicMeasureFamily(), golden_flow)
+    plan = d_operator.StepPlan(spec, thetas, *_plan_rows(37))
+    assert calls == [(1, 2, 2)]
+    want = d_operator._batch_inverse(eval_poly_matrix_many(B, thetas), thetas)
+    assert plan.Ainv.tobytes() == want.tobytes()
+    again = d_operator.StepPlan(spec, thetas[:5], *_plan_rows(5), Ainv=plan.Ainv[0])
+    assert len(calls) == 2 and again.Ainv.tobytes() == want[:5].tobytes()
+    B = [[B[0][0], TrigPoly.from_terms(0.3, [([1], 0.1, 0.0)])], B[1]]
+    d_operator.StepPlan(DOperatorSpec(2, B, spec.nu, golden_flow), thetas, *_plan_rows(37))
+    assert calls[-1] == (37, 2, 2)
+
+
+def test_step_plan_singular_phase_free_B_raises_at_the_first_row():
+    # a constant singular B is reported at the first row's phase, as the
+    # batch reports its first singular row
+    from nfde_lab import d_operator
+
+    flow = TorusFlow([GOLDEN_FREQ])
+    spec = DOperatorSpec(1, const_poly_matrix([[0.0]]), AtomicMeasureFamily(), flow)
+    thetas = np.array([[0.7], [0.1], [0.4]])
+    with pytest.raises(SingularBError) as info:
+        d_operator.StepPlan(spec, thetas, *_plan_rows(3))
+    assert info.value.point.theta.tolist() == [0.7] and info.value.det == 0.0
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_checked_inverse_is_the_det_gate_at_every_phase(m):
     # the determinant is skipped only where Hadamard's bound clears the
@@ -654,6 +695,14 @@ def test_extract_atom_empty_measure(golden_flow):
         for rho in (0.1, 0.5, 2.0):
             got = extract_atom_at_zero(spec, p, rho)
             assert np.allclose(got, want, atol=1e-13)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, 0.0, -0.25])
+def test_extract_atom_rejects_rho_not_finite_and_positive(half_spec, origin, rho):
+    # a NaN or infinite rho used to pass the check and answer the probe of 1
+    # everywhere: [[0.5]] here, where B is [[1.0]]
+    with pytest.raises(ValueError, match="rho must be finite and positive"):
+        extract_atom_at_zero(half_spec, origin, rho)
 
 
 def test_extract_atom_is_the_per_column_oracle():

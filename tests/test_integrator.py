@@ -672,10 +672,14 @@ def _floats(values) -> bool:
     return type(values) is list and all(type(v) is float for v in values)
 
 
-def _assert_same_stage(fast, slow):
-    # every field a stage's arithmetic reads is a list of Python floats
-    for got, want in ((fast.Binv, slow.Binv), (fast.rest, slow.rest), (fast.c, slow.c)):
-        assert _floats(got) and _bits(got) == _bits(want)
+def _assert_same_stage(fast, slow, z_only=False):
+    # every field a stage's arithmetic reads is a list of Python floats; the
+    # end stage of a linear law's step is read for z alone
+    for name in ("Binv", "rest") if z_only else ("Binv", "rest", "c"):
+        got = getattr(fast, name)
+        assert _floats(got) and _bits(got) == _bits(getattr(slow, name))
+    if z_only:
+        return
     assert type(fast.zr) is list and len(fast.zr) == len(slow.zr)
     for got, want in zip(fast.zr, slow.zr):
         assert _floats(got) and _bits(got) == _bits(want)
@@ -884,7 +888,7 @@ def test_stage_plan_matches_direct_stage(kind, phase, amp, h, block, steps):
             _assert_same_stage(stage(2 * n + 2, t + h), end)
             state.X[state.k + 1 :] = np.nan
             step(state)
-            _assert_same_stage(state._ahead[0], end)
+            _assert_same_stage(state._ahead[0], end, z_only=state.linear)
 
 
 # Kinds with a diagonal B: there the float stage arithmetic rounds as the
@@ -899,11 +903,34 @@ DIAGONAL_B_KINDS = {
     "diagonal_ring",
 }
 
-# Allowed gap between `step` and `step_direct` over 10 steps elsewhere, in
-# units of eps times the largest entry of the compared row of Z or X: a row
-# of a full B^-1 sums in Python order, not the BLAS one. 200 seeded runs of
-# each such kind differ by at most 2.4 of these units.
+# Kinds whose every active shape is the identity: they step by affine maps.
+LINEAR_KINDS = {
+    "s1", "s1_lag_h", "s1_lag_2h", "s1_lag_3h", "density", "multi_term", "diagonal_ring"
+}
+
+# Allowed gap between `step` and `step_direct` over 10 steps of a nonlinear
+# law with a full B, in units of eps times the largest entry of the compared
+# row of Z or X: a row of a full B^-1 sums in Python order, not the BLAS
+# one. 200 seeded runs of each such kind differ by at most 2.4 of these units.
 _STEP_ULPS = 8
+
+# The same allowance for a linear law, whose step is one affine map composed
+# in NumPy: it rounds differently from the stage arithmetic, each step and
+# each stored z. 30 seeded 10-step runs of each linear kind of PLAN_KINDS
+# and diagonal_ring differ by at most 1.8 of these units, and 1,000
+# networks of `_linear_networks` over 6-24 steps by at most 2.9.
+_AFFINE_STEP_ULPS = 8
+
+
+def _assert_steps_match(fast, slow, ulps):
+    assert fast.k == slow.k
+    for got, want in ((fast.Z, slow.Z), (fast.X, slow.X)):
+        got, want = got[: fast.k + 1], want[: slow.k + 1]
+        if ulps == 0:
+            assert _bits(got) == _bits(want)
+        else:
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= ulps * np.finfo(float).eps * scale)
 
 
 @pytest.mark.parametrize("kind", PLAN_KINDS + ["diagonal_ring"])
@@ -914,9 +941,9 @@ _STEP_ULPS = 8
     h=st.sampled_from([0.05, 0.03, 0.045, 0.0375]),
 )
 def test_step_matches_direct_step(kind, phase, amp, h):
-    # 10 steps of the float stage arithmetic against NumPy arithmetic on
-    # stages built from scratch, as `step` computed before it worked on
-    # Python floats
+    # 10 steps of `step` against NumPy arithmetic on stages built from
+    # scratch: the float stage arithmetic of a nonlinear law bit for bit
+    # with a diagonal B, and the affine map of a linear law by rounding
     from .oracles import step_direct
 
     sys, p0, h = _plan_case(kind, phase, h)
@@ -925,23 +952,132 @@ def test_step_matches_direct_step(kind, phase, amp, h):
     fast, slow = init_from_z(sys, p0, z0, cfg), init_from_z(sys, p0, z0, cfg)
     diagonal = fast.diagonal_B
     assert diagonal == (kind in DIAGONAL_B_KINDS)
+    assert fast.linear == (kind in LINEAR_KINDS)
     now = None
     for _ in range(cfg.nsteps):
         step(fast)
         now = step_direct(slow, now)
-    assert fast.k == slow.k
-    for got, want in ((fast.Z, slow.Z), (fast.X, slow.X)):
-        got, want = got[: fast.k + 1], want[: slow.k + 1]
-        if diagonal:
-            assert _bits(got) == _bits(want)
-        else:
-            scale = np.max(np.abs(want), axis=1, keepdims=True)
-            assert np.all(np.abs(got - want) <= _STEP_ULPS * np.finfo(float).eps * scale)
+    ulps = _AFFINE_STEP_ULPS if fast.linear else 0 if diagonal else _STEP_ULPS
+    _assert_steps_match(fast, slow, ulps)
+
+
+@st.composite
+def _linear_networks(draw):
+    """A linear network and its step: m = 1-3 on a 1- or 2-torus, a diagonal
+    or a full B, atoms and pipes at lags of h, 2h, 3h or off the grid, and
+    maybe a density whose first midpoint is h; hypothesis picks the
+    structure, a seeded generator the values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 2))
+    flow = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0][:dim])
+    h = draw(st.sampled_from([0.05, 0.04]))
+    lag = st.sampled_from([h, 2 * h, 3 * h, 0.37, 0.61])
+
+    def poly(c0, amp):
+        if draw(st.booleans()):
+            return TrigPoly.const(c0)
+        return TrigPoly.from_terms(c0, [(rng.integers(-2, 3, size=dim), *rng.uniform(0, amp, 2))])
+
+    zero = TrigPoly.const(0.0)
+    full = draw(st.booleans())
+    B = [
+        [poly(1.0, 0.1) if i == j else poly(0.05, 0.02) if full else zero for j in range(m)]
+        for i in range(m)
+    ]
+    lags = draw(st.lists(lag, min_size=1, max_size=2, unique=True))
+    weight = [[poly(0.15, 0.05) if i == j else zero for j in range(m)] for i in range(m)]
+    atoms = tuple(MeasureAtom(r, weight) for r in lags)
+    density = None
+    if draw(st.booleans()):
+        density = MeasureDensity(rng.uniform(0.0, 0.1, (3, m, m)), 2 * h)
+    none = TransportSpec.zero()
+
+    def transport():
+        return TransportSpec(poly(rng.uniform(0.2, 1.0), 0.1)) if draw(st.booleans()) else none
+
+    def pipe():
+        lag = st.sampled_from([0.0, h, 2 * h, 3 * h, 0.37])
+        lags = draw(st.lists(lag, min_size=1, max_size=2, unique=True))
+        return PipeSpec(tuple((r, 1.0 / len(lags)) for r in lags))
+
+    sys = CompartmentalSystem(
+        m=m,
+        transports=tuple(tuple(transport() for _ in range(m)) for _ in range(m)),
+        outflows=tuple(transport() for _ in range(m)),
+        inflows=tuple(zero if draw(st.booleans()) else poly(0.3, 0.1) for _ in range(m)),
+        pipes=tuple(tuple(pipe() for _ in range(m)) for _ in range(m)),
+        dspec=DOperatorSpec(m, B, AtomicMeasureFamily(atoms, density), flow),
+        flow=flow,
+    )
+    p0 = TorusPoint(rng.uniform(0.0, 1.0, size=dim))
+    return sys, p0, SimConfig(h=h, t_end=draw(st.integers(6, 24)) * h), rng.uniform(0.0, 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_linear_networks())
+def test_affine_step_matches_direct_step(case):
+    # the affine step of generated linear networks against the stages built
+    # from scratch in NumPy: both round, neither is exact, and the gap stays
+    # within _AFFINE_STEP_ULPS over every stored row of Z and X
+    from .oracles import step_direct
+
+    sys, p0, cfg, amp = case
+    z0 = _plan_history(sys, cfg, amp)
+    fast, slow = init_from_z(sys, p0, z0, cfg), init_from_z(sys, p0, z0, cfg)
+    assert fast.linear
+    now = None
+    for _ in range(cfg.nsteps):
+        step(fast)
+        now = step_direct(slow, now)
+    _assert_steps_match(fast, slow, _AFFINE_STEP_ULPS)
 
 
 def _poly_matrix(rows):
     """TrigPoly matrix from numbers and TrigPolys."""
     return [[v if isinstance(v, TrigPoly) else TrigPoly.const(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("block", [2, 5, None])
+def test_constant_B_plan_is_the_per_block_batch(block):
+    # the constant_B fixture's B is inverted by the first block alone and
+    # passed on: every block's B^-1 equals, bit for bit, the checked
+    # inverse of B evaluated at each of its stages
+    from unittest import mock
+
+    from nfde_lab import integrator
+    from nfde_lab.d_operator import _batch_inverse, eval_poly_matrix_many
+
+    sys, p0, h = _plan_case("constant_B", 0.3, 0.05)
+    cfg = SimConfig(h=h, t_end=30 * h)
+    blocks = []
+
+    class Kept(integrator._PlanBlock):
+        def __init__(self, *args):
+            super().__init__(*args)
+            blocks.append(self)
+
+    with mock.patch.object(integrator, "_PLAN_STEPS", block or integrator._PLAN_STEPS):
+        with mock.patch.object(integrator, "_PlanBlock", Kept):
+            run(sys, p0, _plan_history(sys, cfg, 0.2), cfg)
+    assert len(blocks) == -(-cfg.nsteps // (block or integrator._PLAN_STEPS))
+    for blk in blocks:
+        B = eval_poly_matrix_many(sys.dspec.B, blk.theta)
+        assert blk.Ainv.tobytes() == _batch_inverse(B, blk.theta).tobytes()
+
+
+def test_s1_run_inverts_B_once(golden_flow, origin, monkeypatch):
+    # s1's B = 1 does not depend on the phase: a run of 2,000 steps over 32
+    # plan blocks calls np.linalg.inv once, on one matrix
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    sys = s1_system(golden_flow)
+    cfg = SimConfig(h=0.01, t_end=20.0)
+    z0 = constant_history([2.0], cfg.h, required_z_horizon(sys, cfg) + 0.1)
+    calls.clear()
+    run(sys, origin, z0, cfg)
+    assert calls == [(1, 1, 1)]
 
 
 def test_plan_keeps_diagonal_or_full_inverse(golden_flow):
@@ -991,19 +1127,17 @@ def test_plan_keeps_diagonal_or_full_inverse(golden_flow):
             assert _bits(blk.Binv) == _bits(inv.reshape(len(inv), 9)), name
 
 
-@pytest.mark.parametrize(
+BAD_COMPONENTS = pytest.mark.parametrize(
     "bad",
     [{0: np.nan}, {2: np.nan}, {0: np.inf}, {2: -np.inf}, {0: np.inf, 2: np.nan}],
     ids=["nan_first", "nan_last", "inf_first", "inf_last", "inf_then_nan"],
 )
-def test_step_guard_sees_any_bad_component(monkeypatch, bad):
-    # the last stage's rate is made NaN or inf in the given components of
-    # an m = 3 state, and so is the new zhat there; the guard must report
-    # what NumPy's max of |zhat| reports: NaN wherever a NaN sits, which
-    # Python's max skips unless it comes first, else the largest entry
-    from nfde_lab.compartment import _BalanceTerms
 
-    from .oracles import step_direct
+
+def _corrupt_balance(monkeypatch, bad):
+    """Make the fourth balance rate, k4 of the first step of step_direct or
+    of the float stage, NaN or inf in the given components."""
+    from nfde_lab.compartment import _BalanceTerms
 
     balance = _BalanceTerms.balance
     calls = [0]
@@ -1017,24 +1151,76 @@ def test_step_guard_sees_any_bad_component(monkeypatch, bad):
         return F
 
     monkeypatch.setattr(_BalanceTerms, "balance", corrupted)
-    flow = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0])
-    sys = ring_system(flow, 3)
-    cfg = SimConfig(h=0.05, t_end=0.5)
+    return calls
+
+
+def _guard_errors(sys, p0, cfg, advance, calls):
+    """The DivergenceError of the first step of each of `advance`."""
     z0 = _plan_history(sys, cfg, 0.2)
     errors = []
-    for advance in (step, step_direct):
+    for stepper in advance:
         calls[0] = 0
-        state = init_from_z(sys, TorusPoint([0.3, 0.6]), z0, cfg)
+        state = init_from_z(sys, p0, z0, cfg)
         with pytest.raises(DivergenceError) as err:
-            advance(state)
+            stepper(state)
         errors.append(err.value)
-    got, want = errors
-    assert got.t == want.t == cfg.h
+    return errors
+
+
+def _assert_same_guard(got, want, bad, h):
+    # the guard must report what NumPy's max of |zhat| reports: NaN wherever
+    # a NaN sits, which Python's max skips unless it comes first, else the
+    # largest entry
+    assert got.t == want.t == h
     assert str(got) == str(want)
     if any(np.isnan(v) for v in bad.values()):
         assert np.isnan(got.value) and np.isnan(want.value)
     else:
         assert got.value == want.value == np.inf
+
+
+@BAD_COMPONENTS
+def test_step_guard_sees_any_bad_component(monkeypatch, bad):
+    # the affine step of the linear m = 3 ring: the end stage's rate offset
+    # of the first step, and with it that step's q, is made NaN or inf in
+    # the given components, as step_direct's last rate is, and so is the
+    # new zhat there in both
+    from nfde_lab.compartment import _BalanceTerms
+
+    from .oracles import step_direct
+
+    calls = _corrupt_balance(monkeypatch, bad)  # counts the offsets too
+    offset = _BalanceTerms.rate_offset
+
+    def corrupted(self, c, zr):
+        e = offset(self, c, zr)
+        calls[0] += 1
+        if calls[0] == 1:  # the first window, from stage 0: row 2 ends step 0
+            for i, v in bad.items():
+                e[2, i] = v
+        return e
+
+    monkeypatch.setattr(_BalanceTerms, "rate_offset", corrupted)
+    flow = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0])
+    sys = ring_system(flow, 3)
+    cfg = SimConfig(h=0.05, t_end=0.5)
+    got, want = _guard_errors(sys, TorusPoint([0.3, 0.6]), cfg, (step, step_direct), calls)
+    _assert_same_guard(got, want, bad, cfg.h)
+
+
+@BAD_COMPONENTS
+def test_step_guard_sees_any_bad_component_nonlinear(monkeypatch, bad):
+    # the float stage of the nonlinear three-compartment system: the last
+    # stage's rate is made NaN or inf in the given components, and so is
+    # the new zhat there
+    from .oracles import step_direct
+
+    calls = _corrupt_balance(monkeypatch, bad)
+    flow = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0])
+    sys = three_compartment_system(flow)
+    cfg = SimConfig(h=0.05, t_end=0.5)
+    got, want = _guard_errors(sys, TorusPoint([0.3, 0.6]), cfg, (step, step_direct), calls)
+    _assert_same_guard(got, want, bad, cfg.h)
 
 
 @st.composite
@@ -1400,9 +1586,9 @@ def test_bad_stored_state_raises_divergence(golden_flow, origin, monkeypatch, tm
     calls = [0]
 
     def z(self, zhat):
-        calls[0] += 1  # four per step; the fourth stores z at the new time
+        calls[0] += 1  # s1 is linear: one per step, which stores z at the new time
         out = z_of(self, zhat)
-        return np.full_like(out, bad) if calls[0] == 4 * cfg.nsteps else out
+        return np.full_like(out, bad) if calls[0] == cfg.nsteps else out
 
     monkeypatch.setattr(integrator._Stage, "z", z)
     sys = s1_system(golden_flow)

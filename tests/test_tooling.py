@@ -3,8 +3,10 @@ tracer wraps the functions listed in its TRACED table, and the measured
 child process hooks a few more. A rename or deletion in nfde_lab that
 leaves one of these names dangling fails here, not in a traced benchmark
 run. Every CLI process pays for what `nfde_lab.cli` imports, so a check
-here keeps SciPy out of it. The stage arithmetic sums in an explicit order,
-which a check here keeps free of `sum` and `math.fsum`. A sampled history
+here keeps SciPy out of it. The stage arithmetic and a linear law's affine
+step sum in an explicit order, which a check here keeps free of `sum` and
+`math.fsum`; which of the two a run takes follows its shapes alone, which a
+check here keeps apart. A sampled history
 is read by one rule, `history.cubic_stencil`, which a check here keeps the
 only user of the interpolation weights, and its stencils are summed in one
 place, `history.gather`. Stored rows are read back from a row by one causal
@@ -148,8 +150,9 @@ def test_setup_mark_comes_before_checker_work(tmp_path, monkeypatch):
 def _stage_plan_marks(tmp_path, monkeypatch, task, extra):
     """Run `task` on a short s1 config updated with `extra`, with the set-up
     mark of perfbench/child.py hooked. Return whether the mark was set at
-    each plan block or read window built and at each evaluation of the
-    balance law's coefficient columns, and the number of step calls."""
+    each plan block or read window built, at each composition of step maps
+    and at each evaluation of the balance law's coefficient columns, and
+    the number of step calls."""
     from nfde_lab import cli, compartment, integrator
 
     spec = importlib.util.spec_from_file_location("child", ROOT / "perfbench" / "child.py")
@@ -174,6 +177,13 @@ def _stage_plan_marks(tmp_path, monkeypatch, task, extra):
             _base.__init__(self, *args)
 
         monkeypatch.setattr(integrator, name, type(name, (base,), {"__init__": init}))
+    compose = integrator._compose
+
+    def marked_compose(*args):
+        built.append("first_entry" in marks)
+        return compose(*args)
+
+    monkeypatch.setattr(integrator, "_compose", marked_compose)
     evaluated = []
     coeffs = compartment._BalanceTerms.coeffs
 
@@ -203,9 +213,9 @@ def _stage_plan_marks(tmp_path, monkeypatch, task, extra):
 
 def test_setup_mark_comes_before_stage_plan_work(tmp_path, monkeypatch):
     # perfbench/child.py ends `setup_s` at the first call of integrator.step;
-    # the stage plan's blocks and read windows must be built, and the
-    # balance law's coefficient columns evaluated, after it, and step must
-    # run once per step
+    # the stage plan's blocks and read windows must be built, their step
+    # maps composed, and the balance law's coefficient columns evaluated,
+    # after it, and step must run once per step
     built, evaluated, steps = _stage_plan_marks(tmp_path, monkeypatch, "mass-audit", {})
     assert len(built) > 2 and all(built)
     assert evaluated and all(evaluated)
@@ -230,9 +240,46 @@ def test_setup_mark_comes_before_stage_plan_work_in_pair(tmp_path, monkeypatch):
 # `math.fsum` rounds once for the whole sum.
 ORDERED_SUMS = [
     ("integrator.py", "step"),
+    ("integrator.py", "_apply"),
     ("integrator.py", "_Stage.z"),
     ("compartment.py", "_BalanceTerms.balance"),
 ]
+
+
+def test_linear_runs_compose_and_nonlinear_runs_balance(monkeypatch):
+    # the path follows the system's shapes alone: a law whose active shapes
+    # are all the identity steps by composed affine maps and never sums the
+    # balance law term by term; a nonlinear one (a saturating transport)
+    # never composes a map
+    import numpy as np
+
+    from nfde_lab import GOLDEN_FREQ, SimConfig, TorusFlow, TorusPoint, constant_history, run
+    from nfde_lab import compartment, integrator
+    from nfde_lab.integrator import required_z_horizon
+
+    from .conftest import s1_system
+    from .test_integrator import three_compartment_system
+
+    counts = {}
+    for name, owner in (("balance", compartment._BalanceTerms), ("_compose", integrator)):
+
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    flow2 = TorusFlow([GOLDEN_FREQ, np.sqrt(2.0) - 1.0])
+    cases = (
+        (s1_system(TorusFlow([GOLDEN_FREQ])), TorusPoint([0.2]), {"_compose"}),
+        (three_compartment_system(flow2), TorusPoint([0.2, 0.6]), {"balance"}),
+    )
+    cfg = SimConfig(h=0.02, t_end=3.0)
+    for sys, p0, called in cases:
+        counts.clear()
+        z0 = constant_history([1.0] * sys.m, cfg.h, required_z_horizon(sys, cfg) + 0.1)
+        run(sys, p0, z0, cfg)
+        assert set(counts) == called
+    assert counts["balance"] == 4 * cfg.nsteps
 
 
 def _function(tree, qualname):
